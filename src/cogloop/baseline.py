@@ -1,11 +1,13 @@
 """Monolithic comparison system: same policy, bounded context, no validation.
 
-Instead of the versioned store, this runner keeps working knowledge in a
-bounded context window: a FIFO of leaf facts with at most ``budget`` slots,
-where each retained fact is recalled each cycle only with probability
-max(0, 1 - decay * age). The same scripted policy reads through that decayed
-window, and whatever it proposes executes immediately — there is no
-validator, so decision markers in the trace are synthetic auto-approvals and
+The baseline runs the same cycle driver as the governed system
+(``loop.drive_episode``) with a different view and gate. Its view,
+``ContextView``, keeps working knowledge in a bounded context window: a FIFO
+of leaf facts with at most ``budget`` slots, where each retained fact is
+recalled each cycle only with probability max(0, 1 - decay * age). The same
+scripted policy reads through that decayed window. Its gate,
+``AutoApproveGate``, has no validator: whatever the policy proposes executes
+immediately, decision markers in the trace are synthetic auto-approvals, and
 injected faults reach the runtime.
 
 An authoritative store still records every committed observation and action
@@ -20,27 +22,20 @@ import logging
 import random
 from typing import Any
 
-from .cognition import (
-    DEFAULT_SYSTEM,
-    CognitionInput,
-    ProposerFailure,
-    format_memory_fact,
-)
-from .control import TerminationReason, check_termination
+from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact
+from .control import ControlDecision, Verdict, check_termination
+from .goals import GoalSpec
 from .loop import (
     ConfigError,
+    CycleState,
     EpisodeConfig,
     EpisodeResult,
-    EpisodeStatus,
-    _action_summary,
-    _commit_delta,
-    _final_response,
-    _make_proposer,
-    _proposal_payload,
+    Gate,
+    View,
+    drive_episode,
 )
-from .memory import EntryKind, MemoryEntry, MemoryStore, encode_value
-from .runtime import Runtime, WorldState, builtin_registry, canon_args
-from .trace import CycleRecord, EpisodeTrace, TraceHeader
+from .memory import EntryKind, MemoryEntry, MemorySnapshot
+from .runtime import Runtime, ToolCall, ToolRegistry, ToolResult, canon_args
 
 logger = logging.getLogger(__name__)
 
@@ -115,143 +110,85 @@ def _context_entry(key: str, payload: dict[str, Any]) -> MemoryEntry:
     )
 
 
+class ContextView(View):
+    """The ``ContextModel`` window, with no constraints."""
+
+    def __init__(self, config: EpisodeConfig, context: ContextModel, registry: ToolRegistry):
+        self.config = config
+        self.context = context
+        self.registry = registry
+
+    def cognition_input(
+        self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
+    ) -> CognitionInput:
+        entries = self.context.visible_entries(cycle)
+        return CognitionInput(
+            system=DEFAULT_SYSTEM,
+            task=self.config.task,
+            rules=self.config.ruleset.render_for_cognition(),
+            facts=tuple(format_memory_fact(e) for e in entries),
+            constraints=(),
+        )
+
+    def after_execution(self, state: CycleState, call: ToolCall, result: ToolResult) -> None:
+        context = self.context
+        if result.ok:
+            # Recomputed rather than taken from `execute`, which stages nothing
+            # on an idempotency hit: the window still refreshes then.
+            spec = self.registry.get(call.name)
+            for write in Runtime._staged_writes(spec, canon_args(call.arguments), result.payload):
+                context.insert(write.key, write.kind, write.payload, state.index)
+        state.log_lines.append(
+            f"[Baseline] context holds {context.retained()}/{context.budget} facts"
+        )
+
+
+class AutoApproveGate(Gate):
+    """No validation layer: approve every call until a termination check fires."""
+
+    baseline = True
+    cognition_label = "[Baseline]"
+    memory_label = "[Baseline]"
+
+    def __init__(self, goal: GoalSpec):
+        self.goal = goal
+
+    def decide(
+        self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
+    ) -> ControlDecision:
+        reason = check_termination(proposal.call is None, snapshot, self.goal, cycle, max_cycles)
+        if reason is not None:
+            return ControlDecision(
+                verdict=Verdict.TERMINATE,
+                reason=reason,
+                log_lines=(f"[Baseline] Termination: {reason.value}",),
+            )
+        return ControlDecision(
+            verdict=Verdict.APPROVED,
+            call=proposal.call.canonical(),
+            log_lines=("[Baseline] auto-approved (no validation layer)",),
+        )
+
+    def record(self, decision: ControlDecision) -> dict[str, Any]:
+        return {
+            "verdict": decision.verdict.value,
+            "call": decision.call.to_dict() if decision.call else None,
+            "rule_ids": [],
+            "reason": decision.reason.value if decision.reason else None,
+            "synthetic": True,
+        }
+
+
 def run_baseline_episode(
     config: EpisodeConfig, budget: int, decay: float
 ) -> EpisodeResult:
     """Run one unvalidated bounded-context episode and return its full record."""
-    config.validate()
-    registry = builtin_registry(list(config.extra_tools))
-    runtime = Runtime(registry, WorldState.from_dict(config.world))
-    store = MemoryStore()
-    proposer = _make_proposer(config)
-    goal = config.policy.goal
-    max_cycles = config.resolved_max_cycles()
-    context = ContextModel(budget, decay, config.seed, config.context)
-
-    for key in sorted(config.context):
-        store.write_staged(key, EntryKind.OBSERVATION, config.context[key], source="init")
-    init_delta = _commit_delta(store)
-    records = [
-        CycleRecord(
-            cycle=0,
-            memory_delta=init_delta,
-            log_lines=[f"[Baseline] initialized {len(init_delta)} context entries"],
-        )
-    ]
-
-    reason: TerminationReason | None = None
-    cycles_used = 0
-    for cycle in range(1, max_cycles + 1):
-        cycles_used = cycle
-        snapshot = store.snapshot
-        entries = context.visible_entries(cycle)
-        cog_input = CognitionInput(
-            system=DEFAULT_SYSTEM,
-            task=config.task,
-            rules=config.ruleset.render_for_cognition(),
-            facts=tuple(format_memory_fact(e) for e in entries),
-            constraints=(),
-        )
-        log_lines: list[str] = []
-        try:
-            proposal = proposer.propose(cog_input)
-        except ProposerFailure as exc:
-            log_lines.append(f"[Baseline] Proposer failure: {exc}")
-            records.append(
-                CycleRecord(cycle=cycle, input_digest=cog_input.digest(), log_lines=log_lines)
-            )
-            continue
-
-        meta = proposer.last_meta
-        log_lines.append(f"[Baseline] Proposal: {proposal.describe()}")
-        if meta.fault_label:
-            log_lines.append(f"[Faults] injected {meta.fault_label}")
-        consumptions = dict(meta.fact_reads)
-
-        store.write_staged(
-            f"prop.cycle{cycle}",
-            EntryKind.PROPOSAL,
-            _proposal_payload(proposal),
-            source="cognition",
-        )
-
-        reason = check_termination(proposal.call is None, snapshot, goal, cycle, max_cycles)
-        invocation: dict[str, Any] | None = None
-        if reason is not None:
-            decision = {
-                "verdict": "terminate",
-                "call": None,
-                "rule_ids": [],
-                "reason": reason.value,
-                "synthetic": True,
-            }
-            log_lines.append(f"[Baseline] Termination: {reason.value}")
-        else:
-            call = proposal.call.canonical()
-            decision = {
-                "verdict": "approved",
-                "call": call.to_dict(),
-                "rule_ids": [],
-                "reason": None,
-                "synthetic": True,
-            }
-            log_lines.append("[Baseline] auto-approved (no validation layer)")
-            result, staged = runtime.execute(call, cycle)
-            invocation = runtime.invocation_log[-1]
-            if result.ok:
-                for write in staged:
-                    store.write_staged(write.key, write.kind, write.payload, source=call.name)
-                spec = registry.get(call.name)
-                for write in Runtime._staged_writes(spec, canon_args(call.arguments), result.payload):
-                    context.insert(write.key, write.kind, write.payload, cycle)
-                log_lines.append(f"[Runtime] {call.name} ok ({result.latency_ms} ms)")
-            else:
-                log_lines.append(f"[Runtime] {call.name} failed: {result.error_code.value}")
-            log_lines.append(
-                f"[Baseline] context holds {context.retained()}/{context.budget} facts"
-            )
-
-        records.append(
-            CycleRecord(
-                cycle=cycle,
-                input_digest=cog_input.digest(),
-                proposal=proposal.to_response(),
-                decision=decision,
-                invocation=invocation,
-                memory_delta=_commit_delta(store),
-                consumptions=[[k, encode_value(v)] for k, v in consumptions.items()],
-                fault_label=meta.fault_label,
-                log_lines=log_lines,
-            )
-        )
-        if reason is not None:
-            break
-    else:
-        reason = TerminationReason.BUDGET_EXHAUSTED
-
-    status = {
-        TerminationReason.GOAL_SATISFIED: EpisodeStatus.COMPLETED,
-        TerminationReason.COMPLETION_SIGNAL: EpisodeStatus.PARTIAL,
-        TerminationReason.BUDGET_EXHAUSTED: EpisodeStatus.BUDGET_EXHAUSTED,
-    }[reason]
-    header = TraceHeader(
-        config_digest=config.digest(),
-        scenario=config.scenario,
-        seed=config.seed,
-        baseline=True,
-        proposer=config.proposer_kind,
-        ruleset_version=config.ruleset.version,
-        max_cycles=max_cycles,
-    )
-    return EpisodeResult(
-        status=status,
-        reason=reason,
-        cycles_used=cycles_used,
-        max_cycles=max_cycles,
-        final_response=_final_response(
-            status, cycles_used, max_cycles, _action_summary(store)
+    return drive_episode(
+        config,
+        lambda registry: (
+            ContextView(
+                config, ContextModel(budget, decay, config.seed, config.context), registry
+            ),
+            AutoApproveGate(config.policy.goal),
         ),
-        trace=EpisodeTrace(header=header, cycles=records),
-        store=store,
-        invocation_log=runtime.invocation_log,
     )

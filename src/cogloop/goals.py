@@ -60,12 +60,6 @@ class GoalSpec:
         prefix = f"obs.{entity}."
         return [f for f in self.required_facts if f.startswith(prefix)]
 
-    def condition_keys(self) -> set[str]:
-        keys: set[str] = set()
-        for expr in self.all_conditions():
-            keys.update(evidence.referenced_keys(expr))
-        return keys
-
     def all_conditions(self) -> list[EvidenceExpr]:
         exprs: list[EvidenceExpr] = []
         if self.cancellation:

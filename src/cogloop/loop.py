@@ -1,19 +1,24 @@
 """Episode orchestration: the atomic propose → validate → execute → commit cycle.
 
-Each cycle reads the snapshot committed by the previous cycle, asks the
-proposer for at most one tool call, validates it against the active ruleset,
-executes only approved calls, and commits every resulting write atomically —
-proposal record, observations, action records, feedback, and termination flag
-all land together or not at all. The loop exits through the validator's
-termination check (goal satisfied, completion signaled, or cycle budget
-exhausted), never on its own.
+One driver, ``drive_episode``, runs the cycle for both systems. Each cycle
+asks a *view* for the proposer's input, asks the proposer for at most one
+tool call, asks a *gate* for a decision, executes only approved calls, and
+commits every resulting write atomically — proposal record, observations,
+action records, feedback, and termination flag all land together or not at
+all. The loop exits through the gate's termination check (goal satisfied,
+completion signaled, or cycle budget exhausted), never on its own.
+
+The governed system (``run_episode``) pairs ``SnapshotView`` — the committed
+snapshot plus last cycle's constraints — with ``ValidationGate``, the control
+layer. The bounded-context baseline in ``baseline.py`` supplies its own view
+and gate to the same driver.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from . import evidence
 from .cognition import (
@@ -34,9 +39,9 @@ from .control import (
     on_tool_failure,
     validate,
 )
-from .memory import EntryKind, MalformedKey, MemoryKey, MemoryStore, encode_value
+from .memory import EntryKind, MalformedKey, MemoryKey, MemorySnapshot, MemoryStore, encode_value
 from .regulation import RuleSet, default_ruleset
-from .runtime import Runtime, WorldState, builtin_registry
+from .runtime import Runtime, ToolCall, ToolRegistry, ToolResult, WorldState, builtin_registry
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
 from .util import content_digest
 
@@ -196,56 +201,175 @@ def _final_response(
     )
 
 
-def run_episode(config: EpisodeConfig) -> EpisodeResult:
-    """Run one governed episode to termination and return its full record."""
+@dataclass
+class CycleState:
+    """One cycle's log lines and next-cycle constraints; seam hooks add to them."""
+
+    index: int
+    store: MemoryStore
+    log_lines: list[str] = field(default_factory=list)
+    constraints: list[str] = field(default_factory=list)
+
+
+class View:
+    """Builds the proposer's input, and hears about every executed call."""
+
+    def cognition_input(
+        self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
+    ) -> CognitionInput:
+        raise NotImplementedError
+
+    def after_execution(self, state: CycleState, call: ToolCall, result: ToolResult) -> None:
+        pass
+
+
+class Gate:
+    """Decides on each proposal, and stages what the system records around it.
+
+    The labels prefix the driver's own log lines; ``baseline`` goes into the
+    trace header.
+    """
+
+    baseline = False
+    cognition_label = "[Cognition]"
+    memory_label = "[Memory]"
+
+    def decide(
+        self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
+    ) -> ControlDecision:
+        raise NotImplementedError
+
+    def record(self, decision: ControlDecision) -> dict[str, Any]:
+        return decision.to_dict()
+
+    def stage_init(self, store: MemoryStore) -> None:
+        pass
+
+    def on_proposer_failure(self, state: CycleState, note: str) -> None:
+        pass
+
+    def on_terminate(self, state: CycleState, reason: TerminationReason) -> None:
+        pass
+
+    def after_execution(
+        self, state: CycleState, decision: ControlDecision, result: ToolResult
+    ) -> None:
+        pass
+
+
+class SnapshotView(View):
+    """The committed snapshot plus the previous cycle's constraints."""
+
+    def __init__(self, config: EpisodeConfig):
+        self.config = config
+
+    def cognition_input(
+        self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
+    ) -> CognitionInput:
+        return assemble_input(self.config.task, snapshot, constraints, self.config.ruleset)
+
+
+class ValidationGate(Gate):
+    """The control layer: ``validate``, failure guidance, and feedback entries."""
+
+    def __init__(self, config: EpisodeConfig, registry: ToolRegistry):
+        self.config = config
+        self.registry = registry
+        self.cache = DedupCache()
+        self.consecutive_failures: dict[str, int] = {}
+
+    def decide(
+        self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
+    ) -> ControlDecision:
+        config = self.config
+        return validate(
+            proposal, snapshot, config.policy.goal, config.ruleset, self.cache,
+            self.registry, cycle, max_cycles,
+        )
+
+    def stage_init(self, store: MemoryStore) -> None:
+        store.write_staged(
+            "status.terminated", EntryKind.TERMINATION_FLAG, {"terminated": False}, source="init"
+        )
+
+    def on_proposer_failure(self, state: CycleState, note: str) -> None:
+        state.store.write_staged(
+            f"feedback.cycle{state.index}",
+            EntryKind.CONTROL_FEEDBACK,
+            {"message": note},
+            source="control",
+        )
+        state.constraints.append(f"{note}. Provide a well-formed proposal.")
+
+    def on_terminate(self, state: CycleState, reason: TerminationReason) -> None:
+        if reason is not TerminationReason.BUDGET_EXHAUSTED:
+            state.store.update_status("status.terminated", {"terminated": True}, source="control")
+
+    def after_execution(
+        self, state: CycleState, decision: ControlDecision, result: ToolResult
+    ) -> None:
+        call = decision.call
+        if result.ok:
+            self.cache.record(call, decision.read_set)
+            self.consecutive_failures[call.name] = 0
+            return
+        count = self.consecutive_failures.get(call.name, 0) + 1
+        self.consecutive_failures[call.name] = count
+        advice = on_tool_failure(call, result, self.registry, state.index, count)
+        for write in advice.staged:
+            state.store.write_staged(write.key, write.kind, write.payload, source="control")
+        state.constraints.append(advice.constraint)
+        state.log_lines.append(f"[Control] Failure guidance: {advice.constraint}")
+
+
+Seams = Callable[[ToolRegistry], tuple[View, Gate]]
+
+
+def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
+    """Run one episode to termination through the given view and gate.
+
+    ``make_seams`` receives the episode's tool registry and returns the view
+    and gate; it runs after the configuration is validated.
+    """
     config.validate()
     registry = builtin_registry(list(config.extra_tools))
     runtime = Runtime(registry, WorldState.from_dict(config.world))
     store = MemoryStore()
-    cache = DedupCache()
     proposer = _make_proposer(config)
-    goal = config.policy.goal
     max_cycles = config.resolved_max_cycles()
+    view, gate = make_seams(registry)
 
-    # Cycle 0: commit the static context and the (false) termination flag.
+    # Cycle 0: commit the static context and the gate's own initial entries.
     for key in sorted(config.context):
         store.write_staged(key, EntryKind.OBSERVATION, config.context[key], source="init")
-    store.write_staged(
-        "status.terminated", EntryKind.TERMINATION_FLAG, {"terminated": False}, source="init"
-    )
+    gate.stage_init(store)
     init_delta = _commit_delta(store)
     records = [
         CycleRecord(
             cycle=0,
             memory_delta=init_delta,
-            log_lines=[f"[Memory] initialized {len(init_delta)} context entries"],
+            log_lines=[f"{gate.memory_label} initialized {len(init_delta)} context entries"],
         )
     ]
 
     constraints: list[str] = []
-    consecutive_failures: dict[str, int] = {}
     reason: TerminationReason | None = None
     cycles_used = 0
 
     for cycle in range(1, max_cycles + 1):
         cycles_used = cycle
         snapshot = store.snapshot
-        cog_input = assemble_input(config.task, snapshot, constraints, config.ruleset)
-        constraints = []
-        log_lines: list[str] = []
+        cog_input = view.cognition_input(snapshot, constraints, cycle)
+        state = CycleState(cycle, store)
+        constraints = state.constraints
+        log_lines = state.log_lines
 
         try:
             proposal = proposer.propose(cog_input)
         except ProposerFailure as exc:
             note = f"Proposer failure: {exc}"
-            log_lines.append(f"[Cognition] {note}")
-            store.write_staged(
-                f"feedback.cycle{cycle}",
-                EntryKind.CONTROL_FEEDBACK,
-                {"message": note},
-                source="control",
-            )
-            constraints = [f"{note}. Provide a well-formed proposal."]
+            log_lines.append(f"{gate.cognition_label} {note}")
+            gate.on_proposer_failure(state, note)
             records.append(
                 CycleRecord(
                     cycle=cycle,
@@ -257,14 +381,12 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
             continue
 
         meta = proposer.last_meta
-        log_lines.append(f"[Cognition] Proposal: {proposal.describe()}")
+        log_lines.append(f"{gate.cognition_label} Proposal: {proposal.describe()}")
         if meta.fault_label:
             log_lines.append(f"[Faults] injected {meta.fault_label}")
         consumptions: dict[str, Any] = dict(meta.fact_reads)
 
-        decision = validate(
-            proposal, snapshot, goal, config.ruleset, cache, registry, cycle, max_cycles
-        )
+        decision = gate.decide(proposal, snapshot, cycle, max_cycles)
         log_lines.extend(decision.log_lines)
         for key, value in decision.consumptions:
             consumptions.setdefault(key, value)
@@ -279,29 +401,19 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
         invocation: dict[str, Any] | None = None
         if decision.verdict is Verdict.TERMINATE:
             reason = decision.reason
-            if reason is not TerminationReason.BUDGET_EXHAUSTED:
-                store.update_status("status.terminated", {"terminated": True}, source="control")
+            gate.on_terminate(state, reason)
         elif decision.verdict is Verdict.APPROVED:
-            result, staged = runtime.execute(decision.call, cycle)
+            call = decision.call
+            result, staged = runtime.execute(call, cycle)
             invocation = runtime.invocation_log[-1]
-            name = decision.call.name
             if result.ok:
                 for write in staged:
-                    store.write_staged(write.key, write.kind, write.payload, source=name)
-                cache.record(decision.call, decision.read_set)
-                consecutive_failures[name] = 0
-                log_lines.append(f"[Runtime] {name} ok ({result.latency_ms} ms)")
+                    store.write_staged(write.key, write.kind, write.payload, source=call.name)
+                log_lines.append(f"[Runtime] {call.name} ok ({result.latency_ms} ms)")
             else:
-                count = consecutive_failures.get(name, 0) + 1
-                consecutive_failures[name] = count
-                advice = on_tool_failure(decision.call, result, registry, cycle, count)
-                for write in advice.staged:
-                    store.write_staged(write.key, write.kind, write.payload, source="control")
-                constraints.append(advice.constraint)
-                log_lines.append(
-                    f"[Runtime] {name} failed: {result.error_code.value}"
-                )
-                log_lines.append(f"[Control] Failure guidance: {advice.constraint}")
+                log_lines.append(f"[Runtime] {call.name} failed: {result.error_code.value}")
+            gate.after_execution(state, decision, result)
+            view.after_execution(state, call, result)
         else:  # rejected
             store.write_staged(
                 f"feedback.cycle{cycle}",
@@ -316,7 +428,7 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
                 cycle=cycle,
                 input_digest=cog_input.digest(),
                 proposal=proposal.to_response(),
-                decision=decision.to_dict(),
+                decision=gate.record(decision),
                 invocation=invocation,
                 memory_delta=_commit_delta(store),
                 consumptions=[[k, encode_value(v)] for k, v in consumptions.items()],
@@ -338,7 +450,7 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
         config_digest=config.digest(),
         scenario=config.scenario,
         seed=config.seed,
-        baseline=False,
+        baseline=gate.baseline,
         proposer=config.proposer_kind,
         ruleset_version=config.ruleset.version,
         max_cycles=max_cycles,
@@ -354,4 +466,11 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
         trace=EpisodeTrace(header=header, cycles=records),
         store=store,
         invocation_log=runtime.invocation_log,
+    )
+
+
+def run_episode(config: EpisodeConfig) -> EpisodeResult:
+    """Run one governed episode to termination and return its full record."""
+    return drive_episode(
+        config, lambda registry: (SnapshotView(config), ValidationGate(config, registry))
     )

@@ -34,7 +34,11 @@ class MissingRequiredRule(RulesetError):
 
 
 class CheckKind(str, Enum):
-    """Machine checks; the validation layer binds each to one routine."""
+    """Machine checks; the validation layer binds each to one routine.
+
+    ONE_ACTION_PER_CYCLE is the exception: the cycle structure guarantees it,
+    so no routine tests it (see ``control.validate``).
+    """
 
     CITATION_REQUIRED_FOR_COMPARISON = "citation_required_for_comparison"
     CANCELLATION_BEFORE_BRANCH = "cancellation_before_branch"

@@ -317,7 +317,13 @@ def _chain_for_record(
 def reconstruct_chain(trace: EpisodeTrace, action_ref: str) -> JustificationChain | GapReport:
     """Chain for an action record reference: ``act.<tool>`` or ``act.<tool>@<version>``."""
     key, _, raw_version = action_ref.partition("@")
-    version = int(raw_version) if raw_version else None
+    try:
+        version = int(raw_version) if raw_version else None
+    except ValueError:
+        raise UnknownAction(
+            f"no executed action record matches {action_ref!r}: "
+            f"version {raw_version!r} is not a number"
+        ) from None
     for record in trace.cycles:
         for entry in record.memory_delta:
             if entry.get("key") != key or entry.get("kind") != "action":

@@ -1,4 +1,4 @@
-"""Small shared helpers: canonical JSON, content digests, and injectable clocks.
+"""Small shared helpers: canonical JSON, content digests, and the simulated clock.
 
 Everything that must be byte-stable across runs (trace files, reports,
 cache keys, config digests) funnels through :func:`canonical_json` so the
@@ -31,15 +31,8 @@ def iso_millis(dt: datetime) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{dt.microsecond // 1000:03d}Z"
 
 
-class Clock:
-    """Wall clock; production default."""
-
-    def now(self) -> datetime:
-        return datetime.now(timezone.utc)
-
-
 @dataclass
-class SimulatedClock(Clock):
+class SimulatedClock:
     """Deterministic clock that advances a fixed step on every read.
 
     Episodes always run on a simulated clock so replays are byte-identical.

@@ -191,8 +191,9 @@ def test_trace_gap_exits_three(trace_file, capsys):
 
 
 def test_trace_unknown_action_exits_one(trace_file, capsys):
-    assert main(["trace", str(trace_file), "act.make_chart"]) == 1
-    assert "no executed action record" in capsys.readouterr().err
+    for action in ("act.make_chart", "act.book_flight@abc"):
+        assert main(["trace", str(trace_file), action]) == 1
+        assert "no executed action record" in capsys.readouterr().err
 
 
 def test_trace_unreadable_file_exits_one(tmp_path, capsys):

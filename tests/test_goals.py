@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from cogloop.goals import GoalConfigError, GoalSpec, action_executed
+from cogloop.goals import GoalConfigError, GoalSpec
 from cogloop.memory import EntryKind, MemoryStore
 from cogloop.runtime import ToolCall
 
@@ -62,15 +62,6 @@ ALL_FACTS = {
 def test_entities_first_seen_order(goal):
     assert goal.entities() == ["Seoul", "Jeju"]
     assert goal.facts_for_entity("Seoul") == ["obs.Seoul.temp_f", "obs.Seoul.precipitation"]
-
-
-def test_condition_keys_cover_all_conditions(goal):
-    assert goal.condition_keys() == {
-        "obs.Seoul.temp_f",
-        "obs.Seoul.precipitation",
-        "obs.Jeju.temp_f",
-        "obs.Jeju.precipitation",
-    }
 
 
 def test_action_templates_cancellation_first(goal):
@@ -182,16 +173,3 @@ def test_cancellation_preempts_branches(goal):
         ],
     )
     assert goal.success(emailed.snapshot)
-
-
-def test_action_executed_ignores_pending_records(goal):
-    store = MemoryStore()
-    store.write_staged(
-        "act.book_flight",
-        EntryKind.ACTION,
-        {"name": "book_flight", "args": {"location": "Seoul"}, "status": "failed"},
-        source="test",
-    )
-    store.commit_cycle()
-    call = ToolCall("book_flight", {"location": "Seoul"})
-    assert not action_executed(store.snapshot, call)
