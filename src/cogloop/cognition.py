@@ -171,27 +171,40 @@ def parse_fact_line(line: str) -> tuple[str, dict[str, Any]] | None:
     return entity, fields
 
 
+_FACT_QUERY = MemoryQuery(
+    kinds=frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK}),
+    latest_only=True,
+)
+
+
 def assemble_input(
     task: str,
     snapshot: MemorySnapshot,
     constraints: list[str],
     ruleset: RuleSet,
     system: str = DEFAULT_SYSTEM,
+    fact_lines: dict[tuple[str, int], str] | None = None,
 ) -> CognitionInput:
     """Serialize the snapshot and constraints into the proposer's input.
 
     Facts come only from the given snapshot (latest version per key, ordered
     by key); constraints are copied verbatim from the previous decision.
+    ``fact_lines`` memoizes each fact line by (key, version), which names one
+    entry for the life of one store; pass a fresh dict per episode.
     """
-    kinds = frozenset(
-        {EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK}
-    )
-    entries = snapshot.read(MemoryQuery(kinds=kinds, latest_only=True))
+    if fact_lines is None:
+        fact_lines = {}
+    facts = []
+    for entry in snapshot.read(_FACT_QUERY):
+        line = fact_lines.get((entry.key, entry.version))
+        if line is None:
+            line = fact_lines[entry.key, entry.version] = format_memory_fact(entry)
+        facts.append(line)
     return CognitionInput(
         system=system,
         task=task,
         rules=ruleset.render_for_cognition(),
-        facts=tuple(format_memory_fact(e) for e in entries),
+        facts=tuple(facts),
         constraints=tuple(constraints),
     )
 
@@ -258,7 +271,6 @@ class ProposeMeta:
 
     fact_reads: list[tuple[str, Any]] = field(default_factory=list)
     fault_label: str | None = None
-    phase: str = ""
 
 
 class Proposer(Protocol):
@@ -289,15 +301,26 @@ class PlannerPolicy:
     goal_citation: str | None = None  # goal.* key cited alongside branch conditions
 
 
-class _FactView:
-    """Resolves dotted paths against parsed fact lines, recording obs reads."""
+# Fact line -> `parse_fact_line` of it, memoized for one proposer's episode.
+ParsedLines = dict[str, tuple[str, dict[str, Any]] | None]
 
-    def __init__(self, facts: tuple[str, ...]):
+
+class _FactView:
+    """Resolves dotted paths against parsed fact lines, recording obs reads.
+
+    ``parsed`` memoizes `parse_fact_line` by line; the parsed fields are
+    shared between views and never mutated.
+    """
+
+    def __init__(self, facts: tuple[str, ...], parsed: ParsedLines):
         self.entities: dict[str, dict[str, Any]] = {}
         for line in facts:
-            parsed = parse_fact_line(line)
-            if parsed:
-                self.entities[parsed[0]] = parsed[1]
+            if line in parsed:
+                fact = parsed[line]
+            else:
+                fact = parsed[line] = parse_fact_line(line)
+            if fact:
+                self.entities[fact[0]] = fact[1]
         self.reads: dict[str, Any] = {}
 
     def resolve(self, path: str) -> Any:
@@ -351,6 +374,10 @@ class ScriptedProposer:
     def __init__(self, policy: PlannerPolicy):
         self.policy = policy
         self.last_meta = ProposeMeta()
+        self._parsed: ParsedLines = {}
+
+    def _view(self, facts: tuple[str, ...]) -> _FactView:
+        return _FactView(facts, self._parsed)
 
     def _action_citations(self, condition: tuple[EvidenceExpr, ...]) -> tuple[EvidenceExpr, ...]:
         citations: list[EvidenceExpr] = list(condition)
@@ -425,11 +452,9 @@ class ScriptedProposer:
         raise PolicyGap("condition unknown but every referenced key resolves")
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = _FactView(cog_input.facts)
-        proposal, phase = self._plan(view)
-        self.last_meta = ProposeMeta(
-            fact_reads=list(view.reads.items()), fault_label=None, phase=phase
-        )
+        view = self._view(cog_input.facts)
+        proposal, _ = self._plan(view)
+        self.last_meta = ProposeMeta(fact_reads=list(view.reads.items()))
         return proposal
 
 
@@ -483,9 +508,9 @@ class FaultyProposer:
         self.last_meta = ProposeMeta()
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = _FactView(cog_input.facts)
+        view = self._scripted._view(cog_input.facts)
         base, phase = self._scripted._plan(view)
-        meta = ProposeMeta(fact_reads=list(view.reads.items()), fault_label=None, phase=phase)
+        meta = ProposeMeta(fact_reads=list(view.reads.items()))
         draws = [self._rng.random() for _ in FAULT_TYPES]
         if base.call is not None:
             for draw, fault_type in zip(draws, FAULT_TYPES):

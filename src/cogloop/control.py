@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Any
 
 from . import evidence
-from .evidence import Comparison, EvidenceExpr, GoalRef, Literal, MemoryRef
+from .evidence import EvidenceExpr, GoalRef, MemoryRef
 from .goals import GoalSpec
 from .memory import (
     NOT_FOUND,
@@ -443,7 +443,6 @@ class FailureAdvice:
 
     constraint: str
     staged: tuple[StagedWrite, ...]
-    escalated: bool
 
 
 def on_tool_failure(
@@ -462,8 +461,7 @@ def on_tool_failure(
     a later successful reading lands alongside the failed one in history.
     """
     code = result.error_code.value if result.error_code else "UnknownError"
-    escalated = consecutive_failures >= ESCALATION_THRESHOLD
-    if escalated:
+    if consecutive_failures >= ESCALATION_THRESHOLD:
         constraint = (
             f"Tool {call.name} failed {consecutive_failures} times: {code}. "
             "Seek clarification before retrying."
@@ -492,4 +490,4 @@ def on_tool_failure(
                 payload={"error": code, "tool": call.name},
             )
         )
-    return FailureAdvice(constraint=constraint, staged=tuple(staged), escalated=escalated)
+    return FailureAdvice(constraint=constraint, staged=tuple(staged))

@@ -8,7 +8,8 @@ accounting (is the goal satisfied).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from . import evidence
@@ -46,6 +47,10 @@ class GoalSpec:
     # ------------------------------------------------------------- structure
     def entities(self) -> list[str]:
         """Observation entities behind the required facts, first-seen order."""
+        return list(self._entities)
+
+    @cached_property
+    def _entities(self) -> tuple[str, ...]:
         seen: list[str] = []
         for fact in self.required_facts:
             segments = MemoryKey.parse(fact).segments
@@ -54,7 +59,7 @@ class GoalSpec:
             entity = ".".join(segments[1:-1]) if len(segments) > 2 else segments[1]
             if entity not in seen:
                 seen.append(entity)
-        return seen
+        return tuple(seen)
 
     def facts_for_entity(self, entity: str) -> list[str]:
         prefix = f"obs.{entity}."

@@ -165,14 +165,13 @@ def _proposal_payload(proposal: Proposal) -> dict[str, Any]:
 
 
 def _commit_delta(store: MemoryStore) -> list[dict[str, Any]]:
-    before = len(store.entries())
-    store.commit_cycle()
-    return [entry.to_dict() for entry in store.entries()[before:]]
+    before = len(store.snapshot.entries)
+    return [entry.to_dict() for entry in store.commit_cycle().entries[before:]]
 
 
-def _action_summary(store: MemoryStore) -> str:
+def _action_summary(snapshot: MemorySnapshot) -> str:
     parts: list[str] = []
-    for entry in store.entries():
+    for entry in snapshot.entries:
         if entry.kind is not EntryKind.ACTION:
             continue
         payload = entry.payload
@@ -262,11 +261,15 @@ class SnapshotView(View):
 
     def __init__(self, config: EpisodeConfig):
         self.config = config
+        self.fact_lines: dict[tuple[str, int], str] = {}
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
     ) -> CognitionInput:
-        return assemble_input(self.config.task, snapshot, constraints, self.config.ruleset)
+        config = self.config
+        return assemble_input(
+            config.task, snapshot, constraints, config.ruleset, fact_lines=self.fact_lines
+        )
 
 
 class ValidationGate(Gate):
@@ -461,7 +464,7 @@ def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
         cycles_used=cycles_used,
         max_cycles=max_cycles,
         final_response=_final_response(
-            status, cycles_used, max_cycles, _action_summary(store)
+            status, cycles_used, max_cycles, _action_summary(store.snapshot)
         ),
         trace=EpisodeTrace(header=header, cycles=records),
         store=store,

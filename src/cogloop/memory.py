@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Iterable
 
 from .util import SimulatedClock, iso_millis
@@ -118,7 +120,7 @@ class MemoryKey:
             raise MalformedKey(f"key must be a non-empty string, got {raw!r}")
         segments = raw.split(".")
         for seg in segments:
-            if not seg or seg != seg.strip() or any(ch.isspace() for ch in seg):
+            if seg.split() != [seg]:  # empty, or holds whitespace
                 raise MalformedKey(f"empty or whitespace segment in key {raw!r}")
         if segments[0] not in ALLOWED_KINDS:
             raise MalformedKey(
@@ -210,21 +212,65 @@ def _validate_payload(key: MemoryKey, kind: EntryKind, payload: Any) -> None:
             raise SchemaMismatch(f"control feedback {key} requires string field 'message'")
 
 
+@lru_cache(maxsize=4096)
+def _path_segments(path: str) -> tuple[str, ...] | None:
+    """Segments of a well-formed dotted path, None for a malformed one.
+
+    ``resolve`` parses the same few paths on every cycle; the cache is
+    bounded, so it stays small however many episodes a process runs.
+    """
+    try:
+        return MemoryKey.parse(path).segments
+    except MalformedKey:
+        return None
+
+
 class MemorySnapshot:
-    """Immutable view of all entries committed up to one cycle boundary."""
+    """Immutable view of all entries committed up to one cycle boundary.
+
+    ``extend`` derives the next snapshot from this one: it copies the key
+    index (a flat copy of references) and shares every version tuple the new
+    entries leave alone, so its Python-level work is proportional to the new
+    entries, not to the log. The keys are kept sorted, so a prefix query
+    bisects to its range instead of scanning every entry. Versions of a key
+    keep commit order, which is version order for everything a store commits.
+    """
 
     def __init__(self, entries: tuple[MemoryEntry, ...]):
-        self._entries = entries
-        self._by_key: dict[str, list[MemoryEntry]] = {}
-        for entry in entries:
-            self._by_key.setdefault(entry.key, []).append(entry)
+        self._entries: tuple[MemoryEntry, ...] = ()
+        self._by_key: dict[str, tuple[MemoryEntry, ...]] = {}
+        self._keys: list[str] = []  # sorted
+        self._append(tuple(entries))
+
+    def extend(self, entries: Iterable[MemoryEntry]) -> "MemorySnapshot":
+        """The snapshot after committing ``entries``; this one is left unchanged."""
+        added = tuple(entries)
+        if not added:
+            return self
+        snapshot = MemorySnapshot.__new__(MemorySnapshot)
+        snapshot._entries = self._entries
+        snapshot._by_key = dict(self._by_key)
+        snapshot._keys = list(self._keys)
+        snapshot._append(added)
+        return snapshot
+
+    def _append(self, added: tuple[MemoryEntry, ...]) -> None:
+        # Only for a snapshot under construction: every other one is immutable.
+        self._entries += added
+        for entry in added:
+            versions = self._by_key.get(entry.key)
+            if versions is None:
+                insort(self._keys, entry.key)
+                self._by_key[entry.key] = (entry,)
+            else:
+                self._by_key[entry.key] = versions + (entry,)
 
     @property
     def entries(self) -> tuple[MemoryEntry, ...]:
         return self._entries
 
     def keys(self) -> list[str]:
-        return sorted(self._by_key)
+        return list(self._keys)
 
     def latest(self, key: str) -> MemoryEntry | None:
         versions = self._by_key.get(str(key))
@@ -235,24 +281,30 @@ class MemorySnapshot:
         return versions[-1].version if versions else 0
 
     def history(self, key: str) -> list[MemoryEntry]:
-        return list(self._by_key.get(str(key), []))
+        return list(self._by_key.get(str(key), ()))
 
     def read(self, query: MemoryQuery = MemoryQuery()) -> list[MemoryEntry]:
         """Entries matching the query, ordered by (key, version)."""
+        keys: list[str] = self._keys
+        prefix = query.prefix
+        if prefix is not None:
+            # `prefix` itself, then the contiguous run of keys under `prefix.`
+            # ("/" is the character after ".").
+            below = keys[bisect_left(keys, prefix + ".") : bisect_left(keys, prefix + "/")]
+            keys = [prefix, *below] if prefix in self._by_key else below
+        kinds = query.kinds
         selected: list[MemoryEntry] = []
-        for entry in self._entries:
-            if query.prefix is not None:
-                if not (entry.key == query.prefix or entry.key.startswith(query.prefix + ".")):
-                    continue
-            if query.kinds is not None and entry.kind not in query.kinds:
-                continue
-            selected.append(entry)
-        selected.sort(key=lambda e: (e.key, e.version))
-        if query.latest_only:
-            newest: dict[str, MemoryEntry] = {}
-            for entry in selected:
-                newest[entry.key] = entry
-            return [newest[k] for k in sorted(newest)]
+        for key in keys:
+            versions = self._by_key[key]
+            if query.latest_only:
+                for entry in reversed(versions):
+                    if kinds is None or entry.kind in kinds:
+                        selected.append(entry)
+                        break
+            elif kinds is None:
+                selected.extend(versions)
+            else:
+                selected.extend(e for e in versions if e.kind in kinds)
         return selected
 
     def resolve(self, path: str) -> Any:
@@ -261,18 +313,17 @@ class MemorySnapshot:
         Returns NOT_FOUND rather than raising when the path does not resolve;
         callers use three-valued logic on top of this.
         """
-        try:
-            segments = MemoryKey.parse(path).segments
-        except MalformedKey:
+        # A path read from a trace file may be any JSON value, even an unhashable one.
+        segments = _path_segments(path) if isinstance(path, (str, MemoryKey)) else None
+        if segments is None:
             return NOT_FOUND
         # Longest committed key that prefixes the path wins; the remaining
         # segments descend into its payload.
         for cut in range(len(segments), 0, -1):
-            key = ".".join(segments[:cut])
-            entry = self.latest(key)
-            if entry is None:
+            versions = self._by_key.get(".".join(segments[:cut]))
+            if not versions:
                 continue
-            value: Any = entry.payload
+            value: Any = versions[-1].payload
             for seg in segments[cut:]:
                 if not isinstance(value, dict):
                     return NOT_FOUND
@@ -291,7 +342,6 @@ class MemoryStore:
 
     def __init__(self) -> None:
         self.clock = SimulatedClock()
-        self._log: list[MemoryEntry] = []
         self._staged: list[MemoryEntry] = []
         self._snapshot = MemorySnapshot(())
 
@@ -352,12 +402,15 @@ class MemoryStore:
     def commit_cycle(self) -> MemorySnapshot:
         """Atomically publish all staged writes and return the new snapshot."""
         if self._staged:
-            self._log.extend(self._staged)
-            committed = len(self._staged)
+            self._snapshot = self._snapshot.extend(self._staged)
+            logger.debug(
+                "committed %d entries; log size %d",
+                len(self._staged),
+                len(self._snapshot.entries),
+            )
             self._staged = []
-            self._snapshot = MemorySnapshot(tuple(self._log))
-            logger.debug("committed %d entries; log size %d", committed, len(self._log))
         return self._snapshot
 
-    def entries(self) -> Iterable[MemoryEntry]:
-        return tuple(self._log)
+    def entries(self) -> tuple[MemoryEntry, ...]:
+        """The whole committed log, in commit order."""
+        return self._snapshot.entries

@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import Any
 
 from .util import content_digest
@@ -133,11 +132,6 @@ def load_ruleset(config: dict[str, Any]) -> RuleSet:
         )
     version = content_digest([r.to_dict() for r in rules])
     return RuleSet(rules=tuple(rules), version=version)
-
-
-def load_ruleset_file(path: str | Path) -> RuleSet:
-    with open(path, encoding="utf-8") as fh:
-        return load_ruleset(json.load(fh))
 
 
 def default_ruleset() -> RuleSet:

@@ -5,7 +5,8 @@ followed by one JSON line per cycle, each carrying the serialized proposal,
 decision, invocation, committed memory delta, recorded fact consumptions, and
 the injected-fault label when one exists. Everything below — chain
 reconstruction and all three metrics — works from the parsed file alone, with
-no live episode state.
+no live episode state. Chains and SPA/TC read memory through one forward
+replay (``EpisodeTrace.replay``) that decodes each committed entry once.
 
 Metrics:
 
@@ -32,8 +33,8 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from . import evidence
-from .evidence import Comparison, GoalRef, MemoryRef
-from .memory import NOT_FOUND, MemoryEntry, MemorySnapshot, decode_value
+from .evidence import Comparison
+from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, decode_value
 from .runtime import canon_args
 from .util import canonical_json
 
@@ -104,6 +105,33 @@ class TraceHeader:
             raise ParseError(f"trace header missing field {exc}") from exc
 
 
+# Field -> type of one serialized `MemoryEntry` in a cycle's memory delta.
+_ENTRY_FIELDS: dict[str, type] = {
+    "key": str,
+    "kind": str,
+    "payload": dict,
+    "source": str,
+    "timestamp": str,
+    "version": int,
+}
+_ENTRY_KINDS = frozenset(kind.value for kind in EntryKind)
+
+
+def _delta_entry_problem(entry: Any) -> str | None:
+    """Why ``entry`` cannot decode as a `MemoryEntry`, or None when it can."""
+    if not isinstance(entry, dict):
+        return "is not an object"
+    for name, kind in _ENTRY_FIELDS.items():
+        if name not in entry:
+            return f"lacks field {name!r}"
+        value = entry[name]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"field {name!r} must be {kind.__name__}, got {value!r}"
+    if entry["kind"] not in _ENTRY_KINDS:
+        return f"has unknown kind {entry['kind']!r}"
+    return None
+
+
 @dataclass
 class CycleRecord:
     """Everything one cycle did, as plain serializable data.
@@ -141,7 +169,7 @@ class CycleRecord:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CycleRecord":
         try:
-            return cls(
+            record = cls(
                 cycle=int(data["cycle"]),
                 input_digest=data.get("input_digest", ""),
                 proposal=data.get("proposal"),
@@ -154,6 +182,11 @@ class CycleRecord:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed cycle record: {exc}") from exc
+        for index, entry in enumerate(record.memory_delta):
+            problem = _delta_entry_problem(entry)
+            if problem:
+                raise ParseError(f"cycle {record.cycle}: memory_delta[{index}] {problem}")
+        return record
 
     def approved(self) -> bool:
         return bool(self.decision) and self.decision.get("verdict") == "approved"
@@ -192,7 +225,18 @@ class EpisodeTrace:
             if kind == "header":
                 header = TraceHeader.from_dict(data)
             elif kind == "cycle":
-                cycles.append(CycleRecord.from_dict(data))
+                try:
+                    record = CycleRecord.from_dict(data)
+                except ParseError as exc:
+                    raise ParseError(f"line {line_no}: {exc}") from exc
+                # Replay reads the records in file order, so that order must
+                # be the cycle order.
+                if cycles and record.cycle <= cycles[-1].cycle:
+                    raise ParseError(
+                        f"line {line_no}: cycle {record.cycle} does not follow "
+                        f"cycle {cycles[-1].cycle}"
+                    )
+                cycles.append(record)
             else:
                 raise ParseError(f"line {line_no}: unknown record type {kind!r}")
         if header is None:
@@ -204,20 +248,25 @@ class EpisodeTrace:
         return cls.loads(Path(path).read_text(encoding="utf-8"))
 
     # -------------------------------------------------------------- replaying
+    def replay(self) -> Iterator[tuple[CycleRecord, MemorySnapshot]]:
+        """Each record with the memory it read: the commits of every earlier record.
+
+        One forward pass, decoding each delta entry once; records are taken
+        in list order, which `loads` guarantees is cycle order.
+        """
+        snapshot = MemorySnapshot(())
+        for record in self.cycles:
+            yield record, snapshot
+            snapshot = snapshot.extend(map(MemoryEntry.from_dict, record.memory_delta))
+
     def snapshot_before(self, cycle: int) -> MemorySnapshot:
         """Authoritative memory state a given cycle read: all earlier commits."""
-        entries: list[MemoryEntry] = []
+        snapshot = MemorySnapshot(())
         for record in self.cycles:
             if record.cycle >= cycle:
-                continue
-            entries.extend(MemoryEntry.from_dict(e) for e in record.memory_delta)
-        return MemorySnapshot(tuple(entries))
-
-    def record_for(self, cycle: int) -> CycleRecord | None:
-        for record in self.cycles:
-            if record.cycle == cycle:
-                return record
-        return None
+                break
+            snapshot = snapshot.extend(map(MemoryEntry.from_dict, record.memory_delta))
+        return snapshot
 
 
 # ------------------------------------------------------------------- chains
@@ -252,8 +301,9 @@ def _call_matches(call: dict[str, Any] | None, tool: str, args: dict[str, Any]) 
 
 
 def _chain_for_record(
-    trace: EpisodeTrace, record: CycleRecord, action_ref: str
+    snapshot: MemorySnapshot, record: CycleRecord, action_ref: str
 ) -> JustificationChain | GapReport:
+    """The chain behind ``record``'s invocation; ``snapshot`` is the memory it read."""
     invocation = record.invocation
     if not invocation or not invocation.get("outcome", {}).get("ok"):
         return GapReport(action_ref, record.cycle, "invocation", "no successful invocation record")
@@ -284,7 +334,6 @@ def _chain_for_record(
             action_ref, record.cycle, "memory_entries", "execution left no memory entries"
         )
 
-    snapshot = trace.snapshot_before(record.cycle)
     resolved: list[list[Any]] = []
     citations = [c for c in proposal.get("citations", [])]
     for raw in citations:
@@ -324,7 +373,7 @@ def reconstruct_chain(trace: EpisodeTrace, action_ref: str) -> JustificationChai
             f"no executed action record matches {action_ref!r}: "
             f"version {raw_version!r} is not a number"
         ) from None
-    for record in trace.cycles:
+    for record, snapshot in trace.replay():
         for entry in record.memory_delta:
             if entry.get("key") != key or entry.get("kind") != "action":
                 continue
@@ -332,13 +381,17 @@ def reconstruct_chain(trace: EpisodeTrace, action_ref: str) -> JustificationChai
                 continue
             if version is not None and entry.get("version") != version:
                 continue
-            return _chain_for_record(trace, record, action_ref)
+            return _chain_for_record(snapshot, record, action_ref)
     raise UnknownAction(f"no executed action record matches {action_ref!r}")
+
+
+def _invocation_ref(record: CycleRecord) -> str:
+    return f"cycle{record.cycle}:{record.invocation.get('tool', '?')}"
 
 
 def iter_chains(trace: EpisodeTrace) -> Iterator[JustificationChain | GapReport]:
     """One chain (or gap) per executed invocation, plus structural gap checks."""
-    for record in trace.cycles:
+    for record, snapshot in trace.replay():
         if record.cycle == 0:
             continue
         if record.approved() and record.invocation is None:
@@ -347,8 +400,7 @@ def iter_chains(trace: EpisodeTrace) -> Iterator[JustificationChain | GapReport]
             )
             continue
         if record.executed_ok():
-            ref = f"cycle{record.cycle}:{record.invocation.get('tool', '?')}"
-            yield _chain_for_record(trace, record, ref)
+            yield _chain_for_record(snapshot, record, _invocation_ref(record))
 
 
 # ------------------------------------------------------------------- metrics
@@ -375,34 +427,37 @@ class Metric:
         }
 
 
-def compute_spa(trace: EpisodeTrace) -> Metric:
-    """State persistence accuracy over cross-cycle fact consumptions."""
-    numerator = denominator = 0
-    for record in trace.cycles:
-        if record.cycle == 0 or not record.consumptions:
+def _spa_and_tc(trace: EpisodeTrace) -> tuple[Metric, Metric]:
+    """SPA and TC from one replay of the trace."""
+    spa_num = spa_den = tc_num = tc_den = 0
+    for record, snapshot in trace.replay():
+        if record.cycle == 0:
             continue
-        snapshot = trace.snapshot_before(record.cycle)
+        # SPA: fact reads whose key held a value committed before this cycle.
         for key, raw_value in record.consumptions:
             authoritative = snapshot.resolve(key)
             if authoritative is NOT_FOUND:
                 continue  # nothing persisted earlier to be faithful to
-            denominator += 1
+            spa_den += 1
             if decode_value(raw_value) == authoritative:
-                numerator += 1
-    return Metric("spa", numerator, denominator)
+                spa_num += 1
+        # TC: executed invocations whose justification chain is complete.
+        if record.executed_ok():
+            tc_den += 1
+            chain = _chain_for_record(snapshot, record, _invocation_ref(record))
+            if isinstance(chain, JustificationChain):
+                tc_num += 1
+    return Metric("spa", spa_num, spa_den), Metric("tc", tc_num, tc_den)
+
+
+def compute_spa(trace: EpisodeTrace) -> Metric:
+    """State persistence accuracy over cross-cycle fact consumptions."""
+    return _spa_and_tc(trace)[0]
 
 
 def compute_tc(trace: EpisodeTrace) -> Metric:
     """Trace completeness over executed invocations."""
-    numerator = denominator = 0
-    for record in trace.cycles:
-        if record.cycle == 0 or not record.executed_ok():
-            continue
-        denominator += 1
-        ref = f"cycle{record.cycle}:{record.invocation.get('tool', '?')}"
-        if isinstance(_chain_for_record(trace, record, ref), JustificationChain):
-            numerator += 1
-    return Metric("tc", numerator, denominator)
+    return _spa_and_tc(trace)[1]
 
 
 def compute_elp(trace: EpisodeTrace) -> Metric:
@@ -428,7 +483,8 @@ def compute_elp(trace: EpisodeTrace) -> Metric:
 
 def compute_metrics(trace: EpisodeTrace) -> dict[str, Metric]:
     """All metrics computable for this trace; ELP only for fault-injected runs."""
-    metrics = {"spa": compute_spa(trace), "tc": compute_tc(trace)}
+    spa, tc = _spa_and_tc(trace)
+    metrics = {"spa": spa, "tc": tc}
     if trace.header.proposer == "faulty":
         metrics["elp"] = compute_elp(trace)
     return metrics

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cogloop.cognition import (
     FACT_PREFIX,
-    FAULT_TYPES,
     PHANTOM_KEY,
     CognitionInput,
     FaultConfig,
@@ -153,7 +152,7 @@ def test_planner_gathers_entities_in_goal_order():
     proposer = ScriptedProposer(make_policy())
     first = proposer.propose(cog_input(GOAL_LINE))
     assert first.call == ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
-    assert proposer.last_meta.phase == "gather"
+    assert first.rationale == "missing required facts for Seoul"
     second = proposer.propose(cog_input(GOAL_LINE, SEOUL_LINE))
     assert second.call.arguments["location"] == "Jeju"
 
@@ -170,7 +169,7 @@ def test_planner_branch_action_with_citations():
     proposer = ScriptedProposer(make_policy())
     proposal = proposer.propose(cog_input(GOAL_LINE, SEOUL_LINE, JEJU_LINE))
     assert proposal.call == ToolCall("book_flight", {"location": "Seoul"})
-    assert proposer.last_meta.phase == "branch"
+    assert proposal.rationale == "branch condition satisfied"
     rendered = [render(c) for c in proposal.citations]
     assert rendered == [
         "obs.Seoul.temp_f < obs.Jeju.temp_f",
@@ -183,7 +182,7 @@ def test_planner_completion_after_action_recorded():
     proposer = ScriptedProposer(make_policy())
     proposal = proposer.propose(cog_input(GOAL_LINE, SEOUL_LINE, JEJU_LINE, booked))
     assert proposal.is_completion and proposal.call is None
-    assert proposer.last_meta.phase == "complete"
+    assert proposal.rationale == "all goal work complete"
 
 
 def test_planner_cancellation_preempts_branches():
@@ -192,15 +191,15 @@ def test_planner_cancellation_preempts_branches():
     proposer = ScriptedProposer(make_policy())
     proposal = proposer.propose(cog_input(GOAL_LINE, rain_seoul, rain_jeju))
     assert proposal.call.name == "send_email"
-    assert proposer.last_meta.phase == "cancel"
+    assert proposal.rationale == "cancellation condition satisfied"
 
 
 def test_planner_regathers_error_marker_entity():
     marker = fact("Seoul", "error=TransientFailure, tool=get_weather")
     proposer = ScriptedProposer(make_policy())
     proposal = proposer.propose(cog_input(GOAL_LINE, marker, JEJU_LINE))
-    assert proposal.call.arguments["location"] == "Seoul"
-    assert proposer.last_meta.phase == "gather"
+    assert proposal.call == ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
+    assert proposal.rationale == "missing required facts for Seoul"
 
 
 def test_policy_gap_when_condition_unresolvable():

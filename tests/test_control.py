@@ -1,8 +1,6 @@
 """Validation layer: check ordering, verdicts, feedback, failure handling."""
 from __future__ import annotations
 
-import pytest
-
 from cogloop.cognition import Proposal
 from cogloop.control import (
     DEDUP_RULE_ID,
@@ -291,7 +289,7 @@ def test_sensor_failure_stages_feedback_and_error_marker():
     call = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
     advice = on_tool_failure(call, failed_result("get_weather", ErrorCode.TRANSIENT_FAILURE),
                              REGISTRY, cycle_index=3, consecutive_failures=1)
-    assert not advice.escalated
+    assert "Seek clarification" not in advice.constraint
     assert advice.constraint == (
         "Tool get_weather failed: TransientFailure. Propose an alternative or retry."
     )
@@ -315,7 +313,7 @@ def test_failure_escalates_at_threshold():
     advice = on_tool_failure(call, failed_result("get_weather", ErrorCode.TOOL_UNAVAILABLE),
                              REGISTRY, cycle_index=4,
                              consecutive_failures=ESCALATION_THRESHOLD)
-    assert advice.escalated
+    assert "Seek clarification" in advice.constraint
     assert advice.constraint == (
         "Tool get_weather failed 2 times: ToolUnavailable. "
         "Seek clarification before retrying."

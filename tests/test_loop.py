@@ -12,8 +12,7 @@ from cogloop.cognition import (
 )
 from cogloop.control import TerminationReason
 from cogloop.loop import ConfigError, EpisodeStatus, run_episode
-from cogloop.memory import EntryKind, MemoryQuery
-from cogloop.runtime import ToolCall
+from cogloop.memory import MemoryQuery
 
 
 def versions(store, key: str) -> list[dict]:

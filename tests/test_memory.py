@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cogloop.memory import (
     NOT_FOUND,
@@ -12,6 +12,7 @@ from cogloop.memory import (
     MemoryEntry,
     MemoryKey,
     MemoryQuery,
+    MemorySnapshot,
     MemoryStore,
     SchemaMismatch,
     UnknownKey,
@@ -204,3 +205,114 @@ def test_entry_dict_round_trip(name, temp):
         version=1,
     )
     assert MemoryEntry.from_dict(entry.to_dict()) == entry
+
+
+# ------------------------------------------- incremental snapshot equivalence
+# Keys chosen so that plain string prefixes and dotted prefixes disagree
+# ("obs.Se" is a string prefix of "obs.Seoul" but not a dotted one), one key
+# nests under another, and "-" sorts just before ".".
+SNAPSHOT_KEYS = (
+    "obs.Se",
+    "obs.Seoul",
+    "obs.Seoul.leg1",
+    "obs.Se-x",
+    "goal.rule",
+    "act.book",
+    "feedback.cycle1",
+    "feedback.cycle10",
+    "prop.cycle1",
+)
+QUERY_PREFIXES = (None, "obs", "obs.Se", "obs.Seoul", "obs.Seoul.leg1", "act", "feedback",
+                  "feedback.cycle1", "prop", "zzz")
+QUERY_KINDS = (
+    None,
+    frozenset({EntryKind.OBSERVATION}),
+    frozenset({EntryKind.PROPOSAL}),
+    frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK}),
+)
+
+
+def write(store: MemoryStore, key: str, value: int) -> None:
+    namespace = key.split(".", 1)[0]
+    if namespace == "act":
+        store.write_staged(key, EntryKind.ACTION,
+                           {"name": "book", "args": {}, "status": "executed", "v": value}, "t")
+    elif namespace == "feedback":
+        store.write_staged(key, EntryKind.CONTROL_FEEDBACK, {"message": str(value)}, "t")
+    elif namespace == "prop":
+        store.write_staged(key, EntryKind.PROPOSAL,
+                           {"proposition": "p", "evidence": [], "v": value}, "t")
+    else:
+        store.write_staged(key, EntryKind.OBSERVATION, {"v": value, "temp_f": value}, "t")
+
+
+def reference_read(entries: tuple[MemoryEntry, ...], query: MemoryQuery) -> list[MemoryEntry]:
+    """The scan-and-sort definition of `read`."""
+    selected = [
+        e for e in entries
+        if (query.prefix is None or e.key == query.prefix
+            or e.key.startswith(query.prefix + "."))
+        and (query.kinds is None or e.kind in query.kinds)
+    ]
+    selected.sort(key=lambda e: (e.key, e.version))
+    if query.latest_only:
+        newest = {e.key: e for e in selected}
+        return [newest[key] for key in sorted(newest)]
+    return selected
+
+
+def assert_snapshot_matches(snapshot: MemorySnapshot, entries: tuple[MemoryEntry, ...]) -> None:
+    rebuilt = MemorySnapshot(entries)
+    assert snapshot.entries == entries
+    assert snapshot.keys() == rebuilt.keys() == sorted({e.key for e in entries})
+    for key in SNAPSHOT_KEYS:
+        assert snapshot.latest(key) == rebuilt.latest(key)
+        assert snapshot.latest_version(key) == rebuilt.latest_version(key)
+        assert snapshot.history(key) == rebuilt.history(key) == [
+            e for e in entries if e.key == key
+        ]
+        for path in (key, f"{key}.v", f"{key}.temp", f"{key}.missing"):
+            assert snapshot.resolve(path) == rebuilt.resolve(path)
+    for prefix in QUERY_PREFIXES:
+        for kinds in QUERY_KINDS:
+            for latest_only in (False, True):
+                query = MemoryQuery(prefix=prefix, kinds=kinds, latest_only=latest_only)
+                expected = reference_read(entries, query)
+                assert snapshot.read(query) == rebuilt.read(query) == expected
+
+
+write_or_commit = st.one_of(
+    st.tuples(st.sampled_from(SNAPSHOT_KEYS), st.integers(0, 9)),
+    st.just("commit"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(write_or_commit, max_size=30))
+def test_incremental_snapshot_equals_rebuilt_snapshot(ops):
+    store = MemoryStore()
+    taken: list[tuple[MemorySnapshot, tuple[MemoryEntry, ...]]] = []
+    for op in ops + ["commit"]:
+        if op == "commit":
+            snapshot = store.commit_cycle()
+            entries = tuple(store.entries())
+            assert_snapshot_matches(snapshot, entries)
+            taken.append((snapshot, entries))
+        else:
+            write(store, *op)
+    # Snapshots handed out earlier never see later commits.
+    for snapshot, entries in taken:
+        assert_snapshot_matches(snapshot, entries)
+
+
+def test_extend_shares_unchanged_versions_and_leaves_the_original_alone():
+    store = MemoryStore()
+    obs(store, "obs.Seoul", {"temp_f": 1.0})
+    obs(store, "obs.Jeju", {"temp_f": 2.0})
+    before = store.commit_cycle()
+    obs(store, "obs.Seoul", {"temp_f": 3.0})
+    after = store.commit_cycle()
+    assert after.history("obs.Jeju")[0] is before.history("obs.Jeju")[0]
+    assert [e.version for e in before.history("obs.Seoul")] == [1]
+    assert [e.version for e in after.history("obs.Seoul")] == [1, 2]
+    assert before.extend(()) is before

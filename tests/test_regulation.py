@@ -13,7 +13,6 @@ from cogloop.regulation import (
     UnknownCheck,
     default_ruleset,
     load_ruleset,
-    load_ruleset_file,
 )
 
 
@@ -111,9 +110,3 @@ def test_render_for_cognition_lists_id_and_statement():
     for line in lines:
         rule_id, _, statement = line.partition(": ")
         assert rule_id.startswith("R-") and statement
-
-
-def test_load_ruleset_file_round_trip(tmp_path):
-    path = tmp_path / "rules.json"
-    path.write_text(json.dumps(base_config()), encoding="utf-8")
-    assert load_ruleset_file(path).version == default_ruleset().version

@@ -1,11 +1,18 @@
 """Trace format, replay, justification chains, and the three metrics."""
 from __future__ import annotations
 
-import pytest
+import json
 
-from cogloop.cognition import FaultConfig
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cogloop import cognition
+from cogloop.baseline import run_baseline_episode
+from cogloop.cli import main
+from cogloop.cognition import FAULT_TYPES, FaultConfig
 from cogloop.loop import run_episode
-from cogloop.memory import NOT_FOUND
+from cogloop.memory import NOT_FOUND, MemoryEntry, MemoryQuery, MemorySnapshot
+from cogloop.scenario import generate_suite
 from cogloop.trace import (
     EpisodeTrace,
     GapReport,
@@ -59,6 +66,27 @@ def test_header_round_trip():
     assert TraceHeader.from_dict(header.to_dict()) == header
 
 
+HEADER_LINE = json.dumps(
+    TraceHeader(config_digest="d", scenario="s", seed=1, baseline=False,
+                proposer="scripted", ruleset_version="v", max_cycles=3).to_dict()
+)
+DELTA_ENTRY = {"key": "obs.Seoul", "kind": "observation", "payload": {"temp_f": 51.8},
+               "source": "get_weather", "timestamp": "2025-01-01T00:00:00.000Z", "version": 1}
+
+
+def with_delta(*entries) -> str:
+    """A header plus cycles 0 and 1; cycle 1 commits ``entries``."""
+    cycles = [
+        {"type": "cycle", "cycle": 0},
+        {"type": "cycle", "cycle": 1, "memory_delta": list(entries)},
+    ]
+    return "\n".join([HEADER_LINE, *map(json.dumps, cycles)]) + "\n"
+
+
+def without(field: str) -> dict:
+    return {k: v for k, v in DELTA_ENTRY.items() if k != field}
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -66,11 +94,56 @@ def test_header_round_trip():
         ('{"type": "mystery"}\n', "unknown record type"),
         ('{"type": "cycle", "cycle": 1}\n', "no header"),
         ('{"type": "header", "scenario": "x"}\n', "missing field"),
+        pytest.param(with_delta(without("version")),
+                     r"line 3: cycle 1: memory_delta\[0\] lacks field 'version'",
+                     id="delta-no-version"),
+        pytest.param(with_delta(DELTA_ENTRY, without("key")),
+                     r"memory_delta\[1\] lacks field 'key'", id="delta-no-key"),
+        pytest.param(with_delta(without("payload")), "lacks field 'payload'",
+                     id="delta-no-payload"),
+        pytest.param(with_delta(without("source")), "lacks field 'source'", id="delta-no-source"),
+        pytest.param(with_delta(without("timestamp")), "lacks field 'timestamp'",
+                     id="delta-no-timestamp"),
+        pytest.param(with_delta(without("kind")), "lacks field 'kind'", id="delta-no-kind"),
+        pytest.param(with_delta({**DELTA_ENTRY, "kind": "gossip"}), "unknown kind 'gossip'",
+                     id="delta-unknown-kind"),
+        pytest.param(with_delta({**DELTA_ENTRY, "version": "1"}),
+                     "field 'version' must be int", id="delta-string-version"),
+        pytest.param(with_delta({**DELTA_ENTRY, "version": True}),
+                     "field 'version' must be int", id="delta-bool-version"),
+        pytest.param(with_delta({**DELTA_ENTRY, "payload": [1]}),
+                     "field 'payload' must be dict", id="delta-list-payload"),
+        pytest.param(with_delta(["obs.Seoul"]), r"memory_delta\[0\] is not an object",
+                     id="delta-not-an-object"),
     ],
 )
 def test_malformed_traces_rejected(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         EpisodeTrace.loads(text)
+
+
+def test_well_formed_delta_loads():
+    trace = EpisodeTrace.loads(with_delta(DELTA_ENTRY))
+    assert trace.snapshot_before(2).resolve("obs.Seoul.temp_f") == 51.8
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("reversed", "line 3: cycle 3 does not follow cycle 4"),
+        ("repeated", "line 4: cycle 1 does not follow cycle 1"),
+    ],
+)
+def test_cycle_numbers_must_increase(clean_trace, tmp_path, capsys, order, message):
+    header, *cycles = clean_trace.dumps().splitlines()
+    cycles = cycles[::-1] if order == "reversed" else cycles[:2] + cycles[1:]
+    text = "\n".join([header, *cycles]) + "\n"
+    with pytest.raises(ParseError, match=message):
+        EpisodeTrace.loads(text)
+    path = tmp_path / "unordered.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["trace", str(path)]) == 1
+    assert "does not follow" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- replay
@@ -85,10 +158,80 @@ def test_snapshot_before_replays_deltas_in_cycle_order(clean_trace):
     assert before_third.resolve("obs.Jeju.temp_f") == 60.8
 
 
-def test_record_lookup(clean_trace):
-    assert clean_trace.record_for(0).cycle == 0
-    assert clean_trace.record_for(2).cycle == 2
-    assert clean_trace.record_for(99) is None
+def snapshot_state(snapshot: MemorySnapshot) -> tuple:
+    return (
+        snapshot.entries,
+        snapshot.keys(),
+        snapshot.read(),
+        snapshot.read(MemoryQuery(latest_only=True)),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    suite_seed=st.integers(0, 10_000),
+    episode_seed=st.integers(1, 5),
+    fault_seed=st.integers(0, 99),
+    p_fault=st.sampled_from([0.0, 0.1, 0.3]),
+    baseline=st.booleans(),
+)
+def test_replay_snapshots_equal_snapshot_before(
+    suite_seed, episode_seed, fault_seed, p_fault, baseline
+):
+    scenario = generate_suite(1, suite_seed)[0]
+    faults = FaultConfig(seed=fault_seed, **{f"p_{t}": p_fault for t in FAULT_TYPES})
+    config = scenario.episode_config(episode_seed, faults=faults)
+    if baseline:
+        result = run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay)
+    else:
+        result = run_episode(config)
+    trace = reparse(result.trace)
+    committed: list[MemoryEntry] = []
+    for record, snapshot in trace.replay():
+        state = snapshot_state(snapshot)
+        assert state == snapshot_state(trace.snapshot_before(record.cycle))
+        assert state == snapshot_state(MemorySnapshot(tuple(committed)))
+        committed.extend(MemoryEntry.from_dict(e) for e in record.memory_delta)
+    assert tuple(committed) == result.store.entries()  # replay equals the store
+
+
+# The ROADMAP scaling probe: 237 cycles that commit 476 entries.
+PROBE_FAULTS = FaultConfig(seed=3, p_duplicate=0.995)
+
+
+def test_replay_decodes_each_delta_entry_once(two_city, monkeypatch):
+    result = run_episode(two_city.episode_config(seed=1, faults=PROBE_FAULTS, max_cycles=5000))
+    trace = reparse(result.trace)
+    total = sum(len(r.memory_delta) for r in trace.cycles)
+    assert (result.cycles_used, total) == (237, 476)
+
+    decoded = []
+    original = MemoryEntry.from_dict.__func__
+
+    def counting(cls, data):
+        decoded.append(data)
+        return original(cls, data)
+
+    monkeypatch.setattr(MemoryEntry, "from_dict", classmethod(counting))
+    compute_metrics(trace)
+    assert len(decoded) == total
+    decoded.clear()
+    list(iter_chains(trace))
+    assert len(decoded) == total
+
+
+def test_governed_view_renders_each_entry_once(two_city, monkeypatch):
+    rendered = []
+    original = cognition.format_memory_fact
+
+    def counting(entry):
+        rendered.append((entry.key, entry.version))
+        return original(entry)
+
+    monkeypatch.setattr(cognition, "format_memory_fact", counting)
+    result = run_episode(two_city.episode_config(seed=1, faults=PROBE_FAULTS, max_cycles=5000))
+    assert result.cycles_used == 237
+    assert len(rendered) == len(set(rendered)) <= len(result.store.entries())
 
 
 # ------------------------------------------------------------------- chains
