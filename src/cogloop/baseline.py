@@ -1,14 +1,12 @@
 """Monolithic comparison system: same policy, bounded context, no validation.
 
-The baseline runs the same cycle driver as the governed system
-(``loop.drive_episode``) with a different view and gate. Its view,
-``ContextView``, keeps working knowledge in a bounded context window: a FIFO
-of leaf facts with at most ``budget`` slots, where each retained fact is
-recalled each cycle only with probability max(0, 1 - decay * age). The same
-scripted policy reads through that decayed window. Its gate,
-``AutoApproveGate``, has no validator: whatever the policy proposes executes
-immediately, decision markers in the trace are synthetic auto-approvals, and
-injected faults reach the runtime.
+The baseline is the second ``System`` the cycle driver (``loop.drive_episode``)
+runs. It keeps working knowledge in a bounded context window: a FIFO of leaf
+facts with at most ``budget`` slots, where each retained fact is recalled
+each cycle only with probability max(0, 1 - decay * age). The same scripted
+policy reads through that decayed window. There is no validator: whatever the
+policy proposes executes immediately, decision markers in the trace are
+synthetic auto-approvals, and injected faults reach the runtime.
 
 An authoritative store still records every committed observation and action
 so that traces stay replayable and the persistence metric can compare what
@@ -24,18 +22,9 @@ from typing import Any
 
 from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact
 from .control import ControlDecision, Verdict, check_termination
-from .goals import GoalSpec
-from .loop import (
-    ConfigError,
-    CycleState,
-    EpisodeConfig,
-    EpisodeResult,
-    Gate,
-    View,
-    drive_episode,
-)
+from .loop import ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
-from .runtime import Runtime, ToolCall, ToolRegistry, ToolResult, canon_args
+from .runtime import Runtime, ToolRegistry, ToolResult, canon_args
 
 logger = logging.getLogger(__name__)
 
@@ -110,13 +99,17 @@ def _context_entry(key: str, payload: dict[str, Any]) -> MemoryEntry:
     )
 
 
-class ContextView(View):
-    """The ``ContextModel`` window, with no constraints."""
+class Baseline(System):
+    """The ``ContextModel`` window in; every call approved until a termination check fires."""
 
-    def __init__(self, config: EpisodeConfig, context: ContextModel, registry: ToolRegistry):
+    baseline = True
+    cognition_label = "[Baseline]"
+    memory_label = "[Baseline]"
+
+    def __init__(self, config: EpisodeConfig, registry: ToolRegistry, budget: int, decay: float):
         self.config = config
-        self.context = context
         self.registry = registry
+        self.context = ContextModel(budget, decay, config.seed, config.context)
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
@@ -130,33 +123,11 @@ class ContextView(View):
             constraints=(),
         )
 
-    def after_execution(self, state: CycleState, call: ToolCall, result: ToolResult) -> None:
-        context = self.context
-        if result.ok:
-            # Recomputed rather than taken from `execute`, which stages nothing
-            # on an idempotency hit: the window still refreshes then.
-            spec = self.registry.get(call.name)
-            for write in Runtime._staged_writes(spec, canon_args(call.arguments), result.payload):
-                context.insert(write.key, write.kind, write.payload, state.index)
-        state.log_lines.append(
-            f"[Baseline] context holds {context.retained()}/{context.budget} facts"
-        )
-
-
-class AutoApproveGate(Gate):
-    """No validation layer: approve every call until a termination check fires."""
-
-    baseline = True
-    cognition_label = "[Baseline]"
-    memory_label = "[Baseline]"
-
-    def __init__(self, goal: GoalSpec):
-        self.goal = goal
-
     def decide(
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
     ) -> ControlDecision:
-        reason = check_termination(proposal.call is None, snapshot, self.goal, cycle, max_cycles)
+        goal = self.config.policy.goal
+        reason = check_termination(proposal.call is None, snapshot, goal, cycle, max_cycles)
         if reason is not None:
             return ControlDecision(
                 verdict=Verdict.TERMINATE,
@@ -178,17 +149,24 @@ class AutoApproveGate(Gate):
             "synthetic": True,
         }
 
+    def after_execution(
+        self, state: CycleState, decision: ControlDecision, result: ToolResult
+    ) -> None:
+        context = self.context
+        if result.ok:
+            # Recomputed rather than taken from `execute`, which stages nothing
+            # on an idempotency hit: the window still refreshes then.
+            call = decision.call
+            spec = self.registry.get(call.name)
+            for write in Runtime._staged_writes(spec, canon_args(call.arguments), result.payload):
+                context.insert(write.key, write.kind, write.payload, state.index)
+        state.log_lines.append(
+            f"[Baseline] context holds {context.retained()}/{context.budget} facts"
+        )
+
 
 def run_baseline_episode(
     config: EpisodeConfig, budget: int, decay: float
 ) -> EpisodeResult:
     """Run one unvalidated bounded-context episode and return its full record."""
-    return drive_episode(
-        config,
-        lambda registry: (
-            ContextView(
-                config, ContextModel(budget, decay, config.seed, config.context), registry
-            ),
-            AutoApproveGate(config.policy.goal),
-        ),
-    )
+    return drive_episode(config, lambda registry: Baseline(config, registry, budget, decay))

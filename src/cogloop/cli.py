@@ -11,7 +11,7 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .baseline import run_baseline_episode
 from .cognition import FAULT_TYPES, FaultConfig
@@ -119,25 +119,38 @@ def _metrics_json(columns: dict[str, dict[str, Metric]]) -> str:
     return canonical_json(payload) + "\n"
 
 
-def _baseline_params(args: argparse.Namespace, scenario: Scenario) -> tuple[int, float]:
-    budget = args.baseline_budget if args.baseline_budget is not None else scenario.baseline_budget
-    decay = args.baseline_decay if args.baseline_decay is not None else scenario.baseline_decay
-    return budget, decay
-
-
 def _print_status(label: str, result: EpisodeResult) -> None:
     print(
         f"{label}: {result.status.value} in {result.cycles_used}/{result.max_cycles} cycles"
     )
 
 
+def _episodes(
+    args: argparse.Namespace, scenario: Scenario, seed: int, faults: FaultConfig | None
+) -> Iterator[tuple[str, EpisodeResult, dict[str, Metric]]]:
+    """The governed episode, then under ``--compare`` the baseline one, with their metrics.
+
+    Each episode runs only when the caller asks for it, so output printed
+    between the two comes before the baseline can fail.
+    """
+    config = scenario.episode_config(seed, faults=faults, max_cycles=args.max_cycles)
+    result = run_episode(config)
+    yield "governed", result, compute_metrics(result.trace)
+    if args.compare:
+        result = run_baseline_episode(
+            config,
+            scenario.baseline_budget if args.baseline_budget is None else args.baseline_budget,
+            scenario.baseline_decay if args.baseline_decay is None else args.baseline_decay,
+        )
+        yield "baseline", result, compute_metrics(result.trace)
+
+
 # ---------------------------------------------------------------- subcommands
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seeds[0]
-    faults = parse_faults(args.faults)
-    config = scenario.episode_config(seed, faults=faults, max_cycles=args.max_cycles)
-    result = run_episode(config)
+    episodes = _episodes(args, scenario, seed, parse_faults(args.faults))
+    _, result, metrics = next(episodes)
     print(f"scenario {scenario.name} seed {seed}")
     _print_status("governed", result)
     if args.verbose:
@@ -145,23 +158,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             for line in record.log_lines:
                 print(f"  c{record.cycle} {line}")
     print(f"final: {result.final_response}")
-    columns = {"governed": compute_metrics(result.trace)}
-
-    baseline_result = None
-    if args.compare:
-        budget, decay = _baseline_params(args, scenario)
-        baseline_result = run_baseline_episode(config, budget, decay)
-        _print_status("baseline", baseline_result)
-        columns["baseline"] = compute_metrics(baseline_result.trace)
+    columns = {"governed": metrics}
+    traces = {"governed": result.trace}
+    for system, baseline_result, baseline_metrics in episodes:
+        _print_status(system, baseline_result)
+        columns[system] = baseline_metrics
+        traces[system] = baseline_result.trace
     print(render_table(columns))
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         stem = f"{scenario.name}_s{seed}"
-        result.trace.dump(out / f"{stem}_governed.jsonl")
-        if baseline_result is not None:
-            baseline_result.trace.dump(out / f"{stem}_baseline.jsonl")
+        for system, trace in traces.items():
+            trace.dump(out / f"{stem}_{system}.jsonl")
         (out / f"{stem}_metrics.json").write_text(_metrics_json(columns), encoding="utf-8")
         print(f"wrote artifacts to {out}")
     return 0 if result.status is EpisodeStatus.COMPLETED else 2
@@ -172,43 +182,22 @@ def cmd_suite(args: argparse.Namespace) -> int:
     faults = parse_faults(args.faults)
     seeds_override = parse_seeds(args.seeds) if args.seeds else None
     episodes: list[dict[str, Any]] = []
-    per_system: dict[str, list[dict[str, Metric]]] = {"governed": []}
-    statuses: dict[str, Counter] = {"governed": Counter()}
-    if args.compare:
-        per_system["baseline"] = []
-        statuses["baseline"] = Counter()
+    per_system: dict[str, list[dict[str, Metric]]] = {}
+    statuses: dict[str, Counter] = {}
 
     for scenario in scenarios:
         for seed in seeds_override or scenario.seeds:
-            config = scenario.episode_config(seed, faults=faults, max_cycles=args.max_cycles)
-            result = run_episode(config)
-            metrics = compute_metrics(result.trace)
-            per_system["governed"].append(metrics)
-            statuses["governed"][result.status.value] += 1
-            episodes.append(
-                {
-                    "scenario": scenario.name,
-                    "seed": seed,
-                    "system": "governed",
-                    "status": result.status.value,
-                    "cycles": result.cycles_used,
-                    "metrics": {n: m.to_dict() for n, m in metrics.items()},
-                }
-            )
-            if args.compare:
-                budget, decay = _baseline_params(args, scenario)
-                baseline_result = run_baseline_episode(config, budget, decay)
-                baseline_metrics = compute_metrics(baseline_result.trace)
-                per_system["baseline"].append(baseline_metrics)
-                statuses["baseline"][baseline_result.status.value] += 1
+            for system, result, metrics in _episodes(args, scenario, seed, faults):
+                per_system.setdefault(system, []).append(metrics)
+                statuses.setdefault(system, Counter())[result.status.value] += 1
                 episodes.append(
                     {
                         "scenario": scenario.name,
                         "seed": seed,
-                        "system": "baseline",
-                        "status": baseline_result.status.value,
-                        "cycles": baseline_result.cycles_used,
-                        "metrics": {n: m.to_dict() for n, m in baseline_metrics.items()},
+                        "system": system,
+                        "status": result.status.value,
+                        "cycles": result.cycles_used,
+                        "metrics": {n: m.to_dict() for n, m in metrics.items()},
                     }
                 )
 

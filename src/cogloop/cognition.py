@@ -9,7 +9,7 @@ built-in proposers implement that contract deterministically:
   entity at a time, evaluate the cancellation guard before any branch, emit
   branch actions with their condition expressions as citations, then signal
   completion with a null call.
-* ``FaultyProposer`` wraps the scripted plan and, from a seeded stream,
+* ``FaultyProposer`` extends the scripted plan and, from a seeded stream,
   replaces at most one cycle's proposal with a labeled defect (duplicate
   call, stripped arguments, missing citations, premature branch action, or a
   citation to a key that does not exist). Labels are ground truth for the
@@ -182,7 +182,6 @@ def assemble_input(
     snapshot: MemorySnapshot,
     constraints: list[str],
     ruleset: RuleSet,
-    system: str = DEFAULT_SYSTEM,
     fact_lines: dict[tuple[str, int], str] | None = None,
 ) -> CognitionInput:
     """Serialize the snapshot and constraints into the proposer's input.
@@ -201,7 +200,7 @@ def assemble_input(
             line = fact_lines[entry.key, entry.version] = format_memory_fact(entry)
         facts.append(line)
     return CognitionInput(
-        system=system,
+        system=DEFAULT_SYSTEM,
         task=task,
         rules=ruleset.render_for_cognition(),
         facts=tuple(facts),
@@ -217,10 +216,6 @@ class Proposal:
     call: ToolCall | None
     citations: tuple[EvidenceExpr, ...] = ()
     rationale: str = ""
-
-    @property
-    def is_completion(self) -> bool:
-        return self.call is None
 
     def to_response(self) -> dict[str, Any]:
         return {
@@ -376,9 +371,6 @@ class ScriptedProposer:
         self.last_meta = ProposeMeta()
         self._parsed: ParsedLines = {}
 
-    def _view(self, facts: tuple[str, ...]) -> _FactView:
-        return _FactView(facts, self._parsed)
-
     def _action_citations(self, condition: tuple[EvidenceExpr, ...]) -> tuple[EvidenceExpr, ...]:
         citations: list[EvidenceExpr] = list(condition)
         if self.policy.goal_citation:
@@ -452,7 +444,7 @@ class ScriptedProposer:
         raise PolicyGap("condition unknown but every referenced key resolves")
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = self._view(cog_input.facts)
+        view = _FactView(cog_input.facts, self._parsed)
         proposal, _ = self._plan(view)
         self.last_meta = ProposeMeta(fact_reads=list(view.reads.items()))
         return proposal
@@ -492,7 +484,7 @@ class FaultConfig:
         return data
 
 
-class FaultyProposer:
+class FaultyProposer(ScriptedProposer):
     """Scripted planner plus a seeded stream of labeled single-fault mutations.
 
     At most one fault is injected per cycle, and only into cycles where the
@@ -501,15 +493,13 @@ class FaultyProposer:
     """
 
     def __init__(self, policy: PlannerPolicy, faults: FaultConfig, episode_seed: int = 0):
-        self._scripted = ScriptedProposer(policy)
-        self.policy = policy
+        super().__init__(policy)
         self.faults = faults
         self._rng = random.Random(f"faults:{faults.seed}:{episode_seed}")
-        self.last_meta = ProposeMeta()
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = self._scripted._view(cog_input.facts)
-        base, phase = self._scripted._plan(view)
+        view = _FactView(cog_input.facts, self._parsed)
+        base, phase = self._plan(view)
         meta = ProposeMeta(fact_reads=list(view.reads.items()))
         draws = [self._rng.random() for _ in FAULT_TYPES]
         if base.call is not None:

@@ -412,29 +412,23 @@ def validate(
         logger.debug("approved %s", run.call.describe())
         return decision
 
-    rule_ids: list[str] = []
-    for violation in run.violations:
-        for rule_id in violation.rule_ids:
-            if rule_id not in rule_ids:
-                rule_ids.append(rule_id)
-    details = "; ".join(v.detail for v in run.violations)
-    feedback = (
-        f"Proposal rejected [{', '.join(rule_ids)}]: {details}. "
-        "Revise the proposal using current memory."
-    )
-    log_lines = tuple(
-        f"[Control] {v.check}: {v.detail} → Rejected ({v.short})" for v in run.violations
-    )
-    logger.debug("rejected %s: %s", proposal.describe(), ", ".join(rule_ids))
-    return ControlDecision(
+    decision = ControlDecision(
         verdict=Verdict.REJECTED,
         call=run.call,
         violations=tuple(run.violations),
-        feedback=feedback,
-        constraints_next=(feedback,),
-        log_lines=log_lines,
+        log_lines=tuple(
+            f"[Control] {v.check}: {v.detail} → Rejected ({v.short})" for v in run.violations
+        ),
         consumptions=consumptions,
     )
+    rule_ids = ", ".join(decision.rule_ids())
+    details = "; ".join(v.detail for v in run.violations)
+    decision.feedback = (
+        f"Proposal rejected [{rule_ids}]: {details}. Revise the proposal using current memory."
+    )
+    decision.constraints_next = (decision.feedback,)
+    logger.debug("rejected %s: %s", proposal.describe(), rule_ids)
+    return decision
 
 
 @dataclass(frozen=True)

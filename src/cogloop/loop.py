@@ -1,17 +1,16 @@
 """Episode orchestration: the atomic propose → validate → execute → commit cycle.
 
-One driver, ``drive_episode``, runs the cycle for both systems. Each cycle
-asks a *view* for the proposer's input, asks the proposer for at most one
-tool call, asks a *gate* for a decision, executes only approved calls, and
+One driver, ``drive_episode``, runs the cycle for every ``System``. Each cycle
+asks the system for the proposer's input, asks the proposer for at most one
+tool call, asks the system for a decision, executes only approved calls, and
 commits every resulting write atomically — proposal record, observations,
 action records, feedback, and termination flag all land together or not at
-all. The loop exits through the gate's termination check (goal satisfied,
+all. The loop exits through the system's termination check (goal satisfied,
 completion signaled, or cycle budget exhausted), never on its own.
 
-The governed system (``run_episode``) pairs ``SnapshotView`` — the committed
-snapshot plus last cycle's constraints — with ``ValidationGate``, the control
-layer. The bounded-context baseline in ``baseline.py`` supplies its own view
-and gate to the same driver.
+``run_episode`` drives ``Governed``: the committed snapshot plus last cycle's
+constraints in, the control layer deciding. The bounded-context baseline in
+``baseline.py`` is the other ``System``.
 """
 from __future__ import annotations
 
@@ -39,9 +38,17 @@ from .control import (
     on_tool_failure,
     validate,
 )
-from .memory import EntryKind, MalformedKey, MemoryKey, MemorySnapshot, MemoryStore, encode_value
+from .memory import (
+    ALLOWED_KINDS,
+    EntryKind,
+    MalformedKey,
+    MemoryKey,
+    MemorySnapshot,
+    MemoryStore,
+    encode_value,
+)
 from .regulation import RuleSet, default_ruleset
-from .runtime import Runtime, ToolCall, ToolRegistry, ToolResult, WorldState, builtin_registry
+from .runtime import Runtime, ToolRegistry, ToolResult, WorldState, builtin_registry
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
 from .util import content_digest
 
@@ -107,9 +114,13 @@ class EpisodeConfig:
             raise ConfigError(f"goal references unregistered tools: {missing}")
         for key, payload in self.context.items():
             try:
-                MemoryKey.parse(key)
+                prefix = MemoryKey.parse(key).prefix
             except MalformedKey as exc:
                 raise ConfigError(f"bad context key {key!r}: {exc}") from exc
+            if EntryKind.OBSERVATION not in ALLOWED_KINDS[prefix]:
+                raise ConfigError(
+                    f"bad context key {key!r}: namespace {prefix!r} takes no observations"
+                )
             if not isinstance(payload, dict) or not payload:
                 raise ConfigError(f"context value for {key!r} must be a non-empty object")
 
@@ -202,36 +213,45 @@ def _final_response(
 
 @dataclass
 class CycleState:
-    """One cycle's log lines and next-cycle constraints; seam hooks add to them."""
+    """One cycle's log lines and next-cycle constraints; system hooks add to them."""
 
     index: int
     store: MemoryStore
     log_lines: list[str] = field(default_factory=list)
     constraints: list[str] = field(default_factory=list)
 
-
-class View:
-    """Builds the proposer's input, and hears about every executed call."""
-
-    def cognition_input(
-        self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
-    ) -> CognitionInput:
-        raise NotImplementedError
-
-    def after_execution(self, state: CycleState, call: ToolCall, result: ToolResult) -> None:
-        pass
+    def feedback(self, message: str, *constraints: str) -> None:
+        """Stage this cycle's control feedback entry and constrain the next proposal."""
+        self.store.write_staged(
+            f"feedback.cycle{self.index}",
+            EntryKind.CONTROL_FEEDBACK,
+            {"message": message},
+            source="control",
+        )
+        self.constraints.extend(constraints)
 
 
-class Gate:
-    """Decides on each proposal, and stages what the system records around it.
+class System:
+    """One episode kind: what the proposer sees and how its proposals are decided.
 
-    The labels prefix the driver's own log lines; ``baseline`` goes into the
-    trace header.
+    Each cycle the driver asks ``cognition_input`` for the proposer's input,
+    asks ``decide`` for a decision on the proposal, and traces
+    ``record(decision)``. The other hooks stage the system's own writes into
+    the cycle's commit: ``stage_init`` before cycle 0's commit,
+    ``on_proposer_failure`` when the proposer raises, ``on_terminate`` when the
+    decision ends the episode, and ``after_execution`` once an approved call
+    has run. The labels prefix the driver's own log lines; ``baseline`` goes
+    into the trace header.
     """
 
     baseline = False
     cognition_label = "[Cognition]"
     memory_label = "[Memory]"
+
+    def cognition_input(
+        self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
+    ) -> CognitionInput:
+        raise NotImplementedError
 
     def decide(
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
@@ -256,11 +276,18 @@ class Gate:
         pass
 
 
-class SnapshotView(View):
-    """The committed snapshot plus the previous cycle's constraints."""
+class Governed(System):
+    """The committed snapshot plus last cycle's constraints in, ``validate`` deciding.
 
-    def __init__(self, config: EpisodeConfig):
+    Proposer and tool failures become feedback entries, and a deliberate exit
+    raises the ``status.terminated`` flag.
+    """
+
+    def __init__(self, config: EpisodeConfig, registry: ToolRegistry):
         self.config = config
+        self.registry = registry
+        self.cache = DedupCache()
+        self.consecutive_failures: dict[str, int] = {}
         self.fact_lines: dict[tuple[str, int], str] = {}
 
     def cognition_input(
@@ -270,16 +297,6 @@ class SnapshotView(View):
         return assemble_input(
             config.task, snapshot, constraints, config.ruleset, fact_lines=self.fact_lines
         )
-
-
-class ValidationGate(Gate):
-    """The control layer: ``validate``, failure guidance, and feedback entries."""
-
-    def __init__(self, config: EpisodeConfig, registry: ToolRegistry):
-        self.config = config
-        self.registry = registry
-        self.cache = DedupCache()
-        self.consecutive_failures: dict[str, int] = {}
 
     def decide(
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
@@ -296,17 +313,16 @@ class ValidationGate(Gate):
         )
 
     def on_proposer_failure(self, state: CycleState, note: str) -> None:
-        state.store.write_staged(
-            f"feedback.cycle{state.index}",
-            EntryKind.CONTROL_FEEDBACK,
-            {"message": note},
-            source="control",
-        )
-        state.constraints.append(f"{note}. Provide a well-formed proposal.")
+        state.feedback(note, f"{note}. Provide a well-formed proposal.")
 
     def on_terminate(self, state: CycleState, reason: TerminationReason) -> None:
         if reason is not TerminationReason.BUDGET_EXHAUSTED:
-            state.store.update_status("status.terminated", {"terminated": True}, source="control")
+            state.store.write_staged(
+                "status.terminated",
+                EntryKind.TERMINATION_FLAG,
+                {"terminated": True},
+                source="control",
+            )
 
     def after_execution(
         self, state: CycleState, decision: ControlDecision, result: ToolResult
@@ -325,14 +341,13 @@ class ValidationGate(Gate):
         state.log_lines.append(f"[Control] Failure guidance: {advice.constraint}")
 
 
-Seams = Callable[[ToolRegistry], tuple[View, Gate]]
+def drive_episode(
+    config: EpisodeConfig, make_system: Callable[[ToolRegistry], System]
+) -> EpisodeResult:
+    """Run one episode of the system ``make_system`` builds, to termination.
 
-
-def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
-    """Run one episode to termination through the given view and gate.
-
-    ``make_seams`` receives the episode's tool registry and returns the view
-    and gate; it runs after the configuration is validated.
+    ``make_system`` receives the episode's tool registry; it runs after the
+    configuration is validated.
     """
     config.validate()
     registry = builtin_registry(list(config.extra_tools))
@@ -340,18 +355,18 @@ def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
     store = MemoryStore()
     proposer = _make_proposer(config)
     max_cycles = config.resolved_max_cycles()
-    view, gate = make_seams(registry)
+    system = make_system(registry)
 
-    # Cycle 0: commit the static context and the gate's own initial entries.
+    # Cycle 0: commit the static context and the system's own initial entries.
     for key in sorted(config.context):
         store.write_staged(key, EntryKind.OBSERVATION, config.context[key], source="init")
-    gate.stage_init(store)
+    system.stage_init(store)
     init_delta = _commit_delta(store)
     records = [
         CycleRecord(
             cycle=0,
             memory_delta=init_delta,
-            log_lines=[f"{gate.memory_label} initialized {len(init_delta)} context entries"],
+            log_lines=[f"{system.memory_label} initialized {len(init_delta)} context entries"],
         )
     ]
 
@@ -362,34 +377,29 @@ def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
     for cycle in range(1, max_cycles + 1):
         cycles_used = cycle
         snapshot = store.snapshot
-        cog_input = view.cognition_input(snapshot, constraints, cycle)
+        cog_input = system.cognition_input(snapshot, constraints, cycle)
         state = CycleState(cycle, store)
         constraints = state.constraints
         log_lines = state.log_lines
+        record = CycleRecord(cycle=cycle, input_digest=cog_input.digest(), log_lines=log_lines)
+        records.append(record)
 
         try:
             proposal = proposer.propose(cog_input)
         except ProposerFailure as exc:
             note = f"Proposer failure: {exc}"
-            log_lines.append(f"{gate.cognition_label} {note}")
-            gate.on_proposer_failure(state, note)
-            records.append(
-                CycleRecord(
-                    cycle=cycle,
-                    input_digest=cog_input.digest(),
-                    memory_delta=_commit_delta(store),
-                    log_lines=log_lines,
-                )
-            )
+            log_lines.append(f"{system.cognition_label} {note}")
+            system.on_proposer_failure(state, note)
+            record.memory_delta = _commit_delta(store)
             continue
 
         meta = proposer.last_meta
-        log_lines.append(f"{gate.cognition_label} Proposal: {proposal.describe()}")
+        log_lines.append(f"{system.cognition_label} Proposal: {proposal.describe()}")
         if meta.fault_label:
             log_lines.append(f"[Faults] injected {meta.fault_label}")
         consumptions: dict[str, Any] = dict(meta.fact_reads)
 
-        decision = gate.decide(proposal, snapshot, cycle, max_cycles)
+        decision = system.decide(proposal, snapshot, cycle, max_cycles)
         log_lines.extend(decision.log_lines)
         for key, value in decision.consumptions:
             consumptions.setdefault(key, value)
@@ -401,44 +411,28 @@ def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
             source="cognition",
         )
 
-        invocation: dict[str, Any] | None = None
         if decision.verdict is Verdict.TERMINATE:
             reason = decision.reason
-            gate.on_terminate(state, reason)
+            system.on_terminate(state, reason)
         elif decision.verdict is Verdict.APPROVED:
             call = decision.call
             result, staged = runtime.execute(call, cycle)
-            invocation = runtime.invocation_log[-1]
+            record.invocation = runtime.invocation_log[-1]
             if result.ok:
                 for write in staged:
                     store.write_staged(write.key, write.kind, write.payload, source=call.name)
                 log_lines.append(f"[Runtime] {call.name} ok ({result.latency_ms} ms)")
             else:
                 log_lines.append(f"[Runtime] {call.name} failed: {result.error_code.value}")
-            gate.after_execution(state, decision, result)
-            view.after_execution(state, call, result)
+            system.after_execution(state, decision, result)
         else:  # rejected
-            store.write_staged(
-                f"feedback.cycle{cycle}",
-                EntryKind.CONTROL_FEEDBACK,
-                {"message": decision.feedback},
-                source="control",
-            )
-            constraints.extend(decision.constraints_next)
+            state.feedback(decision.feedback, *decision.constraints_next)
 
-        records.append(
-            CycleRecord(
-                cycle=cycle,
-                input_digest=cog_input.digest(),
-                proposal=proposal.to_response(),
-                decision=gate.record(decision),
-                invocation=invocation,
-                memory_delta=_commit_delta(store),
-                consumptions=[[k, encode_value(v)] for k, v in consumptions.items()],
-                fault_label=meta.fault_label,
-                log_lines=log_lines,
-            )
-        )
+        record.proposal = proposal.to_response()
+        record.decision = system.record(decision)
+        record.memory_delta = _commit_delta(store)
+        record.consumptions = [[k, encode_value(v)] for k, v in consumptions.items()]
+        record.fault_label = meta.fault_label
         if reason is not None:
             break
     else:
@@ -453,7 +447,7 @@ def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
         config_digest=config.digest(),
         scenario=config.scenario,
         seed=config.seed,
-        baseline=gate.baseline,
+        baseline=system.baseline,
         proposer=config.proposer_kind,
         ruleset_version=config.ruleset.version,
         max_cycles=max_cycles,
@@ -474,6 +468,4 @@ def drive_episode(config: EpisodeConfig, make_seams: Seams) -> EpisodeResult:
 
 def run_episode(config: EpisodeConfig) -> EpisodeResult:
     """Run one governed episode to termination and return its full record."""
-    return drive_episode(
-        config, lambda registry: (SnapshotView(config), ValidationGate(config, registry))
-    )
+    return drive_episode(config, lambda registry: Governed(config, registry))

@@ -40,14 +40,6 @@ class SchemaMismatch(StoreError):
     """Payload fields are inconsistent with the declared entry kind."""
 
 
-class UnknownKey(StoreError):
-    """Status update addressed a key with no committed entry."""
-
-
-class IllegalTransition(StoreError):
-    """Status update attempted a transition the lifecycle forbids."""
-
-
 class EntryKind(str, Enum):
     OBSERVATION = "observation"
     PROPOSAL = "proposal"
@@ -378,26 +370,6 @@ class MemoryStore:
         )
         self._staged.append(entry)
         return entry
-
-    def update_status(
-        self, key: str | MemoryKey, updates: dict[str, Any], source: str = "control"
-    ) -> MemoryEntry:
-        """Stage a new version of a termination flag, moving it false -> true.
-
-        Every other update raises IllegalTransition.
-        """
-        parsed = MemoryKey.parse(key)
-        current = self._snapshot.latest(parsed.render())
-        for staged in self._staged:
-            if staged.key == parsed.render():
-                current = staged
-        if current is None:
-            raise UnknownKey(f"no committed entry for {parsed}")
-        if current.kind is not EntryKind.TERMINATION_FLAG:
-            raise IllegalTransition(f"{parsed}: status updates apply only to termination flags")
-        if updates.get("terminated") is not True or current.payload.get("terminated") is not False:
-            raise IllegalTransition(f"{parsed}: termination flag only moves false -> true")
-        return self.write_staged(parsed, current.kind, {**current.payload, **updates}, source)
 
     def commit_cycle(self) -> MemorySnapshot:
         """Atomically publish all staged writes and return the new snapshot."""

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .cognition import FaultConfig, GatherTemplate, PlannerPolicy
+from .evidence import EvidenceParseError
 from .goals import GoalConfigError, GoalSpec
 from .loop import ConfigError, EpisodeConfig
-from .regulation import RuleSet, default_ruleset
+from .memory import MalformedKey
 from .runtime import BUILTIN_SPECS, EXTRA_SPECS, ErrorCode
 
 logger = logging.getLogger(__name__)
@@ -55,6 +57,16 @@ def _expect_type(value: Any, types: type | tuple[type, ...], path: str, label: s
     _expect(isinstance(value, types), path, f"expected {label}, got {type(value).__name__}")
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number with a finite float value; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 @dataclass
 class Scenario:
     """One declarative episode definition, as loaded from a scenario file."""
@@ -78,7 +90,6 @@ class Scenario:
         seed: int,
         faults: FaultConfig | None = None,
         max_cycles: int | None = None,
-        ruleset: RuleSet | None = None,
     ) -> EpisodeConfig:
         goal = GoalSpec.from_dict(self.goal)
         policy = PlannerPolicy(
@@ -90,7 +101,6 @@ class Scenario:
             scenario=self.name,
             task=self.task,
             policy=policy,
-            ruleset=ruleset if ruleset is not None else default_ruleset(),
             context={k: dict(v) for k, v in self.context.items()},
             world=json.loads(json.dumps(self.world)),
             extra_tools=tuple(self.extra_tools),
@@ -153,7 +163,9 @@ class Scenario:
         _expect_type(goal, dict, "goal", "object")
         try:
             GoalSpec.from_dict(goal)
-        except (GoalConfigError, KeyError, TypeError) as exc:
+        except (
+            GoalConfigError, EvidenceParseError, MalformedKey, AttributeError, KeyError, TypeError
+        ) as exc:
             raise ConfigError(f"goal: {exc}") from exc
 
         gather = data["gather"]
@@ -211,9 +223,7 @@ class Scenario:
         )
         decay = baseline.get("decay", DEFAULT_BASELINE_DECAY)
         _expect(
-            isinstance(decay, (int, float)) and not isinstance(decay, bool) and decay >= 0,
-            "baseline.decay",
-            "expected non-negative number",
+            _is_number(decay) and decay >= 0, "baseline.decay", "expected finite non-negative number"
         )
 
         return cls(
@@ -247,12 +257,7 @@ def _validate_world(world: Any) -> dict[str, Any]:
         _expect_type(row, dict, path, "object")
         _expect_type(row.get("location"), str, f"{path}.location", "string")
         _expect_type(row.get("date"), str, f"{path}.date", "string")
-        temp = row.get("temp_f")
-        _expect(
-            isinstance(temp, (int, float)) and not isinstance(temp, bool),
-            f"{path}.temp_f",
-            "expected number",
-        )
+        _expect(_is_number(row.get("temp_f")), f"{path}.temp_f", "expected finite number")
         _expect_type(row.get("precipitation"), bool, f"{path}.precipitation", "boolean")
     schedule = world.get("fault_schedule", [])
     _expect_type(schedule, list, "world.fault_schedule", "array")

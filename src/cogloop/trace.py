@@ -186,6 +186,11 @@ class CycleRecord:
             problem = _delta_entry_problem(entry)
             if problem:
                 raise ParseError(f"cycle {record.cycle}: memory_delta[{index}] {problem}")
+        for index, item in enumerate(record.consumptions):
+            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
+                raise ParseError(
+                    f"cycle {record.cycle}: consumptions[{index}] is not a [key, value] pair"
+                )
         return record
 
     def approved(self) -> bool:
@@ -448,16 +453,6 @@ def _spa_and_tc(trace: EpisodeTrace) -> tuple[Metric, Metric]:
             if isinstance(chain, JustificationChain):
                 tc_num += 1
     return Metric("spa", spa_num, spa_den), Metric("tc", tc_num, tc_den)
-
-
-def compute_spa(trace: EpisodeTrace) -> Metric:
-    """State persistence accuracy over cross-cycle fact consumptions."""
-    return _spa_and_tc(trace)[0]
-
-
-def compute_tc(trace: EpisodeTrace) -> Metric:
-    """Trace completeness over executed invocations."""
-    return _spa_and_tc(trace)[1]
 
 
 def compute_elp(trace: EpisodeTrace) -> Metric:

@@ -20,9 +20,9 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def content_digest(obj: Any, length: int = 16) -> str:
-    """Hex digest of the canonical JSON form, truncated for readability."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:length]
+def content_digest(obj: Any) -> str:
+    """Hex digest of the canonical JSON form, truncated to 16 digits for readability."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
 
 
 def iso_millis(dt: datetime) -> str:

@@ -7,7 +7,7 @@ from cogloop.baseline import ContextModel, run_baseline_episode
 from cogloop.cognition import FaultConfig
 from cogloop.loop import ConfigError, EpisodeStatus, run_episode
 from cogloop.memory import EntryKind
-from cogloop.trace import aggregate_metrics, compute_elp, compute_metrics, compute_spa, compute_tc
+from cogloop.trace import aggregate_metrics, compute_elp, compute_metrics
 
 STATIC = {"goal.choose_colder": {"rule": "Book the colder destination."}}
 
@@ -150,8 +150,8 @@ def test_constrained_baseline_forgets_and_regathers(two_city):
     # already holds; those re-reads surface as persistence misses.
     gathers = [c for c in executed_calls(constrained) if c[0] == "get_weather"]
     assert len(gathers) > 2
-    spa_governed = compute_spa(governed.trace)
-    spa_baseline = compute_spa(constrained.trace)
+    spa_governed = compute_metrics(governed.trace)["spa"]
+    spa_baseline = compute_metrics(constrained.trace)["spa"]
     assert spa_baseline.ratio < spa_governed.ratio == 1.0
 
 
@@ -159,11 +159,11 @@ def test_constrained_baseline_loses_on_aggregate_spa(two_city):
     per_governed, per_baseline = [], []
     for seed in range(1, 6):
         config = two_city.episode_config(seed=seed)
-        per_governed.append({"spa": compute_spa(run_episode(config).trace)})
+        per_governed.append({"spa": compute_metrics(run_episode(config).trace)["spa"]})
         baseline = run_baseline_episode(
             config, budget=two_city.baseline_budget, decay=two_city.baseline_decay
         )
-        per_baseline.append({"spa": compute_spa(baseline.trace)})
+        per_baseline.append({"spa": compute_metrics(baseline.trace)["spa"]})
     governed_spa = aggregate_metrics(per_governed)["spa"]
     baseline_spa = aggregate_metrics(per_baseline)["spa"]
     assert governed_spa.ratio == 1.0
@@ -182,7 +182,7 @@ def test_executed_premature_action_breaks_baseline_chains(two_city):
     faults = FaultConfig(seed=1, p_premature_action=1.0)
     config = two_city.episode_config(seed=1, faults=faults, max_cycles=6)
     result = run_baseline_episode(config, budget=100, decay=0.0)
-    tc = compute_tc(result.trace)
+    tc = compute_metrics(result.trace)["tc"]
     # The premature booking executed with citations nothing in memory supports.
     assert tc.denominator > 0 and tc.ratio < 1.0
 

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from cogloop.cli import main, parse_faults, parse_seeds, render_table
 from cogloop.loop import ConfigError
 from cogloop.trace import EpisodeTrace, Metric
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def two_city_path(scenario_dir) -> str:
@@ -72,6 +76,13 @@ def test_run_clean_scenario_exits_zero(scenario_dir, capsys):
     assert "state persistence" in out and "trace completeness" in out
 
 
+def test_run_compare_verbose_output_is_pinned(scenario_dir, capsys):
+    code = main(["run", two_city_path(scenario_dir), "--seed", "1", "--compare", "--verbose"])
+    assert code == 0
+    expected = (DATA_DIR / "run_compare_verbose.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 def test_run_exhausted_budget_exits_two(scenario_dir, capsys):
     code = main(["run", two_city_path(scenario_dir), "--seed", "1", "--max-cycles", "2"])
     assert code == 2
@@ -89,6 +100,29 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     assert code == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"temp_f": 51.8', '"temp_f": NaN', "world.weather[0].temp_f: expected finite number"),
+        ("Jeju", "New York", "goal: left side of 'obs.New York.temp_f <= obs.Seoul.temp_f'"),
+        ('"goal.choose_colder": {', '"status.foo": {"x": 1}, "goal.choose_colder": {',
+         "bad context key 'status.foo': namespace 'status' takes no observations"),
+    ],
+    ids=["nan-temperature", "city-with-space", "status-context-key"],
+)
+def test_run_bad_scenario_exits_one(scenario_dir, tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        (scenario_dir / "weather_two_city.json").read_text(encoding="utf-8").replace(old, new),
+        encoding="utf-8",
+    )
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_run_bad_fault_spec_exits_one(scenario_dir, capsys):
@@ -145,6 +179,13 @@ def test_suite_over_fixture_directory(scenario_dir, tmp_path, capsys):
     assert {e["system"] for e in payload["episodes"]} == {"governed", "baseline"}
 
 
+def test_suite_compare_metrics_file_is_pinned(scenario_dir, tmp_path):
+    out_dir = tmp_path / "suite_out"
+    assert main(["suite", str(scenario_dir), "--seeds", "1", "--compare", "--out", str(out_dir)]) == 0
+    expected = (DATA_DIR / "suite_compare_metrics.json").read_bytes()
+    assert (out_dir / "metrics.json").read_bytes() == expected
+
+
 def test_suite_empty_directory_exits_one(tmp_path, capsys):
     assert main(["suite", str(tmp_path)]) == 1
     assert "no scenario files" in capsys.readouterr().err
@@ -194,6 +235,17 @@ def test_trace_unknown_action_exits_one(trace_file, capsys):
     for action in ("act.make_chart", "act.book_flight@abc"):
         assert main(["trace", str(trace_file), action]) == 1
         assert "no executed action record" in capsys.readouterr().err
+
+
+def test_trace_malformed_consumption_exits_one(trace_file, capsys):
+    trace = EpisodeTrace.load(trace_file)
+    trace.cycles[1].consumptions = [["obs.Seoul.temp_f"]]
+    trace.dump(trace_file)
+    capsys.readouterr()
+    assert main(["trace", str(trace_file)]) == 1
+    assert capsys.readouterr().err == (
+        "trace error: line 3: cycle 1: consumptions[0] is not a [key, value] pair\n"
+    )
 
 
 def test_trace_unreadable_file_exits_one(tmp_path, capsys):

@@ -181,7 +181,7 @@ def test_planner_completion_after_action_recorded():
     booked = fact("act.book_flight", "status=executed, confirmation=ABC123")
     proposer = ScriptedProposer(make_policy())
     proposal = proposer.propose(cog_input(GOAL_LINE, SEOUL_LINE, JEJU_LINE, booked))
-    assert proposal.is_completion and proposal.call is None
+    assert proposal.call is None
     assert proposal.rationale == "all goal work complete"
 
 
@@ -293,7 +293,7 @@ def test_completion_proposals_never_mutated():
                          p_false_citation=1.0)
     proposer = FaultyProposer(make_policy(), always, episode_seed=1)
     proposal = proposer.propose(cog_input(*EPISODE_STATES[-1]))
-    assert proposal.is_completion
+    assert proposal.call is None
     assert proposer.last_meta.fault_label is None
 
 

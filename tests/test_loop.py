@@ -249,6 +249,12 @@ def test_config_validation_errors(two_city):
     with pytest.raises(ConfigError, match="non-empty"):
         config.validate()
 
+    for key in ("status.foo", "act.x", "prop.x", "feedback.x"):
+        config = two_city.episode_config(seed=1)
+        config.context[key] = {"x": 1}
+        with pytest.raises(ConfigError, match=f"context key '{key}'.*takes no observations"):
+            config.validate()
+
 
 def test_config_digest_tracks_identity(two_city):
     assert two_city.episode_config(seed=1).digest() == two_city.episode_config(seed=1).digest()

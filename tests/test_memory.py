@@ -1,4 +1,4 @@
-"""Versioned store: keys, staging, atomic commits, resolution, status updates."""
+"""Versioned store: keys, staging, atomic commits, resolution."""
 from __future__ import annotations
 
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cogloop.memory import (
     NOT_FOUND,
     EntryKind,
-    IllegalTransition,
     MalformedKey,
     MemoryEntry,
     MemoryKey,
@@ -15,7 +14,6 @@ from cogloop.memory import (
     MemorySnapshot,
     MemoryStore,
     SchemaMismatch,
-    UnknownKey,
     decode_value,
     encode_value,
 )
@@ -133,28 +131,6 @@ def test_read_query_filters_and_latest_only():
     assert [(e.key, e.version) for e in latest] == [("obs.Seoul", 2)]
     only_props = store.read(MemoryQuery(kinds=frozenset({EntryKind.PROPOSAL})))
     assert [e.key for e in only_props] == ["prop.cycle1"]
-
-
-# ----------------------------------------------------------------- statuses
-def test_status_transitions_legal_and_illegal():
-    store = MemoryStore()
-    store.write_staged("status.terminated", EntryKind.TERMINATION_FLAG, {"terminated": False}, "init")
-    store.commit_cycle()
-    store.update_status("status.terminated", {"terminated": True})
-    store.commit_cycle()
-    assert store.resolve("status.terminated.terminated") is True
-    with pytest.raises(IllegalTransition):
-        store.update_status("status.terminated", {"terminated": True})  # already true
-    with pytest.raises(UnknownKey):
-        store.update_status("status.nothing", {"terminated": True})
-
-
-def test_observation_rejects_status_update():
-    store = MemoryStore()
-    obs(store, "obs.Seoul", {"temp_f": 1.0})
-    store.commit_cycle()
-    with pytest.raises(IllegalTransition):
-        store.update_status("obs.Seoul", {"terminated": True})
 
 
 # ---------------------------------------------------------------- timestamps

@@ -126,6 +126,15 @@ def test_goal_errors_are_anchored():
     document = valid_document()
     document["goal"]["required_facts"] = []
     expect_error(document, "goal:")
+    document = valid_document()
+    document["goal"]["required_facts"][0] = "obs.New York.temp_f"  # a malformed key
+    expect_error(document, "goal: empty or whitespace segment in key 'obs.New York.temp_f'")
+    document = valid_document()
+    document["goal"]["branches"][0]["condition"] = ["obs.New York.temp_f < 50"]  # unparseable
+    expect_error(document, "goal: left side of 'obs.New York.temp_f < 50'")
+    document = valid_document()
+    document["goal"]["branches"] = ["not an object"]
+    expect_error(document, "goal:")
 
 
 def test_goal_citation_must_anchor_to_context():
@@ -162,6 +171,19 @@ def test_baseline_parameters_validated():
     expect_error(document, "baseline.budget")
     document["baseline"] = {"budget": 2, "decay": -1}
     expect_error(document, "baseline.decay")
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-beyond-float"],
+)
+def test_non_finite_numbers_rejected(value):
+    document = valid_document()
+    document["world"]["weather"][0]["temp_f"] = value
+    expect_error(document, "world.weather[0].temp_f: expected finite number")
+    document = valid_document()
+    document["baseline"]["decay"] = value
+    expect_error(document, "baseline.decay: expected finite non-negative number")
 
 
 # ------------------------------------------------------------------- loading

@@ -25,8 +25,6 @@ from cogloop.trace import (
     aggregate_metrics,
     compute_elp,
     compute_metrics,
-    compute_spa,
-    compute_tc,
     iter_chains,
     reconstruct_chain,
 )
@@ -74,13 +72,15 @@ DELTA_ENTRY = {"key": "obs.Seoul", "kind": "observation", "payload": {"temp_f": 
                "source": "get_weather", "timestamp": "2025-01-01T00:00:00.000Z", "version": 1}
 
 
+def with_cycle(**fields) -> str:
+    """A header plus cycles 0 and 1; cycle 1 carries ``fields``."""
+    cycles = [{"type": "cycle", "cycle": 0}, {"type": "cycle", "cycle": 1, **fields}]
+    return "\n".join([HEADER_LINE, *map(json.dumps, cycles)]) + "\n"
+
+
 def with_delta(*entries) -> str:
     """A header plus cycles 0 and 1; cycle 1 commits ``entries``."""
-    cycles = [
-        {"type": "cycle", "cycle": 0},
-        {"type": "cycle", "cycle": 1, "memory_delta": list(entries)},
-    ]
-    return "\n".join([HEADER_LINE, *map(json.dumps, cycles)]) + "\n"
+    return with_cycle(memory_delta=list(entries))
 
 
 def without(field: str) -> dict:
@@ -115,6 +115,15 @@ def without(field: str) -> dict:
                      "field 'payload' must be dict", id="delta-list-payload"),
         pytest.param(with_delta(["obs.Seoul"]), r"memory_delta\[0\] is not an object",
                      id="delta-not-an-object"),
+        pytest.param(with_cycle(consumptions=[["obs.Seoul.temp_f"]]),
+                     r"line 3: cycle 1: consumptions\[0\] is not a \[key, value\] pair",
+                     id="consumption-no-value"),
+        pytest.param(with_cycle(consumptions=[["obs.Seoul.temp_f", 51.8, 1]]),
+                     r"consumptions\[0\] is not a \[key, value\] pair", id="consumption-triple"),
+        pytest.param(with_cycle(consumptions=[["obs.Seoul.temp_f", 51.8], [3, 51.8]]),
+                     r"consumptions\[1\] is not a \[key, value\] pair", id="consumption-int-key"),
+        pytest.param(with_cycle(consumptions=["obs.Seoul.temp_f"]),
+                     r"consumptions\[0\] is not a \[key, value\] pair", id="consumption-bare-key"),
     ],
 )
 def test_malformed_traces_rejected(text, fragment):
@@ -348,7 +357,7 @@ def test_clean_trace_metrics_perfect(clean_trace):
 
 
 def test_spa_only_counts_previously_persisted_reads(clean_trace):
-    spa = compute_spa(clean_trace)
+    spa = compute_metrics(clean_trace)["spa"]
     # Gather-phase reads of not-yet-observed facts must not dilute the score.
     all_consumptions = sum(len(r.consumptions) for r in clean_trace.cycles)
     assert 0 < spa.denominator < all_consumptions
@@ -360,8 +369,8 @@ def test_spa_detects_stale_consumption(clean_trace):
     for pair in book.consumptions:
         if pair[0] == "obs.Seoul.temp_f":
             pair[1] = 99.9  # claims to have read a value memory never held
-    baseline = compute_spa(clean_trace)
-    corrupt = compute_spa(corrupted)
+    baseline = compute_metrics(clean_trace)["spa"]
+    corrupt = compute_metrics(corrupted)["spa"]
     assert corrupt.denominator == baseline.denominator
     assert corrupt.numerator == baseline.numerator - 1
 
@@ -369,7 +378,7 @@ def test_spa_detects_stale_consumption(clean_trace):
 def test_tc_drops_when_a_chain_breaks(clean_trace):
     broken = reparse(clean_trace)
     cycle_of(broken, "book_flight").proposal = None
-    tc = compute_tc(broken)
+    tc = compute_metrics(broken)["tc"]
     assert tc.numerator == 2 and tc.denominator == 3
 
 
