@@ -31,7 +31,7 @@ from .control import (
     on_tool_failure,
     validate,
 )
-from .evidence import UNKNOWN, Comparison, GoalRef, Literal, MemoryRef
+from .evidence import UNKNOWN, Comparison, Literal, MemoryRef
 from .goals import Branch, Cancellation, GoalSpec
 from .loop import (
     ConfigError,
@@ -44,7 +44,6 @@ from .memory import (
     NOT_FOUND,
     EntryKind,
     MemoryEntry,
-    MemoryKey,
     MemoryQuery,
     MemorySnapshot,
     MemoryStore,
@@ -55,7 +54,6 @@ from .runtime import (
     ErrorCode,
     Runtime,
     ToolCall,
-    ToolRegistry,
     ToolResult,
     ToolSpec,
     WorldState,
@@ -98,12 +96,10 @@ __all__ = [
     "FaultyProposer",
     "GapReport",
     "GatherTemplate",
-    "GoalRef",
     "GoalSpec",
     "JustificationChain",
     "Literal",
     "MemoryEntry",
-    "MemoryKey",
     "MemoryQuery",
     "MemorySnapshot",
     "MemoryStore",
@@ -122,7 +118,6 @@ __all__ = [
     "StoreError",
     "TerminationReason",
     "ToolCall",
-    "ToolRegistry",
     "ToolResult",
     "ToolSpec",
     "UNKNOWN",

@@ -17,6 +17,7 @@ anything and the run matches the governed system's outcomes exactly.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from typing import Any
 
@@ -24,15 +25,9 @@ from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_f
 from .control import ControlDecision, Verdict, check_termination
 from .loop import ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
-from .runtime import Runtime, ToolRegistry, ToolResult, canon_args
+from .runtime import Runtime, ToolResult, ToolSpec, canon_args
 
 logger = logging.getLogger(__name__)
-
-_KIND_BY_PREFIX = {
-    "obs": EntryKind.OBSERVATION,
-    "goal": EntryKind.OBSERVATION,
-    "act": EntryKind.ACTION,
-}
 
 
 class ContextModel:
@@ -47,13 +42,14 @@ class ContextModel:
     def __init__(self, budget: int, decay: float, seed: int, static: dict[str, dict[str, Any]]):
         if budget < 1:
             raise ConfigError(f"context budget must be positive, got {budget}")
-        if decay < 0:
-            raise ConfigError(f"context decay must be non-negative, got {decay}")
+        if not 0 <= decay < math.inf:  # also false for NaN
+            raise ConfigError(f"context decay must be finite and non-negative, got {decay}")
         self.budget = budget
         self.decay = decay
         self._rng = random.Random(f"context:{seed}")
         self._static = dict(static)
-        self._facts: dict[str, tuple[Any, int]] = {}  # leaf key -> (value, inserted cycle)
+        # leaf key -> (value, inserted cycle, kind of the entry it came from)
+        self._facts: dict[str, tuple[Any, int, EntryKind]] = {}
 
     def insert(self, entry_key: str, kind: EntryKind, payload: dict[str, Any], cycle: int) -> None:
         entity = entry_key.split(".", 1)[1] if entry_key.startswith("obs.") else entry_key
@@ -66,7 +62,7 @@ class ContextModel:
             leaf = f"{entry_key}.{field_name}"
             if leaf in self._facts:
                 del self._facts[leaf]  # refresh slot position
-            self._facts[leaf] = (value, cycle)
+            self._facts[leaf] = (value, cycle, kind)
             while len(self._facts) > self.budget:
                 evicted = next(iter(self._facts))
                 del self._facts[evicted]
@@ -77,26 +73,24 @@ class ContextModel:
 
     def visible_entries(self, cycle: int) -> list[MemoryEntry]:
         """One recall draw per retained fact; assemble visible facts as entries."""
-        grouped: dict[str, dict[str, Any]] = {}
-        for leaf, (value, inserted) in self._facts.items():
+        grouped: dict[str, tuple[EntryKind, dict[str, Any]]] = {}
+        for leaf, (value, inserted, kind) in self._facts.items():
             age = cycle - inserted
             recall = max(0.0, 1.0 - self.decay * age)
             if self._rng.random() < recall:
                 entry_key, _, field_name = leaf.rpartition(".")
-                grouped.setdefault(entry_key, {})[field_name] = value
-        entries: dict[str, MemoryEntry] = {}
-        for key, payload in self._static.items():
-            entries[key] = _context_entry(key, dict(payload))
-        for key, fields in grouped.items():
-            entries[key] = _context_entry(key, fields)
-        return [entries[key] for key in sorted(entries)]
-
-
-def _context_entry(key: str, payload: dict[str, Any]) -> MemoryEntry:
-    kind = _KIND_BY_PREFIX.get(key.split(".", 1)[0], EntryKind.OBSERVATION)
-    return MemoryEntry(
-        key=key, kind=kind, payload=payload, source="context", timestamp="", version=1
-    )
+                grouped.setdefault(entry_key, (kind, {}))[1][field_name] = value
+        # Static facts are observations; a recalled entry replaces one under the same key.
+        entries = {
+            key: (EntryKind.OBSERVATION, dict(payload)) for key, payload in self._static.items()
+        }
+        entries.update(grouped)
+        return [
+            MemoryEntry(
+                key=key, kind=kind, payload=fields, source="context", timestamp="", version=1
+            )
+            for key, (kind, fields) in sorted(entries.items())
+        ]
 
 
 class Baseline(System):
@@ -106,7 +100,9 @@ class Baseline(System):
     cognition_label = "[Baseline]"
     memory_label = "[Baseline]"
 
-    def __init__(self, config: EpisodeConfig, registry: ToolRegistry, budget: int, decay: float):
+    def __init__(
+        self, config: EpisodeConfig, registry: dict[str, ToolSpec], budget: int, decay: float
+    ):
         self.config = config
         self.registry = registry
         self.context = ContextModel(budget, decay, config.seed, config.context)

@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

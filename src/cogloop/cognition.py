@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 from . import evidence
-from .evidence import EvidenceExpr, GoalRef, MemoryRef
+from .evidence import EvidenceExpr, MemoryRef
 from .goals import GoalSpec
 from .memory import (
     FIELD_ALIASES,
@@ -374,7 +374,7 @@ class ScriptedProposer:
     def _action_citations(self, condition: tuple[EvidenceExpr, ...]) -> tuple[EvidenceExpr, ...]:
         citations: list[EvidenceExpr] = list(condition)
         if self.policy.goal_citation:
-            citations.append(GoalRef(self.policy.goal_citation))
+            citations.append(MemoryRef(self.policy.goal_citation))
         return tuple(citations)
 
     def _plan(self, view: _FactView) -> tuple[Proposal, str]:

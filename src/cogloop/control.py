@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Any
 
 from . import evidence
-from .evidence import EvidenceExpr, GoalRef, MemoryRef
+from .evidence import EvidenceExpr, MemoryRef
 from .goals import GoalSpec
 from .memory import (
     NOT_FOUND,
@@ -40,8 +40,8 @@ from .regulation import CheckKind, RuleSet
 from .runtime import (
     StagedWrite,
     ToolCall,
-    ToolRegistry,
     ToolResult,
+    ToolSpec,
     canon_args,
     argument_problems,
 )
@@ -49,10 +49,6 @@ from .runtime import (
 logger = logging.getLogger(__name__)
 
 DEDUP_RULE_ID = "R-DEDUP"
-DEDUP_STATEMENT = (
-    "Do not repeat a tool call that already succeeded with identical arguments "
-    "unless the memory it depended on has changed."
-)
 
 ESCALATION_THRESHOLD = 2  # consecutive failures of one tool before escalating
 
@@ -179,7 +175,7 @@ class _Validation:
         goal: GoalSpec,
         ruleset: RuleSet,
         cache: DedupCache,
-        registry: ToolRegistry,
+        registry: dict[str, ToolSpec],
     ):
         self.proposal = proposal
         self.snapshot = snapshot
@@ -305,7 +301,7 @@ class _Validation:
                 "missing citations",
             )
         for expr in self.proposal.citations:
-            if isinstance(expr, (MemoryRef, GoalRef)):
+            if isinstance(expr, MemoryRef):
                 if self.consume(expr.key) is NOT_FOUND:
                     self.add(
                         CheckKind.CITATION_REQUIRED_FOR_COMPARISON,
@@ -369,7 +365,7 @@ def validate(
     goal: GoalSpec,
     ruleset: RuleSet,
     cache: DedupCache,
-    registry: ToolRegistry,
+    registry: dict[str, ToolSpec],
     cycle_index: int,
     max_cycles: int,
 ) -> ControlDecision:
@@ -442,7 +438,7 @@ class FailureAdvice:
 def on_tool_failure(
     call: ToolCall,
     result: ToolResult,
-    registry: ToolRegistry,
+    registry: dict[str, ToolSpec],
     cycle_index: int,
     consecutive_failures: int,
 ) -> FailureAdvice:

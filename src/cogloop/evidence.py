@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Union
 
-from .memory import NOT_FOUND, MalformedKey, MemoryKey, MemorySnapshot
+from .memory import NOT_FOUND, MalformedKey, MemorySnapshot, key_segments
 
 OPERATORS = ("<=", ">=", "==", "!=", "<", ">")
 
@@ -46,17 +46,7 @@ UNKNOWN = _Unknown()
 
 @dataclass(frozen=True)
 class MemoryRef:
-    """Bare reference: the cited key must resolve."""
-
-    key: str
-
-    def render(self) -> str:
-        return self.key
-
-
-@dataclass(frozen=True)
-class GoalRef:
-    """Bare reference into the goal namespace."""
+    """Bare reference, goal keys included: the cited key must resolve."""
 
     key: str
 
@@ -89,12 +79,13 @@ class Comparison:
         return f"{self.lhs} {self.op} {rhs}"
 
 
-EvidenceExpr = Union[MemoryRef, GoalRef, Comparison]
+EvidenceExpr = Union[MemoryRef, Comparison]
 
 
 def _parse_operand(text: str) -> Union[str, Literal]:
     try:
-        return MemoryKey.parse(text).render()
+        key_segments(text)
+        return text
     except MalformedKey:
         pass
     if text == "true":
@@ -129,17 +120,15 @@ def parse(text: str) -> EvidenceExpr:
         lhs_text = stripped[:idx].strip()
         rhs_text = stripped[idx + len(op) + 2 :].strip()
         try:
-            lhs = MemoryKey.parse(lhs_text).render()
+            key_segments(lhs_text)
         except MalformedKey as exc:
             raise EvidenceParseError(f"left side of {text!r} must be a memory key") from exc
-        return Comparison(lhs=lhs, op=op, rhs=_parse_operand(rhs_text))
+        return Comparison(lhs=lhs_text, op=op, rhs=_parse_operand(rhs_text))
     try:
-        key = MemoryKey.parse(stripped)
+        key_segments(stripped)
     except MalformedKey as exc:
         raise EvidenceParseError(f"bare expression {text!r} is not a memory key") from exc
-    if key.prefix == "goal":
-        return GoalRef(key.render())
-    return MemoryRef(key.render())
+    return MemoryRef(stripped)
 
 
 def render(expr: EvidenceExpr) -> str:
@@ -148,7 +137,7 @@ def render(expr: EvidenceExpr) -> str:
 
 def referenced_keys(expr: EvidenceExpr) -> list[str]:
     """Memory keys the expression depends on, in appearance order."""
-    if isinstance(expr, (MemoryRef, GoalRef)):
+    if isinstance(expr, MemoryRef):
         return [expr.key]
     keys = [expr.lhs]
     if not isinstance(expr.rhs, Literal):
@@ -162,7 +151,7 @@ def _is_number(value: Any) -> bool:
 
 def evaluate(expr: EvidenceExpr, snapshot: MemorySnapshot) -> Any:
     """Evaluate to True, False, or UNKNOWN (some referenced key unresolved)."""
-    if isinstance(expr, (MemoryRef, GoalRef)):
+    if isinstance(expr, MemoryRef):
         return UNKNOWN if snapshot.resolve(expr.key) is NOT_FOUND else True
     lhs = snapshot.resolve(expr.lhs)
     rhs = expr.rhs.value if isinstance(expr.rhs, Literal) else snapshot.resolve(expr.rhs)

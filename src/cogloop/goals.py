@@ -14,7 +14,7 @@ from typing import Any
 
 from . import evidence
 from .evidence import EvidenceExpr
-from .memory import NOT_FOUND, EntryKind, MemoryKey, MemoryQuery, MemorySnapshot
+from .memory import NOT_FOUND, EntryKind, MemoryQuery, MemorySnapshot, key_segments
 from .runtime import ToolCall, canon_args
 
 
@@ -53,8 +53,8 @@ class GoalSpec:
     def _entities(self) -> tuple[str, ...]:
         seen: list[str] = []
         for fact in self.required_facts:
-            segments = MemoryKey.parse(fact).segments
-            if segments[0] != "obs" or len(segments) < 2:
+            segments = key_segments(fact) if isinstance(fact, str) else ()
+            if segments[:1] != ("obs",):
                 raise GoalConfigError(f"required fact {fact!r} must be an obs.* leaf key")
             entity = ".".join(segments[1:-1]) if len(segments) > 2 else segments[1]
             if entity not in seen:

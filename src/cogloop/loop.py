@@ -42,13 +42,13 @@ from .memory import (
     ALLOWED_KINDS,
     EntryKind,
     MalformedKey,
-    MemoryKey,
     MemorySnapshot,
     MemoryStore,
     encode_value,
+    key_segments,
 )
 from .regulation import RuleSet, default_ruleset
-from .runtime import Runtime, ToolRegistry, ToolResult, WorldState, builtin_registry
+from .runtime import Runtime, ToolResult, ToolSpec, WorldState, builtin_registry, canon_args
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
 from .util import content_digest
 
@@ -112,9 +112,21 @@ class EpisodeConfig:
         missing = sorted({name for name in wanted if registry.get(name) is None})
         if missing:
             raise ConfigError(f"goal references unregistered tools: {missing}")
+        gather = self.policy.gather
+        observes = registry[gather.tool].observes
+        for entity in self.policy.goal.entities():
+            try:
+                call = gather.build_call(entity)
+                if observes is not None:
+                    key_segments(observes(canon_args(call.arguments)))
+            except (LookupError, ValueError, AttributeError, MalformedKey) as exc:
+                raise ConfigError(
+                    f"gather.arguments: no valid call for entity {entity!r} "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
         for key, payload in self.context.items():
             try:
-                prefix = MemoryKey.parse(key).prefix
+                prefix = key_segments(key)[0]
             except MalformedKey as exc:
                 raise ConfigError(f"bad context key {key!r}: {exc}") from exc
             if EntryKind.OBSERVATION not in ALLOWED_KINDS[prefix]:
@@ -283,7 +295,7 @@ class Governed(System):
     raises the ``status.terminated`` flag.
     """
 
-    def __init__(self, config: EpisodeConfig, registry: ToolRegistry):
+    def __init__(self, config: EpisodeConfig, registry: dict[str, ToolSpec]):
         self.config = config
         self.registry = registry
         self.cache = DedupCache()
@@ -342,7 +354,7 @@ class Governed(System):
 
 
 def drive_episode(
-    config: EpisodeConfig, make_system: Callable[[ToolRegistry], System]
+    config: EpisodeConfig, make_system: Callable[[dict[str, ToolSpec]], System]
 ) -> EpisodeResult:
     """Run one episode of the system ``make_system`` builds, to termination.
 

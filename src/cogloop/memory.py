@@ -23,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Iterable
 
-from .util import SimulatedClock, iso_millis
+from .util import tick_timestamp
 
 logger = logging.getLogger(__name__)
 
@@ -98,40 +98,28 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class MemoryKey:
-    """Validated dotted key; first segment selects the namespace."""
+@lru_cache(maxsize=4096)
+def key_segments(key: str) -> tuple[str, ...]:
+    """Segments of a dotted memory key; the first one names the namespace.
 
-    segments: tuple[str, ...]
-
-    @classmethod
-    def parse(cls, raw: "str | MemoryKey") -> "MemoryKey":
-        if isinstance(raw, MemoryKey):
-            return raw
-        if not isinstance(raw, str) or not raw:
-            raise MalformedKey(f"key must be a non-empty string, got {raw!r}")
-        segments = raw.split(".")
-        for seg in segments:
-            if seg.split() != [seg]:  # empty, or holds whitespace
-                raise MalformedKey(f"empty or whitespace segment in key {raw!r}")
-        if segments[0] not in ALLOWED_KINDS:
-            raise MalformedKey(
-                f"unknown namespace {segments[0]!r} in key {raw!r}; "
-                f"expected one of {sorted(ALLOWED_KINDS)}"
-            )
-        if len(segments) < 2:
-            raise MalformedKey(f"key {raw!r} names a bare namespace; add a subject segment")
-        return cls(tuple(segments))
-
-    @property
-    def prefix(self) -> str:
-        return self.segments[0]
-
-    def render(self) -> str:
-        return ".".join(self.segments)
-
-    def __str__(self) -> str:
-        return self.render()
+    Raises MalformedKey for any other hashable value. Callers parse the same
+    few keys on every cycle; the cache is bounded, so it stays small however
+    many episodes a process runs.
+    """
+    if not isinstance(key, str) or not key:
+        raise MalformedKey(f"key must be a non-empty string, got {key!r}")
+    segments = tuple(key.split("."))
+    for seg in segments:
+        if seg.split() != [seg]:  # empty, or holds whitespace
+            raise MalformedKey(f"empty or whitespace segment in key {key!r}")
+    if segments[0] not in ALLOWED_KINDS:
+        raise MalformedKey(
+            f"unknown namespace {segments[0]!r} in key {key!r}; "
+            f"expected one of {sorted(ALLOWED_KINDS)}"
+        )
+    if len(segments) < 2:
+        raise MalformedKey(f"key {key!r} names a bare namespace; add a subject segment")
+    return segments
 
 
 @dataclass(frozen=True)
@@ -176,10 +164,11 @@ class MemoryQuery:
     latest_only: bool = False
 
 
-def _validate_payload(key: MemoryKey, kind: EntryKind, payload: Any) -> None:
-    if kind not in ALLOWED_KINDS[key.prefix]:
+def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
+    prefix = key_segments(key)[0]
+    if kind not in ALLOWED_KINDS[prefix]:
         raise SchemaMismatch(
-            f"kind {kind.value!r} not allowed under namespace {key.prefix!r} (key {key})"
+            f"kind {kind.value!r} not allowed under namespace {prefix!r} (key {key})"
         )
     if not isinstance(payload, dict) or not payload:
         raise SchemaMismatch(f"payload for {key} must be a non-empty mapping")
@@ -202,19 +191,6 @@ def _validate_payload(key: MemoryKey, kind: EntryKind, payload: Any) -> None:
     elif kind is EntryKind.CONTROL_FEEDBACK:
         if not isinstance(payload.get("message"), str):
             raise SchemaMismatch(f"control feedback {key} requires string field 'message'")
-
-
-@lru_cache(maxsize=4096)
-def _path_segments(path: str) -> tuple[str, ...] | None:
-    """Segments of a well-formed dotted path, None for a malformed one.
-
-    ``resolve`` parses the same few paths on every cycle; the cache is
-    bounded, so it stays small however many episodes a process runs.
-    """
-    try:
-        return MemoryKey.parse(path).segments
-    except MalformedKey:
-        return None
 
 
 class MemorySnapshot:
@@ -265,15 +241,15 @@ class MemorySnapshot:
         return list(self._keys)
 
     def latest(self, key: str) -> MemoryEntry | None:
-        versions = self._by_key.get(str(key))
+        versions = self._by_key.get(key)
         return versions[-1] if versions else None
 
     def latest_version(self, key: str) -> int:
-        versions = self._by_key.get(str(key))
+        versions = self._by_key.get(key)
         return versions[-1].version if versions else 0
 
     def history(self, key: str) -> list[MemoryEntry]:
-        return list(self._by_key.get(str(key), ()))
+        return list(self._by_key.get(key, ()))
 
     def read(self, query: MemoryQuery = MemoryQuery()) -> list[MemoryEntry]:
         """Entries matching the query, ordered by (key, version)."""
@@ -306,8 +282,11 @@ class MemorySnapshot:
         callers use three-valued logic on top of this.
         """
         # A path read from a trace file may be any JSON value, even an unhashable one.
-        segments = _path_segments(path) if isinstance(path, (str, MemoryKey)) else None
-        if segments is None:
+        if not isinstance(path, str):
+            return NOT_FOUND
+        try:
+            segments = key_segments(path)
+        except MalformedKey:
             return NOT_FOUND
         # Longest committed key that prefixes the path wins; the remaining
         # segments descend into its payload.
@@ -333,7 +312,7 @@ class MemoryStore:
     """Versioned store with staged writes and atomic per-cycle commits."""
 
     def __init__(self) -> None:
-        self.clock = SimulatedClock()
+        self._ticks = 0  # writes staged so far; each one's timestamp is 250 ms later
         self._staged: list[MemoryEntry] = []
         self._snapshot = MemorySnapshot(())
 
@@ -343,31 +322,25 @@ class MemoryStore:
         """Snapshot as of the last commit; staged writes are invisible."""
         return self._snapshot
 
-    def read(self, query: MemoryQuery = MemoryQuery()) -> list[MemoryEntry]:
-        return self._snapshot.read(query)
-
-    def resolve(self, path: str) -> Any:
-        return self._snapshot.resolve(path)
-
     # ----------------------------------------------------------------- writes
     def write_staged(
-        self, key: str | MemoryKey, kind: EntryKind, payload: dict[str, Any], source: str
+        self, key: str, kind: EntryKind, payload: dict[str, Any], source: str
     ) -> MemoryEntry:
         """Stage one write; it gains a version and becomes visible at commit."""
-        parsed = MemoryKey.parse(key)
-        _validate_payload(parsed, kind, payload)
-        version = self._snapshot.latest_version(parsed.render())
+        _validate_payload(key, kind, payload)
+        version = self._snapshot.latest_version(key)
         for staged in self._staged:
-            if staged.key == parsed.render():
+            if staged.key == key:
                 version = max(version, staged.version)
         entry = MemoryEntry(
-            key=parsed.render(),
+            key=key,
             kind=kind,
             payload=json.loads(json.dumps(payload)),  # defensive deep copy
             source=source,
-            timestamp=iso_millis(self.clock.now()),
+            timestamp=tick_timestamp(self._ticks),
             version=version + 1,
         )
+        self._ticks += 1
         self._staged.append(entry)
         return entry
 

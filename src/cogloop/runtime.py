@@ -33,10 +33,6 @@ class ErrorCode(str, Enum):
     DOMAIN_ERROR = "DomainError"
 
 
-class DuplicateToolError(Exception):
-    """Two tool specs registered under one name."""
-
-
 class ToolFailure(Exception):
     """Raised inside handlers; converted to an error-valued result by execute."""
 
@@ -304,32 +300,13 @@ BUILTIN_SPECS = (GET_WEATHER, COMPARE_TEMPERATURES, SEND_EMAIL, BOOK_FLIGHT)
 EXTRA_SPECS = {MAKE_CHART.name: MAKE_CHART}
 
 
-class ToolRegistry:
-    """Name -> ToolSpec map; duplicate registration is an error."""
-
-    def __init__(self) -> None:
-        self._specs: dict[str, ToolSpec] = {}
-
-    def register(self, spec: ToolSpec) -> None:
-        if spec.name in self._specs:
-            raise DuplicateToolError(f"tool {spec.name!r} already registered")
-        self._specs[spec.name] = spec
-
-    def get(self, name: str) -> ToolSpec | None:
-        return self._specs.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._specs)
-
-
-def builtin_registry(extra_tools: list[str] | None = None) -> ToolRegistry:
-    registry = ToolRegistry()
-    for spec in BUILTIN_SPECS:
-        registry.register(spec)
+def builtin_registry(extra_tools: list[str] | None = None) -> dict[str, ToolSpec]:
+    """Tool name -> spec: the built-in tools plus the named optional ones."""
+    registry = {spec.name: spec for spec in BUILTIN_SPECS}
     for name in extra_tools or []:
         if name in EXTRA_SPECS:
-            registry.register(EXTRA_SPECS[name])
-        elif registry.get(name) is None:
+            registry[name] = EXTRA_SPECS[name]
+        elif name not in registry:
             raise KeyError(f"unknown extra tool {name!r}")
     return registry
 
@@ -362,7 +339,7 @@ class Runtime:
     invocation log record.
     """
 
-    def __init__(self, registry: ToolRegistry, world: WorldState):
+    def __init__(self, registry: dict[str, ToolSpec], world: WorldState):
         self.registry = registry
         self.world = world
         self.invocation_log: list[dict[str, Any]] = []

@@ -22,7 +22,7 @@ from .evidence import EvidenceParseError
 from .goals import GoalConfigError, GoalSpec
 from .loop import ConfigError, EpisodeConfig
 from .memory import MalformedKey
-from .runtime import BUILTIN_SPECS, EXTRA_SPECS, ErrorCode
+from .runtime import EXTRA_SPECS, ErrorCode
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,6 @@ _TOP_LEVEL_FIELDS = {
     "baseline",
 }
 _ERROR_CODES = {code.value for code in ErrorCode}
-_BUILTIN_TOOLS = {spec.name for spec in BUILTIN_SPECS}
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -170,6 +169,8 @@ class Scenario:
 
         gather = data["gather"]
         _expect_type(gather, dict, "gather", "object")
+        unknown = sorted(set(gather) - {"tool", "arguments"})
+        _expect(not unknown, "gather", f"unknown fields {unknown}")
         _expect("tool" in gather, "gather.tool", "required field is missing")
         _expect_type(gather["tool"], str, "gather.tool", "string")
         arguments = gather.get("arguments", {})
@@ -194,6 +195,7 @@ class Scenario:
                 f"extra_tools[{i}]",
                 f"unknown optional tool {tool!r} (available: {sorted(EXTRA_SPECS)})",
             )
+            _expect(tool not in extra_tools[:i], f"extra_tools[{i}]", f"repeats {tool!r}")
 
         seeds = data.get("seeds", list(SUITE_SEEDS))
         _expect_type(seeds, list, "seeds", "array")
@@ -286,7 +288,7 @@ def load_scenario(path: str | Path) -> Scenario:
         data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return Scenario.from_dict(data)

@@ -49,8 +49,6 @@ FAULT_RULE_MAP: dict[str, frozenset[str]] = {
     "premature_action": frozenset({"R-COND-PRIORITY", "R-COND-EXEC"}),
 }
 
-CHAIN_LINKS = ("proposal", "decision", "invocation", "memory_entries", "citation")
-
 
 class ParseError(Exception):
     """Trace file is structurally invalid."""
@@ -91,18 +89,26 @@ class TraceHeader:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TraceHeader":
         try:
-            return cls(
+            header = cls(
                 config_digest=data["config_digest"],
                 scenario=data["scenario"],
-                seed=int(data["seed"]),
+                seed=data["seed"],
                 baseline=bool(data["baseline"]),
                 proposer=data["proposer"],
                 ruleset_version=data["ruleset_version"],
-                max_cycles=int(data["max_cycles"]),
-                format=int(data.get("format", TRACE_FORMAT)),
+                max_cycles=data["max_cycles"],
+                format=data.get("format", TRACE_FORMAT),
             )
         except KeyError as exc:
             raise ParseError(f"trace header missing field {exc}") from exc
+        for name in ("seed", "max_cycles", "format"):
+            if not _is_int(getattr(header, name)):
+                raise ParseError(f"trace header field {name!r} must be an integer")
+        return header
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Field -> type of one serialized `MemoryEntry` in a cycle's memory delta.
@@ -129,6 +135,38 @@ def _delta_entry_problem(entry: Any) -> str | None:
             return f"field {name!r} must be {kind.__name__}, got {value!r}"
     if entry["kind"] not in _ENTRY_KINDS:
         return f"has unknown kind {entry['kind']!r}"
+    return None
+
+
+def _record_problem(record: "CycleRecord") -> str | None:
+    """Why chains and metrics cannot read ``record``, or None when they can."""
+    for name in ("proposal", "decision", "invocation"):
+        if not isinstance(getattr(record, name), (dict, type(None))):
+            return f"{name} must be an object or null"
+    proposal = record.proposal or {}
+    decision = record.decision or {}
+    invocation = record.invocation or {}
+    for name, part in (("proposal", proposal), ("decision", decision)):
+        call = part.get("call")
+        if isinstance(call, dict) and not isinstance(call.get("arguments", {}), dict):
+            return f"{name}.call.arguments must be an object"
+    if not isinstance(proposal.get("citations", []), list):
+        return "proposal.citations must be a list"
+    rule_ids = decision.get("rule_ids", [])
+    if not (isinstance(rule_ids, list) and all(isinstance(r, str) for r in rule_ids)):
+        return "decision.rule_ids must be a list of strings"
+    for name in ("outcome", "args"):
+        if not isinstance(invocation.get(name, {}), dict):
+            return f"invocation.{name} must be an object"
+    if not isinstance(record.fault_label, (str, type(None))):
+        return "fault_label must be a string or null"
+    for index, entry in enumerate(record.memory_delta):
+        problem = _delta_entry_problem(entry)
+        if problem:
+            return f"memory_delta[{index}] {problem}"
+    for index, item in enumerate(record.consumptions):
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
+            return f"consumptions[{index}] is not a [key, value] pair"
     return None
 
 
@@ -170,7 +208,7 @@ class CycleRecord:
     def from_dict(cls, data: dict[str, Any]) -> "CycleRecord":
         try:
             record = cls(
-                cycle=int(data["cycle"]),
+                cycle=data["cycle"],
                 input_digest=data.get("input_digest", ""),
                 proposal=data.get("proposal"),
                 decision=data.get("decision"),
@@ -180,17 +218,13 @@ class CycleRecord:
                 fault_label=data.get("fault_label"),
                 log_lines=list(data.get("log_lines", [])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed cycle record: {exc}") from exc
-        for index, entry in enumerate(record.memory_delta):
-            problem = _delta_entry_problem(entry)
-            if problem:
-                raise ParseError(f"cycle {record.cycle}: memory_delta[{index}] {problem}")
-        for index, item in enumerate(record.consumptions):
-            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
-                raise ParseError(
-                    f"cycle {record.cycle}: consumptions[{index}] is not a [key, value] pair"
-                )
+        if not _is_int(record.cycle):
+            raise ParseError(f"cycle number must be an integer, got {record.cycle!r}")
+        problem = _record_problem(record)
+        if problem:
+            raise ParseError(f"cycle {record.cycle}: {problem}")
         return record
 
     def approved(self) -> bool:
@@ -226,31 +260,36 @@ class EpisodeTrace:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {line_no}: not valid JSON ({exc})") from exc
+            if not isinstance(data, dict):
+                raise ParseError(f"line {line_no}: not a JSON object")
             kind = data.get("type")
-            if kind == "header":
-                header = TraceHeader.from_dict(data)
-            elif kind == "cycle":
-                try:
+            try:
+                if kind == "header":
+                    header = TraceHeader.from_dict(data)
+                elif kind == "cycle":
                     record = CycleRecord.from_dict(data)
-                except ParseError as exc:
-                    raise ParseError(f"line {line_no}: {exc}") from exc
-                # Replay reads the records in file order, so that order must
-                # be the cycle order.
-                if cycles and record.cycle <= cycles[-1].cycle:
-                    raise ParseError(
-                        f"line {line_no}: cycle {record.cycle} does not follow "
-                        f"cycle {cycles[-1].cycle}"
-                    )
-                cycles.append(record)
-            else:
-                raise ParseError(f"line {line_no}: unknown record type {kind!r}")
+                    # Replay reads the records in file order, so that order must
+                    # be the cycle order.
+                    if cycles and record.cycle <= cycles[-1].cycle:
+                        raise ParseError(
+                            f"cycle {record.cycle} does not follow cycle {cycles[-1].cycle}"
+                        )
+                    cycles.append(record)
+                else:
+                    raise ParseError(f"unknown record type {kind!r}")
+            except ParseError as exc:
+                raise ParseError(f"line {line_no}: {exc}") from exc
         if header is None:
             raise ParseError("trace has no header line")
         return cls(header=header, cycles=cycles)
 
     @classmethod
     def load(cls, path: str | Path) -> "EpisodeTrace":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+        return cls.loads(text)
 
     # -------------------------------------------------------------- replaying
     def replay(self) -> Iterator[tuple[CycleRecord, MemorySnapshot]]:

@@ -1,4 +1,4 @@
-"""Small shared helpers: canonical JSON, content digests, and the simulated clock.
+"""Small shared helpers: canonical JSON, content digests, and simulated timestamps.
 
 Everything that must be byte-stable across runs (trace files, reports,
 cache keys, config digests) funnels through :func:`canonical_json` so the
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Any
 
@@ -25,24 +24,11 @@ def content_digest(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
 
 
-def iso_millis(dt: datetime) -> str:
-    """ISO-8601 UTC timestamp with millisecond precision and a Z suffix."""
-    dt = dt.astimezone(timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{dt.microsecond // 1000:03d}Z"
+def tick_timestamp(tick: int) -> str:
+    """ISO-8601 UTC time of the ``tick``-th simulated step, in milliseconds with a Z suffix.
 
-
-@dataclass
-class SimulatedClock:
-    """Deterministic clock that advances a fixed step on every read.
-
-    Episodes always run on a simulated clock so replays are byte-identical.
+    Episodes run on simulated time, 250 ms per step from ``EPOCH``, so
+    replays are byte-identical.
     """
-
-    start: datetime = EPOCH
-    step_ms: int = 250
-    _ticks: int = 0
-
-    def now(self) -> datetime:
-        current = self.start + timedelta(milliseconds=self.step_ms * self._ticks)
-        self._ticks += 1
-        return current
+    dt = EPOCH + timedelta(milliseconds=250 * tick)
+    return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{dt.microsecond // 1000:03d}Z"

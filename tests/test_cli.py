@@ -125,10 +125,56 @@ def test_run_bad_scenario_exits_one(scenario_dir, tmp_path, capsys, old, new, me
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_input_exits_one(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"name": "k\u00f6ln"}\n'.encode("latin-1"))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "template, problem",
+    [
+        ("{entity} x", "MalformedKey: empty or whitespace segment in key 'obs.Seoul x'"),
+        ("{city}", "KeyError: 'city'"),
+        ("{entity", "ValueError: expected '}' before end of string"),
+    ],
+)
+def test_run_bad_gather_template_exits_one(scenario_dir, tmp_path, capsys, template, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        (scenario_dir / "weather_two_city.json").read_text(encoding="utf-8")
+        .replace('"{entity}"', json.dumps(template)),
+        encoding="utf-8",
+    )
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: gather.arguments: no valid call for entity 'Seoul' ({problem})\n"
+    )
+
+
 def test_run_bad_fault_spec_exits_one(scenario_dir, capsys):
     code = main(["run", two_city_path(scenario_dir), "--faults", "gremlins=0.5"])
     assert code == 1
     assert "unknown fault type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("decay", ["nan", "inf"])
+def test_run_non_finite_baseline_decay_exits_one(scenario_dir, capsys, decay):
+    code = main(["run", two_city_path(scenario_dir), "--compare", "--baseline-decay", decay])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: context decay must be finite and non-negative, got {decay}\n"
+    )
 
 
 def test_run_compare_writes_artifacts(scenario_dir, tmp_path, capsys):

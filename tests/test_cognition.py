@@ -22,7 +22,7 @@ from cogloop.cognition import (
     format_memory_fact,
     parse_fact_line,
 )
-from cogloop.evidence import GoalRef, MemoryRef, render
+from cogloop.evidence import MemoryRef, render
 from cogloop.goals import GoalSpec
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore
 from cogloop.regulation import default_ruleset
@@ -226,7 +226,7 @@ def test_policy_gap_when_condition_unresolvable():
 def test_decode_response_round_trip():
     original = Proposal(
         call=ToolCall("book_flight", {"location": "Seoul"}),
-        citations=(MemoryRef("obs.Seoul.temp_f"), GoalRef("goal.choose_colder.rule")),
+        citations=(MemoryRef("obs.Seoul.temp_f"), MemoryRef("goal.choose_colder.rule")),
         rationale="colder",
     )
     assert decode_response(original.to_response()) == original

@@ -13,7 +13,7 @@ from cogloop.control import (
     on_tool_failure,
     validate,
 )
-from cogloop.evidence import GoalRef, parse
+from cogloop.evidence import MemoryRef, parse
 from cogloop.goals import GoalSpec
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryStore
 from cogloop.regulation import default_ruleset
@@ -31,7 +31,7 @@ JEJU = {"temp_f": 60.8, "precipitation": False}
 BOOK_SEOUL = Proposal(
     call=ToolCall("book_flight", {"location": "Seoul"}),
     citations=(parse("obs.Seoul.temp_f < obs.Jeju.temp_f"),
-               GoalRef("goal.choose_colder.rule")),
+               MemoryRef("goal.choose_colder.rule")),
     rationale="colder",
 )
 

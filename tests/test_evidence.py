@@ -9,7 +9,6 @@ from cogloop.evidence import (
     UNKNOWN,
     Comparison,
     EvidenceParseError,
-    GoalRef,
     Literal,
     MemoryRef,
     evaluate,
@@ -37,7 +36,7 @@ def snapshot():
 # ------------------------------------------------------------------- parsing
 def test_parse_bare_keys():
     assert parse("obs.Seoul.temp_f") == MemoryRef("obs.Seoul.temp_f")
-    assert parse("goal.policy.rule") == GoalRef("goal.policy.rule")
+    assert parse("goal.policy.rule") == MemoryRef("goal.policy.rule")
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,13 @@ from cogloop.memory import (
     EntryKind,
     MalformedKey,
     MemoryEntry,
-    MemoryKey,
     MemoryQuery,
     MemorySnapshot,
     MemoryStore,
     SchemaMismatch,
     decode_value,
     encode_value,
+    key_segments,
 )
 
 
@@ -25,10 +25,9 @@ def obs(store: MemoryStore, key: str, payload: dict) -> MemoryEntry:
 
 # ---------------------------------------------------------------------- keys
 def test_key_parse_round_trip():
-    key = MemoryKey.parse("obs.Seoul.temp_f")
-    assert key.segments == ("obs", "Seoul", "temp_f")
-    assert key.render() == "obs.Seoul.temp_f"
-    assert MemoryKey.parse(key) is key
+    segments = key_segments("obs.Seoul.temp_f")
+    assert segments == ("obs", "Seoul", "temp_f")
+    assert ".".join(segments) == "obs.Seoul.temp_f"
 
 
 @pytest.mark.parametrize(
@@ -36,7 +35,7 @@ def test_key_parse_round_trip():
 )
 def test_key_parse_rejects_malformed(raw):
     with pytest.raises(MalformedKey):
-        MemoryKey.parse(raw)
+        key_segments(raw)
 
 
 def test_namespace_constrains_kind():
@@ -51,9 +50,9 @@ def test_namespace_constrains_kind():
 def test_staged_writes_invisible_until_commit():
     store = MemoryStore()
     obs(store, "obs.Seoul", {"temp_f": 51.8})
-    assert store.resolve("obs.Seoul.temp_f") is NOT_FOUND
+    assert store.snapshot.resolve("obs.Seoul.temp_f") is NOT_FOUND
     store.commit_cycle()
-    assert store.resolve("obs.Seoul.temp_f") == 51.8
+    assert store.snapshot.resolve("obs.Seoul.temp_f") == 51.8
 
 
 def test_commit_is_atomic():
@@ -62,11 +61,11 @@ def test_commit_is_atomic():
     store.commit_cycle()
     obs(store, "obs.Jeju", {"temp_f": 60.8})
     store.write_staged("feedback.cycle2", EntryKind.CONTROL_FEEDBACK, {"message": "m"}, "control")
-    assert store.resolve("obs.Jeju.temp_f") is NOT_FOUND
-    assert store.resolve("feedback.cycle2.message") is NOT_FOUND
+    assert store.snapshot.resolve("obs.Jeju.temp_f") is NOT_FOUND
+    assert store.snapshot.resolve("feedback.cycle2.message") is NOT_FOUND
     store.commit_cycle()
-    assert store.resolve("obs.Jeju.temp_f") == 60.8
-    assert store.resolve("feedback.cycle2.message") == "m"
+    assert store.snapshot.resolve("obs.Jeju.temp_f") == 60.8
+    assert store.snapshot.resolve("feedback.cycle2.message") == "m"
     assert [e.key for e in store.entries()] == ["obs.Seoul", "obs.Jeju", "feedback.cycle2"]
 
 
@@ -96,7 +95,7 @@ def test_snapshot_isolation_between_cycles():
     obs(store, "obs.Seoul", {"temp_f": 99.9})
     store.commit_cycle()
     assert before.resolve("obs.Seoul.temp_f") == 51.8  # old snapshot unchanged
-    assert store.resolve("obs.Seoul.temp_f") == 99.9
+    assert store.snapshot.resolve("obs.Seoul.temp_f") == 99.9
 
 
 # ------------------------------------------------------------------- resolve
@@ -104,11 +103,11 @@ def test_resolve_descends_payload_and_aliases():
     store = MemoryStore()
     obs(store, "obs.Seoul", {"temp_f": 51.8, "precipitation": False})
     store.commit_cycle()
-    assert store.resolve("obs.Seoul.temp_f") == 51.8
-    assert store.resolve("obs.Seoul.temp") == 51.8  # field alias
-    assert store.resolve("obs.Seoul") == {"temp_f": 51.8, "precipitation": False}
-    assert store.resolve("obs.Seoul.missing") is NOT_FOUND
-    assert store.resolve("obs.Nowhere.temp_f") is NOT_FOUND
+    assert store.snapshot.resolve("obs.Seoul.temp_f") == 51.8
+    assert store.snapshot.resolve("obs.Seoul.temp") == 51.8  # field alias
+    assert store.snapshot.resolve("obs.Seoul") == {"temp_f": 51.8, "precipitation": False}
+    assert store.snapshot.resolve("obs.Seoul.missing") is NOT_FOUND
+    assert store.snapshot.resolve("obs.Nowhere.temp_f") is NOT_FOUND
 
 
 def test_resolve_prefers_longest_committed_prefix():
@@ -116,8 +115,8 @@ def test_resolve_prefers_longest_committed_prefix():
     obs(store, "obs.trip", {"status": "planned"})
     obs(store, "obs.trip.leg1", {"status": "booked"})
     store.commit_cycle()
-    assert store.resolve("obs.trip.leg1.status") == "booked"
-    assert store.resolve("obs.trip.status") == "planned"
+    assert store.snapshot.resolve("obs.trip.leg1.status") == "booked"
+    assert store.snapshot.resolve("obs.trip.status") == "planned"
 
 
 def test_read_query_filters_and_latest_only():
@@ -127,9 +126,9 @@ def test_read_query_filters_and_latest_only():
     obs(store, "obs.Seoul", {"temp_f": 2.0})
     store.write_staged("prop.cycle1", EntryKind.PROPOSAL, {"proposition": "p", "evidence": []}, "c")
     store.commit_cycle()
-    latest = store.read(MemoryQuery(prefix="obs", latest_only=True))
+    latest = store.snapshot.read(MemoryQuery(prefix="obs", latest_only=True))
     assert [(e.key, e.version) for e in latest] == [("obs.Seoul", 2)]
-    only_props = store.read(MemoryQuery(kinds=frozenset({EntryKind.PROPOSAL})))
+    only_props = store.snapshot.read(MemoryQuery(kinds=frozenset({EntryKind.PROPOSAL})))
     assert [e.key for e in only_props] == ["prop.cycle1"]
 
 

@@ -9,7 +9,6 @@ from cogloop.memory import EntryKind
 from cogloop.runtime import (
     BUILTIN_SPECS,
     GET_WEATHER,
-    DuplicateToolError,
     ErrorCode,
     Runtime,
     ToolCall,
@@ -79,15 +78,9 @@ def test_boolean_is_not_a_number():
 
 
 # --------------------------------------------------------------- registries
-def test_duplicate_registration_rejected():
-    registry = builtin_registry()
-    with pytest.raises(DuplicateToolError):
-        registry.register(GET_WEATHER)
-
-
 def test_extra_tools_are_opt_in():
-    assert "make_chart" not in builtin_registry().names()
-    assert "make_chart" in builtin_registry(["make_chart"]).names()
+    assert "make_chart" not in builtin_registry()
+    assert "make_chart" in builtin_registry(["make_chart"])
     with pytest.raises(KeyError):
         builtin_registry(["teleport"])
 

@@ -153,6 +153,18 @@ def test_unknown_extra_tool_rejected():
     Scenario.from_dict(document)  # the known optional tool is fine
 
 
+def test_repeated_extra_tool_rejected():
+    document = valid_document()
+    document["extra_tools"] = ["make_chart", "make_chart"]
+    expect_error(document, "extra_tools[1]: repeats 'make_chart'")
+
+
+def test_unknown_gather_field_rejected():
+    document = valid_document()
+    document["gather"]["static_args"] = {"date": "2025-06-14"}
+    expect_error(document, "gather: unknown fields ['static_args']")
+
+
 def test_seed_and_name_constraints():
     document = valid_document()
     document["seeds"] = []

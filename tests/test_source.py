@@ -1,0 +1,92 @@
+"""Source hygiene of src/cogloop: no unused imports, no module-level names nothing uses."""
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cogloop"
+MODULES = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+# Kept although no other line of src/ mentions them: README's suite
+# regeneration entry point.
+ENTRY_POINTS = {"write_suite"}
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those in quoted annotations and in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    quoting = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            quoting.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            quoting.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            quoting.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            quoting.append(node.value)
+    for part in quoting:
+        for node in ast.walk(part):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, text in MODULES.items():
+        tree = ast.parse(text)
+        used = used_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every function, class and variable a module defines at top level."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, ast.Assign):
+            defined += [(t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append((node.target.id, node.lineno))
+    return defined
+
+
+def test_every_module_level_name_is_mentioned_elsewhere():
+    lines = [
+        (name, number, line)
+        for name, text in MODULES.items()
+        if name != "__init__.py"
+        for number, line in enumerate(text.splitlines(), start=1)
+    ]
+    dead = []
+    for module, text in MODULES.items():
+        if module == "__init__.py":
+            continue
+        for name, defined_at in module_level_names(ast.parse(text)):
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            mentioned = any(
+                pattern.search(line)
+                for other, number, line in lines
+                if (other, number) != (module, defined_at)
+            )
+            if not mentioned and name not in ENTRY_POINTS:
+                dead.append(f"{module}:{defined_at} {name}")
+    assert dead == []

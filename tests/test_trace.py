@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cogloop import cognition
 from cogloop.baseline import run_baseline_episode
@@ -12,7 +14,7 @@ from cogloop.cli import main
 from cogloop.cognition import FAULT_TYPES, FaultConfig
 from cogloop.loop import run_episode
 from cogloop.memory import NOT_FOUND, MemoryEntry, MemoryQuery, MemorySnapshot
-from cogloop.scenario import generate_suite
+from cogloop.scenario import generate_suite, load_scenario
 from cogloop.trace import (
     EpisodeTrace,
     GapReport,
@@ -129,6 +131,114 @@ def without(field: str) -> dict:
 def test_malformed_traces_rejected(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         EpisodeTrace.loads(text)
+
+
+def header_line(**fields) -> str:
+    return json.dumps({**json.loads(HEADER_LINE), **fields})
+
+
+CALL = {"name": "get_weather", "arguments": {"location": "Seoul", "date": "2025-06-14"}}
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param("[1, 2]\n", "line 1: not a JSON object", id="line-not-object"),
+        pytest.param(header_line(seed="x"), "line 1: trace header field 'seed' must be an integer",
+                     id="header-string-seed"),
+        pytest.param(header_line(max_cycles=2.5), "field 'max_cycles' must be an integer",
+                     id="header-float-max-cycles"),
+        pytest.param(with_cycle(proposal=5), "line 3: cycle 1: proposal must be an object or null",
+                     id="proposal-number"),
+        pytest.param(with_cycle(decision="approved"), "decision must be an object or null",
+                     id="decision-string"),
+        pytest.param(with_cycle(invocation=[]), "invocation must be an object or null",
+                     id="invocation-list"),
+        pytest.param(with_cycle(proposal={"call": CALL, "citations": "obs.Seoul"}),
+                     "proposal.citations must be a list", id="citations-string"),
+        pytest.param(with_cycle(proposal={"call": {**CALL, "arguments": "x"}}),
+                     "proposal.call.arguments must be an object", id="proposal-call-arguments"),
+        pytest.param(with_cycle(decision={"verdict": "approved", "call": {**CALL, "arguments": []}}),
+                     "decision.call.arguments must be an object", id="decision-call-arguments"),
+        pytest.param(with_cycle(invocation={"tool": "get_weather", "outcome": True}),
+                     "invocation.outcome must be an object", id="invocation-outcome"),
+        pytest.param(with_cycle(invocation={"tool": "get_weather", "args": ["Seoul"]}),
+                     "invocation.args must be an object", id="invocation-args"),
+        pytest.param(with_cycle(decision={"verdict": "rejected", "rule_ids": 3}),
+                     "decision.rule_ids must be a list of strings", id="rule-ids-number"),
+        pytest.param(with_cycle(fault_label=["duplicate"]), "fault_label must be a string or null",
+                     id="fault-label-list"),
+        pytest.param(with_cycle(cycle="1"), "line 3: cycle number must be an integer",
+                     id="cycle-string"),
+    ],
+)
+def test_malformed_fields_exit_one(text, fragment, tmp_path, capsys):
+    with pytest.raises(ParseError, match=fragment):
+        EpisodeTrace.loads(text)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["trace", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: line ") and err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@lru_cache(maxsize=None)
+def fuzz_sources() -> tuple[str, ...]:
+    """A fault-injected governed trace and its baseline trace (with action records)."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "weather_two_city.json"
+    config = load_scenario(path).episode_config(
+        seed=1, faults=FaultConfig(seed=2, p_duplicate=0.3, p_false_citation=0.3)
+    )
+    return run_episode(config).trace.dumps(), run_baseline_episode(config, 2, 0.2).trace.dumps()
+
+
+def mutate(data, lines: list) -> None:
+    """Replace or delete one field of one line, at any depth, or replace a whole line."""
+    index = data.draw(st.integers(0, len(lines) - 1))
+    node = lines[index]
+    if not (isinstance(node, (dict, list)) and node) or data.draw(st.integers(0, 9)) == 0:
+        lines[index] = data.draw(JSON_VALUES)
+        return
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(JSON_VALUES)
+            return
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_trace_command_never_raises_on_mutated_traces(data, tmp_path, capsys):
+    source = fuzz_sources()[data.draw(st.integers(0, 1), label="source")]
+    lines = [json.loads(line) for line in source.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data, lines)
+    path = tmp_path / "mutated.jsonl"
+    path.write_text("\n".join(map(json.dumps, lines)) + "\n", encoding="utf-8")
+    action = data.draw(st.sampled_from([[], ["act.book_flight"], ["act.get_weather@2"]]))
+    capsys.readouterr()
+    code = main(["trace", str(path), *action])
+    err = capsys.readouterr().err
+    # A ParseError or unknown action is exit 1, a chain gap exit 3. A change to a
+    # field that chains and metrics never read (a log line, a latency) leaves a
+    # clean trace, exit 0.
+    assert code in (0, 1, 3)
+    assert err.count("\n") == 1 if code == 1 else err == ""
 
 
 def test_well_formed_delta_loads():
