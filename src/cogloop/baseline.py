@@ -25,7 +25,7 @@ from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_f
 from .control import ControlDecision, Verdict, check_termination
 from .loop import ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
-from .runtime import Runtime, ToolResult, ToolSpec, canon_args
+from .runtime import Runtime, ToolResult, ToolSpec
 
 logger = logging.getLogger(__name__)
 
@@ -154,7 +154,7 @@ class Baseline(System):
             # on an idempotency hit: the window still refreshes then.
             call = decision.call
             spec = self.registry.get(call.name)
-            for write in Runtime._staged_writes(spec, canon_args(call.arguments), result.payload):
+            for write in Runtime._staged_writes(spec, call.canonical_args, result.payload):
                 context.insert(write.key, write.kind, write.payload, state.index)
         state.log_lines.append(
             f"[Baseline] context holds {context.retained()}/{context.budget} facts"

@@ -26,6 +26,7 @@ import logging
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Protocol
 
 from . import evidence
@@ -40,7 +41,7 @@ from .memory import (
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
-from .util import content_digest
+from .util import canonical_json, text_digest
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +94,35 @@ class CognitionInput:
         }
 
     def digest(self) -> str:
-        return content_digest(self.to_request())
+        """``content_digest(self.to_request())``, from cached encodings of the parts.
+
+        Facts, rules, system text and task repeat from cycle to cycle, so each
+        is JSON-encoded once per process (bounded caches), and the keys are
+        laid out in the sorted order ``canonical_json`` gives them.
+        """
+        return text_digest(
+            "".join(
+                (
+                    '{"constraints":[',
+                    ",".join(map(_json_string, self.constraints)),
+                    '],"facts":[',
+                    ",".join(map(_json_string, self.facts)),
+                    "],",
+                    _json_tail(self.rules, self.system, self.task),
+                )
+            )
+        )
+
+
+@lru_cache(maxsize=4096)
+def _json_string(text: str) -> str:
+    return canonical_json(text)
+
+
+@lru_cache(maxsize=64)
+def _json_tail(rules: str, system: str, task: str) -> str:
+    """The end of a request's canonical JSON, after its facts: rules, system, task."""
+    return canonical_json({"rules": rules, "system": system, "task": task})[1:]
 
 
 def _format_value(value: Any) -> str:
@@ -370,6 +399,14 @@ class ScriptedProposer:
         self.policy = policy
         self.last_meta = ProposeMeta()
         self._parsed: ParsedLines = {}
+        self._gather_calls: dict[str, ToolCall] = {}
+
+    def _gather_call(self, entity: str) -> ToolCall:
+        """The gather call for ``entity``, built once per episode."""
+        call = self._gather_calls.get(entity)
+        if call is None:
+            call = self._gather_calls[entity] = self.policy.gather.build_call(entity)
+        return call
 
     def _action_citations(self, condition: tuple[EvidenceExpr, ...]) -> tuple[EvidenceExpr, ...]:
         citations: list[EvidenceExpr] = list(condition)
@@ -386,7 +423,7 @@ class ScriptedProposer:
             if any(v is NOT_FOUND for v in values):
                 return (
                     Proposal(
-                        call=self.policy.gather.build_call(entity),
+                        call=self._gather_call(entity),
                         rationale=f"missing required facts for {entity}",
                     ),
                     "gather",
@@ -436,7 +473,7 @@ class ScriptedProposer:
                     entity = key.split(".")[1]
                     return (
                         Proposal(
-                            call=self.policy.gather.build_call(entity),
+                            call=self._gather_call(entity),
                             rationale=f"condition key {key} unresolved",
                         ),
                         "gather",
@@ -524,7 +561,7 @@ class FaultyProposer(ScriptedProposer):
             for entity in goal.entities():
                 if entity in view.clean_entities():
                     return Proposal(
-                        call=self.policy.gather.build_call(entity),
+                        call=self._gather_call(entity),
                         rationale="re-checking a known fact",
                     )
             return None

@@ -42,7 +42,6 @@ from .runtime import (
     ToolCall,
     ToolResult,
     ToolSpec,
-    canon_args,
     argument_problems,
 )
 
@@ -475,7 +474,7 @@ def on_tool_failure(
     if spec is not None and spec.observes is not None:
         staged.append(
             StagedWrite(
-                key=spec.observes(canon_args(call.arguments)),
+                key=spec.observes(call.canonical_args),
                 kind=EntryKind.OBSERVATION,
                 payload={"error": code, "tool": call.name},
             )

@@ -86,14 +86,14 @@ class GoalSpec:
 
     def matching_template(self, call: ToolCall) -> tuple[str, tuple[EvidenceExpr, ...]] | None:
         """('cancellation'|'branch', condition) when the call matches a template."""
-        wanted = (call.name, canon_args(call.arguments))
+        wanted = (call.name, call.canonical_args)
         if self.cancellation:
             tpl = self.cancellation.action
-            if (tpl.name, canon_args(tpl.arguments)) == wanted:
+            if (tpl.name, tpl.canonical_args) == wanted:
                 return ("cancellation", self.cancellation.condition)
         for branch in self.branches:
             for tpl in branch.actions:
-                if (tpl.name, canon_args(tpl.arguments)) == wanted:
+                if (tpl.name, tpl.canonical_args) == wanted:
                     return ("branch", branch.condition)
         return None
 
@@ -182,12 +182,14 @@ class GoalSpec:
 
 def action_executed(snapshot: MemorySnapshot, call: ToolCall) -> bool:
     """True if any committed action record matches (name, canonical args) as executed."""
-    wanted = (call.name, canon_args(call.arguments))
+    wanted = call.canonical_args
     records = snapshot.read(MemoryQuery(prefix="act", kinds=frozenset({EntryKind.ACTION})))
     for entry in records:
         payload = entry.payload
-        if payload.get("status") != "executed":
+        if payload.get("status") != "executed" or payload.get("name") != call.name:
             continue
-        if (payload.get("name"), canon_args(payload.get("args", {}))) == wanted:
+        # Canonicalization is idempotent, so equal raw args need no second pass.
+        args = payload.get("args", {})
+        if args == wanted or canon_args(args) == wanted:
             return True
     return False

@@ -48,7 +48,7 @@ from .memory import (
     key_segments,
 )
 from .regulation import RuleSet, default_ruleset
-from .runtime import Runtime, ToolResult, ToolSpec, WorldState, builtin_registry, canon_args
+from .runtime import Runtime, ToolResult, ToolSpec, WorldState, builtin_registry
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
 from .util import content_digest
 
@@ -118,7 +118,7 @@ class EpisodeConfig:
             try:
                 call = gather.build_call(entity)
                 if observes is not None:
-                    key_segments(observes(canon_args(call.arguments)))
+                    key_segments(observes(call.canonical_args))
             except (LookupError, ValueError, AttributeError, MalformedKey) as exc:
                 raise ConfigError(
                     f"gather.arguments: no valid call for entity {entity!r} "

@@ -122,6 +122,20 @@ def key_segments(key: str) -> tuple[str, ...]:
     return segments
 
 
+@lru_cache(maxsize=4096)
+def _resolve_plan(path: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """(entry key, segments below it) for each prefix of ``path``, longest first.
+
+    ``resolve`` takes the first entry key that is committed and descends its
+    payload by the rest. Raises MalformedKey like ``key_segments``; bounded
+    like it.
+    """
+    segments = key_segments(path)
+    return tuple(
+        (".".join(segments[:cut]), segments[cut:]) for cut in range(len(segments), 0, -1)
+    )
+
+
 @dataclass(frozen=True)
 class MemoryEntry:
     """One immutable version of one key."""
@@ -285,17 +299,18 @@ class MemorySnapshot:
         if not isinstance(path, str):
             return NOT_FOUND
         try:
-            segments = key_segments(path)
+            plan = _resolve_plan(path)
         except MalformedKey:
             return NOT_FOUND
-        # Longest committed key that prefixes the path wins; the remaining
-        # segments descend into its payload.
-        for cut in range(len(segments), 0, -1):
-            versions = self._by_key.get(".".join(segments[:cut]))
+        # The longest committed key that prefixes the path wins; the rest of
+        # the path descends into its payload.
+        by_key = self._by_key
+        for key, tail in plan:
+            versions = by_key.get(key)
             if not versions:
                 continue
             value: Any = versions[-1].payload
-            for seg in segments[cut:]:
+            for seg in tail:
                 if not isinstance(value, dict):
                     return NOT_FOUND
                 if seg in value:

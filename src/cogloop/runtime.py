@@ -16,6 +16,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Callable
 
 from .memory import EntryKind
@@ -44,22 +45,30 @@ class ToolFailure(Exception):
 
 @dataclass(frozen=True)
 class ToolCall:
-    """One proposed invocation: tool name plus named arguments."""
+    """One proposed invocation: tool name plus named arguments.
+
+    ``canonical_args`` is ``canon_args(arguments)``, computed once when the
+    call is built; the arguments are not to be mutated afterwards.
+    """
 
     name: str
     arguments: dict[str, Any]
+    canonical_args: dict[str, Any] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "canonical_args", canon_args(self.arguments))
 
     def canonical(self) -> "ToolCall":
-        return ToolCall(self.name, canon_args(self.arguments))
+        return ToolCall(self.name, self.canonical_args)
 
     def call_id(self) -> str:
-        return f"{self.name}:{canonical_json(canon_args(self.arguments))}"
+        return f"{self.name}:{canonical_json(self.canonical_args)}"
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "arguments": self.arguments}
 
     def describe(self) -> str:
-        args = canon_args(self.arguments)
+        args = self.canonical_args
         return f"{self.name}({', '.join(f'{k}={v}' for k, v in args.items())})"
 
 
@@ -330,6 +339,17 @@ class ToolResult:
         return {"ok": False, "code": self.error_code.value, "message": self.error_message}
 
 
+@lru_cache(maxsize=4096)
+def simulated_latency(seed: int, ordinal: int, cached: bool) -> float:
+    """Pseudo-latency in ms of the ``ordinal``-th invocation in a world seeded ``seed``.
+
+    Every episode of a scenario shares its world seed, so the same few keys
+    recur across a sweep; the cache is bounded.
+    """
+    rng = random.Random(f"latency:{seed}:{ordinal}")
+    return round(rng.uniform(0.1, 0.9) if cached else rng.uniform(2.0, 48.0), 1)
+
+
 class Runtime:
     """Executes calls against the world with logging and result caching.
 
@@ -346,8 +366,7 @@ class Runtime:
         self._cache: dict[str, dict[str, Any]] = {}
 
     def _latency(self, cached: bool) -> float:
-        rng = random.Random(f"latency:{self.world.seed}:{len(self.invocation_log) + 1}")
-        return round(rng.uniform(0.1, 0.9) if cached else rng.uniform(2.0, 48.0), 1)
+        return simulated_latency(self.world.seed, len(self.invocation_log) + 1, cached)
 
     def _record(self, cycle: int, result: ToolResult) -> ToolResult:
         self.invocation_log.append(
@@ -366,7 +385,7 @@ class Runtime:
         logger.debug("tool %s failed: %s (%s)", call.name, code.value, message)
         result = ToolResult(
             tool=call.name,
-            args=canon_args(call.arguments),
+            args=call.canonical_args,
             ok=False,
             payload=None,
             error_code=code,
@@ -379,7 +398,7 @@ class Runtime:
     def execute(self, call: ToolCall, cycle: int = 0) -> tuple[ToolResult, list[StagedWrite]]:
         """Validate, invoke, normalize, and describe the memory writes to stage."""
         spec = self.registry.get(call.name)
-        args = canon_args(call.arguments)
+        args = call.canonical_args
         if spec is None:
             return self._error(cycle, call, ErrorCode.TOOL_UNAVAILABLE, f"no tool named {call.name!r}"), []
         problems = argument_problems(spec, args)

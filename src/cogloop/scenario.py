@@ -21,7 +21,7 @@ from .cognition import FaultConfig, GatherTemplate, PlannerPolicy
 from .evidence import EvidenceParseError
 from .goals import GoalConfigError, GoalSpec
 from .loop import ConfigError, EpisodeConfig
-from .memory import MalformedKey
+from .memory import MalformedKey, key_segments
 from .runtime import EXTRA_SPECS, ErrorCode
 
 logger = logging.getLogger(__name__)
@@ -179,6 +179,10 @@ class Scenario:
         goal_citation = data.get("goal_citation")
         if goal_citation is not None:
             _expect_type(goal_citation, str, "goal_citation", "string")
+            try:
+                key_segments(goal_citation)
+            except MalformedKey as exc:
+                raise ConfigError(f"goal_citation: {exc}") from exc
             _expect(
                 goal_citation.startswith("goal."), "goal_citation", "must be a goal.* key"
             )

@@ -341,7 +341,11 @@ class GapReport:
 def _call_matches(call: dict[str, Any] | None, tool: str, args: dict[str, Any]) -> bool:
     if not isinstance(call, dict):
         return False
-    return call.get("name") == tool and canon_args(call.get("arguments", {})) == canon_args(args)
+    if call.get("name") != tool:
+        return False
+    # Canonicalization is idempotent, so equal raw args need no canonical pass.
+    arguments = call.get("arguments", {})
+    return arguments == args or canon_args(arguments) == canon_args(args)
 
 
 def _chain_for_record(

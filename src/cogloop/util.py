@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from typing import Any
 
 EPOCH = datetime(2025, 1, 1, tzinfo=timezone.utc)
@@ -21,14 +22,21 @@ def canonical_json(obj: Any) -> str:
 
 def content_digest(obj: Any) -> str:
     """Hex digest of the canonical JSON form, truncated to 16 digits for readability."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
+    return text_digest(canonical_json(obj))
 
 
+def text_digest(text: str) -> str:
+    """``content_digest`` of an object, given its canonical JSON ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@lru_cache(maxsize=4096)
 def tick_timestamp(tick: int) -> str:
     """ISO-8601 UTC time of the ``tick``-th simulated step, in milliseconds with a Z suffix.
 
     Episodes run on simulated time, 250 ms per step from ``EPOCH``, so
-    replays are byte-identical.
+    replays are byte-identical. Every episode counts its ticks from 0, so
+    the cache (bounded) serves the same few strings to all of them.
     """
     dt = EPOCH + timedelta(milliseconds=250 * tick)
     return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{dt.microsecond // 1000:03d}Z"

@@ -109,8 +109,10 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
         ("Jeju", "New York", "goal: left side of 'obs.New York.temp_f <= obs.Seoul.temp_f'"),
         ('"goal.choose_colder": {', '"status.foo": {"x": 1}, "goal.choose_colder": {',
          "bad context key 'status.foo': namespace 'status' takes no observations"),
+        ('"goal.choose_colder.rule"', '"goal.choose_colder.rule x"',
+         "goal_citation: empty or whitespace segment in key 'goal.choose_colder.rule x'"),
     ],
-    ids=["nan-temperature", "city-with-space", "status-context-key"],
+    ids=["nan-temperature", "city-with-space", "status-context-key", "goal-citation-with-space"],
 )
 def test_run_bad_scenario_exits_one(scenario_dir, tmp_path, capsys, old, new, message):
     path = tmp_path / "bad.json"

@@ -27,6 +27,7 @@ from cogloop.goals import GoalSpec
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore
 from cogloop.regulation import default_ruleset
 from cogloop.runtime import ToolCall
+from cogloop.util import content_digest
 
 from test_goals import TWO_CITY_GOAL
 
@@ -145,6 +146,30 @@ def test_input_digest_tracks_content():
     b = cog_input(SEOUL_LINE)
     c = cog_input(JEJU_LINE)
     assert a.digest() == b.digest() != c.digest()
+
+
+# Quotes, backslashes, control characters, line separators, lone surrogates
+# and non-BMP text, mixed into arbitrary text.
+input_text = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=()),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff",
+                         "\U0001f600"]),
+    ),
+    max_size=12,
+)
+
+
+@given(
+    system=input_text,
+    task=input_text,
+    rules=input_text,
+    facts=st.lists(input_text, max_size=4),
+    constraints=st.lists(input_text, max_size=3),
+)
+def test_input_digest_equals_digest_of_request(system, task, rules, facts, constraints):
+    built = CognitionInput(system, task, rules, tuple(facts), tuple(constraints))
+    assert built.digest() == content_digest(built.to_request())
 
 
 # ---------------------------------------------------------- scripted planner
@@ -360,3 +385,4 @@ def test_fault_stream_deterministic_per_seed_pair():
     assert labels(5, 1) == labels(5, 1)
     runs = {tuple(labels(5, e)) for e in range(6)}
     assert len(runs) > 1  # episode seed perturbs the stream
+

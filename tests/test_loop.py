@@ -1,6 +1,8 @@
 """Episode orchestration: cycle records, commits, exits, failure recovery."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from cogloop.cognition import (
@@ -13,6 +15,7 @@ from cogloop.cognition import (
 from cogloop.control import TerminationReason
 from cogloop.loop import ConfigError, EpisodeStatus, run_episode
 from cogloop.memory import MemoryQuery
+from cogloop.scenario import Scenario
 
 
 def versions(store, key: str) -> list[dict]:
@@ -261,3 +264,17 @@ def test_config_digest_tracks_identity(two_city):
     assert two_city.episode_config(seed=1).digest() != two_city.episode_config(seed=2).digest()
     faulted = two_city.episode_config(seed=1, faults=FaultConfig(seed=1, p_duplicate=0.5))
     assert faulted.digest() != two_city.episode_config(seed=1).digest()
+
+
+def test_no_branch_holding_completes_without_action(scenario_dir):
+    """Equal temperatures under two strict `<` branches: no branch holds, and
+    without rain no cancellation either, so the goal asks for no action."""
+    data = json.loads((scenario_dir / "weather_two_city.json").read_text(encoding="utf-8"))
+    data["world"]["weather"][1]["temp_f"] = data["world"]["weather"][0]["temp_f"]
+    data["goal"]["branches"][0]["condition"] = ["obs.Jeju.temp_f < obs.Seoul.temp_f"]
+    result = run_episode(Scenario.from_dict(data).episode_config(seed=1))
+    assert result.status is EpisodeStatus.COMPLETED
+    assert result.reason is TerminationReason.GOAL_SATISFIED
+    assert result.invocation_log and all(r["tool"] == "get_weather" for r in result.invocation_log)
+    assert result.store.snapshot.read(MemoryQuery(prefix="act")) == []
+    assert result.final_response == "Goal satisfied in 3 cycles. Actions executed: none."

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cogloop import cognition
 from cogloop.baseline import run_baseline_episode
 from cogloop.cli import main
-from cogloop.cognition import FAULT_TYPES, FaultConfig
+from cogloop.cognition import FaultConfig
 from cogloop.loop import run_episode
 from cogloop.memory import NOT_FOUND, MemoryEntry, MemoryQuery, MemorySnapshot
 from cogloop.scenario import generate_suite, load_scenario
@@ -30,6 +30,7 @@ from cogloop.trace import (
     iter_chains,
     reconstruct_chain,
 )
+from strategies import episode_seeds, fault_configs, suite_seeds
 
 
 @pytest.fixture
@@ -288,17 +289,13 @@ def snapshot_state(snapshot: MemorySnapshot) -> tuple:
 
 @settings(max_examples=15, deadline=None)
 @given(
-    suite_seed=st.integers(0, 10_000),
-    episode_seed=st.integers(1, 5),
-    fault_seed=st.integers(0, 99),
-    p_fault=st.sampled_from([0.0, 0.1, 0.3]),
+    suite_seed=suite_seeds,
+    episode_seed=episode_seeds,
+    faults=fault_configs,
     baseline=st.booleans(),
 )
-def test_replay_snapshots_equal_snapshot_before(
-    suite_seed, episode_seed, fault_seed, p_fault, baseline
-):
+def test_replay_snapshots_equal_snapshot_before(suite_seed, episode_seed, faults, baseline):
     scenario = generate_suite(1, suite_seed)[0]
-    faults = FaultConfig(seed=fault_seed, **{f"p_{t}": p_fault for t in FAULT_TYPES})
     config = scenario.episode_config(episode_seed, faults=faults)
     if baseline:
         result = run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay)
