@@ -47,9 +47,14 @@ class ContextModel:
         self.budget = budget
         self.decay = decay
         self._rng = random.Random(f"context:{seed}")
-        self._static = dict(static)
-        # leaf key -> (value, inserted cycle, kind of the entry it came from)
-        self._facts: dict[str, tuple[Any, int, EntryKind]] = {}
+        self._static = {k: MemoryEntry(k, EntryKind.OBSERVATION, dict(p), "context", "", 0)
+                        for k, p in static.items()}
+        # leaf key -> (value, inserted cycle, kind of the entry it came from, insert serial)
+        self._facts: dict[str, tuple[Any, int, EntryKind, int]] = {}
+        self._inserts = 0
+        # Serials of one entry's recalled leaves -> the entry they make, numbered
+        # by its version among this window's entries.
+        self._entries: dict[tuple[int, ...], MemoryEntry] = {}
 
     def insert(self, entry_key: str, kind: EntryKind, payload: dict[str, Any], cycle: int) -> None:
         entity = entry_key.split(".", 1)[1] if entry_key.startswith("obs.") else entry_key
@@ -62,7 +67,8 @@ class ContextModel:
             leaf = f"{entry_key}.{field_name}"
             if leaf in self._facts:
                 del self._facts[leaf]  # refresh slot position
-            self._facts[leaf] = (value, cycle, kind)
+            self._inserts += 1
+            self._facts[leaf] = (value, cycle, kind, self._inserts)
             while len(self._facts) > self.budget:
                 evicted = next(iter(self._facts))
                 del self._facts[evicted]
@@ -72,25 +78,27 @@ class ContextModel:
         return len(self._facts)
 
     def visible_entries(self, cycle: int) -> list[MemoryEntry]:
-        """One recall draw per retained fact; assemble visible facts as entries."""
-        grouped: dict[str, tuple[EntryKind, dict[str, Any]]] = {}
-        for leaf, (value, inserted, kind) in self._facts.items():
-            age = cycle - inserted
-            recall = max(0.0, 1.0 - self.decay * age)
+        """One recall draw per retained fact; assemble visible facts as entries.
+
+        The same recalled leaf inserts give the same entry, and its own version.
+        """
+        grouped: dict[str, list[tuple[str, tuple]]] = {}
+        for leaf, fact in self._facts.items():
+            recall = max(0.0, 1.0 - self.decay * (cycle - fact[1]))
             if self._rng.random() < recall:
-                entry_key, _, field_name = leaf.rpartition(".")
-                grouped.setdefault(entry_key, (kind, {}))[1][field_name] = value
+                grouped.setdefault(leaf.rpartition(".")[0], []).append((leaf, fact))
         # Static facts are observations; a recalled entry replaces one under the same key.
-        entries = {
-            key: (EntryKind.OBSERVATION, dict(payload)) for key, payload in self._static.items()
-        }
-        entries.update(grouped)
-        return [
-            MemoryEntry(
-                key=key, kind=kind, payload=fields, source="context", timestamp="", version=1
-            )
-            for key, (kind, fields) in sorted(entries.items())
-        ]
+        entries = dict(self._static)
+        for key, recalled in grouped.items():
+            serials = tuple(fact[3] for _, fact in recalled)
+            entry = self._entries.get(serials)
+            if entry is None:
+                fields = {leaf.rpartition(".")[2]: fact[0] for leaf, fact in recalled}
+                version = len(self._entries) + 1
+                entry = MemoryEntry(key, recalled[0][1][2], fields, "context", "", version)
+                self._entries[serials] = entry
+            entries[key] = entry
+        return [entries[key] for key in sorted(entries)]
 
 
 class Baseline(System):
@@ -106,16 +114,23 @@ class Baseline(System):
         self.config = config
         self.registry = registry
         self.context = ContextModel(budget, decay, config.seed, config.context)
+        # (key, version) of a window entry -> its fact line, rendered once per episode
+        self.fact_lines: dict[tuple[str, int], str] = {}
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
     ) -> CognitionInput:
-        entries = self.context.visible_entries(cycle)
+        lines, facts = self.fact_lines, []
+        for entry in self.context.visible_entries(cycle):
+            line = lines.get((entry.key, entry.version))
+            if line is None:
+                line = lines[entry.key, entry.version] = format_memory_fact(entry)
+            facts.append(line)
         return CognitionInput(
             system=DEFAULT_SYSTEM,
             task=self.config.task,
             rules=self.config.ruleset.render_for_cognition(),
-            facts=tuple(format_memory_fact(e) for e in entries),
+            facts=tuple(facts),
             constraints=(),
         )
 

@@ -25,6 +25,7 @@ import json
 import logging
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Protocol
@@ -36,7 +37,7 @@ from .memory import (
     FIELD_ALIASES,
     NOT_FOUND,
     EntryKind,
-    MemoryQuery,
+    MemoryEntry,
     MemorySnapshot,
 )
 from .regulation import RuleSet
@@ -200,10 +201,38 @@ def parse_fact_line(line: str) -> tuple[str, dict[str, Any]] | None:
     return entity, fields
 
 
-_FACT_QUERY = MemoryQuery(
-    kinds=frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK}),
-    latest_only=True,
-)
+# Entry kinds the proposer sees; proposals and termination flags stay hidden.
+FACT_KINDS = frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK})
+
+
+class FactIndex:
+    """One episode's fact lines: the latest fact entry per key, in key order.
+
+    ``lines`` renders only the entries committed since the snapshot it was last
+    given, which each snapshot must extend, so a cycle costs O(delta).
+    """
+
+    def __init__(self) -> None:
+        self._seen = 0  # entries of the last snapshot given, all indexed
+        self._last: MemoryEntry | None = None
+        self._keys: list[str] = []  # sorted
+        self._lines: list[str] = []  # parallel to _keys
+
+    def lines(self, snapshot: MemorySnapshot) -> tuple[str, ...]:
+        entries, seen = snapshot.entries, self._seen
+        if seen and (len(entries) < seen or entries[seen - 1] is not self._last):
+            raise ValueError("snapshot does not extend the last one the fact index saw")
+        keys, lines = self._keys, self._lines
+        for entry in entries[seen:]:
+            if entry.kind in FACT_KINDS:
+                at = bisect_left(keys, entry.key)
+                if at == len(keys) or keys[at] != entry.key:
+                    keys.insert(at, entry.key)
+                    lines.insert(at, "")
+                lines[at] = format_memory_fact(entry)
+        if entries:
+            self._seen, self._last = len(entries), entries[-1]
+        return tuple(lines)
 
 
 def assemble_input(
@@ -211,28 +240,19 @@ def assemble_input(
     snapshot: MemorySnapshot,
     constraints: list[str],
     ruleset: RuleSet,
-    fact_lines: dict[tuple[str, int], str] | None = None,
+    facts: FactIndex | None = None,
 ) -> CognitionInput:
     """Serialize the snapshot and constraints into the proposer's input.
 
     Facts come only from the given snapshot (latest version per key, ordered
-    by key); constraints are copied verbatim from the previous decision.
-    ``fact_lines`` memoizes each fact line by (key, version), which names one
-    entry for the life of one store; pass a fresh dict per episode.
+    by key), through ``facts``, the episode's index, or a fresh one;
+    constraints are copied verbatim from the previous decision.
     """
-    if fact_lines is None:
-        fact_lines = {}
-    facts = []
-    for entry in snapshot.read(_FACT_QUERY):
-        line = fact_lines.get((entry.key, entry.version))
-        if line is None:
-            line = fact_lines[entry.key, entry.version] = format_memory_fact(entry)
-        facts.append(line)
     return CognitionInput(
         system=DEFAULT_SYSTEM,
         task=task,
         rules=ruleset.render_for_cognition(),
-        facts=tuple(facts),
+        facts=(FactIndex() if facts is None else facts).lines(snapshot),
         constraints=tuple(constraints),
     )
 
@@ -381,15 +401,10 @@ class _FactView:
         record = self.entities.get(f"act.{tool_name}")
         return bool(record) and record.get("status") == "executed"
 
-    def clean_entities(self) -> list[str]:
-        """Observation entities with real data (no error marker), sorted."""
-        found = []
-        for entity, fields in self.entities.items():
-            if "." in entity or entity.startswith(("act", "goal", "feedback")):
-                continue
-            if "error" not in fields and fields:
-                found.append(entity)
-        return sorted(found)
+    def has_clean(self, entity: str) -> bool:
+        """Whether the observation of ``entity`` holds real data (no error marker)."""
+        fields = self.entities.get(entity)
+        return bool(fields) and "error" not in fields
 
 
 class ScriptedProposer:
@@ -559,7 +574,7 @@ class FaultyProposer(ScriptedProposer):
         if fault_type == "duplicate":
             # Re-propose a gather that already succeeded.
             for entity in goal.entities():
-                if entity in view.clean_entities():
+                if view.has_clean(entity):
                     return Proposal(
                         call=self._gather_call(entity),
                         rationale="re-checking a known fact",

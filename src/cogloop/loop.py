@@ -22,6 +22,7 @@ from typing import Any, Callable
 from . import evidence
 from .cognition import (
     CognitionInput,
+    FactIndex,
     FaultConfig,
     FaultyProposer,
     PlannerPolicy,
@@ -300,15 +301,13 @@ class Governed(System):
         self.registry = registry
         self.cache = DedupCache()
         self.consecutive_failures: dict[str, int] = {}
-        self.fact_lines: dict[tuple[str, int], str] = {}
+        self.facts = FactIndex()
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
     ) -> CognitionInput:
         config = self.config
-        return assemble_input(
-            config.task, snapshot, constraints, config.ruleset, fact_lines=self.fact_lines
-        )
+        return assemble_input(config.task, snapshot, constraints, config.ruleset, self.facts)
 
     def decide(
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int

@@ -66,6 +66,8 @@ FIELD_ALIASES = {"temp": "temp_f"}
 # "executed" is the one status a record can hold.
 ACTION_STATUSES = ("executed",)
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 class _NotFound:
     """Singleton marker distinguishing 'key absent' from any stored value."""
@@ -347,10 +349,15 @@ class MemoryStore:
         for staged in self._staged:
             if staged.key == key:
                 version = max(version, staged.version)
+        # A defensive copy equal to a JSON round trip; shallow where that is deep.
+        if all(type(k) is str and type(v) in _JSON_SCALARS for k, v in payload.items()):
+            payload = dict(payload)
+        else:
+            payload = json.loads(json.dumps(payload))
         entry = MemoryEntry(
             key=key,
             kind=kind,
-            payload=json.loads(json.dumps(payload)),  # defensive deep copy
+            payload=payload,
             source=source,
             timestamp=tick_timestamp(self._ticks),
             version=version + 1,

@@ -71,6 +71,10 @@ class RuleSet:
     rules: tuple[Rule, ...]
     version: str
 
+    def __post_init__(self) -> None:  # the proposer reads this text every cycle
+        text = "\n".join(f"{r.id}: {r.statement}" for r in self.active())
+        object.__setattr__(self, "_cognition_text", text)
+
     def active(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.enabled)
 
@@ -82,7 +86,7 @@ class RuleSet:
 
     def render_for_cognition(self) -> str:
         """One `<id>: <statement>` line per enabled rule, in config order."""
-        return "\n".join(f"{r.id}: {r.statement}" for r in self.active())
+        return self._cognition_text
 
 
 def load_ruleset(config: dict[str, Any]) -> RuleSet:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from cogloop.baseline import ContextModel, run_baseline_episode
-from cogloop.cognition import FaultConfig
+from cogloop.cognition import FACT_PREFIX, FaultConfig, format_memory_fact
 from cogloop.loop import ConfigError, EpisodeStatus, run_episode
 from cogloop.memory import EntryKind
 from cogloop.trace import aggregate_metrics, compute_elp, compute_metrics
@@ -68,6 +68,18 @@ def test_reinsert_refreshes_slot_position():
     entries = {e.key: e.payload for e in ctx.visible_entries(4)}
     assert entries["obs.A"] == {"temp_f": 9.0}
     assert "obs.B" not in entries and entries["obs.C"] == {"temp_f": 3.0}
+
+
+def test_window_entries_follow_inserts_not_equal_values():
+    """1, 1.0 and True hash equal; each re-insert still shows its own value."""
+    ctx = model()
+    lines = []
+    for cycle, value in enumerate([1, True, 1.0, 1], start=1):
+        ctx.insert("obs.A", EntryKind.OBSERVATION, {"flag": value}, cycle)
+        first = ctx.visible_entries(cycle)[1]
+        assert ctx.visible_entries(cycle)[1] is first  # same inserts, same entry
+        lines.append(format_memory_fact(first))
+    assert lines == [f"{FACT_PREFIX}A: flag={text}" for text in ("1", "true", "1.0", "1")]
 
 
 def test_zero_decay_recalls_everything_forever():

@@ -1,6 +1,8 @@
 """Proposer layer: serialized inputs, scripted planning, fault injection."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from cogloop.cognition import (
     FACT_PREFIX,
     PHANTOM_KEY,
     CognitionInput,
+    FactIndex,
     FaultConfig,
     FaultyProposer,
     GatherTemplate,
@@ -24,9 +27,11 @@ from cogloop.cognition import (
 )
 from cogloop.evidence import MemoryRef, render
 from cogloop.goals import GoalSpec
+from cogloop.loop import run_episode
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore
 from cogloop.regulation import default_ruleset
 from cogloop.runtime import ToolCall
+from cogloop.scenario import Scenario
 from cogloop.util import content_digest
 
 from test_goals import TWO_CITY_GOAL
@@ -139,6 +144,31 @@ def test_assemble_input_filters_orders_and_dedupes():
     )
     assert built.constraints == ("avoid Busan",)
     assert "R-ARGS" in built.rules and built.task == "task"
+
+
+def test_fact_index_follows_commits_and_rejects_other_histories():
+    store = MemoryStore()
+    index = FactIndex()
+    store.write_staged("goal.choose_colder", EntryKind.OBSERVATION, {"rule": "r"}, "init")
+    first = store.commit_cycle()
+    assert index.lines(first) == ("[Memory Fact] goal.choose_colder: rule=r",)
+    store.write_staged("obs.Seoul", EntryKind.OBSERVATION, {"temp_f": 1.0}, "sensor")
+    store.write_staged("act.book_flight", EntryKind.ACTION,
+                       {"name": "book_flight", "args": {}, "status": "executed"}, "tool")
+    store.write_staged("obs.Seoul", EntryKind.OBSERVATION, {"temp_f": 2.0}, "sensor")
+    second = store.commit_cycle()
+    assert index.lines(second) == index.lines(second) == FactIndex().lines(second) == (
+        "[Memory Fact] act.book_flight: status=executed",
+        "[Memory Fact] goal.choose_colder: rule=r",
+        "[Memory Fact] Seoul: temp_f=2.0",
+    )
+    with pytest.raises(ValueError, match="does not extend"):
+        index.lines(first)  # an older snapshot
+    other = MemoryStore()
+    for _ in range(5):
+        other.write_staged("obs.Jeju", EntryKind.OBSERVATION, {"temp_f": 3.0}, "sensor")
+    with pytest.raises(ValueError, match="does not extend"):
+        index.lines(other.commit_cycle())  # a longer log of another store
 
 
 def test_input_digest_tracks_content():
@@ -369,6 +399,19 @@ def test_duplicate_mutation_regathers_known_entity():
     fresh = proposer.propose(cog_input(GOAL_LINE))
     assert proposer.last_meta.fault_label is None  # nothing gathered yet to duplicate
     assert fresh.call.arguments["location"] == "Seoul"
+
+
+def test_duplicate_fault_regathers_entities_named_like_namespaces(scenario_dir):
+    """An observed entity named ``actium`` is a known fact like any other."""
+    text = (scenario_dir / "weather_two_city.json").read_text().replace("Seoul", "actium")
+    scenario = Scenario.from_dict(json.loads(text))
+    regathered = []
+    for seed in range(1, 6):
+        config = scenario.episode_config(seed, faults=FaultConfig(seed=3, p_duplicate=0.5))
+        for record in run_episode(config).trace.cycles:
+            if record.fault_label == "duplicate":
+                regathered.append(record.proposal["call"]["arguments"]["location"])
+    assert regathered and set(regathered) == {"actium"}
 
 
 def test_fault_stream_deterministic_per_seed_pair():

@@ -1,6 +1,9 @@
 """Versioned store: keys, staging, atomic commits, resolution."""
 from __future__ import annotations
 
+import json
+from enum import Enum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -291,3 +294,36 @@ def test_extend_shares_unchanged_versions_and_leaves_the_original_alone():
     assert [e.version for e in before.history("obs.Seoul")] == [1]
     assert [e.version for e in after.history("obs.Seoul")] == [1, 2]
     assert before.extend(()) is before
+
+
+class Colour(str, Enum):
+    RED = "red"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"temp_f": 51.8, "precipitation": False, "location": "Seoul", "note": None, "n": 3},
+        {"range": (1, 2)},
+        {1: "int key"},
+        {"nested": {"temp_f": 51.8, "tags": ["a"]}},
+        {"colour": Colour.RED},
+    ],
+    ids=["flat", "tuple-value", "int-key", "nested", "str-enum-value"],
+)
+def test_staged_payload_equals_its_json_round_trip(payload):
+    store = MemoryStore()
+    staged = obs(store, "obs.Seoul", payload)
+    round_trip = json.loads(json.dumps(payload))
+    assert staged.payload == round_trip
+    assert json.dumps(staged.payload) == json.dumps(round_trip)
+    assert [type(k) for k in staged.payload] == [type(k) for k in round_trip]
+    assert [type(v) for v in staged.payload.values()] == [type(v) for v in round_trip.values()]
+    # Mutating the caller's dict after staging leaves the entry alone.
+    for value in payload.values():
+        if isinstance(value, dict):
+            value["tags"].append("b")
+    for key in list(payload):
+        payload[key] = "changed"
+    payload["added"] = 1
+    assert store.commit_cycle().latest("obs.Seoul").payload == round_trip

@@ -1,18 +1,22 @@
-"""Sweep-level guarantees over generated suites, and the cost of canonical calls."""
+"""Sweep-level guarantees over generated suites, the cost of canonical calls, and memos."""
 from __future__ import annotations
 
 import importlib
 import pkgutil
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogloop
-from cogloop import runtime
+from cogloop import baseline, loop, runtime
 from cogloop.baseline import run_baseline_episode
 from cogloop.cli import parse_faults
+from cogloop.cognition import FACT_KINDS, format_memory_fact
 from cogloop.loop import run_episode
-from cogloop.scenario import generate_suite
+from cogloop.memory import MemoryQuery
+from cogloop.scenario import generate_suite, load_scenario
 from cogloop.trace import JustificationChain, iter_chains
+from conftest import SCENARIO_DIR
 from strategies import episode_seeds, fault_configs, suite_seeds
 
 
@@ -81,3 +85,63 @@ def test_sweep_canonicalizes_call_arguments_at_most_twice_per_cycle(monkeypatch)
             cycles += run_baseline_episode(config, budget, decay).cycles_used
     assert cycles > 1000
     assert calls <= 2 * cycles, f"{calls} canonicalizations over {cycles} cycles"
+
+
+class NeverStores(dict):
+    """A memo that forgets every value it is given."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+FACT_QUERY = MemoryQuery(kinds=FACT_KINDS, latest_only=True)
+
+
+# Worked scenarios: transient_retry rewrites a fact key after a tool failure.
+WORKED = [load_scenario(SCENARIO_DIR / f"{name}.json")
+          for name in ("weather_two_city", "rain_cancellation", "transient_retry")]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    count=st.integers(1, 3),
+    suite_seed=suite_seeds,
+    worked=st.sampled_from(WORKED),
+    episode_seed=episode_seeds,
+    faults=fault_configs,
+)
+def test_cached_fact_lines_equal_lines_rendered_afresh(
+    count, suite_seed, worked, episode_seed, faults
+):
+    """Each cycle's governed facts equal a fresh assembly; the baseline's memo changes no byte."""
+    original = loop.assemble_input
+    checked = 0
+
+    def checking(task, snapshot, constraints, ruleset, facts=None):
+        nonlocal checked
+        built = original(task, snapshot, constraints, ruleset, facts)
+        assert built == original(task, snapshot, constraints, ruleset)
+        reference = tuple(format_memory_fact(e) for e in snapshot.read(FACT_QUERY))
+        assert built.facts == reference
+        checked += 1
+        return built
+
+    baseline_init = baseline.Baseline.__init__
+
+    def forgetful_init(self, *args):
+        baseline_init(self, *args)
+        self.fact_lines = NeverStores()
+        self.context._entries = NeverStores()
+
+    for scenario in [*generate_suite(count, suite_seed), worked]:
+        config = scenario.episode_config(episode_seed, faults=faults)
+        budget, decay = scenario.baseline_budget, scenario.baseline_decay
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loop, "assemble_input", checking)
+            governed = run_episode(config)
+        assert checked == governed.cycles_used
+        checked = 0
+        cached = run_baseline_episode(config, budget, decay).trace.dumps()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baseline.Baseline, "__init__", forgetful_init)
+            assert run_baseline_episode(config, budget, decay).trace.dumps() == cached

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cogloop import cognition
+from cogloop import cognition, loop
 from cogloop.baseline import run_baseline_episode
 from cogloop.cli import main
 from cogloop.cognition import FaultConfig
@@ -337,6 +337,7 @@ def test_replay_decodes_each_delta_entry_once(two_city, monkeypatch):
 
 
 def test_governed_view_renders_each_entry_once(two_city, monkeypatch):
+    """Input assembly costs O(delta): no whole-snapshot read, each entry visited once."""
     rendered = []
     original = cognition.format_memory_fact
 
@@ -344,10 +345,51 @@ def test_governed_view_renders_each_entry_once(two_city, monkeypatch):
         rendered.append((entry.key, entry.version))
         return original(entry)
 
+    full_reads = visited = 0
+    assembling = False
+
+    class CountedEntries(tuple):
+        def __getitem__(self, item):
+            part = tuple.__getitem__(self, item)
+            return CountedEntries(part) if isinstance(item, slice) else part
+
+        def __iter__(self):
+            nonlocal visited
+            for entry in tuple.__iter__(self):
+                visited += 1
+                yield entry
+
+    entries = MemorySnapshot.entries.fget
+    read = MemorySnapshot.read
+    assemble = loop.assemble_input
+
+    def counted_entries(snapshot):
+        return CountedEntries(entries(snapshot)) if assembling else entries(snapshot)
+
+    def counting_read(snapshot, query=MemoryQuery()):
+        nonlocal full_reads
+        full_reads += assembling and query.prefix is None
+        return read(snapshot, query)
+
+    def assembling_input(*args, **kwargs):
+        nonlocal assembling
+        assembling = True
+        try:
+            return assemble(*args, **kwargs)
+        finally:
+            assembling = False
+
     monkeypatch.setattr(cognition, "format_memory_fact", counting)
+    monkeypatch.setattr(MemorySnapshot, "entries", property(counted_entries))
+    monkeypatch.setattr(MemorySnapshot, "read", counting_read)
+    monkeypatch.setattr(loop, "assemble_input", assembling_input)
     result = run_episode(two_city.episode_config(seed=1, faults=PROBE_FAULTS, max_cycles=5000))
     assert result.cycles_used == 237
     assert len(rendered) == len(set(rendered)) <= len(result.store.entries())
+    assert full_reads == 0
+    # Every one of the 476 committed entries but the last cycle's two, which no input reads.
+    last_commit = len(result.trace.cycles[-1].memory_delta)
+    assert visited == len(result.store.entries()) - last_commit == 476 - 2
 
 
 # ------------------------------------------------------------------- chains
