@@ -1,4 +1,4 @@
-"""Proposal generation: serialized inputs, deterministic planners, wire codec.
+"""Proposal generation: serialized inputs and deterministic planners.
 
 The proposer sees the world only through a serialized input: the task text,
 rendered rules, one fact line per memory entry, and the previous cycle's
@@ -14,10 +14,6 @@ built-in proposers implement that contract deterministically:
   call, stripped arguments, missing citations, premature branch action, or a
   citation to a key that does not exist). Labels are ground truth for the
   error-localization metric.
-
-``ExternalProposer`` adapts any `dict -> dict` transport (e.g. an actual
-model behind HTTP) to the same interface via an explicit JSON request and
-response shape; malformed responses surface as ``ProposerFailure``.
 """
 from __future__ import annotations
 
@@ -28,17 +24,19 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Protocol
+from typing import Any
 
 from . import evidence
 from .evidence import EvidenceExpr, MemoryRef
 from .goals import GoalSpec
 from .memory import (
-    FIELD_ALIASES,
     NOT_FOUND,
     EntryKind,
+    MalformedKey,
     MemoryEntry,
     MemorySnapshot,
+    descend,
+    resolve_plan,
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
@@ -67,7 +65,7 @@ FAULT_TYPES = (
 
 
 class ProposerFailure(Exception):
-    """Proposer produced no usable proposal (malformed response, transport error)."""
+    """The proposer produced no usable proposal for this cycle."""
 
 
 class PolicyGap(ProposerFailure):
@@ -277,48 +275,13 @@ class Proposal:
         return "<completion>" if self.call is None else self.call.describe()
 
 
-def decode_response(payload: Any) -> Proposal:
-    """Wire response -> Proposal; anything malformed raises ProposerFailure."""
-    if not isinstance(payload, dict):
-        raise ProposerFailure(f"response must be an object, got {type(payload).__name__}")
-    raw_call = payload.get("call")
-    call: ToolCall | None = None
-    if raw_call is not None:
-        if (
-            not isinstance(raw_call, dict)
-            or not isinstance(raw_call.get("name"), str)
-            or not isinstance(raw_call.get("arguments"), dict)
-        ):
-            raise ProposerFailure(f"malformed call object: {raw_call!r}")
-        call = ToolCall(raw_call["name"], dict(raw_call["arguments"]))
-    raw_citations = payload.get("citations", [])
-    if not isinstance(raw_citations, list):
-        raise ProposerFailure(f"citations must be a list, got {raw_citations!r}")
-    citations = []
-    for raw in raw_citations:
-        if not isinstance(raw, str):
-            raise ProposerFailure(f"citation must be a string, got {raw!r}")
-        try:
-            citations.append(evidence.parse(raw))
-        except evidence.EvidenceParseError as exc:
-            raise ProposerFailure(f"unparseable citation {raw!r}: {exc}") from exc
-    rationale = payload.get("rationale", "")
-    if not isinstance(rationale, str):
-        raise ProposerFailure(f"rationale must be a string, got {rationale!r}")
-    return Proposal(call=call, citations=tuple(citations), rationale=rationale)
-
-
-# ------------------------------------------------------------- proposer APIs
+# ----------------------------------------------------------------- proposers
 @dataclass
 class ProposeMeta:
-    """Side information about one propose call (not part of the wire contract)."""
+    """Side information about one propose call, kept beside the proposal."""
 
     fact_reads: list[tuple[str, Any]] = field(default_factory=list)
     fault_label: str | None = None
-
-
-class Proposer(Protocol):
-    def propose(self, cog_input: CognitionInput) -> Proposal: ...
 
 
 @dataclass(frozen=True)
@@ -352,6 +315,9 @@ ParsedLines = dict[str, tuple[str, dict[str, Any]] | None]
 class _FactView:
     """Resolves dotted paths against parsed fact lines, recording obs reads.
 
+    Paths resolve as in ``MemorySnapshot.resolve``, through ``resolve_plan``
+    and ``descend``, but over the fields the lines show; an ``obs.*`` key's
+    line is named by its entity alone.
     ``parsed`` memoizes `parse_fact_line` by line; the parsed fields are
     shared between views and never mutated.
     """
@@ -368,34 +334,21 @@ class _FactView:
         self.reads: dict[str, Any] = {}
 
     def resolve(self, path: str) -> Any:
-        segments = path.split(".")
-        if segments[0] == "obs" and len(segments) >= 2:
-            entity = ".".join(segments[1:-1]) if len(segments) > 2 else segments[1]
-            fields = self.entities.get(entity)
-            if len(segments) == 2:
-                value = fields if fields is not None else NOT_FOUND
-            elif fields is None:
-                value = NOT_FOUND
-            else:
-                leaf = segments[-1]
-                if leaf in fields:
-                    value = fields[leaf]
-                elif leaf in FIELD_ALIASES and FIELD_ALIASES[leaf] in fields:
-                    value = fields[FIELD_ALIASES[leaf]]
-                else:
-                    value = NOT_FOUND
-            if path not in self.reads:
-                self.reads[path] = value
-            return value
-        # goal.* / act.* / feedback.* lines are keyed by their full path.
-        fields = self.entities.get(path)
-        if fields is not None:
-            return fields
-        parent = ".".join(segments[:-1])
-        parent_fields = self.entities.get(parent)
-        if parent_fields is not None and segments[-1] in parent_fields:
-            return parent_fields[segments[-1]]
-        return NOT_FOUND
+        if path in self.reads:  # the lines are fixed, so a recorded read stays valid
+            return self.reads[path]
+        value = NOT_FOUND
+        try:
+            plan = resolve_plan(path)
+        except MalformedKey:
+            plan = ()
+        for key, tail in plan:
+            fields = self.entities.get(key.removeprefix("obs."))
+            if fields is not None:
+                value = descend(fields, tail)
+                break
+        if path.startswith("obs."):
+            self.reads[path] = value
+        return value
 
     def executed(self, tool_name: str) -> bool:
         record = self.entities.get(f"act.{tool_name}")
@@ -606,17 +559,3 @@ class FaultyProposer(ScriptedProposer):
             return Proposal(call=base.call, citations=citations, rationale=base.rationale)
         return None
 
-
-class ExternalProposer:
-    """Adapts a `request dict -> response dict` transport to the Proposer API."""
-
-    def __init__(self, transport: Callable[[dict[str, Any]], Any]):
-        self.transport = transport
-
-    def propose(self, cog_input: CognitionInput) -> Proposal:
-        request = cog_input.to_request()
-        try:
-            raw = self.transport(request)
-        except Exception as exc:  # transport errors become proposer failures
-            raise ProposerFailure(f"transport error: {exc}") from exc
-        return decode_response(raw)

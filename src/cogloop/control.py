@@ -132,9 +132,6 @@ class DedupCache:
             return False
         return all(snapshot.latest_version(key) <= version for key, version in read_set.items())
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def check_termination(
     proposal_is_completion: bool,

@@ -59,7 +59,7 @@ ALLOWED_KINDS: dict[str, set[EntryKind]] = {
     "feedback": {EntryKind.CONTROL_FEEDBACK},
 }
 
-# Read-time aliases for leaf fields, accepted by `resolve` descent.
+# Read-time aliases for leaf fields, accepted by `descend`.
 FIELD_ALIASES = {"temp": "temp_f"}
 
 # The runtime writes an action record only once its call has run, so
@@ -125,17 +125,31 @@ def key_segments(key: str) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _resolve_plan(path: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+def resolve_plan(path: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """(entry key, segments below it) for each prefix of ``path``, longest first.
 
-    ``resolve`` takes the first entry key that is committed and descends its
-    payload by the rest. Raises MalformedKey like ``key_segments``; bounded
-    like it.
+    A resolver takes the first entry key it holds and ``descend``s that
+    entry's payload by the rest. Raises MalformedKey like ``key_segments``;
+    bounded like it.
     """
     segments = key_segments(path)
     return tuple(
         (".".join(segments[:cut]), segments[cut:]) for cut in range(len(segments), 0, -1)
     )
+
+
+def descend(value: Any, tail: tuple[str, ...]) -> Any:
+    """The field of ``value`` at the segments ``tail``, through FIELD_ALIASES; else NOT_FOUND."""
+    for seg in tail:
+        if not isinstance(value, dict):
+            return NOT_FOUND
+        if seg in value:
+            value = value[seg]
+        elif seg in FIELD_ALIASES and FIELD_ALIASES[seg] in value:
+            value = value[FIELD_ALIASES[seg]]
+        else:
+            return NOT_FOUND
+    return value
 
 
 @dataclass(frozen=True)
@@ -301,7 +315,7 @@ class MemorySnapshot:
         if not isinstance(path, str):
             return NOT_FOUND
         try:
-            plan = _resolve_plan(path)
+            plan = resolve_plan(path)
         except MalformedKey:
             return NOT_FOUND
         # The longest committed key that prefixes the path wins; the rest of
@@ -309,19 +323,8 @@ class MemorySnapshot:
         by_key = self._by_key
         for key, tail in plan:
             versions = by_key.get(key)
-            if not versions:
-                continue
-            value: Any = versions[-1].payload
-            for seg in tail:
-                if not isinstance(value, dict):
-                    return NOT_FOUND
-                if seg in value:
-                    value = value[seg]
-                elif seg in FIELD_ALIASES and FIELD_ALIASES[seg] in value:
-                    value = value[FIELD_ALIASES[seg]]
-                else:
-                    return NOT_FOUND
-            return value
+            if versions:
+                return descend(versions[-1].payload, tail)
         return NOT_FOUND
 
 

@@ -78,9 +78,6 @@ class RuleSet:
     def active(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.enabled)
 
-    def ids(self) -> set[str]:
-        return {r.id for r in self.rules}
-
     def active_for_check(self, check: CheckKind) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.enabled and r.check is check)
 

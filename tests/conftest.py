@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cogloop import Scenario, load_scenario
+from cogloop.scenario import Scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"

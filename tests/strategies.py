@@ -1,9 +1,13 @@
 """Hypothesis strategies shared by the tests that run generated suites."""
 from __future__ import annotations
 
-from hypothesis import strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from cogloop.cognition import FAULT_TYPES, FaultConfig
+
+# For tests that run whole episodes per example: no deadline, and no shrinking,
+# which re-runs episodes for minutes before a failure is reported.
+whole_episodes = settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 suite_seeds = st.integers(0, 10_000)
 episode_seeds = st.integers(1, 5)

@@ -18,10 +18,9 @@ from cogloop.cognition import (
     PlannerPolicy,
     PolicyGap,
     Proposal,
-    ProposerFailure,
     ScriptedProposer,
+    _FactView,
     assemble_input,
-    decode_response,
     format_memory_fact,
     parse_fact_line,
 )
@@ -171,6 +170,24 @@ def test_fact_index_follows_commits_and_rejects_other_histories():
         index.lines(other.commit_cycle())  # a longer log of another store
 
 
+def test_fact_view_resolves_paths_as_the_snapshot_does():
+    store = MemoryStore()
+    store.write_staged("obs.Seoul", EntryKind.OBSERVATION,
+                       {"location": "Seoul", "temp_f": 51.8, "sky": {"rain": False}}, "sensor")
+    store.write_staged("goal.limits", EntryKind.OBSERVATION, {"temp_f": 60.0}, "init")
+    store.write_staged("act.book_flight", EntryKind.ACTION,
+                       {"name": "book_flight", "args": {}, "status": "executed"}, "tool")
+    snapshot = store.commit_cycle()
+    view = _FactView(FactIndex().lines(snapshot), {})
+    paths = [
+        "obs.Seoul.temp_f", "obs.Seoul.temp", "obs.Seoul.sky.rain", "obs.Seoul.humidity",
+        "obs.Jeju.temp_f", "obs.Seo ul.temp_f", "obs", "goal.limits.temp",
+        "goal.limits.temp_f.x", "act.book_flight.status", "act.cancel.status",
+    ]
+    assert {p: view.resolve(p) for p in paths} == {p: snapshot.resolve(p) for p in paths}
+    assert list(view.reads) == [p for p in paths if p.startswith("obs.")]
+
+
 def test_input_digest_tracks_content():
     a = cog_input(SEOUL_LINE)
     b = cog_input(SEOUL_LINE)
@@ -275,36 +292,6 @@ def test_policy_gap_when_condition_unresolvable():
     proposer = ScriptedProposer(policy)
     with pytest.raises(PolicyGap):
         proposer.propose(cog_input(SEOUL_LINE))  # goal.threshold never observed
-
-
-# ------------------------------------------------------------- wire protocol
-def test_decode_response_round_trip():
-    original = Proposal(
-        call=ToolCall("book_flight", {"location": "Seoul"}),
-        citations=(MemoryRef("obs.Seoul.temp_f"), MemoryRef("goal.choose_colder.rule")),
-        rationale="colder",
-    )
-    assert decode_response(original.to_response()) == original
-    completion = Proposal(call=None, rationale="done")
-    assert decode_response(completion.to_response()) == completion
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not an object",
-        {"call": "book_flight"},
-        {"call": {"name": 42, "arguments": {}}},
-        {"call": {"name": "x", "arguments": []}},
-        {"call": None, "citations": "obs.Seoul.temp_f"},
-        {"call": None, "citations": [17]},
-        {"call": None, "citations": ["<= obs.Seoul.temp_f"]},
-        {"call": None, "rationale": ["not", "a", "string"]},
-    ],
-)
-def test_decode_response_rejects_malformed(payload):
-    with pytest.raises(ProposerFailure):
-        decode_response(payload)
 
 
 # ------------------------------------------------------------ fault injection

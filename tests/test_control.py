@@ -52,7 +52,8 @@ def store_with(facts: dict[str, dict] | None = None, actions: list[dict] | None 
 
 def run_validate(proposal: Proposal, store: MemoryStore, cache: DedupCache | None = None,
                  cycle_index: int = 1, max_cycles: int = 10) -> ControlDecision:
-    return validate(proposal, store.snapshot, GOAL, RULESET, cache or DedupCache(),
+    return validate(proposal, store.snapshot, GOAL, RULESET,
+                    DedupCache() if cache is None else cache,
                     REGISTRY, cycle_index, max_cycles)
 
 
@@ -175,7 +176,7 @@ def test_duplicate_call_rejected_by_control_minted_rule():
     assert decision.verdict is Verdict.REJECTED
     assert decision.rule_ids() == (DEDUP_RULE_ID,)
     assert decision.violations[0].detail == "Observation already exists"
-    assert DEDUP_RULE_ID not in RULESET.ids()  # minted by control, not the ruleset
+    assert DEDUP_RULE_ID not in {r.id for r in RULESET.rules}  # minted by control, not the ruleset
 
 
 def test_duplicate_expires_when_read_set_key_advances():

@@ -10,8 +10,10 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 
-from cogloop import load_suite, run_baseline_episode, run_episode
+from cogloop.baseline import run_baseline_episode
 from cogloop.cli import parse_faults
+from cogloop.loop import run_episode
+from cogloop.scenario import load_suite
 
 GOLDEN_DIGEST = "ef71a98839eb6183"
 

@@ -34,7 +34,9 @@ def test_default_ruleset_covers_every_check():
     assert len(ruleset.rules) == 5
     covered = {rule.check for rule in ruleset.rules}
     assert covered == set(CheckKind)
-    assert ruleset.ids() == {"R-NUM-COMPARE", "R-COND-PRIORITY", "R-COND-EXEC", "R-SEQ", "R-ARGS"}
+    assert {r.id for r in ruleset.rules} == {
+        "R-NUM-COMPARE", "R-COND-PRIORITY", "R-COND-EXEC", "R-SEQ", "R-ARGS"
+    }
 
 
 def test_statements_are_complete_directives():

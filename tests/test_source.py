@@ -1,12 +1,18 @@
-"""Source hygiene of src/cogloop: no unused imports, no module-level names nothing uses."""
+"""Source hygiene: no unused imports in src/cogloop or tests, no module-level names nothing uses."""
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cogloop"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cogloop"
 MODULES = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+TEST_MODULES = {
+    f"tests/{path.name}": path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
+}
 
 # Kept although no other line of src/ mentions them: README's suite
 # regeneration entry point.
@@ -41,7 +47,7 @@ def used_names(tree: ast.Module) -> set[str]:
 
 def test_no_unused_imports():
     unused = []
-    for name, text in MODULES.items():
+    for name, text in {**MODULES, **TEST_MODULES}.items():
         tree = ast.parse(text)
         used = used_names(tree)
         for node in ast.walk(tree):
@@ -69,12 +75,31 @@ def module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
     return defined
 
 
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(text: str) -> list[str]:
+    """The module's lines with comments and docstrings blanked out."""
+    lines = text.splitlines()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            lines[row - 1] = lines[row - 1][:col]
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node) is not None:
+            docstring = node.body[0]
+            for row in range(docstring.lineno, docstring.end_lineno + 1):
+                lines[row - 1] = ""
+    return lines
+
+
 def test_every_module_level_name_is_mentioned_elsewhere():
+    """Prose does not keep a name alive: comments and docstrings are not searched."""
     lines = [
         (name, number, line)
         for name, text in MODULES.items()
         if name != "__init__.py"
-        for number, line in enumerate(text.splitlines(), start=1)
+        for number, line in enumerate(code_lines(text), start=1)
     ]
     dead = []
     for module, text in MODULES.items():

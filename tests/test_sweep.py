@@ -17,7 +17,7 @@ from cogloop.memory import MemoryQuery
 from cogloop.scenario import generate_suite, load_scenario
 from cogloop.trace import JustificationChain, iter_chains
 from conftest import SCENARIO_DIR
-from strategies import episode_seeds, fault_configs, suite_seeds
+from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
 
 
 def outcome(result) -> tuple:
@@ -26,7 +26,7 @@ def outcome(result) -> tuple:
     return result.status, result.cycles_used, calls
 
 
-@settings(max_examples=10, deadline=None)
+@settings(whole_episodes, max_examples=10)
 @given(
     count=st.integers(1, 3),
     suite_seed=suite_seeds,
@@ -102,7 +102,7 @@ WORKED = [load_scenario(SCENARIO_DIR / f"{name}.json")
           for name in ("weather_two_city", "rain_cancellation", "transient_retry")]
 
 
-@settings(max_examples=10, deadline=None)
+@settings(whole_episodes, max_examples=10)
 @given(
     count=st.integers(1, 3),
     suite_seed=suite_seeds,

@@ -30,7 +30,7 @@ from cogloop.trace import (
     iter_chains,
     reconstruct_chain,
 )
-from strategies import episode_seeds, fault_configs, suite_seeds
+from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
 
 
 @pytest.fixture
@@ -287,7 +287,7 @@ def snapshot_state(snapshot: MemorySnapshot) -> tuple:
     )
 
 
-@settings(max_examples=15, deadline=None)
+@settings(whole_episodes, max_examples=15)
 @given(
     suite_seed=suite_seeds,
     episode_seed=episode_seeds,
