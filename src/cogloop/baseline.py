@@ -21,7 +21,7 @@ import math
 import random
 from typing import Any
 
-from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact
+from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact, shown_fields
 from .control import ControlDecision, Verdict, check_termination
 from .loop import ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
@@ -57,13 +57,9 @@ class ContextModel:
         self._entries: dict[tuple[int, ...], MemoryEntry] = {}
 
     def insert(self, entry_key: str, kind: EntryKind, payload: dict[str, Any], cycle: int) -> None:
-        entity = entry_key.split(".", 1)[1] if entry_key.startswith("obs.") else entry_key
-        for field_name in sorted(payload):
-            value = payload[field_name]
-            if kind is EntryKind.OBSERVATION and field_name == "location" and value == entity:
-                continue  # echo of the entity name; rendering skips it too
-            if kind is EntryKind.ACTION and field_name in ("name", "args"):
-                continue  # fact lines carry only status and confirmation
+        shown = shown_fields(entry_key, kind, payload)
+        for field_name in sorted(shown):
+            value = shown[field_name]
             leaf = f"{entry_key}.{field_name}"
             if leaf in self._facts:
                 del self._facts[leaf]  # refresh slot position

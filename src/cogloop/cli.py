@@ -78,7 +78,7 @@ def parse_faults(spec: str | None, seed: int = 0) -> FaultConfig | None:
             raise ConfigError(
                 f"unknown fault type {key!r} (known: {', '.join(FAULT_TYPES)})"
             )
-    return FaultConfig.from_dict(config)
+    return FaultConfig(**config)
 
 
 def parse_seeds(spec: str) -> list[int]:

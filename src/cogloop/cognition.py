@@ -134,28 +134,26 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
+def shown_fields(key: str, kind: EntryKind, payload: dict[str, Any]) -> dict[str, Any]:
+    """The payload fields a fact line shows for an entry, in the order it shows them.
+
+    An observation's ``location`` echo of its entity is left out, and an
+    action record shows only its status and confirmation.
+    """
+    if kind is EntryKind.OBSERVATION and key.startswith("obs."):
+        entity = key[len("obs.") :]
+        return {k: v for k, v in payload.items() if not (k == "location" and v == entity)}
+    if kind is EntryKind.ACTION:
+        return {k: payload[k] for k in ("status", "confirmation") if k in payload}
+    if kind in (EntryKind.OBSERVATION, EntryKind.CONTROL_FEEDBACK):  # incl. goal.* context
+        return dict(payload)
+    raise ValueError(f"no fact rendering for entry kind {kind.value!r}")
+
+
 def format_memory_fact(entry) -> str:
     """One-line rendering of an entry for the proposer's fact list."""
-    if entry.kind is EntryKind.OBSERVATION and entry.key.startswith("obs."):
-        entity = entry.key[len("obs.") :]
-        fields = {
-            k: v
-            for k, v in entry.payload.items()
-            if not (k == "location" and v == entity)
-        }
-    elif entry.kind is EntryKind.OBSERVATION:  # goal.* context facts
-        entity = entry.key
-        fields = dict(entry.payload)
-    elif entry.kind is EntryKind.ACTION:
-        entity = entry.key
-        fields = {
-            k: entry.payload[k] for k in ("status", "confirmation") if k in entry.payload
-        }
-    elif entry.kind is EntryKind.CONTROL_FEEDBACK:
-        entity = entry.key
-        fields = dict(entry.payload)
-    else:
-        raise ValueError(f"no fact rendering for entry kind {entry.kind.value!r}")
+    fields = shown_fields(entry.key, entry.kind, entry.payload)
+    entity = entry.key.removeprefix("obs.") if entry.kind is EntryKind.OBSERVATION else entry.key
     rendered = ", ".join(f"{k}={_format_value(v)}" for k, v in fields.items())
     return f"{FACT_PREFIX}{entity}: {rendered}"
 
@@ -400,7 +398,7 @@ class ScriptedProposer:
         if goal.cancellation is not None:
             verdict = evidence.evaluate_all(list(goal.cancellation.condition), view)
             if verdict is evidence.UNKNOWN:
-                return self._regather_unknown(list(goal.cancellation.condition), view)
+                raise PolicyGap("cancellation condition unknown with every required fact known")
             if verdict is True:
                 action = goal.cancellation.action
                 if not view.executed(action.name):
@@ -417,7 +415,7 @@ class ScriptedProposer:
         for branch in goal.branches:
             verdict = evidence.evaluate_all(list(branch.condition), view)
             if verdict is evidence.UNKNOWN:
-                return self._regather_unknown(list(branch.condition), view)
+                raise PolicyGap("branch condition unknown with every required fact known")
             if verdict is not True:
                 continue
             for action in branch.actions:
@@ -431,22 +429,6 @@ class ScriptedProposer:
                         "branch",
                     )
         return Proposal(call=None, rationale="all goal work complete"), "complete"
-
-    def _regather_unknown(
-        self, conditions: list[EvidenceExpr], view: _FactView
-    ) -> tuple[Proposal, str]:
-        for expr in conditions:
-            for key in evidence.referenced_keys(expr):
-                if key.startswith("obs.") and view.resolve(key) is NOT_FOUND:
-                    entity = key.split(".")[1]
-                    return (
-                        Proposal(
-                            call=self._gather_call(entity),
-                            rationale=f"condition key {key} unresolved",
-                        ),
-                        "gather",
-                    )
-        raise PolicyGap("condition unknown but every referenced key resolves")
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
         view = _FactView(cog_input.facts, self._parsed)
@@ -471,14 +453,6 @@ class FaultConfig:
 
     def any_enabled(self) -> bool:
         return any(self.probability(t) > 0.0 for t in FAULT_TYPES)
-
-    @classmethod
-    def from_dict(cls, config: dict[str, Any]) -> "FaultConfig":
-        known = {"seed", *(f"p_{t}" for t in FAULT_TYPES)}
-        unknown = set(config) - known
-        if unknown:
-            raise ValueError(f"unknown fault config fields: {sorted(unknown)}")
-        return cls(**config)
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {"seed": self.seed}

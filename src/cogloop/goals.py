@@ -14,7 +14,7 @@ from typing import Any
 
 from . import evidence
 from .evidence import EvidenceExpr
-from .memory import NOT_FOUND, EntryKind, MemoryQuery, MemorySnapshot, key_segments
+from .memory import NOT_FOUND, MemorySnapshot, key_segments
 from .runtime import ToolCall, canon_args
 
 
@@ -54,9 +54,11 @@ class GoalSpec:
         seen: list[str] = []
         for fact in self.required_facts:
             segments = key_segments(fact) if isinstance(fact, str) else ()
-            if segments[:1] != ("obs",):
-                raise GoalConfigError(f"required fact {fact!r} must be an obs.* leaf key")
-            entity = ".".join(segments[1:-1]) if len(segments) > 2 else segments[1]
+            if segments[:1] != ("obs",) or len(segments) < 3:
+                raise GoalConfigError(
+                    f"required fact {fact!r} must be an obs.<entity>.<field> leaf key"
+                )
+            entity = ".".join(segments[1:-1])
             if entity not in seen:
                 seen.append(entity)
         return tuple(seen)
@@ -181,15 +183,15 @@ class GoalSpec:
 
 
 def action_executed(snapshot: MemorySnapshot, call: ToolCall) -> bool:
-    """True if any committed action record matches (name, canonical args) as executed."""
+    """True if a committed action record of ``call`` has its canonical args.
+
+    The runtime writes each record of tool ``t`` under ``act.t``, and an
+    action record can only hold the status ``executed``.
+    """
     wanted = call.canonical_args
-    records = snapshot.read(MemoryQuery(prefix="act", kinds=frozenset({EntryKind.ACTION})))
-    for entry in records:
-        payload = entry.payload
-        if payload.get("status") != "executed" or payload.get("name") != call.name:
-            continue
+    for entry in snapshot.history(f"act.{call.name}"):
         # Canonicalization is idempotent, so equal raw args need no second pass.
-        args = payload.get("args", {})
+        args = entry.payload["args"]
         if args == wanted or canon_args(args) == wanted:
             return True
     return False

@@ -48,7 +48,7 @@ from .memory import (
     encode_value,
     key_segments,
 )
-from .regulation import RuleSet, default_ruleset
+from .regulation import DEFAULT_RULESET, RuleSet
 from .runtime import Runtime, ToolResult, ToolSpec, WorldState, builtin_registry
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
 from .util import content_digest
@@ -75,7 +75,7 @@ class EpisodeConfig:
     scenario: str
     task: str
     policy: PlannerPolicy
-    ruleset: RuleSet = field(default_factory=default_ruleset)
+    ruleset: RuleSet = DEFAULT_RULESET
     context: dict[str, dict[str, Any]] = field(default_factory=dict)
     world: dict[str, Any] = field(default_factory=dict)
     extra_tools: tuple[str, ...] = ()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -229,15 +228,13 @@ class MemorySnapshot:
     ``extend`` derives the next snapshot from this one: it copies the key
     index (a flat copy of references) and shares every version tuple the new
     entries leave alone, so its Python-level work is proportional to the new
-    entries, not to the log. The keys are kept sorted, so a prefix query
-    bisects to its range instead of scanning every entry. Versions of a key
-    keep commit order, which is version order for everything a store commits.
+    entries, not to the log. Versions of a key keep commit order, which is
+    version order for everything a store commits.
     """
 
     def __init__(self, entries: tuple[MemoryEntry, ...]):
         self._entries: tuple[MemoryEntry, ...] = ()
         self._by_key: dict[str, tuple[MemoryEntry, ...]] = {}
-        self._keys: list[str] = []  # sorted
         self._append(tuple(entries))
 
     def extend(self, entries: Iterable[MemoryEntry]) -> "MemorySnapshot":
@@ -248,27 +245,22 @@ class MemorySnapshot:
         snapshot = MemorySnapshot.__new__(MemorySnapshot)
         snapshot._entries = self._entries
         snapshot._by_key = dict(self._by_key)
-        snapshot._keys = list(self._keys)
         snapshot._append(added)
         return snapshot
 
     def _append(self, added: tuple[MemoryEntry, ...]) -> None:
         # Only for a snapshot under construction: every other one is immutable.
         self._entries += added
+        by_key = self._by_key
         for entry in added:
-            versions = self._by_key.get(entry.key)
-            if versions is None:
-                insort(self._keys, entry.key)
-                self._by_key[entry.key] = (entry,)
-            else:
-                self._by_key[entry.key] = versions + (entry,)
+            by_key[entry.key] = by_key.get(entry.key, ()) + (entry,)
 
     @property
     def entries(self) -> tuple[MemoryEntry, ...]:
         return self._entries
 
     def keys(self) -> list[str]:
-        return list(self._keys)
+        return sorted(self._by_key)
 
     def latest(self, key: str) -> MemoryEntry | None:
         versions = self._by_key.get(key)
@@ -283,13 +275,11 @@ class MemorySnapshot:
 
     def read(self, query: MemoryQuery = MemoryQuery()) -> list[MemoryEntry]:
         """Entries matching the query, ordered by (key, version)."""
-        keys: list[str] = self._keys
+        keys = sorted(self._by_key)
         prefix = query.prefix
         if prefix is not None:
-            # `prefix` itself, then the contiguous run of keys under `prefix.`
-            # ("/" is the character after ".").
-            below = keys[bisect_left(keys, prefix + ".") : bisect_left(keys, prefix + "/")]
-            keys = [prefix, *below] if prefix in self._by_key else below
+            below = prefix + "."
+            keys = [key for key in keys if key == prefix or key.startswith(below)]
         kinds = query.kinds
         selected: list[MemoryEntry] = []
         for key in keys:

@@ -104,6 +104,10 @@ class TraceHeader:
         for name in ("seed", "max_cycles", "format"):
             if not _is_int(getattr(header, name)):
                 raise ParseError(f"trace header field {name!r} must be an integer")
+        if header.format != TRACE_FORMAT:
+            raise ParseError(
+                f"trace header field 'format' is {header.format}; only {TRACE_FORMAT} is read"
+            )
         return header
 
 

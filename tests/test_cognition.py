@@ -28,7 +28,7 @@ from cogloop.evidence import MemoryRef, render
 from cogloop.goals import GoalSpec
 from cogloop.loop import run_episode
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore
-from cogloop.regulation import default_ruleset
+from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall
 from cogloop.scenario import Scenario
 from cogloop.util import content_digest
@@ -136,7 +136,7 @@ def test_assemble_input_filters_orders_and_dedupes():
                        {"temp_f": 51.8, "precipitation": False}, "sensor")
     store.commit_cycle()
 
-    built = assemble_input("task", store.snapshot, ["avoid Busan"], default_ruleset())
+    built = assemble_input("task", store.snapshot, ["avoid Busan"], DEFAULT_RULESET)
     assert built.facts == (
         "[Memory Fact] goal.choose_colder: rule=r",
         "[Memory Fact] Seoul: temp_f=51.8, precipitation=false",
@@ -309,12 +309,12 @@ EPISODE_STATES = [
 
 
 def test_fault_config_rejects_unknown_fields():
-    with pytest.raises(ValueError, match="p_gremlins"):
-        FaultConfig.from_dict({"seed": 1, "p_gremlins": 0.5})
+    with pytest.raises(TypeError, match="p_gremlins"):
+        FaultConfig(**{"seed": 1, "p_gremlins": 0.5})
 
 
 def test_fault_config_round_trip_omits_zero_rates():
-    config = FaultConfig.from_dict({"seed": 3, "p_duplicate": 0.25})
+    config = FaultConfig(seed=3, p_duplicate=0.25)
     assert config.probability("duplicate") == 0.25
     assert config.any_enabled()
     assert config.to_dict() == {"seed": 3, "p_duplicate": 0.25}

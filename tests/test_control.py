@@ -16,14 +16,13 @@ from cogloop.control import (
 from cogloop.evidence import MemoryRef, parse
 from cogloop.goals import GoalSpec
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryStore
-from cogloop.regulation import default_ruleset
+from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ErrorCode, ToolCall, ToolResult, builtin_registry
 
 from test_goals import TWO_CITY_GOAL
 
 GOAL = GoalSpec.from_dict(TWO_CITY_GOAL)
 REGISTRY = builtin_registry()
-RULESET = default_ruleset()
 
 SEOUL = {"temp_f": 51.8, "precipitation": False}
 JEJU = {"temp_f": 60.8, "precipitation": False}
@@ -52,7 +51,7 @@ def store_with(facts: dict[str, dict] | None = None, actions: list[dict] | None 
 
 def run_validate(proposal: Proposal, store: MemoryStore, cache: DedupCache | None = None,
                  cycle_index: int = 1, max_cycles: int = 10) -> ControlDecision:
-    return validate(proposal, store.snapshot, GOAL, RULESET,
+    return validate(proposal, store.snapshot, GOAL, DEFAULT_RULESET,
                     DedupCache() if cache is None else cache,
                     REGISTRY, cycle_index, max_cycles)
 
@@ -176,7 +175,8 @@ def test_duplicate_call_rejected_by_control_minted_rule():
     assert decision.verdict is Verdict.REJECTED
     assert decision.rule_ids() == (DEDUP_RULE_ID,)
     assert decision.violations[0].detail == "Observation already exists"
-    assert DEDUP_RULE_ID not in {r.id for r in RULESET.rules}  # minted by control, not the ruleset
+    # minted by control, not the ruleset
+    assert DEDUP_RULE_ID not in {r.id for r in DEFAULT_RULESET.rules}
 
 
 def test_duplicate_expires_when_read_set_key_advances():

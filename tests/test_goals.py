@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from cogloop.goals import GoalConfigError, GoalSpec
+from cogloop.goals import GoalConfigError, GoalSpec, action_executed
 from cogloop.memory import EntryKind, MemoryStore
 from cogloop.runtime import ToolCall
 
@@ -173,3 +173,18 @@ def test_cancellation_preempts_branches(goal):
         ],
     )
     assert goal.success(emailed.snapshot)
+
+
+def test_action_executed_needs_the_same_tool_and_canonical_args():
+    book_seoul = ToolCall("book_flight", {"location": "Seoul"})
+    # An executed record of another tool with equal args does not count.
+    other_tool = seeded_store(
+        {}, actions=[{"name": "make_chart", "args": {"location": "Seoul"}, "status": "executed"}]
+    )
+    assert not action_executed(other_tool.snapshot, book_seoul)
+    # Raw args that canonicalize to the call's do.
+    booked = seeded_store(
+        {}, actions=[{"name": "book_flight", "args": {"location": " Seoul "}, "status": "executed"}]
+    )
+    assert action_executed(booked.snapshot, book_seoul)
+    assert not action_executed(booked.snapshot, ToolCall("book_flight", {"location": "Jeju"}))

@@ -13,9 +13,15 @@ from collections import Counter
 from cogloop.baseline import run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.loop import run_episode
+from cogloop.regulation import DEFAULT_RULESET
 from cogloop.scenario import load_suite
 
 GOLDEN_DIGEST = "ef71a98839eb6183"
+RULESET_VERSION = "b709da07996eecce"  # every trace header and config digest carries it
+
+
+def test_shipped_ruleset_version_is_pinned():
+    assert DEFAULT_RULESET.version == RULESET_VERSION
 
 
 def test_suite50_traces_match_golden_digest(suite_dir):

@@ -135,6 +135,9 @@ def test_goal_errors_are_anchored():
     document = valid_document()
     document["goal"]["branches"] = ["not an object"]
     expect_error(document, "goal:")
+    document = valid_document()
+    document["goal"]["required_facts"].append("obs.Oslo")  # an entity, not a leaf
+    expect_error(document, "goal: required fact 'obs.Oslo' must be an obs.<entity>.<field> leaf")
 
 
 def test_goal_citation_must_anchor_to_context():

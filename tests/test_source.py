@@ -1,7 +1,9 @@
-"""Source hygiene: no unused imports in src/cogloop or tests, no module-level names nothing uses."""
+"""Source hygiene: no unused imports in src/cogloop or tests, no module-level names nothing uses,
+and every name the benchmark harness reaches into still there."""
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -13,6 +15,7 @@ MODULES = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.gl
 TEST_MODULES = {
     f"tests/{path.name}": path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
 }
+PERFBENCH = TESTS.parent / "perfbench"
 
 # Kept although no other line of src/ mentions them: README's suite
 # regeneration entry point.
@@ -115,3 +118,49 @@ def test_every_module_level_name_is_mentioned_elsewhere():
             if not mentioned and name not in ENTRY_POINTS:
                 dead.append(f"{module}:{defined_at} {name}")
     assert dead == []
+
+
+def cogloop_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of every ``cog.<module>.<name>`` and ``from cogloop.<module> import``."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and "cog" in (getattr(node.value.value, "id", None),
+                              getattr(node.value.value, "attr", None))):
+            found.add((f"cogloop.{node.value.attr}", node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cogloop."):
+            found |= {(node.module, alias.name) for alias in node.names}
+    return found
+
+
+def test_perfbench_hooks_resolve():
+    """The traced benchmark wraps ``layers.TARGETS``; it and its tests bind cogloop names.
+
+    Neither runs in this suite, so a removed or renamed target would only show
+    when the benchmark runs. A class target must sit in the class's own
+    ``__dict__``, where the span recorder replaces it.
+    """
+    missing = []
+    layers = ast.parse((PERFBENCH / "layers.py").read_text(encoding="utf-8"))
+    targets = [
+        tuple(arg.value for arg in node.args[1:3])
+        for node in ast.walk(layers)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target"
+    ]
+    assert len(targets) > 10
+    for owner, attr in targets:
+        module, _, cls = owner.partition(":")
+        obj = importlib.import_module(module)
+        if cls:
+            obj = getattr(obj, cls, None)
+            present = obj is not None and attr in vars(obj)
+        else:
+            present = hasattr(obj, attr)
+        if not present:
+            missing.append(f"layers.py Target {owner} {attr}")
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for module, name in sorted(cogloop_names(tree)):
+            if not hasattr(importlib.import_module(module), name):
+                missing.append(f"{path.relative_to(PERFBENCH)} {module}.{name}")
+    assert missing == []

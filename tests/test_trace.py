@@ -149,6 +149,8 @@ CALL = {"name": "get_weather", "arguments": {"location": "Seoul", "date": "2025-
                      id="header-string-seed"),
         pytest.param(header_line(max_cycles=2.5), "field 'max_cycles' must be an integer",
                      id="header-float-max-cycles"),
+        pytest.param(header_line(format=7), "line 1: trace header field 'format' is 7",
+                     id="header-unknown-format"),
         pytest.param(with_cycle(proposal=5), "line 3: cycle 1: proposal must be an object or null",
                      id="proposal-number"),
         pytest.param(with_cycle(decision="approved"), "decision must be an object or null",
