@@ -25,7 +25,7 @@ from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_f
 from .control import ControlDecision, Verdict, check_termination
 from .loop import ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
-from .runtime import Runtime, ToolResult, ToolSpec
+from .runtime import ToolResult, ToolSpec, staged_writes
 
 logger = logging.getLogger(__name__)
 
@@ -164,8 +164,8 @@ class Baseline(System):
             # Recomputed rather than taken from `execute`, which stages nothing
             # on an idempotency hit: the window still refreshes then.
             call = decision.call
-            spec = self.registry.get(call.name)
-            for write in Runtime._staged_writes(spec, call.canonical_args, result.payload):
+            spec = self.registry[call.name]
+            for write in staged_writes(spec, call.canonical_args, result.payload):
                 context.insert(write.key, write.kind, write.payload, state.index)
         state.log_lines.append(
             f"[Baseline] context holds {context.retained()}/{context.budget} facts"

@@ -21,7 +21,6 @@ from .trace import (
     EpisodeTrace,
     GapReport,
     Metric,
-    MissingLabels,
     ParseError,
     UnknownAction,
     aggregate_metrics,
@@ -111,12 +110,12 @@ def render_table(columns: dict[str, dict[str, Metric]]) -> str:
     return "\n".join(lines)
 
 
-def _metrics_json(columns: dict[str, dict[str, Metric]]) -> str:
-    payload = {
+def _metrics_table(columns: dict[str, dict[str, Metric]]) -> dict[str, dict[str, Any]]:
+    """``{system: {metric: to_dict()}}``, the form metric files store."""
+    return {
         system: {name: metric.to_dict() for name, metric in metrics.items()}
         for system, metrics in columns.items()
     }
-    return canonical_json(payload) + "\n"
 
 
 def _print_status(label: str, result: EpisodeResult) -> None:
@@ -172,7 +171,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         stem = f"{scenario.name}_s{seed}"
         for system, trace in traces.items():
             trace.dump(out / f"{stem}_{system}.jsonl")
-        (out / f"{stem}_metrics.json").write_text(_metrics_json(columns), encoding="utf-8")
+        metrics_json = canonical_json(_metrics_table(columns)) + "\n"
+        (out / f"{stem}_metrics.json").write_text(metrics_json, encoding="utf-8")
         print(f"wrote artifacts to {out}")
     return 0 if result.status is EpisodeStatus.COMPLETED else 2
 
@@ -214,10 +214,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         payload = {
             "faults": args.faults,
-            "aggregate": {
-                system: {name: metric.to_dict() for name, metric in metrics.items()}
-                for system, metrics in columns.items()
-            },
+            "aggregate": _metrics_table(columns),
             "episodes": episodes,
         }
         (out / "metrics.json").write_text(canonical_json(payload) + "\n", encoding="utf-8")
@@ -243,6 +240,10 @@ def _print_chain(chain) -> None:
         print(f"    resolved  {key} = {value!r}")
 
 
+def _print_gap(gap: GapReport) -> None:
+    print(f"GAP {gap.action_ref} (cycle {gap.cycle}) [{gap.missing_link}]: {gap.detail}")
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     trace = EpisodeTrace.load(args.trace_file)
     header = trace.header
@@ -254,10 +255,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.action:
         chain = reconstruct_chain(trace, args.action)
         if isinstance(chain, GapReport):
-            print(
-                f"GAP {chain.action_ref} (cycle {chain.cycle}) "
-                f"[{chain.missing_link}]: {chain.detail}"
-            )
+            _print_gap(chain)
             return 3
         _print_chain(chain)
         return 0
@@ -266,10 +264,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     for chain in iter_chains(trace):
         if isinstance(chain, GapReport):
             gaps += 1
-            print(
-                f"GAP {chain.action_ref} (cycle {chain.cycle}) "
-                f"[{chain.missing_link}]: {chain.detail}"
-            )
+            _print_gap(chain)
         else:
             print(
                 f"chain {chain.action_ref}: complete "
@@ -286,27 +281,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic governed agent loop: run scenarios, compare, inspect traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    episodes = argparse.ArgumentParser(add_help=False)  # options run and suite share
+    episodes.add_argument("--faults", help="inject faults, e.g. duplicate=0.3,missing_arg=0.1")
+    episodes.add_argument("--max-cycles", type=int, dest="max_cycles", help="override cycle budget")
+    episodes.add_argument(
+        "--compare", action="store_true", help="also run the bounded-context baseline"
+    )
+    episodes.add_argument("--baseline-budget", type=int, dest="baseline_budget")
+    episodes.add_argument("--baseline-decay", type=float, dest="baseline_decay")
 
-    run_p = sub.add_parser("run", help="run one scenario episode")
+    run_p = sub.add_parser("run", parents=[episodes], help="run one scenario episode")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--seed", type=int, help="episode seed (default: first scenario seed)")
-    run_p.add_argument("--faults", help="inject faults, e.g. duplicate=0.3,missing_arg=0.1")
-    run_p.add_argument("--max-cycles", type=int, dest="max_cycles", help="override cycle budget")
-    run_p.add_argument("--compare", action="store_true", help="also run the bounded-context baseline")
-    run_p.add_argument("--baseline-budget", type=int, dest="baseline_budget")
-    run_p.add_argument("--baseline-decay", type=float, dest="baseline_decay")
     run_p.add_argument("--out", help="directory for trace and metric artifacts")
     run_p.add_argument("--verbose", action="store_true", help="print per-cycle log lines")
     run_p.set_defaults(func=cmd_run)
 
-    suite_p = sub.add_parser("suite", help="run every scenario in a directory")
+    suite_p = sub.add_parser("suite", parents=[episodes], help="run every scenario in a directory")
     suite_p.add_argument("directory", help="directory of scenario JSON files")
     suite_p.add_argument("--seeds", help="comma-separated seed override")
-    suite_p.add_argument("--faults", help="inject faults, e.g. all=0.1")
-    suite_p.add_argument("--max-cycles", type=int, dest="max_cycles")
-    suite_p.add_argument("--compare", action="store_true")
-    suite_p.add_argument("--baseline-budget", type=int, dest="baseline_budget")
-    suite_p.add_argument("--baseline-decay", type=float, dest="baseline_decay")
     suite_p.add_argument("--out", help="directory for the aggregated metrics file")
     suite_p.set_defaults(func=cmd_suite)
 
@@ -324,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (UnknownAction, MissingLabels) as exc:
+    except UnknownAction as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:

@@ -35,6 +35,7 @@ from .memory import (
     EntryKind,
     MemorySnapshot,
     encode_value,
+    resolve_plan,
 )
 from .regulation import CheckKind, RuleSet
 from .runtime import (
@@ -150,17 +151,6 @@ def check_termination(
     return None
 
 
-def _entry_watermark(snapshot: MemorySnapshot, leaf_key: str) -> tuple[str, int] | None:
-    """Map a dotted leaf reference to its owning entry key and current version."""
-    segments = leaf_key.split(".")
-    for cut in range(len(segments), 0, -1):
-        key = ".".join(segments[:cut])
-        version = snapshot.latest_version(key)
-        if version:
-            return key, version
-    return None
-
-
 class _Validation:
     """One validate() run; collects violations, consumptions, and log lines."""
 
@@ -178,10 +168,9 @@ class _Validation:
         self.goal = goal
         self.ruleset = ruleset
         self.cache = cache
-        self.registry = registry
-        self.call = proposal.call.canonical() if proposal.call else None
-        self.spec = registry.get(self.call.name) if self.call else None
-        self.template = goal.matching_template(self.call) if self.call else None
+        self.call = proposal.call.canonical()
+        self.spec = registry.get(self.call.name)
+        self.template = goal.matching_template(self.call)
         self.violations: list[Violation] = []
         self.consumed: dict[str, Any] = {}
         self.read_keys: set[str] = set()
@@ -266,8 +255,6 @@ class _Validation:
             )
 
     def check_condition(self) -> None:
-        if self.call is None:
-            return
         if self.template is None:
             if self.spec is not None and self.spec.effect:
                 self.add(
@@ -347,11 +334,16 @@ class _Validation:
         return "[Control] Precondition: required memory present → Approved"
 
     def read_set_watermarks(self) -> dict[str, int]:
+        # Each path's owner is its longest committed prefix. Runs on approval only,
+        # when every consumed path resolved; a malformed one (only `memory_requires`
+        # can make one) blocks approval, so resolve_plan cannot raise here.
         watermarks: dict[str, int] = {}
-        for key in sorted(self.read_keys):
-            entry = _entry_watermark(self.snapshot, key)
-            if entry is not None:
-                watermarks[entry[0]] = entry[1]
+        for path in sorted(self.read_keys):
+            for key, _ in resolve_plan(path):
+                version = self.snapshot.latest_version(key)
+                if version:
+                    watermarks[key] = version
+                    break
         return watermarks
 
 
@@ -380,6 +372,7 @@ def validate(
             verdict=Verdict.TERMINATE, reason=reason, log_lines=(line,)
         )
 
+    # Every null call (a completion signal) has terminated above.
     run = _Validation(proposal, snapshot, goal, ruleset, cache, registry)
     run.check_arguments()
     # R-SEQ (one action per cycle, none while another is unconfirmed) holds
@@ -425,24 +418,24 @@ def validate(
 
 @dataclass(frozen=True)
 class FailureAdvice:
-    """What control stages and constrains after a tool failure."""
+    """What control records and constrains after a tool failure."""
 
     constraint: str
-    staged: tuple[StagedWrite, ...]
+    feedback: dict[str, Any]  # the cycle's feedback entry payload
+    marker: StagedWrite | None  # a sensor's error-marker observation
 
 
 def on_tool_failure(
     call: ToolCall,
     result: ToolResult,
     registry: dict[str, ToolSpec],
-    cycle_index: int,
     consecutive_failures: int,
 ) -> FailureAdvice:
     """Record a failure in memory and steer the next proposal.
 
     ``consecutive_failures`` counts this failure too; at the escalation
     threshold the constraint switches from retry advice to seeking
-    clarification. The failure is staged twice: as cycle feedback, and — for
+    clarification. The failure is recorded twice: as cycle feedback, and — for
     sensors — as an error-marker version under the observation key itself, so
     a later successful reading lands alongside the failed one in history.
     """
@@ -454,26 +447,15 @@ def on_tool_failure(
         )
     else:
         constraint = f"Tool {call.name} failed: {code}. Propose an alternative or retry."
+    # Field order matters: fact lines render payload fields in insertion order.
     message = result.error_message or code
-    staged: list[StagedWrite] = [
-        StagedWrite(
-            key=f"feedback.cycle{cycle_index}",
-            kind=EntryKind.CONTROL_FEEDBACK,
-            payload={
-                "tool": call.name,
-                "code": code,
-                "message": message,
-                "constraint": constraint,
-            },
-        )
-    ]
+    feedback = {"tool": call.name, "code": code, "message": message, "constraint": constraint}
     spec = registry.get(call.name)
+    marker = None
     if spec is not None and spec.observes is not None:
-        staged.append(
-            StagedWrite(
-                key=spec.observes(call.canonical_args),
-                kind=EntryKind.OBSERVATION,
-                payload={"error": code, "tool": call.name},
-            )
+        marker = StagedWrite(
+            spec.observes(call.canonical_args),
+            EntryKind.OBSERVATION,
+            {"error": code, "tool": call.name},
         )
-    return FailureAdvice(constraint=constraint, staged=tuple(staged))
+    return FailureAdvice(constraint, feedback, marker)

@@ -104,6 +104,13 @@ class GoalSpec:
         if not self.required_facts:
             raise GoalConfigError("goal requires at least one required fact")
         self.entities()  # validates key shapes
+        # The proposer sees a tool's action record only as act.<tool>, so after a
+        # branch's first call of a tool it would take a second one as done too.
+        for index, branch in enumerate(self.branches):
+            names = [action.name for action in branch.actions]
+            for position, name in enumerate(names):
+                if name in names[:position]:
+                    raise GoalConfigError(f"branches[{index}] names tool {name!r} twice")
         allowed = set(self.required_facts)
         for expr in self.all_conditions():
             for key in evidence.referenced_keys(expr):

@@ -233,13 +233,10 @@ class CycleState:
     log_lines: list[str] = field(default_factory=list)
     constraints: list[str] = field(default_factory=list)
 
-    def feedback(self, message: str, *constraints: str) -> None:
-        """Stage this cycle's control feedback entry and constrain the next proposal."""
+    def feedback(self, payload: dict[str, Any], *constraints: str) -> None:
+        """Stage the cycle's feedback entry, the only ``feedback.*`` writer; constrain the next."""
         self.store.write_staged(
-            f"feedback.cycle{self.index}",
-            EntryKind.CONTROL_FEEDBACK,
-            {"message": message},
-            source="control",
+            f"feedback.cycle{self.index}", EntryKind.CONTROL_FEEDBACK, payload, source="control"
         )
         self.constraints.extend(constraints)
 
@@ -324,7 +321,7 @@ class Governed(System):
         )
 
     def on_proposer_failure(self, state: CycleState, note: str) -> None:
-        state.feedback(note, f"{note}. Provide a well-formed proposal.")
+        state.feedback({"message": note}, f"{note}. Provide a well-formed proposal.")
 
     def on_terminate(self, state: CycleState, reason: TerminationReason) -> None:
         if reason is not TerminationReason.BUDGET_EXHAUSTED:
@@ -345,10 +342,11 @@ class Governed(System):
             return
         count = self.consecutive_failures.get(call.name, 0) + 1
         self.consecutive_failures[call.name] = count
-        advice = on_tool_failure(call, result, self.registry, state.index, count)
-        for write in advice.staged:
-            state.store.write_staged(write.key, write.kind, write.payload, source="control")
-        state.constraints.append(advice.constraint)
+        advice = on_tool_failure(call, result, self.registry, count)
+        state.feedback(advice.feedback, advice.constraint)
+        if advice.marker is not None:
+            marker = advice.marker
+            state.store.write_staged(marker.key, marker.kind, marker.payload, source="control")
         state.log_lines.append(f"[Control] Failure guidance: {advice.constraint}")
 
 
@@ -437,7 +435,7 @@ def drive_episode(
                 log_lines.append(f"[Runtime] {call.name} failed: {result.error_code.value}")
             system.after_execution(state, decision, result)
         else:  # rejected
-            state.feedback(decision.feedback, *decision.constraints_next)
+            state.feedback({"message": decision.feedback}, *decision.constraints_next)
 
         record.proposal = proposal.to_response()
         record.decision = system.record(decision)

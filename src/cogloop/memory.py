@@ -259,9 +259,6 @@ class MemorySnapshot:
     def entries(self) -> tuple[MemoryEntry, ...]:
         return self._entries
 
-    def keys(self) -> list[str]:
-        return sorted(self._by_key)
-
     def latest(self, key: str) -> MemoryEntry | None:
         versions = self._by_key.get(key)
         return versions[-1] if versions else None

@@ -365,10 +365,29 @@ class Runtime:
         self.invocation_log: list[dict[str, Any]] = []
         self._cache: dict[str, dict[str, Any]] = {}
 
-    def _latency(self, cached: bool) -> float:
-        return simulated_latency(self.world.seed, len(self.invocation_log) + 1, cached)
-
-    def _record(self, cycle: int, result: ToolResult) -> ToolResult:
+    def _finish(
+        self,
+        cycle: int,
+        call: ToolCall,
+        payload: dict[str, Any] | None = None,
+        error: tuple[ErrorCode, str] | None = None,
+        hit: bool = False,
+        staged: list[StagedWrite] | None = None,
+    ) -> tuple[ToolResult, list[StagedWrite]]:
+        """Log ``call``'s outcome (``payload`` or ``error``) and return it with ``staged``."""
+        code, message = error or (None, None)
+        if code is not None:
+            logger.debug("tool %s failed: %s (%s)", call.name, code.value, message)
+        result = ToolResult(
+            tool=call.name,
+            args=call.canonical_args,
+            ok=code is None,
+            payload=payload,
+            error_code=code,
+            error_message=message,
+            latency_ms=simulated_latency(self.world.seed, len(self.invocation_log) + 1, hit),
+            idempotency_hit=hit,
+        )
         self.invocation_log.append(
             {
                 "cycle": cycle,
@@ -376,82 +395,44 @@ class Runtime:
                 "args": result.args,
                 "outcome": result.outcome_dict(),
                 "latency_ms": result.latency_ms,
-                "idempotency_hit": result.idempotency_hit,
+                "idempotency_hit": hit,
             }
         )
-        return result
-
-    def _error(self, cycle: int, call: ToolCall, code: ErrorCode, message: str) -> ToolResult:
-        logger.debug("tool %s failed: %s (%s)", call.name, code.value, message)
-        result = ToolResult(
-            tool=call.name,
-            args=call.canonical_args,
-            ok=False,
-            payload=None,
-            error_code=code,
-            error_message=message,
-            latency_ms=self._latency(cached=False),
-            idempotency_hit=False,
-        )
-        return self._record(cycle, result)
+        return result, staged or []
 
     def execute(self, call: ToolCall, cycle: int = 0) -> tuple[ToolResult, list[StagedWrite]]:
         """Validate, invoke, normalize, and describe the memory writes to stage."""
         spec = self.registry.get(call.name)
         args = call.canonical_args
         if spec is None:
-            return self._error(cycle, call, ErrorCode.TOOL_UNAVAILABLE, f"no tool named {call.name!r}"), []
+            error = (ErrorCode.TOOL_UNAVAILABLE, f"no tool named {call.name!r}")
+            return self._finish(cycle, call, error=error)
         problems = argument_problems(spec, args)
         if problems:
-            return self._error(cycle, call, ErrorCode.SCHEMA_VIOLATION, "; ".join(problems)), []
+            return self._finish(cycle, call, error=(ErrorCode.SCHEMA_VIOLATION, "; ".join(problems)))
 
         call_id = call.call_id()
         if call_id in self._cache:
-            result = ToolResult(
-                tool=call.name,
-                args=args,
-                ok=True,
-                payload=dict(self._cache[call_id]),
-                error_code=None,
-                error_message=None,
-                latency_ms=self._latency(cached=True),
-                idempotency_hit=True,
-            )
-            return self._record(cycle, result), []
+            return self._finish(cycle, call, dict(self._cache[call_id]), hit=True)
 
         ordinal = self.world.next_ordinal(call.name)
         scheduled = self.world.fault_schedule.get((call.name, ordinal))
         if scheduled is not None:
-            return self._error(cycle, call, scheduled, f"scheduled fault at ordinal {ordinal}"), []
+            error = (scheduled, f"scheduled fault at ordinal {ordinal}")
+            return self._finish(cycle, call, error=error)
 
         self.world.handler_calls[call.name] = self.world.handler_calls.get(call.name, 0) + 1
         try:
             payload = spec.handler(args, self.world)
         except ToolFailure as failure:
-            return self._error(cycle, call, failure.code, failure.message), []
+            return self._finish(cycle, call, error=(failure.code, failure.message))
 
         normalized = self._normalize_output(spec, payload)
         if normalized is None:
-            return (
-                self._error(
-                    cycle, call, ErrorCode.SCHEMA_VIOLATION, f"tool output does not match schema: {payload!r}"
-                ),
-                [],
-            )
-
-        staged = self._staged_writes(spec, args, normalized)
+            error = (ErrorCode.SCHEMA_VIOLATION, f"tool output does not match schema: {payload!r}")
+            return self._finish(cycle, call, error=error)
         self._cache[call_id] = dict(normalized)
-        result = ToolResult(
-            tool=call.name,
-            args=args,
-            ok=True,
-            payload=normalized,
-            error_code=None,
-            error_message=None,
-            latency_ms=self._latency(cached=False),
-            idempotency_hit=False,
-        )
-        return self._record(cycle, result), staged
+        return self._finish(cycle, call, normalized, staged=staged_writes(spec, args, normalized))
 
     @staticmethod
     def _normalize_output(spec: ToolSpec, payload: dict[str, Any]) -> dict[str, Any] | None:
@@ -469,16 +450,17 @@ class Runtime:
                 return None
         return normalized
 
-    @staticmethod
-    def _staged_writes(
-        spec: ToolSpec, args: dict[str, Any], payload: dict[str, Any]
-    ) -> list[StagedWrite]:
-        staged: list[StagedWrite] = []
-        if spec.observes is not None:
-            staged.append(StagedWrite(spec.observes(args), EntryKind.OBSERVATION, dict(payload)))
-        if spec.effect:
-            record: dict[str, Any] = {"name": spec.name, "args": args, "status": "executed"}
-            if spec.confirmation_field and spec.confirmation_field in payload:
-                record["confirmation"] = payload[spec.confirmation_field]
-            staged.append(StagedWrite(f"act.{spec.name}", EntryKind.ACTION, record))
-        return staged
+
+def staged_writes(
+    spec: ToolSpec, args: dict[str, Any], payload: dict[str, Any]
+) -> list[StagedWrite]:
+    """The memory writes of a successful ``spec`` call: its observation and action record."""
+    staged: list[StagedWrite] = []
+    if spec.observes is not None:
+        staged.append(StagedWrite(spec.observes(args), EntryKind.OBSERVATION, dict(payload)))
+    if spec.effect:
+        record: dict[str, Any] = {"name": spec.name, "args": args, "status": "executed"}
+        if spec.confirmation_field and spec.confirmation_field in payload:
+            record["confirmation"] = payload[spec.confirmation_field]
+        staged.append(StagedWrite(f"act.{spec.name}", EntryKind.ACTION, record))
+    return staged

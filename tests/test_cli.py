@@ -113,9 +113,11 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
          "goal_citation: empty or whitespace segment in key 'goal.choose_colder.rule x'"),
         ('"obs.Seoul.temp_f",', '"obs.Seoul", "obs.Seoul.temp_f",',
          "goal: required fact 'obs.Seoul' must be an obs.<entity>.<field> leaf key"),
+        ('"Seoul"}}]', '"Seoul"}}, {"name": "book_flight", "arguments": {"location": "Jeju"}}]',
+         "goal: branches[1] names tool 'book_flight' twice"),
     ],
     ids=["nan-temperature", "city-with-space", "status-context-key", "goal-citation-with-space",
-         "bare-entity-fact"],
+         "bare-entity-fact", "branch-repeats-tool"],
 )
 def test_run_bad_scenario_exits_one(scenario_dir, tmp_path, capsys, old, new, message):
     path = tmp_path / "bad.json"

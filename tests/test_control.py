@@ -289,31 +289,32 @@ def failed_result(tool: str, code: ErrorCode) -> ToolResult:
 def test_sensor_failure_stages_feedback_and_error_marker():
     call = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
     advice = on_tool_failure(call, failed_result("get_weather", ErrorCode.TRANSIENT_FAILURE),
-                             REGISTRY, cycle_index=3, consecutive_failures=1)
+                             REGISTRY, consecutive_failures=1)
     assert "Seek clarification" not in advice.constraint
     assert advice.constraint == (
         "Tool get_weather failed: TransientFailure. Propose an alternative or retry."
     )
-    assert [(w.key, w.kind) for w in advice.staged] == [
-        ("feedback.cycle3", EntryKind.CONTROL_FEEDBACK),
-        ("obs.Seoul", EntryKind.OBSERVATION),
+    # Field order is part of the contract: fact lines render fields in insertion order.
+    assert list(advice.feedback.items()) == [
+        ("tool", "get_weather"), ("code", "TransientFailure"), ("message", "boom"),
+        ("constraint", advice.constraint),
     ]
-    assert advice.staged[1].payload == {"error": "TransientFailure", "tool": "get_weather"}
-    assert advice.staged[0].payload["constraint"] == advice.constraint
+    assert (advice.marker.key, advice.marker.kind) == ("obs.Seoul", EntryKind.OBSERVATION)
+    assert advice.marker.payload == {"error": "TransientFailure", "tool": "get_weather"}
 
 
 def test_effect_failure_stages_feedback_only():
     call = ToolCall("book_flight", {"location": "Seoul"})
     advice = on_tool_failure(call, failed_result("book_flight", ErrorCode.DOMAIN_ERROR),
-                             REGISTRY, cycle_index=5, consecutive_failures=1)
-    assert [w.key for w in advice.staged] == ["feedback.cycle5"]
+                             REGISTRY, consecutive_failures=1)
+    assert advice.feedback["tool"] == "book_flight"
+    assert advice.marker is None
 
 
 def test_failure_escalates_at_threshold():
     call = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
     advice = on_tool_failure(call, failed_result("get_weather", ErrorCode.TOOL_UNAVAILABLE),
-                             REGISTRY, cycle_index=4,
-                             consecutive_failures=ESCALATION_THRESHOLD)
+                             REGISTRY, consecutive_failures=ESCALATION_THRESHOLD)
     assert "Seek clarification" in advice.constraint
     assert advice.constraint == (
         "Tool get_weather failed 2 times: ToolUnavailable. "

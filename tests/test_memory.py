@@ -242,7 +242,9 @@ def reference_read(entries: tuple[MemoryEntry, ...], query: MemoryQuery) -> list
 def assert_snapshot_matches(snapshot: MemorySnapshot, entries: tuple[MemoryEntry, ...]) -> None:
     rebuilt = MemorySnapshot(entries)
     assert snapshot.entries == entries
-    assert snapshot.keys() == rebuilt.keys() == sorted({e.key for e in entries})
+    assert {e.key for e in snapshot.read()} == {e.key for e in rebuilt.read()} == {
+        e.key for e in entries
+    }
     for key in SNAPSHOT_KEYS:
         assert snapshot.latest(key) == rebuilt.latest(key)
         assert snapshot.latest_version(key) == rebuilt.latest_version(key)

@@ -1,6 +1,8 @@
 """Tool execution: schemas, faults, idempotency, staging, determinism."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from cogloop.runtime import (
     builtin_registry,
     canon_args,
     confirmation_token,
+    simulated_latency,
 )
 
 WEATHER_ROWS = [
@@ -239,6 +242,53 @@ def test_fault_schedule_ordinals_count_real_attempts():
     assert ok1.ok and cached.idempotency_hit
     assert failed.error_code is ErrorCode.TOOL_UNAVAILABLE
     assert retried.ok
+
+
+def test_output_schema_mismatch_fails_and_is_not_cached():
+    runs = []
+
+    def empty(args, world):
+        runs.append(args)
+        return {}
+
+    spec = replace(GET_WEATHER, handler=empty)
+    runtime = Runtime({spec.name: spec}, WorldState())
+    call = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
+    for cycle in (1, 2):
+        result, staged = runtime.execute(call, cycle)
+        assert not result.ok and result.error_code is ErrorCode.SCHEMA_VIOLATION
+        assert "tool output does not match schema" in result.error_message
+        assert result.payload is None and not result.idempotency_hit
+        assert staged == []
+    assert len(runs) == 2  # the retry ran the handler again
+    assert [r["outcome"]["ok"] for r in runtime.invocation_log] == [False, False]
+
+
+def test_every_outcome_appends_one_invocation_record():
+    faults = [{"tool": "book_flight", "ordinal": 1, "code": "TransientFailure"}]
+    runtime = make_runtime(faults=faults)
+    seoul = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
+    calls = [
+        ToolCall("teleport", {"to": "Mars"}),  # unknown tool
+        ToolCall("get_weather", {"location": "Seoul"}),  # argument schema
+        ToolCall("book_flight", {"location": "Seoul"}),  # scheduled fault
+        ToolCall("get_weather", {"location": "Atlantis", "date": "2025-06-14"}),  # domain
+        seoul,  # fresh success
+        seoul,  # idempotency hit
+    ]
+    for ordinal, call in enumerate(calls, start=1):
+        result, _ = runtime.execute(call, cycle=ordinal)
+        assert len(runtime.invocation_log) == ordinal
+        record = runtime.invocation_log[-1]
+        assert record["cycle"] == ordinal and record["tool"] == call.name
+        assert record["args"] == result.args == call.canonical_args
+        assert record["outcome"] == result.outcome_dict()
+        assert record["idempotency_hit"] is result.idempotency_hit
+        assert record["latency_ms"] == result.latency_ms == simulated_latency(
+            runtime.world.seed, ordinal, result.idempotency_hit
+        )
+    assert [r["outcome"]["ok"] for r in runtime.invocation_log] == [False] * 4 + [True] * 2
+    assert runtime.invocation_log[-1]["idempotency_hit"]
 
 
 # ------------------------------------------------------------------ logging

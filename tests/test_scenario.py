@@ -138,6 +138,10 @@ def test_goal_errors_are_anchored():
     document = valid_document()
     document["goal"]["required_facts"].append("obs.Oslo")  # an entity, not a leaf
     expect_error(document, "goal: required fact 'obs.Oslo' must be an obs.<entity>.<field> leaf")
+    document = valid_document()
+    branch = document["goal"]["branches"][1]
+    branch["actions"].append({"name": "book_flight", "arguments": {"location": "Oslo"}})
+    expect_error(document, "goal: branches[1] names tool 'book_flight' twice")
 
 
 def test_goal_citation_must_anchor_to_context():

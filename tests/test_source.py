@@ -120,6 +120,33 @@ def test_every_module_level_name_is_mentioned_elsewhere():
     assert dead == []
 
 
+def private_reaches(tree: ast.Module) -> list[str]:
+    """``from .x import _y``, and ``name._y`` where ``name`` came from a sibling module."""
+    found, siblings = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.lineno} import {alias.name}")
+                siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.lineno} {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    """A private name is one module's own business; a second user means it wants a public one."""
+    reaches = [
+        f"{module}:{reach}"
+        for module, text in MODULES.items()
+        for reach in private_reaches(ast.parse(text))
+    ]
+    assert reaches == []
+
+
 def cogloop_names(tree: ast.Module) -> set[tuple[str, str]]:
     """(module, name) of every ``cog.<module>.<name>`` and ``from cogloop.<module> import``."""
     found = set()

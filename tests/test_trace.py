@@ -283,7 +283,7 @@ def test_snapshot_before_replays_deltas_in_cycle_order(clean_trace):
 def snapshot_state(snapshot: MemorySnapshot) -> tuple:
     return (
         snapshot.entries,
-        snapshot.keys(),
+        {e.key for e in snapshot.entries},
         snapshot.read(),
         snapshot.read(MemoryQuery(latest_only=True)),
     )
