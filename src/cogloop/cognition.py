@@ -6,9 +6,9 @@ constraints. It answers with at most one tool call plus citations. Two
 built-in proposers implement that contract deterministically:
 
 * ``ScriptedProposer`` follows the goal spec — gather missing facts one
-  entity at a time, evaluate the cancellation guard before any branch, emit
-  branch actions with their condition expressions as citations, then signal
-  completion with a null call.
+  entity at a time, then emit each action ``GoalSpec.triggered`` calls for
+  (a holding cancellation guard preempts every branch) with its condition
+  expressions as citations, then signal completion with a null call.
 * ``FaultyProposer`` extends the scripted plan and, from a seeded stream,
   replaces at most one cycle's proposal with a labeled defect (duplicate
   call, stripped arguments, missing citations, premature branch action, or a
@@ -366,6 +366,7 @@ class ScriptedProposer:
         self.last_meta = ProposeMeta()
         self._parsed: ParsedLines = {}
         self._gather_calls: dict[str, ToolCall] = {}
+        self._goal_ref = (MemoryRef(policy.goal_citation),) if policy.goal_citation else ()
 
     def _gather_call(self, entity: str) -> ToolCall:
         """The gather call for ``entity``, built once per episode."""
@@ -374,61 +375,27 @@ class ScriptedProposer:
             call = self._gather_calls[entity] = self.policy.gather.build_call(entity)
         return call
 
-    def _action_citations(self, condition: tuple[EvidenceExpr, ...]) -> tuple[EvidenceExpr, ...]:
-        citations: list[EvidenceExpr] = list(condition)
-        if self.policy.goal_citation:
-            citations.append(MemoryRef(self.policy.goal_citation))
-        return tuple(citations)
-
     def _plan(self, view: _FactView) -> tuple[Proposal, str]:
         goal = self.policy.goal
         # 1. Gather required facts, one entity at a time, in spec order.
         for entity in goal.entities():
-            needed = goal.facts_for_entity(entity)
-            values = [view.resolve(key) for key in needed]
+            values = [view.resolve(key) for key in goal.facts_for_entity(entity)]
             if any(v is NOT_FOUND for v in values):
-                return (
-                    Proposal(
-                        call=self._gather_call(entity),
-                        rationale=f"missing required facts for {entity}",
-                    ),
-                    "gather",
-                )
-        # 2. Cancellation guard comes before any branch.
-        if goal.cancellation is not None:
-            verdict = evidence.evaluate_all(list(goal.cancellation.condition), view)
-            if verdict is evidence.UNKNOWN:
-                raise PolicyGap("cancellation condition unknown with every required fact known")
-            if verdict is True:
-                action = goal.cancellation.action
-                if not view.executed(action.name):
-                    return (
-                        Proposal(
-                            call=action,
-                            citations=self._action_citations(goal.cancellation.condition),
-                            rationale="cancellation condition satisfied",
-                        ),
-                        "cancel",
-                    )
-                return Proposal(call=None, rationale="cancellation handled"), "complete"
-        # 3. First true branch whose actions are still outstanding.
-        for branch in goal.branches:
-            verdict = evidence.evaluate_all(list(branch.condition), view)
-            if verdict is evidence.UNKNOWN:
-                raise PolicyGap("branch condition unknown with every required fact known")
-            if verdict is not True:
-                continue
+                call = self._gather_call(entity)
+                return Proposal(call, rationale=f"missing required facts for {entity}"), "gather"
+        # 2. The first action the goal triggers that has not run yet, citing its
+        # condition and the policy's goal.* key.
+        triggered = goal.triggered(view)
+        if triggered is evidence.UNKNOWN:
+            raise PolicyGap("goal condition unknown with every required fact known")
+        kind = "cancellation" if triggered and triggered[0] is goal.cancellation else "branch"
+        for branch in triggered:
             for action in branch.actions:
                 if not view.executed(action.name):
-                    return (
-                        Proposal(
-                            call=action,
-                            citations=self._action_citations(branch.condition),
-                            rationale="branch condition satisfied",
-                        ),
-                        "branch",
-                    )
-        return Proposal(call=None, rationale="all goal work complete"), "complete"
+                    citations = branch.condition + self._goal_ref
+                    return Proposal(action, citations, f"{kind} condition satisfied"), "act"
+        rationale = "cancellation handled" if kind == "cancellation" else "all goal work complete"
+        return Proposal(call=None, rationale=rationale), "complete"
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
         view = _FactView(cog_input.facts, self._parsed)
@@ -521,10 +488,9 @@ class FaultyProposer(ScriptedProposer):
                 return None
             for branch in goal.branches:
                 if branch.actions:
-                    citations: list[EvidenceExpr] = list(branch.condition)
                     return Proposal(
                         call=branch.actions[0],
-                        citations=tuple(citations),
+                        citations=branch.condition,
                         rationale="skipping ahead to the branch action",
                     )
             return None

@@ -10,7 +10,7 @@ each tagged with the rule ids it breaches, so rejections are attributable:
    unless a key it depended on has gained a newer version since
 5. preconditions (R-COND-EXEC): memory keys the call requires must resolve
 6. cancellation priority (R-COND-PRIORITY): branch actions wait until the
-   cancellation guard is evaluable
+   cancellation guard is evaluable, and are refused while it holds
 7. conditional execution (R-COND-EXEC): a planned action runs only under a
    true condition; effect tools outside the plan are never authorized
 8. citations (R-NUM-COMPARE): comparison-backed actions cite evidence, and
@@ -241,18 +241,19 @@ class _Validation:
             )
 
     def check_cancellation_priority(self) -> None:
-        if self.goal.cancellation is None or self.template is None:
+        cancellation = self.goal.cancellation
+        if cancellation is None or self.template is None or self.template is cancellation:
             return
-        if self.template[0] != "branch":
-            return
-        verdict = self._evaluate(list(self.goal.cancellation.condition))
+        verdict = self._evaluate(list(cancellation.condition))
         if verdict is evidence.UNKNOWN:
-            self.add(
-                CheckKind.CANCELLATION_BEFORE_BRANCH,
-                "Priority",
-                "cancellation condition not yet evaluable; gather its facts first",
-                "premature",
-            )
+            detail = "cancellation condition not yet evaluable; gather its facts first"
+            short = "premature"
+        elif verdict is True:
+            detail = "cancellation condition holds; branch actions are preempted"
+            short = "preempted"
+        else:
+            return
+        self.add(CheckKind.CANCELLATION_BEFORE_BRANCH, "Priority", detail, short)
 
     def check_condition(self) -> None:
         if self.template is None:
@@ -264,7 +265,8 @@ class _Validation:
                     "unauthorized action",
                 )
             return
-        kind, condition = self.template
+        kind = "cancellation" if self.template is self.goal.cancellation else "branch"
+        condition = self.template.condition
         verdict = self._evaluate(list(condition))
         if verdict is True:
             return
@@ -329,7 +331,7 @@ class _Validation:
                 detail = f"Fresh observation permitted for {entity}"
             return f"[Control] Precondition: {detail} → Approved"
         if self.template is not None:
-            rendered = " and ".join(evidence.render(c) for c in self.template[1])
+            rendered = " and ".join(evidence.render(c) for c in self.template.condition)
             return f"[Control] Condition: {rendered} satisfied → Approved"
         return "[Control] Precondition: required memory present → Approved"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
 from .memory import NOT_FOUND, MalformedKey, MemorySnapshot, key_segments
 
@@ -173,7 +173,7 @@ def evaluate(expr: EvidenceExpr, snapshot: MemorySnapshot) -> Any:
     return lhs >= rhs
 
 
-def evaluate_all(exprs: list[EvidenceExpr], snapshot: MemorySnapshot) -> Any:
+def evaluate_all(exprs: Iterable[EvidenceExpr], snapshot: MemorySnapshot) -> Any:
     """Three-valued conjunction: False dominates, then UNKNOWN, else True."""
     saw_unknown = False
     for expr in exprs:

@@ -2,9 +2,10 @@
 
 A goal is declarative data loaded from a scenario file. Conditions are
 evidence expressions over memory keys; actions are concrete tool-call
-templates. The same spec drives three consumers: the scripted planner (what
-to do next), the validation layer (is this proposal authorized), and episode
-accounting (is the goal satisfied).
+templates. ``GoalSpec.triggered`` is the one place that decides which
+branches the goal calls for at a given memory state. The scripted planner
+proposes their actions and episode accounting checks that they ran; the
+validation layer authorizes a proposal by the branch its call matches.
 """
 from __future__ import annotations
 
@@ -31,18 +32,11 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class Cancellation:
-    """Guard evaluated before any branch; when true, only its action runs."""
-
-    condition: tuple[EvidenceExpr, ...]
-    action: ToolCall
-
-
-@dataclass(frozen=True)
 class GoalSpec:
     required_facts: tuple[str, ...]
     branches: tuple[Branch, ...] = ()
-    cancellation: Cancellation | None = None
+    # A one-action branch whose guard, when it holds, preempts every other branch.
+    cancellation: Branch | None = None
 
     # ------------------------------------------------------------- structure
     def entities(self) -> list[str]:
@@ -67,36 +61,29 @@ class GoalSpec:
         prefix = f"obs.{entity}."
         return [f for f in self.required_facts if f.startswith(prefix)]
 
-    def all_conditions(self) -> list[EvidenceExpr]:
-        exprs: list[EvidenceExpr] = []
-        if self.cancellation:
-            exprs.extend(self.cancellation.condition)
-        for branch in self.branches:
-            exprs.extend(branch.condition)
-        return exprs
+    def all_branches(self) -> tuple[Branch, ...]:
+        """The cancellation, when there is one, then the branches in spec order."""
+        return self.branches if self.cancellation is None else (self.cancellation, *self.branches)
+
+    def condition_keys(self) -> list[str]:
+        """Every memory key a condition reads, in spec order."""
+        return [
+            key
+            for branch in self.all_branches()
+            for expr in branch.condition
+            for key in evidence.referenced_keys(expr)
+        ]
 
     def action_templates(self) -> list[ToolCall]:
-        templates: list[ToolCall] = []
-        if self.cancellation:
-            templates.append(self.cancellation.action)
-        for branch in self.branches:
-            templates.extend(branch.actions)
-        return templates
+        return [action for branch in self.all_branches() for action in branch.actions]
 
-    def total_planned_actions(self) -> int:
-        return len(self.action_templates())
-
-    def matching_template(self, call: ToolCall) -> tuple[str, tuple[EvidenceExpr, ...]] | None:
-        """('cancellation'|'branch', condition) when the call matches a template."""
+    def matching_template(self, call: ToolCall) -> Branch | None:
+        """The first branch, the cancellation included, with an action equal to the call."""
         wanted = (call.name, call.canonical_args)
-        if self.cancellation:
-            tpl = self.cancellation.action
-            if (tpl.name, tpl.canonical_args) == wanted:
-                return ("cancellation", self.cancellation.condition)
-        for branch in self.branches:
+        for branch in self.all_branches():
             for tpl in branch.actions:
                 if (tpl.name, tpl.canonical_args) == wanted:
-                    return ("branch", branch.condition)
+                    return branch
         return None
 
     def validate(self) -> None:
@@ -112,35 +99,42 @@ class GoalSpec:
                 if name in names[:position]:
                     raise GoalConfigError(f"branches[{index}] names tool {name!r} twice")
         allowed = set(self.required_facts)
-        for expr in self.all_conditions():
-            for key in evidence.referenced_keys(expr):
-                if key.startswith("goal."):
-                    continue
-                if key not in allowed:
-                    raise GoalConfigError(
-                        f"condition references {key!r}, which is not a required fact"
-                    )
+        for key in self.condition_keys():
+            if key not in allowed and not key.startswith("goal."):
+                raise GoalConfigError(
+                    f"condition references {key!r}, which is not a required fact"
+                )
 
     # ------------------------------------------------------------ evaluation
+    def triggered(self, memory: Any) -> Any:
+        """UNKNOWN, or the branches whose conditions hold, in spec order.
+
+        ``memory`` is anything with ``resolve(path)``. A holding cancellation
+        guard preempts the branches, so it comes back alone; an unknown guard
+        or branch condition makes the whole answer UNKNOWN.
+        """
+        if self.cancellation is not None:
+            verdict = evidence.evaluate_all(self.cancellation.condition, memory)
+            if verdict is not False:
+                return (self.cancellation,) if verdict is True else evidence.UNKNOWN
+        triggered = []
+        for branch in self.branches:
+            verdict = evidence.evaluate_all(branch.condition, memory)
+            if verdict is evidence.UNKNOWN:
+                return evidence.UNKNOWN
+            if verdict is True:
+                triggered.append(branch)
+        return tuple(triggered)
+
     def success(self, snapshot: MemorySnapshot) -> bool:
         """All required facts present and every triggered action executed."""
         for fact in self.required_facts:
             if snapshot.resolve(fact) is NOT_FOUND:
                 return False
-        if self.cancellation is not None:
-            verdict = evidence.evaluate_all(list(self.cancellation.condition), snapshot)
-            if verdict is evidence.UNKNOWN:
-                return False
-            if verdict is True:
-                # Cancellation preempts the branches entirely.
-                return action_executed(snapshot, self.cancellation.action)
-        for branch in self.branches:
-            verdict = evidence.evaluate_all(list(branch.condition), snapshot)
-            if verdict is evidence.UNKNOWN:
-                return False
-            if verdict is True and not all(action_executed(snapshot, a) for a in branch.actions):
-                return False
-        return True
+        triggered = self.triggered(snapshot)
+        return triggered is not evidence.UNKNOWN and all(
+            action_executed(snapshot, action) for branch in triggered for action in branch.actions
+        )
 
     # ---------------------------------------------------------------- config
     @classmethod
@@ -150,23 +144,13 @@ class GoalSpec:
         except KeyError:
             raise GoalConfigError("goal config missing 'required_facts'") from None
         branches = tuple(
-            Branch(
-                condition=tuple(evidence.parse(c) for c in raw.get("condition", [])),
-                actions=tuple(
-                    ToolCall(a["name"], dict(a.get("arguments", {}))) for a in raw.get("actions", [])
-                ),
-            )
+            _branch(raw.get("condition", []), raw.get("actions", []))
             for raw in config.get("branches", [])
         )
-        cancellation = None
         raw_cancel = config.get("cancellation")
-        if raw_cancel:
-            cancellation = Cancellation(
-                condition=tuple(evidence.parse(c) for c in raw_cancel.get("condition", [])),
-                action=ToolCall(
-                    raw_cancel["action"]["name"], dict(raw_cancel["action"].get("arguments", {}))
-                ),
-            )
+        cancellation = (
+            _branch(raw_cancel.get("condition", []), [raw_cancel["action"]]) if raw_cancel else None
+        )
         spec = cls(required_facts=required, branches=branches, cancellation=cancellation)
         spec.validate()
         return spec
@@ -176,7 +160,7 @@ class GoalSpec:
         if self.cancellation:
             data["cancellation"] = {
                 "condition": [evidence.render(c) for c in self.cancellation.condition],
-                "action": self.cancellation.action.to_dict(),
+                "action": self.cancellation.actions[0].to_dict(),
             }
         if self.branches:
             data["branches"] = [
@@ -187,6 +171,13 @@ class GoalSpec:
                 for b in self.branches
             ]
         return data
+
+
+def _branch(condition: list[str], actions: list[dict[str, Any]]) -> Branch:
+    return Branch(
+        condition=tuple(evidence.parse(c) for c in condition),
+        actions=tuple(ToolCall(a["name"], dict(a.get("arguments", {}))) for a in actions),
+    )
 
 
 def action_executed(snapshot: MemorySnapshot, call: ToolCall) -> bool:

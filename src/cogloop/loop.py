@@ -93,9 +93,7 @@ class EpisodeConfig:
         if self.max_cycles is not None:
             return self.max_cycles
         goal = self.policy.goal
-        return CYCLE_BUDGET_FACTOR * (
-            len(goal.required_facts) + goal.total_planned_actions()
-        )
+        return CYCLE_BUDGET_FACTOR * (len(goal.required_facts) + len(goal.action_templates()))
 
     def validate(self) -> None:
         if not self.task.strip():

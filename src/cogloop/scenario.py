@@ -21,7 +21,7 @@ from .cognition import FaultConfig, GatherTemplate, PlannerPolicy
 from .evidence import EvidenceParseError
 from .goals import GoalConfigError, GoalSpec
 from .loop import ConfigError, EpisodeConfig
-from .memory import MalformedKey, key_segments
+from .memory import NOT_FOUND, MalformedKey, descend, key_segments, resolve_plan
 from .runtime import EXTRA_SPECS, ErrorCode
 
 logger = logging.getLogger(__name__)
@@ -161,11 +161,17 @@ class Scenario:
         goal = data["goal"]
         _expect_type(goal, dict, "goal", "object")
         try:
-            GoalSpec.from_dict(goal)
+            spec = GoalSpec.from_dict(goal)
         except (
             GoalConfigError, EvidenceParseError, MalformedKey, AttributeError, KeyError, TypeError
         ) as exc:
             raise ConfigError(f"goal: {exc}") from exc
+        for key in spec.condition_keys():
+            if key.startswith("goal."):
+                _expect(
+                    _resolves_in(context, key), "goal",
+                    f"condition key {key!r} does not resolve in context",
+                )
 
         gather = data["gather"]
         _expect_type(gather, dict, "gather", "object")
@@ -186,10 +192,10 @@ class Scenario:
             _expect(
                 goal_citation.startswith("goal."), "goal_citation", "must be a goal.* key"
             )
-            anchored = any(
-                goal_citation == key or goal_citation.startswith(f"{key}.") for key in context
+            _expect(
+                _resolves_in(context, goal_citation), "goal_citation",
+                f"{goal_citation!r} does not resolve in context",
             )
-            _expect(anchored, "goal_citation", "does not match any context entry")
 
         extra_tools = data.get("extra_tools", [])
         _expect_type(extra_tools, list, "extra_tools", "array")
@@ -246,6 +252,14 @@ class Scenario:
             baseline_budget=budget,
             baseline_decay=float(decay),
         )
+
+
+def _resolves_in(context: dict[str, Any], path: str) -> bool:
+    """Whether ``path`` resolves against the context entries, as it will in memory."""
+    for key, tail in resolve_plan(path):
+        if key in context:
+            return descend(context[key], tail) is not NOT_FOUND
+    return False
 
 
 def _validate_world(world: Any) -> dict[str, Any]:

@@ -115,9 +115,15 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
          "goal: required fact 'obs.Seoul' must be an obs.<entity>.<field> leaf key"),
         ('"Seoul"}}]', '"Seoul"}}, {"name": "book_flight", "arguments": {"location": "Jeju"}}]',
          "goal: branches[1] names tool 'book_flight' twice"),
+        ('"goal.choose_colder.rule"', '"goal.choose_colder.rulez"',
+         "goal_citation: 'goal.choose_colder.rulez' does not resolve in context"),
+        ('"obs.Seoul.temp_f < obs.Jeju.temp_f"]',
+         '"obs.Seoul.temp_f < obs.Jeju.temp_f", "goal.limits.max_f > obs.Seoul.temp_f"]',
+         "goal: condition key 'goal.limits.max_f' does not resolve in context"),
     ],
     ids=["nan-temperature", "city-with-space", "status-context-key", "goal-citation-with-space",
-         "bare-entity-fact", "branch-repeats-tool"],
+         "bare-entity-fact", "branch-repeats-tool", "goal-citation-unresolved",
+         "condition-context-key-unresolved"],
 )
 def test_run_bad_scenario_exits_one(scenario_dir, tmp_path, capsys, old, new, message):
     path = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 """Validation layer: check ordering, verdicts, feedback, failure handling."""
 from __future__ import annotations
 
+import pytest
+
 from cogloop.cognition import Proposal
 from cogloop.control import (
     DEDUP_RULE_ID,
@@ -207,16 +209,25 @@ def test_missing_precondition_memory_rejected():
     assert consumed["obs.Seoul.temp_f"] == 51.8
 
 
-def test_branch_before_cancellation_evaluable_rejected():
-    temps_only = {
-        "obs.Seoul": {"temp_f": 51.8},
-        "obs.Jeju": {"temp_f": 60.8},
-    }
-    decision = run_validate(BOOK_SEOUL, store_with(temps_only))
+@pytest.mark.parametrize(
+    "facts, detail, short",
+    [
+        ({"obs.Seoul": {"temp_f": 51.8}, "obs.Jeju": {"temp_f": 60.8}},
+         "cancellation condition not yet evaluable", "premature"),
+        # Rain everywhere: the branch condition holds, but the guard preempts it.
+        ({"obs.Seoul": {**SEOUL, "precipitation": True},
+          "obs.Jeju": {**JEJU, "precipitation": True}},
+         "cancellation condition holds; branch actions are preempted", "preempted"),
+    ],
+    ids=["guard-unknown", "guard-holds"],
+)
+def test_branch_before_cancellation_evaluable_rejected(facts, detail, short):
+    decision = run_validate(BOOK_SEOUL, store_with(facts))
     assert decision.verdict is Verdict.REJECTED
     assert "R-COND-PRIORITY" in decision.rule_ids()
     priority = next(v for v in decision.violations if v.check == "Priority")
-    assert "cancellation condition not yet evaluable" in priority.detail
+    assert detail in priority.detail
+    assert f"→ Rejected ({short})" in decision.log_lines[0]
 
 
 def test_unauthorized_effect_call_rejected():

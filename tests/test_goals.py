@@ -1,8 +1,9 @@
-"""Goal specs: entity derivation, template matching, success evaluation."""
+"""Goal specs: entity derivation, template matching, triggering and success evaluation."""
 from __future__ import annotations
 
 import pytest
 
+from cogloop.evidence import UNKNOWN
 from cogloop.goals import GoalConfigError, GoalSpec, action_executed
 from cogloop.memory import EntryKind, MemoryStore
 from cogloop.runtime import ToolCall
@@ -67,18 +68,16 @@ def test_entities_first_seen_order(goal):
 def test_action_templates_cancellation_first(goal):
     names = [t.name for t in goal.action_templates()]
     assert names == ["send_email", "book_flight", "book_flight"]
-    assert goal.total_planned_actions() == 3
+    assert goal.all_branches() == (goal.cancellation, *goal.branches)
 
 
 def test_matching_template_uses_canonical_arguments(goal):
-    kind, condition = goal.matching_template(
-        ToolCall("book_flight", {"location": " Jeju "})
-    )
-    assert kind == "branch" and len(condition) == 1
-    kind, _ = goal.matching_template(
+    branch = goal.matching_template(ToolCall("book_flight", {"location": " Jeju "}))
+    assert branch is goal.branches[0]
+    cancellation = goal.matching_template(
         ToolCall("send_email", {"subject": "Trip cancelled", "to": "traveler@example.com"})
     )
-    assert kind == "cancellation"
+    assert cancellation is goal.cancellation
     assert goal.matching_template(ToolCall("book_flight", {"location": "Busan"})) is None
     assert goal.matching_template(ToolCall("make_chart", {"location": "Jeju"})) is None
 
@@ -126,6 +125,50 @@ def test_goal_context_references_always_allowed():
         ],
     }
     GoalSpec.from_dict(config)  # does not raise
+
+
+# ---------------------------------------------------------------- triggered
+def test_triggered_is_unknown_while_the_guard_is_unknown(goal):
+    temps_only = seeded_store({"obs.Seoul": {"temp_f": 51.8}, "obs.Jeju": {"temp_f": 60.8}})
+    assert goal.triggered(temps_only.snapshot) is UNKNOWN
+
+
+def test_holding_guard_preempts_every_branch(goal):
+    raining = seeded_store({
+        "obs.Seoul": {"temp_f": 51.8, "precipitation": True},
+        "obs.Jeju": {"temp_f": 60.8, "precipitation": True},
+    })
+    assert goal.triggered(raining.snapshot) == (goal.cancellation,)
+
+
+def test_branches_that_hold_together_come_back_in_spec_order():
+    config = dict(TWO_CITY_GOAL, branches=[
+        {"condition": ["obs.Jeju.temp_f <= obs.Seoul.temp_f"],
+         "actions": [{"name": "book_flight", "arguments": {"location": "Jeju"}}]},
+        {"condition": ["obs.Seoul.temp_f <= obs.Jeju.temp_f"],
+         "actions": [{"name": "book_flight", "arguments": {"location": "Seoul"}}]},
+    ])
+    goal = GoalSpec.from_dict(config)
+    tie = seeded_store({
+        "obs.Seoul": {"temp_f": 51.8, "precipitation": False},
+        "obs.Jeju": {"temp_f": 51.8, "precipitation": False},
+    })
+    assert goal.triggered(tie.snapshot) == goal.branches
+    assert goal.triggered(seeded_store(ALL_FACTS).snapshot) == (goal.branches[1],)
+
+
+def test_one_unknown_branch_makes_triggered_unknown():
+    config = dict(TWO_CITY_GOAL)
+    config["branches"] = [
+        *TWO_CITY_GOAL["branches"],
+        {"condition": ["goal.limits.max_f > obs.Seoul.temp_f"],
+         "actions": [{"name": "make_chart", "arguments": {"location": "Seoul"}}]},
+    ]
+    goal = GoalSpec.from_dict(config)
+    # Seoul is colder, so branch 2 holds, but goal.limits is not in memory.
+    assert goal.triggered(seeded_store(ALL_FACTS).snapshot) is UNKNOWN
+    limits = seeded_store({**ALL_FACTS, "goal.limits": {"max_f": 70}})
+    assert goal.triggered(limits.snapshot) == goal.branches[1:]
 
 
 # ------------------------------------------------------------------ success

@@ -142,12 +142,23 @@ def test_goal_errors_are_anchored():
     branch = document["goal"]["branches"][1]
     branch["actions"].append({"name": "book_flight", "arguments": {"location": "Oslo"}})
     expect_error(document, "goal: branches[1] names tool 'book_flight' twice")
+    document = valid_document()
+    document["goal"]["branches"][1]["condition"].append("goal.limits.max_f > obs.Porto.temp_f")
+    expect_error(document, "goal: condition key 'goal.limits.max_f' does not resolve in context")
+    document["context"]["goal.limits"] = {"max_f": 90}
+    Scenario.from_dict(document)  # resolves once the context holds it
+    document["goal"]["branches"][1]["condition"][-1] = "goal.limits > obs.Porto.temp_f"
+    Scenario.from_dict(document)  # a whole context entry resolves too
 
 
 def test_goal_citation_must_anchor_to_context():
     document = valid_document()
     document["goal_citation"] = "goal.absent.rule"
     expect_error(document, "goal_citation")
+    document["goal_citation"] = "goal.pick.rulez"  # the entry exists, its field does not
+    expect_error(document, "goal_citation: 'goal.pick.rulez' does not resolve in context")
+    document["goal_citation"] = "goal.pick"
+    Scenario.from_dict(document)  # the whole entry resolves
     document["goal_citation"] = "obs.Oslo.temp_f"
     expect_error(document, "must be a goal.* key")
 

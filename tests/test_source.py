@@ -191,3 +191,16 @@ def test_perfbench_hooks_resolve():
             if not hasattr(importlib.import_module(module), name):
                 missing.append(f"{path.relative_to(PERFBENCH)} {module}.{name}")
     assert missing == []
+
+
+def test_only_goals_and_control_evaluate_conditions():
+    """``GoalSpec.triggered`` decides what the goal calls for, and control checks each
+    condition itself; any other caller of ``evidence.evaluate_all`` is a copy of that walk."""
+    callers = {
+        module
+        for module, text in MODULES.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and "evaluate_all" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    }
+    assert callers <= {"goals.py", "control.py"}

@@ -12,8 +12,10 @@ from cogloop import baseline, loop, runtime
 from cogloop.baseline import run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.cognition import FACT_KINDS, format_memory_fact
+from cogloop.evidence import UNKNOWN
 from cogloop.loop import run_episode
 from cogloop.memory import MemoryQuery
+from cogloop.runtime import ToolCall
 from cogloop.scenario import generate_suite, load_scenario
 from cogloop.trace import JustificationChain, iter_chains
 from conftest import SCENARIO_DIR
@@ -42,6 +44,23 @@ def test_generated_sweeps_keep_the_core_invariants(count, suite_seed, episode_se
         chains = list(iter_chains(governed.trace))
         assert all(isinstance(chain, JustificationChain) for chain in chains)
         assert len(chains) == sum(r["outcome"]["ok"] for r in governed.invocation_log)
+        # Control and the goal agree: an approved goal action is one the goal
+        # triggers at the memory that cycle read.
+        goal = config.policy.goal
+        for record, snapshot in governed.trace.replay():
+            if not record.approved():
+                continue
+            call = ToolCall(**record.decision["call"])
+            if goal.matching_template(call) is None:
+                continue
+            triggered = goal.triggered(snapshot)
+            assert triggered is not UNKNOWN
+            wanted = (call.name, call.canonical_args)
+            assert wanted in [
+                (action.name, action.canonical_args)
+                for branch in triggered
+                for action in branch.actions
+            ]
 
         budget, decay = scenario.baseline_budget, scenario.baseline_decay
         baseline = run_baseline_episode(config, budget, decay)
