@@ -37,13 +37,7 @@ METRIC_LABELS = {
     "tc": "trace completeness",
     "elp": "error localization",
 }
-_FAULT_ALIASES = {
-    "duplicates": "duplicate",
-    "missing_args": "missing_arg",
-    "uncited_claims": "uncited_claim",
-    "premature_actions": "premature_action",
-    "false_citations": "false_citation",
-}
+_FAULT_ALIASES = {f"{fault_type}s": fault_type for fault_type in FAULT_TYPES}
 
 
 def parse_faults(spec: str | None, seed: int = 0) -> FaultConfig | None:

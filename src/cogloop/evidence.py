@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Union
 
 from .memory import NOT_FOUND, MalformedKey, MemorySnapshot, key_segments
+from .util import Sentinel, is_number
 
 OPERATORS = ("<=", ">=", "==", "!=", "<", ">")
 
@@ -24,24 +25,7 @@ class EvidenceParseError(Exception):
     """Expression text does not follow the grammar."""
 
 
-class _Unknown:
-    """Three-valued logic marker for 'cannot be evaluated yet'."""
-
-    _instance: "_Unknown | None" = None
-
-    def __new__(cls) -> "_Unknown":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<unknown>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNKNOWN = _Unknown()
+UNKNOWN = Sentinel("unknown")  # three-valued logic's 'cannot be evaluated yet'
 
 
 @dataclass(frozen=True)
@@ -145,10 +129,6 @@ def referenced_keys(expr: EvidenceExpr) -> list[str]:
     return keys
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def evaluate(expr: EvidenceExpr, snapshot: MemorySnapshot) -> Any:
     """Evaluate to True, False, or UNKNOWN (some referenced key unresolved)."""
     if isinstance(expr, MemoryRef):
@@ -162,7 +142,7 @@ def evaluate(expr: EvidenceExpr, snapshot: MemorySnapshot) -> Any:
     if expr.op == "!=":
         return lhs != rhs
     # Relational operators are defined for numbers only.
-    if not (_is_number(lhs) and _is_number(rhs)):
+    if not (is_number(lhs) and is_number(rhs)):
         return False
     if expr.op == "<":
         return lhs < rhs

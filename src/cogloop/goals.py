@@ -33,10 +33,15 @@ class Branch:
 
 @dataclass(frozen=True)
 class GoalSpec:
+    """A goal, valid by construction: building one runs ``validate``."""
+
     required_facts: tuple[str, ...]
     branches: tuple[Branch, ...] = ()
     # A one-action branch whose guard, when it holds, preempts every other branch.
     cancellation: Branch | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     # ------------------------------------------------------------- structure
     def entities(self) -> list[str]:
@@ -151,9 +156,7 @@ class GoalSpec:
         cancellation = (
             _branch(raw_cancel.get("condition", []), [raw_cancel["action"]]) if raw_cancel else None
         )
-        spec = cls(required_facts=required, branches=branches, cancellation=cancellation)
-        spec.validate()
-        return spec
+        return cls(required_facts=required, branches=branches, cancellation=cancellation)
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {"required_facts": list(self.required_facts)}
@@ -174,6 +177,9 @@ class GoalSpec:
 
 
 def _branch(condition: list[str], actions: list[dict[str, Any]]) -> Branch:
+    for a in actions:
+        if not (isinstance(a.get("name"), str) and isinstance(a.get("arguments", {}), dict)):
+            raise GoalConfigError(f"action {a} needs a string name and an object of arguments")
     return Branch(
         condition=tuple(evidence.parse(c) for c in condition),
         actions=tuple(ToolCall(a["name"], dict(a.get("arguments", {}))) for a in actions),

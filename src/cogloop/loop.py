@@ -30,6 +30,8 @@ from .cognition import (
     ProposerFailure,
     ScriptedProposer,
     assemble_input,
+    format_memory_fact,
+    parse_fact_line,
 )
 from .control import (
     ControlDecision,
@@ -41,17 +43,29 @@ from .control import (
 )
 from .memory import (
     ALLOWED_KINDS,
+    NOT_FOUND,
     EntryKind,
     MalformedKey,
+    MemoryEntry,
     MemorySnapshot,
     MemoryStore,
+    descend,
     encode_value,
     key_segments,
+    resolve_plan,
 )
 from .regulation import DEFAULT_RULESET, RuleSet
-from .runtime import Runtime, ToolResult, ToolSpec, WorldState, builtin_registry
+from .runtime import (
+    EXTRA_SPECS,
+    Runtime,
+    ToolResult,
+    ToolSpec,
+    WorldState,
+    argument_problems,
+    builtin_registry,
+)
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
-from .util import content_digest
+from .util import canonical_json, content_digest
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +74,19 @@ CYCLE_BUDGET_FACTOR = 3  # default budget = factor * (facts to gather + actions 
 
 class ConfigError(Exception):
     """Episode or scenario configuration is invalid."""
+
+
+def _context_value(context: dict[str, dict[str, Any]], path: str, as_read: bool = False) -> Any:
+    """``path``'s value in ``context`` as memory resolves it, or NOT_FOUND; ``as_read``,
+    as the proposer reads it: parsed back from the fact line of the entry holding it."""
+    for key, tail in resolve_plan(path):
+        if key in context:
+            payload = context[key]
+            if as_read:
+                entry = MemoryEntry(key, EntryKind.OBSERVATION, payload, "init", "", 1)
+                payload = parse_fact_line(format_memory_fact(entry))[1]
+            return descend(payload, tail)
+    return NOT_FOUND
 
 
 class EpisodeStatus(str, Enum):
@@ -96,33 +123,51 @@ class EpisodeConfig:
         return CYCLE_BUDGET_FACTOR * (len(goal.required_facts) + len(goal.action_templates()))
 
     def validate(self) -> None:
+        """Check every value rule of the episode; a ``ConfigError`` names the field at fault."""
         if not self.task.strip():
             raise ConfigError("task must be a non-empty string")
         if self.max_cycles is not None and self.max_cycles < 1:
             raise ConfigError(f"max_cycles must be positive, got {self.max_cycles}")
-        self.policy.goal.validate()
-        try:
-            registry = builtin_registry(list(self.extra_tools))
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-        wanted = [self.policy.gather.tool] + [
-            t.name for t in self.policy.goal.action_templates()
-        ]
+        goal, gather = self.policy.goal, self.policy.gather
+        for i, name in enumerate(self.extra_tools):
+            if not isinstance(name, str) or name not in EXTRA_SPECS:
+                raise ConfigError(
+                    f"extra_tools[{i}]: unknown optional tool {name!r} "
+                    f"(available: {sorted(EXTRA_SPECS)})"
+                )
+            if name in self.extra_tools[:i]:
+                raise ConfigError(f"extra_tools[{i}]: repeats {name!r}")
+        registry = builtin_registry(list(self.extra_tools))
+        wanted = [gather.tool] + [t.name for t in goal.action_templates()]
         missing = sorted({name for name in wanted if registry.get(name) is None})
         if missing:
             raise ConfigError(f"goal references unregistered tools: {missing}")
-        gather = self.policy.gather
-        observes = registry[gather.tool].observes
-        for entity in self.policy.goal.entities():
+        for i, row in enumerate(self.world.get("fault_schedule", [])):
+            if row["tool"] not in registry:
+                raise ConfigError(
+                    f"world.fault_schedule[{i}].tool: no tool named {row['tool']!r} is registered"
+                )
+        spec = registry[gather.tool]
+        for entity in goal.entities():
+            # Control and the runtime judge each call by `argument_problems`.
             try:
                 call = gather.build_call(entity)
-                if observes is not None:
-                    key_segments(observes(call.canonical_args))
+                problems = argument_problems(spec, call.arguments)
+                if not problems and spec.observes is not None:
+                    key_segments(spec.observes(call.canonical_args))
             except (LookupError, ValueError, AttributeError, MalformedKey) as exc:
+                problems = [f"{type(exc).__name__}: {exc}"]
+            if problems:
                 raise ConfigError(
                     f"gather.arguments: no valid call for entity {entity!r} "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
+                    f"({'; '.join(problems)})"
+                )
+        for action in goal.action_templates():
+            problems = argument_problems(registry[action.name], action.arguments)
+            if problems:
+                raise ConfigError(
+                    f"goal: action {action.describe()} is incomplete ({'; '.join(problems)})"
+                )
         for key, payload in self.context.items():
             try:
                 prefix = key_segments(key)[0]
@@ -134,6 +179,28 @@ class EpisodeConfig:
                 )
             if not isinstance(payload, dict) or not payload:
                 raise ConfigError(f"context value for {key!r} must be a non-empty object")
+        citation = self.policy.goal_citation
+        if citation is not None:
+            try:
+                key_segments(citation)
+            except MalformedKey as exc:
+                raise ConfigError(f"goal_citation: {exc}") from exc
+            if not citation.startswith("goal."):
+                raise ConfigError("goal_citation: must be a goal.* key")
+            if _context_value(self.context, citation) is NOT_FOUND:
+                raise ConfigError(f"goal_citation: {citation!r} does not resolve in context")
+        for key in goal.condition_keys():
+            if not key.startswith("goal."):
+                continue
+            held = _context_value(self.context, key)
+            if held is NOT_FOUND:
+                raise ConfigError(f"goal: condition key {key!r} does not resolve in context")
+            read = _context_value(self.context, key, as_read=True)
+            if read is NOT_FOUND or canonical_json(read) != canonical_json(held):
+                raise ConfigError(
+                    f"goal: condition key {key!r} holds {held!r}, "
+                    f"which the proposer reads as {read!r}"
+                )
 
     def describe(self) -> dict[str, Any]:
         """Stable dict identifying this configuration (digest input)."""

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Iterable
 
-from .util import tick_timestamp
+from .util import Sentinel, tick_timestamp
 
 logger = logging.getLogger(__name__)
 
@@ -68,24 +68,7 @@ ACTION_STATUSES = ("executed",)
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-class _NotFound:
-    """Singleton marker distinguishing 'key absent' from any stored value."""
-
-    _instance: "_NotFound | None" = None
-
-    def __new__(cls) -> "_NotFound":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<not found>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NOT_FOUND = _NotFound()
+NOT_FOUND = Sentinel("not found")  # a path that resolves to nothing
 
 
 def encode_value(value: Any) -> Any:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from .memory import EntryKind
-from .util import canonical_json
+from .util import canonical_json, is_int, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -123,17 +123,14 @@ def _check_type(value: Any, type_name: str) -> bool:
     if type_name == "string":
         return isinstance(value, str)
     if type_name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return is_number(value)
     if type_name == "boolean":
         return isinstance(value, bool)
     if type_name == "map_str_number":
         return (
             isinstance(value, dict)
             and bool(value)
-            and all(
-                isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
-                for k, v in value.items()
-            )
+            and all(isinstance(k, str) and is_number(v) for k, v in value.items())
         )
     return False
 
@@ -443,7 +440,7 @@ class Runtime:
             if fld.name not in normalized:
                 return None
             value = normalized[fld.name]
-            if fld.type == "number" and isinstance(value, int) and not isinstance(value, bool):
+            if fld.type == "number" and is_int(value):
                 value = float(value)
                 normalized[fld.name] = value
             if not _check_type(value, fld.type):

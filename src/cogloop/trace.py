@@ -36,7 +36,7 @@ from . import evidence
 from .evidence import Comparison
 from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, decode_value
 from .runtime import canon_args
-from .util import canonical_json
+from .util import canonical_json, is_int
 
 TRACE_FORMAT = 1
 
@@ -102,17 +102,13 @@ class TraceHeader:
         except KeyError as exc:
             raise ParseError(f"trace header missing field {exc}") from exc
         for name in ("seed", "max_cycles", "format"):
-            if not _is_int(getattr(header, name)):
+            if not is_int(getattr(header, name)):
                 raise ParseError(f"trace header field {name!r} must be an integer")
         if header.format != TRACE_FORMAT:
             raise ParseError(
                 f"trace header field 'format' is {header.format}; only {TRACE_FORMAT} is read"
             )
         return header
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Field -> type of one serialized `MemoryEntry` in a cycle's memory delta.
@@ -224,7 +220,7 @@ class CycleRecord:
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed cycle record: {exc}") from exc
-        if not _is_int(record.cycle):
+        if not is_int(record.cycle):
             raise ParseError(f"cycle number must be an integer, got {record.cycle!r}")
         problem = _record_problem(record)
         if problem:

@@ -1,4 +1,4 @@
-"""Small shared helpers: canonical JSON, content digests, and simulated timestamps.
+"""Small shared helpers: canonical JSON, content digests, simulated timestamps, and value tests.
 
 Everything that must be byte-stable across runs (trace files, reports,
 cache keys, config digests) funnels through :func:`canonical_json` so the
@@ -8,11 +8,40 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from typing import Any
 
 EPOCH = datetime(2025, 1, 1, tzinfo=timezone.utc)
+
+
+class Sentinel:
+    """A falsy marker distinct from every stored value; test for it with ``is``."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"<{self.name}>"
+
+    def __bool__(self) -> bool:
+        return False
+
+
+def is_int(value: Any) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any, finite: bool = False) -> bool:
+    """A JSON number (booleans are not numbers); with ``finite``, one with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return not finite or math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def canonical_json(obj: Any) -> str:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from cogloop import cli
 from cogloop.cli import main, parse_faults, parse_seeds, render_table
+from cogloop.cognition import FAULT_TYPES
 from cogloop.loop import ConfigError
 from cogloop.trace import EpisodeTrace, Metric
 
@@ -24,6 +26,7 @@ def test_parse_faults_basic_and_aliases():
     assert config.seed == 7
     assert config.p_duplicate == 0.3 and config.p_missing_arg == 0.1
     assert parse_faults("p_false_citation=0.2").p_false_citation == 0.2
+    assert all(parse_faults(f"{t}s=0.2").probability(t) == 0.2 for t in FAULT_TYPES)
     assert parse_faults(None) is None
     assert parse_faults("") is None
 
@@ -120,22 +123,51 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
         ('"obs.Seoul.temp_f < obs.Jeju.temp_f"]',
          '"obs.Seoul.temp_f < obs.Jeju.temp_f", "goal.limits.max_f > obs.Seoul.temp_f"]',
          "goal: condition key 'goal.limits.max_f' does not resolve in context"),
+        (('"obs.Seoul.temp_f < obs.Jeju.temp_f"]', '"context": {'),
+         ('"obs.Seoul.temp_f < obs.Jeju.temp_f", "goal.limits.max_f > obs.Seoul.temp_f"]',
+          '"context": {"goal.limits": {"max_f": "90"}, '),
+         "goal: condition key 'goal.limits.max_f' holds '90', which the proposer reads as 90"),
+        ('"location": "{entity}", "date": "2025-06-14"', '"location": "{entity}"',
+         "gather.arguments: no valid call for entity 'Seoul' "
+         "(missing required argument 'date')"),
+        ('"date": "2025-06-14"}\n', '"date": 5}\n',
+         "gather.arguments: no valid call for entity 'Seoul' (argument 'date' must be string, "
+         "got 5)"),
+        ('{"location": "Seoul"}', '{"location": "TBD"}',
+         "goal: action book_flight(location=TBD) is incomplete"),
+        ('"arguments": {"location": "Seoul"}', '"arguments": {}',
+         "goal: action book_flight() is incomplete (missing required argument 'location')"),
+        ('"arguments": {"location": "Seoul"}', '"arguments": "x"',
+         "goal: action {'name': 'book_flight', 'arguments': 'x'} needs a string name and an "
+         "object of arguments"),
+        ('"name": "book_flight", "arguments": {"location": "Seoul"}',
+         '"name": [], "arguments": {"location": "Seoul"}',
+         "goal: action {'name': [], 'arguments': {'location': 'Seoul'}} needs a string name"),
+        ('"fault_schedule": []', '"fault_schedule": [{"tool": "get_weather", "ordinal": 1, '
+         '"code": []}]', "world.fault_schedule[0].code: expected one of"),
+        ('"fault_schedule": []', '"fault_schedule": [{"tool": "get_wether", "ordinal": 1, '
+         '"code": "TransientFailure"}]',
+         "world.fault_schedule[0].tool: no tool named 'get_wether' is registered"),
     ],
     ids=["nan-temperature", "city-with-space", "status-context-key", "goal-citation-with-space",
          "bare-entity-fact", "branch-repeats-tool", "goal-citation-unresolved",
-         "condition-context-key-unresolved"],
+         "condition-context-key-unresolved", "condition-context-value-read-as-number",
+         "gather-without-date", "gather-date-not-string", "action-placeholder-argument",
+         "action-without-arguments", "action-arguments-not-object", "action-name-not-string",
+         "fault-code-not-string", "fault-tool-unregistered"],
 )
 def test_run_bad_scenario_exits_one(scenario_dir, tmp_path, capsys, old, new, message):
+    """``old`` and ``new`` are one text replacement, or a tuple of them."""
+    text = (scenario_dir / "weather_two_city.json").read_text(encoding="utf-8")
+    for before, after in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
+        text = text.replace(before, after)
     path = tmp_path / "bad.json"
-    path.write_text(
-        (scenario_dir / "weather_two_city.json").read_text(encoding="utf-8").replace(old, new),
-        encoding="utf-8",
-    )
+    path.write_text(text, encoding="utf-8")
     assert main(["run", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
-    assert message in captured.err
+    assert captured.err.startswith(f"configuration error: {path}: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
 
 
 @pytest.mark.parametrize("command", ["run", "trace"])
@@ -171,7 +203,8 @@ def test_run_bad_gather_template_exits_one(scenario_dir, tmp_path, capsys, templ
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"configuration error: gather.arguments: no valid call for entity 'Seoul' ({problem})\n"
+        f"configuration error: {path}: "
+        f"gather.arguments: no valid call for entity 'Seoul' ({problem})\n"
     )
 
 
@@ -243,6 +276,24 @@ def test_suite_compare_metrics_file_is_pinned(scenario_dir, tmp_path):
     assert main(["suite", str(scenario_dir), "--seeds", "1", "--compare", "--out", str(out_dir)]) == 0
     expected = (DATA_DIR / "suite_compare_metrics.json").read_bytes()
     assert (out_dir / "metrics.json").read_bytes() == expected
+
+
+def test_suite_bad_last_file_exits_one_before_any_episode(
+    scenario_dir, tmp_path, capsys, monkeypatch
+):
+    for path in scenario_dir.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    last = sorted(tmp_path.glob("*.json"))[-1]
+    text = last.read_text(encoding="utf-8")
+    last.write_text(text.replace('"context": {', '"context": {"status.x": {"x": 1}, '), "utf-8")
+    episodes = []
+    monkeypatch.setattr(cli, "run_episode", episodes.append)
+    assert main(["suite", str(tmp_path)]) == 1
+    assert episodes == []
+    assert capsys.readouterr().err == (
+        f"configuration error: {last}: "
+        "bad context key 'status.x': namespace 'status' takes no observations\n"
+    )
 
 
 def test_suite_empty_directory_exits_one(tmp_path, capsys):

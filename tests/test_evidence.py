@@ -122,7 +122,7 @@ def test_evaluate_all_conjunction_ordering(snapshot):
 
 
 def test_unknown_is_a_singleton():
-    assert (UNKNOWN is UNKNOWN) and repr(UNKNOWN)
+    assert (UNKNOWN is UNKNOWN) and repr(UNKNOWN) == "<unknown>" and not UNKNOWN
     assert UNKNOWN is not True and UNKNOWN is not False
 
 

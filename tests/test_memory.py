@@ -149,7 +149,7 @@ def test_not_found_encoding_round_trip():
     assert decode_value(encode_value(NOT_FOUND)) is NOT_FOUND
     assert decode_value(encode_value(51.8)) == 51.8
     assert encode_value(NOT_FOUND) == {"__missing__": True}
-    assert not NOT_FOUND  # falsy singleton
+    assert not NOT_FOUND and repr(NOT_FOUND) == "<not found>"  # falsy singleton
 
 
 # ---------------------------------------------------------------- hypothesis

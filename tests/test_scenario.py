@@ -1,10 +1,13 @@
 """Scenario schema validation, fixture loading, and suite regeneration."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cogloop.baseline import run_baseline_episode
 from cogloop.loop import ConfigError, run_episode
 from cogloop.scenario import (
     SUITE_SEED,
@@ -15,6 +18,8 @@ from cogloop.scenario import (
     load_suite,
     write_suite,
 )
+from conftest import SCENARIO_DIR
+from strategies import whole_episodes
 
 
 def valid_document() -> dict:
@@ -114,6 +119,12 @@ def test_bad_fault_schedule_reports_json_path():
         {"tool": "get_weather", "ordinal": 1, "code": "Gremlins"}
     ]
     expect_error(document, "world.fault_schedule[0].code")
+    document["world"]["fault_schedule"] = [{"tool": "get_weather", "ordinal": 1, "code": []}]
+    expect_error(document, "world.fault_schedule[0].code: expected one of")
+    document["world"]["fault_schedule"] = [
+        {"tool": "get_wether", "ordinal": 1, "code": "TransientFailure"}
+    ]
+    expect_error(document, "world.fault_schedule[0].tool: no tool named 'get_wether'")
 
 
 def test_unknown_world_field_rejected():
@@ -149,6 +160,35 @@ def test_goal_errors_are_anchored():
     Scenario.from_dict(document)  # resolves once the context holds it
     document["goal"]["branches"][1]["condition"][-1] = "goal.limits > obs.Porto.temp_f"
     Scenario.from_dict(document)  # a whole context entry resolves too
+    action = valid_document()["goal"]["branches"][1]["actions"][0]
+    for edit, anchor in [
+        ({"arguments": "x"}, "goal: action {'name': 'book_flight', 'arguments': 'x'} needs a "
+                             "string name and an object of arguments"),
+        ({"name": []}, "goal: action {'name': [], 'arguments': {'location': 'Porto'}} needs a "
+                       "string name and an object of arguments"),
+        ({"arguments": {}}, "goal: action book_flight() is incomplete "
+                            "(missing required argument 'location')"),
+        ({"arguments": {"location": "TBD"}}, "goal: action book_flight(location=TBD) is "
+                                             "incomplete (argument 'location' is a placeholder"),
+    ]:
+        document = valid_document()
+        document["goal"]["branches"][1]["actions"] = [{**action, **edit}]
+        expect_error(document, anchor)
+
+
+@pytest.mark.parametrize("held, accepted", [
+    (90, True), (90.5, True), ("ninety", True), ({"x": [1, "a"]}, True),
+    ("90", False), ("true", False), ("a, b=1", False), ([1, "a, b"], False),
+], ids=["int", "float", "word", "object", "digits", "true", "comma", "comma-in-array"])
+def test_goal_condition_values_read_back_as_held(held, accepted):
+    """The proposer reads goal.* condition values from fact-line text, memory holds them typed."""
+    document = valid_document()
+    document["context"]["goal.limits"] = {"max_f": held}
+    document["goal"]["branches"][1]["condition"].append("goal.limits.max_f > obs.Porto.temp_f")
+    if accepted:
+        Scenario.from_dict(document)
+    else:
+        expect_error(document, "goal: condition key 'goal.limits.max_f' holds")
 
 
 def test_goal_citation_must_anchor_to_context():
@@ -177,6 +217,17 @@ def test_repeated_extra_tool_rejected():
     expect_error(document, "extra_tools[1]: repeats 'make_chart'")
 
 
+@pytest.mark.parametrize("arguments, problem", [
+    ({"location": "{entity}"}, "missing required argument 'date'"),
+    ({"location": "{entity}", "date": 5}, "argument 'date' must be string, got 5"),
+    ({"location": "{entity}", "date": "TBD"}, "argument 'date' is a placeholder ('TBD')"),
+])
+def test_gather_template_must_make_complete_calls(arguments, problem):
+    document = valid_document()
+    document["gather"]["arguments"] = arguments
+    expect_error(document, f"gather.arguments: no valid call for entity 'Oslo' ({problem})")
+
+
 def test_unknown_gather_field_rejected():
     document = valid_document()
     document["gather"]["static_args"] = {"date": "2025-06-14"}
@@ -193,6 +244,15 @@ def test_seed_and_name_constraints():
     document = valid_document()
     document["name"] = "Sample Trip"
     expect_error(document, "name")
+    document = valid_document()
+    document["max_cycles"] = 0
+    expect_error(document, "max_cycles must be positive, got 0")
+    document = valid_document()
+    document["task"] = "  "
+    expect_error(document, "task must be a non-empty string")
+    document = valid_document()
+    document["context"]["goal.empty"] = {}
+    expect_error(document, "context value for 'goal.empty' must be a non-empty object")
 
 
 def test_baseline_parameters_validated():
@@ -231,6 +291,26 @@ def test_load_scenario_errors_name_the_file(tmp_path):
     invalid.write_text(json.dumps(document), encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid.json"):
         load_scenario(invalid)
+
+
+def test_load_suite_names_the_first_bad_file(tmp_path):
+    for path in SCENARIO_DIR.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    last = sorted(tmp_path.glob("*.json"))[-1]
+    document = json.loads(last.read_text(encoding="utf-8"))
+    document["context"]["status.x"] = {"x": 1}
+    last.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_suite(tmp_path)
+    assert str(excinfo.value) == (
+        f"{last}: bad context key 'status.x': namespace 'status' takes no observations"
+    )
+
+
+def test_code_built_scenarios_meet_the_same_rules():
+    scenario = dataclasses.replace(generate_suite(1)[0], goal_citation="goal.trip_policy.rulez")
+    with pytest.raises(ConfigError, match="goal_citation: 'goal.trip_policy.rulez' does not"):
+        scenario.episode_config(1).validate()
 
 
 def test_load_suite_requires_files(tmp_path):
@@ -272,3 +352,53 @@ def test_loaded_suite_runs_clean_episodes(suite_dir):
     for scenario in scenarios[:3]:
         result = run_episode(scenario.episode_config(seed=scenario.seeds[0]))
         assert result.status.value == "Completed"
+
+
+# ------------------------------------------------------------------ fuzzing
+WORKED = [
+    json.loads(path.read_text(encoding="utf-8")) for path in sorted(SCENARIO_DIR.glob("*.json"))
+]
+SMALL_JSON = [None, True, False, 0, 1, -1, 2.5, "", "x", "TBD", "goal.x", [], [1], {}, {"x": 1}]
+
+
+def field_paths(value, path=()):
+    """The path of every field below ``value``: object keys and array indices."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A worked scenario with one field at any depth replaced by a small JSON value, or deleted."""
+    document = json.loads(json.dumps(draw(st.sampled_from(WORKED))))
+    path = draw(st.sampled_from(list(field_paths(document))))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    replacement = draw(st.sampled_from([*SMALL_JSON, "<delete>"]))
+    if replacement == "<delete>":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = json.loads(json.dumps(replacement))
+    return document
+
+
+@settings(whole_episodes, max_examples=300)
+@given(mutated_documents())
+def test_mutated_scenarios_load_or_fail_with_config_error(document):
+    """A file either loads and then runs both systems without raising, or fails with ConfigError."""
+    try:
+        scenario = Scenario.from_dict(document)
+    except ConfigError:
+        return
+    config = scenario.episode_config(scenario.seeds[0])
+    config.max_cycles = min(config.resolved_max_cycles(), 40)  # a file may set a huge budget
+    run_episode(config)
+    run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay)
