@@ -75,13 +75,22 @@ class PolicyGap(ProposerFailure):
 # --------------------------------------------------------------------- input
 @dataclass(frozen=True)
 class CognitionInput:
-    """Everything the proposer is allowed to see for one cycle."""
+    """Everything the proposer is allowed to see for one cycle.
+
+    ``facts_json`` and ``entities`` are values derived from ``facts`` that an
+    incremental builder (``FactIndex``) may supply: the facts' canonical JSON
+    array items, comma-joined, and `parse_entities` of the facts. Neither is
+    part of the input's identity; when absent, each is computed from
+    ``facts``.
+    """
 
     system: str
     task: str
     rules: str
     facts: tuple[str, ...]
     constraints: tuple[str, ...]
+    facts_json: str | None = field(default=None, compare=False, repr=False)
+    entities: dict[str, dict[str, Any]] | None = field(default=None, compare=False, repr=False)
 
     def to_request(self) -> dict[str, Any]:
         return {
@@ -96,16 +105,20 @@ class CognitionInput:
         """``content_digest(self.to_request())``, from cached encodings of the parts.
 
         Facts, rules, system text and task repeat from cycle to cycle, so each
-        is JSON-encoded once per process (bounded caches), and the keys are
-        laid out in the sorted order ``canonical_json`` gives them.
+        is JSON-encoded once per process (bounded caches), or the facts come
+        pre-joined in ``facts_json``; the keys are laid out in the sorted order
+        ``canonical_json`` gives them.
         """
+        facts_json = self.facts_json
+        if facts_json is None:
+            facts_json = ",".join(map(_json_string, self.facts))
         return text_digest(
             "".join(
                 (
                     '{"constraints":[',
                     ",".join(map(_json_string, self.constraints)),
                     '],"facts":[',
-                    ",".join(map(_json_string, self.facts)),
+                    facts_json,
                     "],",
                     _json_tail(self.rules, self.system, self.task),
                 )
@@ -197,6 +210,27 @@ def parse_fact_line(line: str) -> tuple[str, dict[str, Any]] | None:
     return entity, fields
 
 
+# Fact line -> `parse_fact_line` of it, memoized for one proposer's episode.
+ParsedLines = dict[str, tuple[str, dict[str, Any]] | None]
+
+
+def parse_entities(facts: tuple[str, ...], parsed: ParsedLines) -> dict[str, dict[str, Any]]:
+    """Entity -> fields shown by the fact lines; of two lines showing one entity, the later wins.
+
+    ``parsed`` memoizes `parse_fact_line` by line; the parsed fields are
+    shared between the maps built from it and never mutated.
+    """
+    entities: dict[str, dict[str, Any]] = {}
+    for line in facts:
+        if line in parsed:
+            fact = parsed[line]
+        else:
+            fact = parsed[line] = parse_fact_line(line)
+        if fact:
+            entities[fact[0]] = fact[1]
+    return entities
+
+
 # Entry kinds the proposer sees; proposals and termination flags stay hidden.
 FACT_KINDS = frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK})
 
@@ -204,8 +238,12 @@ FACT_KINDS = frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTR
 class FactIndex:
     """One episode's fact lines: the latest fact entry per key, in key order.
 
-    ``lines`` renders only the entries committed since the snapshot it was last
-    given, which each snapshot must extend, so a cycle costs O(delta).
+    ``current`` renders, encodes and parses only the entries committed since
+    the snapshot it was last given, which each snapshot must extend, so a
+    cycle's Python-level work is O(delta). Per key it keeps the line, the
+    line's canonical JSON and its `parse_fact_line` fields, and per entity the
+    fields of the last key in key order that shows it, as `parse_entities`
+    would over all lines.
     """
 
     def __init__(self) -> None:
@@ -213,22 +251,39 @@ class FactIndex:
         self._last: MemoryEntry | None = None
         self._keys: list[str] = []  # sorted
         self._lines: list[str] = []  # parallel to _keys
+        self._json: list[str] = []  # parallel to _keys: each line's canonical JSON
+        self._entities: dict[str, dict[str, Any]] = {}
+        self._owners: dict[str, str] = {}  # entity -> the key whose fields it shows
 
-    def lines(self, snapshot: MemorySnapshot) -> tuple[str, ...]:
+    def current(
+        self, snapshot: MemorySnapshot
+    ) -> tuple[tuple[str, ...], str, dict[str, dict[str, Any]]]:
+        """The snapshot's fact lines, their comma-joined canonical JSON, and a
+        copy of the entity -> fields map."""
         entries, seen = snapshot.entries, self._seen
         if seen and (len(entries) < seen or entries[seen - 1] is not self._last):
             raise ValueError("snapshot does not extend the last one the fact index saw")
-        keys, lines = self._keys, self._lines
+        keys, lines, encoded = self._keys, self._lines, self._json
         for entry in entries[seen:]:
-            if entry.kind in FACT_KINDS:
-                at = bisect_left(keys, entry.key)
-                if at == len(keys) or keys[at] != entry.key:
-                    keys.insert(at, entry.key)
-                    lines.insert(at, "")
-                lines[at] = format_memory_fact(entry)
+            if entry.kind not in FACT_KINDS:
+                continue
+            key = entry.key
+            at = bisect_left(keys, key)
+            if at == len(keys) or keys[at] != key:
+                keys.insert(at, key)
+                lines.insert(at, "")
+                encoded.insert(at, "")
+            line = lines[at] = format_memory_fact(entry)
+            encoded[at] = _json_string(line)
+            fact = parse_fact_line(line)
+            # A key's namespace fixes its kind, so it always shows the same
+            # entity; of two keys showing one entity, the later in key order wins.
+            if fact and self._owners.get(fact[0], key) <= key:
+                self._owners[fact[0]] = key
+                self._entities[fact[0]] = fact[1]
         if entries:
             self._seen, self._last = len(entries), entries[-1]
-        return tuple(lines)
+        return tuple(lines), ",".join(encoded), dict(self._entities)
 
 
 def assemble_input(
@@ -244,12 +299,15 @@ def assemble_input(
     by key), through ``facts``, the episode's index, or a fresh one;
     constraints are copied verbatim from the previous decision.
     """
+    lines, facts_json, entities = (FactIndex() if facts is None else facts).current(snapshot)
     return CognitionInput(
         system=DEFAULT_SYSTEM,
         task=task,
         rules=ruleset.render_for_cognition(),
-        facts=(FactIndex() if facts is None else facts).lines(snapshot),
+        facts=lines,
         constraints=tuple(constraints),
+        facts_json=facts_json,
+        entities=entities,
     )
 
 
@@ -306,29 +364,16 @@ class PlannerPolicy:
     goal_citation: str | None = None  # goal.* key cited alongside branch conditions
 
 
-# Fact line -> `parse_fact_line` of it, memoized for one proposer's episode.
-ParsedLines = dict[str, tuple[str, dict[str, Any]] | None]
-
-
 class _FactView:
-    """Resolves dotted paths against parsed fact lines, recording obs reads.
+    """Resolves dotted paths against the fields fact lines show, recording obs reads.
 
     Paths resolve as in ``MemorySnapshot.resolve``, through ``resolve_plan``
-    and ``descend``, but over the fields the lines show; an ``obs.*`` key's
-    line is named by its entity alone.
-    ``parsed`` memoizes `parse_fact_line` by line; the parsed fields are
-    shared between views and never mutated.
+    and ``descend``, but over ``entities`` (`parse_entities` of the lines,
+    never mutated); an ``obs.*`` key's line is named by its entity alone.
     """
 
-    def __init__(self, facts: tuple[str, ...], parsed: ParsedLines):
-        self.entities: dict[str, dict[str, Any]] = {}
-        for line in facts:
-            if line in parsed:
-                fact = parsed[line]
-            else:
-                fact = parsed[line] = parse_fact_line(line)
-            if fact:
-                self.entities[fact[0]] = fact[1]
+    def __init__(self, entities: dict[str, dict[str, Any]]):
+        self.entities = entities
         self.reads: dict[str, Any] = {}
 
     def resolve(self, path: str) -> Any:
@@ -397,8 +442,14 @@ class ScriptedProposer:
         rationale = "cancellation handled" if kind == "cancellation" else "all goal work complete"
         return Proposal(call=None, rationale=rationale), "complete"
 
+    def _view(self, cog_input: CognitionInput) -> _FactView:
+        entities = cog_input.entities
+        if entities is None:
+            entities = parse_entities(cog_input.facts, self._parsed)
+        return _FactView(entities)
+
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = _FactView(cog_input.facts, self._parsed)
+        view = self._view(cog_input)
         proposal, _ = self._plan(view)
         self.last_meta = ProposeMeta(fact_reads=list(view.reads.items()))
         return proposal
@@ -444,7 +495,7 @@ class FaultyProposer(ScriptedProposer):
         self._rng = random.Random(f"faults:{faults.seed}:{episode_seed}")
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = _FactView(cog_input.facts, self._parsed)
+        view = self._view(cog_input)
         base, phase = self._plan(view)
         meta = ProposeMeta(fact_reads=list(view.reads.items()))
         draws = [self._rng.random() for _ in FAULT_TYPES]
@@ -456,7 +507,8 @@ class FaultyProposer(ScriptedProposer):
                 if mutated is not None:
                     meta.fault_label = fault_type
                     self.last_meta = meta
-                    logger.debug("injected %s fault: %s", fault_type, mutated.describe())
+                    if logger.isEnabledFor(logging.DEBUG):
+                        logger.debug("injected %s fault: %s", fault_type, mutated.describe())
                     return mutated
         self.last_meta = meta
         return base

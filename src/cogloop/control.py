@@ -396,7 +396,8 @@ def validate(
             consumptions=consumptions,
             read_set=run.read_set_watermarks(),
         )
-        logger.debug("approved %s", run.call.describe())
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("approved %s", run.call.describe())
         return decision
 
     decision = ControlDecision(
@@ -414,7 +415,8 @@ def validate(
         f"Proposal rejected [{rule_ids}]: {details}. Revise the proposal using current memory."
     )
     decision.constraints_next = (decision.feedback,)
-    logger.debug("rejected %s: %s", proposal.describe(), rule_ids)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("rejected %s: %s", proposal.describe(), rule_ids)
     return decision
 
 

@@ -150,17 +150,24 @@ class EpisodeConfig:
         spec = registry[gather.tool]
         for entity in goal.entities():
             # Control and the runtime judge each call by `argument_problems`.
+            observed = None
             try:
                 call = gather.build_call(entity)
                 problems = argument_problems(spec, call.arguments)
                 if not problems and spec.observes is not None:
-                    key_segments(spec.observes(call.canonical_args))
+                    observed = spec.observes(call.canonical_args)
+                    key_segments(observed)
             except (LookupError, ValueError, AttributeError, MalformedKey) as exc:
                 problems = [f"{type(exc).__name__}: {exc}"]
             if problems:
                 raise ConfigError(
                     f"gather.arguments: no valid call for entity {entity!r} "
                     f"({'; '.join(problems)})"
+                )
+            if observed != f"obs.{entity}":
+                raise ConfigError(
+                    f"gather.arguments: the call for entity {entity!r} observes "
+                    f"{observed!r}, not 'obs.{entity}'"
                 )
         for action in goal.action_templates():
             problems = argument_problems(registry[action.name], action.arguments)

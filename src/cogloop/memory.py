@@ -66,6 +66,8 @@ FIELD_ALIASES = {"temp": "temp_f"}
 ACTION_STATUSES = ("executed",)
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+# Deeper payloads take the JSON round trip, which reports nesting it cannot encode.
+_COPY_DEPTH = 32
 
 
 NOT_FOUND = Sentinel("not found")  # a path that resolves to nothing
@@ -174,6 +176,35 @@ class MemoryQuery:
     prefix: str | None = None
     kinds: frozenset[EntryKind] | None = None
     latest_only: bool = False
+
+
+class _NotPlainJSON(Exception):
+    """A value that a JSON round trip would change: see `_plain_copy`."""
+
+
+def _plain_copy(value: Any, depth: int = 0) -> Any:
+    """A copy equal to ``json.loads(json.dumps(value))``, sharing no container with ``value``.
+
+    Covers dicts with ``str`` keys, lists and exact JSON scalars; anything
+    else (a tuple, an ``int`` key, an ``int`` subclass ...) raises
+    ``_NotPlainJSON``, since the round trip would convert it.
+    """
+    kind = type(value)
+    if kind is dict:
+        if depth < _COPY_DEPTH:
+            copy = {}
+            for k, v in value.items():
+                if type(k) is not str:
+                    break
+                copy[k] = v if type(v) in _JSON_SCALARS else _plain_copy(v, depth + 1)
+            else:
+                return copy
+    elif kind is list:
+        if depth < _COPY_DEPTH:
+            return [v if type(v) in _JSON_SCALARS else _plain_copy(v, depth + 1) for v in value]
+    elif kind in _JSON_SCALARS:
+        return value
+    raise _NotPlainJSON
 
 
 def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
@@ -322,10 +353,10 @@ class MemoryStore:
         for staged in self._staged:
             if staged.key == key:
                 version = max(version, staged.version)
-        # A defensive copy equal to a JSON round trip; shallow where that is deep.
-        if all(type(k) is str and type(v) in _JSON_SCALARS for k, v in payload.items()):
-            payload = dict(payload)
-        else:
+        # A defensive copy equal to a JSON round trip.
+        try:
+            payload = _plain_copy(payload)
+        except _NotPlainJSON:
             payload = json.loads(json.dumps(payload))
         entry = MemoryEntry(
             key=key,

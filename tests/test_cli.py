@@ -133,6 +133,8 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
         ('"date": "2025-06-14"}\n', '"date": 5}\n',
          "gather.arguments: no valid call for entity 'Seoul' (argument 'date' must be string, "
          "got 5)"),
+        ('"location": "{entity}", "date"', '"location": "x", "date"',
+         "gather.arguments: the call for entity 'Seoul' observes 'obs.x', not 'obs.Seoul'"),
         ('{"location": "Seoul"}', '{"location": "TBD"}',
          "goal: action book_flight(location=TBD) is incomplete"),
         ('"arguments": {"location": "Seoul"}', '"arguments": {}',
@@ -152,7 +154,8 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
     ids=["nan-temperature", "city-with-space", "status-context-key", "goal-citation-with-space",
          "bare-entity-fact", "branch-repeats-tool", "goal-citation-unresolved",
          "condition-context-key-unresolved", "condition-context-value-read-as-number",
-         "gather-without-date", "gather-date-not-string", "action-placeholder-argument",
+         "gather-without-date", "gather-date-not-string", "gather-observes-another-entity",
+         "action-placeholder-argument",
          "action-without-arguments", "action-arguments-not-object", "action-name-not-string",
          "fault-code-not-string", "fault-tool-unregistered"],
 )

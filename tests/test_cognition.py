@@ -22,6 +22,7 @@ from cogloop.cognition import (
     _FactView,
     assemble_input,
     format_memory_fact,
+    parse_entities,
     parse_fact_line,
 )
 from cogloop.evidence import MemoryRef, render
@@ -143,6 +144,10 @@ def test_assemble_input_filters_orders_and_dedupes():
     )
     assert built.constraints == ("avoid Busan",)
     assert "R-ARGS" in built.rules and built.task == "task"
+    # The derived fields are not part of the input's identity or its request.
+    bare = CognitionInput(built.system, built.task, built.rules, built.facts, built.constraints)
+    assert built == bare and repr(built) == repr(bare)
+    assert built.to_request() == bare.to_request() and built.digest() == bare.digest()
 
 
 def test_fact_index_follows_commits_and_rejects_other_histories():
@@ -150,24 +155,42 @@ def test_fact_index_follows_commits_and_rejects_other_histories():
     index = FactIndex()
     store.write_staged("goal.choose_colder", EntryKind.OBSERVATION, {"rule": "r"}, "init")
     first = store.commit_cycle()
-    assert index.lines(first) == ("[Memory Fact] goal.choose_colder: rule=r",)
+    assert index.current(first)[0] == ("[Memory Fact] goal.choose_colder: rule=r",)
     store.write_staged("obs.Seoul", EntryKind.OBSERVATION, {"temp_f": 1.0}, "sensor")
     store.write_staged("act.book_flight", EntryKind.ACTION,
                        {"name": "book_flight", "args": {}, "status": "executed"}, "tool")
     store.write_staged("obs.Seoul", EntryKind.OBSERVATION, {"temp_f": 2.0}, "sensor")
     second = store.commit_cycle()
-    assert index.lines(second) == index.lines(second) == FactIndex().lines(second) == (
+    lines = index.current(second)[0]
+    assert lines == index.current(second)[0] == FactIndex().current(second)[0] == (
         "[Memory Fact] act.book_flight: status=executed",
         "[Memory Fact] goal.choose_colder: rule=r",
         "[Memory Fact] Seoul: temp_f=2.0",
     )
     with pytest.raises(ValueError, match="does not extend"):
-        index.lines(first)  # an older snapshot
+        index.current(first)  # an older snapshot
     other = MemoryStore()
     for _ in range(5):
         other.write_staged("obs.Jeju", EntryKind.OBSERVATION, {"temp_f": 3.0}, "sensor")
     with pytest.raises(ValueError, match="does not extend"):
-        index.lines(other.commit_cycle())  # a longer log of another store
+        index.current(other.commit_cycle())  # a longer log of another store
+
+
+def test_fact_index_entity_shown_by_two_keys_follows_key_order():
+    """``goal.x`` and ``obs.goal.x`` both show entity ``goal.x``. As in a fresh parse of
+    the lines, which come in key order, ``obs.goal.x`` wins, whichever commits last."""
+    store = MemoryStore()
+    index = FactIndex()
+    store.write_staged("obs.goal.x", EntryKind.OBSERVATION, {"v": 1}, "sensor")
+    assert index.current(store.commit_cycle())[2] == {"goal.x": {"v": 1}}
+    store.write_staged("goal.x", EntryKind.OBSERVATION, {"v": 2}, "init")
+    lines, _, entities = index.current(store.commit_cycle())
+    assert entities == parse_entities(lines, {}) == {"goal.x": {"v": 1}}
+    store.write_staged("obs.goal.x", EntryKind.OBSERVATION, {"v": 3}, "sensor")
+    store.write_staged("goal.x", EntryKind.OBSERVATION, {"v": 4}, "init")
+    lines, _, later = index.current(store.commit_cycle())
+    assert later == parse_entities(lines, {}) == {"goal.x": {"v": 3}}
+    assert entities == {"goal.x": {"v": 1}}  # a copy: later commits leave it alone
 
 
 def test_fact_view_resolves_paths_as_the_snapshot_does():
@@ -178,7 +201,7 @@ def test_fact_view_resolves_paths_as_the_snapshot_does():
     store.write_staged("act.book_flight", EntryKind.ACTION,
                        {"name": "book_flight", "args": {}, "status": "executed"}, "tool")
     snapshot = store.commit_cycle()
-    view = _FactView(FactIndex().lines(snapshot), {})
+    view = _FactView(parse_entities(FactIndex().current(snapshot)[0], {}))
     paths = [
         "obs.Seoul.temp_f", "obs.Seoul.temp", "obs.Seoul.sky.rain", "obs.Seoul.humidity",
         "obs.Jeju.temp_f", "obs.Seo ul.temp_f", "obs", "goal.limits.temp",

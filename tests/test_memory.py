@@ -1,6 +1,7 @@
 """Versioned store: keys, staging, atomic commits, resolution."""
 from __future__ import annotations
 
+import functools
 import json
 from enum import Enum
 
@@ -20,6 +21,7 @@ from cogloop.memory import (
     encode_value,
     key_segments,
 )
+from cogloop.util import canonical_json
 
 
 def obs(store: MemoryStore, key: str, payload: dict) -> MemoryEntry:
@@ -310,8 +312,9 @@ class Colour(str, Enum):
         {1: "int key"},
         {"nested": {"temp_f": 51.8, "tags": ["a"]}},
         {"colour": Colour.RED},
+        {"deep": functools.reduce(lambda inner, _: [inner], range(40), [1])},
     ],
-    ids=["flat", "tuple-value", "int-key", "nested", "str-enum-value"],
+    ids=["flat", "tuple-value", "int-key", "nested", "str-enum-value", "deep"],
 )
 def test_staged_payload_equals_its_json_round_trip(payload):
     store = MemoryStore()
@@ -329,3 +332,52 @@ def test_staged_payload_equals_its_json_round_trip(payload):
         payload[key] = "changed"
     payload["added"] = 1
     assert store.commit_cycle().latest("obs.Seoul").payload == round_trip
+
+
+class Count(int):
+    pass
+
+
+# JSON values, plus what a JSON round trip converts: tuples, int keys, an int
+# subclass and a str enum.
+payload_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+        st.integers().map(Count), st.just(Colour.RED),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        st.dictionaries(st.integers(0, 3), inner, min_size=1, max_size=2),
+    ),
+    max_leaves=12,
+)
+
+
+def shape(value):
+    """``value`` with each leaf replaced by its type, containers kept."""
+    if isinstance(value, dict):
+        return {k: shape(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (type(value), [shape(v) for v in value])
+    return type(value)
+
+
+def containers(value) -> list[int]:
+    found = []
+    if isinstance(value, (dict, list, tuple)):
+        found.append(id(value))
+        for v in value.values() if isinstance(value, dict) else value:
+            found += containers(v)
+    return found
+
+
+@given(st.dictionaries(st.text(min_size=1, max_size=4), payload_values, min_size=1, max_size=4))
+def test_staged_payload_copy_matches_the_round_trip_and_shares_nothing(payload):
+    staged = obs(MemoryStore(), "obs.Seoul", payload).payload
+    round_trip = json.loads(json.dumps(payload))
+    assert canonical_json(staged) == canonical_json(round_trip)
+    assert json.dumps(staged) == json.dumps(round_trip)  # key order too
+    assert shape(staged) == shape(round_trip)
+    assert not set(containers(staged)) & set(containers(payload))

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogloop
-from cogloop import baseline, loop, runtime
+from cogloop import baseline, cognition, loop, runtime
 from cogloop.baseline import run_baseline_episode
 from cogloop.cli import parse_faults
-from cogloop.cognition import FACT_KINDS, format_memory_fact
+from cogloop.cognition import FACT_KINDS, FaultConfig, format_memory_fact, parse_entities
 from cogloop.evidence import UNKNOWN
 from cogloop.loop import run_episode
 from cogloop.memory import MemoryQuery
 from cogloop.runtime import ToolCall
 from cogloop.scenario import generate_suite, load_scenario
 from cogloop.trace import JustificationChain, iter_chains
+from cogloop.util import canonical_json, content_digest
 from conftest import SCENARIO_DIR
 from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
 
@@ -106,6 +107,43 @@ def test_sweep_canonicalizes_call_arguments_at_most_twice_per_cycle(monkeypatch)
     assert calls <= 2 * cycles, f"{calls} canonicalizations over {cycles} cycles"
 
 
+def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatch):
+    """On the long probe (237 cycles, 476 entries), each fact line is JSON-encoded once,
+    when its entry is committed, and no governed cycle parses its fact lines afresh.
+
+    Encoding every line on every cycle made 28,436 encodes here.
+    """
+    counts = {"encodes": 0, "fresh_parses": 0, "constraints": 0}
+    json_string, fresh_parse, assemble = (
+        cognition._json_string, cognition.parse_entities, loop.assemble_input
+    )
+
+    def encode(text):
+        counts["encodes"] += 1
+        return json_string(text)
+
+    def parse(facts, parsed):
+        counts["fresh_parses"] += 1
+        return fresh_parse(facts, parsed)
+
+    def assembling(task, snapshot, constraints, ruleset, facts=None):
+        counts["constraints"] += len(constraints)
+        return assemble(task, snapshot, constraints, ruleset, facts)
+
+    monkeypatch.setattr(cognition, "_json_string", encode)
+    monkeypatch.setattr(cognition, "parse_entities", parse)
+    monkeypatch.setattr(loop, "assemble_input", assembling)
+    scenario = load_scenario(SCENARIO_DIR / "weather_two_city.json")
+    config = scenario.episode_config(
+        1, faults=FaultConfig(seed=3, p_duplicate=0.995), max_cycles=2000
+    )
+    result = run_episode(config)
+    assert (result.cycles_used, len(result.store.entries())) == (237, 476)
+    fact_entries = sum(e.kind in FACT_KINDS for e in result.store.entries())
+    assert counts["encodes"] <= fact_entries + counts["constraints"]
+    assert counts["fresh_parses"] == 0
+
+
 class NeverStores(dict):
     """A memo that forgets every value it is given."""
 
@@ -132,7 +170,8 @@ WORKED = [load_scenario(SCENARIO_DIR / f"{name}.json")
 def test_cached_fact_lines_equal_lines_rendered_afresh(
     count, suite_seed, worked, episode_seed, faults
 ):
-    """Each cycle's governed facts equal a fresh assembly; the baseline's memo changes no byte."""
+    """Each cycle's governed facts, and the values derived from them, equal a fresh
+    assembly and the from-scratch computations; the baseline's memo changes no byte."""
     original = loop.assemble_input
     checked = 0
 
@@ -142,6 +181,9 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
         assert built == original(task, snapshot, constraints, ruleset)
         reference = tuple(format_memory_fact(e) for e in snapshot.read(FACT_QUERY))
         assert built.facts == reference
+        assert built.facts_json == ",".join(canonical_json(line) for line in reference)
+        assert built.entities == parse_entities(reference, {})
+        assert built.digest() == content_digest(built.to_request())
         checked += 1
         return built
 
