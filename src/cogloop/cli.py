@@ -227,7 +227,7 @@ def _print_chain(chain) -> None:
         f"  invocation: ok={outcome.get('ok')} latency={chain.invocation.get('latency_ms')} ms"
     )
     for entry in chain.entries:
-        print(f"  entry:      {entry['key']} v{entry['version']}")
+        print(f"  entry:      {entry.key} v{entry.version}")
     for citation in chain.citations:
         print(f"  citation:   {citation}")
     for key, value in chain.resolved:

@@ -58,6 +58,7 @@ from .regulation import DEFAULT_RULESET, RuleSet
 from .runtime import (
     EXTRA_SPECS,
     Runtime,
+    ToolFailure,
     ToolResult,
     ToolSpec,
     WorldState,
@@ -148,6 +149,7 @@ class EpisodeConfig:
                     f"world.fault_schedule[{i}].tool: no tool named {row['tool']!r} is registered"
                 )
         spec = registry[gather.tool]
+        world = WorldState.from_dict(self.world)  # for dry runs only
         for entity in goal.entities():
             # Control and the runtime judge each call by `argument_problems`.
             observed = None
@@ -169,6 +171,14 @@ class EpisodeConfig:
                     f"gather.arguments: the call for entity {entity!r} observes "
                     f"{observed!r}, not 'obs.{entity}'"
                 )
+            # A sensor's answer depends on the world alone: a failing dry run fails every call.
+            try:
+                spec.handler(call.canonical_args, world)
+            except ToolFailure as failure:
+                raise ConfigError(
+                    f"gather.arguments: the call for entity {entity!r} always fails "
+                    f"({failure.code.value}: {failure.message})"
+                ) from None
         for action in goal.action_templates():
             problems = argument_problems(registry[action.name], action.arguments)
             if problems:
@@ -260,9 +270,10 @@ def _proposal_payload(proposal: Proposal) -> dict[str, Any]:
     }
 
 
-def _commit_delta(store: MemoryStore) -> list[dict[str, Any]]:
+def _commit_delta(store: MemoryStore) -> tuple[MemoryEntry, ...]:
+    """Commit the staged writes; the entries the commit created."""
     before = len(store.snapshot.entries)
-    return [entry.to_dict() for entry in store.commit_cycle().entries[before:]]
+    return store.commit_cycle().entries[before:]
 
 
 def _action_summary(snapshot: MemorySnapshot) -> str:

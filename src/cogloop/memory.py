@@ -36,7 +36,7 @@ class MalformedKey(StoreError):
 
 
 class SchemaMismatch(StoreError):
-    """Payload fields are inconsistent with the declared entry kind."""
+    """An entry does not fit its schema: see `_validate_payload` and `MemoryEntry.from_dict`."""
 
 
 class EntryKind(str, Enum):
@@ -158,15 +158,40 @@ class MemoryEntry:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MemoryEntry":
-        return cls(
-            key=data["key"],
-            kind=EntryKind(data["kind"]),
-            payload=dict(data["payload"]),
-            source=data["source"],
-            timestamp=data["timestamp"],
-            version=int(data["version"]),
-        )
+    def from_dict(cls, data: Any) -> "MemoryEntry":
+        """The entry ``to_dict`` wrote as ``data``, as parsed from JSON; the one decoder.
+
+        Checks each field's exact JSON type while reading it, and raises
+        ``SchemaMismatch`` saying why ``data`` is no such entry. The entry
+        takes ``data``'s payload as it is, without a copy.
+        """
+        if type(data) is not dict:
+            raise SchemaMismatch("is not an object")
+        values = []
+        for name, kind in _ENTRY_FIELDS:
+            value = data.get(name, NOT_FOUND)
+            if type(value) is not kind:
+                if value is NOT_FOUND:
+                    raise SchemaMismatch(f"lacks field {name!r}")
+                raise SchemaMismatch(f"field {name!r} must be {kind.__name__}, got {value!r}")
+            values.append(value)
+        key, kind_name, payload, source, timestamp, version = values
+        kind = _KINDS_BY_VALUE.get(kind_name)
+        if kind is None:
+            raise SchemaMismatch(f"has unknown kind {kind_name!r}")
+        return cls(key, kind, payload, source, timestamp, version)
+
+
+# Field -> exact JSON type of one serialized entry, in `MemoryEntry` field order.
+_ENTRY_FIELDS = (
+    ("key", str),
+    ("kind", str),
+    ("payload", dict),
+    ("source", str),
+    ("timestamp", str),
+    ("version", int),
+)
+_KINDS_BY_VALUE = {kind.value: kind for kind in EntryKind}
 
 
 @dataclass(frozen=True)

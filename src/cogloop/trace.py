@@ -5,8 +5,9 @@ followed by one JSON line per cycle, each carrying the serialized proposal,
 decision, invocation, committed memory delta, recorded fact consumptions, and
 the injected-fault label when one exists. Everything below — chain
 reconstruction and all three metrics — works from the parsed file alone, with
-no live episode state. Chains and SPA/TC read memory through one forward
-replay (``EpisodeTrace.replay``) that decodes each committed entry once.
+no live episode state. Loading decodes each committed entry once, into the
+``MemoryEntry`` a live record holds; chains and SPA/TC read memory through
+one forward replay (``EpisodeTrace.replay``) of those entries.
 
 Metrics:
 
@@ -34,7 +35,7 @@ from typing import Any, Iterator
 
 from . import evidence
 from .evidence import Comparison
-from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, decode_value
+from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, SchemaMismatch, decode_value
 from .runtime import canon_args
 from .util import canonical_json, is_int
 
@@ -111,41 +112,17 @@ class TraceHeader:
         return header
 
 
-# Field -> type of one serialized `MemoryEntry` in a cycle's memory delta.
-_ENTRY_FIELDS: dict[str, type] = {
-    "key": str,
-    "kind": str,
-    "payload": dict,
-    "source": str,
-    "timestamp": str,
-    "version": int,
-}
-_ENTRY_KINDS = frozenset(kind.value for kind in EntryKind)
+def _record_problem(data: dict[str, Any]) -> str | None:
+    """Why chains, metrics and ``dumps`` cannot read cycle record ``data``, or None when they can.
 
-
-def _delta_entry_problem(entry: Any) -> str | None:
-    """Why ``entry`` cannot decode as a `MemoryEntry`, or None when it can."""
-    if not isinstance(entry, dict):
-        return "is not an object"
-    for name, kind in _ENTRY_FIELDS.items():
-        if name not in entry:
-            return f"lacks field {name!r}"
-        value = entry[name]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            return f"field {name!r} must be {kind.__name__}, got {value!r}"
-    if entry["kind"] not in _ENTRY_KINDS:
-        return f"has unknown kind {entry['kind']!r}"
-    return None
-
-
-def _record_problem(record: "CycleRecord") -> str | None:
-    """Why chains and metrics cannot read ``record``, or None when they can."""
+    The memory delta is checked as ``CycleRecord.from_dict`` decodes it.
+    """
     for name in ("proposal", "decision", "invocation"):
-        if not isinstance(getattr(record, name), (dict, type(None))):
+        if not isinstance(data.get(name), (dict, type(None))):
             return f"{name} must be an object or null"
-    proposal = record.proposal or {}
-    decision = record.decision or {}
-    invocation = record.invocation or {}
+    proposal = data.get("proposal") or {}
+    decision = data.get("decision") or {}
+    invocation = data.get("invocation") or {}
     for name, part in (("proposal", proposal), ("decision", decision)):
         call = part.get("call")
         if isinstance(call, dict) and not isinstance(call.get("arguments", {}), dict):
@@ -158,13 +135,17 @@ def _record_problem(record: "CycleRecord") -> str | None:
     for name in ("outcome", "args"):
         if not isinstance(invocation.get(name, {}), dict):
             return f"invocation.{name} must be an object"
-    if not isinstance(record.fault_label, (str, type(None))):
+    if not isinstance(data.get("fault_label"), (str, type(None))):
         return "fault_label must be a string or null"
-    for index, entry in enumerate(record.memory_delta):
-        problem = _delta_entry_problem(entry)
-        if problem:
-            return f"memory_delta[{index}] {problem}"
-    for index, item in enumerate(record.consumptions):
+    if type(data.get("input_digest", "")) is not str:
+        return "input_digest must be a string"
+    log_lines = data.get("log_lines", [])
+    if type(log_lines) is not list or any(type(line) is not str for line in log_lines):
+        return "log_lines must be a list of strings"
+    for name in ("memory_delta", "consumptions"):
+        if type(data.get(name, [])) is not list:
+            return f"{name} must be a list"
+    for index, item in enumerate(data.get("consumptions", [])):
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
             return f"consumptions[{index}] is not a [key, value] pair"
     return None
@@ -172,12 +153,13 @@ def _record_problem(record: "CycleRecord") -> str | None:
 
 @dataclass
 class CycleRecord:
-    """Everything one cycle did, as plain serializable data.
+    """Everything one cycle did: its committed entries and, as plain serializable data, the rest.
 
     ``cycle`` 0 is the initialization commit (static context facts); it has
     no proposal or decision. ``invocation`` is present exactly when the
     decision approved a call (or, for the unvalidated baseline, whenever a
-    call executed).
+    call executed). ``memory_delta`` holds the entries the cycle's commit
+    created; they take their dict form only in ``to_dict`` and ``from_dict``.
     """
 
     cycle: int
@@ -185,7 +167,7 @@ class CycleRecord:
     proposal: dict[str, Any] | None = None
     decision: dict[str, Any] | None = None
     invocation: dict[str, Any] | None = None
-    memory_delta: list[dict[str, Any]] = field(default_factory=list)
+    memory_delta: tuple[MemoryEntry, ...] = ()
     consumptions: list[list[Any]] = field(default_factory=list)
     fault_label: str | None = None
     log_lines: list[str] = field(default_factory=list)
@@ -198,7 +180,7 @@ class CycleRecord:
             "proposal": self.proposal,
             "decision": self.decision,
             "invocation": self.invocation,
-            "memory_delta": self.memory_delta,
+            "memory_delta": [entry.to_dict() for entry in self.memory_delta],
             "consumptions": self.consumptions,
             "fault_label": self.fault_label,
             "log_lines": self.log_lines,
@@ -206,26 +188,30 @@ class CycleRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CycleRecord":
-        try:
-            record = cls(
-                cycle=data["cycle"],
-                input_digest=data.get("input_digest", ""),
-                proposal=data.get("proposal"),
-                decision=data.get("decision"),
-                invocation=data.get("invocation"),
-                memory_delta=list(data.get("memory_delta", [])),
-                consumptions=list(data.get("consumptions", [])),
-                fault_label=data.get("fault_label"),
-                log_lines=list(data.get("log_lines", [])),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed cycle record: {exc}") from exc
-        if not is_int(record.cycle):
-            raise ParseError(f"cycle number must be an integer, got {record.cycle!r}")
-        problem = _record_problem(record)
+        """The record ``to_dict`` wrote as ``data``, each delta entry decoded once."""
+        cycle = data.get("cycle")
+        if not is_int(cycle):
+            raise ParseError(f"cycle number must be an integer, got {cycle!r}")
+        problem = _record_problem(data)
         if problem:
-            raise ParseError(f"cycle {record.cycle}: {problem}")
-        return record
+            raise ParseError(f"cycle {cycle}: {problem}")
+        delta = []
+        for index, entry in enumerate(data.get("memory_delta", [])):
+            try:
+                delta.append(MemoryEntry.from_dict(entry))
+            except SchemaMismatch as exc:
+                raise ParseError(f"cycle {cycle}: memory_delta[{index}] {exc}") from None
+        return cls(
+            cycle=cycle,
+            input_digest=data.get("input_digest", ""),
+            proposal=data.get("proposal"),
+            decision=data.get("decision"),
+            invocation=data.get("invocation"),
+            memory_delta=tuple(delta),
+            consumptions=data.get("consumptions", []),
+            fault_label=data.get("fault_label"),
+            log_lines=data.get("log_lines", []),
+        )
 
     def approved(self) -> bool:
         return bool(self.decision) and self.decision.get("verdict") == "approved"
@@ -295,13 +281,13 @@ class EpisodeTrace:
     def replay(self) -> Iterator[tuple[CycleRecord, MemorySnapshot]]:
         """Each record with the memory it read: the commits of every earlier record.
 
-        One forward pass, decoding each delta entry once; records are taken
-        in list order, which `loads` guarantees is cycle order.
+        One forward pass over the entries each record holds; records are
+        taken in list order, which `loads` guarantees is cycle order.
         """
         snapshot = MemorySnapshot(())
         for record in self.cycles:
             yield record, snapshot
-            snapshot = snapshot.extend(map(MemoryEntry.from_dict, record.memory_delta))
+            snapshot = snapshot.extend(record.memory_delta)
 
     def snapshot_before(self, cycle: int) -> MemorySnapshot:
         """Authoritative memory state a given cycle read: all earlier commits."""
@@ -309,7 +295,7 @@ class EpisodeTrace:
         for record in self.cycles:
             if record.cycle >= cycle:
                 break
-            snapshot = snapshot.extend(map(MemoryEntry.from_dict, record.memory_delta))
+            snapshot = snapshot.extend(record.memory_delta)
         return snapshot
 
 
@@ -324,7 +310,7 @@ class JustificationChain:
     citations: list[str]
     resolved: list[list[Any]]  # [key, value] pairs at the pre-cycle snapshot
     invocation: dict[str, Any]
-    entries: list[dict[str, Any]]
+    entries: list[MemoryEntry]
     complete: bool = True
 
 
@@ -370,12 +356,10 @@ def _chain_for_record(
     if not _call_matches(decision.get("call"), tool, args):
         return GapReport(action_ref, record.cycle, "decision", "approval names a different call")
 
-    entries = record.memory_delta
     own_entries = [
         e
-        for e in entries
-        if e.get("source") == tool
-        or (e.get("kind") == "action" and e.get("payload", {}).get("name") == tool)
+        for e in record.memory_delta
+        if e.source == tool or (e.kind is EntryKind.ACTION and e.payload.get("name") == tool)
     ]
     if not own_entries and not invocation.get("idempotency_hit"):
         return GapReport(
@@ -423,11 +407,11 @@ def reconstruct_chain(trace: EpisodeTrace, action_ref: str) -> JustificationChai
         ) from None
     for record, snapshot in trace.replay():
         for entry in record.memory_delta:
-            if entry.get("key") != key or entry.get("kind") != "action":
+            if entry.key != key or entry.kind is not EntryKind.ACTION:
                 continue
-            if entry.get("payload", {}).get("status") != "executed":
+            if entry.payload.get("status") != "executed":
                 continue
-            if version is not None and entry.get("version") != version:
+            if version is not None and entry.version != version:
                 continue
             return _chain_for_record(snapshot, record, action_ref)
     raise UnknownAction(f"no executed action record matches {action_ref!r}")

@@ -135,6 +135,9 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
          "got 5)"),
         ('"location": "{entity}", "date"', '"location": "x", "date"',
          "gather.arguments: the call for entity 'Seoul' observes 'obs.x', not 'obs.Seoul'"),
+        ('"date": "2025-06-14"}\n', '"date": "2025-06-15"}\n',
+         "gather.arguments: the call for entity 'Seoul' always fails "
+         "(DomainError: no forecast for Seoul on 2025-06-15)"),
         ('{"location": "Seoul"}', '{"location": "TBD"}',
          "goal: action book_flight(location=TBD) is incomplete"),
         ('"arguments": {"location": "Seoul"}', '"arguments": {}',
@@ -155,6 +158,7 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
          "bare-entity-fact", "branch-repeats-tool", "goal-citation-unresolved",
          "condition-context-key-unresolved", "condition-context-value-read-as-number",
          "gather-without-date", "gather-date-not-string", "gather-observes-another-entity",
+         "gather-date-without-forecast",
          "action-placeholder-argument",
          "action-without-arguments", "action-arguments-not-object", "action-name-not-string",
          "fault-code-not-string", "fault-tool-unregistered"],

@@ -47,7 +47,7 @@ def test_cycle_zero_commits_context_before_any_proposal(two_city):
     init = result.trace.cycles[0]
     assert init.cycle == 0
     assert init.proposal is None and init.decision is None and init.invocation is None
-    keys = [entry["key"] for entry in init.memory_delta]
+    keys = [entry.key for entry in init.memory_delta]
     assert keys == ["goal.choose_colder", "status.terminated"]
     assert len(result.trace.cycles) == result.cycles_used + 1
 

@@ -1,11 +1,13 @@
 """Source hygiene: no unused imports in src/cogloop or tests, no module-level names nothing uses,
-and every name the benchmark harness reaches into still there."""
+every name the benchmark harness reaches into still there, and the harness's own tests passing."""
 from __future__ import annotations
 
 import ast
 import importlib
 import io
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -204,3 +206,16 @@ def test_only_goals_and_control_evaluate_conditions():
         and "evaluate_all" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     }
     assert callers <= {"goals.py", "control.py"}
+
+
+def test_perfbench_own_tests_pass():
+    """The benchmark's tests drive stored traces, chains and metrics through cogloop.
+
+    They run in a process of their own: their ``conftest.py`` would shadow this suite's.
+    """
+    root = TESTS.parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -127,6 +128,16 @@ def without(field: str) -> dict:
                      r"consumptions\[1\] is not a \[key, value\] pair", id="consumption-int-key"),
         pytest.param(with_cycle(consumptions=["obs.Seoul.temp_f"]),
                      r"consumptions\[0\] is not a \[key, value\] pair", id="consumption-bare-key"),
+        pytest.param(with_cycle(consumptions="ab"), "line 3: cycle 1: consumptions must be a list",
+                     id="consumptions-string"),
+        pytest.param(with_cycle(memory_delta=DELTA_ENTRY),
+                     "line 3: cycle 1: memory_delta must be a list", id="delta-object"),
+        pytest.param(with_cycle(log_lines="abc"),
+                     "line 3: cycle 1: log_lines must be a list of strings", id="log-lines-string"),
+        pytest.param(with_cycle(log_lines=[1, {}]), "cycle 1: log_lines must be a list of strings",
+                     id="log-lines-not-strings"),
+        pytest.param(with_cycle(input_digest=5), "line 3: cycle 1: input_digest must be a string",
+                     id="input-digest-number"),
     ],
 )
 def test_malformed_traces_rejected(text, fragment):
@@ -303,13 +314,19 @@ def test_replay_snapshots_equal_snapshot_before(suite_seed, episode_seed, faults
         result = run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay)
     else:
         result = run_episode(config)
-    trace = reparse(result.trace)
+    text = result.trace.dumps()
+    trace = EpisodeTrace.loads(text)
+    # The reloaded records are the live ones, and read back the same.
+    assert trace.cycles == result.trace.cycles
+    assert trace.dumps() == text
+    assert compute_metrics(trace) == compute_metrics(result.trace)
+    assert list(iter_chains(trace)) == list(iter_chains(result.trace))
     committed: list[MemoryEntry] = []
     for record, snapshot in trace.replay():
         state = snapshot_state(snapshot)
         assert state == snapshot_state(trace.snapshot_before(record.cycle))
         assert state == snapshot_state(MemorySnapshot(tuple(committed)))
-        committed.extend(MemoryEntry.from_dict(e) for e in record.memory_delta)
+        committed.extend(record.memory_delta)
     assert tuple(committed) == result.store.entries()  # replay equals the store
 
 
@@ -317,25 +334,38 @@ def test_replay_snapshots_equal_snapshot_before(suite_seed, episode_seed, faults
 PROBE_FAULTS = FaultConfig(seed=3, p_duplicate=0.995)
 
 
-def test_replay_decodes_each_delta_entry_once(two_city, monkeypatch):
+def test_each_delta_entry_is_decoded_once_at_load(two_city, monkeypatch):
+    """Only ``dumps`` encodes committed entries and only ``loads`` decodes them."""
+    calls = Counter()
+    decode = MemoryEntry.from_dict.__func__
+    encode = MemoryEntry.to_dict
+
+    def counting_decode(cls, data):
+        calls["from_dict"] += 1
+        return decode(cls, data)
+
+    def counting_encode(entry):
+        calls["to_dict"] += 1
+        return encode(entry)
+
+    monkeypatch.setattr(MemoryEntry, "from_dict", classmethod(counting_decode))
+    monkeypatch.setattr(MemoryEntry, "to_dict", counting_encode)
     result = run_episode(two_city.episode_config(seed=1, faults=PROBE_FAULTS, max_cycles=5000))
-    trace = reparse(result.trace)
-    total = sum(len(r.memory_delta) for r in trace.cycles)
+    total = sum(len(r.memory_delta) for r in result.trace.cycles)
     assert (result.cycles_used, total) == (237, 476)
-
-    decoded = []
-    original = MemoryEntry.from_dict.__func__
-
-    def counting(cls, data):
-        decoded.append(data)
-        return original(cls, data)
-
-    monkeypatch.setattr(MemoryEntry, "from_dict", classmethod(counting))
+    compute_metrics(result.trace)
+    list(iter_chains(result.trace))
+    assert calls == {}
+    text = result.trace.dumps()
+    assert calls == {"to_dict": total}
+    calls.clear()
+    trace = EpisodeTrace.loads(text)
+    assert calls == {"from_dict": total}
+    calls.clear()
     compute_metrics(trace)
-    assert len(decoded) == total
-    decoded.clear()
     list(iter_chains(trace))
-    assert len(decoded) == total
+    assert isinstance(reconstruct_chain(trace, "act.book_flight"), JustificationChain)
+    assert calls == {}
 
 
 def test_governed_view_renders_each_entry_once(two_city, monkeypatch):
@@ -408,7 +438,7 @@ def test_clean_trace_chains_are_complete(clean_trace):
     resolved = {key: value for key, value in book.resolved}
     assert resolved["obs.Seoul.temp_f"] == 51.8
     assert resolved["obs.Jeju.temp_f"] == 60.8
-    assert book.entries and book.entries[0]["payload"]["confirmation"] == "ABC123"
+    assert book.entries and book.entries[0].payload["confirmation"] == "ABC123"
 
 
 def test_reconstruct_chain_by_action_reference(clean_trace):
@@ -456,7 +486,7 @@ def test_approved_cycle_without_invocation_is_a_gap(clean_trace):
 def test_execution_without_memory_entries_is_a_gap(clean_trace):
     broken = reparse(clean_trace)
     record = cycle_of(broken, "book_flight")
-    record.memory_delta = [e for e in record.memory_delta if e["kind"] != "action"]
+    record.memory_delta = [e for e in record.memory_delta if e.kind != "action"]
     gap = next(c for c in iter_chains(broken) if isinstance(c, GapReport))
     assert gap.missing_link == "memory_entries"
 
@@ -474,8 +504,8 @@ def test_unsupported_citation_breaks_chain(clean_trace):
     broken = reparse(clean_trace)
     seoul_gather = cycle_of(broken, "get_weather")
     for entry in seoul_gather.memory_delta:
-        if entry["key"] == "obs.Seoul":
-            entry["payload"]["temp_f"] = 70.0  # warmer than Jeju: claim now false
+        if entry.key == "obs.Seoul":
+            entry.payload["temp_f"] = 70.0  # warmer than Jeju: claim now false
     gap = next(c for c in iter_chains(broken) if isinstance(c, GapReport))
     assert gap.missing_link == "citation" and "not supported by memory" in gap.detail
 
