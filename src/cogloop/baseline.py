@@ -30,6 +30,14 @@ from .runtime import ToolResult, ToolSpec, staged_writes
 logger = logging.getLogger(__name__)
 
 
+def check_context(budget: int | None, decay: float | None) -> None:
+    """Raise ``ConfigError`` for a context budget or decay the window cannot use; None is unset."""
+    if budget is not None and budget < 1:
+        raise ConfigError(f"context budget must be positive, got {budget}")
+    if decay is not None and not 0 <= decay < math.inf:  # also false for NaN
+        raise ConfigError(f"context decay must be finite and non-negative, got {decay}")
+
+
 class ContextModel:
     """Bounded, decaying recall over leaf facts.
 
@@ -40,10 +48,7 @@ class ContextModel:
     """
 
     def __init__(self, budget: int, decay: float, seed: int, static: dict[str, dict[str, Any]]):
-        if budget < 1:
-            raise ConfigError(f"context budget must be positive, got {budget}")
-        if not 0 <= decay < math.inf:  # also false for NaN
-            raise ConfigError(f"context decay must be finite and non-negative, got {decay}")
+        check_context(budget, decay)
         self.budget = budget
         self.decay = decay
         self._rng = random.Random(f"context:{seed}")

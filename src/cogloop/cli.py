@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Iterator
 
-from .baseline import run_baseline_episode
+from .baseline import check_context, run_baseline_episode
 from .cognition import FAULT_TYPES, FaultConfig
 from .loop import ConfigError, EpisodeResult, EpisodeStatus, run_episode
 from .scenario import Scenario, load_scenario, load_suite
@@ -138,9 +138,17 @@ def _episodes(
         yield "baseline", result, compute_metrics(result.trace)
 
 
+def _check_overrides(args: argparse.Namespace, scenario: Scenario) -> None:
+    """Reject a bad ``--max-cycles`` or baseline override before any episode runs."""
+    scenario.episode_config(scenario.seeds[0], max_cycles=args.max_cycles).validate()
+    if args.compare:
+        check_context(args.baseline_budget, args.baseline_decay)
+
+
 # ---------------------------------------------------------------- subcommands
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
+    _check_overrides(args, scenario)
     seed = args.seed if args.seed is not None else scenario.seeds[0]
     episodes = _episodes(args, scenario, seed, parse_faults(args.faults))
     _, result, metrics = next(episodes)
@@ -173,6 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     scenarios = load_suite(args.directory)
+    _check_overrides(args, scenarios[0])
     faults = parse_faults(args.faults)
     seeds_override = parse_seeds(args.seeds) if args.seeds else None
     episodes: list[dict[str, Any]] = []

@@ -82,7 +82,6 @@ class ControlDecision:
     violations: tuple[Violation, ...] = ()
     feedback: str = ""
     reason: TerminationReason | None = None
-    constraints_next: tuple[str, ...] = ()
     log_lines: tuple[str, ...] = ()
     consumptions: tuple[tuple[str, Any], ...] = ()
     read_set: dict[str, int] = field(default_factory=dict)
@@ -106,7 +105,7 @@ class ControlDecision:
             ],
             "feedback": self.feedback,
             "reason": self.reason.value if self.reason else None,
-            "constraints_next": list(self.constraints_next),
+            "constraints_next": [self.feedback] if self.feedback else [],
             "log_lines": list(self.log_lines),
             "consumptions": [[k, encode_value(v)] for k, v in self.consumptions],
             "read_set": dict(self.read_set),
@@ -175,14 +174,11 @@ class _Validation:
         self.consumed: dict[str, Any] = {}
         self.read_keys: set[str] = set()
 
-    def rule_ids_for(self, check: CheckKind) -> tuple[str, ...]:
-        return tuple(r.id for r in self.ruleset.active_for_check(check))
-
     def add(self, check: CheckKind | None, label: str, detail: str, short: str) -> None:
         if check is None:
             rule_ids: tuple[str, ...] = (DEDUP_RULE_ID,)
         else:
-            rule_ids = self.rule_ids_for(check)
+            rule_ids = tuple(r.id for r in self.ruleset.active_for_check(check))
             if not rule_ids:  # rule explicitly disabled: check not enforced
                 return
         self.violations.append(Violation(check=label, rule_ids=rule_ids, detail=detail, short=short))
@@ -414,7 +410,6 @@ def validate(
     decision.feedback = (
         f"Proposal rejected [{rule_ids}]: {details}. Revise the proposal using current memory."
     )
-    decision.constraints_next = (decision.feedback,)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("rejected %s: %s", proposal.describe(), rule_ids)
     return decision

@@ -282,8 +282,6 @@ def _action_summary(snapshot: MemorySnapshot) -> str:
         if entry.kind is not EntryKind.ACTION:
             continue
         payload = entry.payload
-        if payload.get("status") != "executed":
-            continue
         extras = [
             str(v) for k, v in sorted(payload.items()) if k not in ("name", "args", "status")
         ]
@@ -518,7 +516,7 @@ def drive_episode(
                 log_lines.append(f"[Runtime] {call.name} failed: {result.error_code.value}")
             system.after_execution(state, decision, result)
         else:  # rejected
-            state.feedback({"message": decision.feedback}, *decision.constraints_next)
+            state.feedback({"message": decision.feedback}, decision.feedback)
 
         record.proposal = proposal.to_response()
         record.decision = system.record(decision)

@@ -358,7 +358,6 @@ class MemoryStore:
     """Versioned store with staged writes and atomic per-cycle commits."""
 
     def __init__(self) -> None:
-        self._ticks = 0  # writes staged so far; each one's timestamp is 250 ms later
         self._staged: list[MemoryEntry] = []
         self._snapshot = MemorySnapshot(())
 
@@ -388,10 +387,9 @@ class MemoryStore:
             kind=kind,
             payload=payload,
             source=source,
-            timestamp=tick_timestamp(self._ticks),
+            timestamp=tick_timestamp(len(self._snapshot.entries) + len(self._staged)),
             version=version + 1,
         )
-        self._ticks += 1
         self._staged.append(entry)
         return entry
 

@@ -309,11 +309,7 @@ EXTRA_SPECS = {MAKE_CHART.name: MAKE_CHART}
 def builtin_registry(extra_tools: list[str] | None = None) -> dict[str, ToolSpec]:
     """Tool name -> spec: the built-in tools plus the named optional ones."""
     registry = {spec.name: spec for spec in BUILTIN_SPECS}
-    for name in extra_tools or []:
-        if name in EXTRA_SPECS:
-            registry[name] = EXTRA_SPECS[name]
-        elif name not in registry:
-            raise KeyError(f"unknown extra tool {name!r}")
+    registry.update((name, EXTRA_SPECS[name]) for name in extra_tools or [])
     return registry
 
 

@@ -128,9 +128,6 @@ class Scenario:
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    def dump(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps(), encoding="utf-8")
-
     # -------------------------------------------------------------- validate
     @classmethod
     def from_dict(cls, data: Any) -> "Scenario":
@@ -389,6 +386,6 @@ def write_suite(directory: str | Path, count: int = SUITE_SIZE, seed: int = SUIT
     written = []
     for scenario in generate_suite(count, seed):
         path = directory / f"{scenario.name}.json"
-        scenario.dump(path)
+        path.write_text(scenario.dumps(), encoding="utf-8")
         written.append(path)
     return written

@@ -59,10 +59,6 @@ class UnknownAction(Exception):
     """Requested action reference does not occur in the trace."""
 
 
-class MissingLabels(Exception):
-    """Error-localization metric requested on a trace without fault injection."""
-
-
 @dataclass(frozen=True)
 class TraceHeader:
     config_digest: str
@@ -94,7 +90,7 @@ class TraceHeader:
                 config_digest=data["config_digest"],
                 scenario=data["scenario"],
                 seed=data["seed"],
-                baseline=bool(data["baseline"]),
+                baseline=data["baseline"],
                 proposer=data["proposer"],
                 ruleset_version=data["ruleset_version"],
                 max_cycles=data["max_cycles"],
@@ -105,6 +101,11 @@ class TraceHeader:
         for name in ("seed", "max_cycles", "format"):
             if not is_int(getattr(header, name)):
                 raise ParseError(f"trace header field {name!r} must be an integer")
+        for name in ("config_digest", "scenario", "proposer", "ruleset_version"):
+            if type(getattr(header, name)) is not str:
+                raise ParseError(f"trace header field {name!r} must be a string")
+        if type(header.baseline) is not bool:
+            raise ParseError("trace header field 'baseline' must be a boolean")
         if header.format != TRACE_FORMAT:
             raise ParseError(
                 f"trace header field 'format' is {header.format}; only {TRACE_FORMAT} is read"
@@ -251,8 +252,12 @@ class EpisodeTrace:
             kind = data.get("type")
             try:
                 if kind == "header":
+                    if header is not None:
+                        raise ParseError("a second header; the header is the first line only")
                     header = TraceHeader.from_dict(data)
                 elif kind == "cycle":
+                    if header is None:
+                        raise ParseError("cycle record with no header line before it")
                     record = CycleRecord.from_dict(data)
                     # Replay reads the records in file order, so that order must
                     # be the cycle order.
@@ -267,6 +272,9 @@ class EpisodeTrace:
                 raise ParseError(f"line {line_no}: {exc}") from exc
         if header is None:
             raise ParseError("trace has no header line")
+        # After the loop, so that a cycle out of order is reported as that first.
+        if not cycles or cycles[0].cycle != 0:
+            raise ParseError("trace does not start with cycle 0")
         return cls(header=header, cycles=cycles)
 
     @classmethod
@@ -448,9 +456,6 @@ class Metric:
             return None
         return self.numerator / self.denominator
 
-    def render(self) -> str:
-        return "undefined" if self.ratio is None else f"{self.ratio:.3f}"
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "numerator": self.numerator,
@@ -484,10 +489,6 @@ def _spa_and_tc(trace: EpisodeTrace) -> tuple[Metric, Metric]:
 
 def compute_elp(trace: EpisodeTrace) -> Metric:
     """Error localization precision over validated injected faults."""
-    if trace.header.proposer != "faulty":
-        raise MissingLabels(
-            "trace was not produced with fault injection; no ground-truth labels"
-        )
     numerator = denominator = 0
     for record in trace.cycles:
         if record.fault_label is None:

@@ -303,6 +303,39 @@ def test_suite_bad_last_file_exits_one_before_any_episode(
     )
 
 
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--max-cycles", "0"], "max_cycles must be positive, got 0",
+                     id="max-cycles-0"),
+        pytest.param(["--compare", "--baseline-budget", "0"],
+                     "context budget must be positive, got 0", id="baseline-budget-0"),
+        pytest.param(["--compare", "--baseline-decay", "-1"], "context decay must be finite",
+                     id="baseline-decay-negative"),
+        pytest.param(["--compare", "--baseline-decay", "nan"], "context decay must be finite",
+                     id="baseline-decay-nan"),
+        pytest.param(["--faults", "gremlins=1"], "unknown fault type 'gremlins'",
+                     id="unknown-fault"),
+    ],
+)
+def test_bad_cli_input_runs_no_episode(scenario_dir, capsys, monkeypatch, command, flags, message):
+    target = two_city_path(scenario_dir) if command == "run" else str(scenario_dir)
+    episodes = []
+    real_run_episode = cli.run_episode
+
+    def counting_run_episode(config):
+        episodes.append(config)
+        return real_run_episode(config)
+
+    monkeypatch.setattr(cli, "run_episode", counting_run_episode)
+    assert main([command, target, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert episodes == [] and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_suite_empty_directory_exits_one(tmp_path, capsys):
     assert main(["suite", str(tmp_path)]) == 1
     assert "no scenario files" in capsys.readouterr().err

@@ -156,7 +156,7 @@ def test_incomplete_arguments_rejected_with_args_rule():
         "Proposal rejected [R-ARGS]: missing required argument 'date'. "
         "Revise the proposal using current memory."
     )
-    assert decision.constraints_next == (decision.feedback,)
+    assert decision.to_dict()["constraints_next"] == [decision.feedback]
     assert decision.log_lines == (
         "[Control] Arguments: missing required argument 'date' → Rejected (incomplete arguments)",
     )

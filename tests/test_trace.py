@@ -21,7 +21,6 @@ from cogloop.trace import (
     GapReport,
     JustificationChain,
     Metric,
-    MissingLabels,
     ParseError,
     TraceHeader,
     UnknownAction,
@@ -138,6 +137,13 @@ def without(field: str) -> dict:
                      id="log-lines-not-strings"),
         pytest.param(with_cycle(input_digest=5), "line 3: cycle 1: input_digest must be a string",
                      id="input-digest-number"),
+        pytest.param(with_cycle() + json.dumps({**json.loads(HEADER_LINE), "seed": 99}) + "\n",
+                     "line 4: a second header", id="second-header"),
+        pytest.param("\n".join(with_cycle().splitlines()[1:] + [HEADER_LINE]) + "\n",
+                     "line 1: cycle record with no header", id="header-last"),
+        pytest.param(HEADER_LINE + "\n", "does not start with cycle 0", id="header-only"),
+        pytest.param(HEADER_LINE + "\n" + json.dumps({"type": "cycle", "cycle": 1}) + "\n",
+                     "does not start with cycle 0", id="no-cycle-0"),
     ],
 )
 def test_malformed_traces_rejected(text, fragment):
@@ -162,6 +168,17 @@ CALL = {"name": "get_weather", "arguments": {"location": "Seoul", "date": "2025-
                      id="header-float-max-cycles"),
         pytest.param(header_line(format=7), "line 1: trace header field 'format' is 7",
                      id="header-unknown-format"),
+        pytest.param(header_line(baseline="false"),
+                     "line 1: trace header field 'baseline' must be a boolean",
+                     id="header-string-baseline"),
+        pytest.param(header_line(scenario=5), "field 'scenario' must be a string",
+                     id="header-number-scenario"),
+        pytest.param(header_line(proposer=None), "field 'proposer' must be a string",
+                     id="header-null-proposer"),
+        pytest.param(header_line(config_digest=7), "field 'config_digest' must be a string",
+                     id="header-number-config-digest"),
+        pytest.param(header_line(ruleset_version=["v"]),
+                     "field 'ruleset_version' must be a string", id="header-list-ruleset-version"),
         pytest.param(with_cycle(proposal=5), "line 3: cycle 1: proposal must be an object or null",
                      id="proposal-number"),
         pytest.param(with_cycle(decision="approved"), "decision must be an object or null",
@@ -533,6 +550,7 @@ def test_idempotent_invocation_needs_no_fresh_entries(clean_trace):
 def test_clean_trace_metrics_perfect(clean_trace):
     metrics = compute_metrics(clean_trace)
     assert set(metrics) == {"spa", "tc"}
+    assert "elp" not in metrics
     assert metrics["spa"].ratio == 1.0 and metrics["spa"].denominator > 0
     assert metrics["tc"].ratio == 1.0 and metrics["tc"].denominator == 3
 
@@ -561,11 +579,6 @@ def test_tc_drops_when_a_chain_breaks(clean_trace):
     cycle_of(broken, "book_flight").proposal = None
     tc = compute_metrics(broken)["tc"]
     assert tc.numerator == 2 and tc.denominator == 3
-
-
-def test_elp_requires_fault_labels(clean_trace):
-    with pytest.raises(MissingLabels):
-        compute_elp(clean_trace)
 
 
 def test_elp_credits_matching_rule_citations(two_city):
@@ -602,10 +615,8 @@ def test_elp_excludes_budget_terminated_cycles(two_city):
 
 
 def test_metric_rendering_and_undefined_ratio():
-    assert Metric("spa", 2, 3).render() == "0.667"
-    assert Metric("spa", 3, 3).render() == "1.000"
     empty = Metric("elp", 0, 0)
-    assert empty.ratio is None and empty.render() == "undefined"
+    assert empty.ratio is None
     assert empty.to_dict() == {"numerator": 0, "denominator": 0, "ratio": None}
 
 
