@@ -17,7 +17,6 @@ anything and the run matches the governed system's outcomes exactly.
 from __future__ import annotations
 
 import logging
-import math
 import random
 from typing import Any
 
@@ -26,16 +25,19 @@ from .control import ControlDecision, Verdict, check_termination
 from .loop import ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
 from .runtime import ToolResult, ToolSpec, staged_writes
+from .util import is_int, is_number
 
 logger = logging.getLogger(__name__)
 
 
-def check_context(budget: int | None, decay: float | None) -> None:
+def check_context(budget: Any = None, decay: Any = None) -> None:
     """Raise ``ConfigError`` for a context budget or decay the window cannot use; None is unset."""
+    if budget is not None and not is_int(budget):
+        raise ConfigError(f"context budget must be an integer, got {budget!r}")
     if budget is not None and budget < 1:
         raise ConfigError(f"context budget must be positive, got {budget}")
-    if decay is not None and not 0 <= decay < math.inf:  # also false for NaN
-        raise ConfigError(f"context decay must be finite and non-negative, got {decay}")
+    if decay is not None and not (is_number(decay, finite=True) and decay >= 0):
+        raise ConfigError(f"context decay must be finite and non-negative, got {decay!r}")
 
 
 class ContextModel:

@@ -8,12 +8,11 @@ each tagged with the rule ids it breaches, so rejections are attributable:
 3. sequencing (R-SEQ): holds by construction, see ``validate``
 4. duplicate suppression (R-DEDUP): identical successful call not re-run
    unless a key it depended on has gained a newer version since
-5. preconditions (R-COND-EXEC): memory keys the call requires must resolve
-6. cancellation priority (R-COND-PRIORITY): branch actions wait until the
+5. cancellation priority (R-COND-PRIORITY): branch actions wait until the
    cancellation guard is evaluable, and are refused while it holds
-7. conditional execution (R-COND-EXEC): a planned action runs only under a
+6. conditional execution (R-COND-EXEC): a planned action runs only under a
    true condition; effect tools outside the plan are never authorized
-8. citations (R-NUM-COMPARE): comparison-backed actions cite evidence, and
+7. citations (R-NUM-COMPARE): comparison-backed actions cite evidence, and
    every citation must resolve and hold arithmetically
 
 Approval never mutates anything; rejected proposals produce a feedback
@@ -221,21 +220,6 @@ class _Validation:
             )
         self.add(None, "Dedup", detail, "duplicate")
 
-    def check_preconditions(self) -> None:
-        if self.spec is None or self.spec.memory_requires is None:
-            return
-        missing = []
-        for key in self.spec.memory_requires(self.call.arguments):
-            if self.consume(key) is NOT_FOUND:
-                missing.append(key)
-        if missing:
-            self.add(
-                CheckKind.PRECONDITIONS_SATISFIED,
-                "Precondition",
-                f"required memory not present: {', '.join(missing)}",
-                "precondition",
-            )
-
     def check_cancellation_priority(self) -> None:
         cancellation = self.goal.cancellation
         if cancellation is None or self.template is None or self.template is cancellation:
@@ -332,9 +316,9 @@ class _Validation:
         return "[Control] Precondition: required memory present → Approved"
 
     def read_set_watermarks(self) -> dict[str, int]:
-        # Each path's owner is its longest committed prefix. Runs on approval only,
-        # when every consumed path resolved; a malformed one (only `memory_requires`
-        # can make one) blocks approval, so resolve_plan cannot raise here.
+        # Each path's owner is its longest committed prefix. Runs on approval only:
+        # every consumed path then resolved (a malformed one never does) or is a
+        # goal condition key, parsed at load, so resolve_plan cannot raise here.
         watermarks: dict[str, int] = {}
         for path in sorted(self.read_keys):
             for key, _ in resolve_plan(path):
@@ -378,7 +362,6 @@ def validate(
     # writes its action record as executed in the same cycle's commit, so no
     # action is ever pending when the next proposal arrives.
     run.check_dedup()
-    run.check_preconditions()
     run.check_cancellation_priority()
     run.check_condition()
     run.check_citations()

@@ -92,7 +92,7 @@ class ArgField:
     """One declared argument or output field with a semantic type."""
 
     name: str
-    type: str  # "string" | "number" | "boolean" | "map_str_number"
+    type: str  # "string" | "number" | "boolean"
     required: bool = True
 
 
@@ -115,7 +115,6 @@ class ToolSpec:
     handler: Callable[[dict[str, Any], "WorldState"], dict[str, Any]]
     effect: bool = False  # True if the tool changes the world outside memory
     observes: Callable[[dict[str, Any]], str] | None = None  # obs key for sensors
-    memory_requires: Callable[[dict[str, Any]], list[str]] | None = None
     confirmation_field: str | None = None
 
 
@@ -126,12 +125,6 @@ def _check_type(value: Any, type_name: str) -> bool:
         return is_number(value)
     if type_name == "boolean":
         return isinstance(value, bool)
-    if type_name == "map_str_number":
-        return (
-            isinstance(value, dict)
-            and bool(value)
-            and all(isinstance(k, str) and is_number(v) for k, v in value.items())
-        )
     return False
 
 
@@ -222,16 +215,6 @@ def _get_weather(args: dict[str, Any], world: WorldState) -> dict[str, Any]:
     }
 
 
-def _compare_temperatures(args: dict[str, Any], world: WorldState) -> dict[str, Any]:
-    temps = args["temps"]
-    if len(temps) < 2:
-        raise ToolFailure(ErrorCode.DOMAIN_ERROR, "need at least two named temperatures")
-    # Coldest wins; ties break toward the lexicographically smaller location.
-    colder = min(temps.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    delta = round(max(temps.values()) - min(temps.values()), 6)
-    return {"colder": colder, "delta_f": float(delta)}
-
-
 def _send_email(args: dict[str, Any], world: WorldState) -> dict[str, Any]:
     world.outbox.append(
         {"to": args["to"], "subject": args["subject"], "body": args.get("body", "")}
@@ -260,15 +243,6 @@ GET_WEATHER = ToolSpec(
     ),
     handler=_get_weather,
     observes=lambda args: f"obs.{args['location']}",
-)
-
-COMPARE_TEMPERATURES = ToolSpec(
-    name="compare_temperatures",
-    args=(ArgField("temps", "map_str_number"),),
-    output=(ArgField("colder", "string"), ArgField("delta_f", "number")),
-    handler=_compare_temperatures,
-    observes=lambda args: "obs.comparison",
-    memory_requires=lambda args: [f"obs.{city}.temp_f" for city in sorted(args["temps"])],
 )
 
 SEND_EMAIL = ToolSpec(
@@ -302,7 +276,7 @@ MAKE_CHART = ToolSpec(
     confirmation_field="artifact_id",
 )
 
-BUILTIN_SPECS = (GET_WEATHER, COMPARE_TEMPERATURES, SEND_EMAIL, BOOK_FLIGHT)
+BUILTIN_SPECS = (GET_WEATHER, SEND_EMAIL, BOOK_FLIGHT)
 EXTRA_SPECS = {MAKE_CHART.name: MAKE_CHART}
 
 

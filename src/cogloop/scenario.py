@@ -18,6 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
+from .baseline import check_context
 from .cognition import FaultConfig, GatherTemplate, PlannerPolicy
 from .evidence import EvidenceParseError
 from .goals import GoalConfigError, GoalSpec
@@ -184,13 +185,14 @@ class Scenario:
         baseline = data.get("baseline", {})
         _expect_type(baseline, dict, "baseline", "object")
         budget = baseline.get("budget", 1)
-        _expect(is_int(budget) and budget >= 1, "baseline.budget", "expected positive integer")
         decay = baseline.get("decay", DEFAULT_BASELINE_DECAY)
-        _expect(
-            is_number(decay, finite=True) and decay >= 0,
-            "baseline.decay",
-            "expected finite non-negative number",
-        )
+        for param, value in (("budget", budget), ("decay", decay)):
+            # check_context reads None as unset; in a file, null is a bad value.
+            _expect(value is not None, f"baseline.{param}", "expected a value, got null")
+            try:
+                check_context(**{param: value})
+            except ConfigError as exc:
+                raise ConfigError(f"baseline.{param}: {exc}") from exc
 
         scenario = cls(
             name=name,

@@ -315,6 +315,12 @@ def test_suite_bad_last_file_exits_one_before_any_episode(
                      id="baseline-decay-negative"),
         pytest.param(["--compare", "--baseline-decay", "nan"], "context decay must be finite",
                      id="baseline-decay-nan"),
+        pytest.param(["--baseline-budget", "0"], "need --compare",
+                     id="baseline-budget-0-without-compare"),
+        pytest.param(["--baseline-budget", "5"], "need --compare",
+                     id="baseline-budget-5-without-compare"),
+        pytest.param(["--baseline-decay", "nan"], "need --compare",
+                     id="baseline-decay-nan-without-compare"),
         pytest.param(["--faults", "gremlins=1"], "unknown fault type 'gremlins'",
                      id="unknown-fault"),
     ],

@@ -195,20 +195,6 @@ def test_duplicate_expires_when_read_set_key_advances():
     assert decision.verdict is Verdict.APPROVED
 
 
-def test_missing_precondition_memory_rejected():
-    decision = run_validate(
-        Proposal(call=ToolCall("compare_temperatures",
-                               {"temps": {"Seoul": 51.8, "Jeju": 60.8}})),
-        store_with({"obs.Seoul": SEOUL}),
-    )
-    assert decision.verdict is Verdict.REJECTED
-    assert decision.rule_ids() == ("R-COND-EXEC",)
-    assert "obs.Jeju.temp_f" in decision.violations[0].detail
-    consumed = dict(decision.consumptions)
-    assert consumed["obs.Jeju.temp_f"] is NOT_FOUND
-    assert consumed["obs.Seoul.temp_f"] == 51.8
-
-
 @pytest.mark.parametrize(
     "facts, detail, short",
     [
@@ -279,15 +265,12 @@ def test_citation_to_unobserved_key_rejected():
 
 
 def test_decision_serialization_encodes_missing_values():
-    decision = run_validate(
-        Proposal(call=ToolCall("compare_temperatures",
-                               {"temps": {"Seoul": 51.8, "Jeju": 60.8}})),
-        store_with({"obs.Seoul": SEOUL}),
-    )
+    phantom = Proposal(call=BOOK_SEOUL.call, citations=(parse("obs.Phantom.temp_f"),))
+    decision = run_validate(phantom, store_with({"obs.Seoul": SEOUL, "obs.Jeju": JEJU}))
     data = decision.to_dict()
     assert data["verdict"] == "rejected"
-    assert data["rule_ids"] == ["R-COND-EXEC"]
-    assert ["obs.Jeju.temp_f", {"__missing__": True}] in data["consumptions"]
+    assert data["rule_ids"] == ["R-NUM-COMPARE"]
+    assert ["obs.Phantom.temp_f", {"__missing__": True}] in data["consumptions"]
     assert all(isinstance(line, str) for line in data["log_lines"])
 
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from cogloop.memory import EntryKind
 from cogloop.runtime import (
-    BUILTIN_SPECS,
+    EXTRA_SPECS,
     GET_WEATHER,
+    ArgField,
     ErrorCode,
     Runtime,
     ToolCall,
+    ToolSpec,
     WorldState,
     argument_problems,
     builtin_registry,
@@ -21,6 +23,9 @@ from cogloop.runtime import (
     confirmation_token,
     simulated_latency,
 )
+from cogloop.scenario import load_scenario
+
+from conftest import SCENARIO_DIR, SUITE_DIR
 
 WEATHER_ROWS = [
     {"location": "Seoul", "date": "2025-06-14", "temp_f": 51.8, "precipitation": False},
@@ -34,6 +39,15 @@ def make_runtime(seed: int = 11121374, faults: list[dict] | None = None,
         {"seed": seed, "weather": WEATHER_ROWS, "fault_schedule": faults or []}
     )
     return Runtime(builtin_registry(extra_tools), world)
+
+
+# A test-local tool: one number argument, and a handler that returns an int.
+GAUGE = ToolSpec(
+    name="gauge",
+    args=(ArgField("reading", "number"),),
+    output=(ArgField("total", "number"),),
+    handler=lambda args, world: {"total": 9},
+)
 
 
 # --------------------------------------------------------------- canon_args
@@ -75,9 +89,8 @@ def test_wrong_type_and_unknown_argument_reported():
 
 
 def test_boolean_is_not_a_number():
-    compare = next(s for s in BUILTIN_SPECS if s.name == "compare_temperatures")
-    problems = argument_problems(compare, {"temps": {"Seoul": True, "Jeju": 60.8}})
-    assert problems and "map_str_number" in problems[0]
+    problems = argument_problems(GAUGE, {"reading": True})
+    assert problems == ["argument 'reading' must be number, got True"]
 
 
 # --------------------------------------------------------------- registries
@@ -86,6 +99,17 @@ def test_extra_tools_are_opt_in():
     assert "make_chart" in builtin_registry(["make_chart"])
     with pytest.raises(KeyError):
         builtin_registry(["teleport"])
+
+
+def test_every_registered_tool_is_named_by_a_shipped_scenario():
+    named = set()
+    for path in [*SCENARIO_DIR.glob("*.json"), *SUITE_DIR.glob("*.json")]:
+        policy = load_scenario(path).policy
+        named.add(policy.gather.tool)
+        named.update(
+            call.name for branch in policy.goal.all_branches() for call in branch.actions
+        )
+    assert set(builtin_registry(list(EXTRA_SPECS))) == named
 
 
 # ------------------------------------------------------------------- tokens
@@ -114,31 +138,11 @@ def test_get_weather_success_payload_and_staging():
     assert staged[0].payload == result.payload
 
 
-def test_compare_temperatures_colder_and_delta():
-    runtime = make_runtime()
-    call = ToolCall("compare_temperatures", {"temps": {"Seoul": 51.8, "Jeju": 60.8}})
-    result, staged = runtime.execute(call)
-    assert result.ok
-    assert result.payload == {"colder": "Seoul", "delta_f": 9.0}
-    assert [(w.key, w.kind) for w in staged] == [("obs.comparison", EntryKind.OBSERVATION)]
-
-
-def test_compare_temperatures_tie_breaks_lexicographically():
-    runtime = make_runtime()
-    result, _ = runtime.execute(
-        ToolCall("compare_temperatures", {"temps": {"B": 50, "A": 50}})
-    )
-    assert result.payload["colder"] == "A"
-    assert result.payload["delta_f"] == 0.0
-
-
 def test_integer_outputs_normalized_to_float():
-    runtime = make_runtime()
-    result, _ = runtime.execute(
-        ToolCall("compare_temperatures", {"temps": {"A": 50, "B": 59}})
-    )
-    assert result.payload["delta_f"] == 9.0
-    assert isinstance(result.payload["delta_f"], float)
+    runtime = Runtime({GAUGE.name: GAUGE}, WorldState())
+    result, _ = runtime.execute(ToolCall("gauge", {"reading": 1.5}))
+    assert result.ok and result.payload == {"total": 9.0}
+    assert isinstance(result.payload["total"], float)
 
 
 def test_book_flight_stages_action_record_with_confirmation():

@@ -257,10 +257,12 @@ def test_seed_and_name_constraints():
 
 def test_baseline_parameters_validated():
     document = valid_document()
-    document["baseline"] = {"budget": 0}
-    expect_error(document, "baseline.budget")
-    document["baseline"] = {"budget": 2, "decay": -1}
-    expect_error(document, "baseline.decay")
+    for budget in (0, None, True):
+        document["baseline"] = {"budget": budget}
+        expect_error(document, "baseline.budget")
+    for decay in (-1, None, True):
+        document["baseline"] = {"budget": 2, "decay": decay}
+        expect_error(document, "baseline.decay")
 
 
 @pytest.mark.parametrize(
@@ -273,7 +275,7 @@ def test_non_finite_numbers_rejected(value):
     expect_error(document, "world.weather[0].temp_f: expected finite number")
     document = valid_document()
     document["baseline"]["decay"] = value
-    expect_error(document, "baseline.decay: expected finite non-negative number")
+    expect_error(document, "baseline.decay: context decay must be finite and non-negative, got ")
 
 
 # ------------------------------------------------------------------- loading
