@@ -143,7 +143,7 @@ def _format_value(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, dict)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return canonical_json(value)
     return str(value)
 
 

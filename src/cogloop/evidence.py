@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Union
 
 from .memory import NOT_FOUND, MalformedKey, MemorySnapshot, key_segments
@@ -93,9 +94,18 @@ def _parse_operand(text: str) -> Union[str, Literal]:
 
 
 def parse(text: str) -> EvidenceExpr:
-    """Parse an expression string; inverse of `render`."""
+    """Parse an expression string; inverse of `render`.
+
+    A string is parsed once, through a bounded cache, and its callers share the
+    frozen result; anything off the grammar raises EvidenceParseError every time.
+    """
     if not isinstance(text, str) or not text.strip():
         raise EvidenceParseError(f"empty evidence expression: {text!r}")
+    return _parse_text(text)
+
+
+@lru_cache(maxsize=4096)
+def _parse_text(text: str) -> EvidenceExpr:
     stripped = text.strip()
     for op in OPERATORS:
         idx = stripped.find(f" {op} ")

@@ -167,22 +167,24 @@ class MemoryEntry:
         """
         if type(data) is not dict:
             raise SchemaMismatch("is not an object")
-        values = []
-        for name, kind in _ENTRY_FIELDS:
-            value = data.get(name, NOT_FOUND)
-            if type(value) is not kind:
+        get = data.get
+        key, kind_name, source, timestamp = get("key"), get("kind"), get("source"), get("timestamp")
+        payload, version = get("payload"), get("version")
+        if not (type(key) is type(kind_name) is type(source) is type(timestamp) is str
+                and type(payload) is dict and type(version) is int):
+            for name, kind in _ENTRY_FIELDS:
+                value = data.get(name, NOT_FOUND)
                 if value is NOT_FOUND:
                     raise SchemaMismatch(f"lacks field {name!r}")
-                raise SchemaMismatch(f"field {name!r} must be {kind.__name__}, got {value!r}")
-            values.append(value)
-        key, kind_name, payload, source, timestamp, version = values
+                if type(value) is not kind:
+                    raise SchemaMismatch(f"field {name!r} must be {kind.__name__}, got {value!r}")
         kind = _KINDS_BY_VALUE.get(kind_name)
         if kind is None:
             raise SchemaMismatch(f"has unknown kind {kind_name!r}")
         return cls(key, kind, payload, source, timestamp, version)
 
 
-# Field -> exact JSON type of one serialized entry, in `MemoryEntry` field order.
+# Field -> exact JSON type of a serialized entry, in field order; `from_dict` words errors by it.
 _ENTRY_FIELDS = (
     ("key", str),
     ("kind", str),

@@ -1,13 +1,16 @@
 """Episode traces: serialized cycle records, justification chains, metrics.
 
 A trace file is self-contained: a header line (config digest, seed, flags)
-followed by one JSON line per cycle, each carrying the serialized proposal,
-decision, invocation, committed memory delta, recorded fact consumptions, and
-the injected-fault label when one exists. Everything below — chain
-reconstruction and all three metrics — works from the parsed file alone, with
-no live episode state. Loading decodes each committed entry once, into the
-``MemoryEntry`` a live record holds; chains and SPA/TC read memory through
-one forward replay (``EpisodeTrace.replay``) of those entries.
+followed by one JSON line per cycle (lines end at "\n" alone), each carrying
+the serialized proposal, decision, invocation, committed memory delta,
+recorded fact consumptions, and the injected-fault label when one exists.
+Everything below — chain reconstruction and all three metrics — works from
+the parsed file alone, with no live episode state. Loading reads each field
+of a record once, checking its JSON type as it goes, and decodes each
+committed entry once, into the ``MemoryEntry`` a live record holds; chains
+and SPA/TC read memory through one forward replay (``EpisodeTrace.replay``)
+of those entries. TC runs a chain's link checks without building the chain,
+and citation strings are parsed through ``evidence.parse``'s bounded cache.
 
 Metrics:
 
@@ -113,43 +116,17 @@ class TraceHeader:
         return header
 
 
-def _record_problem(data: dict[str, Any]) -> str | None:
-    """Why chains, metrics and ``dumps`` cannot read cycle record ``data``, or None when they can.
+def _all_strings(items: list[Any]) -> bool:
+    """Whether every item is a string; ``join`` checks that with no loop in Python."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
 
-    The memory delta is checked as ``CycleRecord.from_dict`` decodes it.
-    """
-    for name in ("proposal", "decision", "invocation"):
-        if not isinstance(data.get(name), (dict, type(None))):
-            return f"{name} must be an object or null"
-    proposal = data.get("proposal") or {}
-    decision = data.get("decision") or {}
-    invocation = data.get("invocation") or {}
-    for name, part in (("proposal", proposal), ("decision", decision)):
-        call = part.get("call")
-        if isinstance(call, dict) and not isinstance(call.get("arguments", {}), dict):
-            return f"{name}.call.arguments must be an object"
-    if not isinstance(proposal.get("citations", []), list):
-        return "proposal.citations must be a list"
-    rule_ids = decision.get("rule_ids", [])
-    if not (isinstance(rule_ids, list) and all(isinstance(r, str) for r in rule_ids)):
-        return "decision.rule_ids must be a list of strings"
-    for name in ("outcome", "args"):
-        if not isinstance(invocation.get(name, {}), dict):
-            return f"invocation.{name} must be an object"
-    if not isinstance(data.get("fault_label"), (str, type(None))):
-        return "fault_label must be a string or null"
-    if type(data.get("input_digest", "")) is not str:
-        return "input_digest must be a string"
-    log_lines = data.get("log_lines", [])
-    if type(log_lines) is not list or any(type(line) is not str for line in log_lines):
-        return "log_lines must be a list of strings"
-    for name in ("memory_delta", "consumptions"):
-        if type(data.get(name, [])) is not list:
-            return f"{name} must be a list"
-    for index, item in enumerate(data.get("consumptions", [])):
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
-            return f"consumptions[{index}] is not a [key, value] pair"
-    return None
+
+def _bad(cycle: int, problem: str) -> ParseError:
+    return ParseError(f"cycle {cycle}: {problem}")
 
 
 @dataclass
@@ -189,30 +166,56 @@ class CycleRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CycleRecord":
-        """The record ``to_dict`` wrote as ``data``, each delta entry decoded once."""
-        cycle = data.get("cycle")
+        """The record ``to_dict`` wrote as ``data``, each delta entry decoded once.
+
+        Reads each field once and checks its JSON type as it reads it; the
+        first field that chains, metrics or ``dumps`` cannot read raises a
+        ``ParseError`` naming it.
+        """
+        get = data.get
+        cycle = get("cycle")
         if not is_int(cycle):
             raise ParseError(f"cycle number must be an integer, got {cycle!r}")
-        problem = _record_problem(data)
-        if problem:
-            raise ParseError(f"cycle {cycle}: {problem}")
+        proposal, decision, invocation = parts = get("proposal"), get("decision"), get("invocation")
+        for name, part in zip(("proposal", "decision", "invocation"), parts):
+            if not isinstance(part, (dict, type(None))):
+                raise _bad(cycle, f"{name} must be an object or null")
+        proposal, decision, invocation = proposal or {}, decision or {}, invocation or {}
+        for name, part in (("proposal", proposal), ("decision", decision)):
+            call = part.get("call")
+            if type(call) is dict and type(call.get("arguments", {})) is not dict:
+                raise _bad(cycle, f"{name}.call.arguments must be an object")
+        if type(proposal.get("citations", [])) is not list:
+            raise _bad(cycle, "proposal.citations must be a list")
+        rule_ids = decision.get("rule_ids", [])
+        if type(rule_ids) is not list or not _all_strings(rule_ids):
+            raise _bad(cycle, "decision.rule_ids must be a list of strings")
+        for name in ("outcome", "args"):
+            if type(invocation.get(name, {})) is not dict:
+                raise _bad(cycle, f"invocation.{name} must be an object")
+        fault_label = get("fault_label")
+        if fault_label is not None and type(fault_label) is not str:
+            raise _bad(cycle, "fault_label must be a string or null")
+        input_digest = get("input_digest", "")
+        if type(input_digest) is not str:
+            raise _bad(cycle, "input_digest must be a string")
+        log_lines = get("log_lines", [])
+        if type(log_lines) is not list or not _all_strings(log_lines):
+            raise _bad(cycle, "log_lines must be a list of strings")
+        entries, consumptions = get("memory_delta", []), get("consumptions", [])
+        for name, value in (("memory_delta", entries), ("consumptions", consumptions)):
+            if type(value) is not list:
+                raise _bad(cycle, f"{name} must be a list")
+        for index, item in enumerate(consumptions):
+            if not (type(item) is list and len(item) == 2 and type(item[0]) is str):
+                raise _bad(cycle, f"consumptions[{index}] is not a [key, value] pair")
         delta = []
-        for index, entry in enumerate(data.get("memory_delta", [])):
+        for index, entry in enumerate(entries):
             try:
                 delta.append(MemoryEntry.from_dict(entry))
             except SchemaMismatch as exc:
-                raise ParseError(f"cycle {cycle}: memory_delta[{index}] {exc}") from None
-        return cls(
-            cycle=cycle,
-            input_digest=data.get("input_digest", ""),
-            proposal=data.get("proposal"),
-            decision=data.get("decision"),
-            invocation=data.get("invocation"),
-            memory_delta=tuple(delta),
-            consumptions=data.get("consumptions", []),
-            fault_label=data.get("fault_label"),
-            log_lines=data.get("log_lines", []),
-        )
+                raise _bad(cycle, f"memory_delta[{index}] {exc}") from None
+        return cls(cycle, input_digest, *parts, tuple(delta), consumptions, fault_label, log_lines)
 
     def approved(self) -> bool:
         return bool(self.decision) and self.decision.get("verdict") == "approved"
@@ -239,7 +242,9 @@ class EpisodeTrace:
     def loads(cls, text: str) -> "EpisodeTrace":
         header: TraceHeader | None = None
         cycles: list[CycleRecord] = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        # A JSON line ends at "\n" alone; `splitlines` would also split at
+        # U+0085, U+2028 and U+2029, which may stand raw inside a JSON string.
+        for line_no, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -342,27 +347,31 @@ def _call_matches(call: dict[str, Any] | None, tool: str, args: dict[str, Any]) 
     return arguments == args or canon_args(arguments) == canon_args(args)
 
 
-def _chain_for_record(
-    snapshot: MemorySnapshot, record: CycleRecord, action_ref: str
-) -> JustificationChain | GapReport:
-    """The chain behind ``record``'s invocation; ``snapshot`` is the memory it read."""
+def _chain_links(
+    snapshot: MemorySnapshot, record: CycleRecord
+) -> tuple[tuple[str, str] | None, list[MemoryEntry], list[list[Any]]]:
+    """Check each link behind ``record``'s invocation against ``snapshot``, the memory it read.
+
+    Returns (gap, entries, resolved): ``gap`` is the first missing link as
+    (link, detail), or None when the chain is complete; ``entries`` are the
+    invocation's own memory entries and ``resolved`` the cited keys with their
+    values, both empty when there is a gap.
+    """
     invocation = record.invocation
     if not invocation or not invocation.get("outcome", {}).get("ok"):
-        return GapReport(action_ref, record.cycle, "invocation", "no successful invocation record")
+        return ("invocation", "no successful invocation record"), [], []
     tool = invocation.get("tool", "")
     args = invocation.get("args", {})
 
     proposal = record.proposal
     if not proposal or not _call_matches(proposal.get("call"), tool, args):
-        return GapReport(
-            action_ref, record.cycle, "proposal", "no proposal matching the invocation"
-        )
+        return ("proposal", "no proposal matching the invocation"), [], []
 
     decision = record.decision
     if not decision or decision.get("verdict") != "approved":
-        return GapReport(action_ref, record.cycle, "decision", "no approval decision")
+        return ("decision", "no approval decision"), [], []
     if not _call_matches(decision.get("call"), tool, args):
-        return GapReport(action_ref, record.cycle, "decision", "approval names a different call")
+        return ("decision", "approval names a different call"), [], []
 
     own_entries = [
         e
@@ -370,36 +379,40 @@ def _chain_for_record(
         if e.source == tool or (e.kind is EntryKind.ACTION and e.payload.get("name") == tool)
     ]
     if not own_entries and not invocation.get("idempotency_hit"):
-        return GapReport(
-            action_ref, record.cycle, "memory_entries", "execution left no memory entries"
-        )
+        return ("memory_entries", "execution left no memory entries"), [], []
 
     resolved: list[list[Any]] = []
-    citations = [c for c in proposal.get("citations", [])]
-    for raw in citations:
+    for raw in proposal.get("citations", []):
         try:
             expr = evidence.parse(raw)
         except evidence.EvidenceParseError as exc:
-            return GapReport(action_ref, record.cycle, "citation", f"unparseable citation: {exc}")
+            return ("citation", f"unparseable citation: {exc}"), [], []
         for key in evidence.referenced_keys(expr):
             value = snapshot.resolve(key)
-            resolved.append([key, value if value is not NOT_FOUND else None])
             if value is NOT_FOUND:
-                return GapReport(
-                    action_ref, record.cycle, "citation", f"cited key {key} does not resolve"
-                )
+                return ("citation", f"cited key {key} does not resolve"), [], []
+            resolved.append([key, value])
         if isinstance(expr, Comparison) and evidence.evaluate(expr, snapshot) is not True:
-            return GapReport(
-                action_ref, record.cycle, "citation", f"citation {raw} not supported by memory"
-            )
+            return ("citation", f"citation {raw} not supported by memory"), [], []
+    return None, own_entries, resolved
+
+
+def _chain_for_record(
+    snapshot: MemorySnapshot, record: CycleRecord, action_ref: str
+) -> JustificationChain | GapReport:
+    """The chain behind ``record``'s invocation; ``snapshot`` is the memory it read."""
+    gap, entries, resolved = _chain_links(snapshot, record)
+    if gap:
+        return GapReport(action_ref, record.cycle, *gap)
+    invocation = record.invocation
     return JustificationChain(
         action_ref=action_ref,
         cycle=record.cycle,
-        call={"name": tool, "arguments": args},
-        citations=citations,
+        call={"name": invocation.get("tool", ""), "arguments": invocation.get("args", {})},
+        citations=list(record.proposal.get("citations", [])),
         resolved=resolved,
         invocation=invocation,
-        entries=own_entries,
+        entries=entries,
     )
 
 
@@ -425,10 +438,6 @@ def reconstruct_chain(trace: EpisodeTrace, action_ref: str) -> JustificationChai
     raise UnknownAction(f"no executed action record matches {action_ref!r}")
 
 
-def _invocation_ref(record: CycleRecord) -> str:
-    return f"cycle{record.cycle}:{record.invocation.get('tool', '?')}"
-
-
 def iter_chains(trace: EpisodeTrace) -> Iterator[JustificationChain | GapReport]:
     """One chain (or gap) per executed invocation, plus structural gap checks."""
     for record, snapshot in trace.replay():
@@ -440,7 +449,8 @@ def iter_chains(trace: EpisodeTrace) -> Iterator[JustificationChain | GapReport]
             )
             continue
         if record.executed_ok():
-            yield _chain_for_record(snapshot, record, _invocation_ref(record))
+            ref = f"cycle{record.cycle}:{record.invocation.get('tool', '?')}"
+            yield _chain_for_record(snapshot, record, ref)
 
 
 # ------------------------------------------------------------------- metrics
@@ -481,8 +491,7 @@ def _spa_and_tc(trace: EpisodeTrace) -> tuple[Metric, Metric]:
         # TC: executed invocations whose justification chain is complete.
         if record.executed_ok():
             tc_den += 1
-            chain = _chain_for_record(snapshot, record, _invocation_ref(record))
-            if isinstance(chain, JustificationChain):
+            if _chain_links(snapshot, record)[0] is None:
                 tc_num += 1
     return Metric("spa", spa_num, spa_den), Metric("tc", tc_num, tc_den)
 

@@ -44,9 +44,12 @@ def is_number(value: Any, finite: bool = False) -> bool:
         return False
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj: Any) -> str:
     """Serialize to compact JSON with sorted keys; the only JSON writer used for hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _CANONICAL.encode(obj)
 
 
 def content_digest(obj: Any) -> str:

@@ -59,10 +59,23 @@ def test_parse_picks_first_operator_occurrence():
     assert isinstance(expr, Comparison) and expr.op == "<="
 
 
-@pytest.mark.parametrize("bad", ["", "   ", "obs.A.x <", "<= obs.A.x", "nonsense key", "obs.A.x ~ 3"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "   ", "obs.A.x <", "<= obs.A.x", "nonsense key", "obs.A.x ~ 3",
+     ["obs.A.x"], {"obs.A.x": 1}, 3, None],
+)
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(EvidenceParseError):
-        parse(bad)
+    """Every call raises, also once the cache of parsed strings has seen the value."""
+    for _ in range(2):
+        with pytest.raises(EvidenceParseError):
+            parse(bad)
+
+
+def test_parse_shares_one_frozen_expression_per_string():
+    text = "obs.A.x < 3.5"
+    assert parse(text) is parse(text) is parse(" ".join(["obs.A.x", "<", "3.5"]))
+    with pytest.raises(AttributeError):
+        parse(text).op = ">"
 
 
 def test_render_round_trip_examples():

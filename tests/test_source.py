@@ -208,6 +208,20 @@ def test_only_goals_and_control_evaluate_conditions():
     assert callers <= {"goals.py", "control.py"}
 
 
+def test_only_util_writes_compact_json():
+    """``util.canonical_json`` is the one home of compact sorted JSON: a second writer
+    with the same separators could drift from it in the bytes a digest covers."""
+    writers = [
+        f"{module}:{node.lineno}"
+        for module, text in MODULES.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.keyword) and node.arg == "separators"
+        and isinstance(node.value, ast.Tuple)
+        and [getattr(item, "value", None) for item in node.value.elts] == [",", ":"]
+    ]
+    assert len(writers) == 1 and writers[0].startswith("util.py:"), writers
+
+
 def test_perfbench_own_tests_pass():
     """The benchmark's tests drive stored traces, chains and metrics through cogloop.
 

@@ -4,19 +4,21 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cogloop import cognition, loop
 from cogloop.baseline import run_baseline_episode
 from cogloop.cli import main
 from cogloop.cognition import FaultConfig
 from cogloop.loop import run_episode
-from cogloop.memory import NOT_FOUND, MemoryEntry, MemoryQuery, MemorySnapshot
+from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryQuery, MemorySnapshot
 from cogloop.scenario import generate_suite, load_scenario
 from cogloop.trace import (
+    CycleRecord,
     EpisodeTrace,
     GapReport,
     JustificationChain,
@@ -30,6 +32,7 @@ from cogloop.trace import (
     iter_chains,
     reconstruct_chain,
 )
+from cogloop.util import canonical_json, is_int
 from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
 
 
@@ -270,6 +273,161 @@ def test_trace_command_never_raises_on_mutated_traces(data, tmp_path, capsys):
     # clean trace, exit 0.
     assert code in (0, 1, 3)
     assert err.count("\n") == 1 if code == 1 else err == ""
+
+
+def test_only_newline_ends_a_trace_line(clean_trace):
+    """U+0085, U+2028 and U+2029 may stand raw in a JSON string (``ensure_ascii=False``
+    writes them so), and line numbers count "\n" lines."""
+    trace = reparse(clean_trace)
+    trace.cycles[1].log_lines[0] += " \x85 \u2028 \u2029 \x1c"
+    lines = [json.dumps(r, ensure_ascii=False) for r in map(json.loads, trace.dumps().splitlines())]
+    assert "\u2028" in lines[2]
+    assert EpisodeTrace.loads("\n".join(lines) + "\n").dumps() == trace.dumps()
+    lines[3] = "{"
+    with pytest.raises(ParseError, match="^line 4: not valid JSON"):
+        EpisodeTrace.loads("\n".join(lines) + "\n")
+
+
+def record_problem(data: dict) -> str | None:
+    """Why chains, metrics and ``dumps`` cannot read cycle record ``data``, or None when they can.
+
+    A second walk over the fields ``CycleRecord.from_dict`` reads in one, kept
+    as the oracle of the order and wording of its problems; delta entries are
+    left to ``entry_problem``.
+    """
+    for name in ("proposal", "decision", "invocation"):
+        if not isinstance(data.get(name), (dict, type(None))):
+            return f"{name} must be an object or null"
+    proposal = data.get("proposal") or {}
+    decision = data.get("decision") or {}
+    invocation = data.get("invocation") or {}
+    for name, part in (("proposal", proposal), ("decision", decision)):
+        call = part.get("call")
+        if isinstance(call, dict) and not isinstance(call.get("arguments", {}), dict):
+            return f"{name}.call.arguments must be an object"
+    if not isinstance(proposal.get("citations", []), list):
+        return "proposal.citations must be a list"
+    rule_ids = decision.get("rule_ids", [])
+    if not (isinstance(rule_ids, list) and all(isinstance(r, str) for r in rule_ids)):
+        return "decision.rule_ids must be a list of strings"
+    for name in ("outcome", "args"):
+        if not isinstance(invocation.get(name, {}), dict):
+            return f"invocation.{name} must be an object"
+    if not isinstance(data.get("fault_label"), (str, type(None))):
+        return "fault_label must be a string or null"
+    if type(data.get("input_digest", "")) is not str:
+        return "input_digest must be a string"
+    log_lines = data.get("log_lines", [])
+    if type(log_lines) is not list or any(type(line) is not str for line in log_lines):
+        return "log_lines must be a list of strings"
+    for name in ("memory_delta", "consumptions"):
+        if type(data.get(name, [])) is not list:
+            return f"{name} must be a list"
+    for index, item in enumerate(data.get("consumptions", [])):
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
+            return f"consumptions[{index}] is not a [key, value] pair"
+    return None
+
+
+ENTRY_TYPES = {"key": str, "kind": str, "payload": dict, "source": str, "timestamp": str,
+               "version": int}
+
+
+def entry_problem(entry) -> str | None:
+    """Why ``entry`` is no serialized memory entry, one field at a time, or None."""
+    if type(entry) is not dict:
+        return "is not an object"
+    for name, kind in ENTRY_TYPES.items():
+        if name not in entry:
+            return f"lacks field {name!r}"
+        if type(entry[name]) is not kind:
+            return f"field {name!r} must be {kind.__name__}, got {entry[name]!r}"
+    if entry["kind"] not in {kind.value for kind in EntryKind}:
+        return f"has unknown kind {entry['kind']!r}"
+    return None
+
+
+def oracle_error(data: dict) -> str | None:
+    """The ``ParseError`` text the two-walk decoder gave for cycle record ``data``, or None."""
+    cycle = data.get("cycle")
+    if not is_int(cycle):
+        return f"cycle number must be an integer, got {cycle!r}"
+    problem = record_problem(data)
+    if problem:
+        return f"cycle {cycle}: {problem}"
+    for index, entry in enumerate(data.get("memory_delta", [])):
+        problem = entry_problem(entry)
+        if problem:
+            return f"cycle {cycle}: memory_delta[{index}] {problem}"
+    return None
+
+
+# One field edit per check the decoder makes, in the order it makes them. Two of
+# them in one record show which problem is reported first.
+BREAKS = [
+    (("proposal",), 5),
+    (("decision",), "approved"),
+    (("invocation",), []),
+    (("proposal", "call", "arguments"), "x"),
+    (("decision", "call", "arguments"), []),
+    (("proposal", "citations"), "obs.Seoul"),
+    (("decision", "rule_ids"), ["R-ARGS", 3]),
+    (("invocation", "outcome"), True),
+    (("invocation", "args"), ["Seoul"]),
+    (("fault_label",), ["duplicate"]),
+    (("input_digest",), 5),
+    (("log_lines",), ["ok", None]),
+    (("memory_delta",), {}),
+    (("consumptions",), "ab"),
+    (("consumptions",), [["obs.Seoul.temp_f", 51.8], ["obs.Seoul.temp_f"]]),
+    (("memory_delta",), [DELTA_ENTRY, {**DELTA_ENTRY, "version": "1"}]),
+    (("memory_delta",), [{**DELTA_ENTRY, "kind": "gossip", "source": None}]),
+    (("cycle",), "1"),
+]
+
+
+def set_path(record: dict, path: tuple[str, ...], value) -> None:
+    """Set ``record`` at ``path``, replacing any non-object on the way with an object."""
+    for key in path[:-1]:
+        if not isinstance(record.get(key), dict):
+            record[key] = {}
+        record = record[key]
+    record[path[-1]] = value
+
+
+def test_record_decoder_reports_the_problem_the_oracle_reports_first():
+    line = fuzz_sources()[0].splitlines()[2]  # cycle 1: a proposal, decision and invocation
+    for edits in permutations(BREAKS, 2):
+        record = json.loads(line)
+        for path, value in edits:
+            set_path(record, path, value)
+        with pytest.raises(ParseError) as raised:
+            CycleRecord.from_dict(record)
+        assert str(raised.value) == oracle_error(record), edits
+
+
+@settings(whole_episodes, max_examples=500)
+@given(data=st.data())
+def test_record_decoder_agrees_with_the_two_walk_oracle(data):
+    """A real cycle line with one field mutated at random, or with one or two edits from
+    BREAKS besides: the same record back, or the oracle's error for its first problem."""
+    source = fuzz_sources()[data.draw(st.integers(0, 1), label="source")]
+    cycles = source.splitlines()[1:]
+    line = [json.loads(cycles[data.draw(st.integers(0, len(cycles) - 1), label="cycle")])]
+    mutate(data, line)
+    record = line[0]
+    assume(type(record) is dict)  # `loads` rejects any other line before decoding it
+    for path, value in data.draw(st.lists(st.sampled_from(BREAKS), max_size=2), label="breaks"):
+        set_path(record, path, value)
+    expected = oracle_error(record)
+    try:
+        decoded = CycleRecord.from_dict(record)
+    except ParseError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        written = {**CycleRecord(0).to_dict(), **record, "type": "cycle"}
+        assert canonical_json(decoded.to_dict()) == canonical_json(written)
 
 
 def test_well_formed_delta_loads():
@@ -533,6 +691,18 @@ def test_unparseable_citation_breaks_chain(clean_trace):
     gap = reconstruct_chain(broken, "act.book_flight")
     assert isinstance(gap, GapReport)
     assert gap.missing_link == "citation" and "unparseable" in gap.detail
+
+
+@pytest.mark.parametrize("citation", [["obs.Seoul.temp_f"], {"key": "obs.Seoul"}, 51.8, None])
+def test_citation_that_is_no_string_is_a_gap(clean_trace, tmp_path, capsys, citation):
+    broken = reparse(clean_trace)
+    cycle_of(broken, "book_flight").proposal["citations"] = [citation]
+    path = tmp_path / "cited.jsonl"
+    broken.dump(path)
+    for _ in range(2):  # the second audit meets the values the first one parsed
+        assert main(["trace", str(path)]) == 3
+        assert "[citation]" in capsys.readouterr().out
+    assert compute_metrics(EpisodeTrace.load(path))["tc"].numerator == 2
 
 
 def test_idempotent_invocation_needs_no_fresh_entries(clean_trace):
