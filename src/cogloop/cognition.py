@@ -364,7 +364,7 @@ class PlannerPolicy:
     goal_citation: str | None = None  # goal.* key cited alongside branch conditions
 
 
-class _FactView:
+class FactView:
     """Resolves dotted paths against the fields fact lines show, recording obs reads.
 
     Paths resolve as in ``MemorySnapshot.resolve``, through ``resolve_plan``
@@ -420,7 +420,7 @@ class ScriptedProposer:
             call = self._gather_calls[entity] = self.policy.gather.build_call(entity)
         return call
 
-    def _plan(self, view: _FactView) -> tuple[Proposal, str]:
+    def _plan(self, view: FactView) -> tuple[Proposal, str]:
         goal = self.policy.goal
         # 1. Gather required facts, one entity at a time, in spec order.
         for entity in goal.entities():
@@ -442,11 +442,11 @@ class ScriptedProposer:
         rationale = "cancellation handled" if kind == "cancellation" else "all goal work complete"
         return Proposal(call=None, rationale=rationale), "complete"
 
-    def _view(self, cog_input: CognitionInput) -> _FactView:
+    def _view(self, cog_input: CognitionInput) -> FactView:
         entities = cog_input.entities
         if entities is None:
             entities = parse_entities(cog_input.facts, self._parsed)
-        return _FactView(entities)
+        return FactView(entities)
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
         view = self._view(cog_input)
@@ -514,7 +514,7 @@ class FaultyProposer(ScriptedProposer):
         return base
 
     def _mutate(
-        self, fault_type: str, base: Proposal, phase: str, view: _FactView
+        self, fault_type: str, base: Proposal, phase: str, view: FactView
     ) -> Proposal | None:
         goal = self.policy.goal
         if fault_type == "duplicate":

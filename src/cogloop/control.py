@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Any
 
 from . import evidence
-from .evidence import EvidenceExpr, MemoryRef
+from .evidence import MemoryRef
 from .goals import GoalSpec
 from .memory import (
     NOT_FOUND,
@@ -171,7 +171,6 @@ class _Validation:
         self.template = goal.matching_template(self.call)
         self.violations: list[Violation] = []
         self.consumed: dict[str, Any] = {}
-        self.read_keys: set[str] = set()
 
     def add(self, check: CheckKind | None, label: str, detail: str, short: str) -> None:
         if check is None:
@@ -182,11 +181,10 @@ class _Validation:
                 return
         self.violations.append(Violation(check=label, rule_ids=rule_ids, detail=detail, short=short))
 
-    def consume(self, key: str) -> Any:
-        value = self.snapshot.resolve(key)
-        if key not in self.consumed:
-            self.consumed[key] = value
-        self.read_keys.add(key)
+    def resolve(self, path: str) -> Any:
+        """``path`` in the snapshot; records the first value read as a consumption."""
+        value = self.snapshot.resolve(path)
+        self.consumed.setdefault(path, value)
         return value
 
     # ------------------------------------------------------------- the checks
@@ -224,7 +222,7 @@ class _Validation:
         cancellation = self.goal.cancellation
         if cancellation is None or self.template is None or self.template is cancellation:
             return
-        verdict = self._evaluate(list(cancellation.condition))
+        verdict = evidence.evaluate_all(cancellation.condition, self)
         if verdict is evidence.UNKNOWN:
             detail = "cancellation condition not yet evaluable; gather its facts first"
             short = "premature"
@@ -247,7 +245,7 @@ class _Validation:
             return
         kind = "cancellation" if self.template is self.goal.cancellation else "branch"
         condition = self.template.condition
-        verdict = self._evaluate(list(condition))
+        verdict = evidence.evaluate_all(condition, self)
         if verdict is True:
             return
         rendered = " and ".join(evidence.render(c) for c in condition)
@@ -267,7 +265,7 @@ class _Validation:
             )
         for expr in self.proposal.citations:
             if isinstance(expr, MemoryRef):
-                if self.consume(expr.key) is NOT_FOUND:
+                if self.resolve(expr.key) is NOT_FOUND:
                     self.add(
                         CheckKind.CITATION_REQUIRED_FOR_COMPARISON,
                         "Citation",
@@ -275,7 +273,7 @@ class _Validation:
                         "invalid citation",
                     )
                 continue
-            verdict = self._evaluate([expr])
+            verdict = evidence.evaluate(expr, self)
             if verdict is evidence.UNKNOWN:
                 self.add(
                     CheckKind.CITATION_REQUIRED_FOR_COMPARISON,
@@ -290,12 +288,6 @@ class _Validation:
                     f"citation {evidence.render(expr)} is not supported by memory",
                     "invalid citation",
                 )
-
-    def _evaluate(self, exprs: list[EvidenceExpr]) -> Any:
-        for expr in exprs:
-            for key in evidence.referenced_keys(expr):
-                self.consume(key)
-        return evidence.evaluate_all(exprs, self.snapshot)
 
     # ------------------------------------------------------------- assembly
     def approval_log_line(self) -> str:
@@ -320,7 +312,7 @@ class _Validation:
         # every consumed path then resolved (a malformed one never does) or is a
         # goal condition key, parsed at load, so resolve_plan cannot raise here.
         watermarks: dict[str, int] = {}
-        for path in sorted(self.read_keys):
+        for path in sorted(self.consumed):
             for key, _ in resolve_plan(path):
                 version = self.snapshot.latest_version(key)
                 if version:

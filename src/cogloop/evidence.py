@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Union
 
-from .memory import NOT_FOUND, MalformedKey, MemorySnapshot, key_segments
+from .memory import NOT_FOUND, MalformedKey, key_segments
 from .util import Sentinel, is_number
 
 OPERATORS = ("<=", ">=", "==", "!=", "<", ">")
@@ -139,12 +139,12 @@ def referenced_keys(expr: EvidenceExpr) -> list[str]:
     return keys
 
 
-def evaluate(expr: EvidenceExpr, snapshot: MemorySnapshot) -> Any:
-    """Evaluate to True, False, or UNKNOWN (some referenced key unresolved)."""
+def evaluate(expr: EvidenceExpr, memory: Any) -> Any:
+    """True, False, or UNKNOWN (a key unresolved); ``memory`` has ``resolve(path)``."""
     if isinstance(expr, MemoryRef):
-        return UNKNOWN if snapshot.resolve(expr.key) is NOT_FOUND else True
-    lhs = snapshot.resolve(expr.lhs)
-    rhs = expr.rhs.value if isinstance(expr.rhs, Literal) else snapshot.resolve(expr.rhs)
+        return UNKNOWN if memory.resolve(expr.key) is NOT_FOUND else True
+    lhs = memory.resolve(expr.lhs)
+    rhs = expr.rhs.value if isinstance(expr.rhs, Literal) else memory.resolve(expr.rhs)
     if lhs is NOT_FOUND or rhs is NOT_FOUND:
         return UNKNOWN
     if expr.op == "==":
@@ -163,13 +163,12 @@ def evaluate(expr: EvidenceExpr, snapshot: MemorySnapshot) -> Any:
     return lhs >= rhs
 
 
-def evaluate_all(exprs: Iterable[EvidenceExpr], snapshot: MemorySnapshot) -> Any:
-    """Three-valued conjunction: False dominates, then UNKNOWN, else True."""
-    saw_unknown = False
+def evaluate_all(exprs: Iterable[EvidenceExpr], memory: Any) -> Any:
+    """Three-valued conjunction: False dominates, then UNKNOWN, else True. Every
+    conjunct is evaluated, so ``memory`` sees each key read, even after a False."""
+    verdict = True
     for expr in exprs:
-        verdict = evaluate(expr, snapshot)
-        if verdict is False:
-            return False
-        if verdict is UNKNOWN:
-            saw_unknown = True
-    return UNKNOWN if saw_unknown else True
+        result = evaluate(expr, memory)
+        if result is not True and verdict is not False:
+            verdict = result
+    return verdict

@@ -23,6 +23,7 @@ from . import evidence
 from .cognition import (
     CognitionInput,
     FactIndex,
+    FactView,
     FaultConfig,
     FaultyProposer,
     PlannerPolicy,
@@ -31,7 +32,7 @@ from .cognition import (
     ScriptedProposer,
     assemble_input,
     format_memory_fact,
-    parse_fact_line,
+    parse_entities,
 )
 from .control import (
     ControlDecision,
@@ -42,17 +43,15 @@ from .control import (
     validate,
 )
 from .memory import (
-    ALLOWED_KINDS,
     NOT_FOUND,
     EntryKind,
     MalformedKey,
     MemoryEntry,
     MemorySnapshot,
     MemoryStore,
-    descend,
+    StoreError,
     encode_value,
     key_segments,
-    resolve_plan,
 )
 from .regulation import DEFAULT_RULESET, RuleSet
 from .runtime import (
@@ -75,19 +74,6 @@ CYCLE_BUDGET_FACTOR = 3  # default budget = factor * (facts to gather + actions 
 
 class ConfigError(Exception):
     """Episode or scenario configuration is invalid."""
-
-
-def _context_value(context: dict[str, dict[str, Any]], path: str, as_read: bool = False) -> Any:
-    """``path``'s value in ``context`` as memory resolves it, or NOT_FOUND; ``as_read``,
-    as the proposer reads it: parsed back from the fact line of the entry holding it."""
-    for key, tail in resolve_plan(path):
-        if key in context:
-            payload = context[key]
-            if as_read:
-                entry = MemoryEntry(key, EntryKind.OBSERVATION, payload, "init", "", 1)
-                payload = parse_fact_line(format_memory_fact(entry))[1]
-            return descend(payload, tail)
-    return NOT_FOUND
 
 
 class EpisodeStatus(str, Enum):
@@ -185,17 +171,13 @@ class EpisodeConfig:
                 raise ConfigError(
                     f"goal: action {action.describe()} is incomplete ({'; '.join(problems)})"
                 )
-        for key, payload in self.context.items():
-            try:
-                prefix = key_segments(key)[0]
-            except MalformedKey as exc:
-                raise ConfigError(f"bad context key {key!r}: {exc}") from exc
-            if EntryKind.OBSERVATION not in ALLOWED_KINDS[prefix]:
-                raise ConfigError(
-                    f"bad context key {key!r}: namespace {prefix!r} takes no observations"
-                )
-            if not isinstance(payload, dict) or not payload:
-                raise ConfigError(f"context value for {key!r} must be a non-empty object")
+        # Cycle 0 as `drive_episode` commits it: the store's entry rules judge the context.
+        store = MemoryStore()
+        try:
+            self.stage_context(store)
+        except StoreError as exc:
+            raise ConfigError(f"context: {exc}") from exc
+        snapshot = store.commit_cycle()
         citation = self.policy.goal_citation
         if citation is not None:
             try:
@@ -204,20 +186,27 @@ class EpisodeConfig:
                 raise ConfigError(f"goal_citation: {exc}") from exc
             if not citation.startswith("goal."):
                 raise ConfigError("goal_citation: must be a goal.* key")
-            if _context_value(self.context, citation) is NOT_FOUND:
+            if snapshot.resolve(citation) is NOT_FOUND:
                 raise ConfigError(f"goal_citation: {citation!r} does not resolve in context")
+        # The proposer reads goal.* values back from the fact lines of that cycle 0.
+        view = FactView(parse_entities(tuple(map(format_memory_fact, snapshot.entries)), {}))
         for key in goal.condition_keys():
             if not key.startswith("goal."):
                 continue
-            held = _context_value(self.context, key)
+            held = snapshot.resolve(key)
             if held is NOT_FOUND:
                 raise ConfigError(f"goal: condition key {key!r} does not resolve in context")
-            read = _context_value(self.context, key, as_read=True)
+            read = view.resolve(key)
             if read is NOT_FOUND or canonical_json(read) != canonical_json(held):
                 raise ConfigError(
                     f"goal: condition key {key!r} holds {held!r}, "
                     f"which the proposer reads as {read!r}"
                 )
+
+    def stage_context(self, store: MemoryStore) -> None:
+        """Stage the context entries of cycle 0, in key order."""
+        for key in sorted(self.context):
+            store.write_staged(key, EntryKind.OBSERVATION, self.context[key], source="init")
 
     def describe(self) -> dict[str, Any]:
         """Stable dict identifying this configuration (digest input)."""
@@ -448,8 +437,7 @@ def drive_episode(
     system = make_system(registry)
 
     # Cycle 0: commit the static context and the system's own initial entries.
-    for key in sorted(config.context):
-        store.write_staged(key, EntryKind.OBSERVATION, config.context[key], source="init")
+    config.stage_context(store)
     system.stage_init(store)
     init_delta = _commit_delta(store)
     records = [

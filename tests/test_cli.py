@@ -111,7 +111,7 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
         ('"temp_f": 51.8', '"temp_f": NaN', "world.weather[0].temp_f: expected finite number"),
         ("Jeju", "New York", "goal: left side of 'obs.New York.temp_f <= obs.Seoul.temp_f'"),
         ('"goal.choose_colder": {', '"status.foo": {"x": 1}, "goal.choose_colder": {',
-         "bad context key 'status.foo': namespace 'status' takes no observations"),
+         "context: kind 'observation' not allowed under namespace 'status' (key status.foo)"),
         ('"goal.choose_colder.rule"', '"goal.choose_colder.rule x"',
          "goal_citation: empty or whitespace segment in key 'goal.choose_colder.rule x'"),
         ('"obs.Seoul.temp_f",', '"obs.Seoul", "obs.Seoul.temp_f",',
@@ -127,6 +127,10 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
          ('"obs.Seoul.temp_f < obs.Jeju.temp_f", "goal.limits.max_f > obs.Seoul.temp_f"]',
           '"context": {"goal.limits": {"max_f": "90"}, '),
          "goal: condition key 'goal.limits.max_f' holds '90', which the proposer reads as 90"),
+        (('"obs.Seoul.temp_f < obs.Jeju.temp_f"]', '"context": {'),
+         ('"obs.Seoul.temp_f < obs.Jeju.temp_f", "goal.limits.max_f > obs.Seoul.temp_f"]',
+          '"context": {"goal.limits": {"max_f": 60}, "obs.goal.limits": {"max_f": 40}, '),
+         "goal: condition key 'goal.limits.max_f' holds 60, which the proposer reads as 40"),
         ('"location": "{entity}", "date": "2025-06-14"', '"location": "{entity}"',
          "gather.arguments: no valid call for entity 'Seoul' "
          "(missing required argument 'date')"),
@@ -157,6 +161,7 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
     ids=["nan-temperature", "city-with-space", "status-context-key", "goal-citation-with-space",
          "bare-entity-fact", "branch-repeats-tool", "goal-citation-unresolved",
          "condition-context-key-unresolved", "condition-context-value-read-as-number",
+         "condition-context-entity-shown-by-obs-key",
          "gather-without-date", "gather-date-not-string", "gather-observes-another-entity",
          "gather-date-without-forecast",
          "action-placeholder-argument",
@@ -299,7 +304,7 @@ def test_suite_bad_last_file_exits_one_before_any_episode(
     assert episodes == []
     assert capsys.readouterr().err == (
         f"configuration error: {last}: "
-        "bad context key 'status.x': namespace 'status' takes no observations\n"
+        "context: kind 'observation' not allowed under namespace 'status' (key status.x)\n"
     )
 
 

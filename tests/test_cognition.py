@@ -12,6 +12,7 @@ from cogloop.cognition import (
     PHANTOM_KEY,
     CognitionInput,
     FactIndex,
+    FactView,
     FaultConfig,
     FaultyProposer,
     GatherTemplate,
@@ -19,7 +20,6 @@ from cogloop.cognition import (
     PolicyGap,
     Proposal,
     ScriptedProposer,
-    _FactView,
     assemble_input,
     format_memory_fact,
     parse_entities,
@@ -201,7 +201,7 @@ def test_fact_view_resolves_paths_as_the_snapshot_does():
     store.write_staged("act.book_flight", EntryKind.ACTION,
                        {"name": "book_flight", "args": {}, "status": "executed"}, "tool")
     snapshot = store.commit_cycle()
-    view = _FactView(parse_entities(FactIndex().current(snapshot)[0], {}))
+    view = FactView(parse_entities(FactIndex().current(snapshot)[0], {}))
     paths = [
         "obs.Seoul.temp_f", "obs.Seoul.temp", "obs.Seoul.sky.rain", "obs.Seoul.humidity",
         "obs.Jeju.temp_f", "obs.Seo ul.temp_f", "obs", "goal.limits.temp",

@@ -1,6 +1,8 @@
 """Validation layer: check ordering, verdicts, feedback, failure handling."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from cogloop.cognition import Proposal
@@ -18,7 +20,7 @@ from cogloop.control import (
 from cogloop.evidence import MemoryRef, parse
 from cogloop.goals import GoalSpec
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryStore
-from cogloop.regulation import DEFAULT_RULESET
+from cogloop.regulation import DEFAULT_RULESET, RuleSet
 from cogloop.runtime import ErrorCode, ToolCall, ToolResult, builtin_registry
 
 from test_goals import TWO_CITY_GOAL
@@ -127,6 +129,35 @@ def test_regather_after_failure_logs_failed_observation():
     assert decision.log_lines == (
         "[Control] Precondition: Previous observation for Seoul failed → Approved",
     )
+
+
+def test_gather_on_another_date_after_clean_observation_is_fresh():
+    """A clean observation makes only its own call a duplicate: a call on another date
+    observes the same key and is approved as a fresh reading."""
+    cache = DedupCache()
+    cache.record(ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"}), {})
+    decision = run_validate(
+        Proposal(call=ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-15"})),
+        store_with({"obs.Seoul": SEOUL}), cache,
+    )
+    assert decision.verdict is Verdict.APPROVED
+    assert decision.log_lines == (
+        "[Control] Precondition: Fresh observation permitted for Seoul → Approved",
+    )
+
+
+def test_effect_call_outside_the_goal_approved_when_condition_rule_disabled():
+    ruleset = RuleSet(tuple(
+        replace(rule, enabled=False) if rule.id == "R-COND-EXEC" else rule
+        for rule in DEFAULT_RULESET.rules
+    ))
+    call = ToolCall("book_flight", {"location": "Busan"})
+    store = store_with({"obs.Seoul": SEOUL, "obs.Jeju": JEJU})
+    assert run_validate(Proposal(call=call), store).verdict is Verdict.REJECTED
+    decision = validate(Proposal(call=call), store.snapshot, GOAL, ruleset, DedupCache(),
+                        REGISTRY, 1, 10)
+    assert decision.verdict is Verdict.APPROVED
+    assert decision.log_lines == ("[Control] Precondition: required memory present → Approved",)
 
 
 def test_branch_action_approval_records_consumptions_and_read_set():

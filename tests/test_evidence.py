@@ -132,6 +132,17 @@ def test_evaluate_all_conjunction_ordering(snapshot):
     assert evaluate_all([true_expr, unknown_expr], snapshot) is UNKNOWN
     assert evaluate_all([false_expr, unknown_expr], snapshot) is False  # False dominates
     assert evaluate_all([], snapshot) is True
+    # Every conjunct is evaluated: a recording memory sees the keys after a False too.
+    reads = []
+
+    class Recording:
+        def resolve(self, path):
+            reads.append(path)
+            return snapshot.resolve(path)
+
+    assert evaluate_all([false_expr, unknown_expr, true_expr], Recording()) is False
+    assert reads == ["obs.Jeju.temp_f", "obs.Seoul.temp_f", "obs.Busan.temp_f",
+                     "obs.Seoul.temp_f", "obs.Jeju.temp_f"]
 
 
 def test_unknown_is_a_singleton():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 
 import pytest
 
@@ -285,7 +286,7 @@ def test_config_validation_errors(two_city):
 
     config = two_city.episode_config(seed=1)
     config.context["not a key"] = {"x": 1}
-    with pytest.raises(ConfigError, match="context key"):
+    with pytest.raises(ConfigError, match="context: empty or whitespace segment in key 'not a"):
         config.validate()
 
     config = two_city.episode_config(seed=1)
@@ -296,7 +297,10 @@ def test_config_validation_errors(two_city):
     for key in ("status.foo", "act.x", "prop.x", "feedback.x"):
         config = two_city.episode_config(seed=1)
         config.context[key] = {"x": 1}
-        with pytest.raises(ConfigError, match=f"context key '{key}'.*takes no observations"):
+        prefix = key.split(".")[0]
+        with pytest.raises(ConfigError, match=re.escape(
+            f"context: kind 'observation' not allowed under namespace '{prefix}' (key {key})"
+        )):
             config.validate()
 
 

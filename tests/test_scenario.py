@@ -252,7 +252,7 @@ def test_seed_and_name_constraints():
     expect_error(document, "task must be a non-empty string")
     document = valid_document()
     document["context"]["goal.empty"] = {}
-    expect_error(document, "context value for 'goal.empty' must be a non-empty object")
+    expect_error(document, "context: payload for goal.empty must be a non-empty mapping")
 
 
 def test_baseline_parameters_validated():
@@ -305,7 +305,7 @@ def test_load_suite_names_the_first_bad_file(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_suite(tmp_path)
     assert str(excinfo.value) == (
-        f"{last}: bad context key 'status.x': namespace 'status' takes no observations"
+        f"{last}: context: kind 'observation' not allowed under namespace 'status' (key status.x)"
     )
 
 

@@ -208,6 +208,19 @@ def test_only_goals_and_control_evaluate_conditions():
     assert callers <= {"goals.py", "control.py"}
 
 
+def test_only_cognition_parses_fact_lines():
+    """The proposer reads memory through ``cognition``'s parse of its fact lines; another
+    module that parses them is a private copy of that read, which can drift from it."""
+    readers = {
+        module
+        for module, text in MODULES.items()
+        for node in ast.walk(ast.parse(text))
+        if "parse_fact_line" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None))
+    }
+    assert readers == {"cognition.py"}
+
+
 def test_only_util_writes_compact_json():
     """``util.canonical_json`` is the one home of compact sorted JSON: a second writer
     with the same separators could drift from it in the bytes a digest covers."""
