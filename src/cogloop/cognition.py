@@ -403,8 +403,29 @@ class FactView:
         return bool(fields) and "error" not in fields
 
 
+def plan_reads(goal: GoalSpec) -> tuple[str, ...]:
+    """The entity names a plan for ``goal`` can look up in a `FactView`: each
+    ``resolve_plan`` prefix of a required fact or condition key, the goal
+    entities (``has_clean``) and ``act.<tool>`` per action (``executed``)."""
+    paths = (*goal.required_facts, *goal.condition_keys())
+    return tuple(dict.fromkeys([
+        *(key.removeprefix("obs.") for path in paths for key, _ in resolve_plan(path)),
+        *goal.entities(),
+        *(f"act.{action.name}" for action in goal.action_templates()),
+    ]))
+
+
+# A memoized plan: its proposal, phase and fact reads, and the fields it was made over.
+Plan = tuple[Proposal, str, tuple[tuple[str, Any], ...], dict[str, dict[str, Any]]]
+
+
 class ScriptedProposer:
-    """Deterministic goal-spec planner; a pure function of the serialized input."""
+    """Deterministic goal-spec planner; a pure function of the serialized input.
+
+    Plans are memoized per episode by the identities of the `plan_reads`
+    fields objects (a line's fields are a new object only when its key commits
+    a new entry); each stored plan holds those objects, so no id is reused.
+    """
 
     def __init__(self, policy: PlannerPolicy):
         self.policy = policy
@@ -412,6 +433,8 @@ class ScriptedProposer:
         self._parsed: ParsedLines = {}
         self._gather_calls: dict[str, ToolCall] = {}
         self._goal_ref = (MemoryRef(policy.goal_citation),) if policy.goal_citation else ()
+        self._read_names = plan_reads(policy.goal)
+        self._plans: dict[tuple[int, ...], Plan] = {}
 
     def _gather_call(self, entity: str) -> ToolCall:
         """The gather call for ``entity``, built once per episode."""
@@ -442,16 +465,28 @@ class ScriptedProposer:
         rationale = "cancellation handled" if kind == "cancellation" else "all goal work complete"
         return Proposal(call=None, rationale=rationale), "complete"
 
-    def _view(self, cog_input: CognitionInput) -> FactView:
+    def _entities(self, cog_input: CognitionInput) -> dict[str, dict[str, Any]]:
         entities = cog_input.entities
         if entities is None:
             entities = parse_entities(cog_input.facts, self._parsed)
-        return FactView(entities)
+        return entities
+
+    def _planned(self, entities: dict[str, dict[str, Any]]) -> Plan:
+        """The plan for ``entities``, made over only the fields it can read."""
+        # Built from a list, the key tuple has its size from the start; from an iterator
+        # it would be made larger and shrunk, leaving one more tuple of its size in
+        # CPython's free lists on every cycle.
+        key = tuple([id(entities.get(name)) for name in self._read_names])
+        plan = self._plans.get(key)
+        if plan is None:
+            view = FactView({name: entities[name] for name in self._read_names if name in entities})
+            proposal, phase = self._plan(view)  # a PolicyGap is raised, never stored
+            plan = self._plans[key] = (proposal, phase, tuple(view.reads.items()), view.entities)
+        return plan
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = self._view(cog_input)
-        proposal, _ = self._plan(view)
-        self.last_meta = ProposeMeta(fact_reads=list(view.reads.items()))
+        proposal, _, reads, _ = self._planned(self._entities(cog_input))
+        self.last_meta = ProposeMeta(fact_reads=list(reads))
         return proposal
 
 
@@ -493,15 +528,17 @@ class FaultyProposer(ScriptedProposer):
         super().__init__(policy)
         self.faults = faults
         self._rng = random.Random(f"faults:{faults.seed}:{episode_seed}")
+        self._probabilities = tuple(faults.probability(t) for t in FAULT_TYPES)
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        view = self._view(cog_input)
-        base, phase = self._plan(view)
-        meta = ProposeMeta(fact_reads=list(view.reads.items()))
+        entities = self._entities(cog_input)
+        base, phase, reads, _ = self._planned(entities)
+        meta = ProposeMeta(fact_reads=list(reads))
         draws = [self._rng.random() for _ in FAULT_TYPES]
         if base.call is not None:
-            for draw, fault_type in zip(draws, FAULT_TYPES):
-                if draw >= self.faults.probability(fault_type):
+            view = FactView(entities)
+            for draw, p, fault_type in zip(draws, self._probabilities, FAULT_TYPES):
+                if draw >= p:
                     continue
                 mutated = self._mutate(fault_type, base, phase, view)
                 if mutated is not None:

@@ -74,17 +74,17 @@ class ToolCall:
 
 def canon_args(arguments: dict[str, Any]) -> dict[str, Any]:
     """Canonical argument form: keys sorted recursively, strings trimmed."""
+    return {k: _canon(arguments[k]) for k in sorted(arguments)}
 
-    def canon(value: Any) -> Any:
-        if isinstance(value, dict):
-            return {k: canon(value[k]) for k in sorted(value)}
-        if isinstance(value, list):
-            return [canon(v) for v in value]
-        if isinstance(value, str):
-            return value.strip()
-        return value
 
-    return {k: canon(arguments[k]) for k in sorted(arguments)}
+def _canon(value: Any) -> Any:
+    if isinstance(value, dict):
+        return {k: _canon(value[k]) for k in sorted(value)}
+    if isinstance(value, list):
+        return [_canon(v) for v in value]
+    if isinstance(value, str):
+        return value.strip()
+    return value
 
 
 @dataclass(frozen=True)

@@ -347,6 +347,12 @@ def _call_matches(call: dict[str, Any] | None, tool: str, args: dict[str, Any]) 
     return arguments == args or canon_args(arguments) == canon_args(args)
 
 
+class _Resolved(dict):
+    """Citation values already read from the snapshot, by key, for `evidence.evaluate`."""
+
+    resolve = dict.__getitem__
+
+
 def _chain_links(
     snapshot: MemorySnapshot, record: CycleRecord
 ) -> tuple[tuple[str, str] | None, list[MemoryEntry], list[list[Any]]]:
@@ -387,12 +393,13 @@ def _chain_links(
             expr = evidence.parse(raw)
         except evidence.EvidenceParseError as exc:
             return ("citation", f"unparseable citation: {exc}"), [], []
+        values = _Resolved()
         for key in evidence.referenced_keys(expr):
-            value = snapshot.resolve(key)
+            value = values[key] = snapshot.resolve(key)
             if value is NOT_FOUND:
                 return ("citation", f"cited key {key} does not resolve"), [], []
             resolved.append([key, value])
-        if isinstance(expr, Comparison) and evidence.evaluate(expr, snapshot) is not True:
+        if isinstance(expr, Comparison) and evidence.evaluate(expr, values) is not True:
             return ("citation", f"citation {raw} not supported by memory"), [], []
     return None, own_entries, resolved
 

@@ -297,7 +297,8 @@ def test_planner_regathers_error_marker_entity():
     assert proposal.rationale == "missing required facts for Seoul"
 
 
-def test_policy_gap_when_condition_unresolvable():
+def threshold_policy() -> PlannerPolicy:
+    """Book Seoul when it is warmer than the ``goal.threshold`` line's value."""
     config = {
         "required_facts": ["obs.Seoul.temp_f"],
         "branches": [
@@ -307,14 +308,78 @@ def test_policy_gap_when_condition_unresolvable():
             }
         ],
     }
-    policy = PlannerPolicy(
+    return PlannerPolicy(
         goal=GoalSpec.from_dict(config),
         gather=GatherTemplate(tool="get_weather",
                               arguments={"location": "{entity}", "date": "2025-06-14"}),
     )
-    proposer = ScriptedProposer(policy)
+
+
+def test_policy_gap_when_condition_unresolvable():
+    proposer = ScriptedProposer(threshold_policy())
     with pytest.raises(PolicyGap):
         proposer.propose(cog_input(SEOUL_LINE))  # goal.threshold never observed
+
+
+def test_policy_gap_raises_on_every_cycle_of_its_state():
+    """A PolicyGap is never memoized: the same fields raise on each cycle."""
+    policy = threshold_policy()
+    for proposer in (ScriptedProposer(policy), FaultyProposer(policy, FaultConfig(p_duplicate=1))):
+        state = cog_input(SEOUL_LINE)
+        for _ in range(3):
+            with pytest.raises(PolicyGap):
+                proposer.propose(state)
+
+
+def test_plan_reads_a_goal_key_through_its_entry():
+    """A condition on ``goal.threshold.value`` reads the ``goal.threshold`` line."""
+    proposer = ScriptedProposer(threshold_policy())
+    state = cog_input(fact("goal.threshold", "value=40"), SEOUL_LINE)
+    for _ in range(2):
+        assert proposer.propose(state).call == ToolCall("book_flight", {"location": "Seoul"})
+    warmer = cog_input(fact("goal.threshold", "value=60"), SEOUL_LINE)
+    assert proposer.propose(warmer).rationale == "all goal work complete"
+
+
+def with_entities(entities: dict) -> CognitionInput:
+    return CognitionInput(
+        system="sys", task="pick a trip", rules="", facts=(), constraints=(), entities=entities
+    )
+
+
+def test_plan_memo_keys_on_fields_objects_not_their_values(monkeypatch):
+    """Equal but distinct fields dicts miss the memo; the same dicts hit it."""
+    plans = []
+    plan = ScriptedProposer._plan
+    monkeypatch.setattr(
+        ScriptedProposer, "_plan", lambda self, view: plans.append(view) or plan(self, view)
+    )
+    proposer = ScriptedProposer(make_policy())
+    first = parse_entities((GOAL_LINE, SEOUL_LINE), {})
+    answers = [proposer.propose(with_entities(first))]
+    reads = proposer.last_meta.fact_reads
+    answers.append(proposer.propose(with_entities(dict(first))))  # the same objects
+    assert len(plans) == 1 and proposer.last_meta.fact_reads == reads
+    equal = parse_entities((GOAL_LINE, SEOUL_LINE), {})
+    assert equal == first and equal["Seoul"] is not first["Seoul"]
+    answers.append(proposer.propose(with_entities(equal)))
+    assert len(plans) == 2 and proposer.last_meta.fact_reads == reads
+    assert len({json.dumps(a.to_response()) for a in answers}) == 1
+
+
+def test_plan_sees_only_the_fields_its_goal_reads(monkeypatch):
+    """Entities outside the goal's reads neither reach the plan nor miss the memo."""
+    plans = []
+    plan = ScriptedProposer._plan
+    monkeypatch.setattr(
+        ScriptedProposer, "_plan", lambda self, view: plans.append(view) or plan(self, view)
+    )
+    proposer = ScriptedProposer(make_policy())
+    state = parse_entities((GOAL_LINE, SEOUL_LINE), {})
+    proposer.propose(with_entities(state))
+    proposer.propose(with_entities({**state, "feedback.cycle7": {"message": "x"}}))
+    assert len(plans) == 1
+    assert set(plans[0].entities) == {"Seoul"}
 
 
 # ------------------------------------------------------------ fault injection

@@ -1,9 +1,9 @@
-"""Golden pin: the suite50 sweep under all faults at 0.1 is byte-stable.
+"""Golden pins: suite50 sweeps under faults are byte-stable.
 
-Every trace of the sweep — per scenario and seed, governed then baseline —
-is hashed in order. Any change to trace bytes, to either system's decisions,
-or to the order of runs moves the digest; a change that moves it on purpose
-must say why.
+Every trace of a sweep — per scenario and seed, governed then baseline — is
+hashed in order. Any change to trace bytes, to either system's decisions, or
+to the order of runs moves the digest; a change that moves it on purpose must
+say why.
 """
 from __future__ import annotations
 
@@ -17,15 +17,14 @@ from cogloop.regulation import DEFAULT_RULESET
 from cogloop.scenario import load_suite
 
 GOLDEN_DIGEST = "ef71a98839eb6183"
+# Under near-even duplicates most governed cycles re-plan an unchanged state.
+DUPLICATE_DIGEST = "36f37a181207c11b"
 RULESET_VERSION = "b709da07996eecce"  # every trace header and config digest carries it
 
 
-def test_shipped_ruleset_version_is_pinned():
-    assert DEFAULT_RULESET.version == RULESET_VERSION
-
-
-def test_suite50_traces_match_golden_digest(suite_dir):
-    faults = parse_faults("all=0.1")
+def sweep(suite_dir, fault_spec: str) -> tuple[str, dict[str, Counter]]:
+    """The sweep's digest prefix and its status counts per system."""
+    faults = parse_faults(fault_spec)
     digest = hashlib.sha256()
     statuses = {"governed": Counter(), "baseline": Counter()}
     for scenario in load_suite(suite_dir):
@@ -39,8 +38,25 @@ def test_suite50_traces_match_golden_digest(suite_dir):
             digest.update(baseline.trace.dumps().encode("utf-8"))
             statuses["governed"][governed.status.value] += 1
             statuses["baseline"][baseline.status.value] += 1
-    assert digest.hexdigest()[:16] == GOLDEN_DIGEST
-    assert statuses == {
-        "governed": Counter({"Completed": 250}),
-        "baseline": Counter({"BudgetExhausted": 231, "Completed": 19}),
-    }
+    return digest.hexdigest()[:16], statuses
+
+
+def test_shipped_ruleset_version_is_pinned():
+    assert DEFAULT_RULESET.version == RULESET_VERSION
+
+
+def test_suite50_traces_match_golden_digest(suite_dir):
+    assert sweep(suite_dir, "all=0.1") == (
+        GOLDEN_DIGEST,
+        {
+            "governed": Counter({"Completed": 250}),
+            "baseline": Counter({"BudgetExhausted": 231, "Completed": 19}),
+        },
+    )
+
+
+def test_suite50_duplicate_sweep_matches_its_digest(suite_dir):
+    assert sweep(suite_dir, "duplicate=0.5") == (
+        DUPLICATE_DIGEST,
+        {"governed": Counter({"Completed": 250}), "baseline": Counter({"BudgetExhausted": 250})},
+    )

@@ -16,7 +16,7 @@ from cogloop.evidence import UNKNOWN
 from cogloop.loop import run_episode
 from cogloop.memory import MemoryQuery
 from cogloop.runtime import ToolCall
-from cogloop.scenario import generate_suite, load_scenario
+from cogloop.scenario import generate_suite, load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
 from cogloop.util import canonical_json, content_digest
 from conftest import SCENARIO_DIR
@@ -107,6 +107,14 @@ def test_sweep_canonicalizes_call_arguments_at_most_twice_per_cycle(monkeypatch)
     assert calls <= 2 * cycles, f"{calls} canonicalizations over {cycles} cycles"
 
 
+def probe_config():
+    """The ROADMAP probe: 237 cycles, nearly all of them rejected duplicates."""
+    scenario = load_scenario(SCENARIO_DIR / "weather_two_city.json")
+    return scenario.episode_config(
+        1, faults=FaultConfig(seed=3, p_duplicate=0.995), max_cycles=2000
+    )
+
+
 def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatch):
     """On the long probe (237 cycles, 476 entries), each fact line is JSON-encoded once,
     when its entry is committed, and no governed cycle parses its fact lines afresh.
@@ -133,15 +141,68 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
     monkeypatch.setattr(cognition, "_json_string", encode)
     monkeypatch.setattr(cognition, "parse_entities", parse)
     monkeypatch.setattr(loop, "assemble_input", assembling)
-    scenario = load_scenario(SCENARIO_DIR / "weather_two_city.json")
-    config = scenario.episode_config(
-        1, faults=FaultConfig(seed=3, p_duplicate=0.995), max_cycles=2000
-    )
-    result = run_episode(config)
+    result = run_episode(probe_config())
     assert (result.cycles_used, len(result.store.entries())) == (237, 476)
     fact_entries = sum(e.kind in FACT_KINDS for e in result.store.entries())
     assert counts["encodes"] <= fact_entries + counts["constraints"]
     assert counts["fresh_parses"] == 0
+
+
+def test_probe_plans_once_per_state_its_goal_reads(monkeypatch):
+    """The scripted plan is made 4 times over the probe's 237 cycles: once per state of
+    the facts its goal reads. Re-planning on every cycle made 237 plans here."""
+    plans = 0
+    plan = cognition.ScriptedProposer._plan
+
+    def counting(self, view):
+        nonlocal plans
+        plans += 1
+        return plan(self, view)
+
+    monkeypatch.setattr(cognition.ScriptedProposer, "_plan", counting)
+    assert run_episode(probe_config()).cycles_used == 237
+    assert plans == 4
+
+
+def test_memoized_plans_equal_plans_over_the_full_view(suite_dir, monkeypatch):
+    """On every cycle of the suite50 sweep at all=0.1, both systems, and of the probe,
+    the memoized plan has the proposal, phase and fact reads of a fresh planner given
+    the cycle's whole view."""
+    planned, plan = cognition.ScriptedProposer._planned, cognition.ScriptedProposer._plan
+    counts = {"cycles": 0, "plans": 0}
+
+    def checking(self, entities):
+        counts["cycles"] += 1
+        fresh, view = cognition.ScriptedProposer(self.policy), cognition.FactView(entities)
+        try:
+            memoized = planned(self, entities)
+        except cognition.PolicyGap:
+            with pytest.raises(cognition.PolicyGap):
+                plan(fresh, view)
+            raise
+        proposal, phase = plan(fresh, view)
+        assert (memoized[0].to_response(), memoized[1], list(memoized[2])) == (
+            proposal.to_response(), phase, list(view.reads.items())
+        )
+        return memoized
+
+    def counting(self, view):
+        counts["plans"] += 1
+        return plan(self, view)
+
+    monkeypatch.setattr(cognition.ScriptedProposer, "_planned", checking)
+    monkeypatch.setattr(cognition.ScriptedProposer, "_plan", counting)
+    faults = parse_faults("all=0.1")
+    cycles = run_episode(probe_config()).cycles_used
+    for scenario in load_suite(suite_dir):
+        for seed in scenario.seeds:
+            config = scenario.episode_config(seed, faults=faults)
+            cycles += run_episode(config).cycles_used
+            budget, decay = scenario.baseline_budget, scenario.baseline_decay
+            cycles += run_baseline_episode(config, budget, decay).cycles_used
+    # Plans made by the episodes' planners, not the checks: about half the cycles hit.
+    assert (counts["cycles"], counts["plans"]) == (cycles, 4219)
+    assert cycles == 8742
 
 
 class NeverStores(dict):
