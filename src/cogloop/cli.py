@@ -11,7 +11,7 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from .baseline import check_context, run_baseline_episode
 from .cognition import FAULT_TYPES, FaultConfig
@@ -120,22 +120,15 @@ def _print_status(label: str, result: EpisodeResult) -> None:
 
 def _episodes(
     args: argparse.Namespace, scenario: Scenario, seed: int, faults: FaultConfig | None
-) -> Iterator[tuple[str, EpisodeResult, dict[str, Metric]]]:
-    """The governed episode, then under ``--compare`` the baseline one, with their metrics.
-
-    Each episode runs only when the caller asks for it, so output printed
-    between the two comes before the baseline can fail.
-    """
+) -> list[tuple[str, EpisodeResult, dict[str, Metric]]]:
+    """The governed episode, then under ``--compare`` the baseline one, with their metrics."""
     config = scenario.episode_config(seed, faults=faults, max_cycles=args.max_cycles)
-    result = run_episode(config)
-    yield "governed", result, compute_metrics(result.trace)
+    results = [("governed", run_episode(config))]
     if args.compare:
-        result = run_baseline_episode(
-            config,
-            scenario.baseline_budget if args.baseline_budget is None else args.baseline_budget,
-            scenario.baseline_decay if args.baseline_decay is None else args.baseline_decay,
-        )
-        yield "baseline", result, compute_metrics(result.trace)
+        budget = scenario.baseline_budget if args.baseline_budget is None else args.baseline_budget
+        decay = scenario.baseline_decay if args.baseline_decay is None else args.baseline_decay
+        results.append(("baseline", run_baseline_episode(config, budget, decay)))
+    return [(system, result, compute_metrics(result.trace)) for system, result in results]
 
 
 def _check_overrides(args: argparse.Namespace, scenario: Scenario) -> None:
@@ -153,7 +146,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_overrides(args, scenario)
     seed = args.seed if args.seed is not None else scenario.seeds[0]
     episodes = _episodes(args, scenario, seed, parse_faults(args.faults))
-    _, result, metrics = next(episodes)
+    _, result, _ = episodes[0]
     print(f"scenario {scenario.name} seed {seed}")
     _print_status("governed", result)
     if args.verbose:
@@ -161,20 +154,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             for line in record.log_lines:
                 print(f"  c{record.cycle} {line}")
     print(f"final: {result.final_response}")
-    columns = {"governed": metrics}
-    traces = {"governed": result.trace}
-    for system, baseline_result, baseline_metrics in episodes:
+    for system, baseline_result, _ in episodes[1:]:
         _print_status(system, baseline_result)
-        columns[system] = baseline_metrics
-        traces[system] = baseline_result.trace
+    columns = {system: metrics for system, _, metrics in episodes}
     print(render_table(columns))
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         stem = f"{scenario.name}_s{seed}"
-        for system, trace in traces.items():
-            trace.dump(out / f"{stem}_{system}.jsonl")
+        for system, episode, _ in episodes:
+            episode.trace.dump(out / f"{stem}_{system}.jsonl")
         metrics_json = canonical_json(_metrics_table(columns)) + "\n"
         (out / f"{stem}_metrics.json").write_text(metrics_json, encoding="utf-8")
         print(f"wrote artifacts to {out}")
@@ -185,7 +175,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     scenarios = load_suite(args.directory)
     _check_overrides(args, scenarios[0])
     faults = parse_faults(args.faults)
-    seeds_override = parse_seeds(args.seeds) if args.seeds else None
+    seeds_override = parse_seeds(args.seeds) if args.seeds is not None else None
     episodes: list[dict[str, Any]] = []
     per_system: dict[str, list[dict[str, Metric]]] = {}
     statuses: dict[str, Counter] = {}

@@ -51,6 +51,15 @@ DEDUP_RULE_ID = "R-DEDUP"
 
 ESCALATION_THRESHOLD = 2  # consecutive failures of one tool before escalating
 
+# Each check's violation label; None is R-DEDUP, which no configured rule owns.
+_LABELS: dict[CheckKind | None, str] = {
+    CheckKind.ARGUMENTS_COMPLETE: "Arguments",
+    None: "Dedup",
+    CheckKind.CANCELLATION_BEFORE_BRANCH: "Priority",
+    CheckKind.PRECONDITIONS_SATISFIED: "Condition",
+    CheckKind.CITATION_REQUIRED_FOR_COMPARISON: "Citation",
+}
+
 
 class Verdict(str, Enum):
     APPROVED = "approved"
@@ -172,14 +181,14 @@ class _Validation:
         self.violations: list[Violation] = []
         self.consumed: dict[str, Any] = {}
 
-    def add(self, check: CheckKind | None, label: str, detail: str, short: str) -> None:
+    def add(self, check: CheckKind | None, detail: str, short: str) -> None:
         if check is None:
             rule_ids: tuple[str, ...] = (DEDUP_RULE_ID,)
         else:
             rule_ids = tuple(r.id for r in self.ruleset.active_for_check(check))
             if not rule_ids:  # rule explicitly disabled: check not enforced
                 return
-        self.violations.append(Violation(check=label, rule_ids=rule_ids, detail=detail, short=short))
+        self.violations.append(Violation(_LABELS[check], rule_ids, detail, short))
 
     def resolve(self, path: str) -> Any:
         """``path`` in the snapshot; records the first value read as a consumption."""
@@ -190,21 +199,13 @@ class _Validation:
     # ------------------------------------------------------------- the checks
     def check_arguments(self) -> None:
         if self.spec is None:
-            self.add(
-                CheckKind.ARGUMENTS_COMPLETE,
-                "Arguments",
-                f"no registered tool named {self.call.name!r}",
-                "unknown tool",
-            )
-            return
-        problems = argument_problems(self.spec, self.call.arguments)
-        if problems:
-            self.add(
-                CheckKind.ARGUMENTS_COMPLETE,
-                "Arguments",
-                "; ".join(problems),
-                "incomplete arguments",
-            )
+            detail, short = f"no registered tool named {self.call.name!r}", "unknown tool"
+        else:
+            problems = argument_problems(self.spec, self.call.arguments)
+            if not problems:
+                return
+            detail, short = "; ".join(problems), "incomplete arguments"
+        self.add(CheckKind.ARGUMENTS_COMPLETE, detail, short)
 
     def check_dedup(self) -> None:
         if not self.cache.is_duplicate(self.call, self.snapshot):
@@ -216,7 +217,7 @@ class _Validation:
                 f"identical call {self.call.describe()} already executed "
                 "without intervening state changes"
             )
-        self.add(None, "Dedup", detail, "duplicate")
+        self.add(None, detail, "duplicate")
 
     def check_cancellation_priority(self) -> None:
         cancellation = self.goal.cancellation
@@ -231,14 +232,13 @@ class _Validation:
             short = "preempted"
         else:
             return
-        self.add(CheckKind.CANCELLATION_BEFORE_BRANCH, "Priority", detail, short)
+        self.add(CheckKind.CANCELLATION_BEFORE_BRANCH, detail, short)
 
     def check_condition(self) -> None:
         if self.template is None:
             if self.spec is not None and self.spec.effect:
                 self.add(
                     CheckKind.PRECONDITIONS_SATISFIED,
-                    "Condition",
                     f"no goal branch authorizes effect call {self.call.describe()}",
                     "unauthorized action",
                 )
@@ -253,41 +253,24 @@ class _Validation:
             detail = f"{kind} condition not established: {rendered}"
         else:
             detail = f"{kind} condition is false: {rendered}"
-        self.add(CheckKind.PRECONDITIONS_SATISFIED, "Condition", detail, "condition not satisfied")
+        self.add(CheckKind.PRECONDITIONS_SATISFIED, detail, "condition not satisfied")
 
     def check_citations(self) -> None:
+        check = CheckKind.CITATION_REQUIRED_FOR_COMPARISON
         if self.template is not None and not self.proposal.citations:
-            self.add(
-                CheckKind.CITATION_REQUIRED_FOR_COMPARISON,
-                "Citation",
-                "comparison-backed action proposed without citations",
-                "missing citations",
-            )
+            self.add(check, "comparison-backed action proposed without citations", "missing citations")
         for expr in self.proposal.citations:
             if isinstance(expr, MemoryRef):
-                if self.resolve(expr.key) is NOT_FOUND:
-                    self.add(
-                        CheckKind.CITATION_REQUIRED_FOR_COMPARISON,
-                        "Citation",
-                        f"cited key {expr.key} does not resolve",
-                        "invalid citation",
-                    )
-                continue
-            verdict = evidence.evaluate(expr, self)
-            if verdict is evidence.UNKNOWN:
-                self.add(
-                    CheckKind.CITATION_REQUIRED_FOR_COMPARISON,
-                    "Citation",
-                    f"citation {evidence.render(expr)} references missing memory",
-                    "invalid citation",
-                )
-            elif verdict is False:
-                self.add(
-                    CheckKind.CITATION_REQUIRED_FOR_COMPARISON,
-                    "Citation",
-                    f"citation {evidence.render(expr)} is not supported by memory",
-                    "invalid citation",
-                )
+                if self.resolve(expr.key) is not NOT_FOUND:
+                    continue
+                detail = f"cited key {expr.key} does not resolve"
+            else:
+                verdict = evidence.evaluate(expr, self)
+                if verdict is True:
+                    continue
+                problem = "references missing" if verdict is evidence.UNKNOWN else "is not supported by"
+                detail = f"citation {evidence.render(expr)} {problem} memory"
+            self.add(check, detail, "invalid citation")
 
     # ------------------------------------------------------------- assembly
     def approval_log_line(self) -> str:

@@ -12,14 +12,16 @@ when any referenced key does not resolve.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Union
 
 from .memory import NOT_FOUND, MalformedKey, key_segments
-from .util import Sentinel, is_number
+from .util import Sentinel, canonical_json, is_number
 
 OPERATORS = ("<=", ">=", "==", "!=", "<", ">")
+_OPERATOR = re.compile(" (" + "|".join(map(re.escape, OPERATORS)) + ") ")
 
 
 class EvidenceParseError(Exception):
@@ -41,14 +43,12 @@ class MemoryRef:
 
 @dataclass(frozen=True)
 class Literal:
+    """A JSON scalar: a string, a boolean, or a finite number."""
+
     value: bool | int | float | str
 
     def render(self) -> str:
-        if isinstance(self.value, bool):
-            return "true" if self.value else "false"
-        if isinstance(self.value, str):
-            return json.dumps(self.value)
-        return repr(self.value)
+        return canonical_json(self.value)
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,13 @@ def _parse_operand(text: str) -> Union[str, Literal]:
         return text
     except MalformedKey:
         pass
-    if text == "true":
-        return Literal(True)
-    if text == "false":
-        return Literal(False)
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise EvidenceParseError(f"bad string literal {text!r}") from exc
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: deeply nested arrays
+        value = None
+    if isinstance(value, (str, bool)) or is_number(value, finite=True):
         return Literal(value)
-    try:
-        return Literal(int(text))
-    except ValueError:
-        pass
-    try:
-        return Literal(float(text))
-    except ValueError:
-        raise EvidenceParseError(f"operand {text!r} is neither a key nor a literal") from None
+    raise EvidenceParseError(f"operand {text!r} is neither a key nor a literal")
 
 
 def parse(text: str) -> EvidenceExpr:
@@ -106,23 +95,23 @@ def parse(text: str) -> EvidenceExpr:
 
 @lru_cache(maxsize=4096)
 def _parse_text(text: str) -> EvidenceExpr:
+    # A key holds no whitespace, so the first ` op ` ends the left side; a
+    # string literal on the right may hold another one.
     stripped = text.strip()
-    for op in OPERATORS:
-        idx = stripped.find(f" {op} ")
-        if idx < 0:
-            continue
-        lhs_text = stripped[:idx].strip()
-        rhs_text = stripped[idx + len(op) + 2 :].strip()
+    match = _OPERATOR.search(stripped)
+    if match is None:
         try:
-            key_segments(lhs_text)
+            key_segments(stripped)
         except MalformedKey as exc:
-            raise EvidenceParseError(f"left side of {text!r} must be a memory key") from exc
-        return Comparison(lhs=lhs_text, op=op, rhs=_parse_operand(rhs_text))
+            raise EvidenceParseError(f"bare expression {text!r} is not a memory key") from exc
+        return MemoryRef(stripped)
+    lhs_text = stripped[: match.start()].strip()
     try:
-        key_segments(stripped)
+        key_segments(lhs_text)
     except MalformedKey as exc:
-        raise EvidenceParseError(f"bare expression {text!r} is not a memory key") from exc
-    return MemoryRef(stripped)
+        raise EvidenceParseError(f"left side of {text!r} must be a memory key") from exc
+    rhs = _parse_operand(stripped[match.end() :].strip())
+    return Comparison(lhs=lhs_text, op=match[1], rhs=rhs)
 
 
 def render(expr: EvidenceExpr) -> str:
@@ -147,10 +136,10 @@ def evaluate(expr: EvidenceExpr, memory: Any) -> Any:
     rhs = expr.rhs.value if isinstance(expr.rhs, Literal) else memory.resolve(expr.rhs)
     if lhs is NOT_FOUND or rhs is NOT_FOUND:
         return UNKNOWN
-    if expr.op == "==":
-        return lhs == rhs
-    if expr.op == "!=":
-        return lhs != rhs
+    if expr.op in ("==", "!="):
+        # As in JSON, a boolean equals only a boolean (Python has 1.0 == True).
+        equal = lhs == rhs and isinstance(lhs, bool) is isinstance(rhs, bool)
+        return equal if expr.op == "==" else not equal
     # Relational operators are defined for numbers only.
     if not (is_number(lhs) and is_number(rhs)):
         return False

@@ -99,6 +99,25 @@ def test_run_verbose_prints_cycle_logs(scenario_dir, capsys):
     assert "[Runtime] book_flight ok" in out
 
 
+def test_condition_literal_holding_an_operator_runs_and_audits(scenario_dir, tmp_path, capsys):
+    """A string literal may hold an operator: the comparison splits at its first one."""
+    text = (scenario_dir / "weather_two_city.json").read_text(encoding="utf-8")
+    text = text.replace('"source": "user request"', '"source": "user request", "mode": "strict"')
+    text = text.replace('"obs.Seoul.temp_f < obs.Jeju.temp_f"]',
+                        '"obs.Seoul.temp_f < obs.Jeju.temp_f", '
+                        '"goal.choose_colder.mode != \\"a == b\\""]')
+    path = tmp_path / "mode.json"
+    path.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--seed", "1", "--verbose", "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert ('Condition: obs.Seoul.temp_f < obs.Jeju.temp_f and '
+            'goal.choose_colder.mode != "a == b" satisfied → Approved') in out
+    assert "Actions executed: book_flight (ABC123)." in out
+    assert main(["trace", str(out_dir / "weather_two_city_s1_governed.jsonl")]) == 0
+    assert "GAP" not in capsys.readouterr().out
+
+
 def test_run_missing_scenario_exits_one(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     assert code == 1
@@ -123,6 +142,9 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
         ('"obs.Seoul.temp_f < obs.Jeju.temp_f"]',
          '"obs.Seoul.temp_f < obs.Jeju.temp_f", "goal.limits.max_f > obs.Seoul.temp_f"]',
          "goal: condition key 'goal.limits.max_f' does not resolve in context"),
+        ('"obs.Seoul.temp_f < obs.Jeju.temp_f"]',
+         '"obs.Seoul.temp_f < obs.Jeju.temp_f", "obs.Seoul.temp_f < 1e400"]',
+         "goal: operand '1e400' is neither a key nor a literal"),
         (('"obs.Seoul.temp_f < obs.Jeju.temp_f"]', '"context": {'),
          ('"obs.Seoul.temp_f < obs.Jeju.temp_f", "goal.limits.max_f > obs.Seoul.temp_f"]',
           '"context": {"goal.limits": {"max_f": "90"}, '),
@@ -160,7 +182,8 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
     ],
     ids=["nan-temperature", "city-with-space", "status-context-key", "goal-citation-with-space",
          "bare-entity-fact", "branch-repeats-tool", "goal-citation-unresolved",
-         "condition-context-key-unresolved", "condition-context-value-read-as-number",
+         "condition-context-key-unresolved", "condition-literal-not-finite",
+         "condition-context-value-read-as-number",
          "condition-context-entity-shown-by-obs-key",
          "gather-without-date", "gather-date-not-string", "gather-observes-another-entity",
          "gather-date-without-forecast",
@@ -308,27 +331,32 @@ def test_suite_bad_last_file_exits_one_before_any_episode(
     )
 
 
-@pytest.mark.parametrize("command", ["run", "suite"])
+_BAD_EPISODE_FLAGS = [
+    pytest.param(["--max-cycles", "0"], "max_cycles must be positive, got 0",
+                 id="max-cycles-0"),
+    pytest.param(["--compare", "--baseline-budget", "0"],
+                 "context budget must be positive, got 0", id="baseline-budget-0"),
+    pytest.param(["--compare", "--baseline-decay", "-1"], "context decay must be finite",
+                 id="baseline-decay-negative"),
+    pytest.param(["--compare", "--baseline-decay", "nan"], "context decay must be finite",
+                 id="baseline-decay-nan"),
+    pytest.param(["--baseline-budget", "0"], "need --compare",
+                 id="baseline-budget-0-without-compare"),
+    pytest.param(["--baseline-budget", "5"], "need --compare",
+                 id="baseline-budget-5-without-compare"),
+    pytest.param(["--baseline-decay", "nan"], "need --compare",
+                 id="baseline-decay-nan-without-compare"),
+    pytest.param(["--faults", "gremlins=1"], "unknown fault type 'gremlins'",
+                 id="unknown-fault"),
+]
+
+
 @pytest.mark.parametrize(
-    "flags, message",
-    [
-        pytest.param(["--max-cycles", "0"], "max_cycles must be positive, got 0",
-                     id="max-cycles-0"),
-        pytest.param(["--compare", "--baseline-budget", "0"],
-                     "context budget must be positive, got 0", id="baseline-budget-0"),
-        pytest.param(["--compare", "--baseline-decay", "-1"], "context decay must be finite",
-                     id="baseline-decay-negative"),
-        pytest.param(["--compare", "--baseline-decay", "nan"], "context decay must be finite",
-                     id="baseline-decay-nan"),
-        pytest.param(["--baseline-budget", "0"], "need --compare",
-                     id="baseline-budget-0-without-compare"),
-        pytest.param(["--baseline-budget", "5"], "need --compare",
-                     id="baseline-budget-5-without-compare"),
-        pytest.param(["--baseline-decay", "nan"], "need --compare",
-                     id="baseline-decay-nan-without-compare"),
-        pytest.param(["--faults", "gremlins=1"], "unknown fault type 'gremlins'",
-                     id="unknown-fault"),
-    ],
+    "command, flags, message",
+    [pytest.param(command, *case.values, id=f"{case.id}-{command}")
+     for command in ("run", "suite") for case in _BAD_EPISODE_FLAGS]
+    + [pytest.param("suite", ["--seeds", seeds], "seed list is empty", id=f"seeds-{name}-suite")
+       for name, seeds in (("empty", ""), ("blank", " "))],
 )
 def test_bad_cli_input_runs_no_episode(scenario_dir, capsys, monkeypatch, command, flags, message):
     target = two_city_path(scenario_dir) if command == "run" else str(scenario_dir)

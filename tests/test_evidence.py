@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cogloop import evidence
 from cogloop.evidence import (
@@ -62,7 +62,11 @@ def test_parse_picks_first_operator_occurrence():
 @pytest.mark.parametrize(
     "bad",
     ["", "   ", "obs.A.x <", "<= obs.A.x", "nonsense key", "obs.A.x ~ 3",
-     ["obs.A.x"], {"obs.A.x": 1}, 3, None],
+     ["obs.A.x"], {"obs.A.x": 1}, 3, None,
+     # Not JSON scalars, or not finite ones: a condition on them never or always holds.
+     "obs.A.x < inf", "obs.A.x < -inf", "obs.A.x < nan", "obs.A.x < NaN",
+     "obs.A.x < Infinity", "obs.A.x < 1e400",
+     pytest.param("obs.A.x == " + "[" * 100_000, id="deeply-nested-array")],
 )
 def test_parse_rejects_malformed(bad):
     """Every call raises, also once the cache of parsed strings has seen the value."""
@@ -124,6 +128,21 @@ def test_equality_defined_for_any_types(snapshot):
     assert evaluate(parse('obs.Seoul.precipitation == false'), snapshot) is True
 
 
+def test_boolean_equals_only_a_boolean():
+    """As in JSON, ``true`` and ``1`` differ; numbers still compare by value."""
+    store = MemoryStore()
+    store.write_staged(
+        "obs.J", EntryKind.OBSERVATION, {"temp_f": 1.0, "one": 1, "zero": 0, "flag": True}, "t"
+    )
+    snap = store.commit_cycle()
+    assert evaluate(parse("obs.J.temp_f == true"), snap) is False
+    assert evaluate(parse("obs.J.flag != 1"), snap) is True
+    assert evaluate(parse("obs.J.zero == false"), snap) is False
+    assert evaluate(parse("obs.J.flag == true"), snap) is True
+    assert evaluate(parse("obs.J.flag == obs.J.one"), snap) is False
+    assert evaluate(parse("obs.J.one == 1.0"), snap) is True
+
+
 def test_evaluate_all_conjunction_ordering(snapshot):
     true_expr = parse("obs.Seoul.temp_f < obs.Jeju.temp_f")
     false_expr = parse("obs.Jeju.temp_f < obs.Seoul.temp_f")
@@ -156,7 +175,7 @@ literals = st.one_of(
     st.booleans(),
     st.integers(min_value=-10**6, max_value=10**6),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.text(alphabet="abcdefgh XYZ_-", max_size=10),
+    st.text(max_size=10),
 )
 
 
@@ -167,6 +186,10 @@ def test_round_trip_ref_comparisons(left, op, right):
 
 
 @given(keys, st.sampled_from(sorted(evidence.OPERATORS)), literals)
+@example("obs.A.x", "<", "a == b")
+@example("obs.A.x", "!=", 'k\u00f6ln "<" \n')
 def test_round_trip_literal_comparisons(left, op, value):
     expr = Comparison(left, op, Literal(value))
-    assert parse(render(expr)) == expr
+    parsed = parse(render(expr))
+    # Literal(True) == Literal(1) in Python, so the type is checked on its own.
+    assert parsed == expr and type(parsed.rhs.value) is type(value)
