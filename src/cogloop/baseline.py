@@ -22,9 +22,11 @@ from typing import Any
 
 from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact, shown_fields
 from .control import ControlDecision, Verdict, check_termination
-from .loop import ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode
+from .loop import (
+    ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode, make_proposer
+)
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
-from .runtime import ToolResult, ToolSpec, staged_writes
+from .runtime import ToolResult, staged_writes
 from .util import is_int, is_number
 
 logger = logging.getLogger(__name__)
@@ -111,11 +113,8 @@ class Baseline(System):
     cognition_label = "[Baseline]"
     memory_label = "[Baseline]"
 
-    def __init__(
-        self, config: EpisodeConfig, registry: dict[str, ToolSpec], budget: int, decay: float
-    ):
-        self.config = config
-        self.registry = registry
+    def __init__(self, config: EpisodeConfig, budget: int, decay: float):
+        super().__init__(config)
         self.context = ContextModel(budget, decay, config.seed, config.context)
         # (key, version) of a window entry -> its fact line, rendered once per episode
         self.fact_lines: dict[tuple[str, int], str] = {}
@@ -183,4 +182,4 @@ def run_baseline_episode(
     config: EpisodeConfig, budget: int, decay: float
 ) -> EpisodeResult:
     """Run one unvalidated bounded-context episode and return its full record."""
-    return drive_episode(config, lambda registry: Baseline(config, registry, budget, decay))
+    return drive_episode(Baseline(config, budget, decay), make_proposer(config))

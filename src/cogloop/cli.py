@@ -133,7 +133,7 @@ def _episodes(
 
 def _check_overrides(args: argparse.Namespace, scenario: Scenario) -> None:
     """Reject a bad ``--max-cycles`` or baseline override before any episode runs."""
-    scenario.episode_config(scenario.seeds[0], max_cycles=args.max_cycles).validate()
+    scenario.episode_config(scenario.seeds[0], max_cycles=args.max_cycles)  # checks when built
     overridden = args.baseline_budget is not None or args.baseline_decay is not None
     if overridden and not args.compare:
         raise ConfigError("--baseline-budget and --baseline-decay need --compare")

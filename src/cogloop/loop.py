@@ -8,16 +8,17 @@ action records, feedback, and termination flag all land together or not at
 all. The loop exits through the system's termination check (goal satisfied,
 completion signaled, or cycle budget exhausted), never on its own.
 
-``run_episode`` drives ``Governed``: the committed snapshot plus last cycle's
-constraints in, the control layer deciding. The bounded-context baseline in
-``baseline.py`` is the other ``System``.
+``run_episode`` drives ``Governed`` (the committed snapshot plus last cycle's
+constraints in, the control layer deciding) with the proposer ``make_proposer``
+builds for its config. The bounded-context baseline in ``baseline.py`` is the
+other ``System``.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 from . import evidence
 from .cognition import (
@@ -59,7 +60,6 @@ from .runtime import (
     Runtime,
     ToolFailure,
     ToolResult,
-    ToolSpec,
     WorldState,
     argument_problems,
     builtin_registry,
@@ -82,9 +82,12 @@ class EpisodeStatus(str, Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeConfig:
-    """Everything one governed episode needs, resolved and validated."""
+    """Everything one governed episode needs, valid by construction.
+
+    Building one runs ``validate``, so ``dataclasses.replace`` checks the copy it builds.
+    """
 
     scenario: str
     task: str
@@ -96,6 +99,9 @@ class EpisodeConfig:
     seed: int = 1
     faults: FaultConfig | None = None
     max_cycles: int | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def proposer_kind(self) -> str:
@@ -245,7 +251,8 @@ class EpisodeResult:
     invocation_log: list[dict[str, Any]]
 
 
-def _make_proposer(config: EpisodeConfig):
+def make_proposer(config: EpisodeConfig) -> ScriptedProposer:
+    """The proposer an episode of ``config`` runs unless its caller brings another."""
     if config.proposer_kind == "faulty":
         return FaultyProposer(config.policy, config.faults, episode_seed=config.seed)
     return ScriptedProposer(config.policy)
@@ -314,7 +321,8 @@ class CycleState:
 class System:
     """One episode kind: what the proposer sees and how its proposals are decided.
 
-    Each cycle the driver asks ``cognition_input`` for the proposer's input,
+    A system holds its episode's configuration and the tool registry built from
+    it. Each cycle the driver asks ``cognition_input`` for the proposer's input,
     asks ``decide`` for a decision on the proposal, and traces
     ``record(decision)``. The other hooks stage the system's own writes into
     the cycle's commit: ``stage_init`` before cycle 0's commit,
@@ -327,6 +335,10 @@ class System:
     baseline = False
     cognition_label = "[Cognition]"
     memory_label = "[Memory]"
+
+    def __init__(self, config: EpisodeConfig):
+        self.config = config
+        self.registry = builtin_registry(list(config.extra_tools))
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
@@ -363,9 +375,8 @@ class Governed(System):
     raises the ``status.terminated`` flag.
     """
 
-    def __init__(self, config: EpisodeConfig, registry: dict[str, ToolSpec]):
-        self.config = config
-        self.registry = registry
+    def __init__(self, config: EpisodeConfig):
+        super().__init__(config)
         self.cache = DedupCache()
         self.consecutive_failures: dict[str, int] = {}
         self.facts = FactIndex()
@@ -420,21 +431,16 @@ class Governed(System):
         state.log_lines.append(f"[Control] Failure guidance: {advice.constraint}")
 
 
-def drive_episode(
-    config: EpisodeConfig, make_system: Callable[[dict[str, ToolSpec]], System]
-) -> EpisodeResult:
-    """Run one episode of the system ``make_system`` builds, to termination.
+def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
+    """Run one episode of ``system`` to termination, ``proposer`` proposing each cycle.
 
-    ``make_system`` receives the episode's tool registry; it runs after the
-    configuration is validated.
+    The episode runs the system's configuration and tool registry. Any object
+    with ``propose`` and ``last_meta`` can stand in for the proposer.
     """
-    config.validate()
-    registry = builtin_registry(list(config.extra_tools))
-    runtime = Runtime(registry, WorldState.from_dict(config.world))
+    config = system.config
+    runtime = Runtime(system.registry, WorldState.from_dict(config.world))
     store = MemoryStore()
-    proposer = _make_proposer(config)
     max_cycles = config.resolved_max_cycles()
-    system = make_system(registry)
 
     # Cycle 0: commit the static context and the system's own initial entries.
     config.stage_context(store)
@@ -546,4 +552,4 @@ def drive_episode(
 
 def run_episode(config: EpisodeConfig) -> EpisodeResult:
     """Run one governed episode to termination and return its full record."""
-    return drive_episode(config, lambda registry: Governed(config, registry))
+    return drive_episode(Governed(config), make_proposer(config))

@@ -9,7 +9,7 @@ import pytest
 from cogloop import cli
 from cogloop.cli import main, parse_faults, parse_seeds, render_table
 from cogloop.cognition import FAULT_TYPES
-from cogloop.loop import ConfigError
+from cogloop.loop import ConfigError, EpisodeConfig
 from cogloop.trace import EpisodeTrace, Metric
 
 
@@ -311,6 +311,29 @@ def test_suite_compare_metrics_file_is_pinned(scenario_dir, tmp_path):
     assert main(["suite", str(scenario_dir), "--seeds", "1", "--compare", "--out", str(out_dir)]) == 0
     expected = (DATA_DIR / "suite_compare_metrics.json").read_bytes()
     assert (out_dir / "metrics.json").read_bytes() == expected
+
+
+def test_suite_compare_checks_each_config_once(suite_dir, tmp_path, capsys, monkeypatch):
+    """K files and S seeds: K checks at load, one for the overrides, one per (file, seed).
+
+    Both systems of an episode run the one config, so it is not checked again for either.
+    """
+    files, seeds = 3, 2
+    for path in sorted(suite_dir.glob("*.json"))[:files]:
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    checks = 0
+    validate = EpisodeConfig.validate
+
+    def counting(config):
+        nonlocal checks
+        checks += 1
+        validate(config)
+
+    monkeypatch.setattr(EpisodeConfig, "validate", counting)
+    assert main(["suite", str(tmp_path), "--seeds", "1,2", "--compare"]) == 0
+    out = capsys.readouterr().out
+    assert f"suite: {files} scenarios, {files * seeds} episodes per system" in out
+    assert checks == files + 1 + files * seeds
 
 
 def test_suite_bad_last_file_exits_one_before_any_episode(

@@ -1,6 +1,7 @@
 """Episode orchestration: cycle records, commits, exits, failure recovery."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import re
@@ -14,11 +15,13 @@ from cogloop.cognition import (
     ProposerFailure,
     ScriptedProposer,
 )
+from cogloop.baseline import Baseline
 from cogloop.control import TerminationReason
-from cogloop.loop import ConfigError, EpisodeStatus, run_episode
+from cogloop.loop import ConfigError, EpisodeStatus, Governed, drive_episode, run_episode
 from cogloop.memory import MemoryQuery
 from cogloop.runtime import ToolCall
 from cogloop.scenario import Scenario
+from cogloop.trace import EpisodeTrace, GapReport, compute_metrics, iter_chains
 
 
 def versions(store, key: str) -> list[dict]:
@@ -208,11 +211,8 @@ class _CompleteImmediately:
         return Proposal(call=None, rationale="premature completion")
 
 
-def test_premature_completion_is_partial(two_city, monkeypatch):
-    monkeypatch.setattr(
-        "cogloop.loop._make_proposer", lambda config: _CompleteImmediately()
-    )
-    result = run_episode(two_city.episode_config(seed=1))
+def test_premature_completion_is_partial(two_city):
+    result = drive_episode(Governed(two_city.episode_config(seed=1)), _CompleteImmediately())
     assert result.status is EpisodeStatus.PARTIAL
     assert result.reason is TerminationReason.COMPLETION_SIGNAL
     assert result.cycles_used == 1
@@ -227,8 +227,11 @@ def test_premature_completion_is_partial(two_city, monkeypatch):
 
 
 class _FlakyProposer:
-    def __init__(self, inner):
+    """Raises ``ProposerFailure`` on the first ``failures`` calls, then asks ``inner``."""
+
+    def __init__(self, inner, failures=1):
         self.inner = inner
+        self.failures = failures
         self.calls = 0
         self.seen_constraints: list[tuple[str, ...]] = []
         self.last_meta = ProposeMeta()
@@ -236,22 +239,17 @@ class _FlakyProposer:
     def propose(self, cog_input):
         self.calls += 1
         self.seen_constraints.append(cog_input.constraints)
-        if self.calls == 1:
+        if self.calls <= self.failures:
             raise ProposerFailure("transport returned garbage")
         proposal = self.inner.propose(cog_input)
         self.last_meta = self.inner.last_meta
         return proposal
 
 
-def test_proposer_failure_noted_and_episode_recovers(two_city, monkeypatch):
-    flaky: dict = {}
-
-    def factory(config):
-        flaky["proposer"] = _FlakyProposer(ScriptedProposer(config.policy))
-        return flaky["proposer"]
-
-    monkeypatch.setattr("cogloop.loop._make_proposer", factory)
-    result = run_episode(two_city.episode_config(seed=1))
+def test_proposer_failure_noted_and_episode_recovers(two_city):
+    config = two_city.episode_config(seed=1)
+    flaky = _FlakyProposer(ScriptedProposer(config.policy))
+    result = drive_episode(Governed(config), flaky)
     assert result.status is EpisodeStatus.COMPLETED
     assert result.cycles_used == 5  # one cycle lost to the failure
 
@@ -263,45 +261,72 @@ def test_proposer_failure_noted_and_episode_recovers(two_city, monkeypatch):
     feedback = result.store.snapshot.latest("feedback.cycle1").payload
     assert feedback == {"message": "Proposer failure: transport returned garbage"}
     # The next cycle's input carried the corrective constraint.
-    assert flaky["proposer"].seen_constraints[1] == (
+    assert flaky.seen_constraints[1] == (
         "Proposer failure: transport returned garbage. Provide a well-formed proposal.",
     )
+
+
+SYSTEMS = {
+    "governed": Governed,
+    "baseline": lambda config: Baseline(config, 50, 0.0),  # a window that loses nothing
+}
+
+
+@pytest.mark.parametrize(
+    ("failures", "status", "cycles"),
+    [(1, EpisodeStatus.COMPLETED, 5), (10**6, EpisodeStatus.BUDGET_EXHAUSTED, 21)],
+    ids=["first-cycle", "every-cycle"],
+)
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_proposer_failures_leave_a_whole_trace(two_city, system, failures, status, cycles):
+    """A cycle whose proposer raises commits and traces like any other, on both systems."""
+    config = two_city.episode_config(seed=1)
+    flaky = _FlakyProposer(ScriptedProposer(config.policy), failures)
+    result = drive_episode(SYSTEMS[system](config), flaky)
+    assert (result.status, result.cycles_used) == (status, cycles)
+    assert flaky.calls == cycles
+    text = result.trace.dumps()
+    trace = EpisodeTrace.loads(text)
+    assert trace.dumps() == text
+    assert compute_metrics(trace) == compute_metrics(result.trace)
+    chains = list(iter_chains(trace))
+    assert not any(isinstance(chain, GapReport) for chain in chains)
+    assert len(chains) == len(result.invocation_log) == (3 if failures == 1 else 0)
 
 
 # ---------------------------------------------------------------- validation
 def test_config_validation_errors(two_city):
     config = two_city.episode_config(seed=1)
-    config.task = "   "
     with pytest.raises(ConfigError, match="task"):
-        config.validate()
+        dataclasses.replace(config, task="   ")
 
-    config = two_city.episode_config(seed=1, max_cycles=0)
     with pytest.raises(ConfigError, match="max_cycles"):
-        config.validate()
+        two_city.episode_config(seed=1, max_cycles=0)
 
-    config = two_city.episode_config(seed=1)
-    config.extra_tools = ("teleport",)
     with pytest.raises(ConfigError, match="teleport"):
-        config.validate()
+        dataclasses.replace(config, extra_tools=("teleport",))
 
-    config = two_city.episode_config(seed=1)
-    config.context["not a key"] = {"x": 1}
     with pytest.raises(ConfigError, match="context: empty or whitespace segment in key 'not a"):
-        config.validate()
+        dataclasses.replace(config, context={**config.context, "not a key": {"x": 1}})
 
-    config = two_city.episode_config(seed=1)
-    config.context["goal.empty"] = {}
     with pytest.raises(ConfigError, match="non-empty"):
-        config.validate()
+        dataclasses.replace(config, context={**config.context, "goal.empty": {}})
 
     for key in ("status.foo", "act.x", "prop.x", "feedback.x"):
-        config = two_city.episode_config(seed=1)
-        config.context[key] = {"x": 1}
         prefix = key.split(".")[0]
         with pytest.raises(ConfigError, match=re.escape(
             f"context: kind 'observation' not allowed under namespace '{prefix}' (key {key})"
         )):
-            config.validate()
+            dataclasses.replace(config, context={**config.context, key: {"x": 1}})
+
+
+def test_a_built_config_cannot_change(two_city):
+    """A config is checked once, when built, so its fields cannot be reassigned after."""
+    config = two_city.episode_config(seed=1)
+    for field, value in (("task", "   "), ("max_cycles", 0), ("seed", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+    assert config == two_city.episode_config(seed=1)
 
 
 def test_config_digest_tracks_identity(two_city):

@@ -9,17 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from cogloop.baseline import run_baseline_episode
 from cogloop.loop import ConfigError, run_episode
-from cogloop.scenario import (
-    SUITE_SEED,
-    SUITE_SIZE,
-    Scenario,
-    generate_suite,
-    load_scenario,
-    load_suite,
-    write_suite,
-)
+from cogloop.scenario import Scenario, load_scenario, load_suite
 from conftest import SCENARIO_DIR
 from strategies import whole_episodes
+from suitegen import SUITE_SEED, SUITE_SIZE, dumps, generate_suite, to_dict, write_suite
 
 
 def valid_document() -> dict:
@@ -76,17 +69,16 @@ def test_shipped_fixtures_load_and_run(two_city, rain_cancellation, transient_re
 
 
 def test_fixture_round_trip(two_city):
-    again = Scenario.from_dict(json.loads(json.dumps(two_city.to_dict())))
+    again = Scenario.from_dict(json.loads(json.dumps(to_dict(two_city))))
     assert again == two_city
-    assert Scenario.from_dict(json.loads(two_city.dumps())) == two_city
+    assert Scenario.from_dict(json.loads(dumps(two_city))) == two_city
 
 
 def test_valid_document_accepted():
     scenario = Scenario.from_dict(valid_document())
     assert scenario.name == "sample_trip"
     assert scenario.baseline_budget == 2 and scenario.baseline_decay == 0.3
-    config = scenario.episode_config(seed=1)
-    config.validate()
+    scenario.episode_config(seed=1)
 
 
 # --------------------------------------------------------- anchored failures
@@ -312,7 +304,7 @@ def test_load_suite_names_the_first_bad_file(tmp_path):
 def test_code_built_scenarios_meet_the_same_rules():
     scenario = dataclasses.replace(generate_suite(1)[0], goal_citation="goal.trip_policy.rulez")
     with pytest.raises(ConfigError, match="goal_citation: 'goal.trip_policy.rulez' does not"):
-        scenario.episode_config(1).validate()
+        scenario.episode_config(1)
 
 
 def test_load_suite_requires_files(tmp_path):
@@ -329,14 +321,14 @@ def test_generated_suite_shape():
     assert {2, 3, 4} == set(city_counts)
     assert any(s.extra_tools for s in suite)
     for scenario in suite:
-        scenario.episode_config(seed=1).validate()
+        scenario.episode_config(seed=1)
 
 
 def test_suite_generation_is_deterministic():
-    first = [s.dumps() for s in generate_suite()]
-    second = [s.dumps() for s in generate_suite()]
+    first = [dumps(s) for s in generate_suite()]
+    second = [dumps(s) for s in generate_suite()]
     assert first == second
-    different = [s.dumps() for s in generate_suite(seed=SUITE_SEED + 1)]
+    different = [dumps(s) for s in generate_suite(seed=SUITE_SEED + 1)]
     assert first != different
 
 
@@ -401,6 +393,7 @@ def test_mutated_scenarios_load_or_fail_with_config_error(document):
     except ConfigError:
         return
     config = scenario.episode_config(scenario.seeds[0])
-    config.max_cycles = min(config.resolved_max_cycles(), 40)  # a file may set a huge budget
+    # A file may set a huge budget.
+    config = dataclasses.replace(config, max_cycles=min(config.resolved_max_cycles(), 40))
     run_episode(config)
     run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay)

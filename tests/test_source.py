@@ -19,10 +19,6 @@ TEST_MODULES = {
 }
 PERFBENCH = TESTS.parent / "perfbench"
 
-# Kept although no other line of src/ mentions them: README's suite
-# regeneration entry point.
-ENTRY_POINTS = {"write_suite"}
-
 
 def used_names(tree: ast.Module) -> set[str]:
     """Names the module reads, including those in quoted annotations and in ``__all__``."""
@@ -117,7 +113,7 @@ def test_every_module_level_name_is_mentioned_elsewhere():
                 for other, number, line in lines
                 if (other, number) != (module, defined_at)
             )
-            if not mentioned and name not in ENTRY_POINTS:
+            if not mentioned:
                 dead.append(f"{module}:{defined_at} {name}")
     assert dead == []
 

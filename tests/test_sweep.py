@@ -16,11 +16,12 @@ from cogloop.evidence import UNKNOWN
 from cogloop.loop import run_episode
 from cogloop.memory import MemoryQuery
 from cogloop.runtime import ToolCall
-from cogloop.scenario import generate_suite, load_scenario, load_suite
+from cogloop.scenario import load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
 from cogloop.util import canonical_json, content_digest
 from conftest import SCENARIO_DIR
 from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
+from suitegen import generate_suite
 
 
 def outcome(result) -> tuple:

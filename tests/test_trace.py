@@ -16,7 +16,7 @@ from cogloop.cli import main
 from cogloop.cognition import FaultConfig
 from cogloop.loop import run_episode
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryQuery, MemorySnapshot
-from cogloop.scenario import generate_suite, load_scenario
+from cogloop.scenario import load_scenario
 from cogloop.trace import (
     CycleRecord,
     EpisodeTrace,
@@ -34,6 +34,7 @@ from cogloop.trace import (
 )
 from cogloop.util import canonical_json, is_int
 from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
+from suitegen import generate_suite
 
 
 @pytest.fixture
