@@ -139,8 +139,9 @@ class Baseline(System):
     def decide(
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
     ) -> ControlDecision:
-        goal = self.config.policy.goal
-        reason = check_termination(proposal.call is None, snapshot, goal, cycle, max_cycles)
+        reason = check_termination(
+            proposal.call is None, snapshot, self.goal_watch, cycle, max_cycles
+        )
         if reason is not None:
             return ControlDecision(
                 verdict=Verdict.TERMINATE,

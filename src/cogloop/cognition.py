@@ -404,15 +404,10 @@ class FactView:
 
 
 def plan_reads(goal: GoalSpec) -> tuple[str, ...]:
-    """The entity names a plan for ``goal`` can look up in a `FactView`: each
-    ``resolve_plan`` prefix of a required fact or condition key, the goal
-    entities (``has_clean``) and ``act.<tool>`` per action (``executed``)."""
-    paths = (*goal.required_facts, *goal.condition_keys())
-    return tuple(dict.fromkeys([
-        *(key.removeprefix("obs.") for path in paths for key, _ in resolve_plan(path)),
-        *goal.entities(),
-        *(f"act.{action.name}" for action in goal.action_templates()),
-    ]))
+    """The entity names a plan for ``goal`` can look up in a `FactView`: ``goal.read_keys``
+    with ``obs.`` stripped. They include the goal entities (``has_clean``) and
+    ``act.<tool>`` per action (``executed``)."""
+    return tuple(dict.fromkeys(key.removeprefix("obs.") for key in goal.read_keys))
 
 
 # A memoized plan: its proposal, phase and fact reads, and the fields it was made over.

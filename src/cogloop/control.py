@@ -28,7 +28,7 @@ from typing import Any
 
 from . import evidence
 from .evidence import MemoryRef
-from .goals import GoalSpec
+from .goals import GoalSpec, GoalWatch
 from .memory import (
     NOT_FOUND,
     EntryKind,
@@ -144,12 +144,17 @@ class DedupCache:
 def check_termination(
     proposal_is_completion: bool,
     snapshot: MemorySnapshot,
-    goal: GoalSpec,
+    watch: GoalWatch,
     cycle_index: int,
     max_cycles: int,
 ) -> TerminationReason | None:
-    """Exit precedence: goal satisfaction, then completion signal, then budget."""
-    if goal.success(snapshot):
+    """Exit precedence: goal satisfaction, then completion signal, then budget.
+
+    The episode's ``watch`` gives ``GoalSpec.success`` at the snapshot; it
+    recomputes it only when a commit since its last check touched a key the
+    goal reads.
+    """
+    if watch.success(snapshot):
         return TerminationReason.GOAL_SATISFIED
     if proposal_is_completion:
         return TerminationReason.COMPLETION_SIGNAL
@@ -307,16 +312,17 @@ class _Validation:
 def validate(
     proposal,
     snapshot: MemorySnapshot,
-    goal: GoalSpec,
+    watch: GoalWatch,
     ruleset: RuleSet,
     cache: DedupCache,
     registry: dict[str, ToolSpec],
     cycle_index: int,
     max_cycles: int,
 ) -> ControlDecision:
-    """Run every applicable check; approve, reject with all violations, or terminate."""
+    """Run every applicable check against ``watch.goal``; approve, reject with all
+    violations, or terminate."""
     reason = check_termination(
-        proposal.call is None, snapshot, goal, cycle_index, max_cycles
+        proposal.call is None, snapshot, watch, cycle_index, max_cycles
     )
     if reason is not None:
         details = {
@@ -330,7 +336,7 @@ def validate(
         )
 
     # Every null call (a completion signal) has terminated above.
-    run = _Validation(proposal, snapshot, goal, ruleset, cache, registry)
+    run = _Validation(proposal, snapshot, watch.goal, ruleset, cache, registry)
     run.check_arguments()
     # R-SEQ (one action per cycle, none while another is unconfirmed) holds
     # by construction: a proposal carries at most one call, and the runtime

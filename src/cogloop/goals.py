@@ -15,7 +15,7 @@ from typing import Any
 
 from . import evidence
 from .evidence import EvidenceExpr
-from .memory import NOT_FOUND, MemorySnapshot, key_segments
+from .memory import NOT_FOUND, MemoryEntry, MemorySnapshot, key_segments, resolve_plan
 from .runtime import ToolCall, canon_args
 
 
@@ -82,6 +82,16 @@ class GoalSpec:
     def action_templates(self) -> list[ToolCall]:
         return [action for branch in self.all_branches() for action in branch.actions]
 
+    @cached_property
+    def read_keys(self) -> tuple[str, ...]:
+        """Every memory key ``success`` can read, first-seen order: each ``resolve_plan``
+        prefix of a required fact or condition key, and ``act.<tool>`` per action."""
+        paths = (*self.required_facts, *self.condition_keys())
+        return tuple(dict.fromkeys([
+            *(key for path in paths for key, _ in resolve_plan(path)),
+            *(f"act.{action.name}" for action in self.action_templates()),
+        ]))
+
     def matching_template(self, call: ToolCall) -> Branch | None:
         """The first branch, the cancellation included, with an action equal to the call."""
         wanted = (call.name, call.canonical_args)
@@ -132,7 +142,11 @@ class GoalSpec:
         return tuple(triggered)
 
     def success(self, snapshot: MemorySnapshot) -> bool:
-        """All required facts present and every triggered action executed."""
+        """All required facts present and every triggered action executed.
+
+        A function of the entries of ``read_keys`` alone, so an episode asks its
+        ``GoalWatch`` instead, which recomputes it only when one of them commits.
+        """
         for fact in self.required_facts:
             if snapshot.resolve(fact) is NOT_FOUND:
                 return False
@@ -184,6 +198,33 @@ def _branch(condition: list[str], actions: list[dict[str, Any]]) -> Branch:
         condition=tuple(evidence.parse(c) for c in condition),
         actions=tuple(ToolCall(a["name"], dict(a.get("arguments", {}))) for a in actions),
     )
+
+
+class GoalWatch:
+    """One episode's ``goal.success`` verdict, recomputed only when its inputs change.
+
+    The verdict is recomputed when an entry committed since the last check has
+    a key in ``goal.read_keys``, or when the snapshot given does not extend the
+    last one (it does when it holds the last one's final entry object at the
+    same position, as every later snapshot of one store does). The state lives
+    here, never on the ``GoalSpec``, which a suite's episodes share.
+    """
+
+    def __init__(self, goal: GoalSpec):
+        self.goal = goal
+        self._keys = frozenset(goal.read_keys)
+        self._seen = 0  # entries of the last snapshot given
+        self._last: MemoryEntry | None = None  # the last of them
+        self._verdict = False
+
+    def success(self, snapshot: MemorySnapshot) -> bool:
+        """``goal.success(snapshot)``."""
+        entries, seen = snapshot.entries, self._seen
+        if (not seen or len(entries) < seen or entries[seen - 1] is not self._last
+                or any(entry.key in self._keys for entry in entries[seen:])):
+            self._verdict = self.goal.success(snapshot)
+        self._seen, self._last = len(entries), entries[-1] if entries else None
+        return self._verdict
 
 
 def action_executed(snapshot: MemorySnapshot, call: ToolCall) -> bool:

@@ -43,6 +43,7 @@ from .control import (
     on_tool_failure,
     validate,
 )
+from .goals import GoalWatch
 from .memory import (
     NOT_FOUND,
     EntryKind,
@@ -321,8 +322,9 @@ class CycleState:
 class System:
     """One episode kind: what the proposer sees and how its proposals are decided.
 
-    A system holds its episode's configuration and the tool registry built from
-    it. Each cycle the driver asks ``cognition_input`` for the proposer's input,
+    A system holds its episode's configuration, the tool registry built from
+    it and the episode's ``GoalWatch``, which both systems' termination checks
+    ask. Each cycle the driver asks ``cognition_input`` for the proposer's input,
     asks ``decide`` for a decision on the proposal, and traces
     ``record(decision)``. The other hooks stage the system's own writes into
     the cycle's commit: ``stage_init`` before cycle 0's commit,
@@ -339,6 +341,7 @@ class System:
     def __init__(self, config: EpisodeConfig):
         self.config = config
         self.registry = builtin_registry(list(config.extra_tools))
+        self.goal_watch = GoalWatch(config.policy.goal)
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
@@ -392,7 +395,7 @@ class Governed(System):
     ) -> ControlDecision:
         config = self.config
         return validate(
-            proposal, snapshot, config.policy.goal, config.ruleset, self.cache,
+            proposal, snapshot, self.goal_watch, config.ruleset, self.cache,
             self.registry, cycle, max_cycles,
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 from .util import content_digest
@@ -56,9 +57,6 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "version", content_digest([r.to_dict() for r in self.rules]))
-        # The proposer reads this text every cycle.
-        text = "\n".join(f"{r.id}: {r.statement}" for r in self.active())
-        object.__setattr__(self, "_cognition_text", text)
 
     def active(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.enabled)
@@ -69,6 +67,11 @@ class RuleSet:
     def render_for_cognition(self) -> str:
         """One `<id>: <statement>` line per enabled rule, in config order."""
         return self._cognition_text
+
+    @cached_property
+    def _cognition_text(self) -> str:
+        # The proposer reads this text every cycle.
+        return "\n".join(f"{r.id}: {r.statement}" for r in self.active())
 
 
 DEFAULT_RULESET = RuleSet((

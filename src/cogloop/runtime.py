@@ -16,7 +16,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 from .memory import EntryKind
@@ -48,7 +48,9 @@ class ToolCall:
     """One proposed invocation: tool name plus named arguments.
 
     ``canonical_args`` is ``canon_args(arguments)``, computed once when the
-    call is built; the arguments are not to be mutated afterwards.
+    call is built; ``canonical()``, ``call_id()`` and ``describe()`` are each
+    computed once per call, when first asked for. The arguments are not to be
+    mutated afterwards.
     """
 
     name: str
@@ -59,15 +61,29 @@ class ToolCall:
         object.__setattr__(self, "canonical_args", canon_args(self.arguments))
 
     def canonical(self) -> "ToolCall":
-        return ToolCall(self.name, self.canonical_args)
+        """This call with its canonical arguments: the call itself when they already are."""
+        return self._canonical_twin or self
+
+    @cached_property
+    def _canonical_twin(self) -> "ToolCall | None":
+        # None when the call is its own canonical call; caching the call would be a cycle.
+        return None if _is_canon(self.arguments) else ToolCall(self.name, self.canonical_args)
 
     def call_id(self) -> str:
+        return self._call_id
+
+    @cached_property
+    def _call_id(self) -> str:
         return f"{self.name}:{canonical_json(self.canonical_args)}"
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "arguments": self.arguments}
 
     def describe(self) -> str:
+        return self._description
+
+    @cached_property
+    def _description(self) -> str:
         args = self.canonical_args
         return f"{self.name}({', '.join(f'{k}={v}' for k, v in args.items())})"
 
@@ -85,6 +101,17 @@ def _canon(value: Any) -> Any:
     if isinstance(value, str):
         return value.strip()
     return value
+
+
+def _is_canon(value: Any) -> bool:
+    """Whether ``_canon(value)`` would write out as ``value`` does, key order included."""
+    if isinstance(value, dict):
+        return list(value) == sorted(value) and all(map(_is_canon, value.values()))
+    if isinstance(value, list):
+        return all(map(_is_canon, value))
+    if isinstance(value, str):
+        return value == value.strip()
+    return True
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cogloop import cognition
 from cogloop.cognition import (
     FACT_PREFIX,
     PHANTOM_KEY,
@@ -24,17 +25,24 @@ from cogloop.cognition import (
     format_memory_fact,
     parse_entities,
     parse_fact_line,
+    plan_reads,
 )
 from cogloop.evidence import MemoryRef, render
 from cogloop.goals import GoalSpec
 from cogloop.loop import run_episode
-from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore
+from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore, resolve_plan
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall
-from cogloop.scenario import Scenario
+from cogloop.scenario import Scenario, load_scenario, load_suite
 from cogloop.util import content_digest
 
+from conftest import SCENARIO_DIR, SUITE_DIR
 from test_goals import TWO_CITY_GOAL
+
+SHIPPED = [*load_suite(SUITE_DIR), *(
+    load_scenario(SCENARIO_DIR / f"{name}.json")
+    for name in ("weather_two_city", "rain_cancellation", "transient_retry")
+)]
 
 
 def entry(key: str, kind: EntryKind, payload: dict) -> MemoryEntry:
@@ -331,6 +339,20 @@ def test_policy_gap_raises_on_every_cycle_of_its_state():
                 proposer.propose(state)
 
 
+def test_plan_reads_keeps_its_names_and_their_order():
+    """``plan_reads`` is ``GoalSpec.read_keys`` with ``obs.`` stripped; for every shipped
+    goal it names what it named when it listed each prefix, the goal entities and each
+    ``act.<tool>`` itself, in the same order."""
+    for scenario in SHIPPED:
+        goal = scenario.policy.goal
+        paths = (*goal.required_facts, *goal.condition_keys())
+        assert plan_reads(goal) == tuple(dict.fromkeys([
+            *(key.removeprefix("obs.") for path in paths for key, _ in resolve_plan(path)),
+            *goal.entities(),
+            *(f"act.{action.name}" for action in goal.action_templates()),
+        ])), scenario.name
+
+
 def test_plan_reads_a_goal_key_through_its_entry():
     """A condition on ``goal.threshold.value`` reads the ``goal.threshold`` line."""
     proposer = ScriptedProposer(threshold_policy())
@@ -347,39 +369,39 @@ def with_entities(entities: dict) -> CognitionInput:
     )
 
 
-def test_plan_memo_keys_on_fields_objects_not_their_values(monkeypatch):
-    """Equal but distinct fields dicts miss the memo; the same dicts hit it."""
-    plans = []
-    plan = ScriptedProposer._plan
-    monkeypatch.setattr(
-        ScriptedProposer, "_plan", lambda self, view: plans.append(view) or plan(self, view)
-    )
+def test_plan_memo_keys_on_fields_objects_not_their_values():
+    """Equal but distinct fields dicts miss the memo; the same dicts hit it. A hit returns
+    the stored proposal itself, and each plan makes a new one."""
     proposer = ScriptedProposer(make_policy())
     first = parse_entities((GOAL_LINE, SEOUL_LINE), {})
     answers = [proposer.propose(with_entities(first))]
     reads = proposer.last_meta.fact_reads
     answers.append(proposer.propose(with_entities(dict(first))))  # the same objects
-    assert len(plans) == 1 and proposer.last_meta.fact_reads == reads
+    assert answers[1] is answers[0] and proposer.last_meta.fact_reads == reads
     equal = parse_entities((GOAL_LINE, SEOUL_LINE), {})
     assert equal == first and equal["Seoul"] is not first["Seoul"]
     answers.append(proposer.propose(with_entities(equal)))
-    assert len(plans) == 2 and proposer.last_meta.fact_reads == reads
+    assert answers[2] is not answers[1] and proposer.last_meta.fact_reads == reads
     assert len({json.dumps(a.to_response()) for a in answers}) == 1
 
 
 def test_plan_sees_only_the_fields_its_goal_reads(monkeypatch):
     """Entities outside the goal's reads neither reach the plan nor miss the memo."""
-    plans = []
-    plan = ScriptedProposer._plan
-    monkeypatch.setattr(
-        ScriptedProposer, "_plan", lambda self, view: plans.append(view) or plan(self, view)
-    )
+    views = []
+
+    class Recording(FactView):
+        def __init__(self, entities):
+            super().__init__(entities)
+            views.append(self)
+
+    monkeypatch.setattr(cognition, "FactView", Recording)
     proposer = ScriptedProposer(make_policy())
     state = parse_entities((GOAL_LINE, SEOUL_LINE), {})
-    proposer.propose(with_entities(state))
-    proposer.propose(with_entities({**state, "feedback.cycle7": {"message": "x"}}))
-    assert len(plans) == 1
-    assert set(plans[0].entities) == {"Seoul"}
+    planned = proposer.propose(with_entities(state))
+    unread = {**state, "feedback.cycle7": {"message": "x"}}
+    assert proposer.propose(with_entities(unread)) is planned
+    assert len(views) == 1
+    assert set(views[0].entities) == {"Seoul"}
 
 
 # ------------------------------------------------------------ fault injection

@@ -18,7 +18,7 @@ from cogloop.control import (
     validate,
 )
 from cogloop.evidence import MemoryRef, parse
-from cogloop.goals import GoalSpec
+from cogloop.goals import GoalSpec, GoalWatch
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryStore
 from cogloop.regulation import DEFAULT_RULESET, RuleSet
 from cogloop.runtime import ErrorCode, ToolCall, ToolResult, builtin_registry
@@ -55,7 +55,7 @@ def store_with(facts: dict[str, dict] | None = None, actions: list[dict] | None 
 
 def run_validate(proposal: Proposal, store: MemoryStore, cache: DedupCache | None = None,
                  cycle_index: int = 1, max_cycles: int = 10) -> ControlDecision:
-    return validate(proposal, store.snapshot, GOAL, DEFAULT_RULESET,
+    return validate(proposal, store.snapshot, GoalWatch(GOAL), DEFAULT_RULESET,
                     DedupCache() if cache is None else cache,
                     REGISTRY, cycle_index, max_cycles)
 
@@ -67,14 +67,14 @@ def test_termination_precedence_goal_over_signal_over_budget():
         actions=[{"name": "book_flight", "args": {"location": "Seoul"},
                   "status": "executed", "confirmation": "ABC123"}],
     )
-    assert check_termination(True, done.snapshot, GOAL, 9, 4) \
+    assert check_termination(True, done.snapshot, GoalWatch(GOAL), 9, 4) \
         is TerminationReason.GOAL_SATISFIED
     partial = store_with({"obs.Seoul": SEOUL})
-    assert check_termination(True, partial.snapshot, GOAL, 9, 4) \
+    assert check_termination(True, partial.snapshot, GoalWatch(GOAL), 9, 4) \
         is TerminationReason.COMPLETION_SIGNAL
-    assert check_termination(False, partial.snapshot, GOAL, 4, 4) \
+    assert check_termination(False, partial.snapshot, GoalWatch(GOAL), 4, 4) \
         is TerminationReason.BUDGET_EXHAUSTED
-    assert check_termination(False, partial.snapshot, GOAL, 3, 4) is None
+    assert check_termination(False, partial.snapshot, GoalWatch(GOAL), 3, 4) is None
 
 
 def test_terminate_verdict_skips_all_other_checks():
@@ -154,7 +154,7 @@ def test_effect_call_outside_the_goal_approved_when_condition_rule_disabled():
     call = ToolCall("book_flight", {"location": "Busan"})
     store = store_with({"obs.Seoul": SEOUL, "obs.Jeju": JEJU})
     assert run_validate(Proposal(call=call), store).verdict is Verdict.REJECTED
-    decision = validate(Proposal(call=call), store.snapshot, GOAL, ruleset, DedupCache(),
+    decision = validate(Proposal(call=call), store.snapshot, GoalWatch(GOAL), ruleset, DedupCache(),
                         REGISTRY, 1, 10)
     assert decision.verdict is Verdict.APPROVED
     assert decision.log_lines == ("[Control] Precondition: required memory present → Approved",)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from cogloop.evidence import UNKNOWN
-from cogloop.goals import GoalConfigError, GoalSpec, action_executed
+from cogloop.goals import GoalConfigError, GoalSpec, GoalWatch, action_executed
 from cogloop.memory import EntryKind, MemoryStore
 from cogloop.runtime import ToolCall
 
@@ -231,3 +231,73 @@ def test_action_executed_needs_the_same_tool_and_canonical_args():
     )
     assert action_executed(booked.snapshot, book_seoul)
     assert not action_executed(booked.snapshot, ToolCall("book_flight", {"location": "Jeju"}))
+
+
+# -------------------------------------------------------------------- watch
+def test_read_keys_are_every_prefix_of_the_facts_and_conditions_then_the_action_records(goal):
+    assert goal.read_keys == (
+        "obs.Seoul.temp_f", "obs.Seoul", "obs",
+        "obs.Seoul.precipitation",
+        "obs.Jeju.temp_f", "obs.Jeju",
+        "obs.Jeju.precipitation",
+        "act.send_email", "act.book_flight",
+    )
+
+
+def test_watch_follows_each_commit_of_one_store(goal, monkeypatch):
+    """Commits of keys the goal never reads keep the verdict; each other commit recomputes it."""
+    watch, store = GoalWatch(goal), MemoryStore()
+    computed = []
+    success = GoalSpec.success
+    monkeypatch.setattr(GoalSpec, "success", lambda self, s: computed.append(s) or success(self, s))
+
+    def commit(key, kind, payload):
+        store.write_staged(key, kind, payload, source="test")
+        return store.commit_cycle()
+
+    assert watch.success(store.snapshot) is False  # an empty snapshot
+    commit("obs.Seoul", EntryKind.OBSERVATION, ALL_FACTS["obs.Seoul"])
+    commit("obs.Jeju", EntryKind.OBSERVATION, ALL_FACTS["obs.Jeju"])
+    assert watch.success(store.snapshot) is False
+    unread = commit("feedback.cycle1", EntryKind.CONTROL_FEEDBACK, {"message": "x"})
+    assert watch.success(unread) is False and len(computed) == 2
+    booked = commit(
+        "act.book_flight", EntryKind.ACTION,
+        {"name": "book_flight", "args": {"location": "Seoul"}, "status": "executed"},
+    )
+    assert watch.success(booked) is True and len(computed) == 3
+    for _ in range(3):
+        later = commit("prop.cycle2", EntryKind.PROPOSAL, {"proposition": "p", "evidence": []})
+        assert watch.success(later) is True
+    assert len(computed) == 3
+    # A new version of a read key recomputes, even when the verdict stays.
+    rewritten = commit("obs.Jeju", EntryKind.OBSERVATION, ALL_FACTS["obs.Jeju"])
+    assert watch.success(rewritten) is True and len(computed) == 4
+
+
+def test_watch_recomputes_for_a_snapshot_that_does_not_extend_the_last(goal):
+    booked = seeded_store(
+        ALL_FACTS,
+        actions=[{"name": "book_flight", "args": {"location": "Seoul"}, "status": "executed"}],
+    )
+    unbooked = seeded_store(ALL_FACTS)
+    watch = GoalWatch(goal)
+    assert watch.success(booked.snapshot) is True
+    # Other stores' snapshots: shorter, longer, as long.
+    assert watch.success(unbooked.snapshot) is False
+    assert watch.success(booked.snapshot) is True
+    unbooked.write_staged("feedback.cycle1", EntryKind.CONTROL_FEEDBACK, {"message": "x"}, "t")
+    assert watch.success(unbooked.commit_cycle()) is False
+    # Earlier and later snapshots of one store.
+    store = MemoryStore()
+    first = store.snapshot
+    store.write_staged("obs.Seoul", EntryKind.OBSERVATION, ALL_FACTS["obs.Seoul"], "t")
+    partial = store.commit_cycle()
+    store.write_staged("obs.Jeju", EntryKind.OBSERVATION, ALL_FACTS["obs.Jeju"], "t")
+    store.write_staged("act.book_flight", EntryKind.ACTION,
+                       {"name": "book_flight", "args": {"location": "Seoul"}, "status": "executed"},
+                       "t")
+    done = store.commit_cycle()
+    assert [watch.success(s) for s in (done, partial, done, first, done)] == [
+        True, False, True, False, True
+    ]

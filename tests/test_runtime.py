@@ -1,6 +1,7 @@
 """Tool execution: schemas, faults, idempotency, staging, determinism."""
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -66,6 +67,43 @@ def test_call_id_insensitive_to_argument_order_and_whitespace():
 def test_canon_args_is_idempotent(args):
     once = canon_args(args)
     assert canon_args(once) == once
+
+
+def test_canonical_of_a_canonical_call_is_that_call():
+    call = ToolCall("get_weather", {"date": "2025-06-14", "location": "Seoul"})
+    assert call.canonical() is call
+    twin = ToolCall("get_weather", {"location": " Seoul", "date": "2025-06-14"}).canonical()
+    assert twin.canonical() is twin
+
+
+@pytest.mark.parametrize("arguments", [
+    {"location": " Seoul"},  # untrimmed
+    {"location": "Seoul", "date": "2025-06-14"},  # keys out of order
+    {"a": {"z": 1, "y": 2}},  # nested keys out of order
+    {"a": ["x", {"b": "y "}]},  # untrimmed inside a list
+])
+def test_a_call_with_non_canonical_arguments_gets_a_distinct_canonical_call(arguments):
+    call = ToolCall("get_weather", arguments)
+    canonical = call.canonical()
+    assert canonical is not call and canonical is call.canonical()
+    assert canonical.arguments == canon_args(arguments)
+    assert list(canonical.arguments) == sorted(arguments)
+    assert canonical.call_id() == call.call_id()
+
+
+@given(st.recursive(
+    st.text(" ab", max_size=3) | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner,
+                                                               max_size=3),
+    max_leaves=8,
+).filter(lambda value: isinstance(value, dict)))
+def test_canonical_call_writes_out_as_the_canonical_arguments(arguments):
+    """Returned as itself or as a twin, a call's canonical form has the canonical
+    arguments' JSON text, key order included."""
+    canonical = ToolCall("t", arguments).canonical()
+    assert json.dumps(canonical.to_dict()) == json.dumps(
+        {"name": "t", "arguments": canon_args(arguments)}
+    )
 
 
 # ------------------------------------------------------- argument validation

@@ -2,20 +2,25 @@
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
+from dataclasses import fields, replace
+from functools import cached_property
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogloop
 from cogloop import baseline, cognition, loop, runtime
-from cogloop.baseline import run_baseline_episode
+from cogloop.baseline import Baseline, run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.cognition import FACT_KINDS, FaultConfig, format_memory_fact, parse_entities
 from cogloop.evidence import UNKNOWN
-from cogloop.loop import run_episode
+from cogloop.goals import GoalSpec, GoalWatch
+from cogloop.loop import Governed, drive_episode, make_proposer, run_episode
 from cogloop.memory import MemoryQuery
-from cogloop.runtime import ToolCall
+from cogloop.runtime import ToolCall, canon_args
 from cogloop.scenario import load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
 from cogloop.util import canonical_json, content_digest
@@ -81,8 +86,10 @@ def test_generated_sweeps_keep_the_core_invariants(count, suite_seed, episode_se
             )
 
 
-def test_sweep_canonicalizes_call_arguments_at_most_twice_per_cycle(monkeypatch):
-    """A call's canonical arguments are computed when it is built, not at each use."""
+def test_sweep_canonicalizes_call_arguments_at_most_once_per_two_cycles(monkeypatch):
+    """A call's canonical arguments are computed when it is built, not at each use, and
+    a call whose arguments are canonical is its own canonical call. With a canonical
+    twin built on each cycle's decision, this sweep made 2,358 over 1,610 cycles."""
     original = runtime.canon_args
     calls = 0
 
@@ -105,7 +112,7 @@ def test_sweep_canonicalizes_call_arguments_at_most_twice_per_cycle(monkeypatch)
             budget, decay = scenario.baseline_budget, scenario.baseline_decay
             cycles += run_baseline_episode(config, budget, decay).cycles_used
     assert cycles > 1000
-    assert calls <= 2 * cycles, f"{calls} canonicalizations over {cycles} cycles"
+    assert 2 * calls <= cycles, f"{calls} canonicalizations over {cycles} cycles"
 
 
 def probe_config():
@@ -149,61 +156,94 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
     assert counts["fresh_parses"] == 0
 
 
-def test_probe_plans_once_per_state_its_goal_reads(monkeypatch):
-    """The scripted plan is made 4 times over the probe's 237 cycles: once per state of
-    the facts its goal reads. Re-planning on every cycle made 237 plans here."""
-    plans = 0
-    plan = cognition.ScriptedProposer._plan
+class Recorded:
+    """A proposer that keeps each input it is given."""
 
-    def counting(self, view):
-        nonlocal plans
-        plans += 1
-        return plan(self, view)
+    def __init__(self, proposer):
+        self.proposer, self.inputs = proposer, []
 
-    monkeypatch.setattr(cognition.ScriptedProposer, "_plan", counting)
-    assert run_episode(probe_config()).cycles_used == 237
-    assert plans == 4
+    @property
+    def last_meta(self):
+        return self.proposer.last_meta
+
+    def propose(self, cog_input):
+        self.inputs.append(cog_input)
+        return self.proposer.propose(cog_input)
 
 
-def test_memoized_plans_equal_plans_over_the_full_view(suite_dir, monkeypatch):
-    """On every cycle of the suite50 sweep at all=0.1, both systems, and of the probe,
-    the memoized plan has the proposal, phase and fact reads of a fresh planner given
-    the cycle's whole view."""
-    planned, plan = cognition.ScriptedProposer._planned, cognition.ScriptedProposer._plan
-    counts = {"cycles": 0, "plans": 0}
-
-    def checking(self, entities):
-        counts["cycles"] += 1
-        fresh, view = cognition.ScriptedProposer(self.policy), cognition.FactView(entities)
+def plans(policy, inputs) -> list:
+    """What one scripted planner answers to ``inputs`` in turn: a proposal and its fact
+    reads, or the ``PolicyGap`` raised. A memo hit returns the stored proposal itself."""
+    planner, answers = cognition.ScriptedProposer(policy), []
+    for cog_input in inputs:
         try:
-            memoized = planned(self, entities)
-        except cognition.PolicyGap:
-            with pytest.raises(cognition.PolicyGap):
-                plan(fresh, view)
-            raise
-        proposal, phase = plan(fresh, view)
-        assert (memoized[0].to_response(), memoized[1], list(memoized[2])) == (
-            proposal.to_response(), phase, list(view.reads.items())
-        )
-        return memoized
+            answers.append((planner.propose(cog_input), planner.last_meta.fact_reads))
+        except cognition.PolicyGap as gap:
+            answers.append((gap, None))
+    return answers
 
-    def counting(self, view):
-        counts["plans"] += 1
-        return plan(self, view)
 
-    monkeypatch.setattr(cognition.ScriptedProposer, "_planned", checking)
-    monkeypatch.setattr(cognition.ScriptedProposer, "_plan", counting)
+@pytest.fixture(scope="module")
+def suite50_sweep(suite_dir):
+    """The suite50 sweep at all=0.1, both systems, then the probe: (config, result,
+    proposer inputs) per episode, and every call a system was asked to decide or decided."""
+    calls = []
+
+    def keeping(system):
+        decide = system.decide
+
+        def deciding(proposal, snapshot, cycle, max_cycles):
+            decision = decide(proposal, snapshot, cycle, max_cycles)
+            calls.extend(call for call in (proposal.call, decision.call) if call is not None)
+            return decision
+
+        system.decide = deciding
+        return system
+
+    def episode(system):
+        proposer = Recorded(make_proposer(system.config))
+        return system.config, drive_episode(keeping(system), proposer), proposer.inputs
+
     faults = parse_faults("all=0.1")
-    cycles = run_episode(probe_config()).cycles_used
+    episodes = []
     for scenario in load_suite(suite_dir):
         for seed in scenario.seeds:
             config = scenario.episode_config(seed, faults=faults)
-            cycles += run_episode(config).cycles_used
             budget, decay = scenario.baseline_budget, scenario.baseline_decay
-            cycles += run_baseline_episode(config, budget, decay).cycles_used
-    # Plans made by the episodes' planners, not the checks: about half the cycles hit.
-    assert (counts["cycles"], counts["plans"]) == (cycles, 4219)
-    assert cycles == 8742
+            episodes += [episode(Governed(config)), episode(Baseline(config, budget, decay))]
+    episodes.append(episode(Governed(probe_config())))
+    return SimpleNamespace(episodes=episodes, calls=calls)
+
+
+def test_probe_plans_once_per_state_its_goal_reads():
+    """Given the probe's 237 inputs in turn, the scripted planner makes 4 plans: once per
+    state of the facts its goal reads. Re-planning on every cycle made 237 plans here."""
+    config = probe_config()
+    recorded = Recorded(make_proposer(config))
+    assert drive_episode(Governed(config), recorded).cycles_used == 237
+    assert len({id(proposal) for proposal, _ in plans(config.policy, recorded.inputs)}) == 4
+
+
+def test_memoized_plans_equal_plans_over_the_full_view(suite50_sweep):
+    """On every cycle of the suite50 sweep at all=0.1, both systems, and of the probe,
+    the memoized plan has the proposal and fact reads of a fresh planner that reads
+    every entity of the cycle's input."""
+    cycles = made = 0
+    for config, _, inputs in suite50_sweep.episodes:
+        memoized = plans(config.policy, inputs)
+        cycles += len(inputs)
+        made += len({id(proposal) for proposal, _ in memoized})
+        for cog_input, (proposal, reads) in zip(inputs, memoized):
+            names = tuple(cog_input.entities or parse_entities(cog_input.facts, {}))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cognition, "plan_reads", lambda goal: names)
+                [(fresh, fresh_reads)] = plans(config.policy, [cog_input])
+            if reads is None:  # a PolicyGap
+                assert fresh_reads is None
+            else:
+                assert (proposal.to_response(), reads) == (fresh.to_response(), fresh_reads)
+    # Plans made by the episodes' planners: about half the cycles hit.
+    assert (cycles, made) == (8742, 4219)
 
 
 class NeverStores(dict):
@@ -268,3 +308,147 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(baseline.Baseline, "__init__", forgetful_init)
             assert run_baseline_episode(config, budget, decay).trace.dumps() == cached
+
+
+# ------------------------------------------------------------- goal watch
+def assert_watch_agrees(goal, trace) -> int:
+    """On every cycle, the episode's watch (read off its decisions) and a watch given each
+    replayed snapshot in turn both give ``GoalSpec.success`` computed afresh; the cycles."""
+    watch = GoalWatch(goal)
+    for record, snapshot in trace.replay():
+        fresh = goal.success(snapshot)
+        assert watch.success(snapshot) is fresh
+        if record.decision is not None:
+            assert (record.decision["reason"] == "GoalSatisfied") is fresh
+    return len(trace.cycles)
+
+
+@settings(whole_episodes, max_examples=10)
+@given(
+    count=st.integers(1, 3),
+    suite_seed=suite_seeds,
+    episode_seed=episode_seeds,
+    faults=fault_configs,
+)
+def test_goal_watch_gives_fresh_success_over_generated_suites(
+    count, suite_seed, episode_seed, faults
+):
+    for scenario in generate_suite(count, suite_seed):
+        config = scenario.episode_config(episode_seed, faults=faults)
+        goal = config.policy.goal
+        assert_watch_agrees(goal, run_episode(config).trace)
+        budget, decay = scenario.baseline_budget, scenario.baseline_decay
+        assert_watch_agrees(goal, run_baseline_episode(config, budget, decay).trace)
+
+
+def test_goal_watch_gives_fresh_success_on_suite50_and_the_probe(suite50_sweep):
+    cycles = sum(
+        assert_watch_agrees(config.policy.goal, result.trace)
+        for config, result, _ in suite50_sweep.episodes
+    )
+    assert cycles == 8742 + 501  # every cycle and each episode's cycle 0
+
+
+def test_probe_computes_success_once_per_commit_of_a_key_its_goal_reads(monkeypatch):
+    """Over the probe's 237 cycles the goal's verdict is computed 4 times: at cycle 1 and
+    after each commit of an observation or action record. It was computed every cycle."""
+    computed = 0
+    success = GoalSpec.success
+
+    def counting(self, snapshot):
+        nonlocal computed
+        computed += 1
+        return success(self, snapshot)
+
+    monkeypatch.setattr(GoalSpec, "success", counting)
+    assert run_episode(probe_config()).cycles_used == 237
+    assert computed == 4
+
+
+class Interleaving:
+    """A proposer that runs a whole other episode before each of its proposals."""
+
+    def __init__(self, proposer, other):
+        self.proposer, self.other, self.others = proposer, other, []
+
+    @property
+    def last_meta(self):
+        return self.proposer.last_meta
+
+    def propose(self, cog_input):
+        self.others.append(self.other())
+        return self.proposer.propose(cog_input)
+
+
+@pytest.mark.parametrize("outer_baseline", [False, True])
+@pytest.mark.parametrize("inner_baseline", [False, True])
+@pytest.mark.parametrize("swap", [False, True])
+def test_episodes_sharing_one_goal_spec_run_interleaved(
+    two_city, outer_baseline, inner_baseline, swap
+):
+    """Two episodes of one ``GoalSpec`` over worlds that book different cities, where a
+    premature booking is right in one and wrong in the other: each runs the same bytes
+    with the other's cycles run between its own as when run alone."""
+    faults = FaultConfig(seed=3, p_premature_action=0.5)
+    shipped = two_city.episode_config(1, faults=faults)
+    swapped = [{**row, "temp_f": 112.6 - row["temp_f"]} for row in shipped.world["weather"]]
+    other = replace(shipped, seed=2, world={**shipped.world, "weather": swapped})
+    assert shipped.policy.goal is other.policy.goal
+    first, second = (other, shipped) if swap else (shipped, other)
+    budget, decay = 10_000, 0.0  # a baseline that forgets nothing books the right city too
+
+    def episode(config, baseline, proposer=None):
+        system = Baseline(config, budget, decay) if baseline else Governed(config)
+        return drive_episode(system, proposer or make_proposer(config))
+
+    def alone(config, baseline):
+        """The episode's bytes when it runs on a ``GoalSpec`` of its own."""
+        goal = GoalSpec.from_dict(config.policy.goal.to_dict())
+        return episode(replace(config, policy=replace(config.policy, goal=goal)), baseline)
+
+    proposer = Interleaving(make_proposer(first), lambda: episode(second, inner_baseline))
+    outer = episode(first, outer_baseline, proposer)
+    assert outer.trace.dumps() == alone(first, outer_baseline).trace.dumps()
+    assert len(proposer.others) == outer.cycles_used
+    inner = alone(second, inner_baseline).trace.dumps()
+    assert {result.trace.dumps() for result in proposer.others} == {inner}
+
+
+# --------------------------------------------------------------- tool calls
+def test_tool_call_strings_equal_their_formulas_over_suite50(suite50_sweep):
+    """Each call's cached strings and canonical twin equal what the formulas compute afresh."""
+    calls = list({id(call): call for call in suite50_sweep.calls}.values())
+    assert len(suite50_sweep.calls) > 15_000 and len(calls) > 100
+    for call in calls:
+        canonical = canon_args(call.arguments)
+        assert call.call_id() == f"{call.name}:{canonical_json(canonical)}"
+        listed = ", ".join(f"{k}={v}" for k, v in canonical.items())
+        assert call.describe() == f"{call.name}({listed})"
+        assert call.to_dict() == {"name": call.name, "arguments": call.arguments}
+        twin = call.canonical()
+        assert json.dumps(twin.to_dict()) == json.dumps(ToolCall(call.name, canonical).to_dict())
+
+
+def test_sweep_leaves_no_episode_state_on_shared_specs(suite50_sweep):
+    """After the sweep, every spec object that episodes share holds only its fields and
+    the values of its class's cached properties: no episode wrote its state there."""
+    def allowed(obj) -> set[str]:
+        cached = {
+            name for cls in type(obj).__mro__ for name, value in vars(cls).items()
+            if isinstance(value, cached_property)
+        }
+        return {f.name for f in fields(obj)} | cached
+
+    shared = {}
+    for config, _, _ in suite50_sweep.episodes:
+        policy, goal = config.policy, config.policy.goal
+        for obj in (config, config.faults, config.ruleset, *config.ruleset.rules, policy,
+                    policy.gather, goal, *goal.all_branches(), *goal.action_templates()):
+            shared[id(obj)] = obj
+    assert len(shared) > 800
+    leaks = [
+        f"{type(obj).__name__}: {sorted(set(vars(obj)) - allowed(obj))}"
+        for obj in shared.values()
+        if not set(vars(obj)) <= allowed(obj)
+    ]
+    assert leaks == []
