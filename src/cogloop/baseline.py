@@ -26,6 +26,7 @@ from .loop import (
     ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode, make_proposer
 )
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
+from .regulation import DEFAULT_RULESET
 from .runtime import ToolResult, staged_writes
 from .util import is_int, is_number
 
@@ -115,7 +116,7 @@ class Baseline(System):
 
     def __init__(self, config: EpisodeConfig, budget: int, decay: float):
         super().__init__(config)
-        self.context = ContextModel(budget, decay, config.seed, config.context)
+        self.context = ContextModel(budget, decay, config.seed, config.scenario.context)
         # (key, version) of a window entry -> its fact line, rendered once per episode
         self.fact_lines: dict[tuple[str, int], str] = {}
 
@@ -130,8 +131,8 @@ class Baseline(System):
             facts.append(line)
         return CognitionInput(
             system=DEFAULT_SYSTEM,
-            task=self.config.task,
-            rules=self.config.ruleset.render_for_cognition(),
+            task=self.config.scenario.task,
+            rules=DEFAULT_RULESET.render_for_cognition(),
             facts=tuple(facts),
             constraints=(),
         )
@@ -150,14 +151,14 @@ class Baseline(System):
             )
         return ControlDecision(
             verdict=Verdict.APPROVED,
-            call=proposal.call.canonical(),
+            call=proposal.call,
             log_lines=("[Baseline] auto-approved (no validation layer)",),
         )
 
     def record(self, decision: ControlDecision) -> dict[str, Any]:
         return {
             "verdict": decision.verdict.value,
-            "call": decision.call.to_dict() if decision.call else None,
+            "call": decision.call.canonical_dict() if decision.call else None,
             "rule_ids": [],
             "reason": decision.reason.value if decision.reason else None,
             "synthetic": True,

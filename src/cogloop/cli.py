@@ -15,7 +15,7 @@ from typing import Any
 
 from .baseline import check_context, run_baseline_episode
 from .cognition import FAULT_TYPES, FaultConfig
-from .loop import ConfigError, EpisodeResult, EpisodeStatus, run_episode
+from .loop import ConfigError, EpisodeResult, EpisodeStatus, check_max_cycles, run_episode
 from .scenario import Scenario, load_scenario, load_suite
 from .trace import (
     EpisodeTrace,
@@ -81,6 +81,9 @@ def parse_seeds(spec: str) -> list[int]:
         raise ConfigError(f"seeds {spec!r} must be comma-separated integers") from None
     if not seeds:
         raise ConfigError("seed list is empty")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"--seeds: repeats {seed}")
     return seeds
 
 
@@ -131,9 +134,9 @@ def _episodes(
     return [(system, result, compute_metrics(result.trace)) for system, result in results]
 
 
-def _check_overrides(args: argparse.Namespace, scenario: Scenario) -> None:
+def _check_overrides(args: argparse.Namespace) -> None:
     """Reject a bad ``--max-cycles`` or baseline override before any episode runs."""
-    scenario.episode_config(scenario.seeds[0], max_cycles=args.max_cycles)  # checks when built
+    check_max_cycles(args.max_cycles)
     overridden = args.baseline_budget is not None or args.baseline_decay is not None
     if overridden and not args.compare:
         raise ConfigError("--baseline-budget and --baseline-decay need --compare")
@@ -143,7 +146,7 @@ def _check_overrides(args: argparse.Namespace, scenario: Scenario) -> None:
 # ---------------------------------------------------------------- subcommands
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    _check_overrides(args, scenario)
+    _check_overrides(args)
     seed = args.seed if args.seed is not None else scenario.seeds[0]
     episodes = _episodes(args, scenario, seed, parse_faults(args.faults))
     _, result, _ = episodes[0]
@@ -173,7 +176,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     scenarios = load_suite(args.directory)
-    _check_overrides(args, scenarios[0])
+    _check_overrides(args)
     faults = parse_faults(args.faults)
     seeds_override = parse_seeds(args.seeds) if args.seeds is not None else None
     episodes: list[dict[str, Any]] = []

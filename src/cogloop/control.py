@@ -105,7 +105,7 @@ class ControlDecision:
     def to_dict(self) -> dict[str, Any]:
         return {
             "verdict": self.verdict.value,
-            "call": self.call.to_dict() if self.call else None,
+            "call": self.call.canonical_dict() if self.call else None,
             "rule_ids": list(self.rule_ids()),
             "violations": [
                 {"check": v.check, "rule_ids": list(v.rule_ids), "detail": v.detail}
@@ -180,7 +180,7 @@ class _Validation:
         self.goal = goal
         self.ruleset = ruleset
         self.cache = cache
-        self.call = proposal.call.canonical()
+        self.call = proposal.call
         self.spec = registry.get(self.call.name)
         self.template = goal.matching_template(self.call)
         self.violations: list[Violation] = []
@@ -206,7 +206,7 @@ class _Validation:
         if self.spec is None:
             detail, short = f"no registered tool named {self.call.name!r}", "unknown tool"
         else:
-            problems = argument_problems(self.spec, self.call.arguments)
+            problems = argument_problems(self.spec, self.call.canonical_args)
             if not problems:
                 return
             detail, short = "; ".join(problems), "incomplete arguments"
@@ -280,7 +280,7 @@ class _Validation:
     # ------------------------------------------------------------- assembly
     def approval_log_line(self) -> str:
         if self.spec is not None and self.spec.observes is not None:
-            obs_key = self.spec.observes(self.call.arguments)
+            obs_key = self.spec.observes(self.call.canonical_args)
             entity = obs_key.split(".", 1)[1] if "." in obs_key else obs_key
             prior = self.snapshot.latest(obs_key)
             if prior is None:

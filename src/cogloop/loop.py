@@ -18,22 +18,18 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import evidence
 from .cognition import (
     CognitionInput,
     FactIndex,
-    FactView,
     FaultConfig,
     FaultyProposer,
-    PlannerPolicy,
     Proposal,
     ProposerFailure,
     ScriptedProposer,
     assemble_input,
-    format_memory_fact,
-    parse_entities,
 )
 from .control import (
     ControlDecision,
@@ -44,29 +40,14 @@ from .control import (
     validate,
 )
 from .goals import GoalWatch
-from .memory import (
-    NOT_FOUND,
-    EntryKind,
-    MalformedKey,
-    MemoryEntry,
-    MemorySnapshot,
-    MemoryStore,
-    StoreError,
-    encode_value,
-    key_segments,
-)
-from .regulation import DEFAULT_RULESET, RuleSet
-from .runtime import (
-    EXTRA_SPECS,
-    Runtime,
-    ToolFailure,
-    ToolResult,
-    WorldState,
-    argument_problems,
-    builtin_registry,
-)
+from .memory import EntryKind, MemoryEntry, MemorySnapshot, MemoryStore, encode_value
+from .regulation import DEFAULT_RULESET
+from .runtime import Runtime, ToolResult, WorldState, builtin_registry
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
-from .util import canonical_json, content_digest
+from .util import content_digest
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 logger = logging.getLogger(__name__)
 
@@ -83,21 +64,22 @@ class EpisodeStatus(str, Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
+def check_max_cycles(max_cycles: int | None) -> None:
+    """Raise ``ConfigError`` for a cycle budget below one; None is unset."""
+    if max_cycles is not None and max_cycles < 1:
+        raise ConfigError(f"max_cycles must be positive, got {max_cycles}")
+
+
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Everything one governed episode needs, valid by construction.
+    """One episode: a scenario run under a seed, optional faults and a cycle budget override.
 
-    Building one runs ``validate``, so ``dataclasses.replace`` checks the copy it builds.
+    The scenario checked itself when it was built; building a config runs
+    ``validate``, which checks the override.
     """
 
-    scenario: str
-    task: str
-    policy: PlannerPolicy
-    ruleset: RuleSet = DEFAULT_RULESET
-    context: dict[str, dict[str, Any]] = field(default_factory=dict)
-    world: dict[str, Any] = field(default_factory=dict)
-    extra_tools: tuple[str, ...] = ()
-    seed: int = 1
+    scenario: Scenario
+    seed: int
     faults: FaultConfig | None = None
     max_cycles: int | None = None
 
@@ -111,125 +93,29 @@ class EpisodeConfig:
         return "scripted"
 
     def resolved_max_cycles(self) -> int:
-        if self.max_cycles is not None:
-            return self.max_cycles
-        goal = self.policy.goal
+        for budget in (self.max_cycles, self.scenario.max_cycles):
+            if budget is not None:
+                return budget
+        goal = self.scenario.policy.goal
         return CYCLE_BUDGET_FACTOR * (len(goal.required_facts) + len(goal.action_templates()))
 
     def validate(self) -> None:
-        """Check every value rule of the episode; a ``ConfigError`` names the field at fault."""
-        if not self.task.strip():
-            raise ConfigError("task must be a non-empty string")
-        if self.max_cycles is not None and self.max_cycles < 1:
-            raise ConfigError(f"max_cycles must be positive, got {self.max_cycles}")
-        goal, gather = self.policy.goal, self.policy.gather
-        for i, name in enumerate(self.extra_tools):
-            if not isinstance(name, str) or name not in EXTRA_SPECS:
-                raise ConfigError(
-                    f"extra_tools[{i}]: unknown optional tool {name!r} "
-                    f"(available: {sorted(EXTRA_SPECS)})"
-                )
-            if name in self.extra_tools[:i]:
-                raise ConfigError(f"extra_tools[{i}]: repeats {name!r}")
-        registry = builtin_registry(list(self.extra_tools))
-        wanted = [gather.tool] + [t.name for t in goal.action_templates()]
-        missing = sorted({name for name in wanted if registry.get(name) is None})
-        if missing:
-            raise ConfigError(f"goal references unregistered tools: {missing}")
-        for i, row in enumerate(self.world.get("fault_schedule", [])):
-            if row["tool"] not in registry:
-                raise ConfigError(
-                    f"world.fault_schedule[{i}].tool: no tool named {row['tool']!r} is registered"
-                )
-        spec = registry[gather.tool]
-        world = WorldState.from_dict(self.world)  # for dry runs only
-        for entity in goal.entities():
-            # Control and the runtime judge each call by `argument_problems`.
-            observed = None
-            try:
-                call = gather.build_call(entity)
-                problems = argument_problems(spec, call.arguments)
-                if not problems and spec.observes is not None:
-                    observed = spec.observes(call.canonical_args)
-                    key_segments(observed)
-            except (LookupError, ValueError, AttributeError, MalformedKey) as exc:
-                problems = [f"{type(exc).__name__}: {exc}"]
-            if problems:
-                raise ConfigError(
-                    f"gather.arguments: no valid call for entity {entity!r} "
-                    f"({'; '.join(problems)})"
-                )
-            if observed != f"obs.{entity}":
-                raise ConfigError(
-                    f"gather.arguments: the call for entity {entity!r} observes "
-                    f"{observed!r}, not 'obs.{entity}'"
-                )
-            # A sensor's answer depends on the world alone: a failing dry run fails every call.
-            try:
-                spec.handler(call.canonical_args, world)
-            except ToolFailure as failure:
-                raise ConfigError(
-                    f"gather.arguments: the call for entity {entity!r} always fails "
-                    f"({failure.code.value}: {failure.message})"
-                ) from None
-        for action in goal.action_templates():
-            problems = argument_problems(registry[action.name], action.arguments)
-            if problems:
-                raise ConfigError(
-                    f"goal: action {action.describe()} is incomplete ({'; '.join(problems)})"
-                )
-        # Cycle 0 as `drive_episode` commits it: the store's entry rules judge the context.
-        store = MemoryStore()
-        try:
-            self.stage_context(store)
-        except StoreError as exc:
-            raise ConfigError(f"context: {exc}") from exc
-        snapshot = store.commit_cycle()
-        citation = self.policy.goal_citation
-        if citation is not None:
-            try:
-                key_segments(citation)
-            except MalformedKey as exc:
-                raise ConfigError(f"goal_citation: {exc}") from exc
-            if not citation.startswith("goal."):
-                raise ConfigError("goal_citation: must be a goal.* key")
-            if snapshot.resolve(citation) is NOT_FOUND:
-                raise ConfigError(f"goal_citation: {citation!r} does not resolve in context")
-        # The proposer reads goal.* values back from the fact lines of that cycle 0.
-        view = FactView(parse_entities(tuple(map(format_memory_fact, snapshot.entries)), {}))
-        for key in goal.condition_keys():
-            if not key.startswith("goal."):
-                continue
-            held = snapshot.resolve(key)
-            if held is NOT_FOUND:
-                raise ConfigError(f"goal: condition key {key!r} does not resolve in context")
-            read = view.resolve(key)
-            if read is NOT_FOUND or canonical_json(read) != canonical_json(held):
-                raise ConfigError(
-                    f"goal: condition key {key!r} holds {held!r}, "
-                    f"which the proposer reads as {read!r}"
-                )
-
-    def stage_context(self, store: MemoryStore) -> None:
-        """Stage the context entries of cycle 0, in key order."""
-        for key in sorted(self.context):
-            store.write_staged(key, EntryKind.OBSERVATION, self.context[key], source="init")
+        check_max_cycles(self.max_cycles)
 
     def describe(self) -> dict[str, Any]:
         """Stable dict identifying this configuration (digest input)."""
+        scenario = self.scenario
+        policy = scenario.policy
         return {
-            "scenario": self.scenario,
-            "task": self.task,
-            "goal": self.policy.goal.to_dict(),
-            "gather": {
-                "tool": self.policy.gather.tool,
-                "arguments": self.policy.gather.arguments,
-            },
-            "goal_citation": self.policy.goal_citation,
-            "ruleset_version": self.ruleset.version,
-            "context": self.context,
-            "world": self.world,
-            "extra_tools": list(self.extra_tools),
+            "scenario": scenario.name,
+            "task": scenario.task,
+            "goal": policy.goal.to_dict(),
+            "gather": {"tool": policy.gather.tool, "arguments": policy.gather.arguments},
+            "goal_citation": policy.goal_citation,
+            "ruleset_version": DEFAULT_RULESET.version,
+            "context": scenario.context,
+            "world": scenario.world,
+            "extra_tools": list(scenario.extra_tools),
             "seed": self.seed,
             "faults": self.faults.to_dict() if self.faults else None,
             "max_cycles": self.resolved_max_cycles(),
@@ -254,9 +140,10 @@ class EpisodeResult:
 
 def make_proposer(config: EpisodeConfig) -> ScriptedProposer:
     """The proposer an episode of ``config`` runs unless its caller brings another."""
+    policy = config.scenario.policy
     if config.proposer_kind == "faulty":
-        return FaultyProposer(config.policy, config.faults, episode_seed=config.seed)
-    return ScriptedProposer(config.policy)
+        return FaultyProposer(policy, config.faults, episode_seed=config.seed)
+    return ScriptedProposer(policy)
 
 
 def _proposal_payload(proposal: Proposal) -> dict[str, Any]:
@@ -340,8 +227,8 @@ class System:
 
     def __init__(self, config: EpisodeConfig):
         self.config = config
-        self.registry = builtin_registry(list(config.extra_tools))
-        self.goal_watch = GoalWatch(config.policy.goal)
+        self.registry = builtin_registry(list(config.scenario.extra_tools))
+        self.goal_watch = GoalWatch(config.scenario.policy.goal)
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
@@ -387,15 +274,14 @@ class Governed(System):
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
     ) -> CognitionInput:
-        config = self.config
-        return assemble_input(config.task, snapshot, constraints, config.ruleset, self.facts)
+        task = self.config.scenario.task
+        return assemble_input(task, snapshot, constraints, DEFAULT_RULESET, self.facts)
 
     def decide(
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
     ) -> ControlDecision:
-        config = self.config
         return validate(
-            proposal, snapshot, self.goal_watch, config.ruleset, self.cache,
+            proposal, snapshot, self.goal_watch, DEFAULT_RULESET, self.cache,
             self.registry, cycle, max_cycles,
         )
 
@@ -441,12 +327,12 @@ def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
     with ``propose`` and ``last_meta`` can stand in for the proposer.
     """
     config = system.config
-    runtime = Runtime(system.registry, WorldState.from_dict(config.world))
+    runtime = Runtime(system.registry, WorldState.from_dict(config.scenario.world))
     store = MemoryStore()
     max_cycles = config.resolved_max_cycles()
 
     # Cycle 0: commit the static context and the system's own initial entries.
-    config.stage_context(store)
+    config.scenario.stage_context(store)
     system.stage_init(store)
     init_delta = _commit_delta(store)
     records = [
@@ -532,11 +418,11 @@ def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
     }[reason]
     header = TraceHeader(
         config_digest=config.digest(),
-        scenario=config.scenario,
+        scenario=config.scenario.name,
         seed=config.seed,
         baseline=system.baseline,
         proposer=config.proposer_kind,
-        ruleset_version=config.ruleset.version,
+        ruleset_version=DEFAULT_RULESET.version,
         max_cycles=max_cycles,
     )
     return EpisodeResult(

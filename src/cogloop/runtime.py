@@ -48,9 +48,9 @@ class ToolCall:
     """One proposed invocation: tool name plus named arguments.
 
     ``canonical_args`` is ``canon_args(arguments)``, computed once when the
-    call is built; ``canonical()``, ``call_id()`` and ``describe()`` are each
-    computed once per call, when first asked for. The arguments are not to be
-    mutated afterwards.
+    call is built; ``call_id()`` and ``describe()`` are each computed once per
+    call, when first asked for. The arguments are not to be mutated afterwards;
+    the dict forms hand out copies, since a goal's calls serve every episode.
     """
 
     name: str
@@ -60,15 +60,6 @@ class ToolCall:
     def __post_init__(self) -> None:
         object.__setattr__(self, "canonical_args", canon_args(self.arguments))
 
-    def canonical(self) -> "ToolCall":
-        """This call with its canonical arguments: the call itself when they already are."""
-        return self._canonical_twin or self
-
-    @cached_property
-    def _canonical_twin(self) -> "ToolCall | None":
-        # None when the call is its own canonical call; caching the call would be a cycle.
-        return None if _is_canon(self.arguments) else ToolCall(self.name, self.canonical_args)
-
     def call_id(self) -> str:
         return self._call_id
 
@@ -77,7 +68,11 @@ class ToolCall:
         return f"{self.name}:{canonical_json(self.canonical_args)}"
 
     def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "arguments": self.arguments}
+        return {"name": self.name, "arguments": dict(self.arguments)}
+
+    def canonical_dict(self) -> dict[str, Any]:
+        """The call as decisions record it: name and canonical arguments."""
+        return {"name": self.name, "arguments": dict(self.canonical_args)}
 
     def describe(self) -> str:
         return self._description
@@ -101,17 +96,6 @@ def _canon(value: Any) -> Any:
     if isinstance(value, str):
         return value.strip()
     return value
-
-
-def _is_canon(value: Any) -> bool:
-    """Whether ``_canon(value)`` would write out as ``value`` does, key order included."""
-    if isinstance(value, dict):
-        return list(value) == sorted(value) and all(map(_is_canon, value.values()))
-    if isinstance(value, list):
-        return all(map(_is_canon, value))
-    if isinstance(value, str):
-        return value == value.strip()
-    return True
 
 
 @dataclass(frozen=True)
@@ -374,7 +358,7 @@ class Runtime:
             logger.debug("tool %s failed: %s (%s)", call.name, code.value, message)
         result = ToolResult(
             tool=call.name,
-            args=call.canonical_args,
+            args=dict(call.canonical_args),  # a copy: every episode shares a goal's calls
             ok=code is None,
             payload=payload,
             error_code=code,

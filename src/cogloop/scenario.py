@@ -4,8 +4,8 @@ A scenario bundles everything an episode needs — task text, world fixture,
 static context, goal structure, gather template, per-scenario seeds, and the
 bounded-context parameters for the comparison system. Loading checks the JSON
 shape with anchors such as ``world.weather[2].temp_f``, then builds the
-episode config of the first seed, which checks the values, so a bad file
-fails before any episode runs.
+``Scenario``, which checks the values, so a bad file fails before any episode
+runs.
 """
 from __future__ import annotations
 
@@ -17,13 +17,17 @@ from pathlib import Path
 from typing import Any
 
 from .baseline import check_context
-from .cognition import FaultConfig, GatherTemplate, PlannerPolicy
+from .cognition import (
+    FactView, FaultConfig, GatherTemplate, PlannerPolicy, format_memory_fact, parse_entities
+)
 from .evidence import EvidenceParseError
 from .goals import GoalConfigError, GoalSpec
-from .loop import ConfigError, EpisodeConfig
-from .memory import MalformedKey
-from .runtime import ErrorCode
-from .util import is_int, is_number
+from .loop import ConfigError, EpisodeConfig, check_max_cycles
+from .memory import NOT_FOUND, EntryKind, MalformedKey, MemoryStore, StoreError, key_segments
+from .runtime import (
+    EXTRA_SPECS, ErrorCode, ToolFailure, WorldState, argument_problems, builtin_registry
+)
+from .util import canonical_json, is_int, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -55,9 +59,12 @@ def _expect_type(value: Any, types: type | tuple[type, ...], path: str, label: s
     _expect(isinstance(value, types), path, f"expected {label}, got {type(value).__name__}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One declarative episode definition, as loaded from a scenario file."""
+    """One declarative episode definition, valid by construction.
+
+    Building one runs ``validate``, so ``dataclasses.replace`` checks the copy it builds.
+    """
 
     name: str
     task: str
@@ -72,10 +79,13 @@ class Scenario:
     baseline_budget: int = 1
     baseline_decay: float = DEFAULT_BASELINE_DECAY
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     # ----------------------------------------------------------------- build
     @cached_property
     def policy(self) -> PlannerPolicy:
-        """The goal, gather and goal citation, parsed at first use; ``replace`` to change them."""
+        """The goal, gather and goal citation, parsed once, when ``validate`` first reads them."""
         try:
             goal = GoalSpec.from_dict(self.goal)
         except (
@@ -89,27 +99,113 @@ class Scenario:
         )
 
     def episode_config(
-        self,
-        seed: int,
-        faults: FaultConfig | None = None,
-        max_cycles: int | None = None,
+        self, seed: int, faults: FaultConfig | None = None, max_cycles: int | None = None
     ) -> EpisodeConfig:
-        return EpisodeConfig(
-            scenario=self.name,
-            task=self.task,
-            policy=self.policy,
-            context=dict(self.context),
-            world=dict(self.world),
-            extra_tools=tuple(self.extra_tools),
-            seed=seed,
-            faults=faults,
-            max_cycles=max_cycles if max_cycles is not None else self.max_cycles,
-        )
+        return EpisodeConfig(self, seed, faults, max_cycles)
 
     # -------------------------------------------------------------- validate
+    def validate(self) -> None:
+        """Check every value rule of the scenario; a ``ConfigError`` names the field at fault."""
+        if not self.task.strip():
+            raise ConfigError("task must be a non-empty string")
+        check_max_cycles(self.max_cycles)
+        goal, gather = self.policy.goal, self.policy.gather
+        for i, name in enumerate(self.extra_tools):
+            if not isinstance(name, str) or name not in EXTRA_SPECS:
+                raise ConfigError(
+                    f"extra_tools[{i}]: unknown optional tool {name!r} "
+                    f"(available: {sorted(EXTRA_SPECS)})"
+                )
+            if name in self.extra_tools[:i]:
+                raise ConfigError(f"extra_tools[{i}]: repeats {name!r}")
+        registry = builtin_registry(list(self.extra_tools))
+        wanted = [gather.tool] + [t.name for t in goal.action_templates()]
+        missing = sorted({name for name in wanted if registry.get(name) is None})
+        if missing:
+            raise ConfigError(f"goal references unregistered tools: {missing}")
+        for i, row in enumerate(self.world.get("fault_schedule", [])):
+            if row["tool"] not in registry:
+                raise ConfigError(
+                    f"world.fault_schedule[{i}].tool: no tool named {row['tool']!r} is registered"
+                )
+        spec = registry[gather.tool]
+        world = WorldState.from_dict(self.world)  # for dry runs only
+        for entity in goal.entities():
+            # Control and the runtime judge each call by `argument_problems`.
+            observed = None
+            try:
+                call = gather.build_call(entity)
+                problems = argument_problems(spec, call.arguments)
+                if not problems and spec.observes is not None:
+                    observed = spec.observes(call.canonical_args)
+                    key_segments(observed)
+            except (LookupError, ValueError, AttributeError, MalformedKey) as exc:
+                problems = [f"{type(exc).__name__}: {exc}"]
+            if problems:
+                raise ConfigError(
+                    f"gather.arguments: no valid call for entity {entity!r} "
+                    f"({'; '.join(problems)})"
+                )
+            if observed != f"obs.{entity}":
+                raise ConfigError(
+                    f"gather.arguments: the call for entity {entity!r} observes "
+                    f"{observed!r}, not 'obs.{entity}'"
+                )
+            # A sensor's answer depends on the world alone: a failing dry run fails every call.
+            try:
+                spec.handler(call.canonical_args, world)
+            except ToolFailure as failure:
+                raise ConfigError(
+                    f"gather.arguments: the call for entity {entity!r} always fails "
+                    f"({failure.code.value}: {failure.message})"
+                ) from None
+        for action in goal.action_templates():
+            problems = argument_problems(registry[action.name], action.arguments)
+            if problems:
+                raise ConfigError(
+                    f"goal: action {action.describe()} is incomplete ({'; '.join(problems)})"
+                )
+        # Cycle 0 as `drive_episode` commits it: the store's entry rules judge the context.
+        store = MemoryStore()
+        try:
+            self.stage_context(store)
+        except StoreError as exc:
+            raise ConfigError(f"context: {exc}") from exc
+        snapshot = store.commit_cycle()
+        citation = self.policy.goal_citation
+        if citation is not None:
+            try:
+                key_segments(citation)
+            except MalformedKey as exc:
+                raise ConfigError(f"goal_citation: {exc}") from exc
+            if not citation.startswith("goal."):
+                raise ConfigError("goal_citation: must be a goal.* key")
+            if snapshot.resolve(citation) is NOT_FOUND:
+                raise ConfigError(f"goal_citation: {citation!r} does not resolve in context")
+        # The proposer reads goal.* values back from the fact lines of that cycle 0.
+        view = FactView(parse_entities(tuple(map(format_memory_fact, snapshot.entries)), {}))
+        for key in goal.condition_keys():
+            if not key.startswith("goal."):
+                continue
+            held = snapshot.resolve(key)
+            if held is NOT_FOUND:
+                raise ConfigError(f"goal: condition key {key!r} does not resolve in context")
+            read = view.resolve(key)
+            if read is NOT_FOUND or canonical_json(read) != canonical_json(held):
+                raise ConfigError(
+                    f"goal: condition key {key!r} holds {held!r}, "
+                    f"which the proposer reads as {read!r}"
+                )
+
+    def stage_context(self, store: MemoryStore) -> None:
+        """Stage the context entries of cycle 0, in key order."""
+        for key in sorted(self.context):
+            store.write_staged(key, EntryKind.OBSERVATION, self.context[key], source="init")
+
+    # ------------------------------------------------------------------ load
     @classmethod
     def from_dict(cls, data: Any) -> "Scenario":
-        """The scenario ``data`` describes; JSON shape is checked here, values by its config."""
+        """The scenario ``data`` describes; JSON shape is checked here, values when it is built."""
         _expect_type(data, dict, "$", "object")
         unknown = sorted(set(data) - _TOP_LEVEL_FIELDS)
         _expect(not unknown, "$", f"unknown fields {unknown}")
@@ -155,6 +251,7 @@ class Scenario:
         _expect(bool(seeds), "seeds", "must list at least one seed")
         for i, seed in enumerate(seeds):
             _expect(is_int(seed), f"seeds[{i}]", "expected integer")
+            _expect(seed not in seeds[:i], f"seeds[{i}]", f"repeats {seed}")
 
         max_cycles = data.get("max_cycles")
         _expect(max_cycles is None or is_int(max_cycles), "max_cycles", "expected integer or null")
@@ -171,7 +268,7 @@ class Scenario:
             except ConfigError as exc:
                 raise ConfigError(f"baseline.{param}: {exc}") from exc
 
-        scenario = cls(
+        return cls(
             name=name,
             task=task,
             world=world,
@@ -185,8 +282,6 @@ class Scenario:
             baseline_budget=budget,
             baseline_decay=float(decay),
         )
-        scenario.episode_config(scenario.seeds[0])  # checks when built
-        return scenario
 
 
 def _validate_world(world: Any) -> dict[str, Any]:
@@ -197,6 +292,7 @@ def _validate_world(world: Any) -> dict[str, Any]:
     _expect(is_int(seed), "world.seed", "expected integer")
     weather = world.get("weather", [])
     _expect_type(weather, list, "world.weather", "array")
+    readings = set()
     for i, row in enumerate(weather):
         path = f"world.weather[{i}]"
         _expect_type(row, dict, path, "object")
@@ -206,8 +302,12 @@ def _validate_world(world: Any) -> dict[str, Any]:
             is_number(row.get("temp_f"), finite=True), f"{path}.temp_f", "expected finite number"
         )
         _expect_type(row.get("precipitation"), bool, f"{path}.precipitation", "boolean")
+        reading = (row["location"], row["date"])
+        _expect(reading not in readings, path, "repeats the reading for {} on {}".format(*reading))
+        readings.add(reading)
     schedule = world.get("fault_schedule", [])
     _expect_type(schedule, list, "world.fault_schedule", "array")
+    faults = set()
     for i, row in enumerate(schedule):
         path = f"world.fault_schedule[{i}]"
         _expect_type(row, dict, path, "object")
@@ -216,6 +316,9 @@ def _validate_world(world: Any) -> dict[str, Any]:
         _expect(is_int(ordinal) and ordinal >= 1, f"{path}.ordinal", "expected positive integer")
         # A list, not a set: the code may be any JSON value, hashable or not.
         _expect(row.get("code") in _ERROR_CODES, f"{path}.code", f"expected one of {_ERROR_CODES}")
+        fault = (row["tool"], ordinal)
+        _expect(fault not in faults, path, "repeats the fault for {} at ordinal {}".format(*fault))
+        faults.add(fault)
     return {"seed": seed, "weather": list(weather), "fault_schedule": list(schedule)}
 
 
@@ -235,9 +338,16 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def load_suite(directory: str | Path) -> list[Scenario]:
-    """Load every ``*.json`` scenario in a directory, sorted by filename."""
+    """Load every ``*.json`` scenario in a directory, sorted by filename; names are unique."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise ConfigError(f"no scenario files found in {directory}")
-    return [load_scenario(p) for p in paths]
+    first: dict[str, Path] = {}
+    scenarios = []
+    for path in paths:
+        scenario = load_scenario(path)
+        other = first.setdefault(scenario.name, path)
+        _expect(other == path, f"{path}: name", f"repeats {scenario.name!r}, the name of {other}")
+        scenarios.append(scenario)
+    return scenarios

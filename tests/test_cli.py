@@ -9,7 +9,8 @@ import pytest
 from cogloop import cli
 from cogloop.cli import main, parse_faults, parse_seeds, render_table
 from cogloop.cognition import FAULT_TYPES
-from cogloop.loop import ConfigError, EpisodeConfig
+from cogloop.loop import ConfigError
+from cogloop.scenario import Scenario
 from cogloop.trace import EpisodeTrace, Metric
 
 
@@ -314,26 +315,39 @@ def test_suite_compare_metrics_file_is_pinned(scenario_dir, tmp_path):
 
 
 def test_suite_compare_checks_each_config_once(suite_dir, tmp_path, capsys, monkeypatch):
-    """K files and S seeds: K checks at load, one for the overrides, one per (file, seed).
+    """K files and S seeds: K scenario checks, each when its file loads.
 
-    Both systems of an episode run the one config, so it is not checked again for either.
+    No scenario rule runs during an episode of either system.
     """
     files, seeds = 3, 2
     for path in sorted(suite_dir.glob("*.json"))[:files]:
         (tmp_path / path.name).write_bytes(path.read_bytes())
     checks = 0
-    validate = EpisodeConfig.validate
+    validate = Scenario.validate
 
-    def counting(config):
+    def counting(scenario):
         nonlocal checks
         checks += 1
-        validate(config)
+        validate(scenario)
 
-    monkeypatch.setattr(EpisodeConfig, "validate", counting)
+    during = []
+
+    def watched(run):
+        def running(*args):
+            before = checks
+            result = run(*args)
+            during.append(checks - before)
+            return result
+        return running
+
+    monkeypatch.setattr(Scenario, "validate", counting)
+    monkeypatch.setattr(cli, "run_episode", watched(cli.run_episode))
+    monkeypatch.setattr(cli, "run_baseline_episode", watched(cli.run_baseline_episode))
     assert main(["suite", str(tmp_path), "--seeds", "1,2", "--compare"]) == 0
     out = capsys.readouterr().out
     assert f"suite: {files} scenarios, {files * seeds} episodes per system" in out
-    assert checks == files + 1 + files * seeds
+    assert checks == files
+    assert during == [0] * (2 * files * seeds)
 
 
 def test_suite_bad_last_file_exits_one_before_any_episode(
@@ -379,7 +393,9 @@ _BAD_EPISODE_FLAGS = [
     [pytest.param(command, *case.values, id=f"{case.id}-{command}")
      for command in ("run", "suite") for case in _BAD_EPISODE_FLAGS]
     + [pytest.param("suite", ["--seeds", seeds], "seed list is empty", id=f"seeds-{name}-suite")
-       for name, seeds in (("empty", ""), ("blank", " "))],
+       for name, seeds in (("empty", ""), ("blank", " "))]
+    + [pytest.param("suite", ["--seeds", "1,2,1"], "--seeds: repeats 1",
+                    id="seeds-repeated-suite")],
 )
 def test_bad_cli_input_runs_no_episode(scenario_dir, capsys, monkeypatch, command, flags, message):
     target = two_city_path(scenario_dir) if command == "run" else str(scenario_dir)

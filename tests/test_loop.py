@@ -20,7 +20,7 @@ from cogloop.control import TerminationReason
 from cogloop.loop import ConfigError, EpisodeStatus, Governed, drive_episode, run_episode
 from cogloop.memory import MemoryQuery
 from cogloop.runtime import ToolCall
-from cogloop.scenario import Scenario
+from cogloop.scenario import Scenario, load_scenario
 from cogloop.trace import EpisodeTrace, GapReport, compute_metrics, iter_chains
 
 
@@ -248,7 +248,7 @@ class _FlakyProposer:
 
 def test_proposer_failure_noted_and_episode_recovers(two_city):
     config = two_city.episode_config(seed=1)
-    flaky = _FlakyProposer(ScriptedProposer(config.policy))
+    flaky = _FlakyProposer(ScriptedProposer(config.scenario.policy))
     result = drive_episode(Governed(config), flaky)
     assert result.status is EpisodeStatus.COMPLETED
     assert result.cycles_used == 5  # one cycle lost to the failure
@@ -281,7 +281,7 @@ SYSTEMS = {
 def test_proposer_failures_leave_a_whole_trace(two_city, system, failures, status, cycles):
     """A cycle whose proposer raises commits and traces like any other, on both systems."""
     config = two_city.episode_config(seed=1)
-    flaky = _FlakyProposer(ScriptedProposer(config.policy), failures)
+    flaky = _FlakyProposer(ScriptedProposer(config.scenario.policy), failures)
     result = drive_episode(SYSTEMS[system](config), flaky)
     assert (result.status, result.cycles_used) == (status, cycles)
     assert flaky.calls == cycles
@@ -296,37 +296,57 @@ def test_proposer_failures_leave_a_whole_trace(two_city, system, failures, statu
 
 # ---------------------------------------------------------------- validation
 def test_config_validation_errors(two_city):
-    config = two_city.episode_config(seed=1)
     with pytest.raises(ConfigError, match="task"):
-        dataclasses.replace(config, task="   ")
+        dataclasses.replace(two_city, task="   ")
+
+    with pytest.raises(ConfigError, match="max_cycles"):
+        dataclasses.replace(two_city, max_cycles=0)
 
     with pytest.raises(ConfigError, match="max_cycles"):
         two_city.episode_config(seed=1, max_cycles=0)
 
     with pytest.raises(ConfigError, match="teleport"):
-        dataclasses.replace(config, extra_tools=("teleport",))
+        dataclasses.replace(two_city, extra_tools=["teleport"])
 
     with pytest.raises(ConfigError, match="context: empty or whitespace segment in key 'not a"):
-        dataclasses.replace(config, context={**config.context, "not a key": {"x": 1}})
+        dataclasses.replace(two_city, context={**two_city.context, "not a key": {"x": 1}})
 
     with pytest.raises(ConfigError, match="non-empty"):
-        dataclasses.replace(config, context={**config.context, "goal.empty": {}})
+        dataclasses.replace(two_city, context={**two_city.context, "goal.empty": {}})
 
     for key in ("status.foo", "act.x", "prop.x", "feedback.x"):
         prefix = key.split(".")[0]
         with pytest.raises(ConfigError, match=re.escape(
             f"context: kind 'observation' not allowed under namespace '{prefix}' (key {key})"
         )):
-            dataclasses.replace(config, context={**config.context, key: {"x": 1}})
+            dataclasses.replace(two_city, context={**two_city.context, key: {"x": 1}})
 
 
 def test_a_built_config_cannot_change(two_city):
-    """A config is checked once, when built, so its fields cannot be reassigned after."""
+    """A scenario and a config are checked once, when built, so their fields cannot be
+    reassigned after."""
+    for field, value in (("task", "   "), ("max_cycles", 0), ("extra_tools", ["teleport"])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(two_city, field, value)
     config = two_city.episode_config(seed=1)
-    for field, value in (("task", "   "), ("max_cycles", 0), ("seed", 2)):
+    for field, value in (("max_cycles", 0), ("seed", 2), ("scenario", None)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, field, value)
     assert config == two_city.episode_config(seed=1)
+
+
+def test_editing_a_live_trace_leaves_later_episodes_alone(scenario_dir):
+    """A trace's calls and invocations hold copies, not the argument dicts of the goal's
+    action templates, which every episode of the scenario shares."""
+    path = scenario_dir / "weather_two_city.json"
+    scenario = load_scenario(path)
+    booking = run_episode(scenario.episode_config(seed=1)).trace.cycles[3]
+    for form in (booking.proposal, booking.decision):
+        assert form["call"]["name"] == "book_flight"
+        form["call"]["arguments"]["location"] = "Busan"
+    booking.invocation["args"]["location"] = "Busan"
+    fresh = run_episode(load_scenario(path).episode_config(seed=2)).trace.dumps()
+    assert run_episode(scenario.episode_config(seed=2)).trace.dumps() == fresh
 
 
 def test_config_digest_tracks_identity(two_city):

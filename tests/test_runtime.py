@@ -69,28 +69,6 @@ def test_canon_args_is_idempotent(args):
     assert canon_args(once) == once
 
 
-def test_canonical_of_a_canonical_call_is_that_call():
-    call = ToolCall("get_weather", {"date": "2025-06-14", "location": "Seoul"})
-    assert call.canonical() is call
-    twin = ToolCall("get_weather", {"location": " Seoul", "date": "2025-06-14"}).canonical()
-    assert twin.canonical() is twin
-
-
-@pytest.mark.parametrize("arguments", [
-    {"location": " Seoul"},  # untrimmed
-    {"location": "Seoul", "date": "2025-06-14"},  # keys out of order
-    {"a": {"z": 1, "y": 2}},  # nested keys out of order
-    {"a": ["x", {"b": "y "}]},  # untrimmed inside a list
-])
-def test_a_call_with_non_canonical_arguments_gets_a_distinct_canonical_call(arguments):
-    call = ToolCall("get_weather", arguments)
-    canonical = call.canonical()
-    assert canonical is not call and canonical is call.canonical()
-    assert canonical.arguments == canon_args(arguments)
-    assert list(canonical.arguments) == sorted(arguments)
-    assert canonical.call_id() == call.call_id()
-
-
 @given(st.recursive(
     st.text(" ab", max_size=3) | st.integers(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner,
@@ -98,10 +76,8 @@ def test_a_call_with_non_canonical_arguments_gets_a_distinct_canonical_call(argu
     max_leaves=8,
 ).filter(lambda value: isinstance(value, dict)))
 def test_canonical_call_writes_out_as_the_canonical_arguments(arguments):
-    """Returned as itself or as a twin, a call's canonical form has the canonical
-    arguments' JSON text, key order included."""
-    canonical = ToolCall("t", arguments).canonical()
-    assert json.dumps(canonical.to_dict()) == json.dumps(
+    """A call's decision form has the canonical arguments' JSON text, key order included."""
+    assert json.dumps(ToolCall("t", arguments).canonical_dict()) == json.dumps(
         {"name": "t", "arguments": canon_args(arguments)}
     )
 

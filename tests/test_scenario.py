@@ -99,6 +99,10 @@ def test_bad_weather_row_reports_json_path():
     document = valid_document()
     document["world"]["weather"][1]["temp_f"] = "warm"
     expect_error(document, "world.weather[1].temp_f")
+    # A second row for one (location, date) would replace the first in the world.
+    document = valid_document()
+    document["world"]["weather"].append({**document["world"]["weather"][0], "temp_f": 99.0})
+    expect_error(document, "world.weather[2]: repeats the reading for Oslo on 2025-06-14")
 
 
 def test_bad_fault_schedule_reports_json_path():
@@ -117,6 +121,14 @@ def test_bad_fault_schedule_reports_json_path():
         {"tool": "get_wether", "ordinal": 1, "code": "TransientFailure"}
     ]
     expect_error(document, "world.fault_schedule[0].tool: no tool named 'get_wether'")
+    # A second row for one (tool, ordinal) would replace the first in the schedule.
+    document["world"]["fault_schedule"] = [
+        {"tool": "get_weather", "ordinal": 1, "code": "TransientFailure"},
+        {"tool": "get_weather", "ordinal": 1, "code": "DomainError"},
+    ]
+    expect_error(
+        document, "world.fault_schedule[1]: repeats the fault for get_weather at ordinal 1"
+    )
 
 
 def test_unknown_world_field_rejected():
@@ -234,6 +246,9 @@ def test_seed_and_name_constraints():
     document["seeds"] = [1, True]
     expect_error(document, "seeds[1]")
     document = valid_document()
+    document["seeds"] = [1, 2, 1]  # would run seed 1 twice and count it twice in a suite
+    expect_error(document, "seeds[2]: repeats 1")
+    document = valid_document()
     document["name"] = "Sample Trip"
     expect_error(document, "name")
     document = valid_document()
@@ -302,9 +317,19 @@ def test_load_suite_names_the_first_bad_file(tmp_path):
 
 
 def test_code_built_scenarios_meet_the_same_rules():
-    scenario = dataclasses.replace(generate_suite(1)[0], goal_citation="goal.trip_policy.rulez")
     with pytest.raises(ConfigError, match="goal_citation: 'goal.trip_policy.rulez' does not"):
-        scenario.episode_config(1)
+        dataclasses.replace(generate_suite(1)[0], goal_citation="goal.trip_policy.rulez")
+
+
+def test_load_suite_refuses_two_files_of_one_name(tmp_path):
+    """Two files of one name would both run, under one name in the suite report."""
+    text = (SCENARIO_DIR / "weather_two_city.json").read_bytes()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (first, second):
+        path.write_bytes(text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_suite(tmp_path)
+    assert str(excinfo.value) == f"{second}: name: repeats 'weather_two_city', the name of {first}"
 
 
 def test_load_suite_requires_files(tmp_path):

@@ -64,7 +64,8 @@ def test_no_unused_imports():
 
 
 def module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of every function, class and variable a module defines at top level."""
+    """(name, line) of every function, class and variable a module defines at top level,
+    and of every method and property its classes define, dunders aside."""
     defined = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -73,7 +74,25 @@ def module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
             defined += [(t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             defined.append((node.target.id, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (f"{node.name}.{item.name}", item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("__")
+            ]
     return defined
+
+
+# Names no line of src/cogloop mentions that stay on purpose, each with its reason.
+KEPT_UNMENTIONED = {
+    "cognition.py CognitionInput.to_request":
+        "the request form the input digest covers; test_input_digest_equals_digest_of_request "
+        "checks the digest against it",
+    "trace.py EpisodeTrace.snapshot_before":
+        "perfbench times it as its trace.snapshot_before layer, until that benchmark "
+        "revision drops the layer",
+}
 
 
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -95,7 +114,10 @@ def code_lines(text: str) -> list[str]:
 
 
 def test_every_module_level_name_is_mentioned_elsewhere():
-    """Prose does not keep a name alive: comments and docstrings are not searched."""
+    """Prose does not keep a name alive: comments and docstrings are not searched.
+
+    A method or property counts as mentioned when its own name is, on any other line.
+    """
     lines = [
         (name, number, line)
         for name, text in MODULES.items()
@@ -107,15 +129,15 @@ def test_every_module_level_name_is_mentioned_elsewhere():
         if module == "__init__.py":
             continue
         for name, defined_at in module_level_names(ast.parse(text)):
-            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            pattern = re.compile(rf"\b{re.escape(name.rpartition('.')[2])}\b")
             mentioned = any(
                 pattern.search(line)
                 for other, number, line in lines
                 if (other, number) != (module, defined_at)
             )
             if not mentioned:
-                dead.append(f"{module}:{defined_at} {name}")
-    assert dead == []
+                dead.append(f"{module} {name}")
+    assert sorted(dead) == sorted(KEPT_UNMENTIONED)
 
 
 def private_reaches(tree: ast.Module) -> list[str]:

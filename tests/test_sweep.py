@@ -20,6 +20,7 @@ from cogloop.evidence import UNKNOWN
 from cogloop.goals import GoalSpec, GoalWatch
 from cogloop.loop import Governed, drive_episode, make_proposer, run_episode
 from cogloop.memory import MemoryQuery
+from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall, canon_args
 from cogloop.scenario import load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
@@ -53,7 +54,7 @@ def test_generated_sweeps_keep_the_core_invariants(count, suite_seed, episode_se
         assert len(chains) == sum(r["outcome"]["ok"] for r in governed.invocation_log)
         # Control and the goal agree: an approved goal action is one the goal
         # triggers at the memory that cycle read.
-        goal = config.policy.goal
+        goal = config.scenario.policy.goal
         for record, snapshot in governed.trace.replay():
             if not record.approved():
                 continue
@@ -88,8 +89,8 @@ def test_generated_sweeps_keep_the_core_invariants(count, suite_seed, episode_se
 
 def test_sweep_canonicalizes_call_arguments_at_most_once_per_two_cycles(monkeypatch):
     """A call's canonical arguments are computed when it is built, not at each use, and
-    a call whose arguments are canonical is its own canonical call. With a canonical
-    twin built on each cycle's decision, this sweep made 2,358 over 1,610 cycles."""
+    a decision keeps the proposal's own call. With a canonical copy of the call built on
+    each cycle's decision, this sweep made 2,358 over 1,610 cycles."""
     original = runtime.canon_args
     calls = 0
 
@@ -221,7 +222,8 @@ def test_probe_plans_once_per_state_its_goal_reads():
     config = probe_config()
     recorded = Recorded(make_proposer(config))
     assert drive_episode(Governed(config), recorded).cycles_used == 237
-    assert len({id(proposal) for proposal, _ in plans(config.policy, recorded.inputs)}) == 4
+    memoized = plans(config.scenario.policy, recorded.inputs)
+    assert len({id(proposal) for proposal, _ in memoized}) == 4
 
 
 def test_memoized_plans_equal_plans_over_the_full_view(suite50_sweep):
@@ -230,14 +232,14 @@ def test_memoized_plans_equal_plans_over_the_full_view(suite50_sweep):
     every entity of the cycle's input."""
     cycles = made = 0
     for config, _, inputs in suite50_sweep.episodes:
-        memoized = plans(config.policy, inputs)
+        memoized = plans(config.scenario.policy, inputs)
         cycles += len(inputs)
         made += len({id(proposal) for proposal, _ in memoized})
         for cog_input, (proposal, reads) in zip(inputs, memoized):
             names = tuple(cog_input.entities or parse_entities(cog_input.facts, {}))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cognition, "plan_reads", lambda goal: names)
-                [(fresh, fresh_reads)] = plans(config.policy, [cog_input])
+                [(fresh, fresh_reads)] = plans(config.scenario.policy, [cog_input])
             if reads is None:  # a PolicyGap
                 assert fresh_reads is None
             else:
@@ -335,7 +337,7 @@ def test_goal_watch_gives_fresh_success_over_generated_suites(
 ):
     for scenario in generate_suite(count, suite_seed):
         config = scenario.episode_config(episode_seed, faults=faults)
-        goal = config.policy.goal
+        goal = config.scenario.policy.goal
         assert_watch_agrees(goal, run_episode(config).trace)
         budget, decay = scenario.baseline_budget, scenario.baseline_decay
         assert_watch_agrees(goal, run_baseline_episode(config, budget, decay).trace)
@@ -343,7 +345,7 @@ def test_goal_watch_gives_fresh_success_over_generated_suites(
 
 def test_goal_watch_gives_fresh_success_on_suite50_and_the_probe(suite50_sweep):
     cycles = sum(
-        assert_watch_agrees(config.policy.goal, result.trace)
+        assert_watch_agrees(config.scenario.policy.goal, result.trace)
         for config, result, _ in suite50_sweep.episodes
     )
     assert cycles == 8742 + 501  # every cycle and each episode's cycle 0
@@ -391,9 +393,11 @@ def test_episodes_sharing_one_goal_spec_run_interleaved(
     with the other's cycles run between its own as when run alone."""
     faults = FaultConfig(seed=3, p_premature_action=0.5)
     shipped = two_city.episode_config(1, faults=faults)
-    swapped = [{**row, "temp_f": 112.6 - row["temp_f"]} for row in shipped.world["weather"]]
-    other = replace(shipped, seed=2, world={**shipped.world, "weather": swapped})
-    assert shipped.policy.goal is other.policy.goal
+    swapped = [{**row, "temp_f": 112.6 - row["temp_f"]} for row in two_city.world["weather"]]
+    swapped_city = replace(two_city, world={**two_city.world, "weather": swapped})
+    vars(swapped_city)["policy"] = two_city.policy  # the cached policy: one parsed GoalSpec
+    other = swapped_city.episode_config(2, faults=faults)
+    assert shipped.scenario.policy.goal is other.scenario.policy.goal
     first, second = (other, shipped) if swap else (shipped, other)
     budget, decay = 10_000, 0.0  # a baseline that forgets nothing books the right city too
 
@@ -403,8 +407,7 @@ def test_episodes_sharing_one_goal_spec_run_interleaved(
 
     def alone(config, baseline):
         """The episode's bytes when it runs on a ``GoalSpec`` of its own."""
-        goal = GoalSpec.from_dict(config.policy.goal.to_dict())
-        return episode(replace(config, policy=replace(config.policy, goal=goal)), baseline)
+        return episode(replace(config, scenario=replace(config.scenario)), baseline)
 
     proposer = Interleaving(make_proposer(first), lambda: episode(second, inner_baseline))
     outer = episode(first, outer_baseline, proposer)
@@ -416,7 +419,7 @@ def test_episodes_sharing_one_goal_spec_run_interleaved(
 
 # --------------------------------------------------------------- tool calls
 def test_tool_call_strings_equal_their_formulas_over_suite50(suite50_sweep):
-    """Each call's cached strings and canonical twin equal what the formulas compute afresh."""
+    """Each call's cached strings and dict forms equal what the formulas compute afresh."""
     calls = list({id(call): call for call in suite50_sweep.calls}.values())
     assert len(suite50_sweep.calls) > 15_000 and len(calls) > 100
     for call in calls:
@@ -425,8 +428,9 @@ def test_tool_call_strings_equal_their_formulas_over_suite50(suite50_sweep):
         listed = ", ".join(f"{k}={v}" for k, v in canonical.items())
         assert call.describe() == f"{call.name}({listed})"
         assert call.to_dict() == {"name": call.name, "arguments": call.arguments}
-        twin = call.canonical()
-        assert json.dumps(twin.to_dict()) == json.dumps(ToolCall(call.name, canonical).to_dict())
+        assert json.dumps(call.canonical_dict()) == json.dumps(
+            {"name": call.name, "arguments": canonical}
+        )
 
 
 def test_sweep_leaves_no_episode_state_on_shared_specs(suite50_sweep):
@@ -441,8 +445,9 @@ def test_sweep_leaves_no_episode_state_on_shared_specs(suite50_sweep):
 
     shared = {}
     for config, _, _ in suite50_sweep.episodes:
-        policy, goal = config.policy, config.policy.goal
-        for obj in (config, config.faults, config.ruleset, *config.ruleset.rules, policy,
+        policy, goal = config.scenario.policy, config.scenario.policy.goal
+        for obj in (config, config.scenario, config.faults, DEFAULT_RULESET,
+                    *DEFAULT_RULESET.rules, policy,
                     policy.gather, goal, *goal.all_branches(), *goal.action_templates()):
             shared[id(obj)] = obj
     assert len(shared) > 800
