@@ -16,7 +16,6 @@ anything and the run matches the governed system's outcomes exactly.
 """
 from __future__ import annotations
 
-import logging
 import random
 from typing import Any
 
@@ -29,8 +28,6 @@ from .memory import EntryKind, MemoryEntry, MemorySnapshot
 from .regulation import DEFAULT_RULESET
 from .runtime import ToolResult, staged_writes
 from .util import is_int, is_number
-
-logger = logging.getLogger(__name__)
 
 
 def check_context(budget: Any = None, decay: Any = None) -> None:
@@ -78,7 +75,6 @@ class ContextModel:
             while len(self._facts) > self.budget:
                 evicted = next(iter(self._facts))
                 del self._facts[evicted]
-                logger.debug("context evicted %s", evicted)
 
     def retained(self) -> int:
         return len(self._facts)

@@ -7,7 +7,6 @@ the goal, 3 when chain reconstruction finds a gap.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from collections import Counter
 from pathlib import Path
@@ -29,8 +28,6 @@ from .trace import (
     reconstruct_chain,
 )
 from .util import canonical_json
-
-logger = logging.getLogger(__name__)
 
 METRIC_LABELS = {
     "spa": "state persistence",

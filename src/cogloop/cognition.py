@@ -18,7 +18,6 @@ built-in proposers implement that contract deterministically:
 from __future__ import annotations
 
 import json
-import logging
 import random
 import re
 from bisect import bisect_left
@@ -41,8 +40,6 @@ from .memory import (
 from .regulation import RuleSet
 from .runtime import ToolCall
 from .util import canonical_json, text_digest
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SYSTEM = (
     "You are the reasoning component of a governed agent loop. Propose exactly one "
@@ -539,8 +536,6 @@ class FaultyProposer(ScriptedProposer):
                 if mutated is not None:
                     meta.fault_label = fault_type
                     self.last_meta = meta
-                    if logger.isEnabledFor(logging.DEBUG):
-                        logger.debug("injected %s fault: %s", fault_type, mutated.describe())
                     return mutated
         self.last_meta = meta
         return base

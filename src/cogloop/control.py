@@ -21,7 +21,6 @@ because duplicate suppression is a control policy, not prompt guidance.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -44,8 +43,6 @@ from .runtime import (
     ToolSpec,
     argument_problems,
 )
-
-logger = logging.getLogger(__name__)
 
 DEDUP_RULE_ID = "R-DEDUP"
 
@@ -349,16 +346,13 @@ def validate(
 
     consumptions = tuple(run.consumed.items())
     if not run.violations:
-        decision = ControlDecision(
+        return ControlDecision(
             verdict=Verdict.APPROVED,
             call=run.call,
             log_lines=(run.approval_log_line(),),
             consumptions=consumptions,
             read_set=run.read_set_watermarks(),
         )
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("approved %s", run.call.describe())
-        return decision
 
     decision = ControlDecision(
         verdict=Verdict.REJECTED,
@@ -374,8 +368,6 @@ def validate(
     decision.feedback = (
         f"Proposal rejected [{rule_ids}]: {details}. Revise the proposal using current memory."
     )
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("rejected %s: %s", proposal.describe(), rule_ids)
     return decision
 
 

@@ -16,11 +16,11 @@ from typing import Any
 from . import evidence
 from .evidence import EvidenceExpr
 from .memory import NOT_FOUND, MemoryEntry, MemorySnapshot, key_segments, resolve_plan
-from .runtime import ToolCall, canon_args
+from .runtime import ToolCall, same_args
 
 
 class GoalConfigError(Exception):
-    """Goal specification is structurally invalid."""
+    """Goal specification is structurally invalid; the message starts with the path at fault."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class GoalSpec:
             segments = key_segments(fact) if isinstance(fact, str) else ()
             if segments[:1] != ("obs",) or len(segments) < 3:
                 raise GoalConfigError(
-                    f"required fact {fact!r} must be an obs.<entity>.<field> leaf key"
+                    f"goal: required fact {fact!r} must be an obs.<entity>.<field> leaf key"
                 )
             entity = ".".join(segments[1:-1])
             if entity not in seen:
@@ -104,7 +104,7 @@ class GoalSpec:
     def validate(self) -> None:
         """Reject specs whose conditions reach outside the required facts."""
         if not self.required_facts:
-            raise GoalConfigError("goal requires at least one required fact")
+            raise GoalConfigError("goal: requires at least one required fact")
         self.entities()  # validates key shapes
         # The proposer sees a tool's action record only as act.<tool>, so after a
         # branch's first call of a tool it would take a second one as done too.
@@ -112,12 +112,12 @@ class GoalSpec:
             names = [action.name for action in branch.actions]
             for position, name in enumerate(names):
                 if name in names[:position]:
-                    raise GoalConfigError(f"branches[{index}] names tool {name!r} twice")
+                    raise GoalConfigError(f"goal: branches[{index}] names tool {name!r} twice")
         allowed = set(self.required_facts)
         for key in self.condition_keys():
             if key not in allowed and not key.startswith("goal."):
                 raise GoalConfigError(
-                    f"condition references {key!r}, which is not a required fact"
+                    f"goal: condition references {key!r}, which is not a required fact"
                 )
 
     # ------------------------------------------------------------ evaluation
@@ -157,20 +157,17 @@ class GoalSpec:
 
     # ---------------------------------------------------------------- config
     @classmethod
-    def from_dict(cls, config: dict[str, Any]) -> "GoalSpec":
-        try:
-            required = tuple(config["required_facts"])
-        except KeyError:
-            raise GoalConfigError("goal config missing 'required_facts'") from None
-        branches = tuple(
-            _branch(raw.get("condition", []), raw.get("actions", []))
-            for raw in config.get("branches", [])
-        )
+    def from_dict(cls, config: Any) -> "GoalSpec":
+        """The goal ``config`` describes; its JSON shape is checked here, naming the path."""
+        _object(config, "goal", {"required_facts", "branches", "cancellation"})
+        required = _typed(config.get("required_facts"), list, "goal.required_facts", "array")
+        branches = _typed(config.get("branches", []), list, "goal.branches", "array")
         raw_cancel = config.get("cancellation")
-        cancellation = (
-            _branch(raw_cancel.get("condition", []), [raw_cancel["action"]]) if raw_cancel else None
+        return cls(
+            required_facts=tuple(required),
+            branches=tuple(_branch(raw, f"goal.branches[{i}]") for i, raw in enumerate(branches)),
+            cancellation=None if raw_cancel is None else _cancellation(raw_cancel),
         )
-        return cls(required_facts=required, branches=branches, cancellation=cancellation)
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {"required_facts": list(self.required_facts)}
@@ -190,14 +187,48 @@ class GoalSpec:
         return data
 
 
-def _branch(condition: list[str], actions: list[dict[str, Any]]) -> Branch:
-    for a in actions:
-        if not (isinstance(a.get("name"), str) and isinstance(a.get("arguments", {}), dict)):
-            raise GoalConfigError(f"action {a} needs a string name and an object of arguments")
+def _typed(value: Any, types: type, path: str, label: str) -> Any:
+    """``value``, when it is a ``types``; otherwise a ``GoalConfigError`` names ``path``."""
+    if not isinstance(value, types):
+        raise GoalConfigError(f"{path}: expected {label}, got {type(value).__name__}")
+    return value
+
+
+def _object(value: Any, path: str, fields: set[str]) -> None:
+    """Raise ``GoalConfigError`` unless ``value`` is an object with no field outside ``fields``."""
+    unknown = sorted(set(_typed(value, dict, path, "object")) - fields)
+    if unknown:
+        raise GoalConfigError(f"{path}: unknown fields {unknown}")
+
+
+def _branch(raw: Any, path: str) -> Branch:
+    _object(raw, path, {"condition", "actions"})
+    actions = _typed(raw.get("actions", []), list, f"{path}.actions", "array")
     return Branch(
-        condition=tuple(evidence.parse(c) for c in condition),
-        actions=tuple(ToolCall(a["name"], dict(a.get("arguments", {}))) for a in actions),
+        condition=_condition(raw, path),
+        actions=tuple(_action(action, f"{path}.actions[{i}]") for i, action in enumerate(actions)),
     )
+
+
+def _cancellation(raw: Any, path: str = "goal.cancellation") -> Branch:
+    _object(raw, path, {"condition", "action"})
+    condition = _condition(raw, path)
+    return Branch(condition=condition, actions=(_action(raw.get("action"), f"{path}.action"),))
+
+
+def _condition(raw: dict[str, Any], path: str) -> tuple[EvidenceExpr, ...]:
+    texts = _typed(raw.get("condition", []), list, f"{path}.condition", "array")
+    return tuple(
+        evidence.parse(_typed(text, str, f"{path}.condition[{i}]", "string"))
+        for i, text in enumerate(texts)
+    )
+
+
+def _action(raw: Any, path: str) -> ToolCall:
+    _object(raw, path, {"name", "arguments"})
+    name = _typed(raw.get("name"), str, f"{path}.name", "string")
+    arguments = _typed(raw.get("arguments", {}), dict, f"{path}.arguments", "object")
+    return ToolCall(name, dict(arguments))
 
 
 class GoalWatch:
@@ -233,10 +264,5 @@ def action_executed(snapshot: MemorySnapshot, call: ToolCall) -> bool:
     The runtime writes each record of tool ``t`` under ``act.t``, and an
     action record can only hold the status ``executed``.
     """
-    wanted = call.canonical_args
-    for entry in snapshot.history(f"act.{call.name}"):
-        # Canonicalization is idempotent, so equal raw args need no second pass.
-        args = entry.payload["args"]
-        if args == wanted or canon_args(args) == wanted:
-            return True
-    return False
+    history = snapshot.history(f"act.{call.name}")
+    return any(same_args(e.payload["args"], call.canonical_args) for e in history)

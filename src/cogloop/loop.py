@@ -15,7 +15,6 @@ other ``System``.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any
@@ -48,8 +47,6 @@ from .util import content_digest
 
 if TYPE_CHECKING:
     from .scenario import Scenario
-
-logger = logging.getLogger(__name__)
 
 CYCLE_BUDGET_FACTOR = 3  # default budget = factor * (facts to gather + actions to run)
 

@@ -16,15 +16,12 @@ of the latest ``obs.Seoul`` observation.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Iterable
 
 from .util import Sentinel, tick_timestamp
-
-logger = logging.getLogger(__name__)
 
 
 class StoreError(Exception):
@@ -399,11 +396,6 @@ class MemoryStore:
         """Atomically publish all staged writes and return the new snapshot."""
         if self._staged:
             self._snapshot = self._snapshot.extend(self._staged)
-            logger.debug(
-                "committed %d entries; log size %d",
-                len(self._staged),
-                len(self._snapshot.entries),
-            )
             self._staged = []
         return self._snapshot
 

@@ -12,7 +12,6 @@ tokens, message ids, and pseudo-latencies all derive from the world seed.
 """
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,8 +20,6 @@ from typing import Any, Callable
 
 from .memory import EntryKind
 from .util import canonical_json, is_int, is_number
-
-logger = logging.getLogger(__name__)
 
 PLACEHOLDER_VALUES = ("", "TBD")
 
@@ -86,6 +83,12 @@ class ToolCall:
 def canon_args(arguments: dict[str, Any]) -> dict[str, Any]:
     """Canonical argument form: keys sorted recursively, strings trimmed."""
     return {k: _canon(arguments[k]) for k in sorted(arguments)}
+
+
+def same_args(a: dict[str, Any], b: dict[str, Any]) -> bool:
+    """True if two argument dicts have the same canonical form."""
+    # Canonicalization is idempotent, so equal raw args need no canonical pass.
+    return a == b or canon_args(a) == canon_args(b)
 
 
 def _canon(value: Any) -> Any:
@@ -354,8 +357,6 @@ class Runtime:
     ) -> tuple[ToolResult, list[StagedWrite]]:
         """Log ``call``'s outcome (``payload`` or ``error``) and return it with ``staged``."""
         code, message = error or (None, None)
-        if code is not None:
-            logger.debug("tool %s failed: %s (%s)", call.name, code.value, message)
         result = ToolResult(
             tool=call.name,
             args=dict(call.canonical_args),  # a copy: every episode shares a goal's calls

@@ -10,7 +10,6 @@ runs.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -28,8 +27,6 @@ from .runtime import (
     EXTRA_SPECS, ErrorCode, ToolFailure, WorldState, argument_problems, builtin_registry
 )
 from .util import canonical_json, is_int, is_number
-
-logger = logging.getLogger(__name__)
 
 SUITE_SEEDS = [1, 2, 3, 4, 5]
 DEFAULT_BASELINE_DECAY = 0.3
@@ -57,6 +54,12 @@ def _expect(condition: bool, path: str, message: str) -> None:
 
 def _expect_type(value: Any, types: type | tuple[type, ...], path: str, label: str) -> None:
     _expect(isinstance(value, types), path, f"expected {label}, got {type(value).__name__}")
+
+
+def _expect_object(value: Any, path: str, fields: set[str]) -> None:
+    _expect_type(value, dict, path, "object")
+    unknown = sorted(set(value) - fields)
+    _expect(not unknown, path, f"unknown fields {unknown}")
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,9 @@ class Scenario:
         """The goal, gather and goal citation, parsed once, when ``validate`` first reads them."""
         try:
             goal = GoalSpec.from_dict(self.goal)
-        except (
-            GoalConfigError, EvidenceParseError, MalformedKey, AttributeError, KeyError, TypeError
-        ) as exc:
+        except GoalConfigError as exc:  # its message starts with the goal path
+            raise ConfigError(str(exc)) from exc
+        except (EvidenceParseError, MalformedKey) as exc:
             raise ConfigError(f"goal: {exc}") from exc
         return PlannerPolicy(
             goal=goal,
@@ -206,9 +209,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Any) -> "Scenario":
         """The scenario ``data`` describes; JSON shape is checked here, values when it is built."""
-        _expect_type(data, dict, "$", "object")
-        unknown = sorted(set(data) - _TOP_LEVEL_FIELDS)
-        _expect(not unknown, "$", f"unknown fields {unknown}")
+        _expect_object(data, "$", _TOP_LEVEL_FIELDS)
         for required in ("name", "task", "world", "goal", "gather"):
             _expect(required in data, required, "required field is missing")
 
@@ -227,13 +228,8 @@ class Scenario:
         context = data.get("context", {})
         _expect_type(context, dict, "context", "object")
 
-        goal = data["goal"]
-        _expect_type(goal, dict, "goal", "object")
-
         gather = data["gather"]
-        _expect_type(gather, dict, "gather", "object")
-        unknown = sorted(set(gather) - {"tool", "arguments"})
-        _expect(not unknown, "gather", f"unknown fields {unknown}")
+        _expect_object(gather, "gather", {"tool", "arguments"})
         _expect("tool" in gather, "gather.tool", "required field is missing")
         _expect_type(gather["tool"], str, "gather.tool", "string")
         arguments = gather.get("arguments", {})
@@ -257,7 +253,7 @@ class Scenario:
         _expect(max_cycles is None or is_int(max_cycles), "max_cycles", "expected integer or null")
 
         baseline = data.get("baseline", {})
-        _expect_type(baseline, dict, "baseline", "object")
+        _expect_object(baseline, "baseline", {"budget", "decay"})
         budget = baseline.get("budget", 1)
         decay = baseline.get("decay", DEFAULT_BASELINE_DECAY)
         for param, value in (("budget", budget), ("decay", decay)):
@@ -273,7 +269,7 @@ class Scenario:
             task=task,
             world=world,
             context=dict(context),
-            goal=goal,
+            goal=data["goal"],
             gather={"tool": gather["tool"], "arguments": dict(arguments)},
             goal_citation=goal_citation,
             extra_tools=list(extra_tools),
@@ -285,9 +281,7 @@ class Scenario:
 
 
 def _validate_world(world: Any) -> dict[str, Any]:
-    _expect_type(world, dict, "world", "object")
-    unknown = sorted(set(world) - {"seed", "weather", "fault_schedule"})
-    _expect(not unknown, "world", f"unknown fields {unknown}")
+    _expect_object(world, "world", {"seed", "weather", "fault_schedule"})
     seed = world.get("seed", 0)
     _expect(is_int(seed), "world.seed", "expected integer")
     weather = world.get("weather", [])
@@ -295,7 +289,7 @@ def _validate_world(world: Any) -> dict[str, Any]:
     readings = set()
     for i, row in enumerate(weather):
         path = f"world.weather[{i}]"
-        _expect_type(row, dict, path, "object")
+        _expect_object(row, path, {"location", "date", "temp_f", "precipitation"})
         _expect_type(row.get("location"), str, f"{path}.location", "string")
         _expect_type(row.get("date"), str, f"{path}.date", "string")
         _expect(
@@ -310,7 +304,7 @@ def _validate_world(world: Any) -> dict[str, Any]:
     faults = set()
     for i, row in enumerate(schedule):
         path = f"world.fault_schedule[{i}]"
-        _expect_type(row, dict, path, "object")
+        _expect_object(row, path, {"tool", "ordinal", "code"})
         _expect_type(row.get("tool"), str, f"{path}.tool", "string")
         ordinal = row.get("ordinal")
         _expect(is_int(ordinal) and ordinal >= 1, f"{path}.ordinal", "expected positive integer")

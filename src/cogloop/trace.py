@@ -39,7 +39,7 @@ from typing import Any, Iterator
 from . import evidence
 from .evidence import Comparison
 from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, SchemaMismatch, decode_value
-from .runtime import canon_args
+from .runtime import same_args
 from .util import canonical_json, is_int
 
 TRACE_FORMAT = 1
@@ -342,9 +342,7 @@ def _call_matches(call: dict[str, Any] | None, tool: str, args: dict[str, Any]) 
         return False
     if call.get("name") != tool:
         return False
-    # Canonicalization is idempotent, so equal raw args need no canonical pass.
-    arguments = call.get("arguments", {})
-    return arguments == args or canon_args(arguments) == canon_args(args)
+    return same_args(call.get("arguments", {}), args)
 
 
 class _Resolved(dict):

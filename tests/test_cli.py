@@ -170,11 +170,10 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
         ('"arguments": {"location": "Seoul"}', '"arguments": {}',
          "goal: action book_flight() is incomplete (missing required argument 'location')"),
         ('"arguments": {"location": "Seoul"}', '"arguments": "x"',
-         "goal: action {'name': 'book_flight', 'arguments': 'x'} needs a string name and an "
-         "object of arguments"),
+         "goal.branches[1].actions[0].arguments: expected object, got str"),
         ('"name": "book_flight", "arguments": {"location": "Seoul"}',
          '"name": [], "arguments": {"location": "Seoul"}',
-         "goal: action {'name': [], 'arguments': {'location': 'Seoul'}} needs a string name"),
+         "goal.branches[1].actions[0].name: expected string, got list"),
         ('"fault_schedule": []', '"fault_schedule": [{"tool": "get_weather", "ordinal": 1, '
          '"code": []}]', "world.fault_schedule[0].code: expected one of"),
         ('"fault_schedule": []', '"fault_schedule": [{"tool": "get_wether", "ordinal": 1, '

@@ -103,6 +103,9 @@ def test_bad_weather_row_reports_json_path():
     document = valid_document()
     document["world"]["weather"].append({**document["world"]["weather"][0], "temp_f": 99.0})
     expect_error(document, "world.weather[2]: repeats the reading for Oslo on 2025-06-14")
+    document = valid_document()
+    document["world"]["weather"][0]["humidity"] = 0.4
+    expect_error(document, "world.weather[0]: unknown fields ['humidity']")
 
 
 def test_bad_fault_schedule_reports_json_path():
@@ -129,6 +132,10 @@ def test_bad_fault_schedule_reports_json_path():
     expect_error(
         document, "world.fault_schedule[1]: repeats the fault for get_weather at ordinal 1"
     )
+    document["world"]["fault_schedule"] = [
+        {"tool": "get_weather", "ordinal": 1, "code": "TransientFailure", "cycle": 2}
+    ]
+    expect_error(document, "world.fault_schedule[0]: unknown fields ['cycle']")
 
 
 def test_unknown_world_field_rejected():
@@ -149,7 +156,7 @@ def test_goal_errors_are_anchored():
     expect_error(document, "goal: left side of 'obs.New York.temp_f < 50'")
     document = valid_document()
     document["goal"]["branches"] = ["not an object"]
-    expect_error(document, "goal:")
+    expect_error(document, "goal.branches[0]: expected object, got str")
     document = valid_document()
     document["goal"]["required_facts"].append("obs.Oslo")  # an entity, not a leaf
     expect_error(document, "goal: required fact 'obs.Oslo' must be an obs.<entity>.<field> leaf")
@@ -166,10 +173,9 @@ def test_goal_errors_are_anchored():
     Scenario.from_dict(document)  # a whole context entry resolves too
     action = valid_document()["goal"]["branches"][1]["actions"][0]
     for edit, anchor in [
-        ({"arguments": "x"}, "goal: action {'name': 'book_flight', 'arguments': 'x'} needs a "
-                             "string name and an object of arguments"),
-        ({"name": []}, "goal: action {'name': [], 'arguments': {'location': 'Porto'}} needs a "
-                       "string name and an object of arguments"),
+        ({"arguments": "x"}, "goal.branches[1].actions[0].arguments: expected object, got str"),
+        ({"name": []}, "goal.branches[1].actions[0].name: expected string, got list"),
+        ({"note": "x"}, "goal.branches[1].actions[0]: unknown fields ['note']"),
         ({"arguments": {}}, "goal: action book_flight() is incomplete "
                             "(missing required argument 'location')"),
         ({"arguments": {"location": "TBD"}}, "goal: action book_flight(location=TBD) is "
@@ -178,6 +184,30 @@ def test_goal_errors_are_anchored():
         document = valid_document()
         document["goal"]["branches"][1]["actions"] = [{**action, **edit}]
         expect_error(document, anchor)
+
+
+@pytest.mark.parametrize("edit, anchor", [
+    ({"brances": []}, "goal: unknown fields ['brances']"),
+    ({"required_facts": "obs.Oslo.temp_f"}, "goal.required_facts: expected array, got str"),
+    ({"branches": {}}, "goal.branches: expected array, got dict"),
+    ({"branches": [{"condition": [], "actoins": []}]},
+     "goal.branches[0]: unknown fields ['actoins']"),
+    ({"branches": [{"condition": "obs.Oslo.temp_f < 50"}]},
+     "goal.branches[0].condition: expected array, got str"),
+    ({"branches": [{"condition": [50]}]}, "goal.branches[0].condition[0]: expected string, got int"),
+    ({"branches": [{"actions": {"name": "book_flight"}}]},
+     "goal.branches[0].actions: expected array, got dict"),
+    ({"cancellation": []}, "goal.cancellation: expected object, got list"),
+    ({"cancellation": {}}, "goal.cancellation.action: expected object, got NoneType"),
+    ({"cancellation": {"condition": [], "actions": []}},
+     "goal.cancellation: unknown fields ['actions']"),
+], ids=["goal-field", "facts-not-array", "branches-not-array", "branch-field",
+        "condition-not-array", "condition-not-string", "actions-not-array",
+        "cancellation-not-object", "cancellation-without-action", "cancellation-field"])
+def test_goal_shape_errors_name_the_path(edit, anchor):
+    document = valid_document()
+    document["goal"].update(edit)
+    expect_error(document, anchor)
 
 
 @pytest.mark.parametrize("held, accepted", [
@@ -270,6 +300,8 @@ def test_baseline_parameters_validated():
     for decay in (-1, None, True):
         document["baseline"] = {"budget": 2, "decay": decay}
         expect_error(document, "baseline.decay")
+    document["baseline"] = {"budgte": 3, "decay": 0.3}
+    expect_error(document, "baseline: unknown fields ['budgte']")
 
 
 @pytest.mark.parametrize(
@@ -319,6 +351,10 @@ def test_load_suite_names_the_first_bad_file(tmp_path):
 def test_code_built_scenarios_meet_the_same_rules():
     with pytest.raises(ConfigError, match="goal_citation: 'goal.trip_policy.rulez' does not"):
         dataclasses.replace(generate_suite(1)[0], goal_citation="goal.trip_policy.rulez")
+    scenario = generate_suite(1)[0]
+    goal = {**scenario.goal, "brances": scenario.goal["branches"]}
+    with pytest.raises(ConfigError, match=r"goal: unknown fields \['brances'\]"):
+        dataclasses.replace(scenario, goal=goal)
 
 
 def test_load_suite_refuses_two_files_of_one_name(tmp_path):

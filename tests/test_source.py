@@ -22,7 +22,10 @@ PERFBENCH = TESTS.parent / "perfbench"
 
 def used_names(tree: ast.Module) -> set[str]:
     """Names the module reads, including those in quoted annotations and in ``__all__``."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     quoting = []
     for node in ast.walk(tree):
         if isinstance(node, ast.arg) and node.annotation is not None:
@@ -138,6 +141,38 @@ def test_every_module_level_name_is_mentioned_elsewhere():
             if not mentioned:
                 dead.append(f"{module} {name}")
     assert sorted(dead) == sorted(KEPT_UNMENTIONED)
+
+
+def test_every_top_level_name_is_read():
+    """A top-level function, class or variable is read by its own module, imported by name
+    into another, or read in another as ``module.name``. Unlike the word search above, a
+    definition of the same name in another module does not count."""
+    read = set()
+    for module, text in MODULES.items():
+        tree = ast.parse(text)
+        read |= {(module, name) for name in used_names(tree)}
+        siblings = {}  # alias -> module, from ``from . import module``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        read.add((f"{node.module}.py", alias.name))
+                    else:
+                        siblings[alias.asname or alias.name] = f"{alias.name}.py"
+        read |= {
+            (siblings[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+        }
+    unread = [
+        f"{module} {name}"
+        for module, text in MODULES.items()
+        if module != "__init__.py"
+        for name, _ in module_level_names(ast.parse(text))
+        if "." not in name and (module, name) not in read
+    ]
+    assert unread == []
 
 
 def private_reaches(tree: ast.Module) -> list[str]:
