@@ -39,7 +39,7 @@ from .memory import (
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
-from .util import canonical_json, text_digest
+from .util import PrefixDigest, canonical_json, text_digest
 
 DEFAULT_SYSTEM = (
     "You are the reasoning component of a governed agent loop. Propose exactly one "
@@ -78,7 +78,8 @@ class CognitionInput:
     incremental builder (``FactIndex``) may supply: the facts' canonical JSON
     array items, comma-joined, and `parse_entities` of the facts. Neither is
     part of the input's identity; when absent, each is computed from
-    ``facts``.
+    ``facts``. So is ``digester``, the episode's `PrefixDigest`: without one,
+    ``digest`` hashes the whole input.
     """
 
     system: str
@@ -88,6 +89,7 @@ class CognitionInput:
     constraints: tuple[str, ...]
     facts_json: str | None = field(default=None, compare=False, repr=False)
     entities: dict[str, dict[str, Any]] | None = field(default=None, compare=False, repr=False)
+    digester: PrefixDigest | None = field(default=None, compare=False, repr=False)
 
     def to_request(self) -> dict[str, Any]:
         return {
@@ -109,7 +111,8 @@ class CognitionInput:
         facts_json = self.facts_json
         if facts_json is None:
             facts_json = ",".join(map(_json_string, self.facts))
-        return text_digest(
+        hash_text = text_digest if self.digester is None else self.digester.text_digest
+        return hash_text(
             "".join(
                 (
                     '{"constraints":[',
@@ -240,7 +243,7 @@ class FactIndex:
     cycle's Python-level work is O(delta). Per key it keeps the line, the
     line's canonical JSON and its `parse_fact_line` fields, and per entity the
     fields of the last key in key order that shows it, as `parse_entities`
-    would over all lines.
+    would over all lines; ``digester`` hashes the episode's inputs.
     """
 
     def __init__(self) -> None:
@@ -251,6 +254,7 @@ class FactIndex:
         self._json: list[str] = []  # parallel to _keys: each line's canonical JSON
         self._entities: dict[str, dict[str, Any]] = {}
         self._owners: dict[str, str] = {}  # entity -> the key whose fields it shows
+        self.digester = PrefixDigest()
 
     def current(
         self, snapshot: MemorySnapshot
@@ -296,7 +300,8 @@ def assemble_input(
     by key), through ``facts``, the episode's index, or a fresh one;
     constraints are copied verbatim from the previous decision.
     """
-    lines, facts_json, entities = (FactIndex() if facts is None else facts).current(snapshot)
+    index = FactIndex() if facts is None else facts
+    lines, facts_json, entities = index.current(snapshot)
     return CognitionInput(
         system=DEFAULT_SYSTEM,
         task=task,
@@ -305,6 +310,7 @@ def assemble_input(
         constraints=tuple(constraints),
         facts_json=facts_json,
         entities=entities,
+        digester=index.digester,
     )
 
 

@@ -3,9 +3,9 @@
 A scenario bundles everything an episode needs — task text, world fixture,
 static context, goal structure, gather template, per-scenario seeds, and the
 bounded-context parameters for the comparison system. Loading checks the JSON
-shape with anchors such as ``world.weather[2].temp_f``, then builds the
-``Scenario``, which checks the values, so a bad file fails before any episode
-runs.
+shape with anchors such as ``seeds[2]``, then builds the ``Scenario``, which
+checks the shapes of its goal, world and gather and then the values, so a bad
+file fails before any episode runs.
 """
 from __future__ import annotations
 
@@ -97,7 +97,7 @@ class Scenario:
             raise ConfigError(f"goal: {exc}") from exc
         return PlannerPolicy(
             goal=goal,
-            gather=GatherTemplate(self.gather["tool"], dict(self.gather["arguments"])),
+            gather=GatherTemplate(self.gather["tool"], dict(self.gather.get("arguments", {}))),
             goal_citation=self.goal_citation,
         )
 
@@ -109,6 +109,8 @@ class Scenario:
     # -------------------------------------------------------------- validate
     def validate(self) -> None:
         """Check every value rule of the scenario; a ``ConfigError`` names the field at fault."""
+        _check_world(self.world)
+        _check_gather(self.gather)
         if not self.task.strip():
             raise ConfigError("task must be a non-empty string")
         check_max_cycles(self.max_cycles)
@@ -223,17 +225,12 @@ class Scenario:
         task = data["task"]
         _expect_type(task, str, "task", "string")
 
-        world = _validate_world(data["world"])
+        world = data["world"]
+        if isinstance(world, dict):  # the digest reads the world with its defaults
+            world = {"seed": 0, "weather": [], "fault_schedule": [], **world}
 
         context = data.get("context", {})
         _expect_type(context, dict, "context", "object")
-
-        gather = data["gather"]
-        _expect_object(gather, "gather", {"tool", "arguments"})
-        _expect("tool" in gather, "gather.tool", "required field is missing")
-        _expect_type(gather["tool"], str, "gather.tool", "string")
-        arguments = gather.get("arguments", {})
-        _expect_type(arguments, dict, "gather.arguments", "object")
 
         goal_citation = data.get("goal_citation")
         if goal_citation is not None:
@@ -270,7 +267,7 @@ class Scenario:
             world=world,
             context=dict(context),
             goal=data["goal"],
-            gather={"tool": gather["tool"], "arguments": dict(arguments)},
+            gather=data["gather"],
             goal_citation=goal_citation,
             extra_tools=list(extra_tools),
             seeds=list(seeds),
@@ -280,7 +277,7 @@ class Scenario:
         )
 
 
-def _validate_world(world: Any) -> dict[str, Any]:
+def _check_world(world: Any) -> None:
     _expect_object(world, "world", {"seed", "weather", "fault_schedule"})
     seed = world.get("seed", 0)
     _expect(is_int(seed), "world.seed", "expected integer")
@@ -313,7 +310,13 @@ def _validate_world(world: Any) -> dict[str, Any]:
         fault = (row["tool"], ordinal)
         _expect(fault not in faults, path, "repeats the fault for {} at ordinal {}".format(*fault))
         faults.add(fault)
-    return {"seed": seed, "weather": list(weather), "fault_schedule": list(schedule)}
+
+
+def _check_gather(gather: Any) -> None:
+    _expect_object(gather, "gather", {"tool", "arguments"})
+    _expect("tool" in gather, "gather.tool", "required field is missing")
+    _expect_type(gather["tool"], str, "gather.tool", "string")
+    _expect_type(gather.get("arguments", {}), dict, "gather.arguments", "object")
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -34,7 +34,7 @@ from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore, resol
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall
 from cogloop.scenario import Scenario, load_scenario, load_suite
-from cogloop.util import content_digest
+from cogloop.util import DIGEST_CHUNK, PrefixDigest, content_digest, text_digest
 
 from conftest import SCENARIO_DIR, SUITE_DIR
 from test_goals import TWO_CITY_GOAL
@@ -248,6 +248,38 @@ input_text = st.text(
 def test_input_digest_equals_digest_of_request(system, task, rules, facts, constraints):
     built = CognitionInput(system, task, rules, tuple(facts), tuple(constraints))
     assert built.digest() == content_digest(built.to_request())
+
+
+# Any text SHA-256 can hash: every character but the lone surrogates.
+encodable = st.characters(blacklist_categories=("Cs",))
+C = DIGEST_CHUNK
+text_lengths = st.one_of(
+    st.sampled_from([0, 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 3 * C]),
+    st.integers(0, 3 * C + 100),
+)
+
+
+@st.composite
+def text_sequences(draw) -> list[str]:
+    """Prefixes of one long text, cut at lengths at, around and between chunk
+    multiples, each with up to two edits (a replacement, insertion or deletion) at
+    random offsets: texts that share prefixes of every length, grow and shrink."""
+    pattern = draw(st.text(encodable, min_size=1, max_size=40))
+    base = pattern * ((3 * C + 100) // len(pattern) + 1)
+    texts = []
+    for _ in range(draw(st.integers(1, 8))):
+        text = base[: draw(text_lengths)]
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.text(encodable, max_size=2)) + text[at + 1 :]
+        texts.append(text)
+    return texts
+
+
+@given(texts=text_sequences())
+def test_prefix_digest_equals_a_plain_digest_of_every_text(texts):
+    digester = PrefixDigest()
+    assert [digester.text_digest(text) for text in texts] == list(map(text_digest, texts))
 
 
 # ---------------------------------------------------------- scripted planner

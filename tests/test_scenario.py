@@ -348,13 +348,22 @@ def test_load_suite_names_the_first_bad_file(tmp_path):
     )
 
 
-def test_code_built_scenarios_meet_the_same_rules():
+def test_code_built_scenarios_meet_the_same_rules(two_city):
     with pytest.raises(ConfigError, match="goal_citation: 'goal.trip_policy.rulez' does not"):
         dataclasses.replace(generate_suite(1)[0], goal_citation="goal.trip_policy.rulez")
     scenario = generate_suite(1)[0]
     goal = {**scenario.goal, "brances": scenario.goal["branches"]}
     with pytest.raises(ConfigError, match=r"goal: unknown fields \['brances'\]"):
         dataclasses.replace(scenario, goal=goal)
+    # The world and gather shapes are checked as the loader checks them.
+    world = {**two_city.world, "fault_schedule": [{}]}
+    with pytest.raises(ConfigError, match=r"^world.fault_schedule\[0\].tool: expected string"):
+        dataclasses.replace(two_city, world=world)
+    with pytest.raises(ConfigError, match="^gather.arguments: no valid call for entity 'Seoul'"):
+        dataclasses.replace(two_city, gather={"tool": "get_weather"})
+    world = {**two_city.world, "weather": [{"location": "Seoul"}]}
+    with pytest.raises(ConfigError, match=r"^world.weather\[0\].date: expected string"):
+        dataclasses.replace(two_city, world=world)
 
 
 def test_load_suite_refuses_two_files_of_one_name(tmp_path):

@@ -1,6 +1,7 @@
 """Sweep-level guarantees over generated suites, the cost of canonical calls, and memos."""
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogloop
-from cogloop import baseline, cognition, loop, runtime
+from cogloop import baseline, cognition, loop, runtime, util
 from cogloop.baseline import Baseline, run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.cognition import FACT_KINDS, FaultConfig, format_memory_fact, parse_entities
@@ -24,8 +25,8 @@ from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall, canon_args
 from cogloop.scenario import load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
-from cogloop.util import canonical_json, content_digest
-from conftest import SCENARIO_DIR
+from cogloop.util import DIGEST_CHUNK, PrefixDigest, canonical_json, content_digest
+from conftest import SCENARIO_DIR, SUITE_DIR
 from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
 from suitegen import generate_suite
 
@@ -157,6 +158,41 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
     assert counts["fresh_parses"] == 0
 
 
+def long_config():
+    """The longest `long_horizon` benchmark episode: 469 cycles of inputs up to 67 KB."""
+    scenario = load_scenario(SUITE_DIR / "trip36_gdansk.json")
+    return scenario.episode_config(
+        3, faults=FaultConfig(seed=3822, p_duplicate=0.99), max_cycles=2000
+    )
+
+
+def count_hashed_bytes(patch) -> list[int]:
+    """Count, in the returned list's one item, the bytes given to SHA-256 in util, the
+    module that hashes proposer inputs."""
+    hashed = [0]
+    sha256 = hashlib.sha256
+
+    class Counting:
+        def __init__(self, data=b""):
+            self.state = sha256()
+            self.update(data)
+
+        def update(self, data):
+            hashed[0] += len(data)
+            self.state.update(data)
+
+        def copy(self):
+            twin = Counting()
+            twin.state = self.state.copy()
+            return twin
+
+        def hexdigest(self):
+            return self.state.hexdigest()
+
+    patch.setattr(util, "hashlib", SimpleNamespace(sha256=Counting))
+    return hashed
+
+
 class Recorded:
     """A proposer that keeps each input it is given."""
 
@@ -182,6 +218,53 @@ def plans(policy, inputs) -> list:
         except cognition.PolicyGap as gap:
             answers.append((gap, None))
     return answers
+
+
+@pytest.fixture(scope="module")
+def long_episode():
+    """The 469-cycle episode run once: its result, its inputs, and the bytes hashed for
+    them (with the episode's one config digest)."""
+    config = long_config()
+    recorded = Recorded(make_proposer(config))
+    with pytest.MonkeyPatch.context() as patch:
+        hashed = count_hashed_bytes(patch)
+        result = drive_episode(Governed(config), recorded)
+    return SimpleNamespace(result=result, inputs=recorded.inputs, hashed=hashed[0])
+
+
+def test_every_cycle_records_the_digest_of_its_whole_input(long_episode):
+    """On the probe and the 469-cycle episode, whose inputs outgrow many digest chunks,
+    each cycle's input digest, resumed from the last input's, is that of the request."""
+    config = probe_config()
+    recorded = Recorded(make_proposer(config))
+    probe = drive_episode(Governed(config), recorded)
+    for result, inputs in ((probe, recorded.inputs), (long_episode.result, long_episode.inputs)):
+        assert len(inputs) == result.cycles_used == len(result.trace.cycles) - 1
+        for record, cog_input in zip(result.trace.cycles[1:], inputs):
+            assert record.input_digest == content_digest(cog_input.to_request())
+    assert (probe.cycles_used, long_episode.result.cycles_used) == (237, 469)
+    assert len(canonical_json(long_episode.inputs[-1].to_request())) > 8 * DIGEST_CHUNK
+
+
+def test_long_episode_hashes_at_most_half_its_input_bytes(long_episode):
+    """Each input is hashed from where it differs from the last one, so the 469-cycle
+    episode hashes about 40% of its input bytes. Hashing every input whole hashed all."""
+    total = sum(len(canonical_json(i.to_request()).encode()) for i in long_episode.inputs)
+    assert 2 * long_episode.hashed <= total, f"{long_episode.hashed} of {total} bytes hashed"
+
+
+def test_texts_that_differ_at_once_hash_no_more_than_plain(monkeypatch):
+    """When every text differs from the last at its first character, no chunk is reused,
+    and the digester hashes each text once, as a plain digest would."""
+    base = canonical_json([f"[Memory Fact] Gdansk: n={n}" for n in range(2500)])
+    texts = [chr(ord("a") + n % 26) + base[1 : 1000 + n * 1500] for n in range(40)]
+    hashed = count_hashed_bytes(monkeypatch)
+    digester = PrefixDigest()
+    digests = [digester.text_digest(text) for text in texts]
+    assert len(base) > len(texts[-1]) > 6 * DIGEST_CHUNK
+    assert hashed[0] <= sum(len(text.encode()) for text in texts)
+    monkeypatch.undo()
+    assert digests == [util.text_digest(text) for text in texts]
 
 
 @pytest.fixture(scope="module")
