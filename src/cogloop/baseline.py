@@ -30,14 +30,16 @@ from .runtime import ToolResult, staged_writes
 from .util import is_int, is_number
 
 
-def check_context(budget: Any = None, decay: Any = None) -> None:
-    """Raise ``ConfigError`` for a context budget or decay the window cannot use; None is unset."""
-    if budget is not None and not is_int(budget):
-        raise ConfigError(f"context budget must be an integer, got {budget!r}")
-    if budget is not None and budget < 1:
-        raise ConfigError(f"context budget must be positive, got {budget}")
-    if decay is not None and not (is_number(decay, finite=True) and decay >= 0):
-        raise ConfigError(f"context decay must be finite and non-negative, got {decay!r}")
+def check_context(budget: Any, decay: Any) -> None:
+    """Raise a ``ConfigError`` naming the field for a budget or decay the window cannot use."""
+    if not is_int(budget):
+        raise ConfigError(f"baseline.budget: context budget must be an integer, got {budget!r}")
+    if budget < 1:
+        raise ConfigError(f"baseline.budget: context budget must be positive, got {budget}")
+    if not (is_number(decay, finite=True) and decay >= 0):
+        raise ConfigError(
+            f"baseline.decay: context decay must be finite and non-negative, got {decay!r}"
+        )
 
 
 class ContextModel:
@@ -52,7 +54,7 @@ class ContextModel:
     def __init__(self, budget: int, decay: float, seed: int, static: dict[str, dict[str, Any]]):
         check_context(budget, decay)
         self.budget = budget
-        self.decay = decay
+        self.decay = float(decay)  # an integer decay times an age may pass float range
         self._rng = random.Random(f"context:{seed}")
         self._static = {k: MemoryEntry(k, EntryKind.OBSERVATION, dict(p), "context", "", 0)
                         for k, p in static.items()}

@@ -7,14 +7,15 @@ the goal, 3 when chain reconstruction finds a gap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
 from typing import Any
 
-from .baseline import check_context, run_baseline_episode
+from .baseline import run_baseline_episode
 from .cognition import FAULT_TYPES, FaultConfig
-from .loop import ConfigError, EpisodeResult, EpisodeStatus, check_max_cycles, run_episode
+from .loop import ConfigError, EpisodeResult, EpisodeStatus, run_episode
 from .scenario import Scenario, load_scenario, load_suite
 from .trace import (
     EpisodeTrace,
@@ -38,7 +39,7 @@ _FAULT_ALIASES = {f"{fault_type}s": fault_type for fault_type in FAULT_TYPES}
 
 
 def parse_faults(spec: str | None, seed: int = 0) -> FaultConfig | None:
-    """Parse ``type=prob,...`` (plural aliases and ``all=`` accepted)."""
+    """Parse ``type=prob,...`` (plural aliases and ``all=`` accepted) into a ``FaultConfig``."""
     if not spec:
         return None
     config: dict[str, Any] = {"seed": seed}
@@ -53,8 +54,6 @@ def parse_faults(spec: str | None, seed: int = 0) -> FaultConfig | None:
             prob = float(raw)
         except ValueError:
             raise ConfigError(f"fault probability {raw!r} is not a number") from None
-        if not 0.0 <= prob <= 1.0:
-            raise ConfigError(f"fault probability {prob} outside [0, 1]")
         key = key.strip().lower()
         if key.startswith("p_"):
             key = key[2:]
@@ -125,25 +124,31 @@ def _episodes(
     config = scenario.episode_config(seed, faults=faults, max_cycles=args.max_cycles)
     results = [("governed", run_episode(config))]
     if args.compare:
-        budget = scenario.baseline_budget if args.baseline_budget is None else args.baseline_budget
-        decay = scenario.baseline_decay if args.baseline_decay is None else args.baseline_decay
+        budget, decay = scenario.baseline_budget, scenario.baseline_decay
         results.append(("baseline", run_baseline_episode(config, budget, decay)))
     return [(system, result, compute_metrics(result.trace)) for system, result in results]
 
 
-def _check_overrides(args: argparse.Namespace) -> None:
-    """Reject a bad ``--max-cycles`` or baseline override before any episode runs."""
-    check_max_cycles(args.max_cycles)
-    overridden = args.baseline_budget is not None or args.baseline_decay is not None
-    if overridden and not args.compare:
+def _with_overrides(args: argparse.Namespace, scenarios: list[Scenario]) -> list[Scenario]:
+    """The scenarios with the baseline overrides, which ``Scenario.validate`` judges."""
+    budget, decay = args.baseline_budget, args.baseline_decay
+    if budget is None and decay is None:
+        return scenarios
+    if not args.compare:
         raise ConfigError("--baseline-budget and --baseline-decay need --compare")
-    check_context(args.baseline_budget, args.baseline_decay)
+    return [
+        dataclasses.replace(
+            scenario,
+            baseline_budget=scenario.baseline_budget if budget is None else budget,
+            baseline_decay=scenario.baseline_decay if decay is None else decay,
+        )
+        for scenario in scenarios
+    ]
 
 
 # ---------------------------------------------------------------- subcommands
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    _check_overrides(args)
+    [scenario] = _with_overrides(args, [load_scenario(args.scenario)])
     seed = args.seed if args.seed is not None else scenario.seeds[0]
     episodes = _episodes(args, scenario, seed, parse_faults(args.faults))
     _, result, _ = episodes[0]
@@ -172,8 +177,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    scenarios = load_suite(args.directory)
-    _check_overrides(args)
+    scenarios = _with_overrides(args, load_suite(args.directory))
     faults = parse_faults(args.faults)
     seeds_override = parse_seeds(args.seeds) if args.seeds is not None else None
     episodes: list[dict[str, Any]] = []

@@ -39,7 +39,7 @@ from .memory import (
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
-from .util import PrefixDigest, canonical_json, text_digest
+from .util import ConfigError, PrefixDigest, canonical_json, is_int, is_number, text_digest
 
 DEFAULT_SYSTEM = (
     "You are the reasoning component of a governed agent loop. Propose exactly one "
@@ -490,7 +490,7 @@ class ScriptedProposer:
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Per-cycle injection probabilities for each labeled fault type."""
+    """Per-cycle injection probabilities for each labeled fault type; checked when built."""
 
     seed: int = 0
     p_duplicate: float = 0.0
@@ -498,6 +498,14 @@ class FaultConfig:
     p_uncited_claim: float = 0.0
     p_premature_action: float = 0.0
     p_false_citation: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not is_int(self.seed):
+            raise ConfigError(f"fault seed must be an integer, got {self.seed!r}")
+        for fault_type in FAULT_TYPES:
+            p = self.probability(fault_type)
+            if not (is_number(p) and 0.0 <= p <= 1.0):
+                raise ConfigError(f"p_{fault_type}: fault probability {p!r} outside [0, 1]")
 
     def probability(self, fault_type: str) -> float:
         return getattr(self, f"p_{fault_type}")

@@ -43,16 +43,12 @@ from .memory import EntryKind, MemoryEntry, MemorySnapshot, MemoryStore, encode_
 from .regulation import DEFAULT_RULESET
 from .runtime import Runtime, ToolResult, WorldState, builtin_registry
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
-from .util import content_digest
+from .util import ConfigError, content_digest, is_int
 
 if TYPE_CHECKING:
     from .scenario import Scenario
 
 CYCLE_BUDGET_FACTOR = 3  # default budget = factor * (facts to gather + actions to run)
-
-
-class ConfigError(Exception):
-    """Episode or scenario configuration is invalid."""
 
 
 class EpisodeStatus(str, Enum):
@@ -61,8 +57,10 @@ class EpisodeStatus(str, Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-def check_max_cycles(max_cycles: int | None) -> None:
-    """Raise ``ConfigError`` for a cycle budget below one; None is unset."""
+def check_max_cycles(max_cycles: Any) -> None:
+    """Raise ``ConfigError`` for a cycle budget that is not a positive integer; None is unset."""
+    if max_cycles is not None and not is_int(max_cycles):
+        raise ConfigError(f"max_cycles must be an integer, got {max_cycles!r}")
     if max_cycles is not None and max_cycles < 1:
         raise ConfigError(f"max_cycles must be positive, got {max_cycles}")
 
@@ -71,8 +69,9 @@ def check_max_cycles(max_cycles: int | None) -> None:
 class EpisodeConfig:
     """One episode: a scenario run under a seed, optional faults and a cycle budget override.
 
-    The scenario checked itself when it was built; building a config runs
-    ``validate``, which checks the override.
+    The scenario and the fault config checked themselves when they were built;
+    building a config runs ``validate``, which checks the seed, the faults' type
+    and the override.
     """
 
     scenario: Scenario
@@ -97,6 +96,10 @@ class EpisodeConfig:
         return CYCLE_BUDGET_FACTOR * (len(goal.required_facts) + len(goal.action_templates()))
 
     def validate(self) -> None:
+        if not is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.faults is not None and not isinstance(self.faults, FaultConfig):
+            raise ConfigError(f"faults must be a FaultConfig or None, got {self.faults!r}")
         check_max_cycles(self.max_cycles)
 
     def describe(self) -> dict[str, Any]:

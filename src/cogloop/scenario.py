@@ -2,10 +2,10 @@
 
 A scenario bundles everything an episode needs — task text, world fixture,
 static context, goal structure, gather template, per-scenario seeds, and the
-bounded-context parameters for the comparison system. Loading checks the JSON
-shape with anchors such as ``seeds[2]``, then builds the ``Scenario``, which
-checks the shapes of its goal, world and gather and then the values, so a bad
-file fails before any episode runs.
+bounded-context parameters for the comparison system. Loading checks the
+document's fields (unknown, missing, the ``baseline`` object's keys) and fills
+the world's defaults; building the ``Scenario`` judges every value, with
+anchors such as ``seeds[2]``, so a bad file fails before any episode runs.
 """
 from __future__ import annotations
 
@@ -108,12 +108,31 @@ class Scenario:
 
     # -------------------------------------------------------------- validate
     def validate(self) -> None:
-        """Check every value rule of the scenario; a ``ConfigError`` names the field at fault."""
-        _check_world(self.world)
-        _check_gather(self.gather)
+        """Check every rule on the scenario's fields; a ``ConfigError`` names the field at fault."""
+        name = self.name
+        _expect_type(name, str, "name", "string")
+        _expect(
+            bool(name) and all(c.isalnum() or c == "_" for c in name) and name == name.lower(),
+            "name",
+            "must be lowercase letters, digits, and underscores",
+        )
+        _expect_type(self.task, str, "task", "string")
         if not self.task.strip():
             raise ConfigError("task must be a non-empty string")
+        _expect_type(self.context, dict, "context", "object")
+        if self.goal_citation is not None:
+            _expect_type(self.goal_citation, str, "goal_citation", "string")
+        _expect_type(self.extra_tools, list, "extra_tools", "array")
+        seeds = self.seeds
+        _expect_type(seeds, list, "seeds", "array")
+        _expect(bool(seeds), "seeds", "must list at least one seed")
+        for i, seed in enumerate(seeds):
+            _expect(is_int(seed), f"seeds[{i}]", "expected integer")
+            _expect(seed not in seeds[:i], f"seeds[{i}]", f"repeats {seed}")
         check_max_cycles(self.max_cycles)
+        check_context(self.baseline_budget, self.baseline_decay)
+        _check_world(self.world)
+        _check_gather(self.gather)
         goal, gather = self.policy.goal, self.policy.gather
         for i, name in enumerate(self.extra_tools):
             if not isinstance(name, str) or name not in EXTRA_SPECS:
@@ -210,71 +229,19 @@ class Scenario:
     # ------------------------------------------------------------------ load
     @classmethod
     def from_dict(cls, data: Any) -> "Scenario":
-        """The scenario ``data`` describes; JSON shape is checked here, values when it is built."""
+        """The scenario ``data`` describes; the document's fields are checked here, their values
+        when it is built."""
         _expect_object(data, "$", _TOP_LEVEL_FIELDS)
         for required in ("name", "task", "world", "goal", "gather"):
             _expect(required in data, required, "required field is missing")
-
-        name = data["name"]
-        _expect_type(name, str, "name", "string")
-        _expect(
-            bool(name) and all(c.isalnum() or c == "_" for c in name) and name == name.lower(),
-            "name",
-            "must be lowercase letters, digits, and underscores",
-        )
-        task = data["task"]
-        _expect_type(task, str, "task", "string")
-
-        world = data["world"]
-        if isinstance(world, dict):  # the digest reads the world with its defaults
-            world = {"seed": 0, "weather": [], "fault_schedule": [], **world}
-
-        context = data.get("context", {})
-        _expect_type(context, dict, "context", "object")
-
-        goal_citation = data.get("goal_citation")
-        if goal_citation is not None:
-            _expect_type(goal_citation, str, "goal_citation", "string")
-
-        extra_tools = data.get("extra_tools", [])
-        _expect_type(extra_tools, list, "extra_tools", "array")
-
-        seeds = data.get("seeds", list(SUITE_SEEDS))
-        _expect_type(seeds, list, "seeds", "array")
-        _expect(bool(seeds), "seeds", "must list at least one seed")
-        for i, seed in enumerate(seeds):
-            _expect(is_int(seed), f"seeds[{i}]", "expected integer")
-            _expect(seed not in seeds[:i], f"seeds[{i}]", f"repeats {seed}")
-
-        max_cycles = data.get("max_cycles")
-        _expect(max_cycles is None or is_int(max_cycles), "max_cycles", "expected integer or null")
-
+        fields = {key: value for key, value in data.items() if key != "baseline"}
         baseline = data.get("baseline", {})
         _expect_object(baseline, "baseline", {"budget", "decay"})
-        budget = baseline.get("budget", 1)
-        decay = baseline.get("decay", DEFAULT_BASELINE_DECAY)
-        for param, value in (("budget", budget), ("decay", decay)):
-            # check_context reads None as unset; in a file, null is a bad value.
-            _expect(value is not None, f"baseline.{param}", "expected a value, got null")
-            try:
-                check_context(**{param: value})
-            except ConfigError as exc:
-                raise ConfigError(f"baseline.{param}: {exc}") from exc
-
-        return cls(
-            name=name,
-            task=task,
-            world=world,
-            context=dict(context),
-            goal=data["goal"],
-            gather=data["gather"],
-            goal_citation=goal_citation,
-            extra_tools=list(extra_tools),
-            seeds=list(seeds),
-            max_cycles=max_cycles,
-            baseline_budget=budget,
-            baseline_decay=float(decay),
-        )
+        fields.update({f"baseline_{key}": value for key, value in baseline.items()})
+        world = data["world"]
+        if isinstance(world, dict):  # the digest reads the world with its defaults
+            fields["world"] = {"seed": 0, "weather": [], "fault_schedule": [], **world}
+        return cls(**fields)
 
 
 def _check_world(world: Any) -> None:
@@ -326,7 +293,7 @@ def load_scenario(path: str | Path) -> Scenario:
         data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"scenario file not found: {path}") from exc
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deep
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return Scenario.from_dict(data)

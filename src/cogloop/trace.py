@@ -250,7 +250,7 @@ class EpisodeTrace:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise ParseError(f"line {line_no}: not valid JSON ({exc})") from exc
             if not isinstance(data, dict):
                 raise ParseError(f"line {line_no}: not a JSON object")

@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical JSON, content digests, simulated timestamps, and value tests.
+"""Small shared helpers: canonical JSON, content digests, simulated timestamps, value tests,
+and the configuration error every configuration object raises.
 
 Everything that must be byte-stable across runs (trace files, reports,
 cache keys, config digests) funnels through :func:`canonical_json` so the
@@ -14,6 +15,10 @@ from functools import lru_cache
 from typing import Any
 
 EPOCH = datetime(2025, 1, 1, tzinfo=timezone.utc)
+
+
+class ConfigError(Exception):
+    """Episode or scenario configuration is invalid."""
 
 
 class Sentinel:

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the tests that run generated suites."""
+"""Hypothesis strategies shared by the tests that run generated suites or decode generated JSON."""
 from __future__ import annotations
 
 from hypothesis import Phase, settings, strategies as st
@@ -16,3 +16,13 @@ fault_configs = st.builds(
     seed=st.integers(0, 99),
     **{f"p_{t}": st.sampled_from([0.0, 0.1, 0.3]) for t in FAULT_TYPES},
 )
+
+# JSON values of every kind; the floats include NaN and the infinities.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# Integers past 64 bits and past float range.
+huge_ints = st.sampled_from([2**64, -(2**64), 10**400, -(10**400)])

@@ -249,12 +249,23 @@ def test_run_bad_fault_spec_exits_one(scenario_dir, capsys):
     assert "unknown fault type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "suite", "trace"])
+def test_deeply_nested_file_exits_one(tmp_path, capsys, command):
+    """Past the depth `json.loads` recurses to, a file is not valid JSON, not a traceback."""
+    path = tmp_path / ("nested.jsonl" if command == "trace" else "nested.json")
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main([command, str(tmp_path if command == "suite" else path)]) == 1
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("decay", ["nan", "inf"])
 def test_run_non_finite_baseline_decay_exits_one(scenario_dir, capsys, decay):
     code = main(["run", two_city_path(scenario_dir), "--compare", "--baseline-decay", decay])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"configuration error: context decay must be finite and non-negative, got {decay}\n"
+        "configuration error: baseline.decay: "
+        f"context decay must be finite and non-negative, got {decay}\n"
     )
 
 

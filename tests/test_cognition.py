@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -29,7 +30,7 @@ from cogloop.cognition import (
 )
 from cogloop.evidence import MemoryRef, render
 from cogloop.goals import GoalSpec
-from cogloop.loop import run_episode
+from cogloop.loop import ConfigError, run_episode
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore, resolve_plan
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall
@@ -453,6 +454,26 @@ EPISODE_STATES = [
 def test_fault_config_rejects_unknown_fields():
     with pytest.raises(TypeError, match="p_gremlins"):
         FaultConfig(**{"seed": 1, "p_gremlins": 0.5})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"p_duplicate": 1.5}, "p_duplicate: fault probability 1.5 outside [0, 1]"),
+        ({"p_missing_arg": -0.5}, "p_missing_arg: fault probability -0.5 outside [0, 1]"),
+        ({"p_uncited_claim": "0.1"}, "p_uncited_claim: fault probability '0.1' outside [0, 1]"),
+        ({"p_false_citation": float("nan")},
+         "p_false_citation: fault probability nan outside [0, 1]"),
+        ({"p_premature_action": True},
+         "p_premature_action: fault probability True outside [0, 1]"),
+        ({"seed": "1"}, "fault seed must be an integer, got '1'"),
+        ({"seed": 0.5}, "fault seed must be an integer, got 0.5"),
+    ],
+    ids=["above-one", "negative", "string", "nan", "boolean", "seed-string", "seed-float"],
+)
+def test_fault_config_checks_its_values_when_built(fields, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        FaultConfig(**fields)
 
 
 def test_fault_config_round_trip_omits_zero_rates():

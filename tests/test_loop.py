@@ -274,8 +274,18 @@ def test_config_validation_errors(two_city):
     with pytest.raises(ConfigError, match="max_cycles"):
         dataclasses.replace(two_city, max_cycles=0)
 
-    with pytest.raises(ConfigError, match="max_cycles"):
-        two_city.episode_config(seed=1, max_cycles=0)
+    # A config judges its own seed and budget: each of these ran, or raised a TypeError.
+    for changes, message in (
+        ({"max_cycles": 0}, "max_cycles must be positive, got 0"),
+        ({"max_cycles": "x"}, "max_cycles must be an integer, got 'x'"),
+        ({"max_cycles": 2.5}, "max_cycles must be an integer, got 2.5"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"faults": {"p_duplicate": 0.5}}, "faults must be a FaultConfig or None"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            two_city.episode_config(**{"seed": 1, **changes})
 
     with pytest.raises(ConfigError, match="teleport"):
         dataclasses.replace(two_city, extra_tools=["teleport"])

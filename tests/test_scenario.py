@@ -3,15 +3,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogloop.baseline import run_baseline_episode
+from cogloop.cognition import FAULT_TYPES, FaultConfig
 from cogloop.loop import ConfigError, run_episode
 from cogloop.scenario import Scenario, load_scenario, load_suite
+from cogloop.trace import EpisodeTrace
+from cogloop.util import is_int
 from conftest import SCENARIO_DIR
-from strategies import whole_episodes
+from strategies import huge_ints, json_values, whole_episodes
 from suitegen import SUITE_SEED, SUITE_SIZE, dumps, generate_suite, to_dict, write_suite
 
 
@@ -326,6 +330,10 @@ def test_load_scenario_errors_name_the_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="bad.json"):
         load_scenario(bad)
+    nested = tmp_path / "nested.json"  # past the depth `json.loads` recurses to
+    nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(nested))}: not valid JSON"):
+        load_scenario(nested)
     invalid = tmp_path / "invalid.json"
     document = valid_document()
     del document["task"]
@@ -364,6 +372,19 @@ def test_code_built_scenarios_meet_the_same_rules(two_city):
     world = {**two_city.world, "weather": [{"location": "Seoul"}]}
     with pytest.raises(ConfigError, match=r"^world.weather\[0\].date: expected string"):
         dataclasses.replace(two_city, world=world)
+    # So is every rule on a top-level value.
+    for changes, message in (
+        ({"seeds": []}, "seeds: must list at least one seed"),
+        ({"seeds": [1, 1]}, "seeds[1]: repeats 1"),
+        ({"name": "Bad Name"}, "name: must be lowercase letters, digits, and underscores"),
+        ({"task": 5}, "task: expected string, got int"),
+        ({"max_cycles": "x"}, "max_cycles must be an integer, got 'x'"),
+        ({"baseline_budget": 0}, "baseline.budget: context budget must be positive, got 0"),
+        ({"baseline_decay": float("nan")},
+         "baseline.decay: context decay must be finite and non-negative, got nan"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(two_city, **changes)
 
 
 def test_load_suite_refuses_two_files_of_one_name(tmp_path):
@@ -467,3 +488,47 @@ def test_mutated_scenarios_load_or_fail_with_config_error(document):
     config = dataclasses.replace(config, max_cycles=min(config.resolved_max_cycles(), 40))
     run_episode(config)
     run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay)
+
+
+LOADED = [load_scenario(path) for path in sorted(SCENARIO_DIR.glob("*.json"))]
+SCENARIO_FIELDS = [field.name for field in dataclasses.fields(Scenario)]
+FAULT_FIELDS = ["seed", *(f"p_{t}" for t in FAULT_TYPES)]
+FAULTS = {"seed": 3, **{f"p_{t}": 0.1 for t in FAULT_TYPES}}
+# Replaced values: any JSON value, or one near the valid range of a seed, budget or rate.
+REPLACEMENTS = json_values | huge_ints | st.integers(-2, 40) | st.floats(0, 1)
+# A cycle budget at most 40, so that an episode stays short.
+CYCLE_BUDGETS = REPLACEMENTS.filter(lambda value: not is_int(value) or value <= 40)
+
+
+@settings(whole_episodes, max_examples=300)
+@given(
+    st.sampled_from(LOADED),
+    st.sampled_from([
+        *SCENARIO_FIELDS,
+        *(f"config.{f}" for f in ("seed", "max_cycles", "faults")),
+        *(f"faults.{f}" for f in FAULT_FIELDS),
+    ]),
+    st.data(),
+)
+def test_a_replaced_config_value_fails_when_built_or_runs_both_systems(scenario, target, data):
+    """One value of a scenario, an episode config or its fault config, replaced by a drawn
+    value, is refused with a ``ConfigError`` when the object is built, or both systems run
+    and write traces that load and dump back to the same bytes."""
+    owner, _, name = target.rpartition(".")
+    value = data.draw(CYCLE_BUDGETS if name == "max_cycles" else REPLACEMENTS)
+    try:
+        if owner == "config":
+            config = scenario.episode_config(**{"seed": 1, name: value})
+        elif owner == "faults":
+            config = scenario.episode_config(1, faults=FaultConfig(**{**FAULTS, name: value}))
+        else:
+            scenario = dataclasses.replace(scenario, **{name: value})
+            config = scenario.episode_config(1)
+    except ConfigError:
+        return
+    for result in (
+        run_episode(config),
+        run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay),
+    ):
+        text = result.trace.dumps()
+        assert EpisodeTrace.loads(text).dumps() == text

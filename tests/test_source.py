@@ -288,6 +288,44 @@ def test_only_util_writes_compact_json():
     assert len(writers) == 1 and writers[0].startswith("util.py:"), writers
 
 
+def calls_by_function(tree: ast.Module, names: set[str]) -> set[tuple[str, str]]:
+    """(called name, qualified name of the enclosing function) of every call of ``names``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                called = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if called in names:
+                    found.add((called, scope))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_each_value_rule_is_judged_by_the_object_that_holds_the_value():
+    """``check_context`` and ``check_max_cycles`` run in the ``validate`` of the scenario or
+    config that holds the value (and the context model checks what it is given), so no
+    loader or CLI keeps a second copy of a rule that could drift from the first."""
+    callers = {
+        (name, f"{module}:{scope}")
+        for module, text in MODULES.items()
+        for name, scope in calls_by_function(
+            ast.parse(text), {"check_context", "check_max_cycles"}
+        )
+    }
+    assert callers == {
+        ("check_context", "scenario.py:Scenario.validate"),
+        ("check_context", "baseline.py:ContextModel.__init__"),
+        ("check_max_cycles", "scenario.py:Scenario.validate"),
+        ("check_max_cycles", "loop.py:EpisodeConfig.validate"),
+    }
+
+
 def test_perfbench_own_tests_pass():
     """The benchmark's tests drive stored traces, chains and metrics through cogloop.
 

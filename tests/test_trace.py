@@ -33,7 +33,7 @@ from cogloop.trace import (
     reconstruct_chain,
 )
 from cogloop.util import canonical_json, is_int
-from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
+from strategies import episode_seeds, fault_configs, json_values, suite_seeds, whole_episodes
 from suitegen import generate_suite
 
 
@@ -98,6 +98,8 @@ def without(field: str) -> dict:
     "text, fragment",
     [
         ("not json\n", "not valid JSON"),
+        pytest.param("[" * 100_000 + "]" * 100_000 + "\n", "^line 1: not valid JSON",
+                     id="nested-too-deep"),
         ('{"type": "mystery"}\n', "unknown record type"),
         ('{"type": "cycle", "cycle": 1}\n', "no header"),
         ('{"type": "header", "scenario": "x"}\n', "missing field"),
@@ -217,14 +219,6 @@ def test_malformed_fields_exit_one(text, fragment, tmp_path, capsys):
     assert err.startswith("trace error: line ") and err.count("\n") == 1
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
-                                                                max_size=3),
-    max_leaves=6,
-)
-
-
 @lru_cache(maxsize=None)
 def fuzz_sources() -> tuple[str, ...]:
     """A fault-injected governed trace and its baseline trace (with action records)."""
@@ -240,7 +234,7 @@ def mutate(data, lines: list) -> None:
     index = data.draw(st.integers(0, len(lines) - 1))
     node = lines[index]
     if not (isinstance(node, (dict, list)) and node) or data.draw(st.integers(0, 9)) == 0:
-        lines[index] = data.draw(JSON_VALUES)
+        lines[index] = data.draw(json_values)
         return
     while True:
         key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
@@ -251,7 +245,7 @@ def mutate(data, lines: list) -> None:
             del node[key]
             return
         else:
-            node[key] = data.draw(JSON_VALUES)
+            node[key] = data.draw(json_values)
             return
 
 
