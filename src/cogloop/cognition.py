@@ -17,6 +17,7 @@ built-in proposers implement that contract deterministically:
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -32,14 +33,13 @@ from .memory import (
     NOT_FOUND,
     EntryKind,
     MalformedKey,
-    MemoryEntry,
     MemorySnapshot,
     descend,
     resolve_plan,
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
-from .util import ConfigError, PrefixDigest, canonical_json, is_int, is_number, text_digest
+from .util import ConfigError, canonical_json, is_int, is_number, text_digest
 
 DEFAULT_SYSTEM = (
     "You are the reasoning component of a governed agent loop. Propose exactly one "
@@ -74,12 +74,10 @@ class PolicyGap(ProposerFailure):
 class CognitionInput:
     """Everything the proposer is allowed to see for one cycle.
 
-    ``facts_json`` and ``entities`` are values derived from ``facts`` that an
-    incremental builder (``FactIndex``) may supply: the facts' canonical JSON
-    array items, comma-joined, and `parse_entities` of the facts. Neither is
-    part of the input's identity; when absent, each is computed from
-    ``facts``. So is ``digester``, the episode's `PrefixDigest`: without one,
-    ``digest`` hashes the whole input.
+    ``entities`` and ``input_digest`` are values derived from the input that
+    an incremental builder (``FactIndex``) may supply: `parse_entities` of the
+    facts, and ``digest()``. Neither is part of the input's identity; when
+    absent, each is computed from the input.
     """
 
     system: str
@@ -87,9 +85,8 @@ class CognitionInput:
     rules: str
     facts: tuple[str, ...]
     constraints: tuple[str, ...]
-    facts_json: str | None = field(default=None, compare=False, repr=False)
     entities: dict[str, dict[str, Any]] | None = field(default=None, compare=False, repr=False)
-    digester: PrefixDigest | None = field(default=None, compare=False, repr=False)
+    input_digest: str | None = field(default=None, compare=False, repr=False)
 
     def to_request(self) -> dict[str, Any]:
         return {
@@ -104,25 +101,15 @@ class CognitionInput:
         """``content_digest(self.to_request())``, from cached encodings of the parts.
 
         Facts, rules, system text and task repeat from cycle to cycle, so each
-        is JSON-encoded once per process (bounded caches), or the facts come
-        pre-joined in ``facts_json``; the keys are laid out in the sorted order
-        ``canonical_json`` gives them.
+        is JSON-encoded once per process (bounded caches); the keys are laid
+        out in the sorted order ``canonical_json`` gives them.
         """
-        facts_json = self.facts_json
-        if facts_json is None:
-            facts_json = ",".join(map(_json_string, self.facts))
-        hash_text = text_digest if self.digester is None else self.digester.text_digest
-        return hash_text(
-            "".join(
-                (
-                    '{"constraints":[',
-                    ",".join(map(_json_string, self.constraints)),
-                    '],"facts":[',
-                    facts_json,
-                    "],",
-                    _json_tail(self.rules, self.system, self.task),
-                )
-            )
+        if self.input_digest is not None:
+            return self.input_digest
+        return text_digest(
+            _json_head(self.constraints)
+            + ",".join(map(_json_string, self.facts))
+            + _json_tail(self.rules, self.system, self.task)
         )
 
 
@@ -131,10 +118,15 @@ def _json_string(text: str) -> str:
     return canonical_json(text)
 
 
+def _json_head(constraints: tuple[str, ...]) -> str:
+    """The start of a request's canonical JSON, before its facts: the constraints."""
+    return '{"constraints":[' + ",".join(map(_json_string, constraints)) + '],"facts":['
+
+
 @lru_cache(maxsize=64)
 def _json_tail(rules: str, system: str, task: str) -> str:
     """The end of a request's canonical JSON, after its facts: rules, system, task."""
-    return canonical_json({"rules": rules, "system": system, "task": task})[1:]
+    return "]," + canonical_json({"rules": rules, "system": system, "task": task})[1:]
 
 
 def _format_value(value: Any) -> str:
@@ -233,6 +225,7 @@ def parse_entities(facts: tuple[str, ...], parsed: ParsedLines) -> dict[str, dic
 
 # Entry kinds the proposer sees; proposals and termination flags stay hidden.
 FACT_KINDS = frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK})
+DIGEST_BLOCK = 64  # encoded fact lines per `FactIndex.digest` checkpoint
 
 
 class FactIndex:
@@ -243,29 +236,34 @@ class FactIndex:
     cycle's Python-level work is O(delta). Per key it keeps the line, the
     line's canonical JSON and its `parse_fact_line` fields, and per entity the
     fields of the last key in key order that shows it, as `parse_entities`
-    would over all lines; ``digester`` hashes the episode's inputs.
+    would over all lines.
+
+    ``digest`` hashes an input from where it differs from the last one. SHA-256
+    reads front to back, so the index keeps its state after every `DIGEST_BLOCK`
+    encoded lines, valid while the constraints (the text before the lines) stay
+    the same, and drops those after the first line a commit changes.
     """
 
     def __init__(self) -> None:
-        self._seen = 0  # entries of the last snapshot given, all indexed
-        self._last: MemoryEntry | None = None
+        self._last = MemorySnapshot(())  # the last snapshot given, all indexed
         self._keys: list[str] = []  # sorted
         self._lines: list[str] = []  # parallel to _keys
         self._json: list[str] = []  # parallel to _keys: each line's canonical JSON
         self._entities: dict[str, dict[str, Any]] = {}
         self._owners: dict[str, str] = {}  # entity -> the key whose fields it shows
-        self.digester = PrefixDigest()
+        self._changed = 0  # the first line changed since the last digest
+        self._head = ""  # the request text before the lines, as _states hashed it
+        self._states: list[Any] = []  # SHA-256 state after each whole block, never updated
 
     def current(
         self, snapshot: MemorySnapshot
-    ) -> tuple[tuple[str, ...], str, dict[str, dict[str, Any]]]:
-        """The snapshot's fact lines, their comma-joined canonical JSON, and a
-        copy of the entity -> fields map."""
-        entries, seen = snapshot.entries, self._seen
-        if seen and (len(entries) < seen or entries[seen - 1] is not self._last):
+    ) -> tuple[tuple[str, ...], dict[str, dict[str, Any]]]:
+        """The snapshot's fact lines and a copy of the entity -> fields map."""
+        last = self._last
+        if not snapshot.extends(last):
             raise ValueError("snapshot does not extend the last one the fact index saw")
         keys, lines, encoded = self._keys, self._lines, self._json
-        for entry in entries[seen:]:
+        for entry in snapshot.since(len(last)):
             if entry.kind not in FACT_KINDS:
                 continue
             key = entry.key
@@ -274,6 +272,7 @@ class FactIndex:
                 keys.insert(at, key)
                 lines.insert(at, "")
                 encoded.insert(at, "")
+            self._changed = min(self._changed, at)
             line = lines[at] = format_memory_fact(entry)
             encoded[at] = _json_string(line)
             fact = parse_fact_line(line)
@@ -282,9 +281,29 @@ class FactIndex:
             if fact and self._owners.get(fact[0], key) <= key:
                 self._owners[fact[0]] = key
                 self._entities[fact[0]] = fact[1]
-        if entries:
-            self._seen, self._last = len(entries), entries[-1]
-        return tuple(lines), ",".join(encoded), dict(self._entities)
+        self._last = snapshot
+        return tuple(lines), dict(self._entities)
+
+    def digest(self, constraints: tuple[str, ...], tail: str) -> str:
+        """``CognitionInput.digest`` of an input of the current lines, ``constraints`` and
+        the request's ``tail`` (`_json_tail`); an input of one block or less is hashed whole."""
+        head, encoded = _json_head(constraints), self._json
+        if len(encoded) <= DIGEST_BLOCK:
+            return text_digest(head + ",".join(encoded) + tail)
+        states = self._states
+        if head != self._head:
+            self._head = head
+            states.clear()
+        del states[self._changed // DIGEST_BLOCK :]
+        self._changed = len(encoded)
+        state = states[-1].copy() if states else hashlib.sha256(head.encode())
+        for at in range(len(states) * DIGEST_BLOCK, len(encoded), DIGEST_BLOCK):
+            block = ",".join(encoded[at : at + DIGEST_BLOCK])
+            state.update(("," + block if at else block).encode())
+            if at + DIGEST_BLOCK <= len(encoded):
+                states.append(state.copy())
+        state.update(tail.encode())
+        return state.hexdigest()[:16]
 
 
 def assemble_input(
@@ -301,16 +320,16 @@ def assemble_input(
     constraints are copied verbatim from the previous decision.
     """
     index = FactIndex() if facts is None else facts
-    lines, facts_json, entities = index.current(snapshot)
+    lines, entities = index.current(snapshot)
+    rules, constraints = ruleset.render_for_cognition(), tuple(constraints)
     return CognitionInput(
         system=DEFAULT_SYSTEM,
         task=task,
-        rules=ruleset.render_for_cognition(),
+        rules=rules,
         facts=lines,
-        constraints=tuple(constraints),
-        facts_json=facts_json,
+        constraints=constraints,
         entities=entities,
-        digester=index.digester,
+        input_digest=index.digest(constraints, _json_tail(rules, DEFAULT_SYSTEM, task)),
     )
 
 

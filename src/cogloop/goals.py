@@ -15,7 +15,7 @@ from typing import Any
 
 from . import evidence
 from .evidence import EvidenceExpr
-from .memory import NOT_FOUND, MemoryEntry, MemorySnapshot, key_segments, resolve_plan
+from .memory import NOT_FOUND, MemorySnapshot, key_segments, resolve_plan
 from .runtime import ToolCall, same_args
 
 
@@ -236,25 +236,23 @@ class GoalWatch:
 
     The verdict is recomputed when an entry committed since the last check has
     a key in ``goal.read_keys``, or when the snapshot given does not extend the
-    last one (it does when it holds the last one's final entry object at the
-    same position, as every later snapshot of one store does). The state lives
-    here, never on the ``GoalSpec``, which a suite's episodes share.
+    last one (every later snapshot of one store does). The state lives here,
+    never on the ``GoalSpec``, which a suite's episodes share.
     """
 
     def __init__(self, goal: GoalSpec):
         self.goal = goal
         self._keys = frozenset(goal.read_keys)
-        self._seen = 0  # entries of the last snapshot given
-        self._last: MemoryEntry | None = None  # the last of them
+        self._last: MemorySnapshot | None = None  # the last snapshot given
         self._verdict = False
 
     def success(self, snapshot: MemorySnapshot) -> bool:
         """``goal.success(snapshot)``."""
-        entries, seen = snapshot.entries, self._seen
-        if (not seen or len(entries) < seen or entries[seen - 1] is not self._last
-                or any(entry.key in self._keys for entry in entries[seen:])):
+        last = self._last
+        if (last is None or not snapshot.extends(last)
+                or any(entry.key in self._keys for entry in snapshot.since(len(last)))):
             self._verdict = self.goal.success(snapshot)
-        self._seen, self._last = len(entries), entries[-1] if entries else None
+        self._last = snapshot
         return self._verdict
 
 

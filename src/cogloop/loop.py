@@ -156,8 +156,8 @@ def _proposal_payload(proposal: Proposal) -> dict[str, Any]:
 
 def _commit_delta(store: MemoryStore) -> tuple[MemoryEntry, ...]:
     """Commit the staged writes; the entries the commit created."""
-    before = len(store.snapshot.entries)
-    return store.commit_cycle().entries[before:]
+    before = len(store.snapshot)
+    return tuple(store.commit_cycle().since(before))
 
 
 def _action_summary(snapshot: MemorySnapshot) -> str:

@@ -16,6 +16,7 @@ of the latest ``obs.Seoul`` observation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -133,7 +134,7 @@ def descend(value: Any, tail: tuple[str, ...]) -> Any:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryEntry:
     """One immutable version of one key."""
 
@@ -261,18 +262,23 @@ def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
 
 
 class MemorySnapshot:
-    """Immutable view of all entries committed up to one cycle boundary.
+    """Immutable view of all entries committed up to one cycle boundary: the first
+    ``len(snapshot)`` entries of an append-only log shared by every snapshot of one
+    store or replay, which also keeps each key's versions with their log positions.
 
-    ``extend`` derives the next snapshot from this one: it copies the key
-    index (a flat copy of references) and shares every version tuple the new
-    entries leave alone, so its Python-level work is proportional to the new
-    entries, not to the log. Versions of a key keep commit order, which is
-    version order for everything a store commits.
+    ``extend`` derives the next snapshot from this one. Extending the newest view
+    appends to the log in place, so its work is proportional to the new entries;
+    extending an older view copies its entries into a new log. A lookup takes the
+    newest version below the view's length. Versions of a key keep commit order,
+    which is version order for everything a store commits.
     """
 
-    def __init__(self, entries: tuple[MemoryEntry, ...]):
-        self._entries: tuple[MemoryEntry, ...] = ()
-        self._by_key: dict[str, tuple[MemoryEntry, ...]] = {}
+    __slots__ = ("_log", "_by_key", "_positions", "_n", "_newest")
+
+    def __init__(self, entries: Iterable[MemoryEntry]):
+        self._log: list[MemoryEntry] = []
+        self._by_key: dict[str, list[MemoryEntry]] = {}
+        self._positions: dict[str, list[int]] = {}  # parallel to _by_key
         self._append(tuple(entries))
 
     def extend(self, entries: Iterable[MemoryEntry]) -> "MemorySnapshot":
@@ -280,37 +286,66 @@ class MemorySnapshot:
         added = tuple(entries)
         if not added:
             return self
+        if not self._newest:  # the log's later entries are not this view's own
+            return MemorySnapshot((*self.since(0), *added))
         snapshot = MemorySnapshot.__new__(MemorySnapshot)
-        snapshot._entries = self._entries
-        snapshot._by_key = dict(self._by_key)
+        snapshot._log, snapshot._by_key = self._log, self._by_key
+        snapshot._positions = self._positions
         snapshot._append(added)
+        self._newest = False  # the log now holds entries past this view
         return snapshot
 
     def _append(self, added: tuple[MemoryEntry, ...]) -> None:
-        # Only for a snapshot under construction: every other one is immutable.
-        self._entries += added
-        by_key = self._by_key
-        for entry in added:
-            by_key[entry.key] = by_key.get(entry.key, ()) + (entry,)
+        # Only for a snapshot under construction, which becomes the log's newest view.
+        log, by_key, positions = self._log, self._by_key, self._positions
+        for at, entry in enumerate(added, len(log)):
+            if entry.key in by_key:
+                by_key[entry.key].append(entry)
+                positions[entry.key].append(at)
+            else:
+                by_key[entry.key], positions[entry.key] = [entry], [at]
+        log.extend(added)
+        self._n, self._newest = len(log), True
+
+    def __len__(self) -> int:
+        return self._n
+
+    def since(self, start: int) -> list[MemoryEntry]:
+        """The entries from position ``start`` on, in commit order."""
+        return self._log[start : self._n]
+
+    def extends(self, other: "MemorySnapshot") -> bool:
+        """Whether ``other``'s entries are this snapshot's first ones."""
+        n = other._n
+        # Views of one log share it; a copied log shares the entry objects.
+        return n <= self._n and (not n or self._log[n - 1] is other._log[n - 1])
 
     @property
     def entries(self) -> tuple[MemoryEntry, ...]:
-        return self._entries
+        """The whole log of this snapshot, built on each call."""
+        return tuple(self._log[: self._n])
+
+    def _versions(self, key: str) -> list[MemoryEntry] | None:
+        """``key``'s versions in this snapshot, oldest first; shared, never to be mutated."""
+        versions = self._by_key.get(key)
+        if versions and not self._newest:
+            versions = versions[: bisect_left(self._positions[key], self._n)]
+        return versions
 
     def latest(self, key: str) -> MemoryEntry | None:
-        versions = self._by_key.get(key)
+        versions = self._versions(key)
         return versions[-1] if versions else None
 
     def latest_version(self, key: str) -> int:
-        versions = self._by_key.get(key)
+        versions = self._versions(key)
         return versions[-1].version if versions else 0
 
     def history(self, key: str) -> list[MemoryEntry]:
-        return list(self._by_key.get(key, ()))
+        return list(self._versions(key) or ())
 
     def read(self, query: MemoryQuery = MemoryQuery()) -> list[MemoryEntry]:
         """Entries matching the query, ordered by (key, version)."""
-        keys = sorted(self._by_key)
+        keys = sorted(key for key, at in self._positions.items() if at[0] < self._n)
         prefix = query.prefix
         if prefix is not None:
             below = prefix + "."
@@ -318,7 +353,7 @@ class MemorySnapshot:
         kinds = query.kinds
         selected: list[MemoryEntry] = []
         for key in keys:
-            versions = self._by_key[key]
+            versions = self._versions(key)
             if query.latest_only:
                 for entry in reversed(versions):
                     if kinds is None or entry.kind in kinds:
@@ -345,9 +380,9 @@ class MemorySnapshot:
             return NOT_FOUND
         # The longest committed key that prefixes the path wins; the rest of
         # the path descends into its payload.
-        by_key = self._by_key
+        by_key = self._by_key if self._newest else None
         for key, tail in plan:
-            versions = by_key.get(key)
+            versions = self._versions(key) if by_key is None else by_key.get(key)
             if versions:
                 return descend(versions[-1].payload, tail)
         return NOT_FOUND
@@ -386,7 +421,7 @@ class MemoryStore:
             kind=kind,
             payload=payload,
             source=source,
-            timestamp=tick_timestamp(len(self._snapshot.entries) + len(self._staged)),
+            timestamp=tick_timestamp(len(self._snapshot) + len(self._staged)),
             version=version + 1,
         )
         self._staged.append(entry)

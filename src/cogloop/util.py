@@ -67,43 +67,6 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-# Characters per `PrefixDigest` checkpoint: on long-episode inputs 4 to 8 KiB cost
-# the same, 2 KiB 10% more, and 8 KiB adds least when a text shares no prefix.
-DIGEST_CHUNK = 8192
-
-
-class PrefixDigest:
-    """``text_digest`` of each text in turn, resumed from the prefix it shares with the last.
-
-    SHA-256 reads front to back, so its state after a prefix serves any text
-    that starts with it. The whole chunks of the last text longer than a chunk
-    are kept, each with the state after it; a shorter text is hashed plainly.
-    """
-
-    def __init__(self) -> None:
-        self._chunks: list[str] = []
-        self._states: list[Any] = []  # the state after each chunk, never updated
-
-    def text_digest(self, text: str) -> str:
-        if len(text) <= DIGEST_CHUNK:
-            return text_digest(text)
-        chunks, states = self._chunks, self._states
-        kept = pos = 0
-        while kept < len(chunks) and text.startswith(chunks[kept], pos):
-            kept += 1
-            pos += DIGEST_CHUNK
-        del chunks[kept:], states[kept:]
-        state = states[-1].copy() if states else hashlib.sha256()
-        while pos + DIGEST_CHUNK <= len(text):
-            chunk = text[pos : pos + DIGEST_CHUNK]
-            state.update(chunk.encode("utf-8"))
-            chunks.append(chunk)
-            states.append(state.copy())
-            pos += DIGEST_CHUNK
-        state.update(text[pos:].encode("utf-8"))
-        return state.hexdigest()[:16]
-
-
 @lru_cache(maxsize=4096)
 def tick_timestamp(tick: int) -> str:
     """ISO-8601 UTC time of the ``tick``-th simulated step, in milliseconds with a Z suffix.

@@ -5,11 +5,12 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogloop import cognition
 from cogloop.cognition import (
+    DIGEST_BLOCK,
     FACT_PREFIX,
     PHANTOM_KEY,
     CognitionInput,
@@ -35,7 +36,7 @@ from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore, resol
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall
 from cogloop.scenario import Scenario, load_scenario, load_suite
-from cogloop.util import DIGEST_CHUNK, PrefixDigest, content_digest, text_digest
+from cogloop.util import content_digest
 
 from conftest import SCENARIO_DIR, SUITE_DIR
 from test_goals import TWO_CITY_GOAL
@@ -191,13 +192,13 @@ def test_fact_index_entity_shown_by_two_keys_follows_key_order():
     store = MemoryStore()
     index = FactIndex()
     store.write_staged("obs.goal.x", EntryKind.OBSERVATION, {"v": 1}, "sensor")
-    assert index.current(store.commit_cycle())[2] == {"goal.x": {"v": 1}}
+    assert index.current(store.commit_cycle())[1] == {"goal.x": {"v": 1}}
     store.write_staged("goal.x", EntryKind.OBSERVATION, {"v": 2}, "init")
-    lines, _, entities = index.current(store.commit_cycle())
+    lines, entities = index.current(store.commit_cycle())
     assert entities == parse_entities(lines, {}) == {"goal.x": {"v": 1}}
     store.write_staged("obs.goal.x", EntryKind.OBSERVATION, {"v": 3}, "sensor")
     store.write_staged("goal.x", EntryKind.OBSERVATION, {"v": 4}, "init")
-    lines, _, later = index.current(store.commit_cycle())
+    lines, later = index.current(store.commit_cycle())
     assert later == parse_entities(lines, {}) == {"goal.x": {"v": 3}}
     assert entities == {"goal.x": {"v": 1}}  # a copy: later commits leave it alone
 
@@ -251,36 +252,62 @@ def test_input_digest_equals_digest_of_request(system, task, rules, facts, const
     assert built.digest() == content_digest(built.to_request())
 
 
-# Any text SHA-256 can hash: every character but the lone surrogates.
-encodable = st.characters(blacklist_categories=("Cs",))
-C = DIGEST_CHUNK
-text_lengths = st.one_of(
-    st.sampled_from([0, 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 3 * C]),
-    st.integers(0, 3 * C + 100),
-)
+KEY_SPACE = 1 << 40  # fact keys obs.k<n>, n in [0, KEY_SPACE), zero-padded to sort by n
+CONSTRAINTS = st.sampled_from([(), ("avoid Busan",), ('say "no"', "avoid Busan")])
 
 
 @st.composite
-def text_sequences(draw) -> list[str]:
-    """Prefixes of one long text, cut at lengths at, around and between chunk
-    multiples, each with up to two edits (a replacement, insertion or deletion) at
-    random offsets: texts that share prefixes of every length, grow and shrink."""
-    pattern = draw(st.text(encodable, min_size=1, max_size=40))
-    base = pattern * ((3 * C + 100) // len(pattern) + 1)
-    texts = []
-    for _ in range(draw(st.integers(1, 8))):
-        text = base[: draw(text_lengths)]
-        for _ in range(draw(st.integers(0, 2))):
-            at = draw(st.integers(0, len(text)))
-            text = text[:at] + draw(st.text(encodable, max_size=2)) + text[at + 1 :]
-        texts.append(text)
-    return texts
+def fact_histories(draw, constraints=CONSTRAINTS) -> list[tuple[list[str], tuple[str, ...]]]:
+    """Cycles of fact writes, each with its constraints (``None``: new ones every cycle).
+
+    The first cycle writes up to three blocks of lines; each later one inserts
+    keys at the front, the end, a block boundary or anywhere between, rewrites
+    lines in place (as transient_retry's error marker does), or writes no fact.
+    """
+    edges = [b * DIGEST_BLOCK + d for b in (1, 2, 3) for d in (-1, 0, 1)]
+    count = draw(st.one_of(st.sampled_from([0, *edges]), st.integers(0, 3 * DIGEST_BLOCK + 2)))
+    ids = [n * (KEY_SPACE // (count + 1)) for n in range(1, count + 1)]
+    cycles = [list(ids)]
+    for _ in range(draw(st.integers(0, 8))):
+        writes = []
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.one_of(st.sampled_from([0, len(ids), *edges]), st.integers(0, len(ids))))
+            at = min(at, len(ids))
+            if at < len(ids) and draw(st.booleans()):
+                writes.append(ids[at])  # rewrite in place
+                continue
+            low, high = ids[at - 1] if at else -1, ids[at] if at < len(ids) else KEY_SPACE
+            if high - low > 1:
+                ids.insert(at, (low + high) // 2)
+                writes.append(ids[at])
+        cycles.append(writes)
+    return [
+        ([f"obs.k{n:013d}" for n in writes], (f"cycle {i}",) if constraints is None else
+         draw(constraints))
+        for i, writes in enumerate(cycles)
+    ]
 
 
-@given(texts=text_sequences())
-def test_prefix_digest_equals_a_plain_digest_of_every_text(texts):
-    digester = PrefixDigest()
-    assert [digester.text_digest(text) for text in texts] == list(map(text_digest, texts))
+def assembled(history) -> list[CognitionInput]:
+    """The input each cycle of ``history`` gives, built by one episode's fact index."""
+    store, index, inputs = MemoryStore(), FactIndex(), []
+    for cycle, (keys, constraints) in enumerate(history):
+        for key in keys:
+            store.write_staged(key, EntryKind.OBSERVATION, {"v": cycle}, "sensor")
+        store.write_staged(f"prop.cycle{cycle}", EntryKind.PROPOSAL,
+                           {"proposition": "p", "evidence": []}, "loop")
+        snapshot = store.commit_cycle()
+        inputs.append(assemble_input("task", snapshot, list(constraints), DEFAULT_RULESET, index))
+    return inputs
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=fact_histories())
+def test_resumed_input_digest_equals_a_plain_digest(history):
+    """Over empty facts, inserts at the front, the end and block boundaries, and rewrites in
+    place, each input's digest is that of its request, though hashed from a checkpoint."""
+    for built in assembled(history):
+        assert built.digest() == content_digest(built.to_request())
 
 
 # ---------------------------------------------------------- scripted planner

@@ -244,6 +244,7 @@ def reference_read(entries: tuple[MemoryEntry, ...], query: MemoryQuery) -> list
 def assert_snapshot_matches(snapshot: MemorySnapshot, entries: tuple[MemoryEntry, ...]) -> None:
     rebuilt = MemorySnapshot(entries)
     assert snapshot.entries == entries
+    assert len(snapshot) == len(rebuilt) == len(entries)
     assert {e.key for e in snapshot.read()} == {e.key for e in rebuilt.read()} == {
         e.key for e in entries
     }
@@ -285,6 +286,32 @@ def test_incremental_snapshot_equals_rebuilt_snapshot(ops):
     # Snapshots handed out earlier never see later commits.
     for snapshot, entries in taken:
         assert_snapshot_matches(snapshot, entries)
+
+
+KINDS_BY_NAMESPACE = {"act": EntryKind.ACTION, "feedback": EntryKind.CONTROL_FEEDBACK,
+                      "prop": EntryKind.PROPOSAL}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.just(-1), st.integers(0, 20)),
+    st.lists(st.tuples(st.sampled_from(SNAPSHOT_KEYS), st.integers(0, 9)), max_size=4),
+), max_size=8))
+def test_snapshots_of_one_log_each_equal_their_rebuild(ops):
+    """Each step extends a snapshot taken earlier: the newest one, which appends to the
+    shared log in place, or an older one, which branches into a copy of its prefix. After
+    every step, every snapshot taken equals a rebuild from its own entries."""
+    taken = [(MemorySnapshot(()), ())]
+    for pick, writes in ops:
+        base, entries = taken[pick % len(taken)]
+        added = tuple(
+            MemoryEntry(key, KINDS_BY_NAMESPACE.get(key.split(".")[0], EntryKind.OBSERVATION),
+                        {"v": value, "temp_f": value}, "t", "", len(entries) + serial)
+            for serial, (key, value) in enumerate(writes, 1)
+        )
+        taken.append((base.extend(added), entries + added))
+        for snapshot, entries in taken:
+            assert_snapshot_matches(snapshot, entries)
 
 
 def test_extend_shares_unchanged_versions_and_leaves_the_original_alone():

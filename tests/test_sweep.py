@@ -25,8 +25,9 @@ from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall, canon_args
 from cogloop.scenario import load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
-from cogloop.util import DIGEST_CHUNK, PrefixDigest, canonical_json, content_digest
+from cogloop.util import canonical_json, content_digest
 from conftest import SCENARIO_DIR, SUITE_DIR
+from test_cognition import assembled, fact_histories
 from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
 from suitegen import generate_suite
 
@@ -167,8 +168,9 @@ def long_config():
 
 
 def count_hashed_bytes(patch) -> list[int]:
-    """Count, in the returned list's one item, the bytes given to SHA-256 in util, the
-    module that hashes proposer inputs."""
+    """Count, in the returned list's one item, the bytes given to SHA-256 in cognition and
+    util, the modules that hash proposer inputs: inputs of more than one block of fact
+    lines, and the rest."""
     hashed = [0]
     sha256 = hashlib.sha256
 
@@ -189,7 +191,8 @@ def count_hashed_bytes(patch) -> list[int]:
         def hexdigest(self):
             return self.state.hexdigest()
 
-    patch.setattr(util, "hashlib", SimpleNamespace(sha256=Counting))
+    for module in (cognition, util):
+        patch.setattr(module, "hashlib", SimpleNamespace(sha256=Counting))
     return hashed
 
 
@@ -233,7 +236,7 @@ def long_episode():
 
 
 def test_every_cycle_records_the_digest_of_its_whole_input(long_episode):
-    """On the probe and the 469-cycle episode, whose inputs outgrow many digest chunks,
+    """On the probe and the 469-cycle episode, whose inputs outgrow many digest blocks,
     each cycle's input digest, resumed from the last input's, is that of the request."""
     config = probe_config()
     recorded = Recorded(make_proposer(config))
@@ -243,28 +246,27 @@ def test_every_cycle_records_the_digest_of_its_whole_input(long_episode):
         for record, cog_input in zip(result.trace.cycles[1:], inputs):
             assert record.input_digest == content_digest(cog_input.to_request())
     assert (probe.cycles_used, long_episode.result.cycles_used) == (237, 469)
-    assert len(canonical_json(long_episode.inputs[-1].to_request())) > 8 * DIGEST_CHUNK
+    assert len(canonical_json(long_episode.inputs[-1].to_request())) > 65_536
 
 
 def test_long_episode_hashes_at_most_half_its_input_bytes(long_episode):
     """Each input is hashed from where it differs from the last one, so the 469-cycle
     episode hashes about 40% of its input bytes. Hashing every input whole hashed all."""
     total = sum(len(canonical_json(i.to_request()).encode()) for i in long_episode.inputs)
-    assert 2 * long_episode.hashed <= total, f"{long_episode.hashed} of {total} bytes hashed"
+    assert 0 < 2 * long_episode.hashed <= total, f"{long_episode.hashed} of {total} bytes hashed"
 
 
-def test_texts_that_differ_at_once_hash_no_more_than_plain(monkeypatch):
-    """When every text differs from the last at its first character, no chunk is reused,
-    and the digester hashes each text once, as a plain digest would."""
-    base = canonical_json([f"[Memory Fact] Gdansk: n={n}" for n in range(2500)])
-    texts = [chr(ord("a") + n % 26) + base[1 : 1000 + n * 1500] for n in range(40)]
-    hashed = count_hashed_bytes(monkeypatch)
-    digester = PrefixDigest()
-    digests = [digester.text_digest(text) for text in texts]
-    assert len(base) > len(texts[-1]) > 6 * DIGEST_CHUNK
-    assert hashed[0] <= sum(len(text.encode()) for text in texts)
-    monkeypatch.undo()
-    assert digests == [util.text_digest(text) for text in texts]
+@settings(max_examples=30, deadline=None)
+@given(history=fact_histories(constraints=None))
+def test_inputs_whose_constraints_change_every_cycle_hash_no_more_than_plain(history):
+    """New constraints change an input's text before its first fact line, so no checkpoint
+    serves it: each input is hashed once from its start, as a plain digest would."""
+    with pytest.MonkeyPatch.context() as patch:
+        hashed = count_hashed_bytes(patch)
+        inputs = assembled(history)
+    requests = [canonical_json(built.to_request()) for built in inputs]
+    assert hashed[0] <= sum(len(text.encode()) for text in requests)
+    assert [built.digest() for built in inputs] == list(map(util.text_digest, requests))
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +370,6 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
         assert built == original(task, snapshot, constraints, ruleset)
         reference = tuple(format_memory_fact(e) for e in snapshot.read(FACT_QUERY))
         assert built.facts == reference
-        assert built.facts_json == ",".join(canonical_json(line) for line in reference)
         assert built.entities == parse_entities(reference, {})
         assert built.digest() == content_digest(built.to_request())
         checked += 1

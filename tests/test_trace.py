@@ -550,23 +550,19 @@ def test_governed_view_renders_each_entry_once(two_city, monkeypatch):
     full_reads = visited = 0
     assembling = False
 
-    class CountedEntries(tuple):
-        def __getitem__(self, item):
-            part = tuple.__getitem__(self, item)
-            return CountedEntries(part) if isinstance(item, slice) else part
-
+    class CountedEntries(list):
         def __iter__(self):
             nonlocal visited
-            for entry in tuple.__iter__(self):
+            for entry in list.__iter__(self):
                 visited += 1
                 yield entry
 
-    entries = MemorySnapshot.entries.fget
+    since = MemorySnapshot.since
     read = MemorySnapshot.read
     assemble = loop.assemble_input
 
-    def counted_entries(snapshot):
-        return CountedEntries(entries(snapshot)) if assembling else entries(snapshot)
+    def counted_since(snapshot, start):
+        return CountedEntries(since(snapshot, start)) if assembling else since(snapshot, start)
 
     def counting_read(snapshot, query=MemoryQuery()):
         nonlocal full_reads
@@ -582,7 +578,7 @@ def test_governed_view_renders_each_entry_once(two_city, monkeypatch):
             assembling = False
 
     monkeypatch.setattr(cognition, "format_memory_fact", counting)
-    monkeypatch.setattr(MemorySnapshot, "entries", property(counted_entries))
+    monkeypatch.setattr(MemorySnapshot, "since", counted_since)
     monkeypatch.setattr(MemorySnapshot, "read", counting_read)
     monkeypatch.setattr(loop, "assemble_input", assembling_input)
     result = run_episode(two_city.episode_config(seed=1, faults=PROBE_FAULTS, max_cycles=5000))
