@@ -17,9 +17,12 @@ anything and the run matches the governed system's outcomes exactly.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Any
 
-from .cognition import DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact, shown_fields
+from .cognition import (
+    DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact, parse_entities, shown_fields
+)
 from .control import ControlDecision, Verdict, check_termination
 from .loop import (
     ConfigError, CycleState, EpisodeConfig, EpisodeResult, System, drive_episode, make_proposer
@@ -28,6 +31,17 @@ from .memory import EntryKind, MemoryEntry, MemorySnapshot
 from .regulation import DEFAULT_RULESET
 from .runtime import ToolResult, staged_writes
 from .util import is_int, is_number
+
+INPUT_MEMO = 128  # bound of the process-wide memo of baseline inputs
+
+
+@lru_cache(maxsize=INPUT_MEMO)
+def _derived(task: str, facts: tuple[str, ...]) -> tuple[str, dict[str, dict[str, Any]]]:
+    """The digest and entity map of the baseline input of ``task`` and ``facts``, shared by
+    every such input and never mutated; every other part of a baseline input is fixed: the
+    default system text and rules, no constraints."""
+    rules = DEFAULT_RULESET.render_for_cognition()
+    return CognitionInput(DEFAULT_SYSTEM, task, rules, facts, ()).digest(), parse_entities(facts)
 
 
 def check_context(budget: Any, decay: Any) -> None:
@@ -127,12 +141,16 @@ class Baseline(System):
             if line is None:
                 line = lines[entry.key, entry.version] = format_memory_fact(entry)
             facts.append(line)
+        task, facts = self.config.scenario.task, tuple(facts)
+        digest, entities = _derived(task, facts)
         return CognitionInput(
             system=DEFAULT_SYSTEM,
-            task=self.config.scenario.task,
+            task=task,
             rules=DEFAULT_RULESET.render_for_cognition(),
-            facts=tuple(facts),
+            facts=facts,
             constraints=(),
+            entities=entities,
+            input_digest=digest,
         )
 
     def decide(

@@ -185,8 +185,16 @@ def _parse_value(text: str) -> Any:
     return text
 
 
+PARSE_MEMO = 1024  # bound of the process-wide memo of parsed fact lines
+
+
+@lru_cache(maxsize=PARSE_MEMO)
 def parse_fact_line(line: str) -> tuple[str, dict[str, Any]] | None:
-    """Inverse of `format_memory_fact` for well-formed scalar fields."""
+    """Inverse of `format_memory_fact` for well-formed scalar fields.
+
+    Memoized: each distinct line has one fields object, shared by every map
+    built from it, which nothing may mutate.
+    """
     if not line.startswith(FACT_PREFIX):
         return None
     body = line[len(FACT_PREFIX) :]
@@ -202,22 +210,14 @@ def parse_fact_line(line: str) -> tuple[str, dict[str, Any]] | None:
     return entity, fields
 
 
-# Fact line -> `parse_fact_line` of it, memoized for one proposer's episode.
-ParsedLines = dict[str, tuple[str, dict[str, Any]] | None]
-
-
-def parse_entities(facts: tuple[str, ...], parsed: ParsedLines) -> dict[str, dict[str, Any]]:
+def parse_entities(facts: tuple[str, ...]) -> dict[str, dict[str, Any]]:
     """Entity -> fields shown by the fact lines; of two lines showing one entity, the later wins.
 
-    ``parsed`` memoizes `parse_fact_line` by line; the parsed fields are
-    shared between the maps built from it and never mutated.
+    The fields are `parse_fact_line`'s shared objects.
     """
     entities: dict[str, dict[str, Any]] = {}
     for line in facts:
-        if line in parsed:
-            fact = parsed[line]
-        else:
-            fact = parsed[line] = parse_fact_line(line)
+        fact = parse_fact_line(line)
         if fact:
             entities[fact[0]] = fact[1]
     return entities
@@ -432,26 +432,30 @@ def plan_reads(goal: GoalSpec) -> tuple[str, ...]:
     return tuple(dict.fromkeys(key.removeprefix("obs.") for key in goal.read_keys))
 
 
-# A memoized plan: its proposal, phase and fact reads, and the fields it was made over.
-Plan = tuple[Proposal, str, tuple[tuple[str, Any], ...], dict[str, dict[str, Any]]]
+# A memoized plan: its proposal, phase and fact reads, and the policy and fields it was made
+# over, which the entry holds so that no id in its key is reused while it lives.
+Plan = tuple[Proposal, str, tuple[tuple[str, Any], ...], PlannerPolicy, dict[str, dict[str, Any]]]
+
+# (id of the policy, ids of its `plan_reads` fields objects) -> the plan, for every proposer;
+# it holds at most PLAN_MEMO plans, and drops the oldest to take another.
+PLAN_MEMO = 128
+_PLANS: dict[tuple[int, ...], Plan] = {}
 
 
 class ScriptedProposer:
     """Deterministic goal-spec planner; a pure function of the serialized input.
 
-    Plans are memoized per episode by the identities of the `plan_reads`
-    fields objects (a line's fields are a new object only when its key commits
-    a new entry); each stored plan holds those objects, so no id is reused.
+    Plans are memoized process-wide by the policy and the identities of the
+    `plan_reads` fields objects: `parse_fact_line` gives each distinct line one
+    fields object, so equal views of one policy share a plan across episodes.
     """
 
     def __init__(self, policy: PlannerPolicy):
         self.policy = policy
         self.last_meta = ProposeMeta()
-        self._parsed: ParsedLines = {}
         self._gather_calls: dict[str, ToolCall] = {}
         self._goal_ref = (MemoryRef(policy.goal_citation),) if policy.goal_citation else ()
         self._read_names = plan_reads(policy.goal)
-        self._plans: dict[tuple[int, ...], Plan] = {}
 
     def _gather_call(self, entity: str) -> ToolCall:
         """The gather call for ``entity``, built once per episode."""
@@ -485,7 +489,7 @@ class ScriptedProposer:
     def _entities(self, cog_input: CognitionInput) -> dict[str, dict[str, Any]]:
         entities = cog_input.entities
         if entities is None:
-            entities = parse_entities(cog_input.facts, self._parsed)
+            entities = parse_entities(cog_input.facts)
         return entities
 
     def _planned(self, entities: dict[str, dict[str, Any]]) -> Plan:
@@ -493,16 +497,19 @@ class ScriptedProposer:
         # Built from a list, the key tuple has its size from the start; from an iterator
         # it would be made larger and shrunk, leaving one more tuple of its size in
         # CPython's free lists on every cycle.
-        key = tuple([id(entities.get(name)) for name in self._read_names])
-        plan = self._plans.get(key)
+        key = tuple([id(self.policy)] + [id(entities.get(name)) for name in self._read_names])
+        plan = _PLANS.get(key)
         if plan is None:
             view = FactView({name: entities[name] for name in self._read_names if name in entities})
             proposal, phase = self._plan(view)  # a PolicyGap is raised, never stored
-            plan = self._plans[key] = (proposal, phase, tuple(view.reads.items()), view.entities)
+            if len(_PLANS) >= PLAN_MEMO:
+                del _PLANS[next(iter(_PLANS))]  # the oldest
+            plan = (proposal, phase, tuple(view.reads.items()), self.policy, view.entities)
+            _PLANS[key] = plan
         return plan
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        proposal, _, reads, _ = self._planned(self._entities(cog_input))
+        proposal, _, reads, _, _ = self._planned(self._entities(cog_input))
         self.last_meta = ProposeMeta(fact_reads=list(reads))
         return proposal
 
@@ -557,7 +564,7 @@ class FaultyProposer(ScriptedProposer):
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
         entities = self._entities(cog_input)
-        base, phase, reads, _ = self._planned(entities)
+        base, phase, reads, _, _ = self._planned(entities)
         meta = ProposeMeta(fact_reads=list(reads))
         draws = [self._rng.random() for _ in FAULT_TYPES]
         if base.call is not None:

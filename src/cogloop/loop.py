@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from . import evidence
@@ -123,6 +124,10 @@ class EpisodeConfig:
         }
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         return content_digest(self.describe())
 
 

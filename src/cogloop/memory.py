@@ -72,8 +72,12 @@ NOT_FOUND = Sentinel("not found")  # a path that resolves to nothing
 
 
 def encode_value(value: Any) -> Any:
-    """JSON-safe form of a resolved value; NOT_FOUND becomes an explicit marker."""
-    return {"__missing__": True} if value is NOT_FOUND else value
+    """JSON-safe form of a resolved value, a copy that shares no container with it, since
+    the proposer reads from memos that serve every episode; NOT_FOUND becomes an explicit
+    marker."""
+    if value is NOT_FOUND:
+        return {"__missing__": True}
+    return value if type(value) in _JSON_SCALARS else _json_copy(value)
 
 
 def decode_value(value: Any) -> Any:
@@ -230,6 +234,14 @@ def _plain_copy(value: Any, depth: int = 0) -> Any:
     elif kind in _JSON_SCALARS:
         return value
     raise _NotPlainJSON
+
+
+def _json_copy(value: Any) -> Any:
+    """``json.loads(json.dumps(value))``, without the round trip where a copy gives it."""
+    try:
+        return _plain_copy(value)
+    except _NotPlainJSON:
+        return json.loads(json.dumps(value))
 
 
 def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
@@ -411,11 +423,7 @@ class MemoryStore:
         for staged in self._staged:
             if staged.key == key:
                 version = max(version, staged.version)
-        # A defensive copy equal to a JSON round trip.
-        try:
-            payload = _plain_copy(payload)
-        except _NotPlainJSON:
-            payload = json.loads(json.dumps(payload))
+        payload = _json_copy(payload)  # a defensive copy
         entry = MemoryEntry(
             key=key,
             kind=kind,

@@ -163,7 +163,7 @@ class Scenario:
                 if not problems and spec.observes is not None:
                     observed = spec.observes(call.canonical_args)
                     key_segments(observed)
-            except (LookupError, ValueError, AttributeError, MalformedKey) as exc:
+            except (LookupError, ValueError, AttributeError, MalformedKey, RecursionError) as exc:
                 problems = [f"{type(exc).__name__}: {exc}"]
             if problems:
                 raise ConfigError(
@@ -207,7 +207,7 @@ class Scenario:
             if snapshot.resolve(citation) is NOT_FOUND:
                 raise ConfigError(f"goal_citation: {citation!r} does not resolve in context")
         # The proposer reads goal.* values back from the fact lines of that cycle 0.
-        view = FactView(parse_entities(tuple(map(format_memory_fact, snapshot.entries)), {}))
+        view = FactView(parse_entities(tuple(map(format_memory_fact, snapshot.entries))))
         for key in goal.condition_keys():
             if not key.startswith("goal."):
                 continue
@@ -223,8 +223,11 @@ class Scenario:
 
     def stage_context(self, store: MemoryStore) -> None:
         """Stage the context entries of cycle 0, in key order."""
-        for key in sorted(self.context):
-            store.write_staged(key, EntryKind.OBSERVATION, self.context[key], source="init")
+        for key in sorted(self.context, key=str):  # the store refuses a key of another type
+            try:
+                store.write_staged(key, EntryKind.OBSERVATION, self.context[key], source="init")
+            except (TypeError, ValueError, RecursionError) as exc:  # a set, a cycle: no JSON
+                raise ConfigError(f"context.{key}: not a JSON value ({exc})") from None
 
     # ------------------------------------------------------------------ load
     @classmethod

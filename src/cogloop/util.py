@@ -49,7 +49,10 @@ def is_number(value: Any, finite: bool = False) -> bool:
         return False
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# Without the cycle check: every value written holds no cycle (scenarios reject them).
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
+)
 
 
 def canonical_json(obj: Any) -> str:

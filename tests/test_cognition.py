@@ -195,11 +195,11 @@ def test_fact_index_entity_shown_by_two_keys_follows_key_order():
     assert index.current(store.commit_cycle())[1] == {"goal.x": {"v": 1}}
     store.write_staged("goal.x", EntryKind.OBSERVATION, {"v": 2}, "init")
     lines, entities = index.current(store.commit_cycle())
-    assert entities == parse_entities(lines, {}) == {"goal.x": {"v": 1}}
+    assert entities == parse_entities(lines) == {"goal.x": {"v": 1}}
     store.write_staged("obs.goal.x", EntryKind.OBSERVATION, {"v": 3}, "sensor")
     store.write_staged("goal.x", EntryKind.OBSERVATION, {"v": 4}, "init")
     lines, later = index.current(store.commit_cycle())
-    assert later == parse_entities(lines, {}) == {"goal.x": {"v": 3}}
+    assert later == parse_entities(lines) == {"goal.x": {"v": 3}}
     assert entities == {"goal.x": {"v": 1}}  # a copy: later commits leave it alone
 
 
@@ -211,7 +211,7 @@ def test_fact_view_resolves_paths_as_the_snapshot_does():
     store.write_staged("act.book_flight", EntryKind.ACTION,
                        {"name": "book_flight", "args": {}, "status": "executed"}, "tool")
     snapshot = store.commit_cycle()
-    view = FactView(parse_entities(FactIndex().current(snapshot)[0], {}))
+    view = FactView(parse_entities(FactIndex().current(snapshot)[0]))
     paths = [
         "obs.Seoul.temp_f", "obs.Seoul.temp", "obs.Seoul.sky.rain", "obs.Seoul.humidity",
         "obs.Jeju.temp_f", "obs.Seo ul.temp_f", "obs", "goal.limits.temp",
@@ -430,18 +430,26 @@ def with_entities(entities: dict) -> CognitionInput:
 
 
 def test_plan_memo_keys_on_fields_objects_not_their_values():
-    """Equal but distinct fields dicts miss the memo; the same dicts hit it. A hit returns
-    the stored proposal itself, and each plan makes a new one."""
-    proposer = ScriptedProposer(make_policy())
-    first = parse_entities((GOAL_LINE, SEOUL_LINE), {})
+    """Every proposer reads one plan memo, keyed by the policy object and the identities
+    of the fields objects. The same objects hit it from any proposer of the policy and
+    return the stored proposal itself; equal but distinct fields dicts, or an equal policy
+    that is another object, miss it and make a new plan. Parsing a line again gives the
+    line's one fields object."""
+    policy = make_policy()
+    first = parse_entities((GOAL_LINE, SEOUL_LINE))
+    assert parse_entities((SEOUL_LINE,))["Seoul"] is first["Seoul"]
+    proposer = ScriptedProposer(policy)
     answers = [proposer.propose(with_entities(first))]
     reads = proposer.last_meta.fact_reads
-    answers.append(proposer.propose(with_entities(dict(first))))  # the same objects
-    assert answers[1] is answers[0] and proposer.last_meta.fact_reads == reads
-    equal = parse_entities((GOAL_LINE, SEOUL_LINE), {})
-    assert equal == first and equal["Seoul"] is not first["Seoul"]
-    answers.append(proposer.propose(with_entities(equal)))
-    assert answers[2] is not answers[1] and proposer.last_meta.fact_reads == reads
+    other = ScriptedProposer(policy)
+    answers.append(other.propose(with_entities(dict(first))))  # the same objects
+    assert answers[1] is answers[0] and other.last_meta.fact_reads == reads
+    equal = {name: dict(fields) for name, fields in first.items()}
+    answers.append(other.propose(with_entities(equal)))
+    assert answers[2] is not answers[1] and other.last_meta.fact_reads == reads
+    twin = ScriptedProposer(make_policy())
+    answers.append(twin.propose(with_entities(first)))
+    assert answers[3] is not answers[0] and twin.last_meta.fact_reads == reads
     assert len({json.dumps(a.to_response()) for a in answers}) == 1
 
 
@@ -456,7 +464,7 @@ def test_plan_sees_only_the_fields_its_goal_reads(monkeypatch):
 
     monkeypatch.setattr(cognition, "FactView", Recording)
     proposer = ScriptedProposer(make_policy())
-    state = parse_entities((GOAL_LINE, SEOUL_LINE), {})
+    state = parse_entities((GOAL_LINE, SEOUL_LINE))
     planned = proposer.propose(with_entities(state))
     unread = {**state, "feedback.cycle7": {"message": "x"}}
     assert proposer.propose(with_entities(unread)) is planned

@@ -331,6 +331,57 @@ def test_editing_a_live_trace_leaves_later_episodes_alone(scenario_dir):
     assert run_episode(scenario.episode_config(seed=2)).trace.dumps() == fresh
 
 
+def deface(value) -> None:
+    """Edit in place ``value``, if a list or dict, and every list and dict inside it."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            deface(item)
+        value["defaced"] = ["defaced"]
+    elif isinstance(value, list):
+        for item in list(value):
+            deface(item)
+        value.append("defaced")
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+@pytest.mark.parametrize("listed", [False, True])
+def test_editing_every_container_of_a_live_trace_leaves_later_episodes_alone(
+    scenario_dir, baseline, listed
+):
+    """Once every list and dict in an episode's consumptions, proposals, decisions,
+    invocations and delta payloads is edited, the next episode, of the same scenario or of
+    one loaded afresh, writes the bytes the first one wrote: the trace shares no container
+    with what later episodes read. ``listed`` adds a context observation whose list-valued
+    field the goal requires, so the proposer's fact reads hold a list."""
+    document = json.loads((scenario_dir / "weather_two_city.json").read_text(encoding="utf-8"))
+    if listed:
+        document["context"]["obs.Route"] = {"stops": ["Seoul", "Jeju"]}
+        document["goal"]["required_facts"].insert(0, "obs.Route.stops")
+        reading = {"location": "Route", "date": "2025-06-14", "temp_f": 0, "precipitation": False}
+        document["world"]["weather"].append(reading)
+    text = json.dumps(document)
+    scenario = Scenario.from_dict(json.loads(text))
+
+    def episode(scenario):
+        # No duplicate fault: a gather of Route would replace the context's observation.
+        faults = FaultConfig(seed=3, p_missing_arg=0.2, p_false_citation=0.2)
+        config = scenario.episode_config(seed=1, faults=faults)
+        return run_baseline_episode(config, 3, 0.3) if baseline else run_episode(config)
+
+    first = episode(scenario)
+    written = first.trace.dumps()
+    consumed = [value for record in first.trace.cycles for _, value in record.consumptions]
+    assert any(isinstance(value, list) for value in consumed) is listed
+    for record in first.trace.cycles:
+        for part in (record.consumptions, record.proposal, record.decision, record.invocation):
+            deface(part)
+        for entry in record.memory_delta:
+            deface(entry.payload)
+    assert first.trace.dumps() != written
+    assert episode(scenario).trace.dumps() == written
+    assert episode(Scenario.from_dict(json.loads(text))).trace.dumps() == written
+
+
 def test_config_digest_tracks_identity(two_city):
     assert two_city.episode_config(seed=1).digest() == two_city.episode_config(seed=1).digest()
     assert two_city.episode_config(seed=1).digest() != two_city.episode_config(seed=2).digest()

@@ -385,6 +385,24 @@ def test_code_built_scenarios_meet_the_same_rules(two_city):
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(two_city, **changes)
+    # A context, gather or key that no JSON document can hold is named too.
+    looped = {"rule": "x"}
+    looped["self"] = looped
+    nested: list = []
+    nested.append(nested)
+    for changes, message in (
+        ({"context": {**two_city.context, "goal.loop": looped}},
+         "context.goal.loop: not a JSON value (Circular reference detected)"),
+        ({"context": {**two_city.context, "goal.set": {"v": {1, 2}}}},
+         "context.goal.set: not a JSON value (Object of type set is not JSON serializable)"),
+        ({"context": {**two_city.context, 1: {"v": 1}}},
+         "context: key must be a non-empty string, got 1"),
+        ({"gather": {**two_city.gather, "arguments": {"location": "{entity}", "date": nested}}},
+         "gather.arguments: no valid call for entity 'Seoul' "
+         "(RecursionError: maximum recursion depth exceeded)"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(two_city, **changes)
 
 
 def test_load_suite_refuses_two_files_of_one_name(tmp_path):

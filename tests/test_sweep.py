@@ -23,7 +23,7 @@ from cogloop.loop import Governed, drive_episode, make_proposer, run_episode
 from cogloop.memory import MemoryQuery
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall, canon_args
-from cogloop.scenario import load_scenario, load_suite
+from cogloop.scenario import SUITE_SEEDS, load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
 from cogloop.util import canonical_json, content_digest
 from conftest import SCENARIO_DIR, SUITE_DIR
@@ -141,9 +141,9 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
         counts["encodes"] += 1
         return json_string(text)
 
-    def parse(facts, parsed):
+    def parse(facts):
         counts["fresh_parses"] += 1
-        return fresh_parse(facts, parsed)
+        return fresh_parse(facts)
 
     def assembling(task, snapshot, constraints, ruleset, facts=None):
         counts["constraints"] += len(constraints)
@@ -311,26 +311,86 @@ def test_probe_plans_once_per_state_its_goal_reads():
     assert len({id(proposal) for proposal, _ in memoized}) == 4
 
 
+def fresh_plan(policy, entities) -> tuple:
+    """What a planner with no memo answers over every entity: a proposal and its fact reads,
+    or the ``PolicyGap`` raised."""
+    view = cognition.FactView(dict(entities))
+    try:
+        proposal, _ = cognition.ScriptedProposer(policy)._plan(view)
+    except cognition.PolicyGap as gap:
+        return gap, None
+    return proposal, list(view.reads.items())
+
+
 def test_memoized_plans_equal_plans_over_the_full_view(suite50_sweep):
     """On every cycle of the suite50 sweep at all=0.1, both systems, and of the probe,
-    the memoized plan has the proposal and fact reads of a fresh planner that reads
-    every entity of the cycle's input."""
+    the memoized plan has the proposal and fact reads of a planner with no memo that
+    reads every entity of the cycle's input."""
     cycles = made = 0
     for config, _, inputs in suite50_sweep.episodes:
         memoized = plans(config.scenario.policy, inputs)
         cycles += len(inputs)
         made += len({id(proposal) for proposal, _ in memoized})
         for cog_input, (proposal, reads) in zip(inputs, memoized):
-            names = tuple(cog_input.entities or parse_entities(cog_input.facts, {}))
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cognition, "plan_reads", lambda goal: names)
-                [(fresh, fresh_reads)] = plans(config.scenario.policy, [cog_input])
+            entities = cog_input.entities or parse_entities(cog_input.facts)
+            fresh, fresh_reads = fresh_plan(config.scenario.policy, entities)
             if reads is None:  # a PolicyGap
                 assert fresh_reads is None
             else:
                 assert (proposal.to_response(), reads) == (fresh.to_response(), fresh_reads)
-    # Plans made by the episodes' planners: about half the cycles hit.
+    # Distinct plans per episode: about half the cycles reuse one.
     assert (cycles, made) == (8742, 4219)
+
+
+def test_memoized_views_equal_fresh_ones_over_interleaved_sweeps(suite_dir, monkeypatch):
+    """Three suite50 sweeps at all=0.1, both systems, with the scenarios interleaved (every
+    scenario's episode of one seed, then the next seed), so that the memos serve episodes of
+    many scenarios in turn and evict. Every plan the proposers are given equals a plan with
+    no memo over every entity of the input; every baseline input's digest and entity map
+    equal ``digest()`` and `parse_entities` of its facts; no memo ever holds more than its
+    bound; and each sweep writes the same traces."""
+    planned, built = cognition.ScriptedProposer._planned, Baseline.cognition_input
+    counts = {"plans": 0, "inputs": 0}
+
+    def checking_plan(self, entities):
+        plan = planned(self, entities)
+        fresh, fresh_reads = fresh_plan(self.policy, entities)
+        assert (plan[0].to_response(), list(plan[2])) == (fresh.to_response(), fresh_reads)
+        counts["plans"] += 1
+        return plan
+
+    def checking_input(self, snapshot, constraints, cycle):
+        cog_input = built(self, snapshot, constraints, cycle)
+        bare = replace(cog_input, entities=None, input_digest=None)
+        assert cog_input.input_digest == bare.digest() == content_digest(bare.to_request())
+        assert cog_input.entities == parse_entities(cog_input.facts)
+        counts["inputs"] += 1
+        return cog_input
+
+    def memo_sizes() -> list[int]:
+        return [
+            len(cognition._PLANS), baseline._derived.cache_info().currsize,
+            cognition.parse_fact_line.cache_info().currsize,
+        ]
+
+    bounds = [cognition.PLAN_MEMO, baseline.INPUT_MEMO, cognition.PARSE_MEMO]
+    monkeypatch.setattr(cognition.ScriptedProposer, "_planned", checking_plan)
+    monkeypatch.setattr(Baseline, "cognition_input", checking_input)
+    scenarios, faults = load_suite(suite_dir), parse_faults("all=0.1")
+    sweeps = []
+    for _ in range(3):
+        traces = []
+        for at in range(len(SUITE_SEEDS)):
+            for scenario in scenarios:
+                config = scenario.episode_config(scenario.seeds[at], faults=faults)
+                budget, decay = scenario.baseline_budget, scenario.baseline_decay
+                traces.append(run_episode(config).trace.dumps())
+                traces.append(run_baseline_episode(config, budget, decay).trace.dumps())
+                assert all(size <= bound for size, bound in zip(memo_sizes(), bounds))
+        sweeps.append(traces)
+    assert sweeps[0] == sweeps[1] == sweeps[2]
+    assert memo_sizes()[:2] == bounds[:2]  # filled up, so evicting
+    assert counts["plans"] > 3 * 8000 and counts["inputs"] > 3 * 7000
 
 
 class NeverStores(dict):
@@ -360,7 +420,8 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
     count, suite_seed, worked, episode_seed, faults
 ):
     """Each cycle's governed facts, and the values derived from them, equal a fresh
-    assembly and the from-scratch computations; the baseline's memo changes no byte."""
+    assembly and the from-scratch computations; the baseline's memos, the plan memo and
+    the parse memo change no byte."""
     original = loop.assemble_input
     checked = 0
 
@@ -370,7 +431,7 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
         assert built == original(task, snapshot, constraints, ruleset)
         reference = tuple(format_memory_fact(e) for e in snapshot.read(FACT_QUERY))
         assert built.facts == reference
-        assert built.entities == parse_entities(reference, {})
+        assert built.entities == parse_entities(reference)
         assert built.digest() == content_digest(built.to_request())
         checked += 1
         return built
@@ -393,7 +454,11 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
         cached = run_baseline_episode(config, budget, decay).trace.dumps()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(baseline.Baseline, "__init__", forgetful_init)
+            patch.setattr(baseline, "_derived", baseline._derived.__wrapped__)
+            patch.setattr(cognition, "_PLANS", NeverStores())
+            patch.setattr(cognition, "parse_fact_line", cognition.parse_fact_line.__wrapped__)
             assert run_baseline_episode(config, budget, decay).trace.dumps() == cached
+            assert run_episode(config).trace.dumps() == governed.trace.dumps()
 
 
 # ------------------------------------------------------------- goal watch
