@@ -17,6 +17,7 @@ anything and the run matches the governed system's outcomes exactly.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any
 
@@ -29,19 +30,19 @@ from .loop import (
 )
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
 from .regulation import DEFAULT_RULESET
-from .runtime import ToolResult, staged_writes
+from .runtime import StagedWrite, ToolResult, staged_writes
 from .util import is_int, is_number
 
 INPUT_MEMO = 128  # bound of the process-wide memo of baseline inputs
 
 
 @lru_cache(maxsize=INPUT_MEMO)
-def _derived(task: str, facts: tuple[str, ...]) -> tuple[str, dict[str, dict[str, Any]]]:
-    """The digest and entity map of the baseline input of ``task`` and ``facts``, shared by
-    every such input and never mutated; every other part of a baseline input is fixed: the
-    default system text and rules, no constraints."""
-    rules = DEFAULT_RULESET.render_for_cognition()
-    return CognitionInput(DEFAULT_SYSTEM, task, rules, facts, ()).digest(), parse_entities(facts)
+def _derived(task: str, facts: tuple[str, ...]) -> CognitionInput:
+    """The baseline input of ``task`` and ``facts``, with its digest and entity map, shared
+    by every cycle that shows them and never mutated; every other part of a baseline input
+    is fixed: the default system text and rules, no constraints."""
+    bare = CognitionInput(DEFAULT_SYSTEM, task, DEFAULT_RULESET.render_for_cognition(), facts, ())
+    return replace(bare, entities=parse_entities(facts), input_digest=bare.digest())
 
 
 def check_context(budget: Any, decay: Any) -> None:
@@ -56,12 +57,32 @@ def check_context(budget: Any, decay: Any) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Leaf:
+    """One field an entry's fact line shows, in a window slot of its own, ``name``; compared
+    by identity, since ``1``, ``1.0`` and ``True`` are equal values that show differently."""
+
+    name: str  # "<key>.<field>"
+    value: Any
+    kind: EntryKind
+    key: str
+    field: str
+
+
+def leaf_records(writes: list[StagedWrite]) -> tuple[Leaf, ...]:
+    """The window leaves of ``writes``: of each, the fields its fact line shows, by name."""
+    return tuple(
+        Leaf(f"{w.key}.{name}", value, w.kind, w.key, name)
+        for w in writes for name, value in sorted(shown_fields(w.key, w.kind, w.payload).items())
+    )
+
+
 class ContextModel:
     """Bounded, decaying recall over leaf facts.
 
-    Facts enter the window when a tool returns; re-inserting an existing key
+    Leaves enter the window when a tool returns; re-inserting a leaf name
     refreshes both its value and its slot age. When the window exceeds its
-    budget the oldest-inserted fact is evicted. Static context facts (the
+    budget the oldest-inserted leaf is evicted. Static context facts (the
     episode's initial entries) are exempt from both the budget and decay.
     """
 
@@ -70,53 +91,48 @@ class ContextModel:
         self.budget = budget
         self.decay = float(decay)  # an integer decay times an age may pass float range
         self._rng = random.Random(f"context:{seed}")
-        self._static = {k: MemoryEntry(k, EntryKind.OBSERVATION, dict(p), "context", "", 0)
-                        for k, p in static.items()}
-        # leaf key -> (value, inserted cycle, kind of the entry it came from, insert serial)
-        self._facts: dict[str, tuple[Any, int, EntryKind, int]] = {}
-        self._inserts = 0
-        # Serials of one entry's recalled leaves -> the entry they make, numbered
-        # by its version among this window's entries.
-        self._entries: dict[tuple[int, ...], MemoryEntry] = {}
+        entries = [MemoryEntry(k, EntryKind.OBSERVATION, dict(p), "context", "", 0)
+                   for k, p in static.items()]
+        self._static = {entry.key: (entry, format_memory_fact(entry)) for entry in entries}
+        self._facts: dict[str, tuple[Leaf, int]] = {}  # leaf name -> (leaf, inserted cycle)
+        # One entry's recalled leaves, in window order -> the entry they make, numbered by
+        # its version among this window's entries, and its fact line.
+        self._shown: dict[tuple[Leaf, ...], tuple[MemoryEntry, str]] = {}
 
-    def insert(self, entry_key: str, kind: EntryKind, payload: dict[str, Any], cycle: int) -> None:
-        shown = shown_fields(entry_key, kind, payload)
-        for field_name in sorted(shown):
-            value = shown[field_name]
-            leaf = f"{entry_key}.{field_name}"
-            if leaf in self._facts:
-                del self._facts[leaf]  # refresh slot position
-            self._inserts += 1
-            self._facts[leaf] = (value, cycle, kind, self._inserts)
-            while len(self._facts) > self.budget:
-                evicted = next(iter(self._facts))
-                del self._facts[evicted]
+    def insert(self, leaves: tuple[Leaf, ...], cycle: int) -> None:
+        facts = self._facts
+        for leaf in leaves:
+            facts.pop(leaf.name, None)  # refresh slot position
+            facts[leaf.name] = (leaf, cycle)
+            if len(facts) > self.budget:
+                del facts[next(iter(facts))]
 
     def retained(self) -> int:
         return len(self._facts)
 
-    def visible_entries(self, cycle: int) -> list[MemoryEntry]:
-        """One recall draw per retained fact; assemble visible facts as entries.
+    def visible_entries(self, cycle: int) -> list[tuple[MemoryEntry, str]]:
+        """One recall draw per retained leaf; each visible entry and its fact line, in key order.
 
-        The same recalled leaf inserts give the same entry, and its own version.
+        The same recalled leaf objects, in the same window order, give the same
+        entry and line, each made once.
         """
-        grouped: dict[str, list[tuple[str, tuple]]] = {}
-        for leaf, fact in self._facts.items():
-            recall = max(0.0, 1.0 - self.decay * (cycle - fact[1]))
-            if self._rng.random() < recall:
-                grouped.setdefault(leaf.rpartition(".")[0], []).append((leaf, fact))
+        grouped: dict[str, list[Leaf]] = {}
+        draw, decay = self._rng.random, self.decay
+        for leaf, inserted in self._facts.values():
+            recall = max(0.0, 1.0 - decay * (cycle - inserted))
+            if draw() < recall:
+                grouped.setdefault(leaf.key, []).append(leaf)
         # Static facts are observations; a recalled entry replaces one under the same key.
-        entries = dict(self._static)
+        visible, memo = dict(self._static), self._shown
         for key, recalled in grouped.items():
-            serials = tuple(fact[3] for _, fact in recalled)
-            entry = self._entries.get(serials)
-            if entry is None:
-                fields = {leaf.rpartition(".")[2]: fact[0] for leaf, fact in recalled}
-                version = len(self._entries) + 1
-                entry = MemoryEntry(key, recalled[0][1][2], fields, "context", "", version)
-                self._entries[serials] = entry
-            entries[key] = entry
-        return [entries[key] for key in sorted(entries)]
+            leaves = tuple(recalled)
+            shown = memo.get(leaves)
+            if shown is None:
+                fields = {leaf.field: leaf.value for leaf in leaves}
+                entry = MemoryEntry(key, leaves[0].kind, fields, "context", "", len(memo) + 1)
+                shown = memo[leaves] = (entry, format_memory_fact(entry))
+            visible[key] = shown
+        return [visible[key] for key in sorted(visible)]
 
 
 class Baseline(System):
@@ -129,29 +145,14 @@ class Baseline(System):
     def __init__(self, config: EpisodeConfig, budget: int, decay: float):
         super().__init__(config)
         self.context = ContextModel(budget, decay, config.seed, config.scenario.context)
-        # (key, version) of a window entry -> its fact line, rendered once per episode
-        self.fact_lines: dict[tuple[str, int], str] = {}
+        # call id -> the window leaves of its first successful result, derived once
+        self.leaves: dict[str, tuple[Leaf, ...]] = {}
 
     def cognition_input(
         self, snapshot: MemorySnapshot, constraints: list[str], cycle: int
     ) -> CognitionInput:
-        lines, facts = self.fact_lines, []
-        for entry in self.context.visible_entries(cycle):
-            line = lines.get((entry.key, entry.version))
-            if line is None:
-                line = lines[entry.key, entry.version] = format_memory_fact(entry)
-            facts.append(line)
-        task, facts = self.config.scenario.task, tuple(facts)
-        digest, entities = _derived(task, facts)
-        return CognitionInput(
-            system=DEFAULT_SYSTEM,
-            task=task,
-            rules=DEFAULT_RULESET.render_for_cognition(),
-            facts=facts,
-            constraints=(),
-            entities=entities,
-            input_digest=digest,
-        )
+        facts = tuple([line for _, line in self.context.visible_entries(cycle)])
+        return _derived(self.config.scenario.task, facts)
 
     def decide(
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
@@ -160,16 +161,10 @@ class Baseline(System):
             proposal.call is None, snapshot, self.goal_watch, cycle, max_cycles
         )
         if reason is not None:
-            return ControlDecision(
-                verdict=Verdict.TERMINATE,
-                reason=reason,
-                log_lines=(f"[Baseline] Termination: {reason.value}",),
-            )
-        return ControlDecision(
-            verdict=Verdict.APPROVED,
-            call=proposal.call,
-            log_lines=("[Baseline] auto-approved (no validation layer)",),
-        )
+            line = f"[Baseline] Termination: {reason.value}"
+            return ControlDecision(Verdict.TERMINATE, reason=reason, log_lines=(line,))
+        line = "[Baseline] auto-approved (no validation layer)"
+        return ControlDecision(Verdict.APPROVED, call=proposal.call, log_lines=(line,))
 
     def record(self, decision: ControlDecision) -> dict[str, Any]:
         return {
@@ -185,12 +180,15 @@ class Baseline(System):
     ) -> None:
         context = self.context
         if result.ok:
-            # Recomputed rather than taken from `execute`, which stages nothing
-            # on an idempotency hit: the window still refreshes then.
-            call = decision.call
-            spec = self.registry[call.name]
-            for write in staged_writes(spec, call.canonical_args, result.payload):
-                context.insert(write.key, write.kind, write.payload, state.index)
+            # Not taken from `execute`, which stages nothing on an idempotency hit: the
+            # window still refreshes then. The runtime answers every re-run of a call id
+            # with its first successful payload, so its leaves are derived once.
+            call, payload = decision.call, result.payload
+            made = self.leaves.get(call.call_id())
+            if made is None:
+                writes = staged_writes(self.registry[call.name], call.canonical_args, payload)
+                made = self.leaves[call.call_id()] = leaf_records(writes)
+            context.insert(made, state.index)
         state.log_lines.append(
             f"[Baseline] context holds {context.retained()}/{context.budget} facts"
         )

@@ -39,7 +39,8 @@ _FAULT_ALIASES = {f"{fault_type}s": fault_type for fault_type in FAULT_TYPES}
 
 
 def parse_faults(spec: str | None, seed: int = 0) -> FaultConfig | None:
-    """Parse ``type=prob,...`` (plural aliases and ``all=`` accepted) into a ``FaultConfig``."""
+    """Parse ``type=prob,...`` (plural aliases and ``all=`` accepted) into a ``FaultConfig``;
+    each type is set at most once, and ``all=`` sets every type."""
     if not spec:
         return None
     config: dict[str, Any] = {"seed": seed}
@@ -58,15 +59,12 @@ def parse_faults(spec: str | None, seed: int = 0) -> FaultConfig | None:
         if key.startswith("p_"):
             key = key[2:]
         key = _FAULT_ALIASES.get(key, key)
-        if key == "all":
-            for fault_type in FAULT_TYPES:
-                config[f"p_{fault_type}"] = prob
-        elif key in FAULT_TYPES:
-            config[f"p_{key}"] = prob
-        else:
-            raise ConfigError(
-                f"unknown fault type {key!r} (known: {', '.join(FAULT_TYPES)})"
-            )
+        if key != "all" and key not in FAULT_TYPES:
+            raise ConfigError(f"unknown fault type {key!r} (known: {', '.join(FAULT_TYPES)})")
+        for fault_type in FAULT_TYPES if key == "all" else (key,):
+            if f"p_{fault_type}" in config:
+                raise ConfigError(f"fault type {fault_type!r} is set twice in {spec!r}")
+            config[f"p_{fault_type}"] = prob
     return FaultConfig(**config)
 
 
@@ -91,13 +89,8 @@ def render_table(columns: dict[str, dict[str, Metric]]) -> str:
     for name in names:
         row = f"{METRIC_LABELS[name]:<20}"
         for metrics in columns.values():
-            metric = metrics.get(name)
-            if metric is None:
-                cell = "-"
-            elif metric.ratio is None:
-                cell = "n/a"
-            else:
-                cell = f"{metric.ratio:.3f}"
+            m = metrics.get(name)
+            cell = "-" if m is None else "n/a" if m.ratio is None else f"{m.ratio:.3f}"
             row += f"{cell:>12}"
         lines.append(row)
     return "\n".join(lines)
@@ -316,13 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except UnknownAction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ParseError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a missing file, a directory, no permission
+    except (UnknownAction, OSError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

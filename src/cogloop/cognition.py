@@ -568,11 +568,10 @@ class FaultyProposer(ScriptedProposer):
         meta = ProposeMeta(fact_reads=list(reads))
         draws = [self._rng.random() for _ in FAULT_TYPES]
         if base.call is not None:
-            view = FactView(entities)
             for draw, p, fault_type in zip(draws, self._probabilities, FAULT_TYPES):
                 if draw >= p:
                     continue
-                mutated = self._mutate(fault_type, base, phase, view)
+                mutated = self._mutate(fault_type, base, phase, entities)
                 if mutated is not None:
                     meta.fault_label = fault_type
                     self.last_meta = meta
@@ -581,11 +580,12 @@ class FaultyProposer(ScriptedProposer):
         return base
 
     def _mutate(
-        self, fault_type: str, base: Proposal, phase: str, view: FactView
+        self, fault_type: str, base: Proposal, phase: str, entities: dict[str, dict[str, Any]]
     ) -> Proposal | None:
         goal = self.policy.goal
         if fault_type == "duplicate":
             # Re-propose a gather that already succeeded.
+            view = FactView(entities)
             for entity in goal.entities():
                 if view.has_clean(entity):
                     return Proposal(

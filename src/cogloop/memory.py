@@ -163,9 +163,9 @@ class MemoryEntry:
     def from_dict(cls, data: Any) -> "MemoryEntry":
         """The entry ``to_dict`` wrote as ``data``, as parsed from JSON; the one decoder.
 
-        Checks each field's exact JSON type while reading it, and raises
-        ``SchemaMismatch`` saying why ``data`` is no such entry. The entry
-        takes ``data``'s payload as it is, without a copy.
+        Checks each field's exact JSON type as it reads it, then `_check_entry` and a
+        version from 1, raising a ``StoreError`` saying why ``data`` is no such entry.
+        The entry takes ``data``'s payload as it is, without a copy.
         """
         if type(data) is not dict:
             raise SchemaMismatch("is not an object")
@@ -183,6 +183,9 @@ class MemoryEntry:
         kind = _KINDS_BY_VALUE.get(kind_name)
         if kind is None:
             raise SchemaMismatch(f"has unknown kind {kind_name!r}")
+        _check_entry(key, kind, payload)
+        if version < 1:
+            raise SchemaMismatch(f"has version {version}; versions start at 1")
         return cls(key, kind, payload, source, timestamp, version)
 
 
@@ -244,7 +247,8 @@ def _json_copy(value: Any) -> Any:
         return json.loads(json.dumps(value))
 
 
-def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
+def _check_entry(key: str, kind: EntryKind, payload: Any) -> None:
+    """Every entry's rules, written or loaded: a valid key, its kind, a non-empty payload."""
     prefix = key_segments(key)[0]
     if kind not in ALLOWED_KINDS[prefix]:
         raise SchemaMismatch(
@@ -252,6 +256,10 @@ def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
         )
     if not isinstance(payload, dict) or not payload:
         raise SchemaMismatch(f"payload for {key} must be a non-empty mapping")
+
+
+def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
+    _check_entry(key, kind, payload)
     if kind is EntryKind.PROPOSAL:
         missing = {"proposition", "evidence"} - payload.keys()
         if missing:

@@ -381,6 +381,12 @@ class Runtime:
 
     def execute(self, call: ToolCall, cycle: int = 0) -> tuple[ToolResult, list[StagedWrite]]:
         """Validate, invoke, normalize, and describe the memory writes to stage."""
+        try:  # a call id enters the cache only once its call has passed the checks below
+            cached = self._cache.get(call.call_id())
+        except TypeError:  # an argument JSON cannot hold, which those checks reject
+            cached = None
+        if cached is not None:
+            return self._finish(cycle, call, dict(cached), hit=True)
         spec = self.registry.get(call.name)
         args = call.canonical_args
         if spec is None:
@@ -389,10 +395,6 @@ class Runtime:
         problems = argument_problems(spec, args)
         if problems:
             return self._finish(cycle, call, error=(ErrorCode.SCHEMA_VIOLATION, "; ".join(problems)))
-
-        call_id = call.call_id()
-        if call_id in self._cache:
-            return self._finish(cycle, call, dict(self._cache[call_id]), hit=True)
 
         ordinal = self.world.next_ordinal(call.name)
         scheduled = self.world.fault_schedule.get((call.name, ordinal))
@@ -410,7 +412,7 @@ class Runtime:
         if normalized is None:
             error = (ErrorCode.SCHEMA_VIOLATION, f"tool output does not match schema: {payload!r}")
             return self._finish(cycle, call, error=error)
-        self._cache[call_id] = dict(normalized)
+        self._cache[call.call_id()] = dict(normalized)
         return self._finish(cycle, call, normalized, staged=staged_writes(spec, args, normalized))
 
     @staticmethod

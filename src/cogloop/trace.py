@@ -38,7 +38,7 @@ from typing import Any, Iterator
 
 from . import evidence
 from .evidence import Comparison
-from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, SchemaMismatch, decode_value
+from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, StoreError, decode_value
 from .runtime import same_args
 from .util import canonical_json, is_int
 
@@ -193,6 +193,8 @@ class CycleRecord:
         for name in ("outcome", "args"):
             if type(invocation.get(name, {})) is not dict:
                 raise _bad(cycle, f"invocation.{name} must be an object")
+        if type(invocation.get("outcome", {}).get("ok", False)) is not bool:
+            raise _bad(cycle, "invocation.outcome.ok must be a boolean")
         fault_label = get("fault_label")
         if fault_label is not None and type(fault_label) is not str:
             raise _bad(cycle, "fault_label must be a string or null")
@@ -213,7 +215,7 @@ class CycleRecord:
         for index, entry in enumerate(entries):
             try:
                 delta.append(MemoryEntry.from_dict(entry))
-            except SchemaMismatch as exc:
+            except StoreError as exc:
                 raise _bad(cycle, f"memory_delta[{index}] {exc}") from None
         return cls(cycle, input_digest, *parts, tuple(delta), consumptions, fault_label, log_lines)
 

@@ -1,12 +1,16 @@
 """Bounded-context baseline: recall model and unvalidated episode behavior."""
 from __future__ import annotations
 
-import pytest
+import random
 
-from cogloop.baseline import ContextModel, run_baseline_episode
-from cogloop.cognition import FACT_PREFIX, FaultConfig, format_memory_fact
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cogloop.baseline import ContextModel, leaf_records, run_baseline_episode
+from cogloop.cognition import FACT_PREFIX, FaultConfig, format_memory_fact, shown_fields
 from cogloop.loop import ConfigError, EpisodeStatus, run_episode
-from cogloop.memory import EntryKind
+from cogloop.memory import EntryKind, MemoryEntry
+from cogloop.runtime import StagedWrite
 from cogloop.trace import aggregate_metrics, compute_elp, compute_metrics
 
 STATIC = {"goal.choose_colder": {"rule": "Book the colder destination."}}
@@ -20,8 +24,18 @@ def weather(entity: str, temp: float, rain: bool = False) -> dict:
     return {"location": entity, "temp_f": temp, "precipitation": rain}
 
 
+def insert(ctx: ContextModel, key: str, kind: EntryKind, payload: dict, cycle: int) -> None:
+    """Insert an entry's leaves, made afresh, as a new call's result would."""
+    ctx.insert(leaf_records([StagedWrite(key, kind, payload)]), cycle)
+
+
+def visible(ctx: ContextModel, cycle: int) -> dict:
+    """Key -> payload of each visible entry."""
+    return {entry.key: entry.payload for entry, _ in ctx.visible_entries(cycle)}
+
+
 def visible_keys(ctx: ContextModel, cycle: int) -> list[str]:
-    return [e.key for e in ctx.visible_entries(cycle)]
+    return [entry.key for entry, _ in ctx.visible_entries(cycle)]
 
 
 # ------------------------------------------------------------- context model
@@ -34,38 +48,38 @@ def test_context_model_rejects_bad_parameters():
 
 def test_insert_splits_entries_into_leaf_facts():
     ctx = model()
-    ctx.insert("obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), cycle=1)
+    insert(ctx, "obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), 1)
     assert ctx.retained() == 2  # location echo dropped, temp_f + precipitation kept
-    ctx.insert(
-        "act.book_flight", EntryKind.ACTION,
+    insert(
+        ctx, "act.book_flight", EntryKind.ACTION,
         {"name": "book_flight", "args": {"location": "Seoul"},
          "status": "executed", "confirmation": "ABC123"},
-        cycle=2,
+        2,
     )
     assert ctx.retained() == 4  # name/args dropped, status + confirmation kept
 
 
 def test_window_evicts_oldest_inserted_fact():
     ctx = model(budget=3)
-    ctx.insert("obs.A", EntryKind.OBSERVATION, {"temp_f": 1.0, "precipitation": False}, 1)
-    ctx.insert("obs.B", EntryKind.OBSERVATION, {"temp_f": 2.0}, 2)
+    insert(ctx, "obs.A", EntryKind.OBSERVATION, {"temp_f": 1.0, "precipitation": False}, 1)
+    insert(ctx, "obs.B", EntryKind.OBSERVATION, {"temp_f": 2.0}, 2)
     assert ctx.retained() == 3
-    ctx.insert("obs.C", EntryKind.OBSERVATION, {"temp_f": 3.0}, 3)
+    insert(ctx, "obs.C", EntryKind.OBSERVATION, {"temp_f": 3.0}, 3)
     assert ctx.retained() == 3
     keys = visible_keys(ctx, 3)
     assert keys == ["goal.choose_colder", "obs.A", "obs.B", "obs.C"]
-    entries = {e.key: e.payload for e in ctx.visible_entries(3)}
+    entries = visible(ctx, 3)
     # Fields enter sorted, so obs.A.precipitation was the oldest slot.
     assert entries["obs.A"] == {"temp_f": 1.0}
 
 
 def test_reinsert_refreshes_slot_position():
     ctx = model(budget=2)
-    ctx.insert("obs.A", EntryKind.OBSERVATION, {"temp_f": 1.0}, 1)
-    ctx.insert("obs.B", EntryKind.OBSERVATION, {"temp_f": 2.0}, 2)
-    ctx.insert("obs.A", EntryKind.OBSERVATION, {"temp_f": 9.0}, 3)  # refresh A
-    ctx.insert("obs.C", EntryKind.OBSERVATION, {"temp_f": 3.0}, 4)  # evicts B, not A
-    entries = {e.key: e.payload for e in ctx.visible_entries(4)}
+    insert(ctx, "obs.A", EntryKind.OBSERVATION, {"temp_f": 1.0}, 1)
+    insert(ctx, "obs.B", EntryKind.OBSERVATION, {"temp_f": 2.0}, 2)
+    insert(ctx, "obs.A", EntryKind.OBSERVATION, {"temp_f": 9.0}, 3)  # refresh A
+    insert(ctx, "obs.C", EntryKind.OBSERVATION, {"temp_f": 3.0}, 4)  # evicts B, not A
+    entries = visible(ctx, 4)
     assert entries["obs.A"] == {"temp_f": 9.0}
     assert "obs.B" not in entries and entries["obs.C"] == {"temp_f": 3.0}
 
@@ -75,31 +89,137 @@ def test_window_entries_follow_inserts_not_equal_values():
     ctx = model()
     lines = []
     for cycle, value in enumerate([1, True, 1.0, 1], start=1):
-        ctx.insert("obs.A", EntryKind.OBSERVATION, {"flag": value}, cycle)
+        insert(ctx, "obs.A", EntryKind.OBSERVATION, {"flag": value}, cycle)
         first = ctx.visible_entries(cycle)[1]
-        assert ctx.visible_entries(cycle)[1] is first  # same inserts, same entry
-        lines.append(format_memory_fact(first))
+        assert ctx.visible_entries(cycle)[1] is first  # same leaves, same entry and line
+        assert first[1] == format_memory_fact(first[0])
+        lines.append(first[1])
     assert lines == [f"{FACT_PREFIX}A: flag={text}" for text in ("1", "true", "1.0", "1")]
+
+
+def test_refreshed_unchanged_fact_reuses_its_entry_and_line():
+    """A re-run call refreshes the window with its own leaves, which show the entry and line
+    made before; equal values from another result's leaves make a new entry."""
+    ctx = model()
+    seoul = leaf_records([StagedWrite("obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 0.5))])
+    ctx.insert(seoul, 1)
+    entry, line = ctx.visible_entries(1)[1]
+    insert(ctx, "obs.Jeju", EntryKind.OBSERVATION, weather("Jeju", 60.8), 2)
+    ctx.insert(seoul, 3)
+    again = ctx.visible_entries(3)[2]
+    assert again[0] is entry and again[1] is line
+    insert(ctx, "obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 0.5), 4)
+    fresh = ctx.visible_entries(4)[2]
+    assert fresh[0] is not entry and fresh[1] == line
+
+
+class SerialWindow:
+    """The window as it was before leaf records, kept as the reference: every insert numbers
+    its leaves with serials, and the recalled serials of one entry key its entry."""
+
+    def __init__(self, budget: int, decay: float, seed: int, static: dict):
+        self.budget, self.decay = budget, float(decay)
+        self._rng = random.Random(f"context:{seed}")
+        self._static = {k: MemoryEntry(k, EntryKind.OBSERVATION, dict(p), "context", "", 0)
+                        for k, p in static.items()}
+        self._facts: dict = {}  # leaf -> (value, inserted cycle, kind, insert serial)
+        self._inserts = 0
+        self._entries: dict = {}
+
+    def insert(self, entry_key: str, kind: EntryKind, payload: dict, cycle: int) -> None:
+        shown = shown_fields(entry_key, kind, payload)
+        for field_name in sorted(shown):
+            leaf = f"{entry_key}.{field_name}"
+            if leaf in self._facts:
+                del self._facts[leaf]
+            self._inserts += 1
+            self._facts[leaf] = (shown[field_name], cycle, kind, self._inserts)
+            while len(self._facts) > self.budget:
+                del self._facts[next(iter(self._facts))]
+
+    def visible_entries(self, cycle: int) -> list[MemoryEntry]:
+        grouped: dict = {}
+        for leaf, fact in self._facts.items():
+            recall = max(0.0, 1.0 - self.decay * (cycle - fact[1]))
+            if self._rng.random() < recall:
+                grouped.setdefault(leaf.rpartition(".")[0], []).append((leaf, fact))
+        entries = dict(self._static)
+        for key, recalled in grouped.items():
+            serials = tuple(fact[3] for _, fact in recalled)
+            entry = self._entries.get(serials)
+            if entry is None:
+                fields = {leaf.rpartition(".")[2]: fact[0] for leaf, fact in recalled}
+                entry = MemoryEntry(key, recalled[0][1][2], fields, "context", "", 0)
+                self._entries[serials] = entry
+            entries[key] = entry
+        return [entries[key] for key in sorted(entries)]
+
+
+def shown_as(entries: list[MemoryEntry]) -> list[tuple]:
+    """Each entry's key, kind and fields in order, with each value's type: ``1``, ``1.0`` and
+    ``True`` compare equal."""
+    return [(e.key, e.kind, [(k, type(v), v) for k, v in e.payload.items()]) for e in entries]
+
+
+def kind_of(key: str) -> EntryKind:
+    return EntryKind.ACTION if key.startswith("act.") else EntryKind.OBSERVATION
+
+
+CALL_RESULTS = st.tuples(
+    st.sampled_from(["obs.A", "obs.B", "act.book_flight"]),
+    st.dictionaries(st.sampled_from(["flag", "temp_f", "location", "status", "confirmation"]),
+                    st.sampled_from([1, 1.0, True, "A", "executed"]), min_size=1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    results=st.lists(CALL_RESULTS, min_size=1, max_size=4),
+    schedule=st.lists(st.none() | st.integers(0, 3), max_size=25),
+    budget=st.integers(1, 6),
+    decay=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+    seed=st.integers(0, 50),
+)
+def test_window_shows_what_the_serial_window_shows(results, schedule, budget, decay, seed):
+    """Inserts, re-runs (refreshes), evictions and decay: the window fed each call's leaves
+    made once, as the baseline feeds it, or fed leaves made afresh by every insert, shows
+    the entries and lines the serial-keyed reference shows."""
+    reference = SerialWindow(budget, decay, seed, STATIC)
+    per_call, fresh = model(budget, decay, seed), model(budget, decay, seed)
+    leaves = [leaf_records([StagedWrite(k, kind_of(k), payload)]) for k, payload in results]
+    for cycle, step in enumerate(schedule, start=1):
+        if step is not None and step < len(results):
+            key, payload = results[step]
+            reference.insert(key, kind_of(key), payload, cycle)
+            per_call.insert(leaves[step], cycle)
+            insert(fresh, key, kind_of(key), payload, cycle)
+        expected = reference.visible_entries(cycle)
+        lines = [format_memory_fact(entry) for entry in expected]
+        for window in (per_call, fresh):
+            entries, shown = zip(*window.visible_entries(cycle))
+            assert shown_as(list(entries)) == shown_as(expected)
+            assert list(shown) == lines
+
 
 
 def test_zero_decay_recalls_everything_forever():
     ctx = model(budget=5, decay=0.0)
-    ctx.insert("obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), 1)
+    insert(ctx, "obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), 1)
     for cycle in range(2, 30):
         assert visible_keys(ctx, cycle) == ["goal.choose_colder", "obs.Seoul"]
 
 
 def test_full_decay_forgets_facts_after_one_cycle():
     ctx = model(budget=5, decay=1.0)
-    ctx.insert("obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), 1)
+    insert(ctx, "obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), 1)
     assert visible_keys(ctx, 1) == ["goal.choose_colder", "obs.Seoul"]  # age 0
     assert visible_keys(ctx, 2) == ["goal.choose_colder"]  # age 1: recall 0
 
 
 def test_static_context_exempt_from_budget_and_decay():
     ctx = ContextModel(budget=1, decay=1.0, seed=1, static=STATIC)
-    ctx.insert("obs.Seoul", EntryKind.OBSERVATION, {"temp_f": 51.8}, 1)
-    ctx.insert("obs.Jeju", EntryKind.OBSERVATION, {"temp_f": 60.8}, 1)
+    insert(ctx, "obs.Seoul", EntryKind.OBSERVATION, {"temp_f": 51.8}, 1)
+    insert(ctx, "obs.Jeju", EntryKind.OBSERVATION, {"temp_f": 60.8}, 1)
     assert ctx.retained() == 1
     assert "goal.choose_colder" in visible_keys(ctx, 40)
 
@@ -107,8 +227,8 @@ def test_static_context_exempt_from_budget_and_decay():
 def test_recall_draws_are_deterministic_per_seed():
     def draws(seed: int) -> list[list[str]]:
         ctx = model(budget=6, decay=0.25, seed=seed)
-        ctx.insert("obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), 1)
-        ctx.insert("obs.Jeju", EntryKind.OBSERVATION, weather("Jeju", 60.8), 2)
+        insert(ctx, "obs.Seoul", EntryKind.OBSERVATION, weather("Seoul", 51.8), 1)
+        insert(ctx, "obs.Jeju", EntryKind.OBSERVATION, weather("Jeju", 60.8), 2)
         return [visible_keys(ctx, cycle) for cycle in range(2, 10)]
 
     assert draws(7) == draws(7)

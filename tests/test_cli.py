@@ -40,11 +40,20 @@ def test_parse_faults_all_expands_every_type():
 
 
 @pytest.mark.parametrize(
-    "spec", ["gremlins=0.1", "duplicate", "duplicate=high", "duplicate=1.5"]
+    "spec",
+    [
+        "gremlins=0.1", "duplicate", "duplicate=high", "duplicate=1.5",
+        # Each type is set at most once, whatever name sets it; all= sets every type.
+        "duplicate=0.5,duplicate=0.2", "duplicate=0.5,duplicates=0.2",
+        "p_duplicate=0.5,duplicate=0.2", "all=0.1,duplicate=0.2", "duplicate=0.2,all=0.1",
+        "all=0.1,all=0.1",
+    ],
 )
 def test_parse_faults_rejects_bad_specs(spec):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as caught:
         parse_faults(spec)
+    if "," in spec:  # a repeat names the type set twice
+        assert "fault type 'duplicate' is set twice" in str(caught.value)
 
 
 def test_parse_seeds():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cogloop import runtime as runtime_module
 from cogloop.memory import EntryKind
 from cogloop.runtime import (
     EXTRA_SPECS,
@@ -223,6 +224,52 @@ def test_repeat_call_served_from_cache():
     assert [r["idempotency_hit"] for r in runtime.invocation_log] == [
         False, True, True, True, True
     ]
+
+
+def test_cached_call_is_answered_before_its_checks(monkeypatch):
+    """A cached call id returns the cached payload as a hit, logged with the same record
+    fields as the first run, and its arguments are not checked again."""
+    runtime = make_runtime()
+    call = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
+    first, _ = runtime.execute(call, cycle=1)
+
+    def checked_again(spec, arguments):
+        raise AssertionError("a cached call id was checked again")
+
+    monkeypatch.setattr(runtime_module, "argument_problems", checked_again)
+    again, staged = runtime.execute(call, cycle=2)
+    assert again.ok and again.idempotency_hit and staged == []
+    assert again.payload == first.payload and again.payload is not first.payload
+    logged_first, logged_again = runtime.invocation_log
+    assert logged_again == {**logged_first, "cycle": 2, "latency_ms": again.latency_ms,
+                            "idempotency_hit": True}
+
+
+# A set is no JSON value: such a call has no call id, and fails its checks.
+ARGUMENT_VALUES = st.sampled_from(
+    ["Seoul", " Seoul ", "2025-06-14", "", "TBD", None, 3, True, {"Seoul"}]
+)
+
+
+@given(
+    tool=st.sampled_from(["get_weather", "book_flight", "teleport"]),
+    arguments=st.dictionaries(st.sampled_from(["location", "date", "extra"]), ARGUMENT_VALUES),
+)
+def test_a_call_that_fails_its_checks_is_never_cached(tool, arguments):
+    """Only a call id that passed `argument_problems` against the registry enters the cache,
+    so answering from the cache first skips no failing check."""
+    runtime = make_runtime()
+    call = ToolCall(tool, arguments)
+    spec = runtime.registry.get(tool)
+    failing = spec is None or bool(argument_problems(spec, call.canonical_args))
+    results = [runtime.execute(call, cycle)[0] for cycle in (1, 2)]
+    if failing:
+        assert [r.error_code for r in results] == [
+            ErrorCode.SCHEMA_VIOLATION if spec else ErrorCode.TOOL_UNAVAILABLE
+        ] * 2
+        assert not any(r.idempotency_hit for r in results)  # a cached id would hit
+    else:
+        assert results[1].idempotency_hit == results[0].ok
 
 
 def test_cache_keyed_by_canonical_arguments():

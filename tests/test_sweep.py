@@ -440,8 +440,8 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
 
     def forgetful_init(self, *args):
         baseline_init(self, *args)
-        self.fact_lines = NeverStores()
-        self.context._entries = NeverStores()
+        self.leaves = NeverStores()
+        self.context._shown = NeverStores()
 
     for scenario in [*generate_suite(count, suite_seed), worked]:
         config = scenario.episode_config(episode_seed, faults=faults)

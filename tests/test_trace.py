@@ -15,7 +15,10 @@ from cogloop.baseline import run_baseline_episode
 from cogloop.cli import main
 from cogloop.cognition import FaultConfig
 from cogloop.loop import run_episode
-from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryQuery, MemorySnapshot
+from cogloop.memory import (
+    ALLOWED_KINDS, NOT_FOUND, EntryKind, MalformedKey, MemoryEntry, MemoryQuery, MemorySnapshot,
+    key_segments,
+)
 from cogloop.scenario import load_scenario
 from cogloop.trace import (
     CycleRecord,
@@ -308,6 +311,8 @@ def record_problem(data: dict) -> str | None:
     for name in ("outcome", "args"):
         if not isinstance(invocation.get(name, {}), dict):
             return f"invocation.{name} must be an object"
+    if not isinstance(invocation.get("outcome", {}).get("ok", False), bool):
+        return "invocation.outcome.ok must be a boolean"
     if not isinstance(data.get("fault_label"), (str, type(None))):
         return "fault_label must be a string or null"
     if type(data.get("input_digest", "")) is not str:
@@ -339,6 +344,17 @@ def entry_problem(entry) -> str | None:
             return f"field {name!r} must be {kind.__name__}, got {entry[name]!r}"
     if entry["kind"] not in {kind.value for kind in EntryKind}:
         return f"has unknown kind {entry['kind']!r}"
+    key = entry["key"]
+    try:
+        namespace = key_segments(key)[0]
+    except MalformedKey as exc:
+        return str(exc)
+    if EntryKind(entry["kind"]) not in ALLOWED_KINDS[namespace]:
+        return f"kind {entry['kind']!r} not allowed under namespace {namespace!r} (key {key})"
+    if not entry["payload"]:
+        return f"payload for {key} must be a non-empty mapping"
+    if entry["version"] < 1:
+        return f"has version {entry['version']}; versions start at 1"
     return None
 
 
@@ -369,6 +385,7 @@ BREAKS = [
     (("decision", "rule_ids"), ["R-ARGS", 3]),
     (("invocation", "outcome"), True),
     (("invocation", "args"), ["Seoul"]),
+    (("invocation", "outcome", "ok"), "yes"),
     (("fault_label",), ["duplicate"]),
     (("input_digest",), 5),
     (("log_lines",), ["ok", None]),
@@ -377,6 +394,9 @@ BREAKS = [
     (("consumptions",), [["obs.Seoul.temp_f", 51.8], ["obs.Seoul.temp_f"]]),
     (("memory_delta",), [DELTA_ENTRY, {**DELTA_ENTRY, "version": "1"}]),
     (("memory_delta",), [{**DELTA_ENTRY, "kind": "gossip", "source": None}]),
+    (("memory_delta",), [{**DELTA_ENTRY, "key": "obs. Seoul", "payload": {}}]),
+    (("memory_delta",), [{**DELTA_ENTRY, "kind": "action", "version": 0}]),
+    (("memory_delta",), [DELTA_ENTRY, {**DELTA_ENTRY, "payload": {}, "version": -5}]),
     (("cycle",), "1"),
 ]
 
@@ -423,6 +443,46 @@ def test_record_decoder_agrees_with_the_two_walk_oracle(data):
         assert expected is None
         written = {**CycleRecord(0).to_dict(), **record, "type": "cycle"}
         assert canonical_json(decoded.to_dict()) == canonical_json(written)
+
+
+@pytest.mark.parametrize(
+    "path, value, fragment",
+    [
+        pytest.param(("memory_delta", 1, "key"), "bogus",
+                     r"memory_delta\[1\] unknown namespace 'bogus' in key 'bogus'",
+                     id="key-bogus"),
+        pytest.param(("memory_delta", 1, "key"), "obs. Seoul",
+                     r"memory_delta\[1\] empty or whitespace segment in key 'obs. Seoul'",
+                     id="key-space"),
+        pytest.param(("memory_delta", 1, "payload"), {},
+                     r"memory_delta\[1\] payload for obs.Seoul must be a non-empty mapping",
+                     id="payload-empty"),
+        pytest.param(("memory_delta", 1, "version"), -5,
+                     r"memory_delta\[1\] has version -5; versions start at 1",
+                     id="version-negative"),
+        pytest.param(("invocation", "outcome", "ok"), "yes",
+                     "invocation.outcome.ok must be a boolean", id="ok-string"),
+    ],
+)
+def test_entries_the_store_never_writes_are_rejected(
+    clean_trace, tmp_path, capsys, path, value, fragment
+):
+    """A loaded delta entry meets the store's own entry rules, and an outcome's ``ok`` is a
+    boolean; chains and metrics would otherwise score what no episode can write."""
+    lines = clean_trace.dumps().splitlines()
+    record = json.loads(lines[2])  # cycle 1: an approved get_weather and its observation
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    lines[2] = json.dumps(record)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match=f"^line 3: cycle 1: {fragment}"):
+        EpisodeTrace.loads(text)
+    trace_path = tmp_path / "mutated.jsonl"
+    trace_path.write_text(text, encoding="utf-8")
+    assert main(["trace", str(trace_path)]) == 1
+    assert capsys.readouterr().err.startswith("trace error: line 3: cycle 1: ")
 
 
 def test_well_formed_delta_loads():
