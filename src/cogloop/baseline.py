@@ -17,12 +17,13 @@ anything and the run matches the governed system's outcomes exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
 from .cognition import (
-    DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact, parse_entities, shown_fields
+    DEFAULT_SYSTEM, CognitionInput, Proposal, format_memory_fact, parse_entities, request_text,
+    shown_fields,
 )
 from .control import ControlDecision, Verdict, check_termination
 from .loop import (
@@ -31,7 +32,7 @@ from .loop import (
 from .memory import EntryKind, MemoryEntry, MemorySnapshot
 from .regulation import DEFAULT_RULESET
 from .runtime import StagedWrite, ToolResult, staged_writes
-from .util import is_int, is_number
+from .util import canonical_json, is_int, is_number, text_digest
 
 INPUT_MEMO = 128  # bound of the process-wide memo of baseline inputs
 
@@ -41,8 +42,9 @@ def _derived(task: str, facts: tuple[str, ...]) -> CognitionInput:
     """The baseline input of ``task`` and ``facts``, with its digest and entity map, shared
     by every cycle that shows them and never mutated; every other part of a baseline input
     is fixed: the default system text and rules, no constraints."""
-    bare = CognitionInput(DEFAULT_SYSTEM, task, DEFAULT_RULESET.render_for_cognition(), facts, ())
-    return replace(bare, entities=parse_entities(facts), input_digest=bare.digest())
+    rules = DEFAULT_RULESET.render_for_cognition()
+    digest = text_digest(request_text(DEFAULT_SYSTEM, task, rules, map(canonical_json, facts), ()))
+    return CognitionInput(DEFAULT_SYSTEM, task, rules, facts, (), parse_entities(facts), digest)
 
 
 def check_context(budget: Any, decay: Any) -> None:

@@ -24,7 +24,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterable
 
 from . import evidence
 from .evidence import EvidenceExpr, MemoryRef
@@ -74,10 +74,10 @@ class PolicyGap(ProposerFailure):
 class CognitionInput:
     """Everything the proposer is allowed to see for one cycle.
 
-    ``entities`` and ``input_digest`` are values derived from the input that
-    an incremental builder (``FactIndex``) may supply: `parse_entities` of the
-    facts, and ``digest()``. Neither is part of the input's identity; when
-    absent, each is computed from the input.
+    ``entities`` and ``input_digest`` are values derived from the input by the
+    system's one builder (`assemble_input`, or the baseline's): `parse_entities`
+    of the facts, and the ``text_digest`` of `request_text`, which equals
+    ``content_digest(to_request())``. Neither is part of the input's identity.
     """
 
     system: str
@@ -85,8 +85,8 @@ class CognitionInput:
     rules: str
     facts: tuple[str, ...]
     constraints: tuple[str, ...]
-    entities: dict[str, dict[str, Any]] | None = field(default=None, compare=False, repr=False)
-    input_digest: str | None = field(default=None, compare=False, repr=False)
+    entities: dict[str, dict[str, Any]] = field(compare=False, repr=False)
+    input_digest: str = field(compare=False, repr=False)
 
     def to_request(self) -> dict[str, Any]:
         return {
@@ -97,20 +97,12 @@ class CognitionInput:
             "constraints": list(self.constraints),
         }
 
-    def digest(self) -> str:
-        """``content_digest(self.to_request())``, from cached encodings of the parts.
 
-        Facts, rules, system text and task repeat from cycle to cycle, so each
-        is JSON-encoded once per process (bounded caches); the keys are laid
-        out in the sorted order ``canonical_json`` gives them.
-        """
-        if self.input_digest is not None:
-            return self.input_digest
-        return text_digest(
-            _json_head(self.constraints)
-            + ",".join(map(_json_string, self.facts))
-            + _json_tail(self.rules, self.system, self.task)
-        )
+def request_text(system: str, task: str, rules: str, fact_json: Iterable[str],
+                 constraints: tuple[str, ...]) -> str:
+    """``canonical_json`` of an input's request, given each fact line's ``canonical_json``;
+    the other parts repeat from cycle to cycle, so each is encoded once per process."""
+    return _json_head(constraints) + ",".join(fact_json) + _json_tail(rules, system, task)
 
 
 @lru_cache(maxsize=4096)
@@ -284,13 +276,13 @@ class FactIndex:
         self._last = snapshot
         return tuple(lines), dict(self._entities)
 
-    def digest(self, constraints: tuple[str, ...], tail: str) -> str:
-        """``CognitionInput.digest`` of an input of the current lines, ``constraints`` and
-        the request's ``tail`` (`_json_tail`); an input of one block or less is hashed whole."""
-        head, encoded = _json_head(constraints), self._json
+    def digest(self, system: str, task: str, rules: str, constraints: tuple[str, ...]) -> str:
+        """``text_digest`` of the `request_text` of an input of these parts and the current
+        lines; an input of one block or less is hashed whole."""
+        encoded = self._json
         if len(encoded) <= DIGEST_BLOCK:
-            return text_digest(head + ",".join(encoded) + tail)
-        states = self._states
+            return text_digest(request_text(system, task, rules, encoded, constraints))
+        head, states = _json_head(constraints), self._states
         if head != self._head:
             self._head = head
             states.clear()
@@ -302,7 +294,7 @@ class FactIndex:
             state.update(("," + block if at else block).encode())
             if at + DIGEST_BLOCK <= len(encoded):
                 states.append(state.copy())
-        state.update(tail.encode())
+        state.update(_json_tail(rules, system, task).encode())
         return state.hexdigest()[:16]
 
 
@@ -311,16 +303,15 @@ def assemble_input(
     snapshot: MemorySnapshot,
     constraints: list[str],
     ruleset: RuleSet,
-    facts: FactIndex | None = None,
+    facts: FactIndex,
 ) -> CognitionInput:
     """Serialize the snapshot and constraints into the proposer's input.
 
     Facts come only from the given snapshot (latest version per key, ordered
-    by key), through ``facts``, the episode's index, or a fresh one;
-    constraints are copied verbatim from the previous decision.
+    by key), through ``facts``, the episode's index; constraints are copied
+    verbatim from the previous decision.
     """
-    index = FactIndex() if facts is None else facts
-    lines, entities = index.current(snapshot)
+    lines, entities = facts.current(snapshot)
     rules, constraints = ruleset.render_for_cognition(), tuple(constraints)
     return CognitionInput(
         system=DEFAULT_SYSTEM,
@@ -329,7 +320,7 @@ def assemble_input(
         facts=lines,
         constraints=constraints,
         entities=entities,
-        input_digest=index.digest(constraints, _json_tail(rules, DEFAULT_SYSTEM, task)),
+        input_digest=facts.digest(DEFAULT_SYSTEM, task, rules, constraints),
     )
 
 
@@ -486,12 +477,6 @@ class ScriptedProposer:
         rationale = "cancellation handled" if kind == "cancellation" else "all goal work complete"
         return Proposal(call=None, rationale=rationale), "complete"
 
-    def _entities(self, cog_input: CognitionInput) -> dict[str, dict[str, Any]]:
-        entities = cog_input.entities
-        if entities is None:
-            entities = parse_entities(cog_input.facts)
-        return entities
-
     def _planned(self, entities: dict[str, dict[str, Any]]) -> Plan:
         """The plan for ``entities``, made over only the fields it can read."""
         # Built from a list, the key tuple has its size from the start; from an iterator
@@ -509,7 +494,7 @@ class ScriptedProposer:
         return plan
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        proposal, _, reads, _, _ = self._planned(self._entities(cog_input))
+        proposal, _, reads, _, _ = self._planned(cog_input.entities)
         self.last_meta = ProposeMeta(fact_reads=list(reads))
         return proposal
 
@@ -563,7 +548,7 @@ class FaultyProposer(ScriptedProposer):
         self._probabilities = tuple(faults.probability(t) for t in FAULT_TYPES)
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
-        entities = self._entities(cog_input)
+        entities = cog_input.entities
         base, phase, reads, _, _ = self._planned(entities)
         meta = ProposeMeta(fact_reads=list(reads))
         draws = [self._rng.random() for _ in FAULT_TYPES]

@@ -359,7 +359,7 @@ def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
         state = CycleState(cycle, store)
         constraints = state.constraints
         log_lines = state.log_lines
-        record = CycleRecord(cycle=cycle, input_digest=cog_input.digest(), log_lines=log_lines)
+        record = CycleRecord(cycle=cycle, input_digest=cog_input.input_digest, log_lines=log_lines)
         records.append(record)
 
         try:

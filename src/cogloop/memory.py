@@ -16,7 +16,6 @@ of the latest ``obs.Seoul`` observation.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -34,7 +33,7 @@ class MalformedKey(StoreError):
 
 
 class SchemaMismatch(StoreError):
-    """An entry does not fit its schema: see `_validate_payload` and `MemoryEntry.from_dict`."""
+    """An entry does not fit its schema: see `_check_entry` and `MemoryEntry.from_dict`."""
 
 
 class EntryKind(str, Enum):
@@ -248,7 +247,8 @@ def _json_copy(value: Any) -> Any:
 
 
 def _check_entry(key: str, kind: EntryKind, payload: Any) -> None:
-    """Every entry's rules, written or loaded: a valid key, its kind, a non-empty payload."""
+    """Every entry's rules, written or loaded: a valid key, its kind, and a non-empty
+    payload holding the fields its kind requires."""
     prefix = key_segments(key)[0]
     if kind not in ALLOWED_KINDS[prefix]:
         raise SchemaMismatch(
@@ -256,10 +256,6 @@ def _check_entry(key: str, kind: EntryKind, payload: Any) -> None:
         )
     if not isinstance(payload, dict) or not payload:
         raise SchemaMismatch(f"payload for {key} must be a non-empty mapping")
-
-
-def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
-    _check_entry(key, kind, payload)
     if kind is EntryKind.PROPOSAL:
         missing = {"proposition", "evidence"} - payload.keys()
         if missing:
@@ -284,21 +280,20 @@ def _validate_payload(key: str, kind: EntryKind, payload: Any) -> None:
 class MemorySnapshot:
     """Immutable view of all entries committed up to one cycle boundary: the first
     ``len(snapshot)`` entries of an append-only log shared by every snapshot of one
-    store or replay, which also keeps each key's versions with their log positions.
+    store or replay, which also keeps each key's versions in commit order.
 
-    ``extend`` derives the next snapshot from this one. Extending the newest view
-    appends to the log in place, so its work is proportional to the new entries;
-    extending an older view copies its entries into a new log. A lookup takes the
-    newest version below the view's length. Versions of a key keep commit order,
-    which is version order for everything a store commits.
+    ``extend`` derives the next snapshot from this one by appending to the log in
+    place, so its work is proportional to the new entries. Once the log holds
+    entries past a view, the view reads and extends through a private copy of its
+    own entries, made on its first use. Versions of a key keep commit order, which
+    is version order for everything a store commits.
     """
 
-    __slots__ = ("_log", "_by_key", "_positions", "_n", "_newest")
+    __slots__ = ("_log", "_by_key", "_n", "_newest")
 
     def __init__(self, entries: Iterable[MemoryEntry]):
         self._log: list[MemoryEntry] = []
         self._by_key: dict[str, list[MemoryEntry]] = {}
-        self._positions: dict[str, list[int]] = {}  # parallel to _by_key
         self._append(tuple(entries))
 
     def extend(self, entries: Iterable[MemoryEntry]) -> "MemorySnapshot":
@@ -306,26 +301,30 @@ class MemorySnapshot:
         added = tuple(entries)
         if not added:
             return self
-        if not self._newest:  # the log's later entries are not this view's own
-            return MemorySnapshot((*self.since(0), *added))
         snapshot = MemorySnapshot.__new__(MemorySnapshot)
-        snapshot._log, snapshot._by_key = self._log, self._by_key
-        snapshot._positions = self._positions
+        snapshot._by_key = self._index()  # first: a superseded view takes its own log
+        snapshot._log = self._log
         snapshot._append(added)
         self._newest = False  # the log now holds entries past this view
         return snapshot
 
     def _append(self, added: tuple[MemoryEntry, ...]) -> None:
         # Only for a snapshot under construction, which becomes the log's newest view.
-        log, by_key, positions = self._log, self._by_key, self._positions
-        for at, entry in enumerate(added, len(log)):
+        log, by_key = self._log, self._by_key
+        for entry in added:
             if entry.key in by_key:
                 by_key[entry.key].append(entry)
-                positions[entry.key].append(at)
             else:
-                by_key[entry.key], positions[entry.key] = [entry], [at]
+                by_key[entry.key] = [entry]
         log.extend(added)
         self._n, self._newest = len(log), True
+
+    def _index(self) -> dict[str, list[MemoryEntry]]:
+        """Key -> this view's versions of it, oldest first; shared, never to be mutated."""
+        if not self._newest:  # the log's later entries are not this view's own
+            own = MemorySnapshot(self._log[: self._n])
+            self._log, self._by_key, self._newest = own._log, own._by_key, True
+        return self._by_key
 
     def __len__(self) -> int:
         return self._n
@@ -345,27 +344,21 @@ class MemorySnapshot:
         """The whole log of this snapshot, built on each call."""
         return tuple(self._log[: self._n])
 
-    def _versions(self, key: str) -> list[MemoryEntry] | None:
-        """``key``'s versions in this snapshot, oldest first; shared, never to be mutated."""
-        versions = self._by_key.get(key)
-        if versions and not self._newest:
-            versions = versions[: bisect_left(self._positions[key], self._n)]
-        return versions
-
     def latest(self, key: str) -> MemoryEntry | None:
-        versions = self._versions(key)
+        versions = self._index().get(key)
         return versions[-1] if versions else None
 
     def latest_version(self, key: str) -> int:
-        versions = self._versions(key)
+        versions = self._index().get(key)
         return versions[-1].version if versions else 0
 
     def history(self, key: str) -> list[MemoryEntry]:
-        return list(self._versions(key) or ())
+        return list(self._index().get(key, ()))
 
     def read(self, query: MemoryQuery = MemoryQuery()) -> list[MemoryEntry]:
         """Entries matching the query, ordered by (key, version)."""
-        keys = sorted(key for key, at in self._positions.items() if at[0] < self._n)
+        by_key = self._index()
+        keys = sorted(by_key)
         prefix = query.prefix
         if prefix is not None:
             below = prefix + "."
@@ -373,7 +366,7 @@ class MemorySnapshot:
         kinds = query.kinds
         selected: list[MemoryEntry] = []
         for key in keys:
-            versions = self._versions(key)
+            versions = by_key[key]
             if query.latest_only:
                 for entry in reversed(versions):
                     if kinds is None or entry.kind in kinds:
@@ -400,9 +393,9 @@ class MemorySnapshot:
             return NOT_FOUND
         # The longest committed key that prefixes the path wins; the rest of
         # the path descends into its payload.
-        by_key = self._by_key if self._newest else None
+        by_key = self._by_key if self._newest else self._index()
         for key, tail in plan:
-            versions = self._versions(key) if by_key is None else by_key.get(key)
+            versions = by_key.get(key)
             if versions:
                 return descend(versions[-1].payload, tail)
         return NOT_FOUND
@@ -426,7 +419,7 @@ class MemoryStore:
         self, key: str, kind: EntryKind, payload: dict[str, Any], source: str
     ) -> MemoryEntry:
         """Stage one write; it gains a version and becomes visible at commit."""
-        _validate_payload(key, kind, payload)
+        _check_entry(key, kind, payload)
         version = self._snapshot.latest_version(key)
         for staged in self._staged:
             if staged.key == key:

@@ -193,8 +193,11 @@ class CycleRecord:
         for name in ("outcome", "args"):
             if type(invocation.get(name, {})) is not dict:
                 raise _bad(cycle, f"invocation.{name} must be an object")
-        if type(invocation.get("outcome", {}).get("ok", False)) is not bool:
+        outcome = invocation.get("outcome", {})
+        if type(outcome.get("ok", False)) is not bool:
             raise _bad(cycle, "invocation.outcome.ok must be a boolean")
+        if outcome.get("ok") and type(outcome.get("payload")) is not dict:
+            raise _bad(cycle, "invocation.outcome.payload must be an object when ok is true")
         fault_label = get("fault_label")
         if fault_label is not None and type(fault_label) is not str:
             raise _bad(cycle, "fault_label must be a string or null")
@@ -282,6 +285,14 @@ class EpisodeTrace:
         # After the loop, so that a cycle out of order is reported as that first.
         if not cycles or cycles[0].cycle != 0:
             raise ParseError("trace does not start with cycle 0")
+        versions: dict[str, int] = {}  # replay is a store's only if these count up from 1
+        for record in cycles:
+            for index, entry in enumerate(record.memory_delta):
+                last = versions.get(entry.key, 0)
+                if entry.version != last + 1:
+                    raise _bad(record.cycle, f"memory_delta[{index}] {entry.key} has version "
+                               f"{entry.version}; its last version is {last}")
+                versions[entry.key] = entry.version
         return cls(header=header, cycles=cycles)
 
     @classmethod

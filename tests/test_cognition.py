@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from cogloop.cognition import (
     parse_entities,
     parse_fact_line,
     plan_reads,
+    request_text,
 )
 from cogloop.evidence import MemoryRef, render
 from cogloop.goals import GoalSpec
@@ -36,7 +38,7 @@ from cogloop.memory import NOT_FOUND, EntryKind, MemoryEntry, MemoryStore, resol
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall
 from cogloop.scenario import Scenario, load_scenario, load_suite
-from cogloop.util import content_digest
+from cogloop.util import canonical_json, content_digest
 
 from conftest import SCENARIO_DIR, SUITE_DIR
 from test_goals import TWO_CITY_GOAL
@@ -73,10 +75,9 @@ GOAL_LINE = fact("goal.choose_colder", "rule=Book the colder destination., sourc
 
 
 def cog_input(*facts: str, constraints: tuple[str, ...] = ()) -> CognitionInput:
-    return CognitionInput(
-        system="sys", task="pick a trip", rules="", facts=tuple(facts),
-        constraints=constraints,
-    )
+    """An input built by hand, its derived values computed from scratch."""
+    built = CognitionInput("sys", "pick a trip", "", facts, constraints, parse_entities(facts), "")
+    return replace(built, input_digest=content_digest(built.to_request()))
 
 
 # ------------------------------------------------------------ fact rendering
@@ -147,7 +148,7 @@ def test_assemble_input_filters_orders_and_dedupes():
                        {"temp_f": 51.8, "precipitation": False}, "sensor")
     store.commit_cycle()
 
-    built = assemble_input("task", store.snapshot, ["avoid Busan"], DEFAULT_RULESET)
+    built = assemble_input("task", store.snapshot, ["avoid Busan"], DEFAULT_RULESET, FactIndex())
     assert built.facts == (
         "[Memory Fact] goal.choose_colder: rule=r",
         "[Memory Fact] Seoul: temp_f=51.8, precipitation=false",
@@ -155,9 +156,10 @@ def test_assemble_input_filters_orders_and_dedupes():
     assert built.constraints == ("avoid Busan",)
     assert "R-ARGS" in built.rules and built.task == "task"
     # The derived fields are not part of the input's identity or its request.
-    bare = CognitionInput(built.system, built.task, built.rules, built.facts, built.constraints)
+    bare = replace(built, entities={}, input_digest="")
     assert built == bare and repr(built) == repr(bare)
-    assert built.to_request() == bare.to_request() and built.digest() == bare.digest()
+    assert built.entities == parse_entities(built.facts)
+    assert built.input_digest == content_digest(built.to_request())
 
 
 def test_fact_index_follows_commits_and_rejects_other_histories():
@@ -222,10 +224,13 @@ def test_fact_view_resolves_paths_as_the_snapshot_does():
 
 
 def test_input_digest_tracks_content():
-    a = cog_input(SEOUL_LINE)
-    b = cog_input(SEOUL_LINE)
-    c = cog_input(JEJU_LINE)
-    assert a.digest() == b.digest() != c.digest()
+    store, index = MemoryStore(), FactIndex()
+    digests = []
+    for temp in (51.8, 51.8, 60.8):
+        store.write_staged("obs.Seoul", EntryKind.OBSERVATION, {"temp_f": temp}, "sensor")
+        snapshot = store.commit_cycle()
+        digests.append(assemble_input("t", snapshot, [], DEFAULT_RULESET, index).input_digest)
+    assert digests[0] == digests[1] != digests[2]
 
 
 # Quotes, backslashes, control characters, line separators, lone surrogates
@@ -248,8 +253,11 @@ input_text = st.text(
     constraints=st.lists(input_text, max_size=3),
 )
 def test_input_digest_equals_digest_of_request(system, task, rules, facts, constraints):
-    built = CognitionInput(system, task, rules, tuple(facts), tuple(constraints))
-    assert built.digest() == content_digest(built.to_request())
+    """`request_text`, which every input digest hashes, is the request's canonical JSON."""
+    request = {"system": system, "task": task, "rules": rules, "facts": facts,
+               "constraints": constraints}
+    laid_out = request_text(system, task, rules, map(canonical_json, facts), tuple(constraints))
+    assert laid_out == canonical_json(request)
 
 
 KEY_SPACE = 1 << 40  # fact keys obs.k<n>, n in [0, KEY_SPACE), zero-padded to sort by n
@@ -307,7 +315,7 @@ def test_resumed_input_digest_equals_a_plain_digest(history):
     """Over empty facts, inserts at the front, the end and block boundaries, and rewrites in
     place, each input's digest is that of its request, though hashed from a checkpoint."""
     for built in assembled(history):
-        assert built.digest() == content_digest(built.to_request())
+        assert built.input_digest == content_digest(built.to_request())
 
 
 # ---------------------------------------------------------- scripted planner
@@ -424,9 +432,7 @@ def test_plan_reads_a_goal_key_through_its_entry():
 
 
 def with_entities(entities: dict) -> CognitionInput:
-    return CognitionInput(
-        system="sys", task="pick a trip", rules="", facts=(), constraints=(), entities=entities
-    )
+    return replace(cog_input(), entities=entities)
 
 
 def test_plan_memo_keys_on_fields_objects_not_their_values():

@@ -314,6 +314,41 @@ def test_snapshots_of_one_log_each_equal_their_rebuild(ops):
             assert_snapshot_matches(snapshot, entries)
 
 
+def test_a_superseded_view_reads_through_one_private_copy(monkeypatch):
+    """A snapshot the shared log has grown past copies its own entries once, on its first
+    read, however many reads follow; it then reads as a rebuild does, and the newest view
+    of the shared log goes on appending to it in place."""
+    store = MemoryStore()
+    for key in SNAPSHOT_KEYS:
+        write(store, key, 1)
+    old = store.commit_cycle()
+    old_entries = old.entries
+    write(store, "obs.Seoul", 2)
+    write(store, "act.book", 2)
+    newest = store.commit_cycle()
+    shared = newest.since(0)
+    copies = []
+    init = MemorySnapshot.__init__
+
+    def counting(self, entries):
+        copies.append(tuple(entries))
+        init(self, copies[-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MemorySnapshot, "__init__", counting)
+        for _ in range(3):
+            for key in SNAPSHOT_KEYS:
+                old.latest(key), old.history(key), old.resolve(f"{key}.v")
+            old.read(), old.read(MemoryQuery(latest_only=True))
+        write(store, "obs.Seoul", 3)
+        after = store.commit_cycle()  # extends the newest view in place: no copy
+    assert copies == [old_entries]
+    assert_snapshot_matches(old, old_entries)
+    assert after.extends(newest) and after.extends(old)
+    assert_snapshot_matches(newest, tuple(shared))
+    assert_snapshot_matches(after, (*shared, *store.snapshot.since(len(shared))))
+
+
 def test_extend_shares_unchanged_versions_and_leaves_the_original_alone():
     store = MemoryStore()
     obs(store, "obs.Seoul", {"temp_f": 1.0})

@@ -16,7 +16,9 @@ import cogloop
 from cogloop import baseline, cognition, loop, runtime, util
 from cogloop.baseline import Baseline, run_baseline_episode
 from cogloop.cli import parse_faults
-from cogloop.cognition import FACT_KINDS, FaultConfig, format_memory_fact, parse_entities
+from cogloop.cognition import (
+    FACT_KINDS, FactIndex, FaultConfig, format_memory_fact, parse_entities
+)
 from cogloop.evidence import UNKNOWN
 from cogloop.goals import GoalSpec, GoalWatch
 from cogloop.loop import Governed, drive_episode, make_proposer, run_episode
@@ -145,7 +147,7 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
         counts["fresh_parses"] += 1
         return fresh_parse(facts)
 
-    def assembling(task, snapshot, constraints, ruleset, facts=None):
+    def assembling(task, snapshot, constraints, ruleset, facts):
         counts["constraints"] += len(constraints)
         return assemble(task, snapshot, constraints, ruleset, facts)
 
@@ -266,7 +268,7 @@ def test_inputs_whose_constraints_change_every_cycle_hash_no_more_than_plain(his
         inputs = assembled(history)
     requests = [canonical_json(built.to_request()) for built in inputs]
     assert hashed[0] <= sum(len(text.encode()) for text in requests)
-    assert [built.digest() for built in inputs] == list(map(util.text_digest, requests))
+    assert [built.input_digest for built in inputs] == list(map(util.text_digest, requests))
 
 
 @pytest.fixture(scope="module")
@@ -332,8 +334,7 @@ def test_memoized_plans_equal_plans_over_the_full_view(suite50_sweep):
         cycles += len(inputs)
         made += len({id(proposal) for proposal, _ in memoized})
         for cog_input, (proposal, reads) in zip(inputs, memoized):
-            entities = cog_input.entities or parse_entities(cog_input.facts)
-            fresh, fresh_reads = fresh_plan(config.scenario.policy, entities)
+            fresh, fresh_reads = fresh_plan(config.scenario.policy, cog_input.entities)
             if reads is None:  # a PolicyGap
                 assert fresh_reads is None
             else:
@@ -347,8 +348,8 @@ def test_memoized_views_equal_fresh_ones_over_interleaved_sweeps(suite_dir, monk
     scenario's episode of one seed, then the next seed), so that the memos serve episodes of
     many scenarios in turn and evict. Every plan the proposers are given equals a plan with
     no memo over every entity of the input; every baseline input's digest and entity map
-    equal ``digest()`` and `parse_entities` of its facts; no memo ever holds more than its
-    bound; and each sweep writes the same traces."""
+    equal ``content_digest`` of its request and `parse_entities` of its facts; no memo ever
+    holds more than its bound; and each sweep writes the same traces."""
     planned, built = cognition.ScriptedProposer._planned, Baseline.cognition_input
     counts = {"plans": 0, "inputs": 0}
 
@@ -361,8 +362,7 @@ def test_memoized_views_equal_fresh_ones_over_interleaved_sweeps(suite_dir, monk
 
     def checking_input(self, snapshot, constraints, cycle):
         cog_input = built(self, snapshot, constraints, cycle)
-        bare = replace(cog_input, entities=None, input_digest=None)
-        assert cog_input.input_digest == bare.digest() == content_digest(bare.to_request())
+        assert cog_input.input_digest == content_digest(cog_input.to_request())
         assert cog_input.entities == parse_entities(cog_input.facts)
         counts["inputs"] += 1
         return cog_input
@@ -425,14 +425,14 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
     original = loop.assemble_input
     checked = 0
 
-    def checking(task, snapshot, constraints, ruleset, facts=None):
+    def checking(task, snapshot, constraints, ruleset, facts):
         nonlocal checked
         built = original(task, snapshot, constraints, ruleset, facts)
-        assert built == original(task, snapshot, constraints, ruleset)
+        assert built == original(task, snapshot, constraints, ruleset, FactIndex())
         reference = tuple(format_memory_fact(e) for e in snapshot.read(FACT_QUERY))
         assert built.facts == reference
         assert built.entities == parse_entities(reference)
-        assert built.digest() == content_digest(built.to_request())
+        assert built.input_digest == content_digest(built.to_request())
         checked += 1
         return built
 

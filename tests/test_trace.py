@@ -313,6 +313,9 @@ def record_problem(data: dict) -> str | None:
             return f"invocation.{name} must be an object"
     if not isinstance(invocation.get("outcome", {}).get("ok", False), bool):
         return "invocation.outcome.ok must be a boolean"
+    outcome = invocation.get("outcome", {})
+    if outcome.get("ok") is True and not isinstance(outcome.get("payload"), dict):
+        return "invocation.outcome.payload must be an object when ok is true"
     if not isinstance(data.get("fault_label"), (str, type(None))):
         return "fault_label must be a string or null"
     if type(data.get("input_digest", "")) is not str:
@@ -351,8 +354,21 @@ def entry_problem(entry) -> str | None:
         return str(exc)
     if EntryKind(entry["kind"]) not in ALLOWED_KINDS[namespace]:
         return f"kind {entry['kind']!r} not allowed under namespace {namespace!r} (key {key})"
-    if not entry["payload"]:
+    payload, kind = entry["payload"], entry["kind"]
+    if not payload:
         return f"payload for {key} must be a non-empty mapping"
+    named = {"proposal": "proposal", "action": "action record"}.get(kind)
+    required = {"proposal": {"proposition", "evidence"}, "action": {"name", "args", "status"}}
+    missing = required.get(kind, set()) - set(payload)
+    if missing:
+        return f"{named} {key} missing fields {sorted(missing)}"
+    if kind == "action" and payload["status"] != "executed":
+        status = payload["status"]
+        return f"action record {key} has status {status!r}; expected one of ('executed',)"
+    if kind == "termination_flag" and not isinstance(payload.get("terminated"), bool):
+        return f"termination flag {key} requires boolean field 'terminated'"
+    if kind == "control_feedback" and not isinstance(payload.get("message"), str):
+        return f"control feedback {key} requires string field 'message'"
     if entry["version"] < 1:
         return f"has version {entry['version']}; versions start at 1"
     return None
@@ -386,6 +402,7 @@ BREAKS = [
     (("invocation", "outcome"), True),
     (("invocation", "args"), ["Seoul"]),
     (("invocation", "outcome", "ok"), "yes"),
+    (("invocation", "outcome"), {"ok": True}),
     (("fault_label",), ["duplicate"]),
     (("input_digest",), 5),
     (("log_lines",), ["ok", None]),
@@ -396,6 +413,10 @@ BREAKS = [
     (("memory_delta",), [{**DELTA_ENTRY, "kind": "gossip", "source": None}]),
     (("memory_delta",), [{**DELTA_ENTRY, "key": "obs. Seoul", "payload": {}}]),
     (("memory_delta",), [{**DELTA_ENTRY, "kind": "action", "version": 0}]),
+    (("memory_delta",), [{**DELTA_ENTRY, "key": "act.book", "kind": "action", "version": 0}]),
+    (("memory_delta",), [{**DELTA_ENTRY, "key": "act.book", "kind": "action",
+                          "payload": {"name": "book", "args": {}, "status": "planned"}}]),
+    (("memory_delta",), [{**DELTA_ENTRY, "key": "feedback.cycle1", "kind": "control_feedback"}]),
     (("memory_delta",), [DELTA_ENTRY, {**DELTA_ENTRY, "payload": {}, "version": -5}]),
     (("cycle",), "1"),
 ]
@@ -483,6 +504,54 @@ def test_entries_the_store_never_writes_are_rejected(
     trace_path.write_text(text, encoding="utf-8")
     assert main(["trace", str(trace_path)]) == 1
     assert capsys.readouterr().err.startswith("trace error: line 3: cycle 1: ")
+
+
+def without(field: str):
+    return lambda payload: payload.pop(field)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            ("payload", lambda payload: payload.update(status="planned")),
+            "line 5: cycle 3: memory_delta[1] action record act.book_flight has status "
+            "'planned'; expected one of ('executed',)", id="status-planned"),
+        pytest.param(
+            ("payload", without("args")),
+            "line 5: cycle 3: memory_delta[1] action record act.book_flight missing fields "
+            "['args']", id="args-missing"),
+        pytest.param(
+            ("entry", lambda entry: entry.update(version=7)),
+            "cycle 3: memory_delta[1] act.book_flight has version 7; its last version is 0",
+            id="version-skips"),
+        pytest.param(
+            ("outcome", without("payload")),
+            "line 5: cycle 3: invocation.outcome.payload must be an object when ok is true",
+            id="ok-without-payload"),
+    ],
+)
+def test_histories_the_store_never_writes_are_rejected(clean_trace, tmp_path, capsys,
+                                                        edit, message):
+    """Loading applies every rule a write does, to the booking cycle's action record, and
+    a loaded history is one a store could write: each key's versions count up from 1, and
+    a successful outcome holds its payload. Each edit loaded and scored complete before."""
+    lines = clean_trace.dumps().splitlines()
+    record = json.loads(lines[4])  # cycle 3: the approved book_flight and its action record
+    entry = record["memory_delta"][1]
+    assert (record["cycle"], entry["key"]) == (3, "act.book_flight")
+    part, change = edit
+    change({"payload": entry["payload"], "entry": entry,
+            "outcome": record["invocation"]["outcome"]}[part])
+    lines[4] = json.dumps(record)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as raised:
+        EpisodeTrace.loads(text)
+    assert str(raised.value) == message
+    trace_path = tmp_path / "edited.jsonl"
+    trace_path.write_text(text, encoding="utf-8")
+    assert main(["trace", str(trace_path)]) == 1
+    assert capsys.readouterr().err == f"trace error: {message}\n"
 
 
 def test_well_formed_delta_loads():
