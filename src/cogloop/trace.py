@@ -5,8 +5,8 @@ followed by one JSON line per cycle (lines end at "\n" alone), each carrying
 the serialized proposal, decision, invocation, committed memory delta,
 recorded fact consumptions, and the injected-fault label when one exists.
 Everything below — chain reconstruction and all three metrics — works from
-the parsed file alone, with no live episode state. Loading reads each field
-of a record once, checking its JSON type as it goes, and decodes each
+the parsed file alone, with no live episode state. Loading scans each line
+once, checks each field of a record once for its JSON type, and decodes each
 committed entry once, into the ``MemoryEntry`` a live record holds; chains
 and SPA/TC read memory through one forward replay (``EpisodeTrace.replay``)
 of those entries. TC runs a chain's link checks without building the chain,
@@ -43,6 +43,8 @@ from .runtime import same_args
 from .util import canonical_json, is_int
 
 TRACE_FORMAT = 1
+# One C scan decodes a well-formed line; `json.loads` also skips whitespace and checks the end.
+_scan_once = json.JSONDecoder().scan_once
 
 # Fault label -> rule ids that a correct rejection must cite (any one suffices).
 FAULT_RULE_MAP: dict[str, frozenset[str]] = {
@@ -129,6 +131,13 @@ def _bad(cycle: int, problem: str) -> ParseError:
     return ParseError(f"cycle {cycle}: {problem}")
 
 
+# What a check reads for an absent field: shared, so a check allocates nothing. Never
+# mutated, so no record keeps one.
+_NO_FIELDS: dict[str, Any] = {}
+_NO_ITEMS: list[Any] = []
+_OBJECT_OR_NULL = (dict, type(None))
+
+
 @dataclass
 class CycleRecord:
     """Everything one cycle did: its committed entries and, as plain serializable data, the rest.
@@ -168,35 +177,35 @@ class CycleRecord:
     def from_dict(cls, data: dict[str, Any]) -> "CycleRecord":
         """The record ``to_dict`` wrote as ``data``, each delta entry decoded once.
 
-        Reads each field once and checks its JSON type as it reads it; the
-        first field that chains, metrics or ``dumps`` cannot read raises a
-        ``ParseError`` naming it.
+        Checks each field's JSON type once, in one walk, reading an absent field
+        as a shared empty default; the first field that chains, metrics or
+        ``dumps`` cannot read raises a ``ParseError`` naming it.
         """
         get = data.get
         cycle = get("cycle")
         if not is_int(cycle):
             raise ParseError(f"cycle number must be an integer, got {cycle!r}")
-        proposal, decision, invocation = parts = get("proposal"), get("decision"), get("invocation")
-        for name, part in zip(("proposal", "decision", "invocation"), parts):
-            if not isinstance(part, (dict, type(None))):
+        for name in ("proposal", "decision", "invocation"):
+            if type(get(name)) not in _OBJECT_OR_NULL:
                 raise _bad(cycle, f"{name} must be an object or null")
-        proposal, decision, invocation = proposal or {}, decision or {}, invocation or {}
-        for name, part in (("proposal", proposal), ("decision", decision)):
-            call = part.get("call")
-            if type(call) is dict and type(call.get("arguments", {})) is not dict:
+        for name in ("proposal", "decision"):
+            call = (get(name) or _NO_FIELDS).get("call")
+            if type(call) is dict and type(call.get("arguments", _NO_FIELDS)) is not dict:
                 raise _bad(cycle, f"{name}.call.arguments must be an object")
-        if type(proposal.get("citations", [])) is not list:
+        if type((get("proposal") or _NO_FIELDS).get("citations", _NO_ITEMS)) is not list:
             raise _bad(cycle, "proposal.citations must be a list")
-        rule_ids = decision.get("rule_ids", [])
+        rule_ids = (get("decision") or _NO_FIELDS).get("rule_ids", _NO_ITEMS)
         if type(rule_ids) is not list or not _all_strings(rule_ids):
             raise _bad(cycle, "decision.rule_ids must be a list of strings")
+        invocation = get("invocation") or _NO_FIELDS
         for name in ("outcome", "args"):
-            if type(invocation.get(name, {})) is not dict:
+            if type(invocation.get(name, _NO_FIELDS)) is not dict:
                 raise _bad(cycle, f"invocation.{name} must be an object")
-        outcome = invocation.get("outcome", {})
-        if type(outcome.get("ok", False)) is not bool:
+        outcome = invocation.get("outcome", _NO_FIELDS)
+        ok = outcome.get("ok", False)
+        if type(ok) is not bool:
             raise _bad(cycle, "invocation.outcome.ok must be a boolean")
-        if outcome.get("ok") and type(outcome.get("payload")) is not dict:
+        if ok and type(outcome.get("payload")) is not dict:
             raise _bad(cycle, "invocation.outcome.payload must be an object when ok is true")
         fault_label = get("fault_label")
         if fault_label is not None and type(fault_label) is not str:
@@ -204,23 +213,24 @@ class CycleRecord:
         input_digest = get("input_digest", "")
         if type(input_digest) is not str:
             raise _bad(cycle, "input_digest must be a string")
-        log_lines = get("log_lines", [])
+        log_lines = get("log_lines", _NO_ITEMS)
         if type(log_lines) is not list or not _all_strings(log_lines):
             raise _bad(cycle, "log_lines must be a list of strings")
-        entries, consumptions = get("memory_delta", []), get("consumptions", [])
-        for name, value in (("memory_delta", entries), ("consumptions", consumptions)):
-            if type(value) is not list:
+        for name in ("memory_delta", "consumptions"):
+            if type(get(name, _NO_ITEMS)) is not list:
                 raise _bad(cycle, f"{name} must be a list")
+        consumptions = get("consumptions", _NO_ITEMS)
         for index, item in enumerate(consumptions):
             if not (type(item) is list and len(item) == 2 and type(item[0]) is str):
                 raise _bad(cycle, f"consumptions[{index}] is not a [key, value] pair")
         delta = []
-        for index, entry in enumerate(entries):
+        for index, entry in enumerate(get("memory_delta", _NO_ITEMS)):
             try:
                 delta.append(MemoryEntry.from_dict(entry))
             except StoreError as exc:
                 raise _bad(cycle, f"memory_delta[{index}] {exc}") from None
-        return cls(cycle, input_digest, *parts, tuple(delta), consumptions, fault_label, log_lines)
+        return cls(cycle, input_digest, get("proposal"), get("decision"), get("invocation"),
+                   tuple(delta), consumptions or [], fault_label, log_lines or [])
 
     def approved(self) -> bool:
         return bool(self.decision) and self.decision.get("verdict") == "approved"
@@ -250,13 +260,18 @@ class EpisodeTrace:
         # A JSON line ends at "\n" alone; `splitlines` would also split at
         # U+0085, U+2028 and U+2029, which may stand raw inside a JSON string.
         for line_no, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
+            line = line.strip(" \t\r")  # JSON's whitespace; "\n" ended the line
             if not line:
                 continue
             try:
-                data = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-                raise ParseError(f"line {line_no}: not valid JSON ({exc})") from exc
+                data, end = _scan_once(line, 0)
+            except (json.JSONDecodeError, StopIteration, RecursionError):
+                end = -1
+            if end != len(line):  # no value, or more after it: the decoder's own words
+                try:
+                    data = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+                    raise ParseError(f"line {line_no}: not valid JSON ({exc})") from exc
             if not isinstance(data, dict):
                 raise ParseError(f"line {line_no}: not a JSON object")
             kind = data.get("type")
@@ -350,14 +365,6 @@ class GapReport:
     detail: str
 
 
-def _call_matches(call: dict[str, Any] | None, tool: str, args: dict[str, Any]) -> bool:
-    if not isinstance(call, dict):
-        return False
-    if call.get("name") != tool:
-        return False
-    return same_args(call.get("arguments", {}), args)
-
-
 class _Resolved(dict):
     """Citation values already read from the snapshot, by key, for `evidence.evaluate`."""
 
@@ -372,22 +379,26 @@ def _chain_links(
     Returns (gap, entries, resolved): ``gap`` is the first missing link as
     (link, detail), or None when the chain is complete; ``entries`` are the
     invocation's own memory entries and ``resolved`` the cited keys with their
-    values, both empty when there is a gap.
+    values, both empty when there is a gap. Each link is read once.
     """
     invocation = record.invocation
-    if not invocation or not invocation.get("outcome", {}).get("ok"):
+    if not invocation or not invocation.get("outcome", _NO_FIELDS).get("ok"):
         return ("invocation", "no successful invocation record"), [], []
     tool = invocation.get("tool", "")
-    args = invocation.get("args", {})
+    args = invocation.get("args", _NO_FIELDS)
 
     proposal = record.proposal
-    if not proposal or not _call_matches(proposal.get("call"), tool, args):
+    call = proposal.get("call") if proposal else None
+    if not (isinstance(call, dict) and call.get("name") == tool
+            and same_args(call.get("arguments", _NO_FIELDS), args)):
         return ("proposal", "no proposal matching the invocation"), [], []
 
     decision = record.decision
     if not decision or decision.get("verdict") != "approved":
         return ("decision", "no approval decision"), [], []
-    if not _call_matches(decision.get("call"), tool, args):
+    call = decision.get("call")
+    if not (isinstance(call, dict) and call.get("name") == tool
+            and same_args(call.get("arguments", _NO_FIELDS), args)):
         return ("decision", "approval names a different call"), [], []
 
     own_entries = [
@@ -399,7 +410,7 @@ def _chain_links(
         return ("memory_entries", "execution left no memory entries"), [], []
 
     resolved: list[list[Any]] = []
-    for raw in proposal.get("citations", []):
+    for raw in proposal.get("citations") or ():
         try:
             expr = evidence.parse(raw)
         except evidence.EvidenceParseError as exc:
@@ -499,8 +510,9 @@ def _spa_and_tc(trace: EpisodeTrace) -> tuple[Metric, Metric]:
         if record.cycle == 0:
             continue
         # SPA: fact reads whose key held a value committed before this cycle.
+        resolve = snapshot.resolve
         for key, raw_value in record.consumptions:
-            authoritative = snapshot.resolve(key)
+            authoritative = resolve(key)
             if authoritative is NOT_FOUND:
                 continue  # nothing persisted earlier to be faithful to
             spa_den += 1

@@ -4,13 +4,16 @@
 
 Runs, under ``sys.settrace``, the shipped command-line paths: each worked
 scenario at seeds 1-3 plain, with ``--compare --out``, with ``--faults
-all=0.3 --compare --out`` and with ``--verbose``; ``cogloop suite
-scenarios/suite50 --compare --out`` plain and with ``--faults all=0.1``;
-and ``cogloop trace`` on every trace those runs wrote. Then it runs one pass
+all=0.3 --compare --out``, with ``--compare --baseline-budget 2
+--baseline-decay 0.5`` and with ``--verbose``; ``cogloop suite
+scenarios/suite50 --compare --out`` plain, with ``--faults all=0.1`` and with
+``--seeds 1,2``; and ``cogloop trace`` on every trace those runs wrote, once
+plain and once per ``act.<tool>`` and ``act.<tool>@<version>`` reference to
+an action record the trace holds. Then it runs one pass
 of each benchmark workload at seed 0 (``perfbench/workloads.py``, read but
 not changed). It prints every executable line of ``src/cogloop`` that none of
 this ran, then the count per module. Outputs go to a temporary directory.
-Under the line trace the whole list takes about 35 s on one core of a
+Under the line trace the whole list takes about 26 s on one core of a
 2-vCPU x86-64 VM.
 """
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -31,9 +35,10 @@ RUN_FLAGS = (
     [],
     ["--compare", "--out"],
     ["--faults", "all=0.3", "--compare", "--out"],
+    ["--compare", "--baseline-budget", "2", "--baseline-decay", "0.5"],
     ["--verbose"],
 )
-SUITE_FLAGS = ([], ["--faults", "all=0.1"])
+SUITE_FLAGS = ([], ["--faults", "all=0.1"], ["--seeds", "1,2"])
 BENCH_MODULES = ("cli", "loop", "baseline", "scenario", "trace", "cognition")
 
 
@@ -77,6 +82,16 @@ class LineTrace:
         return self.line
 
 
+def action_refs(path: Path) -> list[str]:
+    """``act.<tool>`` and ``act.<tool>@<version>`` for each action record the trace holds."""
+    refs = set()
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        for entry in json.loads(line)["memory_delta"]:
+            if entry["kind"] == "action":
+                refs |= {entry["key"], f"{entry['key']}@{entry['version']}"}
+    return sorted(refs)
+
+
 def shipped_calls(main, out: Path) -> None:
     """The command-line call list, each call's printed output dropped."""
     calls = []
@@ -94,6 +109,8 @@ def shipped_calls(main, out: Path) -> None:
             main(argv)
         for path in sorted(out.rglob("*.jsonl")):
             main(["trace", str(path)])
+            for ref in action_refs(path):
+                main(["trace", str(path), ref])
 
 
 def bench_passes() -> list[str]:

@@ -3,7 +3,9 @@
 Every trace of a sweep — per scenario and seed, governed then baseline — is
 hashed in order. Any change to trace bytes, to either system's decisions, or
 to the order of runs moves the digest; a change that moves it on purpose must
-say why.
+say why. Each trace is also audited as ``cogloop trace`` audits a stored file:
+loaded back, it must dump the same bytes and give the live trace's metrics,
+chains and gaps.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from cogloop.cli import parse_faults
 from cogloop.loop import run_episode
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.scenario import load_suite
+from cogloop.trace import EpisodeTrace, compute_metrics, iter_chains
 
 GOLDEN_DIGEST = "ef71a98839eb6183"
 # Under near-even duplicates most governed cycles re-plan an unchanged state.
@@ -22,8 +25,13 @@ DUPLICATE_DIGEST = "36f37a181207c11b"
 RULESET_VERSION = "b709da07996eecce"  # every trace header and config digest carries it
 
 
+def audit(trace: EpisodeTrace) -> tuple:
+    return compute_metrics(trace), list(iter_chains(trace))
+
+
 def sweep(suite_dir, fault_spec: str) -> tuple[str, dict[str, Counter]]:
-    """The sweep's digest prefix and its status counts per system."""
+    """The sweep's digest prefix and its status counts per system; each stored trace
+    audits as its live trace does."""
     faults = parse_faults(fault_spec)
     digest = hashlib.sha256()
     statuses = {"governed": Counter(), "baseline": Counter()}
@@ -34,8 +42,12 @@ def sweep(suite_dir, fault_spec: str) -> tuple[str, dict[str, Counter]]:
             baseline = run_baseline_episode(
                 config, scenario.baseline_budget, scenario.baseline_decay
             )
-            digest.update(governed.trace.dumps().encode("utf-8"))
-            digest.update(baseline.trace.dumps().encode("utf-8"))
+            for trace in (governed.trace, baseline.trace):
+                text = trace.dumps()
+                loaded = EpisodeTrace.loads(text)
+                assert loaded.dumps() == text
+                assert audit(loaded) == audit(trace), text.split("\n", 1)[0]
+                digest.update(text.encode("utf-8"))
             statuses["governed"][governed.status.value] += 1
             statuses["baseline"][baseline.status.value] += 1
     return digest.hexdigest()[:16], statuses

@@ -286,6 +286,66 @@ def test_only_newline_ends_a_trace_line(clean_trace):
         EpisodeTrace.loads("\n".join(lines) + "\n")
 
 
+def json_error(line: str) -> str:
+    """What ``json.loads`` says about ``line``, which it must reject."""
+    try:
+        json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"{line!r} decodes")
+
+
+def with_line(trace: EpisodeTrace, line: str) -> str:
+    """``trace``'s file with ``line`` as its line 3, between cycles 0 and 1."""
+    lines = trace.dumps().split("\n")
+    return "\n".join([*lines[:2], line, *lines[2:]])
+
+
+# Whitespace to `str.strip` but not to JSON, which allows only space, tab, CR and LF.
+NON_JSON_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+                  "\u2029", "\u3000"]
+
+
+@pytest.mark.parametrize("char", NON_JSON_SPACE, ids=lambda char: f"U+{ord(char):04X}")
+def test_only_json_whitespace_surrounds_a_line(clean_trace, char):
+    record = clean_trace.dumps().split("\n")[1]
+    for line in (record + char, char + record, char):
+        with pytest.raises(ParseError) as raised:
+            EpisodeTrace.loads(with_line(clean_trace, line))
+        assert str(raised.value) == f"line 3: not valid JSON ({json_error(line)})"
+
+
+def test_json_whitespace_and_crlf_line_ends_load(clean_trace):
+    text = clean_trace.dumps()
+    padded = "\n".join(f" \t{line}\t \r" if line else line for line in text.split("\n"))
+    for variant in (text.replace("\n", "\r\n"), padded):
+        assert EpisodeTrace.loads(variant).dumps() == text
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param('{"type": "cycle", "cycle": 1', id="truncated-object"),
+        pytest.param('{"type": "cycle", "cycle": 1}}', id="trailing-data"),
+        pytest.param('{"type": "cycle"} {"cycle": 1}', id="two-values"),
+        pytest.param('\ufeff{"type": "cycle", "cycle": 1}', id="leading-bom"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        pytest.param('{"a": ' * 100_000 + "1" + "}" * 100_000, id="objects-nested-too-deep"),
+    ],
+)
+def test_decode_errors_keep_the_decoders_words(clean_trace, line):
+    with pytest.raises(ParseError) as raised:
+        EpisodeTrace.loads(with_line(clean_trace, line))
+    assert str(raised.value) == f"line 3: not valid JSON ({json_error(line)})"
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "[]", '"cycle"', "5", "-0.5e3", "null", "true"])
+def test_a_bare_value_is_not_a_record(clean_trace, line):
+    with pytest.raises(ParseError) as raised:
+        EpisodeTrace.loads(with_line(clean_trace, line))
+    assert str(raised.value) == "line 3: not a JSON object"
+
+
 def record_problem(data: dict) -> str | None:
     """Why chains, metrics and ``dumps`` cannot read cycle record ``data``, or None when they can.
 
