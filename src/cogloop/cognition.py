@@ -202,14 +202,21 @@ def parse_fact_line(line: str) -> tuple[str, dict[str, Any]] | None:
     return entity, fields
 
 
+# A control-feedback line shows its key, in the feedback namespace. The proposer is shown
+# these lines and the input digest covers them, but no plan reads one, so no entity map
+# holds them: each rejection adds one.
+FEEDBACK_LINE = f"{FACT_PREFIX}feedback."
+
+
 def parse_entities(facts: tuple[str, ...]) -> dict[str, dict[str, Any]]:
-    """Entity -> fields shown by the fact lines; of two lines showing one entity, the later wins.
+    """Entity -> fields shown by the fact lines, feedback lines aside (`FEEDBACK_LINE`); of
+    two lines showing one entity, the later wins.
 
     The fields are `parse_fact_line`'s shared objects.
     """
     entities: dict[str, dict[str, Any]] = {}
     for line in facts:
-        fact = parse_fact_line(line)
+        fact = None if line.startswith(FEEDBACK_LINE) else parse_fact_line(line)
         if fact:
             entities[fact[0]] = fact[1]
     return entities
@@ -225,10 +232,12 @@ class FactIndex:
 
     ``current`` renders, encodes and parses only the entries committed since
     the snapshot it was last given, which each snapshot must extend, so a
-    cycle's Python-level work is O(delta). Per key it keeps the line, the
-    line's canonical JSON and its `parse_fact_line` fields, and per entity the
-    fields of the last key in key order that shows it, as `parse_entities`
-    would over all lines.
+    cycle's Python-level work is O(delta). Per key it keeps the line and the
+    line's canonical JSON, and per entity the `parse_fact_line` fields of the
+    last key in key order that shows it, as `parse_entities` would over all
+    lines (so feedback lines are not parsed). It hands out one entity map
+    until a commit changes an entity's fields, and then a new one: a map
+    handed out is never mutated.
 
     ``digest`` hashes an input from where it differs from the last one. SHA-256
     reads front to back, so the index keeps its state after every `DIGEST_BLOCK`
@@ -250,11 +259,12 @@ class FactIndex:
     def current(
         self, snapshot: MemorySnapshot
     ) -> tuple[tuple[str, ...], dict[str, dict[str, Any]]]:
-        """The snapshot's fact lines and a copy of the entity -> fields map."""
+        """The snapshot's fact lines and entity -> fields map, which must not be mutated."""
         last = self._last
         if not snapshot.extends(last):
             raise ValueError("snapshot does not extend the last one the fact index saw")
         keys, lines, encoded = self._keys, self._lines, self._json
+        shared = self._entities  # the map handed out last; copied before its first change
         for entry in snapshot.since(len(last)):
             if entry.kind not in FACT_KINDS:
                 continue
@@ -267,14 +277,17 @@ class FactIndex:
             self._changed = min(self._changed, at)
             line = lines[at] = format_memory_fact(entry)
             encoded[at] = _json_string(line)
-            fact = parse_fact_line(line)
+            fact = None if line.startswith(FEEDBACK_LINE) else parse_fact_line(line)
             # A key's namespace fixes its kind, so it always shows the same
             # entity; of two keys showing one entity, the later in key order wins.
             if fact and self._owners.get(fact[0], key) <= key:
                 self._owners[fact[0]] = key
-                self._entities[fact[0]] = fact[1]
+                if self._entities.get(fact[0]) is not fact[1]:
+                    if self._entities is shared:
+                        self._entities = dict(shared)
+                    self._entities[fact[0]] = fact[1]
         self._last = snapshot
-        return tuple(lines), dict(self._entities)
+        return tuple(lines), self._entities
 
     def digest(self, system: str, task: str, rules: str, constraints: tuple[str, ...]) -> str:
         """``text_digest`` of the `request_text` of an input of these parts and the current
@@ -439,6 +452,9 @@ class ScriptedProposer:
     Plans are memoized process-wide by the policy and the identities of the
     `plan_reads` fields objects: `parse_fact_line` gives each distinct line one
     fields object, so equal views of one policy share a plan across episodes.
+    Given the very entity map it planned over last, which `FactIndex` hands out
+    until an entity's fields change, the proposer answers with that plan; it
+    holds the map, so no other map can have its identity.
     """
 
     def __init__(self, policy: PlannerPolicy):
@@ -447,6 +463,7 @@ class ScriptedProposer:
         self._gather_calls: dict[str, ToolCall] = {}
         self._goal_ref = (MemoryRef(policy.goal_citation),) if policy.goal_citation else ()
         self._read_names = plan_reads(policy.goal)
+        self._last: tuple[dict[str, dict[str, Any]], Plan] | None = None  # map, its plan
 
     def _gather_call(self, entity: str) -> ToolCall:
         """The gather call for ``entity``, built once per episode."""
@@ -479,6 +496,9 @@ class ScriptedProposer:
 
     def _planned(self, entities: dict[str, dict[str, Any]]) -> Plan:
         """The plan for ``entities``, made over only the fields it can read."""
+        last = self._last
+        if last is not None and last[0] is entities:
+            return last[1]
         # Built from a list, the key tuple has its size from the start; from an iterator
         # it would be made larger and shrunk, leaving one more tuple of its size in
         # CPython's free lists on every cycle.
@@ -491,6 +511,7 @@ class ScriptedProposer:
                 del _PLANS[next(iter(_PLANS))]  # the oldest
             plan = (proposal, phase, tuple(view.reads.items()), self.policy, view.entities)
             _PLANS[key] = plan
+        self._last = (entities, plan)
         return plan
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
@@ -546,6 +567,15 @@ class FaultyProposer(ScriptedProposer):
         self.faults = faults
         self._rng = random.Random(f"faults:{faults.seed}:{episode_seed}")
         self._probabilities = tuple(faults.probability(t) for t in FAULT_TYPES)
+        self._duplicates: dict[str, Proposal] = {}  # entity -> its duplicate, built once
+
+    def _duplicate(self, entity: str) -> Proposal:
+        """The duplicate fault's re-proposal of the gather for ``entity``, built once."""
+        proposal = self._duplicates.get(entity)
+        if proposal is None:
+            call, rationale = self._gather_call(entity), "re-checking a known fact"
+            proposal = self._duplicates[entity] = Proposal(call, rationale=rationale)
+        return proposal
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
         entities = cog_input.entities
@@ -573,10 +603,7 @@ class FaultyProposer(ScriptedProposer):
             view = FactView(entities)
             for entity in goal.entities():
                 if view.has_clean(entity):
-                    return Proposal(
-                        call=self._gather_call(entity),
-                        rationale="re-checking a known fact",
-                    )
+                    return self._duplicate(entity)
             return None
         if fault_type == "missing_arg":
             if not base.call.arguments:

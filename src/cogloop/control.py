@@ -27,7 +27,7 @@ from typing import Any
 
 from . import evidence
 from .evidence import MemoryRef
-from .goals import GoalSpec, GoalWatch
+from .goals import Branch, GoalSpec, GoalWatch
 from .memory import (
     NOT_FOUND,
     EntryKind,
@@ -138,6 +138,28 @@ class DedupCache:
         return all(snapshot.latest_version(key) <= version for key, version in read_set.items())
 
 
+class CallChecks:
+    """One episode's answers about a proposed call that depend on the call alone: its spec,
+    its `argument_problems` and the goal branch it matches (`GoalSpec.matching_template`),
+    found once per call object by the scans themselves, so ``1`` still matches a template's
+    ``1.0``. An entry holds the call its key names, so no id in a live key is reused."""
+
+    def __init__(self, registry: dict[str, ToolSpec], goal: GoalSpec):
+        self.registry = registry
+        self.goal = goal
+        self._known: dict[int, tuple[ToolCall, ToolSpec | None, list[str], Branch | None]] = {}
+
+    def of(self, call: ToolCall) -> tuple[ToolCall, ToolSpec | None, list[str], Branch | None]:
+        """``(call, spec, problems, template)``; ``problems`` is empty without a spec."""
+        known = self._known.get(id(call))
+        if known is None:
+            spec = self.registry.get(call.name)
+            problems = [] if spec is None else argument_problems(spec, call.canonical_args)
+            known = (call, spec, problems, self.goal.matching_template(call))
+            self._known[id(call)] = known
+        return known
+
+
 def check_termination(
     proposal_is_completion: bool,
     snapshot: MemorySnapshot,
@@ -170,16 +192,14 @@ class _Validation:
         goal: GoalSpec,
         ruleset: RuleSet,
         cache: DedupCache,
-        registry: dict[str, ToolSpec],
+        checks: CallChecks,
     ):
         self.proposal = proposal
         self.snapshot = snapshot
         self.goal = goal
         self.ruleset = ruleset
         self.cache = cache
-        self.call = proposal.call
-        self.spec = registry.get(self.call.name)
-        self.template = goal.matching_template(self.call)
+        self.call, self.spec, self.problems, self.template = checks.of(proposal.call)
         self.violations: list[Violation] = []
         self.consumed: dict[str, Any] = {}
 
@@ -202,11 +222,10 @@ class _Validation:
     def check_arguments(self) -> None:
         if self.spec is None:
             detail, short = f"no registered tool named {self.call.name!r}", "unknown tool"
+        elif not self.problems:
+            return
         else:
-            problems = argument_problems(self.spec, self.call.canonical_args)
-            if not problems:
-                return
-            detail, short = "; ".join(problems), "incomplete arguments"
+            detail, short = "; ".join(self.problems), "incomplete arguments"
         self.add(CheckKind.ARGUMENTS_COMPLETE, detail, short)
 
     def check_dedup(self) -> None:
@@ -312,12 +331,12 @@ def validate(
     watch: GoalWatch,
     ruleset: RuleSet,
     cache: DedupCache,
-    registry: dict[str, ToolSpec],
+    checks: CallChecks,
     cycle_index: int,
     max_cycles: int,
 ) -> ControlDecision:
-    """Run every applicable check against ``watch.goal``; approve, reject with all
-    violations, or terminate."""
+    """Run every applicable check against ``watch.goal``, which ``checks`` must be of too;
+    approve, reject with all violations, or terminate."""
     reason = check_termination(
         proposal.call is None, snapshot, watch, cycle_index, max_cycles
     )
@@ -333,7 +352,7 @@ def validate(
         )
 
     # Every null call (a completion signal) has terminated above.
-    run = _Validation(proposal, snapshot, watch.goal, ruleset, cache, registry)
+    run = _Validation(proposal, snapshot, watch.goal, ruleset, cache, checks)
     run.check_arguments()
     # R-SEQ (one action per cycle, none while another is unconfirmed) holds
     # by construction: a proposal carries at most one call, and the runtime

@@ -32,6 +32,7 @@ from .cognition import (
     assemble_input,
 )
 from .control import (
+    CallChecks,
     ControlDecision,
     DedupCache,
     TerminationReason,
@@ -273,6 +274,7 @@ class Governed(System):
     def __init__(self, config: EpisodeConfig):
         super().__init__(config)
         self.cache = DedupCache()
+        self.checks = CallChecks(self.registry, self.goal_watch.goal)
         self.consecutive_failures: dict[str, int] = {}
         self.facts = FactIndex()
 
@@ -287,7 +289,7 @@ class Governed(System):
     ) -> ControlDecision:
         return validate(
             proposal, snapshot, self.goal_watch, DEFAULT_RULESET, self.cache,
-            self.registry, cycle, max_cycles,
+            self.checks, cycle, max_cycles,
         )
 
     def stage_init(self, store: MemoryStore) -> None:

@@ -17,7 +17,8 @@ from typing import Any
 
 from .baseline import check_context
 from .cognition import (
-    FactView, FaultConfig, GatherTemplate, PlannerPolicy, format_memory_fact, parse_entities
+    FACT_PREFIX, FEEDBACK_LINE, FactView, FaultConfig, GatherTemplate, PlannerPolicy,
+    format_memory_fact, parse_entities,
 )
 from .evidence import EvidenceParseError
 from .goals import GoalConfigError, GoalSpec
@@ -155,6 +156,11 @@ class Scenario:
         spec = registry[gather.tool]
         world = WorldState.from_dict(self.world)  # for dry runs only
         for entity in goal.entities():
+            if f"{FACT_PREFIX}{entity}".startswith(FEEDBACK_LINE):
+                raise ConfigError(
+                    f"goal: entity {entity!r} is in the feedback namespace, "
+                    "whose fact lines the proposer does not read"
+                )
             # Control and the runtime judge each call by `argument_problems`.
             observed = None
             try:

@@ -205,6 +205,33 @@ def test_fact_index_entity_shown_by_two_keys_follows_key_order():
     assert entities == {"goal.x": {"v": 1}}  # a copy: later commits leave it alone
 
 
+def test_feedback_lines_are_shown_and_hashed_but_hold_no_entity():
+    """A control-feedback line is in the input and its digest, but in no entity map: no plan
+    reads one, and each rejection adds one. The rule reads the line (`FEEDBACK_LINE`), so
+    both builders also leave out an observation whose entity is in the feedback namespace.
+    A commit that changes no entity leaves the index's map the same object."""
+    store, index = MemoryStore(), FactIndex()
+    store.write_staged("goal.x", EntryKind.OBSERVATION, {"v": 1}, "init")
+    first = assemble_input("t", store.commit_cycle(), [], DEFAULT_RULESET, index)
+    rejected = "Proposal rejected [R-ARGS, R-DEDUP]: duplicate"
+    store.write_staged("feedback.cycle1", EntryKind.CONTROL_FEEDBACK, {"message": rejected}, "c")
+    store.write_staged("obs.feedback.cycle9", EntryKind.OBSERVATION, {"temp_f": 1.0}, "sensor")
+    built = assemble_input("t", store.commit_cycle(), [], DEFAULT_RULESET, index)
+    assert built.facts == (
+        f"[Memory Fact] feedback.cycle1: message={rejected}",
+        "[Memory Fact] goal.x: v=1",
+        "[Memory Fact] feedback.cycle9: temp_f=1.0",
+    )
+    assert built.input_digest == content_digest(built.to_request())
+    assert built.entities is first.entities
+    assert built.entities == parse_entities(built.facts) == {"goal.x": {"v": 1}}
+    # Asked directly, the line parser still reads a feedback line; a part that is not
+    # name=value is skipped.
+    assert parse_fact_line(built.facts[0]) == (
+        "feedback.cycle1", {"message": "Proposal rejected [R-ARGS"}
+    )
+
+
 def test_fact_view_resolves_paths_as_the_snapshot_does():
     store = MemoryStore()
     store.write_staged("obs.Seoul", EntryKind.OBSERVATION,

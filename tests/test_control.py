@@ -9,6 +9,7 @@ from cogloop.cognition import Proposal
 from cogloop.control import (
     DEDUP_RULE_ID,
     ESCALATION_THRESHOLD,
+    CallChecks,
     ControlDecision,
     DedupCache,
     TerminationReason,
@@ -18,10 +19,10 @@ from cogloop.control import (
     validate,
 )
 from cogloop.evidence import MemoryRef, parse
-from cogloop.goals import GoalSpec, GoalWatch
+from cogloop.goals import Branch, GoalSpec, GoalWatch
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryStore
 from cogloop.regulation import DEFAULT_RULESET, RuleSet
-from cogloop.runtime import ErrorCode, ToolCall, ToolResult, builtin_registry
+from cogloop.runtime import ErrorCode, ToolCall, ToolResult, argument_problems, builtin_registry
 
 from test_goals import TWO_CITY_GOAL
 
@@ -57,7 +58,27 @@ def run_validate(proposal: Proposal, store: MemoryStore, cache: DedupCache | Non
                  cycle_index: int = 1, max_cycles: int = 10) -> ControlDecision:
     return validate(proposal, store.snapshot, GoalWatch(GOAL), DEFAULT_RULESET,
                     DedupCache() if cache is None else cache,
-                    REGISTRY, cycle_index, max_cycles)
+                    CallChecks(REGISTRY, GOAL), cycle_index, max_cycles)
+
+
+# ------------------------------------------------------------- call checks
+@pytest.mark.parametrize("seats", [1, 1.0, True, "1", " 1 "])
+def test_call_checks_answer_as_the_scans_once_per_call(seats):
+    """A call's spec, argument problems and matching branch are the scans' own answers, even
+    for arguments that equal a template's only in value; one call object is judged once."""
+    booking = ToolCall("book_flight", {"location": "Seoul", "seats": 1})
+    goal = GoalSpec(("obs.Seoul.temp_f",), (Branch((parse("obs.Seoul.temp_f < 60"),), (booking,)),))
+    checks = CallChecks(REGISTRY, goal)
+    call = ToolCall("book_flight", {"location": "Seoul", "seats": seats})
+    spec = REGISTRY["book_flight"]
+    answer = checks.of(call)
+    assert answer == (call, spec, argument_problems(spec, call.canonical_args),
+                      goal.matching_template(call))
+    assert (answer[3] is goal.branches[0]) is not isinstance(seats, str)  # 1 == 1.0 == True
+    assert checks.of(call) is answer
+    twin = ToolCall("book_flight", dict(call.arguments))
+    assert checks.of(twin)[1:] == answer[1:] and checks.of(twin) is not answer
+    assert checks.of(ToolCall("teleport", {}))[1:] == (None, [], None)
 
 
 # -------------------------------------------------------------- termination
@@ -155,7 +176,7 @@ def test_effect_call_outside_the_goal_approved_when_condition_rule_disabled():
     store = store_with({"obs.Seoul": SEOUL, "obs.Jeju": JEJU})
     assert run_validate(Proposal(call=call), store).verdict is Verdict.REJECTED
     decision = validate(Proposal(call=call), store.snapshot, GoalWatch(GOAL), ruleset, DedupCache(),
-                        REGISTRY, 1, 10)
+                        CallChecks(REGISTRY, GOAL), 1, 10)
     assert decision.verdict is Verdict.APPROVED
     assert decision.log_lines == ("[Control] Precondition: required memory present → Approved",)
 

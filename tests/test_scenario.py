@@ -161,6 +161,9 @@ def test_goal_errors_are_anchored():
     document = valid_document()
     document["goal"]["branches"] = ["not an object"]
     expect_error(document, "goal.branches[0]: expected object, got str")
+    document = json.loads(json.dumps(valid_document()).replace("Oslo", "feedback.cycle1"))
+    # Its line would read like cycle 1's feedback line, which no entity map holds.
+    expect_error(document, "goal: entity 'feedback.cycle1' is in the feedback namespace")
     document = valid_document()
     document["goal"]["required_facts"].append("obs.Oslo")  # an entity, not a leaf
     expect_error(document, "goal: required fact 'obs.Oslo' must be an obs.<entity>.<field> leaf")

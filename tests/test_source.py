@@ -11,6 +11,8 @@ import sys
 import tokenize
 from pathlib import Path
 
+from reference import CACHES
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cogloop"
 MODULES = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
@@ -324,6 +326,47 @@ def test_each_value_rule_is_judged_by_the_object_that_holds_the_value():
         ("check_max_cycles", "scenario.py:Scenario.validate"),
         ("check_max_cycles", "loop.py:EpisodeConfig.validate"),
     }
+
+
+def caches(module: str, tree: ast.Module) -> list[str]:
+    """``<module>.<name>`` of each function the module wraps in an ``lru_cache`` (or ``cache``),
+    and of each module-level memo: a container bound at top level that the module's code fills,
+    by item assignment or deletion or a method that adds."""
+    stem, found, containers = module.removesuffix(".py"), [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) in (
+                    "lru_cache", "cache"
+                ):
+                    found.append(f"{stem}.{node.name}")
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) in (
+                "dict", "list", "set", "OrderedDict", "defaultdict"
+            )
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers |= {target.id for target in targets if isinstance(target, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and getattr(node.value, "id", None) in containers):
+            found.append(f"{stem}.{node.value.id}")
+        elif (isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) in containers
+              and node.attr in ("setdefault", "update", "append", "add", "insert", "extend")):
+            found.append(f"{stem}.{node.value.id}")
+    return found
+
+
+def test_every_cache_has_a_bypass_in_the_reference_run():
+    """``tests/reference.py``'s ``cache_free`` bypasses every cache it names, and
+    ``test_reference.py`` requires that run's bytes to equal a cached run's: so every cache
+    must be named there, or that oracle would not cover it."""
+    found = {name for module, text in MODULES.items() for name in caches(module, ast.parse(text))}
+    assert {"cognition.parse_fact_line", "cognition._PLANS"} <= found
+    assert sorted(found - set(CACHES)) == []
 
 
 def test_perfbench_own_tests_pass():

@@ -22,7 +22,7 @@ from cogloop.cognition import (
 from cogloop.evidence import UNKNOWN
 from cogloop.goals import GoalSpec, GoalWatch
 from cogloop.loop import Governed, drive_episode, make_proposer, run_episode
-from cogloop.memory import MemoryQuery
+from cogloop.memory import EntryKind, MemoryQuery
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall, canon_args
 from cogloop.scenario import SUITE_SEEDS, load_scenario, load_suite
@@ -131,12 +131,17 @@ def probe_config():
 def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatch):
     """On the long probe (237 cycles, 476 entries), each fact line is JSON-encoded once,
     when its entry is committed, and no governed cycle parses its fact lines afresh.
+    Only the lines of observations and action records are parsed, each once; the
+    scenario's load parses its context once more (the read-back check). Feedback lines,
+    one per rejection, are not parsed.
 
-    Encoding every line on every cycle made 28,436 encodes here.
+    Encoding every line on every cycle made 28,436 encodes here; parsing the feedback
+    lines made 238 parses.
     """
-    counts = {"encodes": 0, "fresh_parses": 0, "constraints": 0}
-    json_string, fresh_parse, assemble = (
-        cognition._json_string, cognition.parse_entities, loop.assemble_input
+    counts = {"encodes": 0, "fresh_parses": 0, "constraints": 0, "line_parses": 0}
+    json_string, fresh_parse, assemble, parse_line = (
+        cognition._json_string, cognition.parse_entities, loop.assemble_input,
+        cognition.parse_fact_line,
     )
 
     def encode(text):
@@ -147,6 +152,10 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
         counts["fresh_parses"] += 1
         return fresh_parse(facts)
 
+    def parse_one(line):
+        counts["line_parses"] += 1
+        return parse_line(line)
+
     def assembling(task, snapshot, constraints, ruleset, facts):
         counts["constraints"] += len(constraints)
         return assemble(task, snapshot, constraints, ruleset, facts)
@@ -154,11 +163,16 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
     monkeypatch.setattr(cognition, "_json_string", encode)
     monkeypatch.setattr(cognition, "parse_entities", parse)
     monkeypatch.setattr(loop, "assemble_input", assembling)
+    monkeypatch.setattr(cognition, "parse_fact_line", parse_one)
     result = run_episode(probe_config())
     assert (result.cycles_used, len(result.store.entries())) == (237, 476)
     fact_entries = sum(e.kind in FACT_KINDS for e in result.store.entries())
     assert counts["encodes"] <= fact_entries + counts["constraints"]
     assert counts["fresh_parses"] == 0
+    shown = sum(e.kind in (EntryKind.OBSERVATION, EntryKind.ACTION)
+                for e in result.store.entries())
+    assert shown == 4
+    assert counts["line_parses"] <= shown + 1
 
 
 def long_config():
@@ -301,6 +315,34 @@ def suite50_sweep(suite_dir):
             episodes += [episode(Governed(config)), episode(Baseline(config, budget, decay))]
     episodes.append(episode(Governed(probe_config())))
     return SimpleNamespace(episodes=episodes, calls=calls)
+
+
+def entity_lines(cog_input) -> tuple[str, ...]:
+    """The input's fact lines that its entity map shows: all but the feedback lines."""
+    return tuple(line for line in cog_input.facts if not line.startswith(cognition.FEEDBACK_LINE))
+
+
+def test_inputs_share_one_entity_map_until_an_entity_line_changes(suite50_sweep):
+    """After the suite50 sweep at all=0.1 (both systems) and the probe, every input's entity
+    map still equals `parse_entities` of its facts: no map handed out was changed later.
+    Consecutive governed inputs whose entity lines are the same hold the same map object,
+    the identity the scripted proposer's last-plan check relies on."""
+    shared = changed = 0
+    for _, result, inputs in suite50_sweep.episodes:
+        for cog_input in inputs:
+            assert cog_input.entities == parse_entities(cog_input.facts)
+        if result.trace.header.baseline:
+            continue
+        for last, cog_input in zip(inputs, inputs[1:]):
+            if entity_lines(last) == entity_lines(cog_input):
+                assert cog_input.entities is last.entities
+                shared += 1
+            else:
+                changed += 1
+    probe_inputs = suite50_sweep.episodes[-1][2]
+    assert len(probe_inputs) == 237
+    assert sum(a.entities is b.entities for a, b in zip(probe_inputs, probe_inputs[1:])) == 233
+    assert (shared, changed) == (301, 988)  # suite50's episodes are short; most share on the probe
 
 
 def test_probe_plans_once_per_state_its_goal_reads():
