@@ -423,16 +423,11 @@ class FactView:
         record = self.entities.get(f"act.{tool_name}")
         return bool(record) and record.get("status") == "executed"
 
-    def has_clean(self, entity: str) -> bool:
-        """Whether the observation of ``entity`` holds real data (no error marker)."""
-        fields = self.entities.get(entity)
-        return bool(fields) and "error" not in fields
-
 
 def plan_reads(goal: GoalSpec) -> tuple[str, ...]:
     """The entity names a plan for ``goal`` can look up in a `FactView`: ``goal.read_keys``
-    with ``obs.`` stripped. They include the goal entities (``has_clean``) and
-    ``act.<tool>`` per action (``executed``)."""
+    with ``obs.`` stripped. They include the goal entities and ``act.<tool>`` per action
+    (``executed``)."""
     return tuple(dict.fromkeys(key.removeprefix("obs.") for key in goal.read_keys))
 
 
@@ -568,6 +563,7 @@ class FaultyProposer(ScriptedProposer):
         self._rng = random.Random(f"faults:{faults.seed}:{episode_seed}")
         self._probabilities = tuple(faults.probability(t) for t in FAULT_TYPES)
         self._duplicates: dict[str, Proposal] = {}  # entity -> its duplicate, built once
+        self._goal_entities = tuple(policy.goal.entities())
 
     def _duplicate(self, entity: str) -> Proposal:
         """The duplicate fault's re-proposal of the gather for ``entity``, built once."""
@@ -599,10 +595,10 @@ class FaultyProposer(ScriptedProposer):
     ) -> Proposal | None:
         goal = self.policy.goal
         if fault_type == "duplicate":
-            # Re-propose a gather that already succeeded.
-            view = FactView(entities)
-            for entity in goal.entities():
-                if view.has_clean(entity):
+            # Re-propose a gather that already succeeded: the first entity observed cleanly.
+            for entity in self._goal_entities:
+                fields = entities.get(entity)
+                if fields and "error" not in fields:
                     return self._duplicate(entity)
             return None
         if fault_type == "missing_arg":

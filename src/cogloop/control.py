@@ -80,7 +80,8 @@ class Violation:
 
 @dataclass
 class ControlDecision:
-    """Outcome of validating one proposal."""
+    """Outcome of validating one proposal. ``validate`` may return one rejection on many
+    cycles, so a decision is complete when built and never changed after."""
 
     verdict: Verdict
     call: ToolCall | None = None
@@ -92,12 +93,7 @@ class ControlDecision:
     read_set: dict[str, int] = field(default_factory=dict)
 
     def rule_ids(self) -> tuple[str, ...]:
-        ordered: list[str] = []
-        for violation in self.violations:
-            for rule_id in violation.rule_ids:
-                if rule_id not in ordered:
-                    ordered.append(rule_id)
-        return tuple(ordered)
+        return _rule_ids(self.violations)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -115,6 +111,11 @@ class ControlDecision:
             "consumptions": [[k, encode_value(v)] for k, v in self.consumptions],
             "read_set": dict(self.read_set),
         }
+
+
+def _rule_ids(violations: tuple[Violation, ...]) -> tuple[str, ...]:
+    """The rule ids ``violations`` breach, each once, in first-breached order."""
+    return tuple(dict.fromkeys(rule_id for v in violations for rule_id in v.rule_ids))
 
 
 class DedupCache:
@@ -137,17 +138,23 @@ class DedupCache:
             return False
         return all(snapshot.latest_version(key) <= version for key, version in read_set.items())
 
+    def compares_versions(self, call: ToolCall) -> bool:
+        """Whether ``is_duplicate(call, ...)`` reads memory: ``call`` has a non-empty read set."""
+        return bool(self._entries.get(call.call_id()))
+
 
 class CallChecks:
     """One episode's answers about a proposed call that depend on the call alone: its spec,
     its `argument_problems` and the goal branch it matches (`GoalSpec.matching_template`),
     found once per call object by the scans themselves, so ``1`` still matches a template's
-    ``1.0``. An entry holds the call its key names, so no id in a live key is reused."""
+    ``1.0``. An entry holds the call its key names, so no id in a live key is reused.
+    It also holds, per proposal object, the rejection that ``validate`` kept for it."""
 
     def __init__(self, registry: dict[str, ToolSpec], goal: GoalSpec):
         self.registry = registry
         self.goal = goal
         self._known: dict[int, tuple[ToolCall, ToolSpec | None, list[str], Branch | None]] = {}
+        self._rejected: dict[int, tuple[Any, RuleSet, DedupCache, ControlDecision]] = {}
 
     def of(self, call: ToolCall) -> tuple[ToolCall, ToolSpec | None, list[str], Branch | None]:
         """``(call, spec, problems, template)``; ``problems`` is empty without a spec."""
@@ -336,7 +343,8 @@ def validate(
     max_cycles: int,
 ) -> ControlDecision:
     """Run every applicable check against ``watch.goal``, which ``checks`` must be of too;
-    approve, reject with all violations, or terminate."""
+    approve, reject with all violations, or terminate. Past the termination check, a
+    proposal whose rejection read no memory gets the decision it got before."""
     reason = check_termination(
         proposal.call is None, snapshot, watch, cycle_index, max_cycles
     )
@@ -351,6 +359,9 @@ def validate(
             verdict=Verdict.TERMINATE, reason=reason, log_lines=(line,)
         )
 
+    kept = checks._rejected.get(id(proposal))
+    if kept is not None and kept[1] is ruleset and kept[2] is cache:
+        return kept[3]
     # Every null call (a completion signal) has terminated above.
     run = _Validation(proposal, snapshot, watch.goal, ruleset, cache, checks)
     run.check_arguments()
@@ -373,20 +384,29 @@ def validate(
             read_set=run.read_set_watermarks(),
         )
 
+    violations = tuple(run.violations)
+    rule_ids = ", ".join(_rule_ids(violations))
+    details = "; ".join(v.detail for v in violations)
     decision = ControlDecision(
         verdict=Verdict.REJECTED,
         call=run.call,
-        violations=tuple(run.violations),
+        violations=violations,
+        feedback=(
+            f"Proposal rejected [{rule_ids}]: {details}. Revise the proposal using current memory."
+        ),
         log_lines=tuple(
-            f"[Control] {v.check}: {v.detail} → Rejected ({v.short})" for v in run.violations
+            f"[Control] {v.check}: {v.detail} → Rejected ({v.short})" for v in violations
         ),
         consumptions=consumptions,
     )
-    rule_ids = ", ".join(decision.rule_ids())
-    details = "; ".join(v.detail for v in run.violations)
-    decision.feedback = (
-        f"Proposal rejected [{rule_ids}]: {details}. Revise the proposal using current memory."
-    )
+    # Keep a rejection that read no memory, for this proposal object under these very ruleset
+    # and cache. The checks read memory through `resolve` (a consumption; every citation and
+    # goal condition resolves a key) and the dedup record's versions alone. Every other input
+    # is fixed per call, so `ruleset` never approves the call, `cache` (which records approved
+    # calls) never gains it, and an empty read set stays a duplicate: the rejection holds for
+    # the rest of the episode. The entry holds the proposal, so its id is not reused.
+    if not (consumptions or cache.compares_versions(run.call)):
+        checks._rejected[id(proposal)] = (proposal, ruleset, cache, decision)
     return decision
 
 

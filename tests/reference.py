@@ -105,6 +105,8 @@ CACHES: dict[str, Callable[[pytest.MonkeyPatch], None]] = {
     "cognition.ScriptedProposer._last": planning_afresh,
     "cognition.FaultyProposer._duplicates": forgetting(cognition.FaultyProposer, "_duplicates"),
     "control.CallChecks._known": forgetting(control.CallChecks, "_known"),
+    # the rejections that read no memory, kept per proposal object: every cycle validated
+    "control.CallChecks._rejected": forgetting(control.CallChecks, "_rejected"),
     "goals.GoalWatch.success": fresh_success,
     # the fact lines, their digest checkpoints and the shared entity map
     "loop.Governed.facts": fresh_fact_index,

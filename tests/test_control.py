@@ -326,6 +326,98 @@ def test_decision_serialization_encodes_missing_values():
     assert all(isinstance(line, str) for line in data["log_lines"])
 
 
+# -------------------------------------------------------- kept rejections
+GATHER_SEOUL = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
+NO_ARGS = RuleSet(tuple(
+    replace(rule, enabled=False) if rule.id == "R-ARGS" else rule for rule in DEFAULT_RULESET.rules
+))
+
+
+def validate_in(checks: CallChecks, cache: DedupCache, proposal: Proposal, store: MemoryStore,
+                ruleset: RuleSet = DEFAULT_RULESET, cycle_index: int = 1) -> ControlDecision:
+    """``validate`` with the episode state ``checks`` and ``cache`` given, not made afresh."""
+    return validate(proposal, store.snapshot, GoalWatch(GOAL), ruleset, cache, checks,
+                    cycle_index, 10)
+
+
+@pytest.mark.parametrize("proposal, recorded, rule_ids", [
+    (Proposal(call=GATHER_SEOUL), {}, ("R-DEDUP",)),
+    (Proposal(call=ToolCall("get_weather", {"location": "Seoul"})), None, ("R-ARGS",)),
+    (Proposal(call=ToolCall("book_flight", {"location": "Busan"})), None, ("R-COND-EXEC",)),
+], ids=["duplicate", "missing-arg", "unauthorized"])
+def test_rejection_that_read_no_memory_is_kept(proposal, recorded, rule_ids):
+    """A repeated proposal whose rejection read no memory gets the kept decision, even after
+    memory changed; it is what a fresh ``validate`` decides."""
+    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
+    if recorded is not None:
+        cache.record(proposal.call, recorded)
+    first = validate_in(checks, cache, proposal, store)
+    assert first.verdict is Verdict.REJECTED and first.rule_ids() == rule_ids
+    assert validate_in(checks, cache, proposal, store) is first
+    store.write_staged("obs.Seoul", EntryKind.OBSERVATION, SEOUL, "sensor")
+    store.commit_cycle()
+    assert validate_in(checks, cache, proposal, store) is first
+    fresh = validate(proposal, store.snapshot, GoalWatch(GOAL), DEFAULT_RULESET, cache,
+                     CallChecks(REGISTRY, GOAL), 1, 10)
+    assert fresh is not first and fresh.to_dict() == first.to_dict()
+
+
+@pytest.mark.parametrize("proposal, recorded, before", [
+    # Seoul warmer than Jeju: the branch condition is false.
+    (BOOK_SEOUL, None, {"temp_f": 65.0, "precipitation": False}),
+    # A duplicate whose read set names obs.Seoul expires when obs.Seoul advances.
+    (Proposal(call=GATHER_SEOUL), {"obs.Seoul": 1}, SEOUL),
+], ids=["branch-condition", "dedup-read-set"])
+def test_rejection_that_read_memory_is_decided_afresh(proposal, recorded, before):
+    """A rejection that read memory is not kept: once the store commits the facts that
+    change its answer, the same proposal object is approved."""
+    checks, cache = CallChecks(REGISTRY, GOAL), DedupCache()
+    if recorded is not None:
+        cache.record(proposal.call, recorded)
+    store = store_with({"obs.Seoul": before, "obs.Jeju": JEJU})
+    assert validate_in(checks, cache, proposal, store).verdict is Verdict.REJECTED
+    store.write_staged("obs.Seoul", EntryKind.OBSERVATION, SEOUL, "sensor")
+    store.commit_cycle()
+    assert validate_in(checks, cache, proposal, store).verdict is Verdict.APPROVED
+
+
+@pytest.mark.parametrize("proposal", [
+    Proposal(call=ToolCall("book_flight", {"location": "Busan"}),
+             citations=(MemoryRef("goal.choose_colder.rule"),)),
+    Proposal(call=BOOK_SEOUL.call),  # matches a branch, cites nothing
+], ids=["cites", "matches-branch"])
+def test_rejection_that_cites_or_matches_a_branch_is_not_kept(proposal):
+    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
+    first = validate_in(checks, cache, proposal, store)
+    assert first.verdict is Verdict.REJECTED
+    again = validate_in(checks, cache, proposal, store)
+    assert again is not first and again.to_dict() == first.to_dict()
+
+
+def test_kept_rejection_serves_only_its_own_ruleset_and_cache():
+    """Another ruleset or dedup cache gets its own decision: here an approval without
+    R-ARGS, and an added R-DEDUP where the call is recorded."""
+    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
+    proposal = Proposal(call=ToolCall("get_weather", {"location": "Seoul"}))
+    kept = validate_in(checks, cache, proposal, store)
+    assert kept.rule_ids() == ("R-ARGS",)
+    assert validate_in(checks, cache, proposal, store, NO_ARGS).verdict is Verdict.APPROVED
+    recorded = DedupCache()
+    recorded.record(proposal.call, {})
+    decision = validate_in(checks, recorded, proposal, store)
+    assert decision.rule_ids() == ("R-ARGS", DEDUP_RULE_ID)
+
+
+def test_termination_wins_over_a_kept_rejection():
+    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
+    proposal = Proposal(call=ToolCall("get_weather", {"location": "Seoul"}))
+    kept = validate_in(checks, cache, proposal, store)
+    assert validate_in(checks, cache, proposal, store) is kept
+    decision = validate_in(checks, cache, proposal, store, cycle_index=10)
+    assert decision.verdict is Verdict.TERMINATE
+    assert decision.reason is TerminationReason.BUDGET_EXHAUSTED
+
+
 # ------------------------------------------------------------ tool failures
 def failed_result(tool: str, code: ErrorCode) -> ToolResult:
     return ToolResult(tool=tool, args={}, ok=False, payload=None, error_code=code,

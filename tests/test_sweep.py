@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+from collections import Counter
 from dataclasses import fields, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogloop
-from cogloop import baseline, cognition, loop, runtime, util
+from cogloop import baseline, cognition, control, loop, runtime, util
 from cogloop.baseline import Baseline, run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.cognition import (
@@ -173,6 +174,35 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
                 for e in result.store.entries())
     assert shown == 4
     assert counts["line_parses"] <= shown + 1
+
+
+def test_probe_validates_a_repeated_rejection_once(monkeypatch):
+    """On the long probe, where nearly every cycle re-proposes a duplicate gather, control
+    runs its checks in full only for what it has not rejected before: 4 validations for 237
+    cycles. The rejection it keeps is never changed: after the episode it still serializes
+    as the decision the first cycle that got it recorded. Validating every cycle in full
+    made 236 validations here."""
+    runs, decisions = [0], []
+    validation, decide = control._Validation, loop.validate
+
+    def counting(*args):
+        runs[0] += 1
+        return validation(*args)
+
+    def deciding(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(control, "_Validation", counting)
+    monkeypatch.setattr(loop, "validate", deciding)
+    result = run_episode(probe_config())
+    assert result.cycles_used == len(decisions) == 237
+    assert runs[0] == 4
+    served = Counter(map(id, decisions))
+    (kept,) = {id(d): d for d in decisions if served[id(d)] > 1}.values()
+    first = next(cycle for cycle, d in enumerate(decisions, start=1) if d is kept)
+    record = next(r for r in result.trace.cycles if r.cycle == first)
+    assert kept.to_dict() == record.decision
 
 
 def long_config():
