@@ -39,7 +39,7 @@ from .memory import (
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
-from .util import ConfigError, canonical_json, is_int, is_number, text_digest
+from .util import ConfigError, canonical_json, is_int, is_number
 
 DEFAULT_SYSTEM = (
     "You are the reasoning component of a governed agent loop. Propose exactly one "
@@ -224,7 +224,6 @@ def parse_entities(facts: tuple[str, ...]) -> dict[str, dict[str, Any]]:
 
 # Entry kinds the proposer sees; proposals and termination flags stay hidden.
 FACT_KINDS = frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTROL_FEEDBACK})
-DIGEST_BLOCK = 64  # encoded fact lines per `FactIndex.digest` checkpoint
 
 
 class FactIndex:
@@ -240,9 +239,11 @@ class FactIndex:
     handed out is never mutated.
 
     ``digest`` hashes an input from where it differs from the last one. SHA-256
-    reads front to back, so the index keeps its state after every `DIGEST_BLOCK`
-    encoded lines, valid while the constraints (the text before the lines) stay
-    the same, and drops those after the first line a commit changes.
+    reads front to back, so the index keeps one mark: the first line the last
+    digest found changed, and the hash state just before it. The mark serves
+    while the constraints (the text before the lines) stay the same and no line
+    before it changes; a rejection's feedback line mostly sorts right after the
+    last one, so the mark mostly sits one line before the next change.
     """
 
     def __init__(self) -> None:
@@ -253,8 +254,9 @@ class FactIndex:
         self._entities: dict[str, dict[str, Any]] = {}
         self._owners: dict[str, str] = {}  # entity -> the key whose fields it shows
         self._changed = 0  # the first line changed since the last digest
-        self._head = ""  # the request text before the lines, as _states hashed it
-        self._states: list[Any] = []  # SHA-256 state after each whole block, never updated
+        self._head = ""  # the request text before the lines, as _state hashed it
+        self._mark = 0  # the line _state was taken just before
+        self._state: Any = None  # SHA-256 state of the request text before line _mark
 
     def current(
         self, snapshot: MemorySnapshot
@@ -291,23 +293,17 @@ class FactIndex:
 
     def digest(self, system: str, task: str, rules: str, constraints: tuple[str, ...]) -> str:
         """``text_digest`` of the `request_text` of an input of these parts and the current
-        lines; an input of one block or less is hashed whole."""
-        encoded = self._json
-        if len(encoded) <= DIGEST_BLOCK:
-            return text_digest(request_text(system, task, rules, encoded, constraints))
-        head, states = _json_head(constraints), self._states
-        if head != self._head:
-            self._head = head
-            states.clear()
-        del states[self._changed // DIGEST_BLOCK :]
-        self._changed = len(encoded)
-        state = states[-1].copy() if states else hashlib.sha256(head.encode())
-        for at in range(len(states) * DIGEST_BLOCK, len(encoded), DIGEST_BLOCK):
-            block = ",".join(encoded[at : at + DIGEST_BLOCK])
-            state.update(("," + block if at else block).encode())
-            if at + DIGEST_BLOCK <= len(encoded):
-                states.append(state.copy())
-        state.update(_json_tail(rules, system, task).encode())
+        lines, hashed from the mark if it serves, else from the start."""
+        encoded, head, mark = self._json, _json_head(constraints), self._mark
+        if head == self._head and mark <= self._changed:
+            state, at = self._state, mark
+        else:
+            state, at, self._head = hashlib.sha256(head.encode()), 0, head
+        if self._changed < len(encoded):  # else no line changed: the mark stays
+            mark = self._changed
+        state.update(",".join([*encoded[at:mark], ""]).encode())  # each line with its comma
+        self._changed, self._mark, self._state = len(encoded), mark, state.copy()
+        state.update((",".join(encoded[mark:]) + _json_tail(rules, system, task)).encode())
         return state.hexdigest()[:16]
 
 

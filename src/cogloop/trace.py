@@ -284,12 +284,15 @@ class EpisodeTrace:
                     if header is None:
                         raise ParseError("cycle record with no header line before it")
                     record = CycleRecord.from_dict(data)
-                    # Replay reads the records in file order, so that order must
-                    # be the cycle order.
-                    if cycles and record.cycle <= cycles[-1].cycle:
+                    # Replay reads the records in file order, and the loop records
+                    # every cycle of its budget it runs, each once, in order.
+                    if cycles and record.cycle != cycles[-1].cycle + 1:
                         raise ParseError(
                             f"cycle {record.cycle} does not follow cycle {cycles[-1].cycle}"
                         )
+                    if record.cycle > header.max_cycles:
+                        raise ParseError(f"cycle {record.cycle} is past the header's "
+                                         f"max_cycles {header.max_cycles}")
                     cycles.append(record)
                 else:
                     raise ParseError(f"unknown record type {kind!r}")

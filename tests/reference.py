@@ -108,7 +108,7 @@ CACHES: dict[str, Callable[[pytest.MonkeyPatch], None]] = {
     # the rejections that read no memory, kept per proposal object: every cycle validated
     "control.CallChecks._rejected": forgetting(control.CallChecks, "_rejected"),
     "goals.GoalWatch.success": fresh_success,
-    # the fact lines, their digest checkpoints and the shared entity map
+    # the fact lines, their digest mark and the shared entity map: every input hashed whole
     "loop.Governed.facts": fresh_fact_index,
 }
 

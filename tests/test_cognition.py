@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cogloop import cognition
 from cogloop.cognition import (
-    DIGEST_BLOCK,
     FACT_PREFIX,
     PHANTOM_KEY,
     CognitionInput,
@@ -291,23 +290,28 @@ KEY_SPACE = 1 << 40  # fact keys obs.k<n>, n in [0, KEY_SPACE), zero-padded to s
 CONSTRAINTS = st.sampled_from([(), ("avoid Busan",), ('say "no"', "avoid Busan")])
 
 
+SIZE_EDGES = [63, 64, 65, 127, 128, 129, 191, 192, 193]  # 64, 128 and 192 lines, give or take one
+
+
 @st.composite
 def fact_histories(draw, constraints=CONSTRAINTS) -> list[tuple[list[str], tuple[str, ...]]]:
     """Cycles of fact writes, each with its constraints (``None``: new ones every cycle).
 
-    The first cycle writes up to three blocks of lines; each later one inserts
-    keys at the front, the end, a block boundary or anywhere between, rewrites
-    lines in place (as transient_retry's error marker does), or writes no fact.
+    The first cycle writes up to 194 lines; each later one inserts keys at the front, the
+    end, a `SIZE_EDGES` line, one line before, at or after the digest's mark (the first
+    line the last cycle changed) or anywhere between, rewrites lines in place (as
+    transient_retry's error marker does), or writes no fact.
     """
-    edges = [b * DIGEST_BLOCK + d for b in (1, 2, 3) for d in (-1, 0, 1)]
-    count = draw(st.one_of(st.sampled_from([0, *edges]), st.integers(0, 3 * DIGEST_BLOCK + 2)))
+    count = draw(st.one_of(st.sampled_from([0, *SIZE_EDGES]), st.integers(0, 194)))
     ids = [n * (KEY_SPACE // (count + 1)) for n in range(1, count + 1)]
-    cycles = [list(ids)]
+    cycles, mark = [list(ids)], 0
     for _ in range(draw(st.integers(0, 8))):
         writes = []
         for _ in range(draw(st.integers(0, 3))):
-            at = draw(st.one_of(st.sampled_from([0, len(ids), *edges]), st.integers(0, len(ids))))
-            at = min(at, len(ids))
+            near = [mark - 1, mark, mark + 1]
+            at = draw(st.one_of(st.sampled_from([0, len(ids), *SIZE_EDGES, *near]),
+                                st.integers(0, len(ids))))
+            at = min(max(at, 0), len(ids))
             if at < len(ids) and draw(st.booleans()):
                 writes.append(ids[at])  # rewrite in place
                 continue
@@ -315,6 +319,7 @@ def fact_histories(draw, constraints=CONSTRAINTS) -> list[tuple[list[str], tuple
             if high - low > 1:
                 ids.insert(at, (low + high) // 2)
                 writes.append(ids[at])
+        mark = min(map(ids.index, writes), default=mark)
         cycles.append(writes)
     return [
         ([f"obs.k{n:013d}" for n in writes], (f"cycle {i}",) if constraints is None else
@@ -339,8 +344,9 @@ def assembled(history) -> list[CognitionInput]:
 @settings(max_examples=150, deadline=None)
 @given(history=fact_histories())
 def test_resumed_input_digest_equals_a_plain_digest(history):
-    """Over empty facts, inserts at the front, the end and block boundaries, and rewrites in
-    place, each input's digest is that of its request, though hashed from a checkpoint."""
+    """Over empty facts, inserts at the front, the end and around the mark, rewrites in
+    place, and cycles that change no line or the constraints, each input's digest is that
+    of its request, though hashed from the mark."""
     for built in assembled(history):
         assert built.input_digest == content_digest(built.to_request())
 

@@ -18,7 +18,7 @@ from cogloop import baseline, cognition, control, loop, runtime, util
 from cogloop.baseline import Baseline, run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.cognition import (
-    FACT_KINDS, FactIndex, FaultConfig, format_memory_fact, parse_entities
+    FACT_KINDS, CognitionInput, FactIndex, FaultConfig, format_memory_fact, parse_entities
 )
 from cogloop.evidence import UNKNOWN
 from cogloop.goals import GoalSpec, GoalWatch
@@ -215,8 +215,7 @@ def long_config():
 
 def count_hashed_bytes(patch) -> list[int]:
     """Count, in the returned list's one item, the bytes given to SHA-256 in cognition and
-    util, the modules that hash proposer inputs: inputs of more than one block of fact
-    lines, and the rest."""
+    util, the modules that hash proposer inputs: governed inputs, and the rest."""
     hashed = [0]
     sha256 = hashlib.sha256
 
@@ -269,50 +268,97 @@ def plans(policy, inputs) -> list:
     return answers
 
 
-@pytest.fixture(scope="module")
-def long_episode():
-    """The 469-cycle episode run once: its result, its inputs, and the bytes hashed for
-    them (with the episode's one config digest)."""
-    config = long_config()
+def hashed_episode(config) -> SimpleNamespace:
+    """A governed episode run once: its result, its inputs, and the bytes hashed for them
+    (with the episode's one config digest)."""
     recorded = Recorded(make_proposer(config))
     with pytest.MonkeyPatch.context() as patch:
         hashed = count_hashed_bytes(patch)
         result = drive_episode(Governed(config), recorded)
-    return SimpleNamespace(result=result, inputs=recorded.inputs, hashed=hashed[0])
+    total = sum(len(canonical_json(i.to_request()).encode()) for i in recorded.inputs)
+    return SimpleNamespace(result=result, inputs=recorded.inputs, hashed=hashed[0], total=total)
 
 
-def test_every_cycle_records_the_digest_of_its_whole_input(long_episode):
-    """On the probe and the 469-cycle episode, whose inputs outgrow many digest blocks,
-    each cycle's input digest, resumed from the last input's, is that of the request."""
-    config = probe_config()
-    recorded = Recorded(make_proposer(config))
-    probe = drive_episode(Governed(config), recorded)
-    for result, inputs in ((probe, recorded.inputs), (long_episode.result, long_episode.inputs)):
+@pytest.fixture(scope="module")
+def long_episode():
+    """The 469-cycle episode, run once by `hashed_episode`."""
+    return hashed_episode(long_config())
+
+
+@pytest.fixture(scope="module")
+def probe_episode():
+    """The 237-cycle probe, run once by `hashed_episode`."""
+    return hashed_episode(probe_config())
+
+
+def test_every_cycle_records_the_digest_of_its_whole_input(long_episode, probe_episode):
+    """On the probe and the 469-cycle episode, whose inputs grow to hundreds of fact
+    lines, each cycle's input digest, resumed from the last input's, is that of the
+    request."""
+    for episode in (probe_episode, long_episode):
+        result, inputs = episode.result, episode.inputs
         assert len(inputs) == result.cycles_used == len(result.trace.cycles) - 1
         for record, cog_input in zip(result.trace.cycles[1:], inputs):
             assert record.input_digest == content_digest(cog_input.to_request())
-    assert (probe.cycles_used, long_episode.result.cycles_used) == (237, 469)
+    assert (probe_episode.result.cycles_used, long_episode.result.cycles_used) == (237, 469)
     assert len(canonical_json(long_episode.inputs[-1].to_request())) > 65_536
 
 
-def test_long_episode_hashes_at_most_half_its_input_bytes(long_episode):
-    """Each input is hashed from where it differs from the last one, so the 469-cycle
-    episode hashes about 40% of its input bytes. Hashing every input whole hashed all."""
-    total = sum(len(canonical_json(i.to_request()).encode()) for i in long_episode.inputs)
-    assert 0 < 2 * long_episode.hashed <= total, f"{long_episode.hashed} of {total} bytes hashed"
+def test_long_episode_hashes_at_most_a_third_of_its_input_bytes(long_episode):
+    """Each input is hashed from the mark, the first line the last input changed, so the
+    469-cycle episode hashes about 30% of its input bytes. Hashing every input whole
+    hashed all of them; a state kept every 64 lines hashed 42%."""
+    hashed, total = long_episode.hashed, long_episode.total
+    assert 0 < 3 * hashed <= total, f"{hashed} of {total} bytes hashed"
+
+
+def test_probe_hashes_at_most_55_percent_of_its_input_bytes(probe_episode):
+    """The 237-cycle probe's inputs are shorter, so the tail after each change is a
+    larger share: about 52% of its input bytes are hashed. A state kept every 64 lines
+    hashed 72%."""
+    hashed, total = probe_episode.hashed, probe_episode.total
+    assert 0 < 100 * hashed <= 55 * total, f"{hashed} of {total} bytes hashed"
+
+
+def hashed_per_input(history) -> list[tuple[CognitionInput, int]]:
+    """Each input that ``history`` gives, with the bytes its digest gave to SHA-256."""
+    hashed, digest = [], FactIndex.digest
+    with pytest.MonkeyPatch.context() as patch:
+        total = count_hashed_bytes(patch)
+
+        def counting(index, *parts):
+            before = total[0]
+            value = digest(index, *parts)
+            hashed.append(total[0] - before)
+            return value
+
+        patch.setattr(FactIndex, "digest", counting)
+        inputs = assembled(history)
+    return list(zip(inputs, hashed, strict=True))
+
+
+def check_hashed_per_input(history) -> None:
+    """Each input's digest is its request's, and hashes no more bytes than the request."""
+    for built, hashed in hashed_per_input(history):
+        request = canonical_json(built.to_request())
+        assert built.input_digest == util.text_digest(request)
+        assert hashed <= len(request.encode())
 
 
 @settings(max_examples=30, deadline=None)
 @given(history=fact_histories(constraints=None))
 def test_inputs_whose_constraints_change_every_cycle_hash_no_more_than_plain(history):
-    """New constraints change an input's text before its first fact line, so no checkpoint
-    serves it: each input is hashed once from its start, as a plain digest would."""
-    with pytest.MonkeyPatch.context() as patch:
-        hashed = count_hashed_bytes(patch)
-        inputs = assembled(history)
-    requests = [canonical_json(built.to_request()) for built in inputs]
-    assert hashed[0] <= sum(len(text.encode()) for text in requests)
-    assert [built.input_digest for built in inputs] == list(map(util.text_digest, requests))
+    """New constraints change an input's text before its first fact line, so the mark
+    cannot serve: each input is hashed once from its start, as a plain digest would."""
+    check_hashed_per_input(history)
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=fact_histories())
+def test_no_input_hashes_more_than_its_whole_request(history):
+    """Whether a cycle's first change lands before the mark, at it or after it, changes
+    no line, or comes with new constraints, its input hashes at most its request's bytes."""
+    check_hashed_per_input(history)
 
 
 @pytest.fixture(scope="module")

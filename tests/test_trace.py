@@ -12,14 +12,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cogloop import cognition, loop
 from cogloop.baseline import run_baseline_episode
-from cogloop.cli import main
+from cogloop.cli import main, parse_faults
 from cogloop.cognition import FaultConfig
 from cogloop.loop import run_episode
 from cogloop.memory import (
     ALLOWED_KINDS, NOT_FOUND, EntryKind, MalformedKey, MemoryEntry, MemoryQuery, MemorySnapshot,
     key_segments,
 )
-from cogloop.scenario import load_scenario
+from cogloop.scenario import load_scenario, load_suite
 from cogloop.trace import (
     CycleRecord,
     EpisodeTrace,
@@ -36,6 +36,7 @@ from cogloop.trace import (
     reconstruct_chain,
 )
 from cogloop.util import canonical_json, is_int
+from conftest import SUITE_DIR
 from strategies import episode_seeds, fault_configs, json_values, suite_seeds, whole_episodes
 from suitegen import generate_suite
 
@@ -636,6 +637,52 @@ def test_cycle_numbers_must_increase(clean_trace, tmp_path, capsys, order, messa
     path.write_text(text, encoding="utf-8")
     assert main(["trace", str(path)]) == 1
     assert "does not follow" in capsys.readouterr().err
+
+
+@lru_cache(maxsize=1)
+def golden_sweep() -> tuple[str, ...]:
+    """Every trace of the golden suite50 sweep at all=0.1, governed then baseline."""
+    faults, texts = parse_faults("all=0.1"), []
+    for scenario in load_suite(SUITE_DIR):
+        for seed in scenario.seeds:
+            config = scenario.episode_config(seed, faults=faults)
+            texts.append(run_episode(config).trace.dumps())
+            texts.append(run_baseline_episode(
+                config, scenario.baseline_budget, scenario.baseline_decay).trace.dumps())
+    return tuple(texts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_deleted_interior_cycle_line_fails_to_load(data):
+    """A rejection that writes only fresh keys leaves no version gap when its line is
+    deleted; the line after it still names the cycle it does not follow."""
+    lines = data.draw(st.sampled_from(golden_sweep()), label="trace").splitlines()
+    assume(len(lines) > 3)  # the header, cycle 0, an interior cycle and the last
+    line_no = data.draw(st.integers(3, len(lines) - 1), label="deleted line")
+    del lines[line_no - 1]
+    cycle = line_no - 2  # line 2 is cycle 0
+    with pytest.raises(ParseError) as raised:
+        EpisodeTrace.loads("\n".join(lines) + "\n")
+    assert str(raised.value) == (
+        f"line {line_no}: cycle {cycle + 1} does not follow cycle {cycle - 1}"
+    )
+
+
+def test_a_cycle_past_the_budget_fails_to_load(clean_trace, tmp_path, capsys):
+    header, *cycles = clean_trace.dumps().splitlines()
+    assert len(cycles) == 5
+    edited = json.loads(header)
+    edited["max_cycles"] = 3
+    text = "\n".join([json.dumps(edited), *cycles]) + "\n"
+    message = "line 6: cycle 4 is past the header's max_cycles 3"
+    with pytest.raises(ParseError) as raised:
+        EpisodeTrace.loads(text)
+    assert str(raised.value) == message
+    path = tmp_path / "over_budget.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["trace", str(path)]) == 1
+    assert capsys.readouterr().err == f"trace error: {message}\n"
 
 
 # ------------------------------------------------------------------- replay
