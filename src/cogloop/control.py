@@ -6,8 +6,9 @@ each tagged with the rule ids it breaches, so rejections are attributable:
 1. termination — goal satisfied, completion signaled, or budget exhausted
 2. argument completeness (R-ARGS): schema-required args present, no placeholders
 3. sequencing (R-SEQ): holds by construction, see ``validate``
-4. duplicate suppression (R-DEDUP): identical successful call not re-run
-   unless a key it depended on has gained a newer version since
+4. duplicate suppression (R-DEDUP): a call the episode's runtime has already
+   run successfully is not approved again; the runtime would only answer it
+   from its record of successful calls, running no handler
 5. cancellation priority (R-COND-PRIORITY): branch actions wait until the
    cancellation guard is evaluable, and are refused while it holds
 6. conditional execution (R-COND-EXEC): a planned action runs only under a
@@ -37,6 +38,7 @@ from .memory import (
 )
 from .regulation import CheckKind, RuleSet
 from .runtime import (
+    Runtime,
     StagedWrite,
     ToolCall,
     ToolResult,
@@ -118,49 +120,25 @@ def _rule_ids(violations: tuple[Violation, ...]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(rule_id for v in violations for rule_id in v.rule_ids))
 
 
-class DedupCache:
-    """Successful calls with the memory versions their approval depended on.
-
-    A cached call counts as a duplicate while none of its read-set keys has
-    gained a newer version; calls with an empty read set stay duplicates
-    forever (re-running them could not produce new information).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, dict[str, int]] = {}
-
-    def record(self, call: ToolCall, read_set: dict[str, int]) -> None:
-        self._entries[call.call_id()] = dict(read_set)
-
-    def is_duplicate(self, call: ToolCall, snapshot: MemorySnapshot) -> bool:
-        read_set = self._entries.get(call.call_id())
-        if read_set is None:
-            return False
-        return all(snapshot.latest_version(key) <= version for key, version in read_set.items())
-
-    def compares_versions(self, call: ToolCall) -> bool:
-        """Whether ``is_duplicate(call, ...)`` reads memory: ``call`` has a non-empty read set."""
-        return bool(self._entries.get(call.call_id()))
-
-
 class CallChecks:
     """One episode's answers about a proposed call that depend on the call alone: its spec,
     its `argument_problems` and the goal branch it matches (`GoalSpec.matching_template`),
     found once per call object by the scans themselves, so ``1`` still matches a template's
     ``1.0``. An entry holds the call its key names, so no id in a live key is reused.
-    It also holds, per proposal object, the rejection that ``validate`` kept for it."""
+    It also holds, per proposal object, the rejection that ``validate`` kept for it, and
+    the episode's ``runtime``, whose record of successful calls R-DEDUP reads."""
 
-    def __init__(self, registry: dict[str, ToolSpec], goal: GoalSpec):
-        self.registry = registry
+    def __init__(self, runtime: Runtime, goal: GoalSpec):
+        self.runtime = runtime
         self.goal = goal
         self._known: dict[int, tuple[ToolCall, ToolSpec | None, list[str], Branch | None]] = {}
-        self._rejected: dict[int, tuple[Any, RuleSet, DedupCache, ControlDecision]] = {}
+        self._rejected: dict[int, tuple[Any, RuleSet, ControlDecision]] = {}
 
     def of(self, call: ToolCall) -> tuple[ToolCall, ToolSpec | None, list[str], Branch | None]:
         """``(call, spec, problems, template)``; ``problems`` is empty without a spec."""
         known = self._known.get(id(call))
         if known is None:
-            spec = self.registry.get(call.name)
+            spec = self.runtime.registry.get(call.name)
             problems = [] if spec is None else argument_problems(spec, call.canonical_args)
             known = (call, spec, problems, self.goal.matching_template(call))
             self._known[id(call)] = known
@@ -198,14 +176,13 @@ class _Validation:
         snapshot: MemorySnapshot,
         goal: GoalSpec,
         ruleset: RuleSet,
-        cache: DedupCache,
         checks: CallChecks,
     ):
         self.proposal = proposal
         self.snapshot = snapshot
         self.goal = goal
         self.ruleset = ruleset
-        self.cache = cache
+        self.runtime = checks.runtime
         self.call, self.spec, self.problems, self.template = checks.of(proposal.call)
         self.violations: list[Violation] = []
         self.consumed: dict[str, Any] = {}
@@ -236,15 +213,12 @@ class _Validation:
         self.add(CheckKind.ARGUMENTS_COMPLETE, detail, short)
 
     def check_dedup(self) -> None:
-        if not self.cache.is_duplicate(self.call, self.snapshot):
+        if self.runtime.succeeded(self.call) is None:
             return
         if self.spec is not None and self.spec.observes is not None:
             detail = "Observation already exists"
         else:
-            detail = (
-                f"identical call {self.call.describe()} already executed "
-                "without intervening state changes"
-            )
+            detail = f"identical call {self.call.describe()} already executed"
         self.add(None, detail, "duplicate")
 
     def check_cancellation_priority(self) -> None:
@@ -337,7 +311,6 @@ def validate(
     snapshot: MemorySnapshot,
     watch: GoalWatch,
     ruleset: RuleSet,
-    cache: DedupCache,
     checks: CallChecks,
     cycle_index: int,
     max_cycles: int,
@@ -360,10 +333,10 @@ def validate(
         )
 
     kept = checks._rejected.get(id(proposal))
-    if kept is not None and kept[1] is ruleset and kept[2] is cache:
-        return kept[3]
+    if kept is not None and kept[1] is ruleset:
+        return kept[2]
     # Every null call (a completion signal) has terminated above.
-    run = _Validation(proposal, snapshot, watch.goal, ruleset, cache, checks)
+    run = _Validation(proposal, snapshot, watch.goal, ruleset, checks)
     run.check_arguments()
     # R-SEQ (one action per cycle, none while another is unconfirmed) holds
     # by construction: a proposal carries at most one call, and the runtime
@@ -399,14 +372,14 @@ def validate(
         ),
         consumptions=consumptions,
     )
-    # Keep a rejection that read no memory, for this proposal object under these very ruleset
-    # and cache. The checks read memory through `resolve` (a consumption; every citation and
-    # goal condition resolves a key) and the dedup record's versions alone. Every other input
-    # is fixed per call, so `ruleset` never approves the call, `cache` (which records approved
-    # calls) never gains it, and an empty read set stays a duplicate: the rejection holds for
-    # the rest of the episode. The entry holds the proposal, so its id is not reused.
-    if not (consumptions or cache.compares_versions(run.call)):
-        checks._rejected[id(proposal)] = (proposal, ruleset, cache, decision)
+    # Keep a rejection that read no memory, for this proposal object under this very ruleset.
+    # The checks read memory only through `resolve` (a consumption; every citation and goal
+    # condition resolves a key). Every other input is fixed per call but the runtime's
+    # record, which only grows: a duplicate stays one, and `ruleset` never approves a call
+    # it rejected without reading memory, so the record never gains it. The rejection holds
+    # for the rest of the episode. The entry holds the proposal, so its id is not reused.
+    if not consumptions:
+        checks._rejected[id(proposal)] = (proposal, ruleset, decision)
     return decision
 
 

@@ -34,7 +34,6 @@ from .cognition import (
 from .control import (
     CallChecks,
     ControlDecision,
-    DedupCache,
     TerminationReason,
     Verdict,
     on_tool_failure,
@@ -224,7 +223,8 @@ class System:
     ``on_proposer_failure`` when the proposer raises, ``on_terminate`` when the
     decision ends the episode, and ``after_execution`` once an approved call
     has run. The labels prefix the driver's own log lines; ``baseline`` goes
-    into the trace header.
+    into the trace header. Each system builds its episode's ``Runtime`` over
+    the registry; approved calls run there.
     """
 
     baseline = False
@@ -234,6 +234,7 @@ class System:
     def __init__(self, config: EpisodeConfig):
         self.config = config
         self.registry = builtin_registry(list(config.scenario.extra_tools))
+        self.runtime = Runtime(self.registry, WorldState.from_dict(config.scenario.world))
         self.goal_watch = GoalWatch(config.scenario.policy.goal)
 
     def cognition_input(
@@ -273,8 +274,7 @@ class Governed(System):
 
     def __init__(self, config: EpisodeConfig):
         super().__init__(config)
-        self.cache = DedupCache()
-        self.checks = CallChecks(self.registry, self.goal_watch.goal)
+        self.checks = CallChecks(self.runtime, self.goal_watch.goal)
         self.consecutive_failures: dict[str, int] = {}
         self.facts = FactIndex()
 
@@ -288,8 +288,7 @@ class Governed(System):
         self, proposal: Proposal, snapshot: MemorySnapshot, cycle: int, max_cycles: int
     ) -> ControlDecision:
         return validate(
-            proposal, snapshot, self.goal_watch, DEFAULT_RULESET, self.cache,
-            self.checks, cycle, max_cycles,
+            proposal, snapshot, self.goal_watch, DEFAULT_RULESET, self.checks, cycle, max_cycles
         )
 
     def stage_init(self, store: MemoryStore) -> None:
@@ -314,7 +313,6 @@ class Governed(System):
     ) -> None:
         call = decision.call
         if result.ok:
-            self.cache.record(call, decision.read_set)
             self.consecutive_failures[call.name] = 0
             return
         count = self.consecutive_failures.get(call.name, 0) + 1
@@ -330,11 +328,11 @@ class Governed(System):
 def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
     """Run one episode of ``system`` to termination, ``proposer`` proposing each cycle.
 
-    The episode runs the system's configuration and tool registry. Any object
+    The episode runs the system's configuration and runtime. Any object
     with ``propose`` and ``last_meta`` can stand in for the proposer.
     """
     config = system.config
-    runtime = Runtime(system.registry, WorldState.from_dict(config.scenario.world))
+    runtime = system.runtime
     store = MemoryStore()
     max_cycles = config.resolved_max_cycles()
 

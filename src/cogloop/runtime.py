@@ -337,14 +337,15 @@ class Runtime:
     A repeated call with identical canonical arguments that previously
     succeeded returns the cached payload without re-invoking the handler (and
     stages no new writes); every execute call, cached or not, appends one
-    invocation log record.
+    invocation log record. ``results`` is the episode's one record of successful
+    calls: control's R-DEDUP asks ``succeeded`` too.
     """
 
     def __init__(self, registry: dict[str, ToolSpec], world: WorldState):
         self.registry = registry
         self.world = world
         self.invocation_log: list[dict[str, Any]] = []
-        self._cache: dict[str, dict[str, Any]] = {}
+        self.results: dict[str, dict[str, Any]] = {}  # call id -> its first success's payload
 
     def _finish(
         self,
@@ -379,12 +380,16 @@ class Runtime:
         )
         return result, staged or []
 
+    def succeeded(self, call: ToolCall) -> dict[str, Any] | None:
+        """The payload of ``call``'s first successful run here, or None if none succeeded."""
+        try:  # a call id enters `results` only once its call has passed execute's checks
+            return self.results.get(call.call_id())
+        except TypeError:  # an argument JSON cannot hold, which those checks reject
+            return None
+
     def execute(self, call: ToolCall, cycle: int = 0) -> tuple[ToolResult, list[StagedWrite]]:
         """Validate, invoke, normalize, and describe the memory writes to stage."""
-        try:  # a call id enters the cache only once its call has passed the checks below
-            cached = self._cache.get(call.call_id())
-        except TypeError:  # an argument JSON cannot hold, which those checks reject
-            cached = None
+        cached = self.succeeded(call)
         if cached is not None:
             return self._finish(cycle, call, dict(cached), hit=True)
         spec = self.registry.get(call.name)
@@ -412,7 +417,7 @@ class Runtime:
         if normalized is None:
             error = (ErrorCode.SCHEMA_VIOLATION, f"tool output does not match schema: {payload!r}")
             return self._finish(cycle, call, error=error)
-        self._cache[call.call_id()] = dict(normalized)
+        self.results[call.call_id()] = dict(normalized)
         return self._finish(cycle, call, normalized, staged=staged_writes(spec, args, normalized))
 
     @staticmethod

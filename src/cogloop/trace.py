@@ -303,6 +303,10 @@ class EpisodeTrace:
         # After the loop, so that a cycle out of order is reported as that first.
         if not cycles or cycles[0].cycle != 0:
             raise ParseError("trace does not start with cycle 0")
+        last = cycles[-1]  # the loop ends an episode on a terminate decision or its budget
+        if last.cycle != header.max_cycles and (last.decision or {}).get("verdict") != "terminate":
+            raise _bad(last.cycle, "ends the trace but neither terminates the episode nor is "
+                       f"its last cycle (max_cycles {header.max_cycles}); cycles are missing")
         versions: dict[str, int] = {}  # replay is a store's only if these count up from 1
         for record in cycles:
             for index, entry in enumerate(record.memory_delta):

@@ -5,13 +5,13 @@ from dataclasses import replace
 
 import pytest
 
+from cogloop.cli import parse_faults
 from cogloop.cognition import Proposal
 from cogloop.control import (
     DEDUP_RULE_ID,
     ESCALATION_THRESHOLD,
     CallChecks,
     ControlDecision,
-    DedupCache,
     TerminationReason,
     Verdict,
     check_termination,
@@ -20,9 +20,14 @@ from cogloop.control import (
 )
 from cogloop.evidence import MemoryRef, parse
 from cogloop.goals import Branch, GoalSpec, GoalWatch
+from cogloop.loop import run_episode
 from cogloop.memory import NOT_FOUND, EntryKind, MemoryStore
 from cogloop.regulation import DEFAULT_RULESET, RuleSet
-from cogloop.runtime import ErrorCode, ToolCall, ToolResult, argument_problems, builtin_registry
+from cogloop.runtime import (
+    ErrorCode, Runtime, ToolCall, ToolResult, WorldState, argument_problems, builtin_registry,
+)
+from cogloop.scenario import load_suite
+from cogloop.trace import EpisodeTrace
 
 from test_goals import TWO_CITY_GOAL
 
@@ -32,6 +37,7 @@ REGISTRY = builtin_registry()
 SEOUL = {"temp_f": 51.8, "precipitation": False}
 JEJU = {"temp_f": 60.8, "precipitation": False}
 
+GATHER_SEOUL = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
 BOOK_SEOUL = Proposal(
     call=ToolCall("book_flight", {"location": "Seoul"}),
     citations=(parse("obs.Seoul.temp_f < obs.Jeju.temp_f"),
@@ -54,11 +60,25 @@ def store_with(facts: dict[str, dict] | None = None, actions: list[dict] | None 
     return store
 
 
-def run_validate(proposal: Proposal, store: MemoryStore, cache: DedupCache | None = None,
+WORLD = {"seed": 1, "weather": [
+    {"location": "Seoul", "date": "2025-06-14", **SEOUL},
+    {"location": "Jeju", "date": "2025-06-14", **JEJU},
+]}
+
+
+def runtime_after(*calls: ToolCall) -> Runtime:
+    """A runtime whose record of successful calls holds ``calls``, each run once."""
+    runtime = Runtime(REGISTRY, WorldState.from_dict(WORLD))
+    for call in calls:
+        assert runtime.execute(call)[0].ok
+    return runtime
+
+
+def run_validate(proposal: Proposal, store: MemoryStore, runtime: Runtime | None = None,
                  cycle_index: int = 1, max_cycles: int = 10) -> ControlDecision:
-    return validate(proposal, store.snapshot, GoalWatch(GOAL), DEFAULT_RULESET,
-                    DedupCache() if cache is None else cache,
-                    CallChecks(REGISTRY, GOAL), cycle_index, max_cycles)
+    checks = CallChecks(runtime_after() if runtime is None else runtime, GOAL)
+    return validate(proposal, store.snapshot, GoalWatch(GOAL), DEFAULT_RULESET, checks,
+                    cycle_index, max_cycles)
 
 
 # ------------------------------------------------------------- call checks
@@ -68,7 +88,7 @@ def test_call_checks_answer_as_the_scans_once_per_call(seats):
     for arguments that equal a template's only in value; one call object is judged once."""
     booking = ToolCall("book_flight", {"location": "Seoul", "seats": 1})
     goal = GoalSpec(("obs.Seoul.temp_f",), (Branch((parse("obs.Seoul.temp_f < 60"),), (booking,)),))
-    checks = CallChecks(REGISTRY, goal)
+    checks = CallChecks(runtime_after(), goal)
     call = ToolCall("book_flight", {"location": "Seoul", "seats": seats})
     spec = REGISTRY["book_flight"]
     answer = checks.of(call)
@@ -155,11 +175,10 @@ def test_regather_after_failure_logs_failed_observation():
 def test_gather_on_another_date_after_clean_observation_is_fresh():
     """A clean observation makes only its own call a duplicate: a call on another date
     observes the same key and is approved as a fresh reading."""
-    cache = DedupCache()
-    cache.record(ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"}), {})
+    runtime = runtime_after(GATHER_SEOUL)
     decision = run_validate(
         Proposal(call=ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-15"})),
-        store_with({"obs.Seoul": SEOUL}), cache,
+        store_with({"obs.Seoul": SEOUL}), runtime,
     )
     assert decision.verdict is Verdict.APPROVED
     assert decision.log_lines == (
@@ -175,8 +194,8 @@ def test_effect_call_outside_the_goal_approved_when_condition_rule_disabled():
     call = ToolCall("book_flight", {"location": "Busan"})
     store = store_with({"obs.Seoul": SEOUL, "obs.Jeju": JEJU})
     assert run_validate(Proposal(call=call), store).verdict is Verdict.REJECTED
-    decision = validate(Proposal(call=call), store.snapshot, GoalWatch(GOAL), ruleset, DedupCache(),
-                        CallChecks(REGISTRY, GOAL), 1, 10)
+    decision = validate(Proposal(call=call), store.snapshot, GoalWatch(GOAL), ruleset,
+                        CallChecks(runtime_after(), GOAL), 1, 10)
     assert decision.verdict is Verdict.APPROVED
     assert decision.log_lines == ("[Control] Precondition: required memory present → Approved",)
 
@@ -223,9 +242,7 @@ def test_unknown_tool_rejected_with_args_rule():
 def test_duplicate_call_rejected_by_control_minted_rule():
     store = store_with({"obs.Seoul": SEOUL})
     call = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
-    cache = DedupCache()
-    cache.record(call, {})  # empty read set: duplicate until memory changes
-    decision = run_validate(Proposal(call=call), store, cache=cache)
+    decision = run_validate(Proposal(call=call), store, runtime_after(call))
     assert decision.verdict is Verdict.REJECTED
     assert decision.rule_ids() == (DEDUP_RULE_ID,)
     assert decision.violations[0].detail == "Observation already exists"
@@ -233,18 +250,40 @@ def test_duplicate_call_rejected_by_control_minted_rule():
     assert DEDUP_RULE_ID not in {r.id for r in DEFAULT_RULESET.rules}
 
 
-def test_duplicate_expires_when_read_set_key_advances():
+def test_effect_duplicate_stays_rejected_after_its_read_set_key_advances():
+    """A newer version of a key the approval read does not make a run call new: the runtime
+    would answer it from its record, running no handler and staging nothing."""
     store = store_with({"obs.Seoul": SEOUL, "obs.Jeju": JEJU})
-    call = BOOK_SEOUL.call
-    cache = DedupCache()
-    cache.record(call, {"obs.Seoul": 1, "obs.Jeju": 1})
-    assert cache.is_duplicate(call, store.snapshot)
+    runtime = runtime_after()
+    checks = CallChecks(runtime, GOAL)
+    approval = validate_in(checks, BOOK_SEOUL, store)
+    assert approval.verdict is Verdict.APPROVED and approval.read_set["obs.Seoul"] == 1
+    assert runtime.execute(approval.call)[0].ok
     store.write_staged("obs.Seoul", EntryKind.OBSERVATION,
                        {"temp_f": 48.0, "precipitation": False}, "sensor")
     store.commit_cycle()
-    assert not cache.is_duplicate(call, store.snapshot)
-    decision = run_validate(BOOK_SEOUL, store, cache=cache)
-    assert decision.verdict is Verdict.APPROVED
+    assert store.snapshot.latest_version("obs.Seoul") == 2
+    decision = validate_in(checks, BOOK_SEOUL, store, cycle_index=2)
+    assert decision.verdict is Verdict.REJECTED
+    assert decision.rule_ids() == (DEDUP_RULE_ID,)
+    assert decision.violations[0].detail == (
+        "identical call book_flight(location=Seoul) already executed"
+    )
+    result, staged = runtime.execute(BOOK_SEOUL.call)
+    assert result.idempotency_hit and staged == []
+    assert runtime.world.handler_calls == {"book_flight": 1}
+
+
+def test_call_json_cannot_hold_is_rejected_with_args_rule():
+    """An argument JSON cannot hold has no call id: the record lookup finds no duplicate and
+    R-ARGS rejects the call, as the runtime answers it with a schema violation."""
+    call = ToolCall("get_weather", {"location": {"Seoul"}, "date": "2025-06-14"})
+    runtime = runtime_after(GATHER_SEOUL)
+    decision = run_validate(Proposal(call=call), store_with(), runtime)
+    assert decision.verdict is Verdict.REJECTED
+    assert decision.rule_ids() == ("R-ARGS",)
+    assert decision.violations[0].detail == "argument 'location' must be string, got {'Seoul'}"
+    assert runtime.execute(call)[0].error_code is ErrorCode.SCHEMA_VIOLATION
 
 
 @pytest.mark.parametrize(
@@ -327,58 +366,49 @@ def test_decision_serialization_encodes_missing_values():
 
 
 # -------------------------------------------------------- kept rejections
-GATHER_SEOUL = ToolCall("get_weather", {"location": "Seoul", "date": "2025-06-14"})
 NO_ARGS = RuleSet(tuple(
     replace(rule, enabled=False) if rule.id == "R-ARGS" else rule for rule in DEFAULT_RULESET.rules
 ))
 
 
-def validate_in(checks: CallChecks, cache: DedupCache, proposal: Proposal, store: MemoryStore,
+def validate_in(checks: CallChecks, proposal: Proposal, store: MemoryStore,
                 ruleset: RuleSet = DEFAULT_RULESET, cycle_index: int = 1) -> ControlDecision:
-    """``validate`` with the episode state ``checks`` and ``cache`` given, not made afresh."""
-    return validate(proposal, store.snapshot, GoalWatch(GOAL), ruleset, cache, checks,
-                    cycle_index, 10)
+    """``validate`` with the episode state ``checks`` given, not made afresh."""
+    return validate(proposal, store.snapshot, GoalWatch(GOAL), ruleset, checks, cycle_index, 10)
 
 
-@pytest.mark.parametrize("proposal, recorded, rule_ids", [
-    (Proposal(call=GATHER_SEOUL), {}, ("R-DEDUP",)),
-    (Proposal(call=ToolCall("get_weather", {"location": "Seoul"})), None, ("R-ARGS",)),
-    (Proposal(call=ToolCall("book_flight", {"location": "Busan"})), None, ("R-COND-EXEC",)),
+@pytest.mark.parametrize("proposal, rule_ids", [
+    (Proposal(call=GATHER_SEOUL), ("R-DEDUP",)),
+    (Proposal(call=ToolCall("get_weather", {"location": "Seoul"})), ("R-ARGS",)),
+    (Proposal(call=ToolCall("book_flight", {"location": "Busan"})), ("R-COND-EXEC",)),
 ], ids=["duplicate", "missing-arg", "unauthorized"])
-def test_rejection_that_read_no_memory_is_kept(proposal, recorded, rule_ids):
+def test_rejection_that_read_no_memory_is_kept(proposal, rule_ids):
     """A repeated proposal whose rejection read no memory gets the kept decision, even after
     memory changed; it is what a fresh ``validate`` decides."""
-    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
-    if recorded is not None:
-        cache.record(proposal.call, recorded)
-    first = validate_in(checks, cache, proposal, store)
+    checks, store = CallChecks(runtime_after(GATHER_SEOUL), GOAL), store_with()
+    first = validate_in(checks, proposal, store)
     assert first.verdict is Verdict.REJECTED and first.rule_ids() == rule_ids
-    assert validate_in(checks, cache, proposal, store) is first
+    assert validate_in(checks, proposal, store) is first
     store.write_staged("obs.Seoul", EntryKind.OBSERVATION, SEOUL, "sensor")
     store.commit_cycle()
-    assert validate_in(checks, cache, proposal, store) is first
-    fresh = validate(proposal, store.snapshot, GoalWatch(GOAL), DEFAULT_RULESET, cache,
-                     CallChecks(REGISTRY, GOAL), 1, 10)
+    assert validate_in(checks, proposal, store) is first
+    fresh = validate_in(CallChecks(checks.runtime, GOAL), proposal, store)
     assert fresh is not first and fresh.to_dict() == first.to_dict()
 
 
-@pytest.mark.parametrize("proposal, recorded, before", [
+@pytest.mark.parametrize("proposal, before", [
     # Seoul warmer than Jeju: the branch condition is false.
-    (BOOK_SEOUL, None, {"temp_f": 65.0, "precipitation": False}),
-    # A duplicate whose read set names obs.Seoul expires when obs.Seoul advances.
-    (Proposal(call=GATHER_SEOUL), {"obs.Seoul": 1}, SEOUL),
-], ids=["branch-condition", "dedup-read-set"])
-def test_rejection_that_read_memory_is_decided_afresh(proposal, recorded, before):
+    (BOOK_SEOUL, {"temp_f": 65.0, "precipitation": False}),
+], ids=["branch-condition"])
+def test_rejection_that_read_memory_is_decided_afresh(proposal, before):
     """A rejection that read memory is not kept: once the store commits the facts that
     change its answer, the same proposal object is approved."""
-    checks, cache = CallChecks(REGISTRY, GOAL), DedupCache()
-    if recorded is not None:
-        cache.record(proposal.call, recorded)
+    checks = CallChecks(runtime_after(), GOAL)
     store = store_with({"obs.Seoul": before, "obs.Jeju": JEJU})
-    assert validate_in(checks, cache, proposal, store).verdict is Verdict.REJECTED
+    assert validate_in(checks, proposal, store).verdict is Verdict.REJECTED
     store.write_staged("obs.Seoul", EntryKind.OBSERVATION, SEOUL, "sensor")
     store.commit_cycle()
-    assert validate_in(checks, cache, proposal, store).verdict is Verdict.APPROVED
+    assert validate_in(checks, proposal, store).verdict is Verdict.APPROVED
 
 
 @pytest.mark.parametrize("proposal", [
@@ -387,33 +417,33 @@ def test_rejection_that_read_memory_is_decided_afresh(proposal, recorded, before
     Proposal(call=BOOK_SEOUL.call),  # matches a branch, cites nothing
 ], ids=["cites", "matches-branch"])
 def test_rejection_that_cites_or_matches_a_branch_is_not_kept(proposal):
-    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
-    first = validate_in(checks, cache, proposal, store)
+    checks, store = CallChecks(runtime_after(), GOAL), store_with()
+    first = validate_in(checks, proposal, store)
     assert first.verdict is Verdict.REJECTED
-    again = validate_in(checks, cache, proposal, store)
+    again = validate_in(checks, proposal, store)
     assert again is not first and again.to_dict() == first.to_dict()
 
 
 def test_kept_rejection_serves_only_its_own_ruleset_and_cache():
-    """Another ruleset or dedup cache gets its own decision: here an approval without
-    R-ARGS, and an added R-DEDUP where the call is recorded."""
-    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
+    """Another ruleset gets its own decision, here an approval without R-ARGS; and so does
+    another episode, whose runtime's result cache may hold the call: an added R-DEDUP."""
+    checks, store = CallChecks(runtime_after(), GOAL), store_with()
     proposal = Proposal(call=ToolCall("get_weather", {"location": "Seoul"}))
-    kept = validate_in(checks, cache, proposal, store)
+    kept = validate_in(checks, proposal, store)
     assert kept.rule_ids() == ("R-ARGS",)
-    assert validate_in(checks, cache, proposal, store, NO_ARGS).verdict is Verdict.APPROVED
-    recorded = DedupCache()
-    recorded.record(proposal.call, {})
-    decision = validate_in(checks, recorded, proposal, store)
-    assert decision.rule_ids() == ("R-ARGS", DEDUP_RULE_ID)
+    assert validate_in(checks, proposal, store, NO_ARGS).verdict is Verdict.APPROVED
+    busan = Proposal(call=ToolCall("book_flight", {"location": "Busan"}))
+    assert validate_in(checks, busan, store).rule_ids() == ("R-COND-EXEC",)
+    other = CallChecks(runtime_after(busan.call), GOAL)
+    assert validate_in(other, busan, store).rule_ids() == (DEDUP_RULE_ID, "R-COND-EXEC")
 
 
 def test_termination_wins_over_a_kept_rejection():
-    checks, cache, store = CallChecks(REGISTRY, GOAL), DedupCache(), store_with()
+    checks, store = CallChecks(runtime_after(), GOAL), store_with()
     proposal = Proposal(call=ToolCall("get_weather", {"location": "Seoul"}))
-    kept = validate_in(checks, cache, proposal, store)
-    assert validate_in(checks, cache, proposal, store) is kept
-    decision = validate_in(checks, cache, proposal, store, cycle_index=10)
+    kept = validate_in(checks, proposal, store)
+    assert validate_in(checks, proposal, store) is kept
+    decision = validate_in(checks, proposal, store, cycle_index=10)
     assert decision.verdict is Verdict.TERMINATE
     assert decision.reason is TerminationReason.BUDGET_EXHAUSTED
 
@@ -458,3 +488,43 @@ def test_failure_escalates_at_threshold():
         "Tool get_weather failed 2 times: ToolUnavailable. "
         "Seek clarification before retrying."
     )
+
+
+# ------------------------------------------------------- decisions from traces
+def recorded_proposal(response: dict) -> Proposal:
+    """The proposal a cycle record's ``proposal`` serializes."""
+    call = response["call"]
+    return Proposal(
+        call=None if call is None else ToolCall(call["name"], call["arguments"]),
+        citations=tuple(parse(text) for text in response["citations"]),
+        rationale=response["rationale"],
+    )
+
+
+def test_every_governed_decision_follows_from_its_trace(suite_dir):
+    """Re-deciding each governed cycle of the all=0.3 sweep from the trace alone gives the
+    recorded decision: the replayed snapshot, the recorded proposal, fresh control state and
+    a runtime record of the calls that earlier invocations ran successfully."""
+    faults, decided = parse_faults("all=0.3"), 0
+    for scenario in load_suite(suite_dir):
+        goal = scenario.policy.goal
+        registry = builtin_registry(list(scenario.extra_tools))
+        for seed in scenario.seeds:
+            text = run_episode(scenario.episode_config(seed, faults=faults)).trace.dumps()
+            trace = EpisodeTrace.loads(text)
+            runtime = Runtime(registry, WorldState())
+            for record, snapshot in trace.replay():
+                if record.decision is not None:
+                    decision = validate(
+                        recorded_proposal(record.proposal), snapshot, GoalWatch(goal),
+                        DEFAULT_RULESET, CallChecks(runtime, goal), record.cycle,
+                        trace.header.max_cycles,
+                    )
+                    where = (scenario.name, seed, record.cycle)
+                    assert decision.to_dict() == record.decision, where
+                    decided += 1
+                invocation = record.invocation
+                if invocation is not None and invocation["outcome"]["ok"]:
+                    call = ToolCall(invocation["tool"], invocation["args"])
+                    runtime.results[call.call_id()] = invocation["outcome"]["payload"]
+    assert decided == 3363

@@ -118,6 +118,24 @@ def test_transient_fault_retried_with_error_marker(transient_retry):
     assert result.cycles_used == 5  # one extra cycle spent on the retry
 
 
+def test_second_consecutive_failure_escalates(scenario_dir):
+    """A second scheduled fault fails the retry too: control's guidance escalates to seeking
+    clarification, and the third attempt still completes the episode."""
+    data = json.loads((scenario_dir / "transient_retry.json").read_text(encoding="utf-8"))
+    data["world"]["fault_schedule"].append(
+        {"tool": "get_weather", "ordinal": 2, "code": "TransientFailure"}
+    )
+    result = run_episode(Scenario.from_dict(data).episode_config(seed=1))
+    constraint = ("Tool get_weather failed 2 times: TransientFailure. "
+                  "Seek clarification before retrying.")
+    assert f"[Control] Failure guidance: {constraint}" in result.trace.cycles[2].log_lines
+    assert result.store.snapshot.latest("feedback.cycle2").payload["constraint"] == constraint
+    assert result.trace.cycles[3].invocation["outcome"]["ok"] is True
+    assert (result.status, result.cycles_used, result.max_cycles) == (
+        EpisodeStatus.COMPLETED, 6, 21
+    )
+
+
 # ------------------------------------------------------------ fault episodes
 def test_constant_faults_exhaust_budget_without_effects(two_city):
     faults = FaultConfig(seed=1, p_missing_arg=1.0)

@@ -77,14 +77,14 @@ def test_header_round_trip():
 
 HEADER_LINE = json.dumps(
     TraceHeader(config_digest="d", scenario="s", seed=1, baseline=False,
-                proposer="scripted", ruleset_version="v", max_cycles=3).to_dict()
+                proposer="scripted", ruleset_version="v", max_cycles=1).to_dict()
 )
 DELTA_ENTRY = {"key": "obs.Seoul", "kind": "observation", "payload": {"temp_f": 51.8},
                "source": "get_weather", "timestamp": "2025-01-01T00:00:00.000Z", "version": 1}
 
 
 def with_cycle(**fields) -> str:
-    """A header plus cycles 0 and 1; cycle 1 carries ``fields``."""
+    """A header plus cycles 0 and 1, a whole one-cycle episode; cycle 1 carries ``fields``."""
     cycles = [{"type": "cycle", "cycle": 0}, {"type": "cycle", "cycle": 1, **fields}]
     return "\n".join([HEADER_LINE, *map(json.dumps, cycles)]) + "\n"
 
@@ -667,6 +667,28 @@ def test_a_deleted_interior_cycle_line_fails_to_load(data):
     assert str(raised.value) == (
         f"line {line_no}: cycle {cycle + 1} does not follow cycle {cycle - 1}"
     )
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_trace_cut_short_fails_to_load(data, tmp_path, capsys):
+    """The loop ends an episode only on a terminate decision or at its budget's last cycle,
+    so a trace whose last cycle lines were cut off names the cycle it now ends on."""
+    lines = data.draw(st.sampled_from(golden_sweep()), label="trace").splitlines()
+    cut = data.draw(st.integers(1, len(lines) - 2), label="lines cut")  # keep cycle 0
+    text = "\n".join(lines[:-cut]) + "\n"
+    last = len(lines) - cut - 2  # line 2 is cycle 0
+    max_cycles = json.loads(lines[0])["max_cycles"]
+    message = (f"cycle {last}: ends the trace but neither terminates the episode nor is its "
+               f"last cycle (max_cycles {max_cycles}); cycles are missing")
+    with pytest.raises(ParseError) as raised:
+        EpisodeTrace.loads(text)
+    assert str(raised.value) == message
+    path = tmp_path / "cut.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["trace", str(path)]) == 1
+    assert capsys.readouterr().err == f"trace error: {message}\n"
 
 
 def test_a_cycle_past_the_budget_fails_to_load(clean_trace, tmp_path, capsys):
