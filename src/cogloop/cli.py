@@ -51,16 +51,16 @@ def parse_faults(spec: str | None, seed: int = 0) -> FaultConfig | None:
         key, sep, raw = part.partition("=")
         if not sep:
             raise ConfigError(f"fault spec {part!r} must look like type=probability")
-        try:
-            prob = float(raw)
-        except ValueError:
-            raise ConfigError(f"fault probability {raw!r} is not a number") from None
         key = key.strip().lower()
         if key.startswith("p_"):
             key = key[2:]
         key = _FAULT_ALIASES.get(key, key)
         if key != "all" and key not in FAULT_TYPES:
             raise ConfigError(f"unknown fault type {key!r} (known: {', '.join(FAULT_TYPES)})")
+        try:
+            prob = float(raw)
+        except ValueError:
+            raise ConfigError(f"fault probability {raw!r} is not a number") from None
         for fault_type in FAULT_TYPES if key == "all" else (key,):
             if f"p_{fault_type}" in config:
                 raise ConfigError(f"fault type {fault_type!r} is set twice in {spec!r}")

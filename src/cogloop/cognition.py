@@ -101,18 +101,13 @@ class CognitionInput:
 def request_text(system: str, task: str, rules: str, fact_json: Iterable[str],
                  constraints: tuple[str, ...]) -> str:
     """``canonical_json`` of an input's request, given each fact line's ``canonical_json``;
-    the other parts repeat from cycle to cycle, so each is encoded once per process."""
+    the part after the facts repeats from cycle to cycle, so it is encoded once per process."""
     return _json_head(constraints) + ",".join(fact_json) + _json_tail(rules, system, task)
-
-
-@lru_cache(maxsize=4096)
-def _json_string(text: str) -> str:
-    return canonical_json(text)
 
 
 def _json_head(constraints: tuple[str, ...]) -> str:
     """The start of a request's canonical JSON, before its facts: the constraints."""
-    return '{"constraints":[' + ",".join(map(_json_string, constraints)) + '],"facts":['
+    return '{"constraints":[' + ",".join(map(canonical_json, constraints)) + '],"facts":['
 
 
 @lru_cache(maxsize=64)
@@ -278,7 +273,7 @@ class FactIndex:
                 encoded.insert(at, "")
             self._changed = min(self._changed, at)
             line = lines[at] = format_memory_fact(entry)
-            encoded[at] = _json_string(line)
+            encoded[at] = canonical_json(line)
             fact = None if line.startswith(FEEDBACK_LINE) else parse_fact_line(line)
             # A key's namespace fixes its kind, so it always shows the same
             # entity; of two keys showing one entity, the later in key order wins.

@@ -28,7 +28,7 @@ from typing import Any
 
 from . import evidence
 from .evidence import MemoryRef
-from .goals import Branch, GoalSpec, GoalWatch
+from .goals import GoalSpec, GoalWatch
 from .memory import (
     NOT_FOUND,
     EntryKind,
@@ -121,28 +121,14 @@ def _rule_ids(violations: tuple[Violation, ...]) -> tuple[str, ...]:
 
 
 class CallChecks:
-    """One episode's answers about a proposed call that depend on the call alone: its spec,
-    its `argument_problems` and the goal branch it matches (`GoalSpec.matching_template`),
-    found once per call object by the scans themselves, so ``1`` still matches a template's
-    ``1.0``. An entry holds the call its key names, so no id in a live key is reused.
-    It also holds, per proposal object, the rejection that ``validate`` kept for it, and
-    the episode's ``runtime``, whose record of successful calls R-DEDUP reads."""
+    """One episode's state for ``validate``: its ``goal``, the episode's ``runtime``, whose
+    registry gives each call's spec and whose record of successful calls R-DEDUP reads, and,
+    per proposal object, the rejection that ``validate`` kept for it."""
 
     def __init__(self, runtime: Runtime, goal: GoalSpec):
         self.runtime = runtime
         self.goal = goal
-        self._known: dict[int, tuple[ToolCall, ToolSpec | None, list[str], Branch | None]] = {}
         self._rejected: dict[int, tuple[Any, RuleSet, ControlDecision]] = {}
-
-    def of(self, call: ToolCall) -> tuple[ToolCall, ToolSpec | None, list[str], Branch | None]:
-        """``(call, spec, problems, template)``; ``problems`` is empty without a spec."""
-        known = self._known.get(id(call))
-        if known is None:
-            spec = self.runtime.registry.get(call.name)
-            problems = [] if spec is None else argument_problems(spec, call.canonical_args)
-            known = (call, spec, problems, self.goal.matching_template(call))
-            self._known[id(call)] = known
-        return known
 
 
 def check_termination(
@@ -170,20 +156,16 @@ def check_termination(
 class _Validation:
     """One validate() run; collects violations, consumptions, and log lines."""
 
-    def __init__(
-        self,
-        proposal,
-        snapshot: MemorySnapshot,
-        goal: GoalSpec,
-        ruleset: RuleSet,
-        checks: CallChecks,
-    ):
+    def __init__(self, proposal, snapshot: MemorySnapshot, ruleset: RuleSet, checks: CallChecks):
         self.proposal = proposal
         self.snapshot = snapshot
-        self.goal = goal
+        self.goal = checks.goal
         self.ruleset = ruleset
         self.runtime = checks.runtime
-        self.call, self.spec, self.problems, self.template = checks.of(proposal.call)
+        self.call = call = proposal.call
+        self.spec = spec = self.runtime.registry.get(call.name)
+        self.problems = [] if spec is None else argument_problems(spec, call.canonical_args)
+        self.template = self.goal.matching_template(call)
         self.violations: list[Violation] = []
         self.consumed: dict[str, Any] = {}
 
@@ -336,7 +318,7 @@ def validate(
     if kept is not None and kept[1] is ruleset:
         return kept[2]
     # Every null call (a completion signal) has terminated above.
-    run = _Validation(proposal, snapshot, watch.goal, ruleset, checks)
+    run = _Validation(proposal, snapshot, ruleset, checks)
     run.check_arguments()
     # R-SEQ (one action per cycle, none while another is unconfirmed) holds
     # by construction: a proposal carries at most one call, and the runtime

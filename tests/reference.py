@@ -5,9 +5,11 @@ bypassed writes the bytes a cached run writes; ``test_reference.py`` checks
 that on the golden sweeps and the long probe. ``CACHES`` names each cache
 with its bypass, and ``test_source.py`` requires every ``lru_cache`` and
 every module-level memo in ``src/cogloop`` to be named there, so a new cache
-adds one entry here rather than an oracle test of its own. Cached properties
-of frozen values (a call's id, a goal's read keys, a config's digest) are not
-caches in this sense: each is computed once per object, by its formula.
+adds one entry here rather than an oracle test of its own; a bypass whose
+memo is gone raises, so a deleted cache takes its entry with it. Cached
+properties of frozen values (a call's id, a goal's read keys, a config's
+digest) are not caches in this sense: each is computed once per object, by
+its formula.
 """
 from __future__ import annotations
 
@@ -42,14 +44,24 @@ def unwrapped(module, name: str) -> Callable[[pytest.MonkeyPatch], None]:
     return bypass
 
 
+def require_memo(instance: object, attr: str) -> None:
+    """Raise if ``instance`` holds no ``attr``: the ``CACHES`` entry naming it is stale."""
+    if attr not in vars(instance):
+        raise AttributeError(
+            f"{type(instance).__name__} instance has no memo attribute {attr!r} to bypass"
+        )
+
+
 def forgetting(cls: type, *attrs: str) -> Callable[[pytest.MonkeyPatch], None]:
-    """Give every new ``cls`` a ``NeverStores`` for each of its memo attributes ``attrs``."""
+    """Give every new ``cls`` a ``NeverStores`` for each of its memo attributes ``attrs``,
+    which its ``__init__`` must have set."""
     def bypass(patch: pytest.MonkeyPatch) -> None:
         init = cls.__init__
 
         def forgetful_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             for attr in attrs:
+                require_memo(self, attr)
                 setattr(self, attr, NeverStores())
 
         patch.setattr(cls, "__init__", forgetful_init)
@@ -61,6 +73,7 @@ def planning_afresh(patch: pytest.MonkeyPatch) -> None:
     planned = cognition.ScriptedProposer._planned
 
     def forgetful(self, entities):
+        require_memo(self, "_last")
         self._last = None
         return planned(self, entities)
 
@@ -71,6 +84,7 @@ def fresh_fact_index(patch: pytest.MonkeyPatch) -> None:
     """Each governed input is assembled by a new ``FactIndex``: every line rendered, encoded
     and parsed, the digest hashed whole, and a new entity map."""
     def cognition_input(self, snapshot, constraints, cycle):
+        require_memo(self, "facts")
         task = self.config.scenario.task
         return loop.assemble_input(task, snapshot, constraints, DEFAULT_RULESET,
                                    cognition.FactIndex())
@@ -87,7 +101,6 @@ def fresh_success(patch: pytest.MonkeyPatch) -> None:
 CACHES: dict[str, Callable[[pytest.MonkeyPatch], None]] = {
     # process-wide
     "baseline._derived": unwrapped(baseline, "_derived"),
-    "cognition._json_string": unwrapped(cognition, "_json_string"),
     "cognition._json_tail": unwrapped(cognition, "_json_tail"),
     "cognition.parse_fact_line": unwrapped(cognition, "parse_fact_line"),
     "cognition._PLANS": lambda patch: patch.setattr(cognition, "_PLANS", NeverStores()),
@@ -104,7 +117,6 @@ CACHES: dict[str, Callable[[pytest.MonkeyPatch], None]] = {
     ),
     "cognition.ScriptedProposer._last": planning_afresh,
     "cognition.FaultyProposer._duplicates": forgetting(cognition.FaultyProposer, "_duplicates"),
-    "control.CallChecks._known": forgetting(control.CallChecks, "_known"),
     # the rejections that read no memory, kept per proposal object: every cycle validated
     "control.CallChecks._rejected": forgetting(control.CallChecks, "_rejected"),
     "goals.GoalWatch.success": fresh_success,

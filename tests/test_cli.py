@@ -404,6 +404,8 @@ _BAD_EPISODE_FLAGS = [
                  id="baseline-decay-nan-without-compare"),
     pytest.param(["--faults", "gremlins=1"], "unknown fault type 'gremlins'",
                  id="unknown-fault"),
+    pytest.param(["--faults", "gremlins=x"], "unknown fault type 'gremlins'",
+                 id="unknown-fault-bad-probability"),
 ]
 
 

@@ -14,6 +14,7 @@ from cogloop.control import (
     ControlDecision,
     TerminationReason,
     Verdict,
+    _Validation,
     check_termination,
     on_tool_failure,
     validate,
@@ -85,20 +86,19 @@ def run_validate(proposal: Proposal, store: MemoryStore, runtime: Runtime | None
 @pytest.mark.parametrize("seats", [1, 1.0, True, "1", " 1 "])
 def test_call_checks_answer_as_the_scans_once_per_call(seats):
     """A call's spec, argument problems and matching branch are the scans' own answers, even
-    for arguments that equal a template's only in value; one call object is judged once."""
+    for arguments that equal a template's only in value."""
     booking = ToolCall("book_flight", {"location": "Seoul", "seats": 1})
     goal = GoalSpec(("obs.Seoul.temp_f",), (Branch((parse("obs.Seoul.temp_f < 60"),), (booking,)),))
-    checks = CallChecks(runtime_after(), goal)
+    checks, snapshot = CallChecks(runtime_after(), goal), store_with().snapshot
     call = ToolCall("book_flight", {"location": "Seoul", "seats": seats})
     spec = REGISTRY["book_flight"]
-    answer = checks.of(call)
-    assert answer == (call, spec, argument_problems(spec, call.canonical_args),
-                      goal.matching_template(call))
-    assert (answer[3] is goal.branches[0]) is not isinstance(seats, str)  # 1 == 1.0 == True
-    assert checks.of(call) is answer
-    twin = ToolCall("book_flight", dict(call.arguments))
-    assert checks.of(twin)[1:] == answer[1:] and checks.of(twin) is not answer
-    assert checks.of(ToolCall("teleport", {}))[1:] == (None, [], None)
+    run = _Validation(Proposal(call), snapshot, DEFAULT_RULESET, checks)
+    assert (run.call, run.spec, run.problems, run.template) == (
+        call, spec, argument_problems(spec, call.canonical_args), goal.matching_template(call)
+    )
+    assert (run.template is goal.branches[0]) is not isinstance(seats, str)  # 1 == 1.0 == True
+    unknown = _Validation(Proposal(ToolCall("teleport", {})), snapshot, DEFAULT_RULESET, checks)
+    assert (unknown.spec, unknown.problems, unknown.template) == (None, [], None)
 
 
 # -------------------------------------------------------------- termination

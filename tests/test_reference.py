@@ -5,12 +5,12 @@ import hashlib
 
 import pytest
 
-from cogloop import cognition
-from cogloop.baseline import run_baseline_episode
+from cogloop import cognition, loop
+from cogloop.baseline import ContextModel, run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.loop import run_episode
 from cogloop.scenario import load_suite
-from reference import cache_free
+from reference import cache_free, forgetting, fresh_fact_index
 from test_golden import DUPLICATE_DIGEST, GOLDEN_DIGEST
 from test_sweep import probe_config
 
@@ -57,3 +57,24 @@ def test_cache_free_probe_writes_the_cached_bytes():
     cached = probe_traces()
     with cache_free():
         assert probe_traces() == cached
+
+
+def test_a_bypass_of_a_memo_no_instance_keeps_fails():
+    """A ``CACHES`` entry left behind for a deleted per-episode memo fails the reference run:
+    its bypass raises on the first instance, naming the class and the attribute."""
+    with pytest.MonkeyPatch.context() as patch:
+        forgetting(ContextModel, "no_such_memo")(patch)
+        with pytest.raises(AttributeError, match="ContextModel instance has no memo "
+                                                 "attribute 'no_such_memo'"):
+            ContextModel(budget=1, decay=0.0, seed=1, static={})
+    with pytest.MonkeyPatch.context() as patch:
+        fresh_fact_index(patch)
+        init = loop.Governed.__init__
+
+        def without_facts(self, config):
+            init(self, config)
+            del self.facts
+
+        patch.setattr(loop.Governed, "__init__", without_facts)
+        with pytest.raises(AttributeError, match="Governed instance has no memo attribute 'facts'"):
+            run_episode(probe_config())

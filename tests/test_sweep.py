@@ -30,6 +30,7 @@ from cogloop.scenario import SUITE_SEEDS, load_scenario, load_suite
 from cogloop.trace import JustificationChain, iter_chains
 from cogloop.util import canonical_json, content_digest
 from conftest import SCENARIO_DIR, SUITE_DIR
+from reference import cache_free
 from test_cognition import assembled, fact_histories
 from strategies import episode_seeds, fault_configs, suite_seeds, whole_episodes
 from suitegen import generate_suite
@@ -140,14 +141,14 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
     lines made 238 parses.
     """
     counts = {"encodes": 0, "fresh_parses": 0, "constraints": 0, "line_parses": 0}
-    json_string, fresh_parse, assemble, parse_line = (
-        cognition._json_string, cognition.parse_entities, loop.assemble_input,
+    encode_json, fresh_parse, assemble, parse_line = (
+        cognition.canonical_json, cognition.parse_entities, loop.assemble_input,
         cognition.parse_fact_line,
     )
 
-    def encode(text):
-        counts["encodes"] += 1
-        return json_string(text)
+    def encode(value):
+        counts["encodes"] += isinstance(value, str)  # a fact line or a constraint
+        return encode_json(value)
 
     def parse(facts):
         counts["fresh_parses"] += 1
@@ -161,7 +162,7 @@ def test_governed_cycle_encodes_and_parses_only_what_each_commit_adds(monkeypatc
         counts["constraints"] += len(constraints)
         return assemble(task, snapshot, constraints, ruleset, facts)
 
-    monkeypatch.setattr(cognition, "_json_string", encode)
+    monkeypatch.setattr(cognition, "canonical_json", encode)
     monkeypatch.setattr(cognition, "parse_entities", parse)
     monkeypatch.setattr(loop, "assemble_input", assembling)
     monkeypatch.setattr(cognition, "parse_fact_line", parse_one)
@@ -511,13 +512,6 @@ def test_memoized_views_equal_fresh_ones_over_interleaved_sweeps(suite_dir, monk
     assert counts["plans"] > 3 * 8000 and counts["inputs"] > 3 * 7000
 
 
-class NeverStores(dict):
-    """A memo that forgets every value it is given."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 FACT_QUERY = MemoryQuery(kinds=FACT_KINDS, latest_only=True)
 
 
@@ -538,8 +532,8 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
     count, suite_seed, worked, episode_seed, faults
 ):
     """Each cycle's governed facts, and the values derived from them, equal a fresh
-    assembly and the from-scratch computations; the baseline's memos, the plan memo and
-    the parse memo change no byte."""
+    assembly and the from-scratch computations; with every cache bypassed, both systems
+    write the same bytes."""
     original = loop.assemble_input
     checked = 0
 
@@ -554,13 +548,6 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
         checked += 1
         return built
 
-    baseline_init = baseline.Baseline.__init__
-
-    def forgetful_init(self, *args):
-        baseline_init(self, *args)
-        self.leaves = NeverStores()
-        self.context._shown = NeverStores()
-
     for scenario in [*generate_suite(count, suite_seed), worked]:
         config = scenario.episode_config(episode_seed, faults=faults)
         budget, decay = scenario.baseline_budget, scenario.baseline_decay
@@ -570,11 +557,7 @@ def test_cached_fact_lines_equal_lines_rendered_afresh(
         assert checked == governed.cycles_used
         checked = 0
         cached = run_baseline_episode(config, budget, decay).trace.dumps()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(baseline.Baseline, "__init__", forgetful_init)
-            patch.setattr(baseline, "_derived", baseline._derived.__wrapped__)
-            patch.setattr(cognition, "_PLANS", NeverStores())
-            patch.setattr(cognition, "parse_fact_line", cognition.parse_fact_line.__wrapped__)
+        with cache_free():
             assert run_baseline_episode(config, budget, decay).trace.dumps() == cached
             assert run_episode(config).trace.dumps() == governed.trace.dumps()
 
