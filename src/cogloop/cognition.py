@@ -22,6 +22,7 @@ import json
 import random
 import re
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable
@@ -39,7 +40,7 @@ from .memory import (
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
-from .util import ConfigError, canonical_json, is_int, is_number
+from .util import ConfigError, canonical_json, deferred, is_int, is_number
 
 DEFAULT_SYSTEM = (
     "You are the reasoning component of a governed agent loop. Propose exactly one "
@@ -70,6 +71,7 @@ class PolicyGap(ProposerFailure):
 
 
 # --------------------------------------------------------------------- input
+@deferred("input_digest")
 @dataclass(frozen=True)
 class CognitionInput:
     """Everything the proposer is allowed to see for one cycle.
@@ -78,6 +80,7 @@ class CognitionInput:
     system's one builder (`assemble_input`, or the baseline's): `parse_entities`
     of the facts, and the ``text_digest`` of `request_text`, which equals
     ``content_digest(to_request())``. Neither is part of the input's identity.
+    The digest is a `Deferred` field: a governed input's is hashed on its first read.
     """
 
     system: str
@@ -224,32 +227,38 @@ FACT_KINDS = frozenset({EntryKind.OBSERVATION, EntryKind.ACTION, EntryKind.CONTR
 class FactIndex:
     """One episode's fact lines: the latest fact entry per key, in key order.
 
-    ``current`` renders, encodes and parses only the entries committed since
-    the snapshot it was last given, which each snapshot must extend, so a
-    cycle's Python-level work is O(delta). Per key it keeps the line and the
-    line's canonical JSON, and per entity the `parse_fact_line` fields of the
-    last key in key order that shows it, as `parse_entities` would over all
-    lines (so feedback lines are not parsed). It hands out one entity map
-    until a commit changes an entity's fields, and then a new one: a map
-    handed out is never mutated.
+    ``current`` renders and parses only the entries committed since the
+    snapshot it was last given, which each snapshot must extend, so a cycle's
+    Python-level work is O(delta). Per key it keeps the line, and per entity
+    the `parse_fact_line` fields of the last key in key order that shows it, as
+    `parse_entities` would over all lines (so feedback lines are not parsed).
+    It hands out one entity map until a commit changes an entity's fields, and
+    then a new one: a map handed out is never mutated.
 
-    ``digest`` hashes an input from where it differs from the last one. SHA-256
-    reads front to back, so the index keeps one mark: the first line the last
-    digest found changed, and the hash state just before it. The mark serves
-    while the constraints (the text before the lines) stay the same and no line
-    before it changes; a rejection's feedback line mostly sorts right after the
-    last one, so the mark mostly sits one line before the next change.
+    ``digest`` queues an input behind the line edits before it and returns a
+    thunk. Digests are hashed on first read: a thunk's first call hashes every
+    input queued up to its own, in input order, each from where it differs
+    from the last one. SHA-256 reads front to back, so the index keeps one
+    mark: the first line the last digest found changed, and the hash state
+    just before it. The mark serves while the constraints (the text before
+    the lines) stay the same and no line before it changes; a rejection's
+    feedback line mostly sorts right after the last one, so the mark mostly
+    sits one line before the next change. So ``cogloop suite``, which reads
+    no governed digest, never hashes a governed input.
     """
 
     def __init__(self) -> None:
         self._last = MemorySnapshot(())  # the last snapshot given, all indexed
         self._keys: list[str] = []  # sorted
         self._lines: list[str] = []  # parallel to _keys
-        self._json: list[str] = []  # parallel to _keys: each line's canonical JSON
         self._entities: dict[str, dict[str, Any]] = {}
         self._owners: dict[str, str] = {}  # entity -> the key whose fields it shows
+        self._edits: list[tuple[int, bool, str]] = []  # (at, new, line) since the last digest
+        self._queue: deque[tuple] = deque()  # (edits, constraints, tail) per input not hashed
+        self._digests: list[str] = []  # the digests hashed so far, in input order
+        self._json: list[str] = []  # the hashed lines' canonical JSON
         self._changed = 0  # the first line changed since the last digest
-        self._head = ""  # the request text before the lines, as _state hashed it
+        self._constraints: tuple[str, ...] | None = None  # those before the lines in _state
         self._mark = 0  # the line _state was taken just before
         self._state: Any = None  # SHA-256 state of the request text before line _mark
 
@@ -260,20 +269,19 @@ class FactIndex:
         last = self._last
         if not snapshot.extends(last):
             raise ValueError("snapshot does not extend the last one the fact index saw")
-        keys, lines, encoded = self._keys, self._lines, self._json
+        keys, lines, edits = self._keys, self._lines, self._edits
         shared = self._entities  # the map handed out last; copied before its first change
         for entry in snapshot.since(len(last)):
             if entry.kind not in FACT_KINDS:
                 continue
             key = entry.key
             at = bisect_left(keys, key)
-            if at == len(keys) or keys[at] != key:
+            new = at == len(keys) or keys[at] != key
+            if new:
                 keys.insert(at, key)
                 lines.insert(at, "")
-                encoded.insert(at, "")
-            self._changed = min(self._changed, at)
             line = lines[at] = format_memory_fact(entry)
-            encoded[at] = canonical_json(line)
+            edits.append((at, new, line))
             fact = None if line.startswith(FEEDBACK_LINE) else parse_fact_line(line)
             # A key's namespace fixes its kind, so it always shows the same
             # entity; of two keys showing one entity, the later in key order wins.
@@ -286,20 +294,55 @@ class FactIndex:
         self._last = snapshot
         return tuple(lines), self._entities
 
-    def digest(self, system: str, task: str, rules: str, constraints: tuple[str, ...]) -> str:
-        """``text_digest`` of the `request_text` of an input of these parts and the current
-        lines, hashed from the mark if it serves, else from the start."""
-        encoded, head, mark = self._json, _json_head(constraints), self._mark
-        if head == self._head and mark <= self._changed:
+    def digest(self, system: str, task: str, rules: str, constraints: tuple[str, ...]) -> _Digest:
+        """A thunk for the ``text_digest`` of the `request_text` of an input of these parts
+        and the current lines."""
+        self._queue.append((self._edits, constraints, _json_tail(rules, system, task)))
+        self._edits = []
+        return _Digest(self, len(self._digests) + len(self._queue) - 1)
+
+    def _hash_next(self) -> None:
+        """Apply the first queued input's edits; hash it from the mark if it serves, else
+        from the start."""
+        edits, constraints, tail = self._queue.popleft()
+        encoded, changed = self._json, self._changed
+        for at, new, line in edits:
+            if new:
+                encoded.insert(at, canonical_json(line))
+            else:
+                encoded[at] = canonical_json(line)
+            changed = min(changed, at)
+        mark = self._mark
+        if constraints == self._constraints and mark <= changed:
             state, at = self._state, mark
-        else:
-            state, at, self._head = hashlib.sha256(head.encode()), 0, head
-        if self._changed < len(encoded):  # else no line changed: the mark stays
-            mark = self._changed
+        else:  # the head is encoded only when the constraints change
+            state, at = hashlib.sha256(_json_head(constraints).encode()), 0
+            self._constraints = constraints
+        if changed < len(encoded):  # else no line changed: the mark stays
+            mark = changed
         state.update(",".join([*encoded[at:mark], ""]).encode())  # each line with its comma
         self._changed, self._mark, self._state = len(encoded), mark, state.copy()
-        state.update((",".join(encoded[mark:]) + _json_tail(rules, system, task)).encode())
-        return state.hexdigest()[:16]
+        state.update((",".join(encoded[mark:]) + tail).encode())
+        self._digests.append(state.hexdigest()[:16])
+
+
+class _Digest:
+    """The digest of the ``n``-th input a `FactIndex` queued, hashed when first called. The
+    index holds no thunk, so an episode's index is freed with its last unread digest."""
+
+    __slots__ = ("index", "n")
+
+    def __init__(self, index: FactIndex, n: int):
+        self.index, self.n = index, n
+
+    def __call__(self) -> str:
+        digests = self.index._digests
+        while len(digests) <= self.n:
+            self.index._hash_next()
+        return digests[self.n]
+
+    def __reduce__(self) -> tuple:  # a copy holds the digest: no SHA-256 state copies
+        return str, (self(),)
 
 
 def assemble_input(

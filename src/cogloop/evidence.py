@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Union
 
-from .memory import NOT_FOUND, MalformedKey, key_segments
+from .memory import ALLOWED_KINDS, NOT_FOUND, MalformedKey, key_segments
 from .util import Sentinel, canonical_json, is_number
 
 OPERATORS = ("<=", ">=", "==", "!=", "<", ">")
@@ -68,11 +68,13 @@ EvidenceExpr = Union[MemoryRef, Comparison]
 
 
 def _parse_operand(text: str) -> Union[str, Literal]:
-    try:
-        key_segments(text)
-        return text
-    except MalformedKey:
-        pass
+    # Only a namespace can start a key: spare the rest `key_segments`'s error message.
+    if text.partition(".")[0] in ALLOWED_KINDS:
+        try:
+            key_segments(text)
+            return text
+        except MalformedKey:
+            pass
     try:
         value = json.loads(text)
     except (ValueError, RecursionError):  # RecursionError: deeply nested arrays

@@ -44,7 +44,7 @@ from .memory import EntryKind, MemoryEntry, MemorySnapshot, MemoryStore, encode_
 from .regulation import DEFAULT_RULESET
 from .runtime import Runtime, ToolResult, WorldState, builtin_registry
 from .trace import CycleRecord, EpisodeTrace, TraceHeader
-from .util import ConfigError, content_digest, is_int
+from .util import ConfigError, content_digest, is_int, stored
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -359,7 +359,7 @@ def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
         state = CycleState(cycle, store)
         constraints = state.constraints
         log_lines = state.log_lines
-        record = CycleRecord(cycle=cycle, input_digest=cog_input.input_digest, log_lines=log_lines)
+        record = CycleRecord(cycle, stored(cog_input, "input_digest"), log_lines=log_lines)
         records.append(record)
 
         try:

@@ -40,7 +40,7 @@ from . import evidence
 from .evidence import Comparison
 from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, StoreError, decode_value
 from .runtime import same_args
-from .util import canonical_json, is_int
+from .util import canonical_json, deferred, is_int
 
 TRACE_FORMAT = 1
 # One C scan decodes a well-formed line; `json.loads` also skips whitespace and checks the end.
@@ -138,6 +138,7 @@ _NO_ITEMS: list[Any] = []
 _OBJECT_OR_NULL = (dict, type(None))
 
 
+@deferred("input_digest")
 @dataclass
 class CycleRecord:
     """Everything one cycle did: its committed entries and, as plain serializable data, the rest.
@@ -147,6 +148,8 @@ class CycleRecord:
     decision approved a call (or, for the unvalidated baseline, whenever a
     call executed). ``memory_delta`` holds the entries the cycle's commit
     created; they take their dict form only in ``to_dict`` and ``from_dict``.
+    ``input_digest`` is a `Deferred` field: a live governed record holds its
+    input's digest thunk, hashed on the first read (``to_dict`` reads it).
     """
 
     cycle: int

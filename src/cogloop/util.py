@@ -1,5 +1,5 @@
 """Small shared helpers: canonical JSON, content digests, simulated timestamps, value tests,
-and the configuration error every configuration object raises.
+fields computed on first read, and the configuration error every configuration object raises.
 
 Everything that must be byte-stable across runs (trace files, reports,
 cache keys, config digests) funnels through :func:`canonical_json` so the
@@ -12,7 +12,7 @@ import json
 import math
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from typing import Any
+from typing import Any, Callable
 
 EPOCH = datetime(2025, 1, 1, tzinfo=timezone.utc)
 
@@ -32,6 +32,40 @@ class Sentinel:
 
     def __bool__(self) -> bool:
         return False
+
+
+class Deferred:
+    """A dataclass field set as a str or a thunk returning one, which the first read calls
+    once. It stores into ``_<name>`` through ``object.__setattr__``: writing ``__dict__``
+    instead would give each instance a dict of its own on CPython 3.11."""
+
+    def __init__(self, name: str):
+        self.slot = f"_{name}"
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = getattr(obj, self.slot)
+        if type(value) is not str:
+            value = value()
+            object.__setattr__(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj: Any, value: str | Callable[[], str]) -> None:
+        object.__setattr__(obj, self.slot, value)
+
+
+def deferred(name: str) -> Callable[[type], type]:
+    """Class decorator over ``@dataclass``: its field ``name`` becomes a `Deferred`."""
+    def install(cls: type) -> type:
+        setattr(cls, name, Deferred(name))
+        return cls
+    return install
+
+
+def stored(obj: Any, name: str) -> str | Callable[[], str]:
+    """``obj``'s `Deferred` field ``name`` as set: a str, or a thunk no read has called."""
+    return getattr(obj, f"_{name}")
 
 
 def is_int(value: Any) -> bool:

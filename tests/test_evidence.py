@@ -17,7 +17,7 @@ from cogloop.evidence import (
     referenced_keys,
     render,
 )
-from cogloop.memory import EntryKind, MemoryStore
+from cogloop.memory import EntryKind, MalformedKey, MemoryStore
 
 
 @pytest.fixture()
@@ -73,6 +73,26 @@ def test_parse_rejects_malformed(bad):
     for _ in range(2):
         with pytest.raises(EvidenceParseError):
             parse(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "obs.A.x == true", "obs.A.x > 3", "obs.A.x < -3.5", 'obs.A.x == "obs.B.y"', 'obs.A.x == "a b"',
+])
+def test_a_literal_operand_is_parsed_without_a_malformed_key(monkeypatch, text):
+    """A right side whose first segment names no namespace is a literal or nothing, so its
+    parse never asks ``key_segments``, whose error would format the namespace list."""
+    raised, key_segments = [], evidence.key_segments
+
+    def recording(key):
+        try:
+            return key_segments(key)
+        except MalformedKey as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(evidence, "key_segments", recording)
+    expr = evidence._parse_text.__wrapped__(text)
+    assert isinstance(expr.rhs, Literal) and raised == []
 
 
 def test_parse_shares_one_frozen_expression_per_string():

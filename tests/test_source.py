@@ -276,6 +276,23 @@ def test_only_cognition_parses_fact_lines():
     assert readers == {"cognition.py"}
 
 
+def test_no_module_reads_or_writes_an_instance_dict():
+    """No module touches an object's ``__dict__`` or calls ``vars()`` on one. On CPython 3.11
+    an instance keeps its attribute values inline until its ``__dict__`` is asked for, and
+    then holds a dict of its own for good: a deferred input digest first stored by writing
+    each record's ``__dict__`` made perfbench's ``audit_replay`` 9.0% slower (0 of 8 pairs
+    faster; a shared 2-vCPU VM) and its ``setup_s`` 7.8% longer. `util.Deferred` stores
+    through ``object.__setattr__``."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, text in MODULES.items()
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars")
+    ]
+    assert found == []
+
+
 def test_only_util_writes_compact_json():
     """``util.canonical_json`` is the one home of compact sorted JSON: a second writer
     with the same separators could drift from it in the bytes a digest covers."""

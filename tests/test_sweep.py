@@ -1,6 +1,7 @@
 """Sweep-level guarantees over generated suites, the cost of canonical calls, and memos."""
 from __future__ import annotations
 
+import copy
 import hashlib
 import importlib
 import json
@@ -27,8 +28,8 @@ from cogloop.memory import EntryKind, MemoryQuery
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall, canon_args
 from cogloop.scenario import SUITE_SEEDS, load_scenario, load_suite
-from cogloop.trace import JustificationChain, iter_chains
-from cogloop.util import canonical_json, content_digest
+from cogloop.trace import JustificationChain, compute_metrics, iter_chains
+from cogloop.util import canonical_json, content_digest, stored
 from conftest import SCENARIO_DIR, SUITE_DIR
 from reference import cache_free
 from test_cognition import assembled, fact_histories
@@ -257,6 +258,15 @@ class Recorded:
         return self.proposer.propose(cog_input)
 
 
+class Reading(Recorded):
+    """A proposer that also reads each input's digest in its own cycle, as an eager digest
+    would be hashed."""
+
+    def propose(self, cog_input):
+        cog_input.input_digest
+        return super().propose(cog_input)
+
+
 def plans(policy, inputs) -> list:
     """What one scripted planner answers to ``inputs`` in turn: a proposal and its fact
     reads, or the ``PolicyGap`` raised. A memo hit returns the stored proposal itself."""
@@ -269,15 +279,22 @@ def plans(policy, inputs) -> list:
     return answers
 
 
-def hashed_episode(config) -> SimpleNamespace:
-    """A governed episode run once: its result, its inputs, and the bytes hashed for them
-    (with the episode's one config digest)."""
-    recorded = Recorded(make_proposer(config))
+def hashed_episode(config, proposer=Recorded) -> SimpleNamespace:
+    """A governed episode run once, with a ``proposer`` that records its inputs, and its
+    trace dumped: its result, its inputs, its trace text, the bytes hashed while it ran
+    and computed its metrics, and the bytes hashed when its digests were resolved by
+    ``dumps``. The config's digest is hashed before counting starts."""
+    config.digest()
+    recorded = proposer(make_proposer(config))
     with pytest.MonkeyPatch.context() as patch:
         hashed = count_hashed_bytes(patch)
         result = drive_episode(Governed(config), recorded)
+        compute_metrics(result.trace)
+        ran = hashed[0]
+        text = result.trace.dumps()
     total = sum(len(canonical_json(i.to_request()).encode()) for i in recorded.inputs)
-    return SimpleNamespace(result=result, inputs=recorded.inputs, hashed=hashed[0], total=total)
+    return SimpleNamespace(result=result, inputs=recorded.inputs, text=text, ran=ran,
+                           hashed=hashed[0] - ran, total=total)
 
 
 @pytest.fixture(scope="module")
@@ -322,19 +339,18 @@ def test_probe_hashes_at_most_55_percent_of_its_input_bytes(probe_episode):
 
 
 def hashed_per_input(history) -> list[tuple[CognitionInput, int]]:
-    """Each input that ``history`` gives, with the bytes its digest gave to SHA-256."""
-    hashed, digest = [], FactIndex.digest
+    """Each input that ``history`` gives, with the bytes SHA-256 was given when its digest
+    was read. The inputs are all assembled first, which hashes nothing, and then read in
+    input order, so that each read hashes its own input alone."""
+    hashed = []
     with pytest.MonkeyPatch.context() as patch:
         total = count_hashed_bytes(patch)
-
-        def counting(index, *parts):
-            before = total[0]
-            value = digest(index, *parts)
-            hashed.append(total[0] - before)
-            return value
-
-        patch.setattr(FactIndex, "digest", counting)
         inputs = assembled(history)
+        assert total[0] == 0
+        for cog_input in inputs:
+            before = total[0]
+            cog_input.input_digest
+            hashed.append(total[0] - before)
     return list(zip(inputs, hashed, strict=True))
 
 
@@ -344,6 +360,73 @@ def check_hashed_per_input(history) -> None:
         request = canonical_json(built.to_request())
         assert built.input_digest == util.text_digest(request)
         assert hashed <= len(request.encode())
+
+
+def test_a_run_and_its_metrics_hash_no_input_and_a_dump_hashes_what_eager_digests_did(
+    long_episode
+):
+    """The 469-cycle episode and its metrics hash no input byte. Its dump then hashes,
+    every digest at once, the 4,816,046 bytes that reading each digest in its own cycle
+    hashes, which is what an eager digest hashed, and writes the same trace."""
+    eager = hashed_episode(long_config(), Reading)
+    assert (long_episode.ran, eager.hashed) == (0, 0)
+    assert long_episode.hashed == eager.ran == 4_816_046
+    assert long_episode.text == eager.text
+
+
+@pytest.mark.parametrize("fault_spec", ["all=0.1", "duplicate=0.5"])
+def test_golden_sweeps_hash_the_same_bytes_read_each_cycle_or_at_the_dump(suite_dir, fault_spec):
+    """Over each golden sweep's governed episodes, a digest read in its own cycle and one
+    first read by ``dumps`` hash the same bytes and write the same trace."""
+    faults, hashed = parse_faults(fault_spec), 0
+    for scenario in load_suite(suite_dir):
+        for seed in scenario.seeds:
+            config = scenario.episode_config(seed, faults=faults)
+            eager, lazy = hashed_episode(config, Reading), hashed_episode(config)
+            assert (eager.ran + eager.hashed, eager.text) == (lazy.hashed, lazy.text)
+            assert lazy.ran == eager.hashed == 0
+            hashed += lazy.hashed
+    assert hashed > 1_000_000
+
+
+@settings(max_examples=50, deadline=None)
+@given(history=fact_histories(), data=st.data())
+def test_digests_read_in_any_order_equal_plain_digests(history, data):
+    """An input's digest is its request's whichever input is read first: reading one hashes
+    every input queued before it, in input order. Last-first is one order drawn."""
+    inputs = assembled(history)
+    order = data.draw(st.one_of(st.just(list(reversed(range(len(inputs))))),
+                                st.permutations(range(len(inputs)))))
+    digests = {at: inputs[at].input_digest for at in order}
+    assert [digests[at] for at in range(len(inputs))] == [
+        content_digest(built.to_request()) for built in inputs
+    ]
+
+
+def test_unread_digests_survive_copies_comparisons_and_edited_traces():
+    """A record's unread digest resolves to its input's after ``dataclasses.replace``,
+    ``copy.deepcopy`` (whose copy holds the digest itself, though the index holds a SHA-256
+    state once one digest is read), ``==``, and after the live trace's list of records is
+    reversed and cut in place."""
+    config = probe_config()
+    recorded = Recorded(make_proposer(config))
+    trace = drive_episode(Governed(config), recorded).trace
+    wanted = {r.cycle: content_digest(i.to_request()) for r, i in zip(trace.cycles[1:],
+                                                                        recorded.inputs)}
+    assert trace.cycles[1].input_digest == wanted[1]
+    records = trace.cycles
+    records.reverse()
+    del records[: len(records) // 2]
+    last = records[0]
+    twin = copy.deepcopy(last)
+    assert type(stored(twin, "input_digest")) is str
+    assert twin.input_digest == wanted[last.cycle]
+    moved = replace(records[1], cycle=-1)
+    assert moved.input_digest == wanted[records[1].cycle]
+    assert records[2] == replace(records[2]) and records[2] != records[3]
+    assert {r.cycle: r.input_digest for r in records if r.cycle} == {
+        cycle: digest for cycle, digest in wanted.items() if cycle <= records[0].cycle
+    }
 
 
 @settings(max_examples=30, deadline=None)
