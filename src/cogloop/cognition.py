@@ -120,6 +120,8 @@ def _json_tail(rules: str, system: str, task: str) -> str:
 
 
 def _format_value(value: Any) -> str:
+    if type(value) is str:  # most fields: feedback messages, confirmations, dates
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -127,6 +129,12 @@ def _format_value(value: Any) -> str:
     if isinstance(value, (list, dict)):
         return canonical_json(value)
     return str(value)
+
+
+# Entry kinds whose fact lines show every payload field (goal.* context reads as observations).
+# A constant: on CPython 3.11 reading an Enum class attribute runs ``EnumType.__getattr__``,
+# about 0.14 us a read, and a feedback line is rendered on every rejected cycle.
+_SHOWN_WHOLE = frozenset({EntryKind.OBSERVATION, EntryKind.CONTROL_FEEDBACK})
 
 
 def shown_fields(key: str, kind: EntryKind, payload: dict[str, Any]) -> dict[str, Any]:
@@ -140,16 +148,17 @@ def shown_fields(key: str, kind: EntryKind, payload: dict[str, Any]) -> dict[str
         return {k: v for k, v in payload.items() if not (k == "location" and v == entity)}
     if kind is EntryKind.ACTION:
         return {k: payload[k] for k in ("status", "confirmation") if k in payload}
-    if kind in (EntryKind.OBSERVATION, EntryKind.CONTROL_FEEDBACK):  # incl. goal.* context
+    if kind in _SHOWN_WHOLE:
         return dict(payload)
     raise ValueError(f"no fact rendering for entry kind {kind.value!r}")
 
 
 def format_memory_fact(entry) -> str:
     """One-line rendering of an entry for the proposer's fact list."""
-    fields = shown_fields(entry.key, entry.kind, entry.payload)
-    entity = entry.key.removeprefix("obs.") if entry.kind is EntryKind.OBSERVATION else entry.key
-    rendered = ", ".join(f"{k}={_format_value(v)}" for k, v in fields.items())
+    kind = entry.kind
+    fields = shown_fields(entry.key, kind, entry.payload)
+    entity = entry.key.removeprefix("obs.") if kind is EntryKind.OBSERVATION else entry.key
+    rendered = ", ".join([f"{k}={_format_value(v)}" for k, v in fields.items()])
     return f"{FACT_PREFIX}{entity}: {rendered}"
 
 
@@ -360,25 +369,32 @@ def assemble_input(
     """
     lines, entities = facts.current(snapshot)
     rules, constraints = ruleset.render_for_cognition(), tuple(constraints)
-    return CognitionInput(
-        system=DEFAULT_SYSTEM,
-        task=task,
-        rules=rules,
-        facts=lines,
-        constraints=constraints,
-        entities=entities,
-        input_digest=facts.digest(DEFAULT_SYSTEM, task, rules, constraints),
-    )
+    digest = facts.digest(DEFAULT_SYSTEM, task, rules, constraints)
+    # Positional, like the baseline's: seven keywords cost a call about 1 us more on 3.11.
+    return CognitionInput(DEFAULT_SYSTEM, task, rules, lines, constraints, entities, digest)
 
 
 # ------------------------------------------------------------------ proposal
 @dataclass(frozen=True)
 class Proposal:
-    """At most one call; a null call signals completion."""
+    """At most one call; a null call signals completion.
+
+    ``payload`` is the payload of the proposal's ``prop.cycle<n>`` memory entry, derived
+    when the proposal is built; a proposer may return one proposal on many cycles, and the
+    store copies the payload into each entry. It is not part of the proposal's identity.
+    """
 
     call: ToolCall | None
     citations: tuple[EvidenceExpr, ...] = ()
     rationale: str = ""
+    payload: dict[str, Any] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "payload", {
+            "proposition": self.describe(),
+            "evidence": [evidence.render(c) for c in self.citations],
+            "rationale": self.rationale,
+        })
 
     def to_response(self) -> dict[str, Any]:
         return {
@@ -394,9 +410,10 @@ class Proposal:
 # ----------------------------------------------------------------- proposers
 @dataclass
 class ProposeMeta:
-    """Side information about one propose call, kept beside the proposal."""
+    """Side information about one propose call, kept beside the proposal: each path the
+    plan read, once, with the value it read, and the label of an injected fault."""
 
-    fact_reads: list[tuple[str, Any]] = field(default_factory=list)
+    fact_reads: tuple[tuple[str, Any], ...] = ()
     fault_label: str | None = None
 
 
@@ -545,7 +562,7 @@ class ScriptedProposer:
 
     def propose(self, cog_input: CognitionInput) -> Proposal:
         proposal, _, reads, _, _ = self._planned(cog_input.entities)
-        self.last_meta = ProposeMeta(fact_reads=list(reads))
+        self.last_meta = ProposeMeta(fact_reads=reads)
         return proposal
 
 
@@ -610,7 +627,7 @@ class FaultyProposer(ScriptedProposer):
     def propose(self, cog_input: CognitionInput) -> Proposal:
         entities = cog_input.entities
         base, phase, reads, _, _ = self._planned(entities)
-        meta = ProposeMeta(fact_reads=list(reads))
+        meta = ProposeMeta(fact_reads=reads)
         draws = [self._rng.random() for _ in FAULT_TYPES]
         if base.call is not None:
             for draw, p, fault_type in zip(draws, self._probabilities, FAULT_TYPES):

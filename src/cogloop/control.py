@@ -83,7 +83,8 @@ class Violation:
 @dataclass
 class ControlDecision:
     """Outcome of validating one proposal. ``validate`` may return one rejection on many
-    cycles, so a decision is complete when built and never changed after."""
+    cycles, so a decision is complete when built and never changed after: its rule ids are
+    derived then, and ``to_dict`` builds new containers for each record."""
 
     verdict: Verdict
     call: ToolCall | None = None
@@ -93,15 +94,19 @@ class ControlDecision:
     log_lines: tuple[str, ...] = ()
     consumptions: tuple[tuple[str, Any], ...] = ()
     read_set: dict[str, int] = field(default_factory=dict)
+    _breached: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._breached = _rule_ids(self.violations) if self.violations else ()
 
     def rule_ids(self) -> tuple[str, ...]:
-        return _rule_ids(self.violations)
+        return self._breached
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "verdict": self.verdict.value,
             "call": self.call.canonical_dict() if self.call else None,
-            "rule_ids": list(self.rule_ids()),
+            "rule_ids": list(self._breached),
             "violations": [
                 {"check": v.check, "rule_ids": list(v.rule_ids), "detail": v.detail}
                 for v in self.violations

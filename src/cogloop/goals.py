@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any
 
 from . import evidence
@@ -231,6 +232,9 @@ def _action(raw: Any, path: str) -> ToolCall:
     return ToolCall(name, dict(arguments))
 
 
+_entry_key = attrgetter("key")
+
+
 class GoalWatch:
     """One episode's ``goal.success`` verdict, recomputed only when its inputs change.
 
@@ -250,7 +254,7 @@ class GoalWatch:
         """``goal.success(snapshot)``."""
         last = self._last
         if (last is None or not snapshot.extends(last)
-                or any(entry.key in self._keys for entry in snapshot.since(len(last)))):
+                or not self._keys.isdisjoint(map(_entry_key, snapshot.since(len(last))))):
             self._verdict = self.goal.success(snapshot)
         self._last = snapshot
         return self._verdict

@@ -20,7 +20,6 @@ from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
-from . import evidence
 from .cognition import (
     CognitionInput,
     FactIndex,
@@ -151,18 +150,10 @@ def make_proposer(config: EpisodeConfig) -> ScriptedProposer:
     return ScriptedProposer(policy)
 
 
-def _proposal_payload(proposal: Proposal) -> dict[str, Any]:
-    return {
-        "proposition": proposal.describe(),
-        "evidence": [evidence.render(c) for c in proposal.citations],
-        "rationale": proposal.rationale,
-    }
-
-
 def _commit_delta(store: MemoryStore) -> tuple[MemoryEntry, ...]:
     """Commit the staged writes; the entries the commit created."""
-    before = len(store.snapshot)
-    return tuple(store.commit_cycle().since(before))
+    store.commit_cycle()
+    return store.last_commit
 
 
 def _action_summary(snapshot: MemorySnapshot) -> str:
@@ -375,18 +366,18 @@ def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
         log_lines.append(f"{system.cognition_label} Proposal: {proposal.describe()}")
         if meta.fault_label:
             log_lines.append(f"[Faults] injected {meta.fault_label}")
-        consumptions: dict[str, Any] = dict(meta.fact_reads)
 
         decision = system.decide(proposal, snapshot, cycle, max_cycles)
         log_lines.extend(decision.log_lines)
-        for key, value in decision.consumptions:
-            consumptions.setdefault(key, value)
+        reads = meta.fact_reads  # each path once
+        if decision.consumptions:  # control's reads follow, each path the proposer missed
+            merged = dict(reads)
+            for key, value in decision.consumptions:
+                merged.setdefault(key, value)
+            reads = merged.items()
 
         store.write_staged(
-            f"prop.cycle{cycle}",
-            EntryKind.PROPOSAL,
-            _proposal_payload(proposal),
-            source="cognition",
+            f"prop.cycle{cycle}", EntryKind.PROPOSAL, proposal.payload, source="cognition"
         )
 
         if decision.verdict is Verdict.TERMINATE:
@@ -409,7 +400,7 @@ def drive_episode(system: System, proposer: ScriptedProposer) -> EpisodeResult:
         record.proposal = proposal.to_response()
         record.decision = system.record(decision)
         record.memory_delta = _commit_delta(store)
-        record.consumptions = [[k, encode_value(v)] for k, v in consumptions.items()]
+        record.consumptions = [[k, encode_value(v)] for k, v in reads]
         record.fault_label = meta.fault_label
         if reason is not None:
             break

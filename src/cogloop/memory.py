@@ -246,6 +246,10 @@ def _json_copy(value: Any) -> Any:
         return json.loads(json.dumps(value))
 
 
+_PROPOSAL_FIELDS = frozenset({"proposition", "evidence"})
+_ACTION_FIELDS = frozenset({"name", "args", "status"})
+
+
 def _check_entry(key: str, kind: EntryKind, payload: Any) -> None:
     """Every entry's rules, written or loaded: a valid key, its kind, and a non-empty
     payload holding the fields its kind requires."""
@@ -257,13 +261,13 @@ def _check_entry(key: str, kind: EntryKind, payload: Any) -> None:
     if not isinstance(payload, dict) or not payload:
         raise SchemaMismatch(f"payload for {key} must be a non-empty mapping")
     if kind is EntryKind.PROPOSAL:
-        missing = {"proposition", "evidence"} - payload.keys()
-        if missing:
-            raise SchemaMismatch(f"proposal {key} missing fields {sorted(missing)}")
+        if not payload.keys() >= _PROPOSAL_FIELDS:  # allocates nothing unless it fails
+            missing = sorted(_PROPOSAL_FIELDS - payload.keys())
+            raise SchemaMismatch(f"proposal {key} missing fields {missing}")
     elif kind is EntryKind.ACTION:
-        missing = {"name", "args", "status"} - payload.keys()
-        if missing:
-            raise SchemaMismatch(f"action record {key} missing fields {sorted(missing)}")
+        if not payload.keys() >= _ACTION_FIELDS:
+            missing = sorted(_ACTION_FIELDS - payload.keys())
+            raise SchemaMismatch(f"action record {key} missing fields {missing}")
         if payload["status"] not in ACTION_STATUSES:
             raise SchemaMismatch(
                 f"action record {key} has status {payload['status']!r}; "
@@ -407,6 +411,7 @@ class MemoryStore:
     def __init__(self) -> None:
         self._staged: list[MemoryEntry] = []
         self._snapshot = MemorySnapshot(())
+        self.last_commit: tuple[MemoryEntry, ...] = ()
 
     # ------------------------------------------------------------------ state
     @property
@@ -425,21 +430,17 @@ class MemoryStore:
             if staged.key == key:
                 version = max(version, staged.version)
         payload = _json_copy(payload)  # a defensive copy
-        entry = MemoryEntry(
-            key=key,
-            kind=kind,
-            payload=payload,
-            source=source,
-            timestamp=tick_timestamp(len(self._snapshot) + len(self._staged)),
-            version=version + 1,
-        )
+        timestamp = tick_timestamp(len(self._snapshot) + len(self._staged))
+        entry = MemoryEntry(key, kind, payload, source, timestamp, version + 1)
         self._staged.append(entry)
         return entry
 
     def commit_cycle(self) -> MemorySnapshot:
-        """Atomically publish all staged writes and return the new snapshot."""
-        if self._staged:
-            self._snapshot = self._snapshot.extend(self._staged)
+        """Atomically publish all staged writes and return the new snapshot; ``last_commit``
+        holds the entries published, in staging order."""
+        self.last_commit = published = tuple(self._staged)
+        if published:
+            self._snapshot = self._snapshot.extend(published)  # takes the tuple as it is
             self._staged = []
         return self._snapshot
 

@@ -9,8 +9,10 @@ the parsed file alone, with no live episode state. Loading scans each line
 once, checks each field of a record once for its JSON type, and decodes each
 committed entry once, into the ``MemoryEntry`` a live record holds; chains
 and SPA/TC read memory through one forward replay (``EpisodeTrace.replay``)
-of those entries. TC runs a chain's link checks without building the chain,
-and citation strings are parsed through ``evidence.parse``'s bounded cache.
+of those entries. SPA reads each consumed path once per change of its owner:
+a path's value is kept until an entry with one of its ``resolve_plan`` keys
+commits. TC runs a chain's link checks without building the chain, and
+citation strings are parsed through ``evidence.parse``'s bounded cache.
 
 Metrics:
 
@@ -38,9 +40,12 @@ from typing import Any, Iterator
 
 from . import evidence
 from .evidence import Comparison
-from .memory import NOT_FOUND, EntryKind, MemoryEntry, MemorySnapshot, StoreError, decode_value
+from .memory import (
+    NOT_FOUND, EntryKind, MalformedKey, MemoryEntry, MemorySnapshot, StoreError, decode_value,
+    resolve_plan,
+)
 from .runtime import same_args
-from .util import canonical_json, deferred, is_int
+from .util import Sentinel, canonical_json, deferred, is_int
 
 TRACE_FORMAT = 1
 # One C scan decodes a well-formed line; `json.loads` also skips whitespace and checks the end.
@@ -513,26 +518,62 @@ class Metric:
         }
 
 
+class _ConsumedValues:
+    """What each consumed path resolves to during one replay, read from memory once per
+    change of its owner: a path's value is kept until an entry with one of its
+    ``resolve_plan`` keys commits, the only commit that can change it. A key that is not a
+    string (an edited trace may hold any JSON value, even an unhashable one) is resolved
+    each time."""
+
+    def __init__(self) -> None:
+        self.values: dict[str, Any] = {}  # path -> its value since it was last resolved
+        self.watchers: dict[str, list[str]] = {}  # entry key -> the kept paths it can change
+
+    def resolve(self, snapshot: MemorySnapshot, path: Any) -> Any:
+        """``snapshot.resolve(path)``; ``snapshot`` is the replay's memory at this point."""
+        if type(path) is not str:
+            return snapshot.resolve(path)
+        value = self.values.get(path, _UNREAD)
+        if value is _UNREAD:
+            value = self.values[path] = snapshot.resolve(path)
+            try:
+                plan = resolve_plan(path)
+            except MalformedKey:
+                plan = ()  # never resolves, whatever commits
+            for key, _ in plan:
+                self.watchers.setdefault(key, []).append(path)
+        return value
+
+    def commit(self, entries: tuple[MemoryEntry, ...]) -> None:
+        """Forget the value of each path that ``entries``, committed next, can change."""
+        for entry in entries:
+            for path in self.watchers.pop(entry.key, ()):
+                self.values.pop(path, None)
+
+
+_UNREAD = Sentinel("unread")
+
+
 def _spa_and_tc(trace: EpisodeTrace) -> tuple[Metric, Metric]:
     """SPA and TC from one replay of the trace."""
     spa_num = spa_den = tc_num = tc_den = 0
+    consumed = _ConsumedValues()
     for record, snapshot in trace.replay():
-        if record.cycle == 0:
-            continue
-        # SPA: fact reads whose key held a value committed before this cycle.
-        resolve = snapshot.resolve
-        for key, raw_value in record.consumptions:
-            authoritative = resolve(key)
-            if authoritative is NOT_FOUND:
-                continue  # nothing persisted earlier to be faithful to
-            spa_den += 1
-            if decode_value(raw_value) == authoritative:
-                spa_num += 1
-        # TC: executed invocations whose justification chain is complete.
-        if record.executed_ok():
-            tc_den += 1
-            if _chain_links(snapshot, record)[0] is None:
-                tc_num += 1
+        if record.cycle != 0:
+            # SPA: fact reads whose key held a value committed before this cycle.
+            for key, raw_value in record.consumptions:
+                authoritative = consumed.resolve(snapshot, key)
+                if authoritative is NOT_FOUND:
+                    continue  # nothing persisted earlier to be faithful to
+                spa_den += 1
+                if decode_value(raw_value) == authoritative:
+                    spa_num += 1
+            # TC: executed invocations whose justification chain is complete.
+            if record.executed_ok():
+                tc_den += 1
+                if _chain_links(snapshot, record)[0] is None:
+                    tc_num += 1
+        consumed.commit(record.memory_delta)
     return Metric("spa", spa_num, spa_den), Metric("tc", tc_num, tc_den)
 
 

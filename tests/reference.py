@@ -1,8 +1,9 @@
 """A cache-free reference run: ``cache_free()`` bypasses every cache the program keeps.
 
 Each cache holds a pure function of its key, so a run with every one of them
-bypassed writes the bytes a cached run writes; ``test_reference.py`` checks
-that on the golden sweeps and the long probe. ``CACHES`` names each cache
+bypassed writes the bytes a cached run writes, and its audit reports the same
+metrics and chains; ``test_reference.py`` checks that on the golden sweeps and
+the long probe. ``CACHES`` names each cache
 with its bypass, and ``test_source.py`` requires every ``lru_cache`` and
 every module-level memo in ``src/cogloop`` to be named there, so a new cache
 adds one entry here rather than an oracle test of its own; a bypass whose
@@ -21,7 +22,7 @@ from typing import Callable, Iterator
 import pytest
 
 import cogloop
-from cogloop import baseline, cognition, control, evidence, goals, loop, memory, runtime, util
+from cogloop import baseline, cognition, control, evidence, goals, loop, memory, runtime, trace, util
 from cogloop.regulation import DEFAULT_RULESET
 
 
@@ -122,6 +123,9 @@ CACHES: dict[str, Callable[[pytest.MonkeyPatch], None]] = {
     "goals.GoalWatch.success": fresh_success,
     # the fact lines, their digest mark and the shared entity map: every input hashed whole
     "loop.Governed.facts": fresh_fact_index,
+    # per metrics replay
+    # each consumed path's value until its owner commits: every consumption resolved
+    "trace._ConsumedValues.values": forgetting(trace._ConsumedValues, "values"),
 }
 
 

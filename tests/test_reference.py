@@ -1,4 +1,5 @@
-"""One oracle for every cache: runs with every cache bypassed write the bytes cached runs write."""
+"""One oracle for every cache: runs with every cache bypassed write the bytes cached runs write,
+and their audits report the same metrics, chains and gaps."""
 from __future__ import annotations
 
 import hashlib
@@ -10,31 +11,42 @@ from cogloop.baseline import ContextModel, run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.loop import run_episode
 from cogloop.scenario import load_suite
+from cogloop.trace import GapReport, compute_metrics, iter_chains
 from reference import cache_free, forgetting, fresh_fact_index
 from test_golden import DUPLICATE_DIGEST, GOLDEN_DIGEST
 from test_sweep import probe_config
 
 
-def sweep_traces(suite_dir, fault_spec: str) -> list[str]:
-    """Every trace of the suite50 sweep, governed then baseline per scenario and seed."""
-    faults, traces = parse_faults(fault_spec), []
+def audited(trace) -> tuple[str, dict[str, tuple[int, int]], int, int]:
+    """A live trace's text, and what its audit reports: each metric's numerator and
+    denominator, its complete chains and its gaps."""
+    metrics = {name: (m.numerator, m.denominator) for name, m in compute_metrics(trace).items()}
+    chains = list(iter_chains(trace))
+    gaps = sum(isinstance(chain, GapReport) for chain in chains)
+    return trace.dumps(), metrics, len(chains) - gaps, gaps
+
+
+def sweep_runs(suite_dir, fault_spec: str) -> list[tuple]:
+    """Every trace of the suite50 sweep, governed then baseline per scenario and seed, each
+    `audited`."""
+    faults, runs = parse_faults(fault_spec), []
     for scenario in load_suite(suite_dir):
         for seed in scenario.seeds:
             config = scenario.episode_config(seed, faults=faults)
             budget, decay = scenario.baseline_budget, scenario.baseline_decay
-            traces.append(run_episode(config).trace.dumps())
-            traces.append(run_baseline_episode(config, budget, decay).trace.dumps())
-    return traces
+            runs.append(audited(run_episode(config).trace))
+            runs.append(audited(run_baseline_episode(config, budget, decay).trace))
+    return runs
 
 
-def probe_traces() -> list[str]:
-    """The long probe's governed trace (237 cycles) and its baseline's."""
+def probe_runs() -> list[tuple]:
+    """The long probe's governed trace (237 cycles) and its baseline's, each `audited`."""
     config = probe_config()
     scenario = config.scenario
     return [
-        run_episode(config).trace.dumps(),
-        run_baseline_episode(config, scenario.baseline_budget, scenario.baseline_decay)
-        .trace.dumps(),
+        audited(run_episode(config).trace),
+        audited(run_baseline_episode(config, scenario.baseline_budget,
+                                     scenario.baseline_decay).trace),
     ]
 
 
@@ -44,19 +56,23 @@ def probe_traces() -> list[str]:
     ("duplicate=0.5", DUPLICATE_DIGEST),
 ])
 def test_cache_free_sweeps_write_the_cached_bytes(suite_dir, fault_spec, digest):
-    cached = sweep_traces(suite_dir, fault_spec)
-    assert hashlib.sha256("".join(cached).encode()).hexdigest()[:16] == digest
+    """Each sweep's traces hash to its golden digest, and a cache-free sweep writes them
+    byte for byte, with equal metrics, chain counts and gap counts."""
+    cached = sweep_runs(suite_dir, fault_spec)
+    texts = "".join(text for text, *_ in cached)
+    assert hashlib.sha256(texts.encode()).hexdigest()[:16] == digest
     with cache_free():
         assert not hasattr(cognition.parse_fact_line, "cache_info")
-        fresh = sweep_traces(suite_dir, fault_spec)
+        fresh = sweep_runs(suite_dir, fault_spec)
     assert hasattr(cognition.parse_fact_line, "cache_info")  # restored
     assert fresh == cached
 
 
 def test_cache_free_probe_writes_the_cached_bytes():
-    cached = probe_traces()
+    """The probe and its baseline, cache-free, write the cached bytes and audits."""
+    cached = probe_runs()
     with cache_free():
-        assert probe_traces() == cached
+        assert probe_runs() == cached
 
 
 def test_a_bypass_of_a_memo_no_instance_keeps_fails():

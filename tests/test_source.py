@@ -293,6 +293,38 @@ def test_no_module_reads_or_writes_an_instance_dict():
     assert found == []
 
 
+def frozen_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated ``@dataclass(frozen=True, ...)``."""
+    return any(
+        isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "dataclass"
+        and any(keyword.arg == "frozen" and getattr(keyword.value, "value", None) is True
+                for keyword in decorator.keywords)
+        for decorator in node.decorator_list
+    )
+
+
+def test_every_cached_property_sits_on_a_frozen_dataclass():
+    """``tests/reference.py`` does not count a cached property of a frozen value as a cache:
+    its formula runs once per object, over fields that never change. On a class whose
+    fields can change, the value could go stale, a memo that no bypass covers; so every
+    ``cached_property`` in ``src/cogloop`` decorates a method of a frozen dataclass."""
+    uses, allowed = [], set()
+    for module, text in MODULES.items():
+        tree = ast.parse(text)
+        uses += [
+            (module, node) for node in ast.walk(tree)
+            if "cached_property" in (getattr(node, "id", None), getattr(node, "attr", None))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and frozen_dataclass(node):
+                allowed |= {
+                    id(decorator) for item in node.body
+                    if isinstance(item, ast.FunctionDef) for decorator in item.decorator_list
+                }
+    assert len(uses) >= 7
+    assert [f"{module}:{node.lineno}" for module, node in uses if id(node) not in allowed] == []
+
+
 def test_only_util_writes_compact_json():
     """``util.canonical_json`` is the one home of compact sorted JSON: a second writer
     with the same separators could drift from it in the bytes a digest covers."""

@@ -16,15 +16,17 @@ from hypothesis import given, settings, strategies as st
 
 import cogloop
 from cogloop import baseline, cognition, control, loop, runtime, util
+from cogloop import trace as trace_module
 from cogloop.baseline import Baseline, run_baseline_episode
 from cogloop.cli import parse_faults
 from cogloop.cognition import (
-    FACT_KINDS, CognitionInput, FactIndex, FaultConfig, format_memory_fact, parse_entities
+    FACT_KINDS, CognitionInput, FactIndex, FaultConfig, Proposal, format_memory_fact,
+    parse_entities,
 )
-from cogloop.evidence import UNKNOWN
+from cogloop.evidence import UNKNOWN, render
 from cogloop.goals import GoalSpec, GoalWatch
 from cogloop.loop import Governed, drive_episode, make_proposer, run_episode
-from cogloop.memory import EntryKind, MemoryQuery
+from cogloop.memory import EntryKind, MemoryQuery, MemorySnapshot, resolve_plan
 from cogloop.regulation import DEFAULT_RULESET
 from cogloop.runtime import ToolCall, canon_args
 from cogloop.scenario import SUITE_SEEDS, load_scenario, load_suite
@@ -374,6 +376,88 @@ def test_a_run_and_its_metrics_hash_no_input_and_a_dump_hashes_what_eager_digest
     assert long_episode.text == eager.text
 
 
+def spa_resolves(trace) -> Counter:
+    """How often ``compute_metrics(trace)`` resolves each path for SPA: the snapshot
+    resolves that its chain-link checks make for TC are not counted."""
+    resolved, checking = Counter(), [False]
+    resolve, links = MemorySnapshot.resolve, trace_module._chain_links
+
+    def counting(self, path):
+        resolved[path] += not checking[0]
+        return resolve(self, path)
+
+    def chain_links(snapshot, record):
+        checking[0] = True
+        try:
+            return links(snapshot, record)
+        finally:
+            checking[0] = False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MemorySnapshot, "resolve", counting)
+        patch.setattr(trace_module, "_chain_links", chain_links)
+        compute_metrics(trace)
+    return resolved
+
+
+def test_metrics_resolve_each_consumed_path_once_per_commit_of_its_owner(long_episode):
+    """SPA keeps each consumed path's value until an entry with one of its ``resolve_plan``
+    keys commits. The 469-cycle episode records 1,876 consumptions of 5 paths; SPA resolves
+    them 9 times, at most once more per commit of an owner than the path's first read.
+    The cache-free reference resolves every consumption, 1,876 times."""
+    trace = long_episode.result.trace
+    consumed = [key for record in trace.cycles[1:] for key, _ in record.consumptions]
+    commits = Counter(entry.key for record in trace.cycles for entry in record.memory_delta)
+    resolved = spa_resolves(trace)
+    assert (len(consumed), len(set(consumed)), sum(resolved.values())) == (1_876, 5, 9)
+    for path in set(consumed):
+        assert resolved[path] <= 1 + sum(commits[key] for key, _ in resolve_plan(path))
+    with cache_free():
+        assert spa_resolves(trace) == Counter(consumed)
+
+
+class Proposing(Recorded):
+    """A proposer that also keeps each proposal it returns."""
+
+    def __init__(self, proposer):
+        super().__init__(proposer)
+        self.proposals = []
+
+    def propose(self, cog_input):
+        self.proposals.append(super().propose(cog_input))
+        return self.proposals[-1]
+
+
+def test_long_episode_derives_each_proposal_payload_once(monkeypatch):
+    """A proposal's ``prop.cycle<n>`` payload is derived when the proposal is built, so the
+    469-cycle episode derives at most one per distinct proposal object, though it stages
+    469; deriving it on every cycle made 469. Each entry holds its own copy of the payload."""
+    derived = [0]
+    post_init = Proposal.__post_init__
+
+    def counting(self):
+        derived[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Proposal, "__post_init__", counting)
+    config = long_config()
+    proposing = Proposing(make_proposer(config))
+    result = drive_episode(Governed(config), proposing)
+    proposals = proposing.proposals
+    assert len(proposals) == result.cycles_used == 469
+    assert derived[0] <= len({id(proposal) for proposal in proposals}) < 10
+    entries = {entry.key: entry for entry in result.store.entries()}
+    for cycle, proposal in enumerate(proposals, start=1):
+        payload = entries[f"prop.cycle{cycle}"].payload
+        assert payload == {
+            "proposition": proposal.describe(),
+            "evidence": [render(citation) for citation in proposal.citations],
+            "rationale": proposal.rationale,
+        }
+        assert payload is not proposal.payload
+        assert payload["evidence"] is not proposal.payload["evidence"]
+
+
 @pytest.mark.parametrize("fault_spec", ["all=0.1", "duplicate=0.5"])
 def test_golden_sweeps_hash_the_same_bytes_read_each_cycle_or_at_the_dump(suite_dir, fault_spec):
     """Over each golden sweep's governed episodes, a digest read in its own cycle and one
@@ -523,7 +607,7 @@ def fresh_plan(policy, entities) -> tuple:
         proposal, _ = cognition.ScriptedProposer(policy)._plan(view)
     except cognition.PolicyGap as gap:
         return gap, None
-    return proposal, list(view.reads.items())
+    return proposal, tuple(view.reads.items())
 
 
 def test_memoized_plans_equal_plans_over_the_full_view(suite50_sweep):
@@ -558,7 +642,7 @@ def test_memoized_views_equal_fresh_ones_over_interleaved_sweeps(suite_dir, monk
     def checking_plan(self, entities):
         plan = planned(self, entities)
         fresh, fresh_reads = fresh_plan(self.policy, entities)
-        assert (plan[0].to_response(), list(plan[2])) == (fresh.to_response(), fresh_reads)
+        assert (plan[0].to_response(), plan[2]) == (fresh.to_response(), fresh_reads)
         counts["plans"] += 1
         return plan
 

@@ -17,7 +17,7 @@ from cogloop.cognition import FaultConfig
 from cogloop.loop import run_episode
 from cogloop.memory import (
     ALLOWED_KINDS, NOT_FOUND, EntryKind, MalformedKey, MemoryEntry, MemoryQuery, MemorySnapshot,
-    key_segments,
+    decode_value, descend, key_segments, resolve_plan,
 )
 from cogloop.scenario import load_scenario, load_suite
 from cogloop.trace import (
@@ -991,6 +991,91 @@ def test_spa_detects_stale_consumption(clean_trace):
     corrupt = compute_metrics(corrupted)["spa"]
     assert corrupt.denominator == baseline.denominator
     assert corrupt.numerator == baseline.numerator - 1
+
+
+def plain_spa(trace: EpisodeTrace) -> Metric:
+    """SPA with each consumption resolved afresh: the latest payload of each key committed
+    by an earlier record, descended from the longest committed prefix of the path."""
+    latest: dict[str, dict] = {}
+    numerator = denominator = 0
+    for record in trace.cycles:
+        for key, raw_value in record.consumptions if record.cycle else ():
+            value = NOT_FOUND
+            try:
+                plan = resolve_plan(key) if isinstance(key, str) else ()
+            except MalformedKey:
+                plan = ()
+            for owner, tail in plan:
+                if owner in latest:
+                    value = descend(latest[owner], tail)
+                    break
+            if value is not NOT_FOUND:
+                denominator += 1
+                numerator += decode_value(raw_value) == value
+        for entry in record.memory_delta:
+            latest[entry.key] = entry.payload
+    return Metric("spa", numerator, denominator)
+
+
+# Consumption keys no committed entry answers: not strings (two of them unhashable) or
+# malformed strings.
+ODD_KEYS = [7, None, True, 1.5, ["obs.Seoul.temp_f"], {"obs.Seoul": 1}, "", "obs", "nope.x",
+            "obs..temp_f", "obs.Seoul .temp_f"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_spa_equals_a_plain_resolve_of_each_consumption_of_an_edited_trace(data):
+    """A loaded governed trace of the golden sweep, its metrics computed once, is edited in
+    place: consumption values, consumption keys (a path, an entry key, or one of
+    ``ODD_KEYS``), delta payloads, and one path consumed on both sides of a commit to its
+    owner. SPA then equals `plain_spa`: a replay that kept a path's value past such a commit,
+    kept it from one call to the next, or hashed an unhashable key would not."""
+    trace = EpisodeTrace.loads(data.draw(st.sampled_from(golden_sweep()[::2]), label="trace"))
+    assert compute_metrics(trace)["spa"] == plain_spa(trace)
+    records = trace.cycles
+    with_delta = [record for record in records if record.memory_delta]
+    paths = sorted({
+        path
+        for record in records
+        for entry in record.memory_delta
+        for path in (entry.key, *(f"{entry.key}.{name}" for name in entry.payload))
+    } | {key for record in records for key, _ in record.consumptions})
+    keys = st.sampled_from(paths) | st.sampled_from(ODD_KEYS)
+    held = [value for record in with_delta for entry in record.memory_delta
+            for value in entry.payload.values()]
+    for _ in range(data.draw(st.integers(1, 5), label="edits")):
+        edit = data.draw(st.sampled_from(["key", "value", "payload", "around"]), label="edit")
+        if edit == "payload":
+            entry = data.draw(st.sampled_from(
+                [entry for record in with_delta for entry in record.memory_delta]
+            ), label="entry")
+            name = data.draw(st.sampled_from(sorted(entry.payload)) | st.text(max_size=3),
+                             label="field")
+            entry.payload[name] = data.draw(json_values, label="field value")
+        elif edit == "around":  # consumed before an owner commits, and again after
+            first = data.draw(st.integers(1, len(records) - 1), label="first reader")
+            last = data.draw(st.integers(first, len(records) - 1), label="last reader")
+            between = [entry.key for record in records[first:last]
+                       for entry in record.memory_delta]
+            if between:
+                owner = data.draw(st.sampled_from(between), label="owner")
+                path = data.draw(st.sampled_from(
+                    [owner, *(p for p in paths if p.startswith(f"{owner}."))]
+                ), label="path")
+                value = data.draw(json_values, label="value")
+                records[first].consumptions.append([path, value])
+                records[last].consumptions.append([path, value])
+        else:
+            readers = [record for record in records[1:] if record.consumptions]
+            if readers:
+                reader = data.draw(st.sampled_from(readers), label="reader")
+                pair = data.draw(st.sampled_from(reader.consumptions), label="consumption")
+                if edit == "key":
+                    pair[0] = data.draw(keys, label="key")
+                else:  # often a value memory holds, so that it may match
+                    pair[1] = data.draw(json_values | st.sampled_from(held), label="value")
+    assert compute_metrics(trace)["spa"] == plain_spa(trace)
 
 
 def test_tc_drops_when_a_chain_breaks(clean_trace):
