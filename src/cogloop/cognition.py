@@ -17,7 +17,6 @@ built-in proposers implement that contract deterministically:
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
@@ -40,7 +39,7 @@ from .memory import (
 )
 from .regulation import RuleSet
 from .runtime import ToolCall
-from .util import ConfigError, canonical_json, deferred, is_int, is_number
+from .util import ConfigError, canonical_json, deferred, is_int, is_number, text_digest
 
 DEFAULT_SYSTEM = (
     "You are the reasoning component of a governed agent loop. Propose exactly one "
@@ -105,12 +104,8 @@ def request_text(system: str, task: str, rules: str, fact_json: Iterable[str],
                  constraints: tuple[str, ...]) -> str:
     """``canonical_json`` of an input's request, given each fact line's ``canonical_json``;
     the part after the facts repeats from cycle to cycle, so it is encoded once per process."""
-    return _json_head(constraints) + ",".join(fact_json) + _json_tail(rules, system, task)
-
-
-def _json_head(constraints: tuple[str, ...]) -> str:
-    """The start of a request's canonical JSON, before its facts: the constraints."""
-    return '{"constraints":[' + ",".join(map(canonical_json, constraints)) + '],"facts":['
+    head = '{"constraints":[' + ",".join(map(canonical_json, constraints)) + '],"facts":['
+    return head + ",".join(fact_json) + _json_tail(rules, system, task)
 
 
 @lru_cache(maxsize=64)
@@ -245,15 +240,10 @@ class FactIndex:
     then a new one: a map handed out is never mutated.
 
     ``digest`` queues an input behind the line edits before it and returns a
-    thunk. Digests are hashed on first read: a thunk's first call hashes every
-    input queued up to its own, in input order, each from where it differs
-    from the last one. SHA-256 reads front to back, so the index keeps one
-    mark: the first line the last digest found changed, and the hash state
-    just before it. The mark serves while the constraints (the text before
-    the lines) stay the same and no line before it changes; a rejection's
-    feedback line mostly sorts right after the last one, so the mark mostly
-    sits one line before the next change. So ``cogloop suite``, which reads
-    no governed digest, never hashes a governed input.
+    thunk. Digests are hashed on first read: a thunk's first call applies, in
+    input order, the edits of every input queued up to its own to the lines'
+    canonical JSON, and hashes each of those inputs whole. So ``cogloop
+    suite``, which reads no governed digest, never hashes a governed input.
     """
 
     def __init__(self) -> None:
@@ -263,13 +253,9 @@ class FactIndex:
         self._entities: dict[str, dict[str, Any]] = {}
         self._owners: dict[str, str] = {}  # entity -> the key whose fields it shows
         self._edits: list[tuple[int, bool, str]] = []  # (at, new, line) since the last digest
-        self._queue: deque[tuple] = deque()  # (edits, constraints, tail) per input not hashed
+        self._queue: deque[tuple] = deque()  # (edits, *parts) per input not hashed
         self._digests: list[str] = []  # the digests hashed so far, in input order
         self._json: list[str] = []  # the hashed lines' canonical JSON
-        self._changed = 0  # the first line changed since the last digest
-        self._constraints: tuple[str, ...] | None = None  # those before the lines in _state
-        self._mark = 0  # the line _state was taken just before
-        self._state: Any = None  # SHA-256 state of the request text before line _mark
 
     def current(
         self, snapshot: MemorySnapshot
@@ -306,33 +292,20 @@ class FactIndex:
     def digest(self, system: str, task: str, rules: str, constraints: tuple[str, ...]) -> _Digest:
         """A thunk for the ``text_digest`` of the `request_text` of an input of these parts
         and the current lines."""
-        self._queue.append((self._edits, constraints, _json_tail(rules, system, task)))
+        self._queue.append((self._edits, system, task, rules, constraints))
         self._edits = []
         return _Digest(self, len(self._digests) + len(self._queue) - 1)
 
     def _hash_next(self) -> None:
-        """Apply the first queued input's edits; hash it from the mark if it serves, else
-        from the start."""
-        edits, constraints, tail = self._queue.popleft()
-        encoded, changed = self._json, self._changed
+        """Apply the first queued input's edits to the encoded lines, and hash it whole."""
+        edits, system, task, rules, constraints = self._queue.popleft()
+        encoded = self._json
         for at, new, line in edits:
             if new:
                 encoded.insert(at, canonical_json(line))
             else:
                 encoded[at] = canonical_json(line)
-            changed = min(changed, at)
-        mark = self._mark
-        if constraints == self._constraints and mark <= changed:
-            state, at = self._state, mark
-        else:  # the head is encoded only when the constraints change
-            state, at = hashlib.sha256(_json_head(constraints).encode()), 0
-            self._constraints = constraints
-        if changed < len(encoded):  # else no line changed: the mark stays
-            mark = changed
-        state.update(",".join([*encoded[at:mark], ""]).encode())  # each line with its comma
-        self._changed, self._mark, self._state = len(encoded), mark, state.copy()
-        state.update((",".join(encoded[mark:]) + tail).encode())
-        self._digests.append(state.hexdigest()[:16])
+        self._digests.append(text_digest(request_text(system, task, rules, encoded, constraints)))
 
 
 class _Digest:
@@ -350,7 +323,7 @@ class _Digest:
             self.index._hash_next()
         return digests[self.n]
 
-    def __reduce__(self) -> tuple:  # a copy holds the digest: no SHA-256 state copies
+    def __reduce__(self) -> tuple:  # a copy holds the digest, not a copy of the index
         return str, (self(),)
 
 

@@ -18,10 +18,7 @@ from . import evidence
 from .evidence import EvidenceExpr
 from .memory import NOT_FOUND, MemorySnapshot, key_segments, resolve_plan
 from .runtime import ToolCall, same_args
-
-
-class GoalConfigError(Exception):
-    """Goal specification is structurally invalid; the message starts with the path at fault."""
+from .util import ConfigError, expect_object, expect_type
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class GoalSpec:
         for fact in self.required_facts:
             segments = key_segments(fact) if isinstance(fact, str) else ()
             if segments[:1] != ("obs",) or len(segments) < 3:
-                raise GoalConfigError(
+                raise ConfigError(
                     f"goal: required fact {fact!r} must be an obs.<entity>.<field> leaf key"
                 )
             entity = ".".join(segments[1:-1])
@@ -105,7 +102,7 @@ class GoalSpec:
     def validate(self) -> None:
         """Reject specs whose conditions reach outside the required facts."""
         if not self.required_facts:
-            raise GoalConfigError("goal: requires at least one required fact")
+            raise ConfigError("goal: requires at least one required fact")
         self.entities()  # validates key shapes
         # The proposer sees a tool's action record only as act.<tool>, so after a
         # branch's first call of a tool it would take a second one as done too.
@@ -113,11 +110,11 @@ class GoalSpec:
             names = [action.name for action in branch.actions]
             for position, name in enumerate(names):
                 if name in names[:position]:
-                    raise GoalConfigError(f"goal: branches[{index}] names tool {name!r} twice")
+                    raise ConfigError(f"goal: branches[{index}] names tool {name!r} twice")
         allowed = set(self.required_facts)
         for key in self.condition_keys():
             if key not in allowed and not key.startswith("goal."):
-                raise GoalConfigError(
+                raise ConfigError(
                     f"goal: condition references {key!r}, which is not a required fact"
                 )
 
@@ -160,9 +157,9 @@ class GoalSpec:
     @classmethod
     def from_dict(cls, config: Any) -> "GoalSpec":
         """The goal ``config`` describes; its JSON shape is checked here, naming the path."""
-        _object(config, "goal", {"required_facts", "branches", "cancellation"})
-        required = _typed(config.get("required_facts"), list, "goal.required_facts", "array")
-        branches = _typed(config.get("branches", []), list, "goal.branches", "array")
+        expect_object(config, "goal", {"required_facts", "branches", "cancellation"})
+        required = expect_type(config.get("required_facts"), list, "goal.required_facts", "array")
+        branches = expect_type(config.get("branches", []), list, "goal.branches", "array")
         raw_cancel = config.get("cancellation")
         return cls(
             required_facts=tuple(required),
@@ -188,23 +185,9 @@ class GoalSpec:
         return data
 
 
-def _typed(value: Any, types: type, path: str, label: str) -> Any:
-    """``value``, when it is a ``types``; otherwise a ``GoalConfigError`` names ``path``."""
-    if not isinstance(value, types):
-        raise GoalConfigError(f"{path}: expected {label}, got {type(value).__name__}")
-    return value
-
-
-def _object(value: Any, path: str, fields: set[str]) -> None:
-    """Raise ``GoalConfigError`` unless ``value`` is an object with no field outside ``fields``."""
-    unknown = sorted(set(_typed(value, dict, path, "object")) - fields)
-    if unknown:
-        raise GoalConfigError(f"{path}: unknown fields {unknown}")
-
-
 def _branch(raw: Any, path: str) -> Branch:
-    _object(raw, path, {"condition", "actions"})
-    actions = _typed(raw.get("actions", []), list, f"{path}.actions", "array")
+    expect_object(raw, path, {"condition", "actions"})
+    actions = expect_type(raw.get("actions", []), list, f"{path}.actions", "array")
     return Branch(
         condition=_condition(raw, path),
         actions=tuple(_action(action, f"{path}.actions[{i}]") for i, action in enumerate(actions)),
@@ -212,23 +195,23 @@ def _branch(raw: Any, path: str) -> Branch:
 
 
 def _cancellation(raw: Any, path: str = "goal.cancellation") -> Branch:
-    _object(raw, path, {"condition", "action"})
+    expect_object(raw, path, {"condition", "action"})
     condition = _condition(raw, path)
     return Branch(condition=condition, actions=(_action(raw.get("action"), f"{path}.action"),))
 
 
 def _condition(raw: dict[str, Any], path: str) -> tuple[EvidenceExpr, ...]:
-    texts = _typed(raw.get("condition", []), list, f"{path}.condition", "array")
+    texts = expect_type(raw.get("condition", []), list, f"{path}.condition", "array")
     return tuple(
-        evidence.parse(_typed(text, str, f"{path}.condition[{i}]", "string"))
+        evidence.parse(expect_type(text, str, f"{path}.condition[{i}]", "string"))
         for i, text in enumerate(texts)
     )
 
 
 def _action(raw: Any, path: str) -> ToolCall:
-    _object(raw, path, {"name", "arguments"})
-    name = _typed(raw.get("name"), str, f"{path}.name", "string")
-    arguments = _typed(raw.get("arguments", {}), dict, f"{path}.arguments", "object")
+    expect_object(raw, path, {"name", "arguments"})
+    name = expect_type(raw.get("name"), str, f"{path}.name", "string")
+    arguments = expect_type(raw.get("arguments", {}), dict, f"{path}.arguments", "object")
     return ToolCall(name, dict(arguments))
 
 

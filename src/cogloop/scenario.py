@@ -21,13 +21,13 @@ from .cognition import (
     format_memory_fact, parse_entities,
 )
 from .evidence import EvidenceParseError
-from .goals import GoalConfigError, GoalSpec
+from .goals import GoalSpec
 from .loop import ConfigError, EpisodeConfig, check_max_cycles
 from .memory import NOT_FOUND, EntryKind, MalformedKey, MemoryStore, StoreError, key_segments
 from .runtime import (
     EXTRA_SPECS, ErrorCode, ToolFailure, WorldState, argument_problems, builtin_registry
 )
-from .util import canonical_json, is_int, is_number
+from .util import canonical_json, expect_object, expect_type, is_int, is_number
 
 SUITE_SEEDS = [1, 2, 3, 4, 5]
 DEFAULT_BASELINE_DECAY = 0.3
@@ -51,16 +51,6 @@ _ERROR_CODES = sorted(code.value for code in ErrorCode)
 def _expect(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{path}: {message}")
-
-
-def _expect_type(value: Any, types: type | tuple[type, ...], path: str, label: str) -> None:
-    _expect(isinstance(value, types), path, f"expected {label}, got {type(value).__name__}")
-
-
-def _expect_object(value: Any, path: str, fields: set[str]) -> None:
-    _expect_type(value, dict, path, "object")
-    unknown = sorted(set(value) - fields)
-    _expect(not unknown, path, f"unknown fields {unknown}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +82,6 @@ class Scenario:
         """The goal, gather and goal citation, parsed once, when ``validate`` first reads them."""
         try:
             goal = GoalSpec.from_dict(self.goal)
-        except GoalConfigError as exc:  # its message starts with the goal path
-            raise ConfigError(str(exc)) from exc
         except (EvidenceParseError, MalformedKey) as exc:
             raise ConfigError(f"goal: {exc}") from exc
         return PlannerPolicy(
@@ -111,21 +99,21 @@ class Scenario:
     def validate(self) -> None:
         """Check every rule on the scenario's fields; a ``ConfigError`` names the field at fault."""
         name = self.name
-        _expect_type(name, str, "name", "string")
+        expect_type(name, str, "name", "string")
         _expect(
             bool(name) and all(c.isalnum() or c == "_" for c in name) and name == name.lower(),
             "name",
             "must be lowercase letters, digits, and underscores",
         )
-        _expect_type(self.task, str, "task", "string")
+        expect_type(self.task, str, "task", "string")
         if not self.task.strip():
             raise ConfigError("task must be a non-empty string")
-        _expect_type(self.context, dict, "context", "object")
+        expect_type(self.context, dict, "context", "object")
         if self.goal_citation is not None:
-            _expect_type(self.goal_citation, str, "goal_citation", "string")
-        _expect_type(self.extra_tools, list, "extra_tools", "array")
+            expect_type(self.goal_citation, str, "goal_citation", "string")
+        expect_type(self.extra_tools, list, "extra_tools", "array")
         seeds = self.seeds
-        _expect_type(seeds, list, "seeds", "array")
+        expect_type(seeds, list, "seeds", "array")
         _expect(bool(seeds), "seeds", "must list at least one seed")
         for i, seed in enumerate(seeds):
             _expect(is_int(seed), f"seeds[{i}]", "expected integer")
@@ -197,10 +185,7 @@ class Scenario:
                 )
         # Cycle 0 as `drive_episode` commits it: the store's entry rules judge the context.
         store = MemoryStore()
-        try:
-            self.stage_context(store)
-        except StoreError as exc:
-            raise ConfigError(f"context: {exc}") from exc
+        self.stage_context(store)
         snapshot = store.commit_cycle()
         citation = self.policy.goal_citation
         if citation is not None:
@@ -228,10 +213,13 @@ class Scenario:
                 )
 
     def stage_context(self, store: MemoryStore) -> None:
-        """Stage the context entries of cycle 0, in key order."""
+        """Stage the context entries of cycle 0, in key order; an entry the store refuses
+        raises a ``ConfigError``, when the scenario is built and on every cycle 0 after."""
         for key in sorted(self.context, key=str):  # the store refuses a key of another type
             try:
                 store.write_staged(key, EntryKind.OBSERVATION, self.context[key], source="init")
+            except StoreError as exc:
+                raise ConfigError(f"context: {exc}") from exc
             except (TypeError, ValueError, RecursionError) as exc:  # a set, a cycle: no JSON
                 raise ConfigError(f"context.{key}: not a JSON value ({exc})") from None
 
@@ -240,12 +228,12 @@ class Scenario:
     def from_dict(cls, data: Any) -> "Scenario":
         """The scenario ``data`` describes; the document's fields are checked here, their values
         when it is built."""
-        _expect_object(data, "$", _TOP_LEVEL_FIELDS)
+        expect_object(data, "$", _TOP_LEVEL_FIELDS)
         for required in ("name", "task", "world", "goal", "gather"):
             _expect(required in data, required, "required field is missing")
         fields = {key: value for key, value in data.items() if key != "baseline"}
         baseline = data.get("baseline", {})
-        _expect_object(baseline, "baseline", {"budget", "decay"})
+        expect_object(baseline, "baseline", {"budget", "decay"})
         fields.update({f"baseline_{key}": value for key, value in baseline.items()})
         world = data["world"]
         if isinstance(world, dict):  # the digest reads the world with its defaults
@@ -254,31 +242,31 @@ class Scenario:
 
 
 def _check_world(world: Any) -> None:
-    _expect_object(world, "world", {"seed", "weather", "fault_schedule"})
+    expect_object(world, "world", {"seed", "weather", "fault_schedule"})
     seed = world.get("seed", 0)
     _expect(is_int(seed), "world.seed", "expected integer")
     weather = world.get("weather", [])
-    _expect_type(weather, list, "world.weather", "array")
+    expect_type(weather, list, "world.weather", "array")
     readings = set()
     for i, row in enumerate(weather):
         path = f"world.weather[{i}]"
-        _expect_object(row, path, {"location", "date", "temp_f", "precipitation"})
-        _expect_type(row.get("location"), str, f"{path}.location", "string")
-        _expect_type(row.get("date"), str, f"{path}.date", "string")
+        expect_object(row, path, {"location", "date", "temp_f", "precipitation"})
+        expect_type(row.get("location"), str, f"{path}.location", "string")
+        expect_type(row.get("date"), str, f"{path}.date", "string")
         _expect(
             is_number(row.get("temp_f"), finite=True), f"{path}.temp_f", "expected finite number"
         )
-        _expect_type(row.get("precipitation"), bool, f"{path}.precipitation", "boolean")
+        expect_type(row.get("precipitation"), bool, f"{path}.precipitation", "boolean")
         reading = (row["location"], row["date"])
         _expect(reading not in readings, path, "repeats the reading for {} on {}".format(*reading))
         readings.add(reading)
     schedule = world.get("fault_schedule", [])
-    _expect_type(schedule, list, "world.fault_schedule", "array")
+    expect_type(schedule, list, "world.fault_schedule", "array")
     faults = set()
     for i, row in enumerate(schedule):
         path = f"world.fault_schedule[{i}]"
-        _expect_object(row, path, {"tool", "ordinal", "code"})
-        _expect_type(row.get("tool"), str, f"{path}.tool", "string")
+        expect_object(row, path, {"tool", "ordinal", "code"})
+        expect_type(row.get("tool"), str, f"{path}.tool", "string")
         ordinal = row.get("ordinal")
         _expect(is_int(ordinal) and ordinal >= 1, f"{path}.ordinal", "expected positive integer")
         # A list, not a set: the code may be any JSON value, hashable or not.
@@ -289,10 +277,10 @@ def _check_world(world: Any) -> None:
 
 
 def _check_gather(gather: Any) -> None:
-    _expect_object(gather, "gather", {"tool", "arguments"})
+    expect_object(gather, "gather", {"tool", "arguments"})
     _expect("tool" in gather, "gather.tool", "required field is missing")
-    _expect_type(gather["tool"], str, "gather.tool", "string")
-    _expect_type(gather.get("arguments", {}), dict, "gather.arguments", "object")
+    expect_type(gather["tool"], str, "gather.tool", "string")
+    expect_type(gather.get("arguments", {}), dict, "gather.arguments", "object")
 
 
 def load_scenario(path: str | Path) -> Scenario:

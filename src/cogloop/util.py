@@ -1,5 +1,6 @@
 """Small shared helpers: canonical JSON, content digests, simulated timestamps, value tests,
-fields computed on first read, and the configuration error every configuration object raises.
+fields computed on first read, and the configuration error every configuration object raises,
+with the checks of a configuration document's shape.
 
 Everything that must be byte-stable across runs (trace files, reports,
 cache keys, config digests) funnels through :func:`canonical_json` so the
@@ -19,6 +20,21 @@ EPOCH = datetime(2025, 1, 1, tzinfo=timezone.utc)
 
 class ConfigError(Exception):
     """Episode or scenario configuration is invalid."""
+
+
+def expect_type(value: Any, types: type | tuple[type, ...], path: str, label: str) -> Any:
+    """``value``, when it is a ``types``; otherwise a ``ConfigError`` names ``path``."""
+    if not isinstance(value, types):
+        raise ConfigError(f"{path}: expected {label}, got {type(value).__name__}")
+    return value
+
+
+def expect_object(value: Any, path: str, fields: set[str]) -> None:
+    """Raise a ``ConfigError`` naming ``path`` unless ``value`` is an object with no field
+    outside ``fields``."""
+    unknown = sorted(set(expect_type(value, dict, path, "object")) - fields)
+    if unknown:
+        raise ConfigError(f"{path}: unknown fields {unknown}")
 
 
 class Sentinel:

@@ -83,7 +83,7 @@ def planning_afresh(patch: pytest.MonkeyPatch) -> None:
 
 def fresh_fact_index(patch: pytest.MonkeyPatch) -> None:
     """Each governed input is assembled by a new ``FactIndex``: every line rendered, encoded
-    and parsed, the digest hashed whole, and a new entity map."""
+    and parsed, and a new entity map."""
     def cognition_input(self, snapshot, constraints, cycle):
         require_memo(self, "facts")
         task = self.config.scenario.task
@@ -121,7 +121,7 @@ CACHES: dict[str, Callable[[pytest.MonkeyPatch], None]] = {
     # the rejections that read no memory, kept per proposal object: every cycle validated
     "control.CallChecks._rejected": forgetting(control.CallChecks, "_rejected"),
     "goals.GoalWatch.success": fresh_success,
-    # the fact lines, their digest mark and the shared entity map: every input hashed whole
+    # the fact lines, their canonical JSON and the shared entity map: each input built anew
     "loop.Governed.facts": fresh_fact_index,
     # per metrics replay
     # each consumed path's value until its owner commits: every consumption resolved

@@ -298,17 +298,17 @@ def fact_histories(draw, constraints=CONSTRAINTS) -> list[tuple[list[str], tuple
     """Cycles of fact writes, each with its constraints (``None``: new ones every cycle).
 
     The first cycle writes up to 194 lines; each later one inserts keys at the front, the
-    end, a `SIZE_EDGES` line, one line before, at or after the digest's mark (the first
-    line the last cycle changed) or anywhere between, rewrites lines in place (as
-    transient_retry's error marker does), or writes no fact.
+    end, a `SIZE_EDGES` line, one line before, at or after the first line the last cycle
+    changed, or anywhere between, rewrites lines in place (as transient_retry's error
+    marker does), or writes no fact.
     """
     count = draw(st.one_of(st.sampled_from([0, *SIZE_EDGES]), st.integers(0, 194)))
     ids = [n * (KEY_SPACE // (count + 1)) for n in range(1, count + 1)]
-    cycles, mark = [list(ids)], 0
+    cycles, changed = [list(ids)], 0
     for _ in range(draw(st.integers(0, 8))):
         writes = []
         for _ in range(draw(st.integers(0, 3))):
-            near = [mark - 1, mark, mark + 1]
+            near = [changed - 1, changed, changed + 1]
             at = draw(st.one_of(st.sampled_from([0, len(ids), *SIZE_EDGES, *near]),
                                 st.integers(0, len(ids))))
             at = min(max(at, 0), len(ids))
@@ -319,7 +319,7 @@ def fact_histories(draw, constraints=CONSTRAINTS) -> list[tuple[list[str], tuple
             if high - low > 1:
                 ids.insert(at, (low + high) // 2)
                 writes.append(ids[at])
-        mark = min(map(ids.index, writes), default=mark)
+        changed = min(map(ids.index, writes), default=changed)
         cycles.append(writes)
     return [
         ([f"obs.k{n:013d}" for n in writes], (f"cycle {i}",) if constraints is None else
@@ -343,10 +343,10 @@ def assembled(history) -> list[CognitionInput]:
 
 @settings(max_examples=150, deadline=None)
 @given(history=fact_histories())
-def test_resumed_input_digest_equals_a_plain_digest(history):
-    """Over empty facts, inserts at the front, the end and around the mark, rewrites in
-    place, and cycles that change no line or the constraints, each input's digest is that
-    of its request, though hashed from the mark."""
+def test_input_digest_after_line_edits_equals_a_plain_digest(history):
+    """Over empty facts, inserts at the front, the end and around the last cycle's first
+    change, rewrites in place, and cycles that change no line or the constraints, each
+    input's digest, hashed from the lines' kept canonical JSON, is that of its request."""
     for built in assembled(history):
         assert built.input_digest == content_digest(built.to_request())
 

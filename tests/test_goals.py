@@ -4,9 +4,10 @@ from __future__ import annotations
 import pytest
 
 from cogloop.evidence import UNKNOWN
-from cogloop.goals import GoalConfigError, GoalSpec, GoalWatch, action_executed
+from cogloop.goals import GoalSpec, GoalWatch, action_executed
 from cogloop.memory import EntryKind, MemoryStore
 from cogloop.runtime import ToolCall
+from cogloop.util import ConfigError
 
 TWO_CITY_GOAL = {
     "required_facts": [
@@ -89,14 +90,14 @@ def test_round_trip_through_dict(goal):
 
 # --------------------------------------------------------------- validation
 def test_missing_required_facts_rejected():
-    with pytest.raises(GoalConfigError):
+    with pytest.raises(ConfigError):
         GoalSpec.from_dict({"required_facts": []})
-    with pytest.raises(GoalConfigError):
+    with pytest.raises(ConfigError):
         GoalSpec.from_dict({})
 
 
 def test_non_observation_fact_rejected():
-    with pytest.raises(GoalConfigError):
+    with pytest.raises(ConfigError):
         GoalSpec.from_dict({"required_facts": ["act.book_flight"]})
 
 
@@ -110,7 +111,7 @@ def test_condition_outside_required_facts_rejected():
             }
         ],
     }
-    with pytest.raises(GoalConfigError, match="obs.Busan.temp_f"):
+    with pytest.raises(ConfigError, match="obs.Busan.temp_f"):
         GoalSpec.from_dict(config)
 
 

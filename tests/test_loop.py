@@ -335,6 +335,22 @@ def test_a_built_config_cannot_change(two_city):
     assert config == two_city.episode_config(seed=1)
 
 
+def test_a_context_edited_in_place_fails_with_a_config_error(two_city):
+    """A context entry added after the scenario is built is judged at cycle 0 by the rules
+    that judge it when the scenario is built, with the same messages: an entry the store
+    refuses, or a value JSON cannot hold."""
+    config = two_city.episode_config(seed=1)
+    for key, value, message in (
+        ("status.x", {"x": 1},
+         "context: kind 'observation' not allowed under namespace 'status' (key status.x)"),
+        ("goal.x", {"x": {1}}, "context.goal.x: not a JSON value"),
+    ):
+        two_city.context[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            run_episode(config)
+        del two_city.context[key]
+
+
 def test_editing_a_live_trace_leaves_later_episodes_alone(scenario_dir):
     """A trace's calls and invocations hold copies, not the argument dicts of the goal's
     action templates, which every episode of the scenario shares."""

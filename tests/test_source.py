@@ -339,6 +339,19 @@ def test_only_util_writes_compact_json():
     assert len(writers) == 1 and writers[0].startswith("util.py:"), writers
 
 
+def test_only_util_imports_hashlib():
+    """``util.text_digest`` is the one home of SHA-256: every digest goes through it, so a
+    second hasher cannot drift from it in what it covers or how it cuts the hex."""
+    importers = {
+        module
+        for module, text in MODULES.items()
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Import) and any(a.name == "hashlib" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "hashlib")
+    }
+    assert importers == {"util.py"}
+
+
 def calls_by_function(tree: ast.Module, names: set[str]) -> set[tuple[str, str]]:
     """(called name, qualified name of the enclosing function) of every call of ``names``."""
     found = set()

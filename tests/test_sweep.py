@@ -218,30 +218,16 @@ def long_config():
 
 
 def count_hashed_bytes(patch) -> list[int]:
-    """Count, in the returned list's one item, the bytes given to SHA-256 in cognition and
-    util, the modules that hash proposer inputs: governed inputs, and the rest."""
+    """Count, in the returned list's one item, the bytes given to SHA-256 in util, where
+    every input digest is hashed: governed inputs, and the rest."""
     hashed = [0]
     sha256 = hashlib.sha256
 
-    class Counting:
-        def __init__(self, data=b""):
-            self.state = sha256()
-            self.update(data)
+    def counting(data):
+        hashed[0] += len(data)
+        return sha256(data)
 
-        def update(self, data):
-            hashed[0] += len(data)
-            self.state.update(data)
-
-        def copy(self):
-            twin = Counting()
-            twin.state = self.state.copy()
-            return twin
-
-        def hexdigest(self):
-            return self.state.hexdigest()
-
-    for module in (cognition, util):
-        patch.setattr(module, "hashlib", SimpleNamespace(sha256=Counting))
+    patch.setattr(util, "hashlib", SimpleNamespace(sha256=counting))
     return hashed
 
 
@@ -313,8 +299,7 @@ def probe_episode():
 
 def test_every_cycle_records_the_digest_of_its_whole_input(long_episode, probe_episode):
     """On the probe and the 469-cycle episode, whose inputs grow to hundreds of fact
-    lines, each cycle's input digest, resumed from the last input's, is that of the
-    request."""
+    lines, each cycle's input digest is that of the request."""
     for episode in (probe_episode, long_episode):
         result, inputs = episode.result, episode.inputs
         assert len(inputs) == result.cycles_used == len(result.trace.cycles) - 1
@@ -324,20 +309,14 @@ def test_every_cycle_records_the_digest_of_its_whole_input(long_episode, probe_e
     assert len(canonical_json(long_episode.inputs[-1].to_request())) > 65_536
 
 
-def test_long_episode_hashes_at_most_a_third_of_its_input_bytes(long_episode):
-    """Each input is hashed from the mark, the first line the last input changed, so the
-    469-cycle episode hashes about 30% of its input bytes. Hashing every input whole
-    hashed all of them; a state kept every 64 lines hashed 42%."""
-    hashed, total = long_episode.hashed, long_episode.total
-    assert 0 < 3 * hashed <= total, f"{hashed} of {total} bytes hashed"
+def test_long_episode_dump_hashes_each_input_whole(long_episode):
+    """The 469-cycle episode's dump hashes each input whole, once: 16,007,912 bytes."""
+    assert long_episode.hashed == long_episode.total == 16_007_912
 
 
-def test_probe_hashes_at_most_55_percent_of_its_input_bytes(probe_episode):
-    """The 237-cycle probe's inputs are shorter, so the tail after each change is a
-    larger share: about 52% of its input bytes are hashed. A state kept every 64 lines
-    hashed 72%."""
-    hashed, total = probe_episode.hashed, probe_episode.total
-    assert 0 < 100 * hashed <= 55 * total, f"{hashed} of {total} bytes hashed"
+def test_probe_dump_hashes_each_input_whole(probe_episode):
+    """The 237-cycle probe's dump hashes each input whole, once: 4,198,457 bytes."""
+    assert probe_episode.hashed == probe_episode.total == 4_198_457
 
 
 def hashed_per_input(history) -> list[tuple[CognitionInput, int]]:
@@ -357,22 +336,22 @@ def hashed_per_input(history) -> list[tuple[CognitionInput, int]]:
 
 
 def check_hashed_per_input(history) -> None:
-    """Each input's digest is its request's, and hashes no more bytes than the request."""
+    """Each input's digest is its request's, and hashes exactly the request's bytes."""
     for built, hashed in hashed_per_input(history):
         request = canonical_json(built.to_request())
         assert built.input_digest == util.text_digest(request)
-        assert hashed <= len(request.encode())
+        assert hashed == len(request.encode())
 
 
 def test_a_run_and_its_metrics_hash_no_input_and_a_dump_hashes_what_eager_digests_did(
     long_episode
 ):
     """The 469-cycle episode and its metrics hash no input byte. Its dump then hashes,
-    every digest at once, the 4,816,046 bytes that reading each digest in its own cycle
+    every digest at once, the 16,007,912 bytes that reading each digest in its own cycle
     hashes, which is what an eager digest hashed, and writes the same trace."""
     eager = hashed_episode(long_config(), Reading)
     assert (long_episode.ran, eager.hashed) == (0, 0)
-    assert long_episode.hashed == eager.ran == 4_816_046
+    assert long_episode.hashed == eager.ran == 16_007_912
     assert long_episode.text == eager.text
 
 
@@ -489,9 +468,9 @@ def test_digests_read_in_any_order_equal_plain_digests(history, data):
 
 def test_unread_digests_survive_copies_comparisons_and_edited_traces():
     """A record's unread digest resolves to its input's after ``dataclasses.replace``,
-    ``copy.deepcopy`` (whose copy holds the digest itself, though the index holds a SHA-256
-    state once one digest is read), ``==``, and after the live trace's list of records is
-    reversed and cut in place."""
+    ``copy.deepcopy`` (whose copy holds the digest itself, not a copy of the episode's
+    index), ``==``, and after the live trace's list of records is reversed and cut in
+    place."""
     config = probe_config()
     recorded = Recorded(make_proposer(config))
     trace = drive_episode(Governed(config), recorded).trace
@@ -516,16 +495,16 @@ def test_unread_digests_survive_copies_comparisons_and_edited_traces():
 @settings(max_examples=30, deadline=None)
 @given(history=fact_histories(constraints=None))
 def test_inputs_whose_constraints_change_every_cycle_hash_no_more_than_plain(history):
-    """New constraints change an input's text before its first fact line, so the mark
-    cannot serve: each input is hashed once from its start, as a plain digest would."""
+    """New constraints change an input's text before its first fact line: each input is
+    still hashed once, whole, as a plain digest would be."""
     check_hashed_per_input(history)
 
 
 @settings(max_examples=100, deadline=None)
 @given(history=fact_histories())
 def test_no_input_hashes_more_than_its_whole_request(history):
-    """Whether a cycle's first change lands before the mark, at it or after it, changes
-    no line, or comes with new constraints, its input hashes at most its request's bytes."""
+    """Whether a cycle's first change lands before, at or after the last cycle's, changes
+    no line, or comes with new constraints, its input hashes exactly its request's bytes."""
     check_hashed_per_input(history)
 
 
